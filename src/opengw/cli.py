@@ -36,6 +36,7 @@ from .lattice import ConstraintTuple
 from .multidisk import conjugation_cancellation_check, tree_weight_sum, \
     welschinger_count
 from .wdvv import (
+    OpenInvariantTable,
     check_structure,
     relation_instances,
     solve_wdvv,
@@ -231,20 +232,31 @@ def run_bb_recursion(bundle, atom_bundle, config, rep):
               invariant_rows)
 
 
+def _bracket_label(coords, ins):
+    return ",".join(str(c) for c in coords), ",".join(str(i) for i in ins) or "-"
+
+
 def run_wdvv_solve(bundle, closed, seeds, config, rep):
+    """Solve, audit and tabulate; returns the SolveResult (None without a
+    cohomology model)."""
     target, model = bundle.target, bundle.model
     if model is None:
         rep.check("wdvv-solve", "FAIL", "target declares no cohomology model")
-        return
+        return None
     result = solve_wdvv(target, model, closed, seeds,
                         area_bound=config.area_bound,
                         max_insertions=config.cap_insertions)
     rows = [
-        (",".join(str(c) for c in coords),
-         ",".join(str(i) for i in ins) or "-", value)
+        _bracket_label(coords, ins) + (value,)
         for (coords, ins), value in result.table.entries()
     ]
     rep.table("wdvv_table", ("degree", "insertions", "value"), rows)
+    solved_rows = [
+        _bracket_label(coords, ins) + (str(inst), value)
+        for (coords, ins), inst, value in result.solved
+    ]
+    rep.table("wdvv_solved", ("degree", "insertions", "instance", "value"),
+              solved_rows)
     res_rows = [
         (str(inst), "-" if value is None else value)
         for inst, value in result.residuals
@@ -275,6 +287,7 @@ def run_wdvv_solve(bundle, closed, seeds, config, rep):
             % (len(outcome.passed), len(outcome.failed),
                len(outcome.untestable)),
         )
+    return result
 
 
 def run_verify_all(bundle, atom_bundle, closed, seeds, config, rep):
@@ -401,15 +414,15 @@ def run_verify_all(bundle, atom_bundle, closed, seeds, config, rep):
             rep.check("conjugation-cancellation", "SKIP",
                       "no involution declared")
     if closed is not None and seeds is not None and bundle.model is not None:
-        run_wdvv_solve(bundle, closed, seeds, config, rep)
+        result = run_wdvv_solve(bundle, closed, seeds, config, rep)
         # negative control: a unit perturbation of a solved entry must
         # break at least one residual
-        result = solve_wdvv(bundle.target, bundle.model, closed, seeds,
-                            area_bound=config.area_bound,
-                            max_insertions=config.cap_insertions)
         if result.consistent and result.solved:
             key = result.solved[0][0]
-            perturbed = result.table
+            perturbed = OpenInvariantTable(
+                target, bundle.model,
+                [(c, i, v) for (c, i), v in result.table.entries()],
+            )
             perturbed.set(key[0], key[1],
                           perturbed.value(target.degree(key[0]), key[1]) + 1)
             nonzero = False

@@ -95,9 +95,11 @@ class ModElement:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        v = self._lift(other) % self.p
+        v = self._lift(other)
         if v is NotImplemented:
             return NotImplemented
+        if v % self.p == 0:
+            raise ZeroDivisionError("division by zero mod %d" % self.p)
         return ModElement(self.value * pow(v, -1, self.p), self.p)
 
     def __eq__(self, other):

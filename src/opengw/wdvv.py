@@ -10,11 +10,13 @@ dimension formula.
 Two quadratic relations tie the tables together, each anchored at
 fixed slots of the insertion tuple: a closed-times-open contraction
 through the inverse pairing against open-times-open convolutions with
-binomial weights.  The solver walks unknown brackets in increasing
-(area, size) order, solves each from the first usable relation
-instance, and afterwards evaluates every instance as a residual that
-must vanish; inconsistencies are reported with the offending instance,
-never averaged away.
+binomial weights.  The solver eliminates unknown brackets in sweeps:
+each sweep visits the open unknowns in increasing (area, size, key)
+order and solves each from the first relation instance (in instance
+order) that, after everything solved so far, involves it alone.
+Afterwards every instance is evaluated as a residual that must vanish;
+inconsistencies are reported with the offending instance, never
+averaged away.
 """
 
 from __future__ import annotations
@@ -38,7 +40,14 @@ class ModelError(ValueError):
 
 
 class NonlinearEquationError(RuntimeError):
-    """A relation instance turned out quadratic in the unknowns."""
+    """A relation instance turned out quadratic in the unknowns.
+
+    `keys` holds the unknowns of the two factors whose product raised.
+    """
+
+    def __init__(self, message, keys=()):
+        super().__init__(message)
+        self.keys = frozenset(keys)
 
 
 class CohomologyModel:
@@ -301,7 +310,8 @@ class LinForm:
         if isinstance(other, LinForm):
             if not self.is_constant and not other.is_constant:
                 raise NonlinearEquationError(
-                    "product of two unknown brackets"
+                    "product of two unknown brackets",
+                    set(self.coeffs) | set(other.coeffs),
                 )
             if other.is_constant:
                 return self * other.const
@@ -541,20 +551,31 @@ def unknown_keys(target, model, seeds, area_bound, max_insertions):
 def solve_wdvv(target, model, closed, seeds, area_bound, max_insertions=3):
     """Determine unknown brackets from the relations, then audit.
 
-    Processes unknowns in increasing (area, size, key) order; each is
-    solved from the lexicographically first instance in which it appears
-    with an invertible coefficient and no other unknowns (after
-    substituting everything already solved).  Afterwards every instance
-    is evaluated numerically; the residual vector of a consistent system
-    is identically zero.  Unknowns no instance determines are reported,
-    never guessed.
+    Elimination runs in sweeps.  A sweep visits the still-open unknowns
+    in increasing (area, size, key) order; a visited unknown is solved
+    from the first instance in `RelationInstance.sort_key` order whose
+    form, after substituting every bracket solved so far (earlier in
+    the same sweep included), involves it alone with a nonzero
+    coefficient.  Sweeps repeat until one solves nothing.  So the
+    instance that determines a bracket is the first to isolate it when
+    it is visited, not the first that would isolate it by the end; on a
+    consistent system both give the same value.  An instance that is
+    quadratic in open unknowns is deferred and rebuilt, followed by
+    more sweeps, once an unknown of its failing product is solved.
+
+    Afterwards every instance is evaluated numerically; the residual
+    vector of a consistent system is identically zero.  Unknowns no
+    instance determines are reported, never guessed.
     """
     table = OpenInvariantTable(target, model)
     for (coords, ins), value in seeds.entries():
         table.set(coords, ins, value)
-    unknowns = set(unknown_keys(target, model, seeds, area_bound, max_insertions))
+    # unknown_keys returns the keys in sweep order
+    order = unknown_keys(target, model, seeds, area_bound, max_insertions)
+    unknowns = set(order)
     instances = relation_instances(target, model, area_bound, max_insertions)
     solved_values = {}
+    solved_log = []
 
     def resolve(beta, insertions):
         fixed = table.resolve_fixed(beta, insertions)
@@ -567,69 +588,75 @@ def solve_wdvv(target, model, closed, seeds, area_bound, max_insertions=3):
             return LinForm(Fraction(0), {key: Fraction(1)})
         return LinForm(table.value(beta, insertions))
 
-    def build(inst):
-        builder = wdvv1_form if inst.relation == 1 else wdvv2_form
-        return builder(
-            target, model, closed, resolve,
-            target.degree(inst.beta_coords), inst.gamma,
-        )
+    # forms: instance -> its form with every solved bracket substituted;
+    # occurs: open unknown -> instances whose form mentions it;
+    # isolating: open unknown -> the first instance whose form involves
+    # it alone (such a form keeps isolating it until it is solved, so the
+    # minimum never goes stale);
+    # blocked: deferred instance -> unknowns of its failing product
+    forms, occurs, isolating, blocked = {}, {}, {}, {}
 
-    # quadratic couplings between same-level unknowns resolve as lower
-    # levels are solved, so deferred instances are rebuilt each pass
-    forms = {}
-    deferred = list(instances)
-    solved_log = []
-    progress = True
-    while progress:
-        progress = False
-        still = []
-        for inst in deferred:
+    def note_isolating(inst, form):
+        if len(form.coeffs) != 1:
+            return
+        ((key, coeff),) = form.coeffs.items()
+        if coeff != 0 and (key not in isolating or
+                           inst.sort_key() < isolating[key].sort_key()):
+            isolating[key] = inst
+
+    def solve(key):
+        inst = isolating.pop(key)
+        form = forms[inst]
+        value = -form.const / form.coeffs[key]
+        solved_values[key] = value
+        solved_log.append((key, inst, value))
+        for other in occurs.pop(key):
+            forms[other] = forms[other].substitute({key: value})
+            note_isolating(other, forms[other])
+
+    # the first failing product of a deferred instance fails again until
+    # one of its unknowns is solved, so only such instances are rebuilt
+    to_build = instances
+    while to_build:
+        for inst in to_build:
+            builder = wdvv1_form if inst.relation == 1 else wdvv2_form
             try:
-                form = build(inst)
-            except NonlinearEquationError:
-                still.append(inst)
+                form = builder(target, model, closed, resolve,
+                               target.degree(inst.beta_coords), inst.gamma)
+            except NonlinearEquationError as exc:
+                blocked[inst] = exc.keys
                 continue
-            if form is not None:
-                forms[inst] = form
-            progress = progress or form is not None
-        deferred = still
+            blocked.pop(inst, None)
+            if form is None:
+                continue
+            forms[inst] = form
+            for key in form.coeffs:
+                occurs.setdefault(key, set()).add(inst)
+            note_isolating(inst, form)
         advanced = True
         while advanced:
             advanced = False
-            pending = sorted(
-                unknowns - set(solved_values),
-                key=lambda key: (target.degree(key[0]).area, len(key[1]), key),
-            )
-            for key in pending:
-                for inst in sorted(forms, key=RelationInstance.sort_key):
-                    reduced = forms[inst].substitute(solved_values)
-                    if set(reduced.coeffs) == {key} and reduced.coeffs[key] != 0:
-                        value = -reduced.const / reduced.coeffs[key]
-                        solved_values[key] = value
-                        solved_log.append((key, inst, value))
-                        advanced = True
-                        progress = True
-                        break
-        if not deferred:
-            break
+            for key in order:
+                if key in isolating:
+                    solve(key)
+                    advanced = True
+        to_build = [inst for inst, keys in blocked.items()
+                    if not keys.isdisjoint(solved_values)]
     for (coords, ins), value in sorted(solved_values.items()):
         table.set(coords, ins, value)
-    unsolved = sorted(unknowns - set(solved_values))
     residuals = []
     for inst in instances:
         if inst in forms:
-            reduced = forms[inst].substitute(solved_values)
-            residuals.append(
-                (inst, reduced.const if reduced.is_constant else None)
-            )
-        elif inst in deferred:
+            form = forms[inst]
+            residuals.append((inst, form.const if form.is_constant else None))
+        elif inst in blocked:
             residuals.append((inst, None))
     return SolveResult(
         table=table,
         solved=solved_log,
-        unsolved=unsolved,
+        unsolved=sorted(unknowns - set(solved_values)),
         residuals=residuals,
-        nonlinear=sorted(deferred, key=RelationInstance.sort_key),
+        nonlinear=sorted(blocked, key=RelationInstance.sort_key),
     )
 
 

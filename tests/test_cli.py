@@ -179,6 +179,26 @@ def test_wdvv_solve_pipeline(tmp_path):
         assert line.endswith("\t0")
 
 
+def test_wdvv_solve_emits_solve_log(tmp_path):
+    status, cfg = run_pipeline(tmp_path, "wdvv-solve", atoms=None)
+    assert status == 0
+    out = tmp_path / "out"
+    log = (out / "wdvv_solved.tsv").read_text().splitlines()
+    assert log[0] == "degree\tinsertions\tinstance\tvalue"
+    summary = json.loads((out / "checks.json").read_text())
+    detail = next(c["detail"] for c in summary["checks"]
+                  if c["check"] == "wdvv-solve")
+    assert len(log) - 1 == int(detail.split()[0])  # "<n> solved, ..."
+    table = {}
+    for line in (out / "wdvv_table.tsv").read_text().splitlines()[1:]:
+        degree, insertions, value = line.split("\t")
+        table[degree, insertions] = value
+    for line in log[1:]:
+        degree, insertions, instance, value = line.split("\t")
+        assert instance.startswith("rel")
+        assert table[degree, insertions] == value
+
+
 def test_wdvv_solve_missing_seed_names_unknown(tmp_path):
     doc = json.loads(open(toy_paths()["seeds"]).read())
     doc["entries"] = [

@@ -1,16 +1,20 @@
 """Residual evaluators, the recursion solver, and structural checks."""
 
+import os
 from fractions import Fraction
 
 import pytest
 
+from opengw import fileio
 from opengw.lattice import Target
 from opengw.wdvv import (
     GAMMA0_LABEL,
     PD_Y_LABEL,
     ClosedGWTable,
     CohomologyModel,
+    LinForm,
     ModelError,
+    NonlinearEquationError,
     OpenInvariantTable,
     anchored_partitions,
     binomial,
@@ -22,7 +26,7 @@ from opengw.wdvv import (
     wdvv2_residual,
 )
 
-from support import make_rng
+from support import make_rng, solve_wdvv_rescan
 
 F = Fraction
 
@@ -335,6 +339,35 @@ def test_solver_order_independence():
     res2 = solve_wdvv(target, model, closed, seeds_rev, area_bound=2,
                       max_insertions=3)
     assert dict(res1.table.entries()) == dict(res2.table.entries())
+
+
+@pytest.mark.parametrize("area_bound, max_insertions", [(4, 4), (6, 4)])
+def test_indexed_solver_matches_rescan_oracle(area_bound, max_insertions):
+    """The bundled toy beyond its planted range: unsolved brackets, and
+    at (6, 4) instances deferred as nonlinear and rebuilt later."""
+    data = os.path.join(os.path.dirname(fileio.__file__), "data")
+    bundle = fileio.load_target(os.path.join(data, "toy_target.json"))
+    target, model = bundle.target, bundle.model
+    closed = fileio.load_closed(os.path.join(data, "toy_closed.json"))
+    seeds = fileio.load_seeds(os.path.join(data, "toy_seeds.json"),
+                              target, model)
+    args = (target, model, closed, seeds, F(area_bound), max_insertions)
+    res, oracle = solve_wdvv(*args), solve_wdvv_rescan(*args)
+    assert res.solved == oracle.solved
+    assert res.unsolved == oracle.unsolved
+    assert res.residuals == oracle.residuals
+    assert res.nonlinear == oracle.nonlinear
+    assert res.table.entries() == oracle.table.entries()
+    assert oracle.unsolved
+    assert oracle.nonlinear or area_bound < 6
+
+
+def test_nonlinear_error_names_both_factors():
+    left = LinForm(F(0), {"a": F(1)})
+    right = LinForm(F(2), {"b": F(3), "c": F(1)})
+    with pytest.raises(NonlinearEquationError) as err:
+        left * right
+    assert err.value.keys == {"a", "b", "c"}
 
 
 # --- structural checks -----------------------------------------------------------
