@@ -13,3 +13,8 @@ Subpackages by concern:
 """
 
 __version__ = "0.1.0"
+
+
+class OpenGWError(Exception):
+    """Base of every error class the package defines; the batch front-end
+    turns it into a one-line message and exit status 2."""

@@ -33,6 +33,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import OpenGWError
 from .lattice import ConstraintTuple, DegenerationType
 from .multidisk import (
     ConfigurationError,
@@ -43,7 +44,7 @@ from .multidisk import (
 from .ring import QQ
 
 
-class ChainError(ValueError):
+class ChainError(OpenGWError, ValueError):
     """Missing or inconsistent chain data."""
 
 
@@ -121,6 +122,18 @@ def _part_chain(part, chains, target):
     return None
 
 
+def _slot_chains(eta, chains, target):
+    """The chains of eta's chain slots, in slot order; None as soon as
+    one of them is empty (the class then contributes nothing)."""
+    out = []
+    for i in eta.chain_slots():
+        chain = _part_chain(eta.parts[i], chains, target)
+        if chain is None or not chain.boundary:
+            return None
+        out.append(chain)
+    return out
+
+
 def boundary_class_terms(alpha, chains, table, target, ring=QQ,
                          sign_toggles=SIGN_TOGGLES_DEFAULT, extra_point=None):
     """Per-class contributions to the boundary multiset of alpha.
@@ -139,16 +152,8 @@ def boundary_class_terms(alpha, chains, table, target, ring=QQ,
             # constant central disks: killed by the interior constraints
             # or cancelling in sign pairs between marked-point orderings
             continue
-        slots = eta.chain_slots()
-        slot_chains = []
-        dead = False
-        for i in slots:
-            chain = _part_chain(eta.parts[i], chains, target)
-            if chain is None or not chain.boundary:
-                dead = True
-                break
-            slot_chains.append(chain)
-        if dead:
+        slot_chains = _slot_chains(eta, chains, target)
+        if slot_chains is None:
             continue
         pts = eta.point_labels()
         if extra_point is not None:
@@ -289,13 +294,7 @@ def constant_center_classes(alpha, chains, table, target,
             continue  # interior constraints or pinned points: empty anyway
         if weight_rule(eta.part_count) == 0:
             continue
-        live = True
-        for i in eta.chain_slots():
-            chain = _part_chain(eta.parts[i], chains, target)
-            if chain is None or not chain.boundary:
-                live = False
-                break
-        if live:
+        if _slot_chains(eta, chains, target) is not None:
             out.append((eta, count))
     return out
 
@@ -329,16 +328,8 @@ def invariant_via_weights(alpha, table, target, chains=None, ring=QQ,
             continue
         if eta.center_degree.is_zero:
             continue
-        slots = eta.chain_slots()
-        slot_chains = []
-        dead = False
-        for i in slots:
-            chain = _part_chain(eta.parts[i], chains, target)
-            if chain is None or not chain.boundary:
-                dead = True
-                break
-            slot_chains.append(chain)
-        if dead:
+        slot_chains = _slot_chains(eta, chains, target)
+        if slot_chains is None:
             continue
         center = eta.center_tuple()
         if center is None:

@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import fileio, selfcheck
+from . import OpenGWError, fileio, selfcheck
 from .bounding_chain import (
     assemble_boundary,
     build_chains,
@@ -202,12 +202,16 @@ def run_welschinger(bundle, atom_bundle, config, rep):
 
 
 def run_bb_recursion(bundle, atom_bundle, config, rep):
+    """Build, tabulate and evaluate the chains; returns the chain family
+    of each top tuple, {top: chains}."""
     target = bundle.target
     table = atom_bundle.table
+    chains_by_top = {}
     chain_rows = []
     invariant_rows = []
     for top in atom_bundle.tuples:
         chains = build_chains(top, table, target, include_self=True)
+        chains_by_top[top] = chains
         for alpha in sorted(chains, key=ConstraintTuple.sort_key):
             chain = chains[alpha]
             if chain.is_point:
@@ -230,6 +234,7 @@ def run_bb_recursion(bundle, atom_bundle, config, rep):
     rep.table("chains", ("tuple", "loop", "coefficient"), chain_rows)
     rep.table("invariants", ("tuple", "kind", "point", "value"),
               invariant_rows)
+    return chains_by_top
 
 
 def _bracket_label(coords, ins):
@@ -305,11 +310,11 @@ def run_verify_all(bundle, atom_bundle, closed, seeds, config, rep):
     if atom_bundle is not None:
         table = atom_bundle.table
         run_welschinger(bundle, atom_bundle, config, rep)
-        run_bb_recursion(bundle, atom_bundle, config, rep)
+        chains_by_top = run_bb_recursion(bundle, atom_bundle, config, rep)
         worklist = _dim0_worklist(target, atom_bundle.tuples)
         bad = []
         for top in atom_bundle.tuples:
-            chains = build_chains(top, table, target, include_self=True)
+            chains = chains_by_top[top]
             for alpha in _dim0_worklist(target, [top]):
                 if assemble_boundary(alpha, chains, table, target) != \
                         direct_boundary(alpha, table, target):
@@ -340,7 +345,7 @@ def run_verify_all(bundle, atom_bundle, closed, seeds, config, rep):
         for top in atom_bundle.tuples:
             if target.dimension(top) != 0 or not top.points:
                 continue
-            chains = build_chains(top, table, target, include_self=True)
+            chains = chains_by_top[top]
             if constant_center_classes(top, chains, table, target):
                 rep.check(
                     "weighted-degree-comparison", "SKIP",
@@ -457,29 +462,29 @@ def run(config):
             fileio.load_seeds(config.seeds, bundle.target, bundle.model)
             if config.seeds else None
         )
-    except fileio.FileFormatError as exc:
+        if config.pipeline == "enumerate":
+            run_enumerate(bundle, atom_bundle, config, rep)
+        elif config.pipeline == "welschinger":
+            if atom_bundle is None:
+                print("error: pipeline needs --atoms", file=sys.stderr)
+                return 2
+            run_welschinger(bundle, atom_bundle, config, rep)
+        elif config.pipeline == "bb-recursion":
+            if atom_bundle is None:
+                print("error: pipeline needs --atoms", file=sys.stderr)
+                return 2
+            run_bb_recursion(bundle, atom_bundle, config, rep)
+        elif config.pipeline == "wdvv-solve":
+            if closed is None or seeds is None:
+                print("error: pipeline needs --closed-gw and --seeds",
+                      file=sys.stderr)
+                return 2
+            run_wdvv_solve(bundle, closed, seeds, config, rep)
+        else:
+            run_verify_all(bundle, atom_bundle, closed, seeds, config, rep)
+    except OpenGWError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    if config.pipeline == "enumerate":
-        run_enumerate(bundle, atom_bundle, config, rep)
-    elif config.pipeline == "welschinger":
-        if atom_bundle is None:
-            print("error: pipeline needs --atoms", file=sys.stderr)
-            return 2
-        run_welschinger(bundle, atom_bundle, config, rep)
-    elif config.pipeline == "bb-recursion":
-        if atom_bundle is None:
-            print("error: pipeline needs --atoms", file=sys.stderr)
-            return 2
-        run_bb_recursion(bundle, atom_bundle, config, rep)
-    elif config.pipeline == "wdvv-solve":
-        if closed is None or seeds is None:
-            print("error: pipeline needs --closed-gw and --seeds",
-                  file=sys.stderr)
-            return 2
-        run_wdvv_solve(bundle, closed, seeds, config, rep)
-    else:
-        run_verify_all(bundle, atom_bundle, closed, seeds, config, rep)
     rep.flush(config)
     failed = rep.failed
     print("%s: %s (%d checks; artifacts in %s)" % (

@@ -20,6 +20,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import OpenGWError
 from .lattice import Target
 from .multidisk import AtomTable, DiskAtom, InvolutionData, LinkingMatrix
 from .wdvv import (
@@ -32,7 +33,7 @@ from .wdvv import (
 FORMAT_VERSION = 1
 
 
-class FileFormatError(ValueError):
+class FileFormatError(OpenGWError, ValueError):
     """Unusable input document."""
 
 
@@ -197,7 +198,13 @@ def load_seeds(path, target, model):
         for e in doc.get("entries", []):
             table.set(e["degree"], [int(i) for i in e["insertions"]],
                       _rational(e["value"]))
-        for e in doc.get("beta_zero", []):
+        beta_zero = doc.get("beta_zero", [])
+        if beta_zero and model is None:
+            raise FileFormatError(
+                "%s: beta_zero entries need a target with a cohomology model"
+                % path
+            )
+        for e in beta_zero:
             corrections = [
                 (
                     tuple(int(x) for x in c["closed_degree"]),

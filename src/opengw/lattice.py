@@ -22,14 +22,14 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
+from . import OpenGWError, linalg
 
 
-class TargetError(ValueError):
+class TargetError(OpenGWError, ValueError):
     """Malformed or unusable target declaration."""
 
 
-class EnumerationError(RuntimeError):
+class EnumerationError(OpenGWError, RuntimeError):
     """An enumeration would be unbounded or exceeds a configured cap."""
 
 

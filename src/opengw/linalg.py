@@ -51,7 +51,12 @@ def transpose(a):
 
 
 def det(a):
-    """Determinant by fraction Gaussian elimination."""
+    """Determinant by Gaussian elimination.
+
+    Entries may come from any field whose elements compare with 0
+    (Fraction, or `ring.PrimeField` elements); a singular matrix gives
+    Fraction(0).
+    """
     n = len(a)
     if any(len(r) != n for r in a):
         raise ValueError("determinant of a non-square matrix")

@@ -20,17 +20,18 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import OpenGWError, linalg
 from .ring import QQ
 
 
 DEFAULT_TREE_CAP = 7
 
 
-class LinkingError(ValueError):
+class LinkingError(OpenGWError, ValueError):
     """Missing or ill-formed linking data."""
 
 
-class ConfigurationError(ValueError):
+class ConfigurationError(OpenGWError, ValueError):
     """A disk configuration violates its constraint tuple."""
 
 
@@ -224,7 +225,8 @@ def _edge_weights(config, links):
 
 def tree_weight_sum(config, links, ring=QQ):
     """Sum over spanning trees of the product of edge linking numbers,
-    via the weighted matrix-tree cofactor determinant."""
+    via the weighted matrix-tree cofactor determinant (the ring must be
+    a field)."""
     m = len(config)
     if m == 1:
         return ring.one
@@ -241,7 +243,7 @@ def tree_weight_sum(config, links, ring=QQ):
                 lap[i][i] = lap[i][i] + val
             if j < size:
                 lap[j][j] = lap[j][j] + val
-    return _ring_det(lap, ring)
+    return ring(linalg.det(lap))
 
 
 def tree_weight_sum_enumerated(config, links, ring=QQ, cap=DEFAULT_TREE_CAP):
@@ -256,51 +258,6 @@ def tree_weight_sum_enumerated(config, links, ring=QQ, cap=DEFAULT_TREE_CAP):
         for e in tree:
             prod = prod * w[e]
         total = total + prod
-    return total
-
-
-def _ring_det(matrix, ring):
-    """Division-free determinant (suitable for any commutative ring)."""
-    m = [row[:] for row in matrix]
-    n = len(m)
-    if n == 0:
-        return ring.one
-    # Bird's algorithm-free expansion is overkill at these sizes; use
-    # fraction-free Bareiss when dividing is safe, cofactors otherwise.
-    if getattr(ring, "is_field", False):
-        sign = 1
-        for col in range(n):
-            piv = next((r for r in range(col, n) if m[r][col] != ring.zero), None)
-            if piv is None:
-                return ring.zero
-            if piv != col:
-                m[col], m[piv] = m[piv], m[col]
-                sign = -sign
-            for r in range(col + 1, n):
-                if m[r][col] != ring.zero:
-                    f = m[r][col] / m[col][col]
-                    for c in range(col, n):
-                        m[r][c] = m[r][c] - f * m[col][c]
-        out = ring.one
-        for i in range(n):
-            out = out * m[i][i]
-        return out if sign > 0 else -out
-    return _cofactor_det(m, ring)
-
-
-def _cofactor_det(m, ring):
-    n = len(m)
-    if n == 0:
-        return ring.one
-    if n == 1:
-        return m[0][0]
-    total = ring.zero
-    for j in range(n):
-        if m[0][j] == ring.zero:
-            continue
-        minor = [row[:j] + row[j + 1:] for row in m[1:]]
-        term = m[0][j] * _cofactor_det(minor, ring)
-        total = total + term if j % 2 == 0 else total - term
     return total
 
 

@@ -26,14 +26,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
+from . import OpenGWError, linalg
 
 
-class TransversalityError(ValueError):
+class TransversalityError(OpenGWError, ValueError):
     """The combined map dg - df is not surjective."""
 
 
-class OrientationError(ValueError):
+class OrientationError(OpenGWError, ValueError):
     """Malformed orientation data (dimension or spanning failure)."""
 
 

@@ -16,7 +16,6 @@ class Rationals:
     """Exact rational numbers, the default coefficient field."""
 
     name = "QQ"
-    is_field = True
 
     def __call__(self, value):
         if isinstance(value, Fraction):
@@ -123,8 +122,6 @@ class ModElement:
 
 class PrimeField:
     """Integers mod p for a prime p."""
-
-    is_field = True
 
     def __init__(self, p):
         if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):

@@ -1,13 +1,18 @@
-"""Randomized self-checks used by the batch front-end.
+"""Randomized self-checks used by the batch front-end, and the single
+home of the orientation oracles.
 
-Self-contained linear-model oracles (independent of the closed-form
-rules they exercise) plus dual-route agreement checks.  Each suite
-returns (ok, details) with exact counts; the front-end turns them into
-report lines.
+The oracles build an explicit linear model and read every observed sign
+off bases and determinants of that model; they never call the
+closed-form sign rules they check.  `orientation_suite` compares them
+against those rules; the test suite imports the same oracles and passes
+its own seeds and scales.  The dual-route suites compare two independent
+evaluations of one quantity.  Each suite returns (ok, details) with exact
+counts; the front-end turns them into report lines.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from . import linalg
@@ -23,27 +28,36 @@ from .orientation import (
 )
 
 
-def _rand_frac(rng, lo=-5, hi=5, max_den=3):
-    return Fraction(rng.randint(lo, hi), rng.randint(1, max_den))
+def rand_matrix(rng, rows, cols):
+    """A rows x cols matrix of rationals p/q, |p| <= 5, 1 <= q <= 3."""
+    return [[Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+             for _ in range(cols)] for _ in range(rows)]
 
 
-def _rand_matrix(rng, rows, cols):
-    return [[_rand_frac(rng) for _ in range(cols)] for _ in range(rows)]
-
-
-def _sign_of(x):
+def sign_of(x):
+    """+1 or -1; a zero has no sign."""
+    if x == 0:
+        raise ValueError("sign of zero")
     return 1 if x > 0 else -1
 
 
-def _random_problem(rng, max_dim, need_m=False, need_g=False, min_fiber=0):
+def _kernel_vectors(matrix, n):
+    """Basis of the kernel of a map on Q^n; all of Q^n when the map has
+    no rows."""
+    return linalg.nullspace(matrix) if matrix else linalg.identity(n)
+
+
+def random_fiber_problem(rng, max_dim, min_fiber=0, need_m_face=False,
+                         need_g_face=False):
+    """A random transverse LinearFiberProblem (resampled until valid)."""
     while True:
-        dim_m = rng.randint(1 if need_m else 0, max_dim)
-        dim_g = rng.randint(1 if need_g else 0, max_dim)
+        dim_m = rng.randint(1 if need_m_face else 0, max_dim)
+        dim_g = rng.randint(1 if need_g_face else 0, max_dim)
         dim_x = rng.randint(0, max_dim)
         if dim_m + dim_g - dim_x < min_fiber:
             continue
         prob = LinearFiberProblem.build(
-            _rand_matrix(rng, dim_x, dim_m), _rand_matrix(rng, dim_x, dim_g),
+            rand_matrix(rng, dim_x, dim_m), rand_matrix(rng, dim_x, dim_g),
             dim_m, dim_g, dim_x,
             rng.choice((1, -1)), rng.choice((1, -1)), rng.choice((1, -1)),
         )
@@ -51,26 +65,30 @@ def _random_problem(rng, max_dim, need_m=False, need_g=False, min_fiber=0):
             return prob
 
 
-def _boundary_face_case(rng, face, max_dim):
-    """One oracle comparison for the boundary-face sign rule."""
+def boundary_face_oracle(rng, face, max_dim):
+    """Observed boundary-face sign of a random problem.
+
+    Returns (problem, observed sign) with [boundary orientation of the
+    face] = observed sign * [fiber product orientation of the boundary
+    problem].
+    """
     while True:
-        prob = _random_problem(
-            rng, max_dim, need_m=(face == FACE_M), need_g=(face == FACE_G),
-            min_fiber=1,
+        prob = random_fiber_problem(
+            rng, max_dim, min_fiber=1,
+            need_m_face=(face == FACE_M), need_g_face=(face == FACE_G),
         )
         dim_m, dim_g = prob.space_m.dim, prob.space_g.dim
         dim_x = prob.space_x.dim
         n = dim_m + dim_g
         combined = prob.combined_map()
+        # the face cuts off the last coordinate of M or of G
         cut = dim_m - 1 if face == FACE_M else n - 1
-        kernel = linalg.nullspace(combined) if dim_x else [
-            [Fraction(int(i == j)) for i in range(n)] for j in range(n)
-        ]
+        kernel = _kernel_vectors(combined, n)
         face_vecs = linalg.nullspace(
             combined + [[Fraction(int(j == cut)) for j in range(n)]]
         )
         if len(face_vecs) != len(kernel) - 1:
-            continue
+            continue  # the cut functional vanishes on the kernel
         if face == FACE_M:
             sub = LinearFiberProblem.build(
                 [row[: dim_m - 1] for row in prob.df],
@@ -87,20 +105,30 @@ def _boundary_face_case(rng, face, max_dim):
             )
         if dim_x and linalg.rank(sub.combined_map()) != dim_x:
             continue
-        outward = next(v for v in kernel if v[cut] != 0)
+        # outward vector: a kernel element with positive cut coordinate
+        outward = next((v for v in kernel if v[cut] != 0), None)
+        assert outward is not None
         if outward[cut] < 0:
             outward = [-x for x in outward]
         kmat = linalg.columns_matrix(kernel)
         sigma = fiber_orientation_sign(prob, kmat)
+        # [face basis | outward] in kernel coordinates
         coeffs = linalg.solve(kmat, linalg.columns_matrix(face_vecs + [outward]))
-        observed = sigma * _sign_of(linalg.det(coeffs))
+        assert coeffs is not None
+        observed = sigma * sign_of(linalg.det(coeffs))
+        # the same face basis, in the coordinates of the boundary problem
         dropped = [[v[i] for v in face_vecs] for i in range(n) if i != cut]
-        observed *= fiber_orientation_sign(sub, dropped)
-        expected = boundary_face_sign(dim_m, dim_g, dim_x, face)
-        return observed == expected
+        return prob, observed * fiber_orientation_sign(sub, dropped)
 
 
-def _flip_case(rng, max_dim):
+def flip_oracle(rng, max_dim):
+    """Observed sign of a commuting-diffeomorphism flip on the fiber.
+
+    Builds diagonal +-1 diffeomorphisms of the three factors and a pair
+    of equivariant maps, and compares the orientation of a kernel basis
+    with its image under the flip.  Returns (the factors' determinant
+    signs, observed sign).
+    """
     while True:
         dim_m = rng.randint(0, max_dim)
         dim_g = rng.randint(0, max_dim)
@@ -111,7 +139,7 @@ def _flip_case(rng, max_dim):
         half = Fraction(1, 2)
 
         def equivariant(rows, cols, srow, scol):
-            a = _rand_matrix(rng, rows, cols)
+            a = rand_matrix(rng, rows, cols)
             return [[half * (a[i][j] + srow[i] * a[i][j] * scol[j])
                      for j in range(cols)] for i in range(rows)]
 
@@ -123,49 +151,41 @@ def _flip_case(rng, max_dim):
         )
         if dim_x and linalg.rank(prob.combined_map()) != dim_x:
             continue
+        det_signs = (math.prod(sm), math.prod(sg), math.prod(sx))
         n = dim_m + dim_g
         if n == 0:
-            return True
-        vecs = linalg.nullspace(prob.combined_map()) if dim_x else [
-            [Fraction(int(i == j)) for i in range(n)] for j in range(n)
-        ]
+            return det_signs, 1
+        vecs = _kernel_vectors(prob.combined_map(), n)
         kmat = linalg.columns_matrix(vecs) if vecs else [[] for _ in range(n)]
         diag = sm + sg
-        flipped = ([[diag[i] * kmat[i][j] for j in range(len(vecs))]
-                    for i in range(n)] if vecs else kmat)
+        flipped = [[diag[i] * x for x in row] for i, row in enumerate(kmat)]
         observed = (fiber_orientation_sign(prob, kmat)
                     * fiber_orientation_sign(prob, flipped))
-        expected = flip_sign(
-            _diag_sign(sm), _diag_sign(sg), _diag_sign(sx)
-        )
-        return observed == expected
+        return det_signs, observed
 
 
-def _diag_sign(entries):
-    s = 1
-    for e in entries:
-        s *= e
-    return s
+def association_oracle(rng, max_dim):
+    """Observed sign between the two iterated fiber product orientations.
 
-
-def _association_case(rng, max_dim):
+    Model: f: M -> X, e: M -> Y, g: G -> X, h: C -> Y.  Returns
+    (dim X, codim h, observed sign) with observed = [iterated
+    orientation] * [one-step orientation] on a shared kernel basis.
+    """
     while True:
         dims = [rng.randint(0, max_dim) for _ in range(5)]
         dim_m, dim_g, dim_c, dim_x, dim_y = dims
         signs = [rng.choice((1, -1)) for _ in range(5)]
         s_m, s_g, s_c, s_x, s_y = signs
-        df = _rand_matrix(rng, dim_x, dim_m)
-        de = _rand_matrix(rng, dim_y, dim_m)
-        dg = _rand_matrix(rng, dim_x, dim_g)
-        dh = _rand_matrix(rng, dim_y, dim_c)
+        df = rand_matrix(rng, dim_x, dim_m)
+        de = rand_matrix(rng, dim_y, dim_m)
+        dg = rand_matrix(rng, dim_x, dim_g)
+        dh = rand_matrix(rng, dim_y, dim_c)
         inner = LinearFiberProblem.build(df, dg, dim_m, dim_g, dim_x,
                                          s_m, s_g, s_x)
         if dim_x and linalg.rank(inner.combined_map()) != dim_x:
             continue
         n1 = dim_m + dim_g
-        k1_vecs = linalg.nullspace(inner.combined_map()) if dim_x else [
-            [Fraction(int(i == j)) for i in range(n1)] for j in range(n1)
-        ]
+        k1_vecs = _kernel_vectors(inner.combined_map(), n1)
         d1 = len(k1_vecs)
         k1 = linalg.columns_matrix(k1_vecs)
         inner_sign = fiber_orientation_sign(
@@ -175,12 +195,15 @@ def _association_case(rng, max_dim):
             k1_vecs[0] = [-x for x in k1_vecs[0]]
             k1 = linalg.columns_matrix(k1_vecs)
             inner_sign = 1
+        # e on the inner fiber, in k1 coordinates; a rigid inner fiber is
+        # a signed point and keeps its sign
         de_inner = [[sum(de[i][t] * k1[t][j] for t in range(dim_m))
                      for j in range(d1)] for i in range(dim_y)]
         outer = LinearFiberProblem.build(de_inner, dh, d1, dim_c, dim_y,
                                          inner_sign, s_c, s_y)
         if dim_y and linalg.rank(outer.combined_map()) != dim_y:
             continue
+        # the one-step problem: M against G x C over X x Y
         big_df = df + de
         big_dg = ([list(row) + [Fraction(0)] * dim_c for row in dg]
                   + [[Fraction(0)] * dim_g + list(row) for row in dh])
@@ -190,42 +213,40 @@ def _association_case(rng, max_dim):
         )
         if (dim_x + dim_y) and linalg.rank(onestep.combined_map()) != dim_x + dim_y:
             continue
-        n = dim_m + dim_g + dim_c
-        kb_vecs = linalg.nullspace(onestep.combined_map()) if dim_x + dim_y else [
-            [Fraction(int(i == j)) for i in range(n)] for j in range(n)
-        ]
+        kb_vecs = _kernel_vectors(onestep.combined_map(), n1 + dim_c)
         if not kb_vecs:
-            continue
+            continue  # a rigid instance carries no basis to compare
         kb = linalg.columns_matrix(kb_vecs)
         one_sign = fiber_orientation_sign(onestep, kb)
+        # the same vectors in (inner fiber) x C coordinates
         mg_part = [[kb[i][j] for j in range(len(kb_vecs))] for i in range(n1)]
         coeffs = linalg.solve(k1, mg_part) if d1 else []
         if d1 and coeffs is None:
             continue
         c_part = [[kb[n1 + i][j] for j in range(len(kb_vecs))]
                   for i in range(dim_c)]
-        iter_sign = fiber_orientation_sign(
-            outer, (coeffs if d1 else []) + c_part
-        )
-        expected = association_sign(dim_x, dim_y - dim_c)
-        return iter_sign * one_sign == expected
+        iter_sign = fiber_orientation_sign(outer, coeffs + c_part)
+        return dim_x, dim_y - dim_c, iter_sign * one_sign
 
 
 def orientation_suite(rng, instances=1000, max_dim=6):
     """Closed-form sign rules against the determinant model."""
     failures = 0
     per_kind = max(1, instances // 4)
+    for face in (FACE_M, FACE_G):
+        for _ in range(per_kind):
+            prob, observed = boundary_face_oracle(rng, face, min(max_dim, 5))
+            if observed != boundary_face_sign(
+                prob.space_m.dim, prob.space_g.dim, prob.space_x.dim, face
+            ):
+                failures += 1
     for _ in range(per_kind):
-        if not _boundary_face_case(rng, FACE_M, min(max_dim, 5)):
-            failures += 1
-    for _ in range(per_kind):
-        if not _boundary_face_case(rng, FACE_G, min(max_dim, 5)):
-            failures += 1
-    for _ in range(per_kind):
-        if not _flip_case(rng, min(max_dim, 4)):
+        det_signs, observed = flip_oracle(rng, min(max_dim, 4))
+        if observed != flip_sign(*det_signs):
             failures += 1
     for _ in range(instances - 3 * per_kind):
-        if not _association_case(rng, 3):
+        dim_x, codim_h, observed = association_oracle(rng, 3)
+        if observed != association_sign(dim_x, codim_h):
             failures += 1
     return failures == 0, "%d instances, %d failures" % (instances, failures)
 

@@ -25,7 +25,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import linalg
+from . import OpenGWError, linalg
 
 
 UNIT_INDEX = 1
@@ -35,11 +35,11 @@ PD_Y_LABEL = "pd_y"
 GAMMA0_LABEL = "gamma0"
 
 
-class ModelError(ValueError):
+class ModelError(OpenGWError, ValueError):
     """Malformed cohomology model or table data."""
 
 
-class NonlinearEquationError(RuntimeError):
+class NonlinearEquationError(OpenGWError, RuntimeError):
     """A relation instance turned out quadratic in the unknowns.
 
     `keys` holds the unknowns of the two factors whose product raised.

@@ -1,9 +1,10 @@
-"""Shared oracle machinery for the test suite.
+"""Shared machinery for the test suite.
 
-The orientation oracles here never call the closed-form sign rules they
-check: every expected sign comes from explicit bases and determinants of
-an explicit linear model (with an independent Bareiss determinant as a
-second opinion on the arithmetic).
+The orientation oracles live in `opengw.selfcheck`; the tests import them
+from there and pass their own seeds and scales.  This module keeps what
+only the tests need: an independent Bareiss determinant to cross-check
+`linalg.det`, the synthetic instance generator, and the rescan WDVV
+solver that the indexed one is compared against.
 """
 
 from __future__ import annotations
@@ -11,9 +12,6 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-
-from opengw import linalg
-from opengw.orientation import LinearFiberProblem, fiber_orientation_sign
 
 
 def det_bareiss(a):
@@ -37,240 +35,6 @@ def det_bareiss(a):
             m[i][k] = Fraction(0)
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
-
-
-def rand_frac(rng, lo=-5, hi=5, max_den=3):
-    return Fraction(rng.randint(lo, hi), rng.randint(1, max_den))
-
-
-def rand_matrix(rng, rows, cols, **kw):
-    return [[rand_frac(rng, **kw) for _ in range(cols)] for _ in range(rows)]
-
-
-def rand_sign(rng):
-    return rng.choice((1, -1))
-
-
-def sign_of(x):
-    if x == 0:
-        raise ValueError("sign of zero")
-    return 1 if x > 0 else -1
-
-
-def random_fiber_problem(rng, max_dim=6, min_fiber=0, need_m_face=False,
-                         need_g_face=False):
-    """A random transverse LinearFiberProblem (resampled until valid)."""
-    while True:
-        dim_m = rng.randint(1 if need_m_face else 0, max_dim)
-        dim_g = rng.randint(1 if need_g_face else 0, max_dim)
-        dim_x = rng.randint(0, max_dim)
-        if dim_m + dim_g - dim_x < min_fiber:
-            continue
-        prob = LinearFiberProblem.build(
-            rand_matrix(rng, dim_x, dim_m),
-            rand_matrix(rng, dim_x, dim_g),
-            dim_m, dim_g, dim_x,
-            rand_sign(rng), rand_sign(rng), rand_sign(rng),
-        )
-        if dim_x == 0 or linalg.rank(prob.combined_map()) == dim_x:
-            return prob
-
-
-def kernel_basis_columns(matrix, ambient):
-    vecs = linalg.nullspace(matrix) if matrix else [
-        [Fraction(int(i == j)) for i in range(ambient)] for j in range(ambient)
-    ]
-    return linalg.columns_matrix(vecs), len(vecs)
-
-
-def boundary_face_oracle(rng, face, max_dim=5):
-    """Expected boundary-face sign from the explicit linear model.
-
-    Returns (problem, observed_sign) where observed_sign satisfies
-    [boundary orientation of the face] = observed_sign * [fiber product
-    orientation of the boundary problem], computed purely from bases and
-    determinants.
-    """
-    while True:
-        prob = random_fiber_problem(
-            rng, max_dim=max_dim, min_fiber=1,
-            need_m_face=(face == "M"), need_g_face=(face == "G"),
-        )
-        dim_m, dim_g, dim_x = prob.space_m.dim, prob.space_g.dim, prob.space_x.dim
-        n = dim_m + dim_g
-        d = prob.fiber_dim
-        combined = prob.combined_map()
-        # cut coordinate: last coordinate of M or of G
-        cut = dim_m - 1 if face == "M" else n - 1
-        kernel_vecs = linalg.nullspace(combined) if dim_x else [
-            [Fraction(int(i == j)) for i in range(n)] for j in range(n)
-        ]
-        face_rows = combined + [[Fraction(int(j == cut)) for j in range(n)]]
-        face_vecs = linalg.nullspace(face_rows)
-        if len(face_vecs) != d - 1:
-            continue  # the cut functional vanishes on the kernel; resample
-        # boundary-restricted problem must itself be transverse
-        if face == "M":
-            sub_df = [row[: dim_m - 1] for row in prob.df]
-            sub_dg = [list(row) for row in prob.dg]
-            sub_prob = LinearFiberProblem.build(
-                sub_df, sub_dg, dim_m - 1, dim_g, dim_x,
-                prob.space_m.sign, prob.space_g.sign, prob.space_x.sign,
-            )
-        else:
-            sub_df = [list(row) for row in prob.df]
-            sub_dg = [row[: dim_g - 1] for row in prob.dg]
-            sub_prob = LinearFiberProblem.build(
-                sub_df, sub_dg, dim_m, dim_g - 1, dim_x,
-                prob.space_m.sign, prob.space_g.sign, prob.space_x.sign,
-            )
-        if dim_x and linalg.rank(sub_prob.combined_map()) != dim_x:
-            continue
-        # outward vector: kernel element with positive cut coordinate
-        outward = next((v for v in kernel_vecs if v[cut] != 0), None)
-        assert outward is not None
-        if outward[cut] < 0:
-            outward = [-x for x in outward]
-        kmat = linalg.columns_matrix(kernel_vecs)
-        sigma_f = fiber_orientation_sign(prob, kmat)
-        # express [face basis | outward] in kernel coordinates
-        target = linalg.columns_matrix(face_vecs + [outward])
-        coeffs = linalg.solve(kmat, target)
-        assert coeffs is not None
-        boundary_sign = sigma_f * sign_of(det_bareiss(coeffs))
-        # the same face basis, in the coordinates of the boundary problem
-        dropped = [[v[i] for v in face_vecs] for i in range(n) if i != cut]
-        sigma_face = fiber_orientation_sign(sub_prob, dropped)
-        return prob, boundary_sign * sigma_face
-
-
-def flip_oracle(rng, max_dim=4):
-    """Observed sign of a commuting-diffeomorphism flip on the fiber.
-
-    Builds diagonal +-1 diffeomorphisms of the three factors, a pair of
-    equivariant maps, and compares the orientation of a kernel basis with
-    its image under the flip.  Returns (factor signs, observed sign).
-    """
-    while True:
-        dim_m = rng.randint(0, max_dim)
-        dim_g = rng.randint(0, max_dim)
-        dim_x = rng.randint(0, min(4, dim_m + dim_g))
-        sm = [rand_sign(rng) for _ in range(dim_m)]
-        sg = [rand_sign(rng) for _ in range(dim_g)]
-        sx = [rand_sign(rng) for _ in range(dim_x)]
-        half = Fraction(1, 2)
-
-        def equivariant(rows, cols, srow, scol):
-            a = rand_matrix(rng, rows, cols)
-            return [
-                [half * (a[i][j] + srow[i] * a[i][j] * scol[j]) for j in range(cols)]
-                for i in range(rows)
-            ]
-
-        df = equivariant(dim_x, dim_m, sx, sm)
-        dg = equivariant(dim_x, dim_g, sx, sg)
-        prob = LinearFiberProblem.build(
-            df, dg, dim_m, dim_g, dim_x,
-            rand_sign(rng), rand_sign(rng), rand_sign(rng),
-        )
-        if dim_x and linalg.rank(prob.combined_map()) != dim_x:
-            continue
-        n = dim_m + dim_g
-        kmat, d = kernel_basis_columns(prob.combined_map() if dim_x else [], n)
-        if dim_x == 0:
-            kmat = linalg.identity(n)
-            d = n
-        diag = sm + sg
-        flipped = [[diag[i] * kmat[i][j] for j in range(d)] for i in range(n)]
-        base = fiber_orientation_sign(prob, kmat) if n else 1
-        moved = fiber_orientation_sign(prob, flipped) if n else 1
-        det_signs = (
-            _diag_det_sign(sm),
-            _diag_det_sign(sg),
-            _diag_det_sign(sx),
-        )
-        return det_signs, base * moved
-
-
-def _diag_det_sign(entries):
-    s = 1
-    for e in entries:
-        s *= e
-    return s
-
-
-def association_oracle(rng, max_dim=3):
-    """Observed sign between the two iterated fiber product orientations.
-
-    Model: f: M -> X, e: M -> Y, g: G -> X, h: C -> Y.  Returns
-    (dim X, codim h, observed sign) with observed = [iterated orientation]
-    * [one-step orientation] on a shared kernel basis.
-    """
-    while True:
-        dim_m = rng.randint(0, max_dim + 2)
-        dim_g = rng.randint(0, max_dim)
-        dim_c = rng.randint(0, max_dim)
-        dim_x = rng.randint(0, max_dim)
-        dim_y = rng.randint(0, max_dim)
-        s_m, s_g, s_c, s_x, s_y = (rand_sign(rng) for _ in range(5))
-        df = rand_matrix(rng, dim_x, dim_m)
-        de = rand_matrix(rng, dim_y, dim_m)
-        dg = rand_matrix(rng, dim_x, dim_g)
-        dh = rand_matrix(rng, dim_y, dim_c)
-        inner = LinearFiberProblem.build(df, dg, dim_m, dim_g, dim_x, s_m, s_g, s_x)
-        if dim_x and linalg.rank(inner.combined_map()) != dim_x:
-            continue
-        n1 = dim_m + dim_g
-        k1_vecs = linalg.nullspace(inner.combined_map()) if dim_x else [
-            [Fraction(int(i == j)) for i in range(n1)] for j in range(n1)
-        ]
-        d1 = len(k1_vecs)
-        k1 = linalg.columns_matrix(k1_vecs)
-        inner_cand = k1 if d1 else [[] for _ in range(n1)]
-        inner_sign = fiber_orientation_sign(inner, inner_cand)
-        if d1 and inner_sign == -1:
-            k1_vecs[0] = [-x for x in k1_vecs[0]]
-            k1 = linalg.columns_matrix(k1_vecs)
-            inner_sign = 1
-        # e' on the inner fiber, in k1 coordinates; a rigid inner fiber
-        # is a signed point and keeps its sign
-        de_inner = [
-            [sum(de[i][t] * k1[t][j] for t in range(dim_m)) for j in range(d1)]
-            for i in range(dim_y)
-        ]
-        outer = LinearFiberProblem.build(
-            de_inner, dh, d1, dim_c, dim_y, inner_sign, s_c, s_y
-        )
-        if dim_y and linalg.rank(outer.combined_map()) != dim_y:
-            continue
-        # one-step problem: M against (G x C) over (X x Y)
-        big_df = df + de
-        big_dg = [list(row) + [Fraction(0)] * dim_c for row in dg] + [
-            [Fraction(0)] * dim_g + list(row) for row in dh
-        ]
-        onestep = LinearFiberProblem.build(
-            big_df, big_dg, dim_m, dim_g + dim_c, dim_x + dim_y,
-            s_m, s_g * s_c, s_x * s_y,
-        )
-        if (dim_x + dim_y) and linalg.rank(onestep.combined_map()) != dim_x + dim_y:
-            continue
-        n = dim_m + dim_g + dim_c
-        kb_vecs = linalg.nullspace(onestep.combined_map()) if dim_x + dim_y else [
-            [Fraction(int(i == j)) for i in range(n)] for j in range(n)
-        ]
-        if not kb_vecs:
-            continue  # rigid instance carries no basis to compare
-        kb = linalg.columns_matrix(kb_vecs)
-        sign_onestep = fiber_orientation_sign(onestep, kb)
-        # the same vectors in (inner fiber) x C coordinates
-        mg_part = [[kb[i][j] for j in range(len(kb_vecs))] for i in range(n1)]
-        coeffs = linalg.solve(k1, mg_part) if d1 else [[] for _ in range(0)]
-        if d1 and coeffs is None:
-            continue
-        c_part = [[kb[n1 + i][j] for j in range(len(kb_vecs))] for i in range(dim_c)]
-        iterated_basis = (coeffs if d1 else []) + c_part
-        sign_iter = fiber_orientation_sign(outer, iterated_basis)
-        return dim_x, dim_y - dim_c, sign_iter * sign_onestep
 
 
 def make_rng(seed):

@@ -41,6 +41,11 @@ from opengw.orientation import (
     boundary_face_sign,
     flip_sign,
 )
+from opengw.selfcheck import (
+    association_oracle,
+    boundary_face_oracle,
+    flip_oracle,
+)
 from opengw.wdvv import (
     OpenInvariantTable,
     check_structure,
@@ -50,14 +55,7 @@ from opengw.wdvv import (
     wdvv2_residual,
 )
 
-from support import (
-    association_oracle,
-    boundary_face_oracle,
-    dim0_subtuples,
-    flip_oracle,
-    make_rng,
-    synthetic_instance,
-)
+from support import dim0_subtuples, make_rng, synthetic_instance
 
 DATA = os.path.join(os.path.dirname(fileio.__file__), "data")
 
@@ -92,7 +90,7 @@ def test_criterion_1_orientation_oracle():
         assert observed == flip_sign(*det_signs)
         checked += 1
     for _ in range(250):
-        dim_x, codim_h, observed = association_oracle(rng)
+        dim_x, codim_h, observed = association_oracle(rng, max_dim=5)
         assert observed == association_sign(dim_x, codim_h)
         checked += 1
     elapsed = time.monotonic() - start

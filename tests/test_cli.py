@@ -114,17 +114,35 @@ def run_pipeline(tmp_path, pipeline, seed=0, **overrides):
     return run(cfg), cfg
 
 
+TOY_VERIFY_ALL_SEED_3 = [
+    ("orientation-model-oracle", "PASS", "200 instances, 0 failures"),
+    ("matrix-tree-agreement", "PASS", "66 matrices, 0 failures"),
+    ("tree-count-closed-form", "PASS", "all vertex counts up to 7"),
+    ("positivity-audit", "PASS", "0 violating classes within area 2"),
+    ("index-parity-audit", "PASS", "all even"),
+    ("boundary-recursion-identity", "PASS", "7 tuples compared"),
+    ("welschinger-sign-relation", "PASS", "8 (tuple, point) pairs"),
+    ("weighted-degree-comparison", "PASS", "1 tuples compared"),
+    ("branch-bijection", "PASS", "50 decorated configurations"),
+    ("conjugation-cancellation", "PASS", "1 orbits"),
+    ("wdvv-solve", "PASS", "13 solved, 18 residual instances all zero"),
+    ("structure-divisor", "PASS", "31 checked, 0 failed, 2 untestable"),
+    ("structure-sphere", "SKIP", "0 checked, 0 failed, 1 untestable"),
+    ("structure-mixed", "SKIP", "0 checked, 0 failed, 1 untestable"),
+    ("structure-vanishing", "SKIP", "0 checked, 0 failed, 1 untestable"),
+    ("wdvv-negative-control", "PASS", "perturbing (1,) [3]"),
+]
+
+
 def test_verify_all_on_bundled_toy(tmp_path):
+    """Every check of the toy run, in order, with its status and detail."""
     status, cfg = run_pipeline(tmp_path, "verify-all", seed=3)
     assert status == 0
     summary = json.loads((tmp_path / "out" / "checks.json").read_text())
     assert summary["ok"]
-    names = {c["check"] for c in summary["checks"]}
-    assert "boundary-recursion-identity" in names
-    assert "welschinger-sign-relation" in names
-    assert "wdvv-solve" in names
-    assert "conjugation-cancellation" in names
-    assert all(c["status"] in ("PASS", "SKIP") for c in summary["checks"])
+    assert [
+        (c["check"], c["status"], c["detail"]) for c in summary["checks"]
+    ] == TOY_VERIFY_ALL_SEED_3
 
 
 def test_verify_all_deterministic(tmp_path):
@@ -229,3 +247,31 @@ def test_main_parse_error_exit_code(tmp_path):
         "--out", str(tmp_path / "out"),
     ])
     assert status == 2
+
+
+def _assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_seeds_without_cohomology_model_is_typed_error(tmp_path, capsys):
+    doc = json.loads(open(toy_paths()["target"]).read())
+    del doc["cohomology"]
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps(doc))
+    bundle = fileio.load_target(str(target))
+    with pytest.raises(fileio.FileFormatError, match="cohomology model"):
+        fileio.load_seeds(toy_paths()["seeds"], bundle.target, bundle.model)
+    status, cfg = run_pipeline(tmp_path, "verify-all", target=str(target))
+    assert status == 2
+    _assert_one_line_error(capsys)
+
+
+def test_unbounded_atom_loop_is_typed_error(tmp_path, capsys):
+    doc = json.loads(open(toy_paths()["atoms"]).read())
+    doc["unbounded_loops"] = [doc["atoms"][0]["loop"]]
+    atoms = tmp_path / "atoms.json"
+    atoms.write_text(json.dumps(doc))
+    status, cfg = run_pipeline(tmp_path, "welschinger", atoms=str(atoms))
+    assert status == 2
+    _assert_one_line_error(capsys)

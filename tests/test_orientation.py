@@ -18,16 +18,16 @@ from opengw.orientation import (
     fiber_orientation_sign,
     flip_sign,
 )
-
-from support import (
+from opengw.selfcheck import (
     association_oracle,
     boundary_face_oracle,
-    det_bareiss,
     flip_oracle,
-    make_rng,
     rand_matrix,
+    random_fiber_problem,
     sign_of,
 )
+
+from support import det_bareiss, make_rng
 
 
 # --- exact_sequence_sign -------------------------------------------------
@@ -175,8 +175,6 @@ def test_fiber_consistent_with_ses_sign():
     making the defining sequence orientation-compatible, so recomputing
     through exact_sequence_sign on the same data must agree."""
     rng = make_rng(23)
-    from support import random_fiber_problem
-
     for _ in range(40):
         prob = random_fiber_problem(rng, max_dim=4, min_fiber=0)
         n = prob.space_m.dim + prob.space_g.dim
@@ -228,7 +226,7 @@ def test_boundary_face_sign_against_linear_model(face):
     it carries (-1)^{dim X} with no (-1)^{dim G} factor."""
     rng = make_rng(101 if face == FACE_M else 202)
     for _ in range(60):
-        prob, observed = boundary_face_oracle(rng, face)
+        prob, observed = boundary_face_oracle(rng, face, max_dim=5)
         expected = boundary_face_sign(
             prob.space_m.dim, prob.space_g.dim, prob.space_x.dim, face
         )
@@ -254,7 +252,7 @@ def test_flip_sign_multiplicative():
 def test_flip_sign_against_linear_model():
     rng = make_rng(303)
     for _ in range(60):
-        det_signs, observed = flip_oracle(rng)
+        det_signs, observed = flip_oracle(rng, max_dim=4)
         assert observed == flip_sign(*det_signs)
 
 
@@ -274,5 +272,5 @@ def test_association_sign_involutive():
 def test_association_sign_against_linear_model():
     rng = make_rng(404)
     for _ in range(50):
-        dim_x, codim_h, observed = association_oracle(rng)
+        dim_x, codim_h, observed = association_oracle(rng, max_dim=5)
         assert observed == association_sign(dim_x, codim_h)
