@@ -40,6 +40,7 @@ from .multidisk import (
     MultiDisk,
     spanning_trees,
     tree_weight_sum,
+    welschinger_count,
 )
 from .ring import QQ
 
@@ -201,12 +202,12 @@ def assemble_boundary(alpha, chains, table, target, ring=QQ,
     return {k: v for k, v in total.items() if v != ring.zero}
 
 
-def direct_boundary(alpha, table, target, ring=QQ, max_atoms=None):
+def direct_boundary(alpha, table, target, ring=QQ):
     """The multi-disk side of the same multiset:
     (-1)^|K| * sum over configurations of sgn * tree weight on each loop."""
     total = {}
     sign = -1 if len(alpha.points) % 2 else 1
-    for config in table.multi_disks(alpha, max_atoms=max_atoms):
+    for config in table.multi_disks(alpha):
         weight = tree_weight_sum(config, table.links, ring=ring)
         value = weight if config.sgn() > 0 else -weight
         if sign < 0:
@@ -242,21 +243,22 @@ def build_chains(alpha, table, target, ring=QQ, include_self=False):
 # --- the two invariants -----------------------------------------------------
 
 
-def invariant_via_degree(alpha, table, target, point, chains=None, ring=QQ,
+def invariant_via_degree(alpha, table, target, point, chains, ring=QQ,
                          sign_toggles=SIGN_TOGGLES_DEFAULT):
     """Degree of the top chain of a dimension-2 tuple.
 
     Evaluated by cutting with one extra point constraint: minus the
     total signed coefficient of the point-augmented boundary assembly
     (the odd ambient dimension flips the count against the degree).
+    `chains` must hold the chains of alpha's predecessors; the family of
+    any tuple above alpha serves, since a chain depends only on its
+    tuple.
     """
     dim = target.dimension(alpha)
     if dim != 2:
         raise ChainError(
             "degree invariant needs a dimension-2 tuple, got dimension %d" % dim
         )
-    if chains is None:
-        chains = build_chains(alpha, table, target, ring=ring)
     total = ring.zero
     for _eta, contribution in boundary_class_terms(
         alpha, chains, table, target, ring=ring,
@@ -299,14 +301,15 @@ def constant_center_classes(alpha, chains, table, target,
     return out
 
 
-def invariant_via_weights(alpha, table, target, chains=None, ring=QQ,
+def invariant_via_weights(alpha, table, target, chains, ring=QQ,
                           weight_rule=default_weight_rule,
                           sign_toggles=SIGN_TOGGLES_DEFAULT):
     """Weighted sum over raw splittings plus the half point-drop sum.
 
     Defined for dimension-0 tuples (zero otherwise).  The fiber count of
     each splitting is evaluated through the divisor-trade rule on the
-    declared rigid disks.
+    declared rigid disks: the class terms of the boundary assembly, whose
+    sign already carries (-1)^(parts).
 
     Multiplicity bookkeeping: the raw sum ranges over ordered splittings
     whose center moduli carry position-ordered boundary points.  A rigid
@@ -319,35 +322,13 @@ def invariant_via_weights(alpha, table, target, chains=None, ring=QQ,
     """
     if target.dimension(alpha) != 0:
         return ring.zero
-    if chains is None:
-        chains = build_chains(alpha, table, target, ring=ring)
     total = ring.zero
-    for eta, _count in target.degeneration_classes(alpha):
-        weight = weight_rule(eta.part_count)
-        if weight == 0:
-            continue
-        if eta.center_degree.is_zero:
-            continue
-        slot_chains = _slot_chains(eta, chains, target)
-        if slot_chains is None:
-            continue
-        center = eta.center_tuple()
-        if center is None:
-            continue
-        fiber_count = ring.zero
-        for atom in table.single_disks(center):
-            value = divisor_covering_degree(
-                atom.loop, slot_chains, table.links, ring=ring
-            )
-            fiber_count = fiber_count + (value if atom.sign > 0 else -value)
-        if fiber_count == ring.zero:
-            continue
-        rotations = max(eta.part_count, 1)
-        scale = ring(weight) * ring(rotations)
-        term = scale * fiber_count
-        if eta.part_count % 2:
-            term = -term
-        total = total + term
+    for eta, contribution in boundary_class_terms(
+        alpha, chains, table, target, ring=ring
+    ):
+        scale = ring(weight_rule(eta.part_count)) * ring(max(eta.part_count, 1))
+        for value in contribution.values():
+            total = total + scale * value
     half = ring(Fraction(1, 2))
     for p in sorted(alpha.points):
         dropped = ConstraintTuple(
@@ -435,11 +416,11 @@ class BranchDecomposition:
         )
 
 
-def decorated_multidisks(alpha, table, max_atoms=None, tree_cap=None):
+def decorated_multidisks(alpha, table, tree_cap=None):
     """All (configuration, center, spanning tree) triples for the tuple."""
     out = []
     kwargs = {} if tree_cap is None else {"cap": tree_cap}
-    for config in table.multi_disks(alpha, max_atoms=max_atoms):
+    for config in table.multi_disks(alpha):
         m = len(config)
         for tree_idx in spanning_trees(m, **kwargs) if m > 1 else [frozenset()]:
             tree = _loop_edges(tree_idx, config.atoms)
@@ -537,7 +518,7 @@ def from_branches(decomposition, target):
     )
 
 
-def branch_decompositions(alpha, table, target, max_atoms=None):
+def branch_decompositions(alpha, table, target):
     """Independent enumeration of branch decompositions (the quotient
     side of the bijection), built from splittings and sub-configurations
     rather than by cutting trees."""
@@ -548,10 +529,7 @@ def branch_decompositions(alpha, table, target, max_atoms=None):
             continue
         slots = eta.chain_slots()
         slot_parts = [eta.parts[i] for i in slots]
-        slot_dmds = [
-            decorated_multidisks(part, table, max_atoms=max_atoms)
-            for part in slot_parts
-        ]
+        slot_dmds = [decorated_multidisks(part, table) for part in slot_parts]
         if any(not d for d in slot_dmds):
             continue
         for center_atom in table.single_disks(center_tuple):
@@ -583,18 +561,17 @@ class ComparisonReport:
         return self.chain_degree == expected
 
 
-def verify_welschinger_relation(alpha, table, target, point=None, ring=QQ,
-                                max_atoms=None):
+def verify_welschinger_relation(alpha, table, target, chains, point=None,
+                                ring=QQ):
     """Check the sign relation between the chain-degree invariant and the
     direct linking-weighted count.
 
     For a dimension-0 tuple whose point set contains `point` (default:
     the smallest label), the degree invariant of the tuple with that
     point removed must equal (-1)^|K| times the configuration count of
-    the full tuple.
+    the full tuple.  `chains` is a chain family covering alpha's
+    predecessors, such as that of alpha or of any tuple above it.
     """
-    from .multidisk import welschinger_count
-
     if target.dimension(alpha) != 0:
         raise ChainError("the comparison needs a dimension-0 tuple")
     if not alpha.points:
@@ -603,8 +580,8 @@ def verify_welschinger_relation(alpha, table, target, point=None, ring=QQ,
     if p not in alpha.points:
         raise ChainError("point %r is not a constraint of the tuple" % (p,))
     dropped = ConstraintTuple(alpha.beta, alpha.points - {p}, alpha.descriptors)
-    degree = invariant_via_degree(dropped, table, target, point=p, ring=ring)
-    configs = table.multi_disks(alpha, max_atoms=max_atoms)
+    degree = invariant_via_degree(dropped, table, target, p, chains, ring=ring)
+    configs = table.multi_disks(alpha)
     total = welschinger_count(alpha, configs, table.links, target, ring=ring)
     sign = -1 if len(alpha.points) % 2 else 1
     return ComparisonReport(alpha, p, degree, total, sign)

@@ -46,6 +46,12 @@ from .wdvv import (
 
 PIPELINES = ("enumerate", "welschinger", "bb-recursion", "wdvv-solve",
              "verify-all")
+# the RunConfig inputs a pipeline cannot run without
+PIPELINE_INPUTS = {
+    "welschinger": ("atoms",),
+    "bb-recursion": ("atoms",),
+    "wdvv-solve": ("closed_gw", "seeds"),
+}
 
 
 @dataclass
@@ -131,6 +137,13 @@ class Reporter:
 # --- pipeline pieces ----------------------------------------------------------
 
 
+def _tally(rep, name, bad, summary, failure="mismatch at"):
+    """PASS with the summary when nothing is bad, else FAIL naming the
+    first bad tuple."""
+    rep.check(name, "PASS" if not bad else "FAIL",
+              summary if not bad else "%s %s" % (failure, _tuple_label(bad[0])))
+
+
 def _dim0_worklist(target, tuples):
     """Tuples of interest plus their dimension-0 predecessors."""
     seen = {}
@@ -202,11 +215,16 @@ def run_welschinger(bundle, atom_bundle, config, rep):
 
 
 def run_bb_recursion(bundle, atom_bundle, config, rep):
-    """Build, tabulate and evaluate the chains; returns the chain family
-    of each top tuple, {top: chains}."""
+    """Build, tabulate and evaluate the chains.
+
+    Returns ({top: chains}, {top: (weighted invariant, {point: degree
+    invariant with that point dropped})}); the second holds the
+    dimension-0 tops only.
+    """
     target = bundle.target
     table = atom_bundle.table
     chains_by_top = {}
+    invariants = {}
     chain_rows = []
     invariant_rows = []
     for top in atom_bundle.tuples:
@@ -219,22 +237,24 @@ def run_bb_recursion(bundle, atom_bundle, config, rep):
             for loop, coeff in chain.boundary:
                 chain_rows.append((_tuple_label(alpha), loop, coeff))
         if target.dimension(top) == 0:
-            weighted = invariant_via_weights(top, table, target, chains=chains)
+            weighted = invariant_via_weights(top, table, target, chains)
             invariant_rows.append((_tuple_label(top), "weighted", "-", weighted))
+            degrees = {}
             for p in sorted(top.points):
                 dropped = ConstraintTuple(
                     top.beta, top.points - {p}, top.descriptors
                 )
-                value = invariant_via_degree(
-                    dropped, table, target, point=p, chains=chains
+                degrees[p] = invariant_via_degree(
+                    dropped, table, target, p, chains
                 )
                 invariant_rows.append(
-                    (_tuple_label(dropped), "degree", p, value)
+                    (_tuple_label(dropped), "degree", p, degrees[p])
                 )
+            invariants[top] = (weighted, degrees)
     rep.table("chains", ("tuple", "loop", "coefficient"), chain_rows)
     rep.table("invariants", ("tuple", "kind", "point", "value"),
               invariant_rows)
-    return chains_by_top
+    return chains_by_top, invariants
 
 
 def _bracket_label(coords, ins):
@@ -310,7 +330,9 @@ def run_verify_all(bundle, atom_bundle, closed, seeds, config, rep):
     if atom_bundle is not None:
         table = atom_bundle.table
         run_welschinger(bundle, atom_bundle, config, rep)
-        chains_by_top = run_bb_recursion(bundle, atom_bundle, config, rep)
+        chains_by_top, invariants = run_bb_recursion(
+            bundle, atom_bundle, config, rep
+        )
         worklist = _dim0_worklist(target, atom_bundle.tuples)
         bad = []
         for top in atom_bundle.tuples:
@@ -319,64 +341,49 @@ def run_verify_all(bundle, atom_bundle, closed, seeds, config, rep):
                 if assemble_boundary(alpha, chains, table, target) != \
                         direct_boundary(alpha, table, target):
                     bad.append(alpha)
-        rep.check(
-            "boundary-recursion-identity", "PASS" if not bad else "FAIL",
-            "%d tuples compared" % len(worklist) if not bad
-            else "mismatch at " + _tuple_label(bad[0]),
-        )
+        _tally(rep, "boundary-recursion-identity", bad,
+               "%d tuples compared" % len(worklist))
+        # a chain depends only on its tuple, so the merged top families
+        # cover every predecessor in the worklist
+        family = {}
+        for chains in chains_by_top.values():
+            family.update(chains)
         relation_bad = []
         relation_checked = 0
         for alpha in worklist:
             for p in sorted(alpha.points):
                 report = verify_welschinger_relation(
-                    alpha, table, target, point=p
+                    alpha, table, target, family, point=p
                 )
                 relation_checked += 1
                 if not report.holds:
-                    relation_bad.append((alpha, p))
-        rep.check(
-            "welschinger-sign-relation",
-            "PASS" if not relation_bad else "FAIL",
-            "%d (tuple, point) pairs" % relation_checked if not relation_bad
-            else "mismatch at " + _tuple_label(relation_bad[0][0]),
-        )
+                    relation_bad.append(alpha)
+        _tally(rep, "welschinger-sign-relation", relation_bad,
+               "%d (tuple, point) pairs" % relation_checked)
         weighted_bad = []
         weighted_checked = 0
         for top in atom_bundle.tuples:
             if target.dimension(top) != 0 or not top.points:
                 continue
-            chains = chains_by_top[top]
-            if constant_center_classes(top, chains, table, target):
+            if constant_center_classes(top, chains_by_top[top], table, target):
                 rep.check(
                     "weighted-degree-comparison", "SKIP",
                     "live zero-center splitting at " + _tuple_label(top),
                 )
                 break
-            values = {}
-            for p in sorted(top.points):
-                dropped = ConstraintTuple(
-                    top.beta, top.points - {p}, top.descriptors
-                )
-                values[p] = invariant_via_degree(
-                    dropped, table, target, point=p, chains=chains
-                )
-            if len(set(values.values())) != 1:
+            weighted, degrees = invariants[top]
+            if len(set(degrees.values())) != 1:
                 rep.check(
                     "weighted-degree-comparison", "SKIP",
                     "point dependence at " + _tuple_label(top),
                 )
                 break
             weighted_checked += 1
-            if invariant_via_weights(top, table, target, chains=chains) != \
-                    next(iter(values.values())):
+            if weighted != next(iter(degrees.values())):
                 weighted_bad.append(top)
         else:
-            rep.check(
-                "weighted-degree-comparison",
-                "PASS" if not weighted_bad else "FAIL",
-                "%d tuples compared" % weighted_checked if not weighted_bad
-                else "mismatch at " + _tuple_label(weighted_bad[0]),
-            )
+            _tally(rep, "weighted-degree-comparison", weighted_bad,
+                   "%d tuples compared" % weighted_checked)
         bij_bad = []
         bij_count = 0
         for alpha in worklist:
@@ -394,11 +401,8 @@ def run_verify_all(bundle, atom_bundle, closed, seeds, config, rep):
             if any(from_branches(b, target) != d
                    for d, b in zip(decorated, images)):
                 bij_bad.append(alpha)
-        rep.check(
-            "branch-bijection", "PASS" if not bij_bad else "FAIL",
-            "%d decorated configurations" % bij_count if not bij_bad
-            else "mismatch at " + _tuple_label(bij_bad[0]),
-        )
+        _tally(rep, "branch-bijection", bij_bad,
+               "%d decorated configurations" % bij_count)
         if atom_bundle.involution is not None:
             cancel_bad = []
             for top in atom_bundle.tuples:
@@ -409,12 +413,8 @@ def run_verify_all(bundle, atom_bundle, closed, seeds, config, rep):
                 if not report.cancels or \
                         report.full_total != report.single_disk_total:
                     cancel_bad.append(top)
-            rep.check(
-                "conjugation-cancellation",
-                "PASS" if not cancel_bad else "FAIL",
-                "%d orbits" % len(atom_bundle.tuples) if not cancel_bad
-                else "nonzero at " + _tuple_label(cancel_bad[0]),
-            )
+            _tally(rep, "conjugation-cancellation", cancel_bad,
+                   "%d orbits" % len(atom_bundle.tuples), "nonzero at")
         else:
             rep.check("conjugation-cancellation", "SKIP",
                       "no involution declared")
@@ -443,7 +443,7 @@ def run_verify_all(bundle, atom_bundle, closed, seeds, config, rep):
                 "wdvv-negative-control", "PASS" if nonzero else "FAIL",
                 "perturbing %s %s" % (key[0], list(key[1])),
             )
-    elif config.pipeline == "verify-all":
+    else:
         rep.check("wdvv-solve", "SKIP", "no closed table or seeds supplied")
 
 
@@ -462,23 +462,19 @@ def run(config):
             fileio.load_seeds(config.seeds, bundle.target, bundle.model)
             if config.seeds else None
         )
+        needs = PIPELINE_INPUTS.get(config.pipeline, ())
+        if not all(getattr(config, name) for name in needs):
+            print("error: pipeline needs " + " and ".join(
+                "--" + name.replace("_", "-") for name in needs
+            ), file=sys.stderr)
+            return 2
         if config.pipeline == "enumerate":
             run_enumerate(bundle, atom_bundle, config, rep)
         elif config.pipeline == "welschinger":
-            if atom_bundle is None:
-                print("error: pipeline needs --atoms", file=sys.stderr)
-                return 2
             run_welschinger(bundle, atom_bundle, config, rep)
         elif config.pipeline == "bb-recursion":
-            if atom_bundle is None:
-                print("error: pipeline needs --atoms", file=sys.stderr)
-                return 2
             run_bb_recursion(bundle, atom_bundle, config, rep)
         elif config.pipeline == "wdvv-solve":
-            if closed is None or seeds is None:
-                print("error: pipeline needs --closed-gw and --seeds",
-                      file=sys.stderr)
-                return 2
             run_wdvv_solve(bundle, closed, seeds, config, rep)
         else:
             run_verify_all(bundle, atom_bundle, closed, seeds, config, rep)

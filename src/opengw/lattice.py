@@ -19,6 +19,8 @@ type level.
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -345,7 +347,7 @@ class Target:
         out.sort(key=ConstraintTuple.sort_key)
         return out
 
-    def degeneration_classes(self, alpha, max_parts=None):
+    def degeneration_classes(self, alpha):
         """Degenerations grouped up to permutation of the parts.
 
         Enumerated directly at the class level: a choice of center
@@ -353,13 +355,13 @@ class Target:
         blocks, effective degrees for the blocks, and an unordered
         multiset of nonzero degrees for unlabeled parts.  Returns a
         sorted list of (canonical representative, number of raw ordered
-        splittings in the class).
+        splittings in the class).  The part count is capped structurally:
+        one part per label plus one per area gap in the degree.
         """
-        structural = (
+        cap = (
             len(alpha.points) + len(alpha.descriptors)
             + int(alpha.beta.area / self.area_gap)
         )
-        cap = structural if max_parts is None else min(max_parts, structural)
         cache_key = (alpha, cap)
         if cache_key in self._class_cache:
             return self._class_cache[cache_key]
@@ -450,7 +452,7 @@ class Target:
 
     RAW_EXPANSION_CAP = 500_000
 
-    def degenerations(self, alpha, max_parts=None, cap=None):
+    def degenerations(self, alpha, cap=None):
         """The raw set of degeneration types of alpha (ordered parts).
 
         Expanded from the class enumeration; refuses to materialize more
@@ -458,7 +460,7 @@ class Target:
         guard for large tuples).
         """
         cap = self.RAW_EXPANSION_CAP if cap is None else cap
-        classes = self.degeneration_classes(alpha, max_parts=max_parts)
+        classes = self.degeneration_classes(alpha)
         total = sum(count for _, count in classes)
         if total > cap:
             raise EnumerationError(
@@ -575,13 +577,6 @@ class Target:
         out.sort(key=lambda t: (t[0].coords, t[1]))
         return out
 
-    def degree_splits(self, beta, mode):
-        if mode == "R":
-            return self.real_splits(beta)
-        if mode == "C":
-            return self.complex_splits(beta)
-        raise TargetError("split mode must be 'R' or 'C'")
-
 
 def _subsets(items):
     items = sorted(items)
@@ -606,28 +601,11 @@ def _set_partitions(items):
 
 def _orderings(parts):
     """Number of distinct ordered arrangements of the parts."""
-    total = 1
-    for i in range(2, len(parts) + 1):
-        total *= i
-    counts = {}
-    for p in parts:
-        counts[p] = counts.get(p, 0) + 1
-    for c in counts.values():
-        f = 1
-        for i in range(2, c + 1):
-            f *= i
-        total //= f
-    return total
+    return math.factorial(len(parts)) // math.prod(
+        math.factorial(c) for c in Counter(parts).values()
+    )
 
 
 def _distinct_permutations(parts):
-    """Distinct orderings of a tuple of (hashable) parts."""
-    if not parts:
-        return [()]
-    seen = set()
-    out = []
-    for perm in itertools.permutations(parts):
-        if perm not in seen:
-            seen.add(perm)
-            out.append(perm)
-    return out
+    """Distinct orderings of a tuple of (hashable) parts, first seen first."""
+    return list(dict.fromkeys(itertools.permutations(parts)))

@@ -299,7 +299,7 @@ class AtomTable:
     def tuples(self):
         return sorted(self._by_tuple, key=lambda a: a.sort_key())
 
-    def multi_disks(self, alpha, max_atoms=None):
+    def multi_disks(self, alpha):
         """MD: unordered configurations of distinct atoms that jointly
         partition the tuple."""
         usable = [
@@ -309,7 +309,6 @@ class AtomTable:
             and (alpha.beta - a.degree).is_effective
         ]
         out = []
-        cap = max_atoms if max_atoms is not None else len(usable)
 
         def rec(start, chosen, beta_left, pts_left, dsc_left):
             if beta_left.is_zero and not pts_left and not dsc_left:
@@ -317,8 +316,6 @@ class AtomTable:
                     out.append(MultiDisk(tuple(chosen)))
                 # a completed configuration cannot be extended: any
                 # further atom would overshoot the degree or labels
-                return
-            if len(chosen) >= cap:
                 return
             for idx in range(start, len(usable)):
                 atom = usable[idx]

@@ -3,8 +3,7 @@
 The orientation oracles live in `opengw.selfcheck`; the tests import them
 from there and pass their own seeds and scales.  This module keeps what
 only the tests need: an independent Bareiss determinant to cross-check
-`linalg.det`, the synthetic instance generator, and the rescan WDVV
-solver that the indexed one is compared against.
+`linalg.det` and the synthetic instance generator.
 """
 
 from __future__ import annotations
@@ -116,108 +115,3 @@ def dim0_subtuples(target, table, top):
         out.append(top)
     return out
 
-
-# --- the rescan WDVV solver, kept as an oracle for the indexed one ----------
-
-
-def solve_wdvv_rescan(target, model, closed, seeds, area_bound,
-                      max_insertions=3):
-    """The solver loop that `opengw.wdvv.solve_wdvv` replaced.
-
-    Every sweep re-substitutes all solved brackets into every form, for
-    every pending unknown, and every pass rebuilds every deferred
-    instance.  Same schedule and tie-break as the indexed solver; the
-    tests compare the two result for result.
-    """
-    from opengw.wdvv import (
-        LinForm,
-        NonlinearEquationError,
-        OpenInvariantTable,
-        RelationInstance,
-        SolveResult,
-        relation_instances,
-        unknown_keys,
-        wdvv1_form,
-        wdvv2_form,
-    )
-
-    table = OpenInvariantTable(target, model)
-    for (coords, ins), value in seeds.entries():
-        table.set(coords, ins, value)
-    unknowns = set(unknown_keys(target, model, seeds, area_bound, max_insertions))
-    instances = relation_instances(target, model, area_bound, max_insertions)
-    solved_values = {}
-
-    def resolve(beta, insertions):
-        fixed = table.resolve_fixed(beta, insertions)
-        if fixed is not None:
-            return LinForm(fixed)
-        key = table._key(beta, insertions)
-        if key in solved_values:
-            return LinForm(solved_values[key])
-        if key in unknowns:
-            return LinForm(Fraction(0), {key: Fraction(1)})
-        return LinForm(table.value(beta, insertions))
-
-    def build(inst):
-        builder = wdvv1_form if inst.relation == 1 else wdvv2_form
-        return builder(
-            target, model, closed, resolve,
-            target.degree(inst.beta_coords), inst.gamma,
-        )
-
-    forms = {}
-    deferred = list(instances)
-    solved_log = []
-    progress = True
-    while progress:
-        progress = False
-        still = []
-        for inst in deferred:
-            try:
-                form = build(inst)
-            except NonlinearEquationError:
-                still.append(inst)
-                continue
-            if form is not None:
-                forms[inst] = form
-            progress = progress or form is not None
-        deferred = still
-        advanced = True
-        while advanced:
-            advanced = False
-            pending = sorted(
-                unknowns - set(solved_values),
-                key=lambda key: (target.degree(key[0]).area, len(key[1]), key),
-            )
-            for key in pending:
-                for inst in sorted(forms, key=RelationInstance.sort_key):
-                    reduced = forms[inst].substitute(solved_values)
-                    if set(reduced.coeffs) == {key} and reduced.coeffs[key] != 0:
-                        value = -reduced.const / reduced.coeffs[key]
-                        solved_values[key] = value
-                        solved_log.append((key, inst, value))
-                        advanced = True
-                        progress = True
-                        break
-        if not deferred:
-            break
-    for (coords, ins), value in sorted(solved_values.items()):
-        table.set(coords, ins, value)
-    unsolved = sorted(unknowns - set(solved_values))
-    residuals = []
-    for inst in instances:
-        if inst in forms:
-            reduced = forms[inst].substitute(solved_values)
-            residuals.append(
-                (inst, reduced.const if reduced.is_constant else None)
-            )
-        elif inst in deferred:
-            residuals.append((inst, None))
-    return SolveResult(
-        table=table,
-        solved=solved_log,
-        unsolved=unsolved,
-        residuals=residuals,
-        nonlinear=sorted(deferred, key=RelationInstance.sort_key),
-    )

@@ -196,8 +196,11 @@ def test_criterion_5_sign_relation():
     pairs = 0
     for seed in range(100):
         target, table, top = _instance(51000 + seed)
+        chains = build_chains(top, table, target, include_self=True)
         for p in sorted(top.points):
-            result = verify_welschinger_relation(top, table, target, point=p)
+            result = verify_welschinger_relation(
+                top, table, target, chains, point=p
+            )
             assert result.holds, (seed, p)
             pairs += 1
     report("5-sign-relation", pairs >= 100,

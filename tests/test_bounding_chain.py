@@ -202,20 +202,23 @@ def test_divisor_covering_degree_missing_linking_data():
 
 def test_invariant_via_degree_requires_dimension_two():
     t, table, top = small_instance()
+    chains = build_chains(top, table, t, include_self=True)
     with pytest.raises(ChainError):
-        invariant_via_degree(top, table, t, point="z")
+        invariant_via_degree(top, table, t, point="z", chains=chains)
 
 
 def test_invariant_degree_empty_splittings():
     t = Target([("g", 1, 2)], descriptors=[("C", 2)])
     table = AtomTable(t, [], LinkingMatrix([]))
     alpha = t.constraint_tuple((1,), descriptors=["C"])  # dimension 2
-    assert invariant_via_degree(alpha, table, t, point="p") == 0
+    chains = build_chains(alpha, table, t, include_self=True)
+    assert invariant_via_degree(alpha, table, t, point="p", chains=chains) == 0
 
 
 def test_welschinger_relation_small_instance():
     t, table, top = small_instance()
-    report = verify_welschinger_relation(top, table, t)
+    chains = build_chains(top, table, t, include_self=True)
+    report = verify_welschinger_relation(top, table, t, chains)
     assert report.holds
     # spot value: even |K| so the two sides agree on the nose
     assert report.sign == 1
@@ -229,8 +232,11 @@ def test_welschinger_relation_randomized():
         target, table, top = synthetic_instance(
             rng, n_points=max(np_, 1), n_quartic=nq, n_sextic=ns, n_conic=nc,
         )
+        chains = build_chains(top, table, target, include_self=True)
         for point in sorted(top.points):
-            report = verify_welschinger_relation(top, table, target, point=point)
+            report = verify_welschinger_relation(
+                top, table, target, chains, point=point
+            )
             assert report.holds, (seed, point)
 
 
@@ -305,7 +311,7 @@ def test_weighted_invariant_point_independence_gate():
 def test_weighted_invariant_zero_outside_dimension_zero():
     t, table, top = small_instance()
     assert invariant_via_weights(
-        t.constraint_tuple((2,), ["p"]), table, t
+        t.constraint_tuple((2,), ["p"]), table, t, chains={}
     ) == 0
 
 

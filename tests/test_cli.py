@@ -145,6 +145,31 @@ def test_verify_all_on_bundled_toy(tmp_path):
     ] == TOY_VERIFY_ALL_SEED_3
 
 
+def test_verify_all_builds_and_evaluates_once_per_top(tmp_path, monkeypatch):
+    """verify-all builds each top tuple's chain family once and evaluates
+    each weighted invariant once; every check reuses them."""
+    from opengw import bounding_chain, cli
+
+    calls = {"build_chains": 0, "invariant_via_weights": 0}
+    for name in calls:
+        original = getattr(bounding_chain, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(bounding_chain, name, counted)
+        monkeypatch.setattr(cli, name, counted)
+    status, cfg = run_pipeline(tmp_path, "verify-all", seed=3)
+    assert status == 0
+    bundle = fileio.load_target(toy_paths()["target"])
+    tops = fileio.load_atoms(toy_paths()["atoms"], bundle.target).tuples
+    dim0_tops = [t for t in tops if bundle.target.dimension(t) == 0]
+    assert dim0_tops
+    assert calls == {"build_chains": len(tops),
+                     "invariant_via_weights": len(dim0_tops)}
+
+
 def test_verify_all_deterministic(tmp_path):
     status1, cfg1 = run_pipeline(tmp_path / "a", "verify-all", seed=5)
     status2, cfg2 = run_pipeline(tmp_path / "b", "verify-all", seed=5)

@@ -1,5 +1,6 @@
 """Residual evaluators, the recursion solver, and structural checks."""
 
+import hashlib
 import os
 from fractions import Fraction
 
@@ -26,7 +27,7 @@ from opengw.wdvv import (
     wdvv2_residual,
 )
 
-from support import make_rng, solve_wdvv_rescan
+from support import make_rng
 
 F = Fraction
 
@@ -341,8 +342,30 @@ def test_solver_order_independence():
     assert dict(res1.table.entries()) == dict(res2.table.entries())
 
 
-@pytest.mark.parametrize("area_bound, max_insertions", [(4, 4), (6, 4)])
-def test_indexed_solver_matches_rescan_oracle(area_bound, max_insertions):
+# SHA-256 of the toy's full solve result beyond its planted range, taken
+# while the indexed solver still agreed result for result with the
+# rescan loop it replaced
+SOLVE_DIGESTS = {
+    (4, 4): "002e34f6bc322033ad493f1de6543bf2b43d10df6bf5e35191316fa1471fb735",
+    (6, 4): "1535f978f286aa1571b63ad6a7a3ac2a834f7c3312ce8dd4d19998989fffc30a",
+}
+
+
+def solve_digest(result):
+    """SHA-256 of table entries, solved log, unsolved keys, residuals and
+    nonlinear instances, one line each."""
+    lines = ["table %s %s %s" % (c, list(i), v)
+             for (c, i), v in result.table.entries()]
+    lines += ["solved %s %s %r %s" % (k[0], list(k[1]), inst, v)
+              for k, inst, v in result.solved]
+    lines += ["unsolved %s %s" % (c, list(i)) for c, i in result.unsolved]
+    lines += ["residual %r %s" % (inst, v) for inst, v in result.residuals]
+    lines += ["nonlinear %r" % (inst,) for inst in result.nonlinear]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("area_bound, max_insertions", sorted(SOLVE_DIGESTS))
+def test_solver_result_pinned_beyond_planted_range(area_bound, max_insertions):
     """The bundled toy beyond its planted range: unsolved brackets, and
     at (6, 4) instances deferred as nonlinear and rebuilt later."""
     data = os.path.join(os.path.dirname(fileio.__file__), "data")
@@ -351,15 +374,11 @@ def test_indexed_solver_matches_rescan_oracle(area_bound, max_insertions):
     closed = fileio.load_closed(os.path.join(data, "toy_closed.json"))
     seeds = fileio.load_seeds(os.path.join(data, "toy_seeds.json"),
                               target, model)
-    args = (target, model, closed, seeds, F(area_bound), max_insertions)
-    res, oracle = solve_wdvv(*args), solve_wdvv_rescan(*args)
-    assert res.solved == oracle.solved
-    assert res.unsolved == oracle.unsolved
-    assert res.residuals == oracle.residuals
-    assert res.nonlinear == oracle.nonlinear
-    assert res.table.entries() == oracle.table.entries()
-    assert oracle.unsolved
-    assert oracle.nonlinear or area_bound < 6
+    res = solve_wdvv(target, model, closed, seeds, F(area_bound),
+                     max_insertions)
+    assert solve_digest(res) == SOLVE_DIGESTS[area_bound, max_insertions]
+    assert res.unsolved
+    assert res.nonlinear or area_bound < 6
 
 
 def test_nonlinear_error_names_both_factors():
