@@ -114,25 +114,30 @@ def _class_sign_exponent(eta, toggles):
     return sum(1 for t in toggles if t) * k
 
 
-def _part_chain(part, chains, target):
-    """Chain for a non-point part; None encodes an identically empty one."""
-    if part in chains:
-        return chains[part]
-    if target.dimension(part) == 0:
-        raise ChainError("missing predecessor chain for %r" % (part,))
-    return None
+def _live_parts(alpha, chains, target):
+    """The parts a contributing class of alpha may carry: the non-point
+    tuples whose chains have nonempty boundary.
+
+    Nothing is silently zero: a dimension-0, non-point strict
+    predecessor of alpha without a chain raises instead of reading as
+    an empty chain.
+    """
+    for pred in target.predecessors(alpha):
+        if (pred not in chains and not pred.is_point_tuple()
+                and target.dimension(pred) == 0):
+            raise ChainError("missing predecessor chain for %r" % (pred,))
+    return [a for a, chain in chains.items()
+            if chain.boundary and not a.is_point_tuple()]
 
 
-def _slot_chains(eta, chains, target):
-    """The chains of eta's chain slots, in slot order; None as soon as
-    one of them is empty (the class then contributes nothing)."""
-    out = []
-    for i in eta.chain_slots():
-        chain = _part_chain(eta.parts[i], chains, target)
-        if chain is None or not chain.boundary:
-            return None
-        out.append(chain)
-    return out
+def _center_triples(table, extra_point=None):
+    """The atom table's tuples as class centers; with `extra_point`, only
+    those through that point, with the point removed."""
+    return [
+        (c.beta, c.points - {extra_point}, c.descriptors)
+        for c in table.tuples()
+        if extra_point is None or extra_point in c.points
+    ]
 
 
 def boundary_class_terms(alpha, chains, table, target, ring=QQ,
@@ -144,25 +149,26 @@ def boundary_class_terms(alpha, chains, table, target, ring=QQ,
     `extra_point`, the center tuple is augmented by one more point
     constraint (the degree-counting configuration); the returned
     multisets then represent a rigid signed count per loop.
+
+    Only classes that can contribute are generated: the center carries
+    a rigid disk (so its degree is nonzero; constant central disks are
+    killed by the interior constraints or cancel in sign pairs between
+    marked-point orderings) and every non-point part has a chain with
+    nonempty boundary.
     """
     if extra_point is not None and extra_point in alpha.points:
         raise ChainError("augmentation point %r already constrained" % (extra_point,))
     out = []
-    for eta, _count in target.degeneration_classes(alpha):
-        if eta.center_degree.is_zero:
-            # constant central disks: killed by the interior constraints
-            # or cancelling in sign pairs between marked-point orderings
-            continue
-        slot_chains = _slot_chains(eta, chains, target)
-        if slot_chains is None:
-            continue
+    for eta, _count in target._classes_through(
+        alpha, _center_triples(table, extra_point),
+        _live_parts(alpha, chains, target),
+    ):
+        slot_chains = [chains[eta.parts[i]] for i in eta.chain_slots()]
         pts = eta.point_labels()
         if extra_point is not None:
             pts = pts | {extra_point}
         center = ConstraintTuple(eta.center_degree, pts, eta.center_descriptors)
         atoms = table.single_disks(center)
-        if not atoms:
-            continue
         exponent = _class_sign_exponent(eta, sign_toggles)
         # the divisor trade itself contributes (-1)^(chain slots), which
         # divisor_covering_degree already carries
@@ -288,17 +294,13 @@ def constant_center_classes(alpha, chains, table, target,
     whose honest geometric value could differ, which gates the
     weighted-versus-degree comparison.
     """
-    out = []
-    for eta, count in target.degeneration_classes(alpha):
-        if not eta.center_degree.is_zero:
-            continue
-        if eta.center_descriptors or eta.point_labels():
-            continue  # interior constraints or pinned points: empty anyway
-        if weight_rule(eta.part_count) == 0:
-            continue
-        if _slot_chains(eta, chains, target) is not None:
-            out.append((eta, count))
-    return out
+    empty_center = (target.zero_degree(), frozenset(), frozenset())
+    return [
+        (eta, count) for eta, count in target._classes_through(
+            alpha, [empty_center], _live_parts(alpha, chains, target)
+        )
+        if weight_rule(eta.part_count) != 0
+    ]
 
 
 def invariant_via_weights(alpha, table, target, chains, ring=QQ,
@@ -324,7 +326,7 @@ def invariant_via_weights(alpha, table, target, chains, ring=QQ,
         return ring.zero
     total = ring.zero
     for eta, contribution in boundary_class_terms(
-        alpha, chains, table, target, ring=ring
+        alpha, chains, table, target, ring=ring, sign_toggles=sign_toggles
     ):
         scale = ring(weight_rule(eta.part_count)) * ring(max(eta.part_count, 1))
         for value in contribution.values():
@@ -522,25 +524,25 @@ def branch_decompositions(alpha, table, target):
     """Independent enumeration of branch decompositions (the quotient
     side of the bijection), built from splittings and sub-configurations
     rather than by cutting trees."""
+    decorated = {}
+    for part in target.predecessors(alpha):
+        if target.dimension(part) == 0 and not part.is_point_tuple():
+            dmds = decorated_multidisks(part, table)
+            if dmds:
+                decorated[part] = dmds
     out = set()
-    for eta, _count in target.degeneration_classes(alpha):
-        center_tuple = eta.center_tuple()
-        if center_tuple is None:
-            continue
-        slots = eta.chain_slots()
-        slot_parts = [eta.parts[i] for i in slots]
-        slot_dmds = [decorated_multidisks(part, table) for part in slot_parts]
-        if any(not d for d in slot_dmds):
-            continue
-        for center_atom in table.single_disks(center_tuple):
+    for eta, _count in target._classes_through(
+        alpha, _center_triples(table), decorated
+    ):
+        slot_parts = [eta.parts[i] for i in eta.chain_slots()]
+        slot_dmds = [decorated[part] for part in slot_parts]
+        for center_atom in table.single_disks(eta.center_tuple()):
             for assignment in itertools.product(*slot_dmds):
                 branches = sorted(
                     zip(slot_parts, assignment),
                     key=lambda pb: (pb[0].sort_key(), pb[1].sort_key()),
                 )
-                out.add(BranchDecomposition(
-                    eta.canonical(), center_atom, tuple(branches)
-                ))
+                out.add(BranchDecomposition(eta, center_atom, tuple(branches)))
     return sorted(out, key=BranchDecomposition.sort_key)
 
 

@@ -249,7 +249,6 @@ class Target:
                     "has area %s" % (self.closed_names[j],
                                      self.closed_areas[j], pushed)
                 )
-        self._class_cache = {}
 
     # -- degree construction ------------------------------------------
 
@@ -362,9 +361,6 @@ class Target:
             len(alpha.points) + len(alpha.descriptors)
             + int(alpha.beta.area / self.area_gap)
         )
-        cache_key = (alpha, cap)
-        if cache_key in self._class_cache:
-            return self._class_cache[cache_key]
         points = sorted(alpha.points)
         descs = sorted(alpha.descriptors)
         out = []
@@ -411,7 +407,6 @@ class Target:
                         )
                         out.append((eta, _orderings(parts)))
         out.sort(key=lambda pair: pair[0].sort_key())
-        self._class_cache[cache_key] = out
         return out
 
     def _block_degree_choices(self, beta, blocks):
@@ -448,6 +443,79 @@ class Target:
                     rec(remaining - d, idx, chosen + [d])
 
         rec(budget, 0, [])
+        return out
+
+    def _classes_through(self, alpha, centers, parts):
+        """The classes of alpha with a given center and given parts.
+
+        centers: (degree, point labels, descriptor labels) triples, the
+        empty triple allowed; parts: non-point tuples.  Returns the
+        entries of `degeneration_classes(alpha)`, in the same form and
+        order, whose center tuple is one of the triples and whose
+        non-point parts all lie in `parts`.  They are built from those
+        two sets alone: each center's point labels become bare point
+        parts, and the rest of alpha is split into a multiset of the
+        given parts, so the work follows the output, not the full list.
+        """
+        by_label = {}
+        unlabeled = []
+        for p in set(parts):
+            labels = [("p", x) for x in p.points] + [
+                ("d", x) for x in p.descriptors
+            ]
+            for label in labels:
+                by_label.setdefault(label, []).append(p)
+            if not labels:
+                unlabeled.append(p)
+        out = []
+
+        def emit(center, chosen):
+            beta, pts, descs = center
+            split = tuple(sorted(
+                [self.point_tuple(x) for x in pts] + chosen,
+                key=ConstraintTuple.sort_key,
+            ))
+            if beta.is_zero and not descs and len(split) == 1:
+                return  # the excluded degenerate splitting
+            out.append((DegenerationType(beta, descs, split), _orderings(split)))
+
+        def place_labels(center, beta, pts, descs, chosen):
+            # the part holding the smallest unplaced label comes next
+            if not pts and not descs:
+                add_unlabeled(center, beta, 0, chosen)
+                return
+            label = ("p", min(pts)) if pts else ("d", min(descs))
+            for p in by_label.get(label, ()):
+                if not (p.points <= pts and p.descriptors <= descs):
+                    continue
+                rest = beta - p.beta
+                if rest.is_effective:
+                    chosen.append(p)
+                    place_labels(center, rest, pts - p.points,
+                                 descs - p.descriptors, chosen)
+                    chosen.pop()
+
+        def add_unlabeled(center, beta, start, chosen):
+            # unlabeled parts as a multiset: indices never decrease
+            if beta.is_zero:
+                emit(center, chosen)
+                return
+            for i in range(start, len(unlabeled)):
+                rest = beta - unlabeled[i].beta
+                if rest.is_effective:
+                    chosen.append(unlabeled[i])
+                    add_unlabeled(center, rest, i, chosen)
+                    chosen.pop()
+
+        for center in set(centers):
+            beta, pts, descs = center
+            if not (pts <= alpha.points and descs <= alpha.descriptors):
+                continue
+            rest = alpha.beta - beta
+            if rest.is_effective:
+                place_labels(center, rest, alpha.points - pts,
+                             alpha.descriptors - descs, [])
+        out.sort(key=lambda pair: pair[0].sort_key())
         return out
 
     RAW_EXPANSION_CAP = 500_000
@@ -607,5 +675,27 @@ def _orderings(parts):
 
 
 def _distinct_permutations(parts):
-    """Distinct orderings of a tuple of (hashable) parts, first seen first."""
-    return list(dict.fromkeys(itertools.permutations(parts)))
+    """Distinct orderings of a tuple of (hashable) parts.
+
+    Knuth's Algorithm L (TAOCP 4A, 7.2.1.2) on the parts' first-seen
+    ranks: each distinct ordering once, in lexicographic rank order,
+    without walking the n! orderings of the plain permutations.
+    """
+    rank = {}
+    a = [rank.setdefault(p, len(rank)) for p in parts]
+    a.sort()
+    values = list(rank)
+    n = len(a)
+    out = [tuple(values[i] for i in a)]
+    while True:
+        j = n - 2
+        while j >= 0 and a[j] >= a[j + 1]:
+            j -= 1
+        if j < 0:
+            return out
+        l = n - 1
+        while a[j] >= a[l]:
+            l -= 1
+        a[j], a[l] = a[l], a[j]
+        a[j + 1:] = reversed(a[j + 1:])
+        out.append(tuple(values[i] for i in a))

@@ -13,6 +13,7 @@ from opengw.bounding_chain import (
     build_chains,
     constant_center_classes,
     decorated_multidisks,
+    default_weight_rule,
     direct_boundary,
     divisor_covering_degree,
     from_branches,
@@ -170,6 +171,16 @@ def test_sign_toggle_moves_class_terms_by_predicted_sign():
     ) == toggled
 
 
+def test_missing_predecessor_chain_raises():
+    """Nothing is silently zero: a family without the chain of a
+    dimension-0 predecessor is refused, not read as an empty chain."""
+    t, table, top = small_instance()
+    chains = build_chains(top, table, t)
+    del chains[t.constraint_tuple((1,), ["q"])]
+    with pytest.raises(ChainError, match="missing predecessor chain"):
+        assemble_boundary(top, chains, table, t)
+
+
 # --- divisor covering degree -------------------------------------------------
 
 
@@ -315,9 +326,32 @@ def test_weighted_invariant_zero_outside_dimension_zero():
     ) == 0
 
 
-def test_splitting_weight_values():
-    from opengw.bounding_chain import default_weight_rule
+def test_weighted_invariant_forwards_sign_toggles():
+    """Flipping one stacked sign factor moves each class term of the
+    weighted sum by (-1)^(part count); the half point-drop sum moves
+    with the toggled degree invariants."""
+    rng = make_rng(16000)
+    target, table, top = synthetic_instance(rng, n_points=1, n_quartic=1)
+    chains = build_chains(top, table, target, include_self=True)
+    toggles = (True, False, True)
+    unmoved = moved = Fraction(0)
+    for eta, contrib in boundary_class_terms(top, chains, table, target):
+        k = eta.part_count
+        term = default_weight_rule(k) * max(k, 1) * sum(contrib.values())
+        unmoved += term
+        moved += term if k % 2 == 0 else -term
+    # odd part counts carry weight here, so the flip is visible
+    assert moved != unmoved
+    (p,) = top.points
+    dropped = target.constraint_tuple(top.beta, (), top.descriptors)
+    degree = invariant_via_degree(dropped, table, target, point=p,
+                                  chains=chains, sign_toggles=toggles)
+    assert invariant_via_weights(
+        top, table, target, chains=chains, sign_toggles=toggles
+    ) == moved + Fraction(1, 2) * degree
 
+
+def test_splitting_weight_values():
     assert default_weight_rule(0) == 1
     assert default_weight_rule(1) == Fraction(1, 2)
     assert default_weight_rule(2) == 0  # two-part splittings drop

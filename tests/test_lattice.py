@@ -294,6 +294,63 @@ def test_degeneration_classes_group_permutations():
         assert len(members) == count
 
 
+def test_classes_through_filters_the_full_list():
+    """The output-sensitive class generator against the full class list
+    filtered by center and parts, with random center and part sets;
+    unlabeled, repeated and zero-degree parts included."""
+    rng = make_rng(31)
+    t = rank2()
+    tuples = [
+        t.constraint_tuple((2, 1), points=["p", "q"], descriptors=["G4"]),
+        t.constraint_tuple((2, 2), points=["p"]),
+        t.constraint_tuple((1, 1), descriptors=["G2", "G6"]),
+    ]
+    repeated = 0
+    for alpha in tuples:
+        full = t.degeneration_classes(alpha)
+
+        def center(eta):
+            return (eta.center_degree, eta.point_labels(),
+                    eta.center_descriptors)
+
+        def slots(eta):
+            return [p for p in eta.parts if not p.is_point_tuple()]
+
+        centers = sorted({center(eta) for eta, _ in full},
+                         key=lambda c: (c[0].coords, sorted(c[1]), sorted(c[2])))
+        parts = sorted({p for eta, _ in full for p in slots(eta)},
+                       key=ConstraintTuple.sort_key)
+        assert t._classes_through(alpha, centers, parts) == full
+        for _ in range(15):
+            some_centers = rng.sample(centers, rng.randint(1, len(centers)))
+            some_parts = set(rng.sample(parts, rng.randint(0, len(parts))))
+            expect = [
+                (eta, n) for eta, n in full
+                if center(eta) in some_centers
+                and all(p in some_parts for p in slots(eta))
+            ]
+            assert t._classes_through(alpha, some_centers, some_parts) == expect
+            repeated += sum(
+                1 for eta, _ in expect if len(set(slots(eta))) < len(slots(eta))
+            )
+    assert repeated
+
+
+def test_distinct_permutations_walk_the_multiset():
+    """Algorithm L yields each distinct ordering exactly once."""
+    from opengw.lattice import _distinct_permutations, _orderings
+
+    t = rank1()
+    a = t.point_tuple("p")
+    b = t.constraint_tuple((1,))
+    c = t.constraint_tuple((2,), points=["q"])
+    for parts in [(), (a,), (b, b), (a, b, b), (b, a, b, c, b),
+                  (c, b, c, a, b, b)]:
+        perms = _distinct_permutations(parts)
+        assert set(perms) == set(itertools.permutations(parts)), parts
+        assert len(perms) == _orderings(parts), parts
+
+
 def test_dimension_additive_over_degenerations():
     """Audited identity: dim(alpha) equals the dimension of the center
     part (with no boundary points) plus the part dimensions, with no

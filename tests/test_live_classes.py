@@ -1,0 +1,210 @@
+"""Live-class generation against the full class list.
+
+`boundary_class_terms`, `constant_center_classes` and
+`branch_decompositions` build only the degeneration classes that can
+contribute.  The oracles below apply the same filters to the full
+`Target.degeneration_classes` list instead, and the two routes must
+agree class by class on the toy, on a benchmark-sized synthetic
+instance and on random synthetic instances.
+"""
+
+import importlib.util
+import itertools
+import os
+import random
+from collections import Counter
+
+from opengw import fileio
+from opengw.bounding_chain import (
+    SIGN_TOGGLES_DEFAULT,
+    BranchDecomposition,
+    _class_sign_exponent,
+    boundary_class_terms,
+    branch_decompositions,
+    build_chains,
+    constant_center_classes,
+    decorated_multidisks,
+    default_weight_rule,
+    divisor_covering_degree,
+)
+from opengw.lattice import ConstraintTuple
+from opengw.ring import QQ
+
+from support import dim0_subtuples, make_rng, synthetic_instance
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DATA = os.path.join(os.path.dirname(fileio.__file__), "data")
+
+
+# --- oracles: filters over the full class list -------------------------------
+
+
+def _full_slot_chains(eta, chains):
+    out = []
+    for i in eta.chain_slots():
+        chain = chains.get(eta.parts[i])
+        if chain is None or not chain.boundary:
+            return None
+        out.append(chain)
+    return out
+
+
+def full_boundary_class_terms(alpha, chains, table, classes, extra_point=None,
+                              sign_toggles=SIGN_TOGGLES_DEFAULT):
+    out = []
+    for eta, _count in classes(alpha):
+        if eta.center_degree.is_zero:
+            continue
+        slot_chains = _full_slot_chains(eta, chains)
+        if slot_chains is None:
+            continue
+        pts = eta.point_labels()
+        if extra_point is not None:
+            pts = pts | {extra_point}
+        atoms = table.single_disks(
+            ConstraintTuple(eta.center_degree, pts, eta.center_descriptors)
+        )
+        odd = _class_sign_exponent(eta, sign_toggles) % 2
+        contribution = {}
+        for atom in atoms:
+            value = divisor_covering_degree(atom.loop, slot_chains, table.links)
+            if (atom.sign < 0) != odd:
+                value = -value
+            contribution[atom.loop] = contribution.get(atom.loop, QQ.zero) + value
+        contribution = {k: v for k, v in contribution.items() if v != QQ.zero}
+        if contribution:
+            out.append((eta, contribution))
+    return out
+
+
+def full_constant_center_classes(alpha, chains, classes):
+    return [
+        (eta, count) for eta, count in classes(alpha)
+        if eta.center_degree.is_zero
+        and not eta.center_descriptors and not eta.point_labels()
+        and default_weight_rule(eta.part_count) != 0
+        and _full_slot_chains(eta, chains) is not None
+    ]
+
+
+def full_branch_decompositions(alpha, table, classes):
+    decorated = {}
+    out = set()
+    for eta, _count in classes(alpha):
+        center = eta.center_tuple()
+        if center is None:
+            continue
+        slot_parts = [eta.parts[i] for i in eta.chain_slots()]
+        for part in slot_parts:
+            if part not in decorated:
+                decorated[part] = decorated_multidisks(part, table)
+        slot_dmds = [decorated[part] for part in slot_parts]
+        for center_atom in table.single_disks(center):
+            for assignment in itertools.product(*slot_dmds):
+                branches = sorted(
+                    zip(slot_parts, assignment),
+                    key=lambda pb: (pb[0].sort_key(), pb[1].sort_key()),
+                )
+                out.add(BranchDecomposition(eta, center_atom, tuple(branches)))
+    return sorted(out, key=BranchDecomposition.sort_key)
+
+
+# --- the comparison ---------------------------------------------------------------
+
+
+def assert_live_routes_match(target, table, top, label):
+    """Compare every live-class consumer with its full-list oracle on the
+    dimension-0 tuples below top and their point-dropped tuples.
+    Returns how many items each route produced, so that callers can
+    check the comparison was not vacuous."""
+    chains = build_chains(top, table, target, include_self=True)
+    full = {}
+
+    def classes(alpha):
+        if alpha not in full:
+            full[alpha] = target.degeneration_classes(alpha)
+        return full[alpha]
+
+    seen = Counter()
+    for alpha in dim0_subtuples(target, table, top):
+        terms = boundary_class_terms(alpha, chains, table, target)
+        assert terms == full_boundary_class_terms(
+            alpha, chains, table, classes
+        ), (label, alpha)
+        constant = constant_center_classes(alpha, chains, table, target)
+        assert constant == full_constant_center_classes(
+            alpha, chains, classes
+        ), (label, alpha)
+        decompositions = branch_decompositions(alpha, table, target)
+        assert decompositions == full_branch_decompositions(
+            alpha, table, classes
+        ), (label, alpha)
+        seen["terms"] += len(terms)
+        seen["constant"] += len(constant)
+        seen["branches"] += len(decompositions)
+        for p in sorted(alpha.points):
+            dropped = ConstraintTuple(
+                alpha.beta, alpha.points - {p}, alpha.descriptors
+            )
+            terms = boundary_class_terms(
+                dropped, chains, table, target, extra_point=p
+            )
+            assert terms == full_boundary_class_terms(
+                dropped, chains, table, classes, extra_point=p
+            ), (label, alpha, p)
+            seen["extra-point terms"] += len(terms)
+    return seen
+
+
+def test_live_classes_match_full_list_on_toy():
+    bundle = fileio.load_target(os.path.join(DATA, "toy_target.json"))
+    atoms = fileio.load_atoms(os.path.join(DATA, "toy_atoms.json"),
+                              bundle.target)
+    assert atoms.tuples
+    for top in atoms.tuples:
+        seen = assert_live_routes_match(bundle.target, atoms.table, top, top)
+        assert seen["terms"] and seen["branches"]
+
+
+def _benchmark_synth():
+    path = os.path.join(REPO, "perfbench", "synth.py")
+    spec = importlib.util.spec_from_file_location("perfbench_synth", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_live_classes_match_full_list_on_benchmark_instance(tmp_path):
+    """The seed-7 instance of the verify-synth benchmark workload: four
+    points and a quartic, degree 5."""
+    synth = _benchmark_synth()
+    target_doc, atoms_doc = synth.synthetic_documents(random.Random(7), 4, 1)
+    paths = {}
+    for name, doc in (("target", target_doc), ("atoms", atoms_doc)):
+        paths[name] = str(tmp_path / (name + ".json"))
+        synth.write_document(paths[name], doc)
+    bundle = fileio.load_target(paths["target"])
+    atoms = fileio.load_atoms(paths["atoms"], bundle.target)
+    (top,) = atoms.tuples
+    seen = assert_live_routes_match(bundle.target, atoms.table, top, "synth-7")
+    assert seen["terms"] and seen["extra-point terms"] and seen["branches"]
+
+
+LIVE_SHAPES = (
+    (1, 0, 0, 0), (2, 0, 0, 0), (3, 0, 0, 0), (1, 1, 0, 0), (2, 1, 0, 0),
+    (1, 0, 1, 0), (2, 0, 1, 0), (1, 1, 1, 0), (1, 0, 0, 1), (2, 0, 0, 1),
+    (1, 1, 0, 1), (2, 1, 0, 1), (1, 0, 1, 1),
+)
+
+
+def test_live_classes_match_full_list_randomized():
+    """65 draws over 13 shapes, conics and sextics included."""
+    seen = Counter()
+    for seed in range(65):
+        rng = make_rng(21000 + seed)
+        shape = LIVE_SHAPES[seed % len(LIVE_SHAPES)]
+        target, table, top = synthetic_instance(rng, *shape)
+        seen += assert_live_routes_match(target, table, top, (seed, shape))
+    assert all(seen[k] for k in (
+        "terms", "extra-point terms", "constant", "branches"
+    ))
