@@ -520,22 +520,30 @@ def from_branches(decomposition, target):
     )
 
 
-def branch_decompositions(alpha, table, target):
+def branch_decompositions(alpha, table, target, decorated=None):
     """Independent enumeration of branch decompositions (the quotient
     side of the bijection), built from splittings and sub-configurations
-    rather than by cutting trees."""
-    decorated = {}
+    rather than by cutting trees.
+
+    `decorated` maps tuples to their `decorated_multidisks`, so that one
+    map can serve every tuple of a run; a part missing from it is
+    decorated here with the default tree cap.
+    """
+    known = {} if decorated is None else decorated
+    parts = {}
     for part in target.predecessors(alpha):
         if target.dimension(part) == 0 and not part.is_point_tuple():
-            dmds = decorated_multidisks(part, table)
+            dmds = known.get(part)
+            if dmds is None:
+                dmds = decorated_multidisks(part, table)
             if dmds:
-                decorated[part] = dmds
+                parts[part] = dmds
     out = set()
     for eta, _count in target._classes_through(
-        alpha, _center_triples(table), decorated
+        alpha, _center_triples(table), parts
     ):
         slot_parts = [eta.parts[i] for i in eta.chain_slots()]
-        slot_dmds = [decorated[part] for part in slot_parts]
+        slot_dmds = [parts[part] for part in slot_parts]
         for center_atom in table.single_disks(eta.center_tuple()):
             for assignment in itertools.product(*slot_dmds):
                 branches = sorted(

@@ -386,16 +386,21 @@ def run_verify_all(bundle, atom_bundle, closed, seeds, config, rep):
                    "%d tuples compared" % weighted_checked)
         bij_bad = []
         bij_count = 0
+        # every dimension-0 part of a worklist tuple is in the worklist,
+        # so this one map serves both sides of every tuple's bijection
+        decorated_by_tuple = {
+            alpha: decorated_multidisks(alpha, table, tree_cap=config.cap_trees)
+            for alpha in worklist
+        }
         for alpha in worklist:
-            decorated = decorated_multidisks(
-                alpha, table, tree_cap=config.cap_trees
-            )
+            decorated = decorated_by_tuple[alpha]
             images = [to_branches(d, target) for d in decorated]
             bij_count += len(decorated)
             if len(set(images)) != len(decorated):
                 bij_bad.append(alpha)
                 continue
-            if set(images) != set(branch_decompositions(alpha, table, target)):
+            if set(images) != set(branch_decompositions(
+                    alpha, table, target, decorated=decorated_by_tuple)):
                 bij_bad.append(alpha)
                 continue
             if any(from_branches(b, target) != d

@@ -2,14 +2,18 @@
 
 Everything the sign calculus needs: determinants, kernels, one-sided
 inverses, and an integer Smith normal form for lattice-image membership.
-Matrices are plain lists of lists of Fraction (or int for the integer
-routines); dimensions stay small, so straightforward elimination wins
-over any heavyweight dependency.
+Matrices are plain lists of lists of Fraction or int.  The rational
+routines scale each row to integers, eliminate fraction-free and build
+Fractions only for their results; dimensions stay small, so
+straightforward elimination wins over any heavyweight dependency.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+
+from .ring import integer_scaled
 
 
 def mat(rows):
@@ -51,15 +55,52 @@ def transpose(a):
 
 
 def det(a):
-    """Determinant by Gaussian elimination.
+    """Determinant of a square matrix; Fraction(0) when it is singular.
 
-    Entries may come from any field whose elements compare with 0
-    (Fraction, or `ring.PrimeField` elements); a singular matrix gives
-    Fraction(0).
+    Rational entries (int or Fraction) are scaled to integers row by row
+    and eliminated fraction-free; the result is one Fraction.  Entries
+    from any other field whose elements compare with 0 (`ring.PrimeField`
+    elements) go through plain Gaussian elimination.
     """
     n = len(a)
     if any(len(r) != n for r in a):
         raise ValueError("determinant of a non-square matrix")
+    scaled = [integer_scaled(row) for row in a]
+    if None in scaled:
+        return _det_field(a)
+    return Fraction(_det_bareiss([ints for ints, _ in scaled]),
+                    math.prod(d for _, d in scaled))
+
+
+def _det_bareiss(m):
+    """Determinant of a square integer matrix by Bareiss's fraction-free
+    elimination (every division is exact); `m` is overwritten."""
+    n = len(m)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        piv = next((r for r in range(k, n) if m[r][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        pivot_row = m[k][k + 1:]
+        p = m[k][k]
+        for i in range(k + 1, n):
+            row = m[i]
+            f = row[k]
+            row[k + 1:] = [(p * x - f * y) // prev
+                           for x, y in zip(row[k + 1:], pivot_row)]
+        prev = p
+    return sign * m[n - 1][n - 1]
+
+
+def _det_field(a):
+    """Determinant by Gaussian elimination over a field."""
+    n = len(a)
     m = [row[:] for row in a]
     sign = 1
     for col in range(n):
@@ -82,28 +123,49 @@ def det(a):
 
 
 def _echelon(a):
-    """Row-reduce a copy of `a`; return (rref matrix, pivot columns)."""
-    m = [row[:] for row in a]
+    """Row-reduce the rational matrix `a`; return (rref matrix of
+    Fractions, pivot columns).
+
+    Fraction-free Gauss-Jordan: each row is scaled to integers, rows are
+    combined in integers and divided by their content, and each pivot
+    row is divided by its pivot once, for the output.
+    """
+    m = []
+    for row in a:
+        scaled = integer_scaled(row)
+        if scaled is None:
+            raise TypeError("row reduction needs int or Fraction entries")
+        m.append(scaled[0])
     rows = len(m)
     cols = len(m[0]) if m else 0
     pivots = []
     r = 0
     for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        piv = next((i for i in range(r, rows) if m[i][c]), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
+        pivot_row = m[r]
+        p = pivot_row[c]
         for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+            f = m[i][c]
+            if i != r and f:
+                row = [p * x - f * y for x, y in zip(m[i], pivot_row)]
+                g = math.gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == rows:
             break
-    return m, pivots
+    zero = Fraction(0)
+    out = []
+    for i, row in enumerate(m):
+        if i < r:
+            p = row[pivots[i]]
+            out.append([Fraction(x, p) if x else zero for x in row])
+        else:
+            out.append([zero] * cols)
+    return out, pivots
 
 
 def rank(a):

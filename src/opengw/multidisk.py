@@ -16,12 +16,14 @@ must agree exactly.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import OpenGWError, linalg
-from .ring import QQ
+from .ring import QQ, Rationals, integer_scaled
 
 
 DEFAULT_TREE_CAP = 7
@@ -167,37 +169,49 @@ class MultiDisk:
 
 
 def _tree_from_pruefer(seq, m):
-    """Decode a Pruefer sequence over [0, m) into a tree edge set."""
+    """Decode a Pruefer sequence over [0, m), m >= 2, into its tree's
+    edges (i, j), i < j, in linear time: a pointer walks forward to the
+    next leaf, and a vertex that becomes a leaf behind it is taken at
+    once."""
     degree = [1] * m
     for v in seq:
         degree[v] += 1
+    ptr = leaf = degree.index(1)
     edges = []
-    leaves = sorted(v for v in range(m) if degree[v] == 1)
-    seq = list(seq)
     for v in seq:
-        leaf = leaves.pop(0)
-        edges.append((min(leaf, v), max(leaf, v)))
+        edges.append((leaf, v) if leaf < v else (v, leaf))
         degree[v] -= 1
-        if degree[v] == 1:
-            # re-insert keeping the pool sorted
-            lo, hi = 0, len(leaves)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if leaves[mid] < v:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            leaves.insert(lo, v)
-    edges.append((leaves[0], leaves[1]))
-    return frozenset(edges)
+        if degree[v] == 1 and v < ptr:
+            leaf = v
+        else:
+            ptr += 1
+            while degree[ptr] != 1:
+                ptr += 1
+            leaf = ptr
+    edges.append((leaf, m - 1))
+    return edges
 
 
-def spanning_trees(m, cap=DEFAULT_TREE_CAP):
-    """All spanning trees of the complete graph on m labeled vertices.
+@functools.cache
+def _packed_trees(m):
+    """Every spanning tree of the complete graph on m >= 2 vertices, in
+    Pruefer order, as the sorted indices of its m - 1 edges in
+    itertools.combinations(range(m), 2), packed end to end in one bytes
+    object; decoded once per m.  (An index fits a byte up to m = 23, far
+    past any m whose m^(m-2) trees can be enumerated.)"""
+    index = {e: k for k, e in enumerate(itertools.combinations(range(m), 2))}
+    return bytes(
+        k
+        for seq in itertools.product(range(m), repeat=m - 2)
+        for k in sorted(index[e] for e in _tree_from_pruefer(seq, m))
+    )
 
-    Pruefer decoding; m above the cap is refused since the count m^(m-2)
-    explodes.
-    """
+
+def _trees(m, cap):
+    """Iterate over the spanning trees on m vertices, each a sorted tuple
+    of edge indices into itertools.combinations(range(m), 2).  m above
+    the cap is refused before any work, since the count m^(m-2)
+    explodes."""
     if m < 1:
         raise ConfigurationError("need at least one vertex")
     if m > cap:
@@ -205,22 +219,47 @@ def spanning_trees(m, cap=DEFAULT_TREE_CAP):
             "tree enumeration capped at %d vertices (asked for %d)" % (cap, m)
         )
     if m == 1:
-        return [frozenset()]
-    if m == 2:
-        return [frozenset([(0, 1)])]
-    return [
-        _tree_from_pruefer(seq, m)
-        for seq in itertools.product(range(m), repeat=m - 2)
-    ]
+        return iter([()])
+    return zip(*[iter(_packed_trees(m))] * (m - 1))
+
+
+def spanning_trees(m, cap=DEFAULT_TREE_CAP):
+    """All spanning trees of the complete graph on m labeled vertices,
+    each a frozenset of edges (i, j), i < j.
+
+    Pruefer decoding; m above the cap is refused since the count m^(m-2)
+    explodes.
+    """
+    trees = _trees(m, cap)
+    edges = list(itertools.combinations(range(m), 2))
+    return [frozenset([edges[k] for k in tree]) for tree in trees]
 
 
 def _edge_weights(config, links):
-    atoms = config.atoms
-    m = len(atoms)
-    return {
-        (i, j): links.lk(atoms[i].loop, atoms[j].loop)
-        for i in range(m) for j in range(i + 1, m)
-    }
+    """Linking numbers of the configuration's atom pairs, in the order
+    of itertools.combinations(range(m), 2)."""
+    return [links.lk(a.loop, b.loop)
+            for a, b in itertools.combinations(config.atoms, 2)]
+
+
+def _tree_sum(m, weights, ring, cap):
+    """Sum over the spanning trees on m vertices of the product of their
+    edge weights.  Over QQ with rational weights the products are taken
+    in integers, over the weights' common denominator, and divided once;
+    any other ring multiplies its own elements."""
+    trees = _trees(m, cap)
+    scaled = integer_scaled(weights) if isinstance(ring, Rationals) else None
+    if scaled is not None:
+        ints, den = scaled
+        total = sum(math.prod([ints[k] for k in tree]) for tree in trees)
+        return Fraction(total, den ** (m - 1))
+    total = ring.zero
+    for tree in trees:
+        prod = ring.one
+        for k in tree:
+            prod = prod * weights[k]
+        total = total + prod
+    return total
 
 
 def tree_weight_sum(config, links, ring=QQ):
@@ -233,16 +272,14 @@ def tree_weight_sum(config, links, ring=QQ):
     w = _edge_weights(config, links)
     size = m - 1
     lap = [[ring.zero for _ in range(size)] for _ in range(size)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            val = w[(i, j)]
-            if i < size and j < size:
-                lap[i][j] = lap[i][j] - val
-                lap[j][i] = lap[j][i] - val
-            if i < size:
-                lap[i][i] = lap[i][i] + val
-            if j < size:
-                lap[j][j] = lap[j][j] + val
+    for (i, j), val in zip(itertools.combinations(range(m), 2), w):
+        if i < size and j < size:
+            lap[i][j] = lap[i][j] - val
+            lap[j][i] = lap[j][i] - val
+        if i < size:
+            lap[i][i] = lap[i][i] + val
+        if j < size:
+            lap[j][j] = lap[j][j] + val
     return ring(linalg.det(lap))
 
 
@@ -251,14 +288,7 @@ def tree_weight_sum_enumerated(config, links, ring=QQ, cap=DEFAULT_TREE_CAP):
     m = len(config)
     if m == 1:
         return ring.one
-    w = _edge_weights(config, links)
-    total = ring.zero
-    for tree in spanning_trees(m, cap=cap):
-        prod = ring.one
-        for e in tree:
-            prod = prod * w[e]
-        total = total + prod
-    return total
+    return _tree_sum(m, _edge_weights(config, links), ring, cap)
 
 
 # --- the atom table and configuration enumeration -------------------------
@@ -467,16 +497,16 @@ def conjugation_cancellation_check(tuples, table, involution, ring=QQ,
         if len(config) == 1:
             single_total = single_total + (ring.one if sgn > 0 else -ring.one)
             continue
-        w = _edge_weights(config, table.links)
-        for tree in spanning_trees(len(config), cap=tree_cap):
+        m = len(config)
+        weight = _tree_sum(m, _edge_weights(config, table.links), ring,
+                           tree_cap)
+        multi_total = multi_total + (weight if sgn > 0 else -weight)
+        edges = list(itertools.combinations(range(m), 2))
+        for tree in _trees(m, tree_cap):
             pair_count += 1
-            prod = ring.one
-            for e in tree:
-                prod = prod * w[e]
-            term = prod if sgn > 0 else -prod
-            multi_total = multi_total + term
-            deg = [0] * len(config)
-            for a, b in tree:
+            deg = [0] * m
+            for k in tree:
+                a, b = edges[k]
                 deg[a] += 1
                 deg[b] += 1
             for d in deg:

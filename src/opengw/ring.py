@@ -9,6 +9,7 @@ elements themselves, so Fraction and the GF(p) wrapper below both work.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -38,6 +39,17 @@ class Rationals:
 
     def __repr__(self):
         return "Rationals()"
+
+
+def integer_scaled(values):
+    """The values over one denominator: (ints, d) with values[i] equal
+    to ints[i] / d and d the lcm of their denominators; None when some
+    value is not an int or a Fraction.  The exact kernels run on ints
+    and build Fractions only for their output."""
+    if not all(isinstance(v, (int, Fraction)) for v in values):
+        return None
+    d = math.lcm(*[v.denominator for v in values])
+    return [v.numerator * (d // v.denominator) for v in values], d
 
 
 class ModElement:

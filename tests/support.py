@@ -2,13 +2,15 @@
 
 The orientation oracles live in `opengw.selfcheck`; the tests import them
 from there and pass their own seeds and scales.  This module keeps what
-only the tests need: an independent Bareiss determinant to cross-check
-`linalg.det` and the synthetic instance generator.
+only the tests need: two determinants to cross-check `linalg.det` (a
+Bareiss elimination in Fractions and a permutation expansion that
+eliminates nothing) and the synthetic instance generator.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 import random
 from fractions import Fraction
 
@@ -36,8 +38,35 @@ def det_bareiss(a):
     return sign * m[n - 1][n - 1]
 
 
+def det_leibniz(a):
+    """Determinant by permutation expansion, for n <= 6.  No elimination
+    and no division, so it also holds over any commutative ring."""
+    n = len(a)
+    if n > 6:
+        raise ValueError("permutation expansion is capped at n = 6")
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term = term * a[i][j]
+        total = total + term
+    return total
+
+
 def make_rng(seed):
     return random.Random(seed)
+
+
+def toy_atoms():
+    """The bundled toy: (target, atom bundle)."""
+    from opengw import fileio
+
+    data = os.path.join(os.path.dirname(fileio.__file__), "data")
+    target = fileio.load_target(os.path.join(data, "toy_target.json")).target
+    return target, fileio.load_atoms(os.path.join(data, "toy_atoms.json"),
+                                     target)
 
 
 # --- synthetic disk-count instances ----------------------------------------

@@ -26,7 +26,7 @@ from opengw.bounding_chain import (
 from opengw.lattice import Target
 from opengw.multidisk import AtomTable, DiskAtom, LinkingMatrix
 
-from support import dim0_subtuples, make_rng, synthetic_instance
+from support import dim0_subtuples, make_rng, synthetic_instance, toy_atoms
 
 
 def small_instance():
@@ -463,3 +463,33 @@ def test_bijection_randomized():
             ), (seed, alpha)
             for d, b in zip(dmds, images):
                 assert from_branches(b, target) == d
+
+
+def test_branch_decompositions_take_a_decorated_map(monkeypatch):
+    """Given one map from tuple to decorated configurations, the branch
+    side enumerates no configurations and gives the same output."""
+    target, bundle = toy_atoms()
+    instances = [(target, bundle.table, top) for top in bundle.tuples]
+    instances.append(synthetic_instance(make_rng(16001), n_points=3))
+    calls = [0]
+    original = AtomTable.multi_disks
+
+    def counted(self, alpha):
+        calls[0] += 1
+        return original(self, alpha)
+
+    monkeypatch.setattr(AtomTable, "multi_disks", counted)
+    compared = 0
+    for target, table, top in instances:
+        worklist = dim0_subtuples(target, table, top)
+        decorated = {a: decorated_multidisks(a, table) for a in worklist}
+        assert calls[0] == len(worklist)
+        for alpha in worklist:
+            calls[0] = 0
+            with_map = branch_decompositions(alpha, table, target,
+                                             decorated=decorated)
+            assert calls[0] == 0
+            assert with_map == branch_decompositions(alpha, table, target)
+            compared += bool(with_map)
+        calls[0] = 0
+    assert compared >= 10

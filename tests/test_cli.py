@@ -170,6 +170,29 @@ def test_verify_all_builds_and_evaluates_once_per_top(tmp_path, monkeypatch):
                      "invariant_via_weights": len(dim0_tops)}
 
 
+def test_verify_all_decorates_each_tuple_once(tmp_path, monkeypatch):
+    """The branch-bijection check builds one map from tuple to decorated
+    configurations, with the run's tree cap, and both sides of every
+    tuple's bijection read it."""
+    from opengw import bounding_chain, cli
+
+    caps = []
+    original = bounding_chain.decorated_multidisks
+
+    def counted(alpha, table, tree_cap=None):
+        caps.append(tree_cap)
+        return original(alpha, table, tree_cap=tree_cap)
+
+    monkeypatch.setattr(bounding_chain, "decorated_multidisks", counted)
+    monkeypatch.setattr(cli, "decorated_multidisks", counted)
+    status, cfg = run_pipeline(tmp_path, "verify-all", seed=3)
+    assert status == 0
+    bundle = fileio.load_target(toy_paths()["target"])
+    tops = fileio.load_atoms(toy_paths()["atoms"], bundle.target).tuples
+    worklist = cli._dim0_worklist(bundle.target, tops)
+    assert caps == [cfg.cap_trees] * len(worklist)
+
+
 def test_verify_all_deterministic(tmp_path):
     status1, cfg1 = run_pipeline(tmp_path / "a", "verify-all", seed=5)
     status2, cfg2 = run_pipeline(tmp_path / "b", "verify-all", seed=5)

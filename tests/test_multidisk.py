@@ -20,9 +20,11 @@ from opengw.multidisk import (
     tree_weight_sum_enumerated,
     welschinger_count,
 )
+from hypothesis import given, settings, strategies as st
+
 from opengw.ring import PrimeField
 
-from support import make_rng
+from support import make_rng, toy_atoms
 
 
 def simple_target():
@@ -175,6 +177,29 @@ def test_tree_weight_mod_p_ring():
     expect = gf(5 * 7 + 5 * 11 + 7 * 11)
     assert tree_weight_sum(cfg, lk, ring=gf) == expect
     assert tree_weight_sum_enumerated(cfg, lk, ring=gf) == expect
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 6).flatmap(lambda m: st.lists(
+    st.integers(-6, 6), min_size=m * (m - 1) // 2,
+    max_size=m * (m - 1) // 2)))
+def test_enumerated_sum_mod_13_is_the_rational_sum_reduced(weights):
+    """Integer weights: the QQ sum (taken in integers) reduced mod 13
+    equals the sum taken in GF(13) elements."""
+    gf = PrimeField(13)
+    m = next(m for m in range(1, 8) if m * (m - 1) // 2 == len(weights))
+    loops = ["L%d" % i for i in range(m)]
+    pairs = list(itertools.combinations(loops, 2))
+    cfg = config_of(simple_target(), loops)
+    over_q = LinkingMatrix([(a, b, w) for (a, b), w in zip(pairs, weights)])
+    over_gf = LinkingMatrix([(a, b, w) for (a, b), w in zip(pairs, weights)],
+                            ring=gf)
+    for lk in (over_q, over_gf):
+        for ln in loops:
+            lk.declare_loop(ln)
+    rational = tree_weight_sum_enumerated(cfg, over_q)
+    assert type(rational) is Fraction and rational.denominator == 1
+    assert tree_weight_sum_enumerated(cfg, over_gf, ring=gf) == gf(rational)
 
 
 # --- configurations and the signed count ------------------------------------
@@ -424,3 +449,56 @@ def test_cancellation_rejects_non_closed_input():
     # drop one conjugate degree from the orbit
     with pytest.raises(ConfigurationError):
         conjugation_cancellation_check(tuples[:1], table, involution)
+
+
+def _cancellation_by_tree_loop(tuples, table, ring):
+    """(multi-disk total, pair count, valence histogram) by the plain loop
+    over (configuration, spanning tree) pairs."""
+    total = ring.zero
+    pairs = 0
+    valences = {}
+    for t in tuples:
+        for config in table.multi_disks(t):
+            if len(config) == 1:
+                continue
+            atoms = config.atoms
+            for tree in spanning_trees(len(config)):
+                prod = ring.one
+                deg = [0] * len(config)
+                for a, b in tree:
+                    prod = prod * table.links.lk(atoms[a].loop, atoms[b].loop)
+                    deg[a] += 1
+                    deg[b] += 1
+                total = total + (prod if config.sgn() > 0 else -prod)
+                pairs += 1
+                for d in deg:
+                    valences[d] = valences.get(d, 0) + 1
+    return total, pairs, tuple(sorted(valences.items()))
+
+
+def test_cancellation_report_matches_the_per_tree_loop():
+    """The report's sums, taken over the cached trees, equal the plain
+    per-tree loop on the toy and on three-point orbits (three-disk
+    configurations, valence-2 vertices)."""
+    target, bundle = toy_atoms()
+    cases = [([top], bundle.table, bundle.involution)
+             for top in bundle.tuples]
+    for seed in range(4):
+        t, table, involution, _ = involution_setup(
+            make_rng(2000 + seed), n_pairs=1 + seed % 2,
+            extra_points=("p", "q", "r"),
+        )
+        orbit = [t.constraint_tuple((3 - i, i), points=["p", "q", "r"])
+                 for i in range(4)]
+        cases.append((orbit, table, involution))
+    valences_seen = set()
+    for tuples, table, involution in cases:
+        report = conjugation_cancellation_check(tuples, table, involution)
+        total, pairs, valences = _cancellation_by_tree_loop(
+            tuples, table, table.ring
+        )
+        assert report.multi_disk_total == total
+        assert report.pair_count == pairs
+        assert report.valence_histogram == valences
+        valences_seen.update(d for d, _ in valences)
+    assert valences_seen == {1, 2}
