@@ -287,20 +287,26 @@ def run_wdvv_solve(bundle, closed, seeds, config, rep):
         for inst, value in result.residuals
     ]
     rep.table("wdvv_residuals", ("instance", "residual"), res_rows)
+    rep.table("wdvv_assumed_zero", ("degree", "insertions"),
+              [_bracket_label(c, i) for c, i in result.assumed_zero])
     if result.unsolved:
-        rep.check(
-            "wdvv-solve", "FAIL",
+        status, detail = "FAIL", (
             "undetermined brackets (missing base data): "
-            + "; ".join("%s %s" % (c, list(i)) for c, i in result.unsolved),
+            + "; ".join("%s %s" % (c, list(i)) for c, i in result.unsolved)
         )
     elif not result.consistent:
         bad = next((i, v) for i, v in result.residuals if v)
-        rep.check("wdvv-solve", "FAIL",
-                  "nonzero residual at %s: %s" % bad)
+        status, detail = "FAIL", "nonzero residual at %s: %s" % bad
     else:
-        rep.check("wdvv-solve", "PASS",
-                  "%d solved, %d residual instances all zero"
-                  % (len(result.solved), len(result.residuals)))
+        status, detail = "PASS", (
+            "%d solved, %d residual instances all zero"
+            % (len(result.solved), len(result.residuals))
+        )
+    if result.assumed_zero:
+        detail += ". Assumed zero, neither seeded nor solved for: " + "; ".join(
+            "%s %s" % (c, list(i)) for c, i in result.assumed_zero
+        )
+    rep.check("wdvv-solve", status, detail)
     structure = check_structure(target, model, result.table, closed)
     for outcome in structure:
         status = "PASS" if outcome.ok else "FAIL"

@@ -17,8 +17,10 @@ from .ring import integer_scaled
 
 
 def mat(rows):
-    """Copy `rows` into a rectangular list-of-lists of Fractions."""
-    out = [[Fraction(x) for x in row] for row in rows]
+    """Copy `rows` into a rectangular list-of-lists of Fractions; Fraction
+    entries are kept as they are."""
+    out = [[x if isinstance(x, Fraction) else Fraction(x) for x in row]
+           for row in rows]
     if out and any(len(r) != len(out[0]) for r in out):
         raise ValueError("ragged matrix")
     return out

@@ -24,6 +24,7 @@ a hard error, never a sign 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from . import OpenGWError, linalg
@@ -92,7 +93,15 @@ class LinearFiberProblem:
         return self.space_m.dim + self.space_g.dim - self.space_x.dim
 
     def combined_map(self):
-        """The matrix of (v, w) |-> dg(w) - df(v) on Q^{dim M + dim G}."""
+        """The matrix of (v, w) |-> dg(w) - df(v) on Q^{dim M + dim G}.
+
+        Built once per problem; every call returns the same rows, which
+        callers must not mutate.
+        """
+        return self._combined
+
+    @cached_property
+    def _combined(self):
         dim_x = self.space_x.dim
         dim_m = self.space_m.dim
         dim_g = self.space_g.dim

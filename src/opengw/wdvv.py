@@ -335,12 +335,7 @@ class LinForm:
         return LinForm(const, coeffs)
 
 
-# --- residual evaluators ------------------------------------------------------
-
-
-def _closed_bracket(closed, model, b_coords, indices):
-    restricted = tuple(model.restrict(i) for i in indices)
-    return closed.value(b_coords, restricted)
+# --- relation forms -------------------------------------------------------------
 
 
 def _wdvv_k(target, model, beta, gamma):
@@ -358,43 +353,121 @@ def _resolver_from_table(table):
     return resolve
 
 
-def _mixed_sum(target, model, closed, resolve, beta, gamma, partitions):
-    """Closed x open contraction through the inverse pairing."""
-    total = LinForm()
-    for rel_part, b_coords in target.complex_splits(beta):
-        for left, right in partitions:
-            closed_ins = [gamma[x - 1] for x in left]
-            open_ins = [gamma[x - 1] for x in right]
-            for i in range(1, model.size + 1):
-                closed_val = _closed_bracket(
-                    closed, model, b_coords, closed_ins + [i]
-                )
-                if closed_val == 0:
+class _FormContext:
+    """What every relation form of one (target, model, closed table)
+    reads, built on first use and shared by all the builds of a solve.
+
+    Per degree: its complex and real splits.  Per closed class and
+    sorted closed-side insertions: the closed brackets contracted with
+    the inverse pairing, as nonzero (j, coefficient) pairs.  Per real
+    split side and sorted insertions: the boundary-point count.  Per
+    (l, kind, i, j): the anchored partitions.  The closed table must
+    not change while a context built on it is in use.
+    """
+
+    def __init__(self, target, model, closed):
+        self.target = target
+        self.model = model
+        self.closed = closed
+        self.g_pairs = {
+            i: tuple((j, g) for j, g in enumerate(row, 1) if g != 0)
+            for i, row in enumerate(model.pairing_inv, 1)
+        }
+        self._splits = {}
+        self._closed_rows = {}
+        self._counts = {}
+        self._partitions = {}
+
+    def splits(self, beta):
+        """(complex splits, real splits) of beta."""
+        out = self._splits.get(beta.coords)
+        if out is None:
+            out = self._splits[beta.coords] = (
+                self.target.complex_splits(beta), self.target.real_splits(beta)
+            )
+        return out
+
+    def closed_row(self, b_coords, closed_ins):
+        """sum_i <closed_ins, i>_b g^{ij} as nonzero (j, coefficient)
+        pairs in increasing j; closed_ins is sorted."""
+        key = (b_coords, closed_ins)
+        row = self._closed_rows.get(key)
+        if row is None:
+            model = self.model
+            restricted = [model.restrict(x) for x in closed_ins]
+            acc = {}
+            for i, pairs in self.g_pairs.items():
+                value = self.closed.value(b_coords,
+                                          restricted + [model.restrict(i)])
+                if value == 0:
                     continue
-                for j in range(1, model.size + 1):
-                    g = model.g_inv(i, j)
-                    if g == 0:
-                        continue
-                    open_val = resolve(rel_part, tuple(sorted(open_ins + [j])))
-                    total = total + open_val * (closed_val * g)
-    return total
+                for j, g in pairs:
+                    acc[j] = acc.get(j, 0) + value * g
+            row = self._closed_rows[key] = tuple(
+                (j, c) for j, c in sorted(acc.items()) if c != 0
+            )
+        return row
+
+    def count(self, beta, insertions):
+        """Boundary-point count of the bracket (beta, insertions)."""
+        key = (beta.coords, insertions)
+        if key not in self._counts:
+            self._counts[key] = self.target.boundary_point_count(
+                beta, [self.model.degree_of(i) for i in insertions]
+            )
+        return self._counts[key]
+
+    def partitions(self, l, kind, i=None, j=None):
+        key = (l, kind, i, j)
+        out = self._partitions.get(key)
+        if out is None:
+            out = self._partitions[key] = anchored_partitions(l, kind, i, j)
+        return out
 
 
-def _open_sum(target, model, resolve, beta, gamma, partitions, k, shift,
-              bino):
-    """Open x open convolution with binomial weights.
+def _insertion_groups(gamma, partitions):
+    """The partitions as (sorted left insertions, sorted right
+    insertions, multiplicity), in order of first occurrence.  Partitions
+    with equal insertion multisets give equal terms, and the first of
+    them is where a product of unknowns first fails."""
+    groups = {}
+    for left, right in partitions:
+        key = (tuple(sorted(gamma[x - 1] for x in left)),
+               tuple(sorted(gamma[x - 1] for x in right)))
+        groups[key] = groups.get(key, 0) + 1
+    return [(left, right, m) for (left, right), m in groups.items()]
 
-    Weight is C(k, count(left bracket) - shift) with the out-of-range
+
+def _add_scaled(form, term, scale):
+    """form += scale * term, in place; zero coefficients are pruned once
+    the whole form is built."""
+    if term.const:
+        form.const += term.const * scale
+    coeffs = form.coeffs
+    for key, value in term.coeffs.items():
+        coeffs[key] = coeffs.get(key, 0) + value * scale
+
+
+def _add_mixed(form, ctx, resolve, beta, groups, sign):
+    """form += sign * (closed x open contraction through the inverse
+    pairing)."""
+    for rel_part, b_coords in ctx.splits(beta)[0]:
+        for closed_ins, open_ins, mult in groups:
+            for j, coeff in ctx.closed_row(b_coords, closed_ins):
+                _add_scaled(form,
+                            resolve(rel_part, tuple(sorted(open_ins + (j,)))),
+                            coeff * (sign * mult))
+
+
+def _add_open(form, ctx, resolve, beta, groups, k, shift, bino, sign):
+    """form += sign * (open x open convolution with binomial weights).
+
+    The weight is C(k, count(left bracket) - shift) with the out-of-range
     convention; `k` was already reduced per the relation.
     """
-    total = LinForm()
-    for b1, b2 in target.real_splits(beta):
-        for left, right in partitions:
-            left_ins = tuple(sorted(gamma[x - 1] for x in left))
-            right_ins = tuple(sorted(gamma[x - 1] for x in right))
-            count = target.boundary_point_count(
-                b1, [model.degree_of(i) for i in left_ins]
-            )
+    for b1, b2 in ctx.splits(beta)[1]:
+        for left_ins, right_ins, mult in groups:
+            count = ctx.count(b1, left_ins)
             if count is None:
                 continue
             weight = bino(k, count - shift)
@@ -402,15 +475,30 @@ def _open_sum(target, model, resolve, beta, gamma, partitions, k, shift,
                 continue
             v1 = resolve(b1, left_ins)
             v2 = resolve(b2, right_ins)
-            total = total + (v1 * v2) * weight
-    return total
+            if v1.coeffs and v2.coeffs:
+                raise NonlinearEquationError(
+                    "product of two unknown brackets",
+                    set(v1.coeffs) | set(v2.coeffs),
+                )
+            if v2.coeffs:
+                v1, v2 = v2, v1
+            if v2.const:
+                _add_scaled(form, v1, v2.const * (weight * mult * sign))
 
 
-def wdvv1_form(target, model, closed, resolve, beta, gamma, bino=binomial):
+def _pruned(form):
+    form.coeffs = {k: v for k, v in form.coeffs.items() if v != 0}
+    return form
+
+
+def wdvv1_form(target, model, closed, resolve, beta, gamma, bino=binomial,
+               context=None):
     """First relation, anchored at slot 2, as a linear form.
 
     Applies when the tuple has at least two entries and the reduced
-    count k is an integer >= 1; returns None otherwise.
+    count k is an integer >= 1; returns None otherwise.  `context` is
+    the `_FormContext` of (target, model, closed) that a caller building
+    many forms shares between them; a fresh one is made without it.
     """
     l = len(gamma)
     if l < 2:
@@ -418,42 +506,33 @@ def wdvv1_form(target, model, closed, resolve, beta, gamma, bino=binomial):
     k = _wdvv_k(target, model, beta, gamma)
     if k is None or k < 1:
         return None
-    mixed = _mixed_sum(
-        target, model, closed, resolve, beta, gamma,
-        anchored_partitions(l, "left", i=2),
-    )
-    open_left = _open_sum(
-        target, model, resolve, beta, gamma,
-        anchored_partitions(l, "left", i=2), k - 1, 0, bino,
-    )
-    open_right = _open_sum(
-        target, model, resolve, beta, gamma,
-        anchored_partitions(l, "right", j=2), k - 1, 1, bino,
-    )
-    return mixed - open_left + open_right
+    ctx = _FormContext(target, model, closed) if context is None else context
+    left = _insertion_groups(gamma, ctx.partitions(l, "left", i=2))
+    right = _insertion_groups(gamma, ctx.partitions(l, "right", j=2))
+    form = LinForm()
+    _add_mixed(form, ctx, resolve, beta, left, 1)
+    _add_open(form, ctx, resolve, beta, left, k - 1, 0, bino, -1)
+    _add_open(form, ctx, resolve, beta, right, k - 1, 1, bino, 1)
+    return _pruned(form)
 
 
-def wdvv2_form(target, model, closed, resolve, beta, gamma, bino=binomial):
-    """Second relation: the (2;3)-anchored side minus the (3;2) side."""
+def wdvv2_form(target, model, closed, resolve, beta, gamma, bino=binomial,
+               context=None):
+    """Second relation: the (2;3)-anchored side minus the (3;2) side.
+    `context` as for `wdvv1_form`."""
     l = len(gamma)
     if l < 3:
         return None
     k = _wdvv_k(target, model, beta, gamma)
     if k is None or k < 0:
         return None
-
-    def side(i, j):
-        mixed = _mixed_sum(
-            target, model, closed, resolve, beta, gamma,
-            anchored_partitions(l, "both", i=i, j=j),
-        )
-        opens = _open_sum(
-            target, model, resolve, beta, gamma,
-            anchored_partitions(l, "both", i=i, j=j), k, 0, bino,
-        )
-        return mixed - opens
-
-    return side(2, 3) - side(3, 2)
+    ctx = _FormContext(target, model, closed) if context is None else context
+    form = LinForm()
+    for i, j, sign in ((2, 3, 1), (3, 2, -1)):
+        both = _insertion_groups(gamma, ctx.partitions(l, "both", i=i, j=j))
+        _add_mixed(form, ctx, resolve, beta, both, sign)
+        _add_open(form, ctx, resolve, beta, both, k, 0, bino, -sign)
+    return _pruned(form)
 
 
 def _clamped_binomial(n, m, out_of_range_zero=True):
@@ -503,6 +582,9 @@ class SolveResult:
     unsolved: list
     residuals: list
     nonlinear: list
+    # brackets a form read that are neither fixed, seeded nor unknowns
+    # (degree zero, outside `unknown_keys`): taken as 0, never solved
+    assumed_zero: list
 
     @property
     def consistent(self):
@@ -519,10 +601,10 @@ def relation_instances(target, model, area_bound, max_insertions):
     for beta in target.effective_degrees(area_bound):
         for l in range(2, max_insertions + 1):
             for gamma in itertools.combinations_with_replacement(indices, l):
-                if _wdvv_k(target, model, beta, gamma) is None:
-                    continue
                 k = _wdvv_k(target, model, beta, gamma)
-                if l >= 2 and k >= 1:
+                if k is None:
+                    continue
+                if k >= 1:
                     out.append(RelationInstance(1, beta.coords, gamma))
                 if l >= 3 and k >= 0:
                     out.append(RelationInstance(2, beta.coords, gamma))
@@ -565,7 +647,8 @@ def solve_wdvv(target, model, closed, seeds, area_bound, max_insertions=3):
 
     Afterwards every instance is evaluated numerically; the residual
     vector of a consistent system is identically zero.  Unknowns no
-    instance determines are reported, never guessed.
+    instance determines are reported, never guessed; so are the brackets
+    the relations read as 0 without solving for them (`assumed_zero`).
     """
     table = OpenInvariantTable(target, model)
     for (coords, ins), value in seeds.entries():
@@ -577,16 +660,30 @@ def solve_wdvv(target, model, closed, seeds, area_bound, max_insertions=3):
     solved_values = {}
     solved_log = []
 
+    context = _FormContext(target, model, closed)
+    # (coords, insertions) -> (value, key): the value of a bracket that
+    # is fixed or not an unknown never changes during the solve; an
+    # unknown has value None and is looked up by its key
+    brackets = {}
+    assumed_zero = set()
+
     def resolve(beta, insertions):
-        fixed = table.resolve_fixed(beta, insertions)
-        if fixed is not None:
-            return LinForm(fixed)
-        key = table._key(beta, insertions)
+        probe = (beta.coords, insertions)
+        if probe not in brackets:
+            value = table.resolve_fixed(beta, insertions)
+            key = table._key(beta, insertions)
+            if value is None and key not in unknowns:
+                if not table.known(beta, insertions):
+                    # neither fixed, nor seeded, nor to be solved
+                    assumed_zero.add(key)
+                value = table.value(beta, insertions)
+            brackets[probe] = (value, key)
+        value, key = brackets[probe]
+        if value is not None:
+            return LinForm(value)
         if key in solved_values:
             return LinForm(solved_values[key])
-        if key in unknowns:
-            return LinForm(Fraction(0), {key: Fraction(1)})
-        return LinForm(table.value(beta, insertions))
+        return LinForm(Fraction(0), {key: Fraction(1)})
 
     # forms: instance -> its form with every solved bracket substituted;
     # occurs: open unknown -> instances whose form mentions it;
@@ -622,7 +719,8 @@ def solve_wdvv(target, model, closed, seeds, area_bound, max_insertions=3):
             builder = wdvv1_form if inst.relation == 1 else wdvv2_form
             try:
                 form = builder(target, model, closed, resolve,
-                               target.degree(inst.beta_coords), inst.gamma)
+                               target.degree(inst.beta_coords), inst.gamma,
+                               context=context)
             except NonlinearEquationError as exc:
                 blocked[inst] = exc.keys
                 continue
@@ -657,6 +755,7 @@ def solve_wdvv(target, model, closed, seeds, area_bound, max_insertions=3):
         unsolved=sorted(unknowns - set(solved_values)),
         residuals=residuals,
         nonlinear=sorted(blocked, key=RelationInstance.sort_key),
+        assumed_zero=sorted(assumed_zero),
     )
 
 

@@ -4,7 +4,9 @@ The orientation oracles live in `opengw.selfcheck`; the tests import them
 from there and pass their own seeds and scales.  This module keeps what
 only the tests need: two determinants to cross-check `linalg.det` (a
 Bareiss elimination in Fractions and a permutation expansion that
-eliminates nothing) and the synthetic instance generator.
+eliminates nothing), the synthetic instance generator, and the open WDVV
+relation forms built term by term to cross-check `wdvv1_form` and
+`wdvv2_form`.
 """
 
 from __future__ import annotations
@@ -144,3 +146,80 @@ def dim0_subtuples(target, table, top):
         out.append(top)
     return out
 
+
+
+# --- the open WDVV relations, term by term ----------------------------------
+
+
+def reference_wdvv_form(target, model, closed, resolve, relation, beta, gamma,
+                        bino):
+    """A relation form built by the defining loops: every complex or real
+    split, every anchored partition and every (i, j) pair of the inverse
+    pairing, added one term at a time with `LinForm` arithmetic.
+
+    Returns None where the relation does not apply; raises
+    NonlinearEquationError at the first product of two unknowns, in the
+    order the loops below meet them.
+    """
+    from opengw.wdvv import LinForm, anchored_partitions
+
+    def mixed_sum(partitions):
+        total = LinForm()
+        for rel_part, b_coords in target.complex_splits(beta):
+            for left, right in partitions:
+                closed_ins = [gamma[x - 1] for x in left]
+                open_ins = [gamma[x - 1] for x in right]
+                for i in range(1, model.size + 1):
+                    closed_val = closed.value(
+                        b_coords,
+                        [model.restrict(x) for x in closed_ins + [i]],
+                    )
+                    if closed_val == 0:
+                        continue
+                    for j in range(1, model.size + 1):
+                        g = model.g_inv(i, j)
+                        if g == 0:
+                            continue
+                        open_val = resolve(rel_part,
+                                           tuple(sorted(open_ins + [j])))
+                        total = total + open_val * (closed_val * g)
+        return total
+
+    def open_sum(partitions, k, shift):
+        total = LinForm()
+        for b1, b2 in target.real_splits(beta):
+            for left, right in partitions:
+                left_ins = tuple(sorted(gamma[x - 1] for x in left))
+                right_ins = tuple(sorted(gamma[x - 1] for x in right))
+                count = target.boundary_point_count(
+                    b1, [model.degree_of(i) for i in left_ins]
+                )
+                if count is None:
+                    continue
+                weight = bino(k, count - shift)
+                if weight == 0:
+                    continue
+                total = total + (resolve(b1, left_ins)
+                                 * resolve(b2, right_ins)) * weight
+        return total
+
+    l = len(gamma)
+    count = target.boundary_point_count(
+        beta, [model.degree_of(i) for i in gamma]
+    )
+    k = None if count is None else count - 1
+    if relation == 1:
+        if l < 2 or k is None or k < 1:
+            return None
+        left = anchored_partitions(l, "left", i=2)
+        right = anchored_partitions(l, "right", j=2)
+        return (mixed_sum(left) - open_sum(left, k - 1, 0)
+                + open_sum(right, k - 1, 1))
+    if l < 3 or k is None or k < 0:
+        return None
+
+    def side(i, j):
+        both = anchored_partitions(l, "both", i=i, j=j)
+        return mixed_sum(both) - open_sum(both, k, 0)
+
+    return side(2, 3) - side(3, 2)

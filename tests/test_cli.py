@@ -282,6 +282,27 @@ def test_wdvv_solve_missing_seed_names_unknown(tmp_path):
     assert "(1,) [4]" in report
 
 
+def test_wdvv_solve_names_brackets_assumed_zero(tmp_path):
+    status, cfg = run_pipeline(tmp_path / "a", "wdvv-solve", atoms=None)
+    assert status == 0
+    path = tmp_path / "a" / "out" / "wdvv_assumed_zero.tsv"
+    assert path.read_text() == "degree\tinsertions\n"
+    main([
+        "--pipeline", "wdvv-solve", "--target", toy_paths()["target"],
+        "--closed-gw", toy_paths()["closed_gw"],
+        "--seeds", toy_paths()["seeds"], "--area-bound", "2",
+        "--cap-insertions", "4", "--out", str(tmp_path / "b"),
+    ])
+    out = tmp_path / "b"
+    assert (out / "wdvv_assumed_zero.tsv").read_text().splitlines() == \
+        ["degree\tinsertions", "0\t2,2,2,2"]
+    summary = json.loads((out / "checks.json").read_text())
+    detail = next(c["detail"] for c in summary["checks"]
+                  if c["check"] == "wdvv-solve")
+    assert detail.endswith("Assumed zero, neither seeded nor solved for: "
+                           "(0,) [2, 2, 2, 2]")
+
+
 def test_missing_required_input_is_usage_error(tmp_path):
     status, cfg = run_pipeline(tmp_path, "wdvv-solve", closed_gw=None)
     assert status == 2

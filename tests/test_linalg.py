@@ -49,6 +49,13 @@ def test_det_matches_bareiss_mod_13():
     assert singular >= 20
 
 
+def test_mat_converts_ints_and_keeps_fractions():
+    half = Fraction(1, 2)
+    out = linalg.mat([[half, 3]])
+    assert out == [[half, Fraction(3)]]
+    assert out[0][0] is half and type(out[0][1]) is Fraction
+
+
 def test_det_of_integer_matrices_is_an_exact_fraction():
     """Plain int entries give a Fraction, never a float."""
     assert linalg.det([[-1, 0], [1, 1]]) == -1

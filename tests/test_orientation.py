@@ -153,6 +153,14 @@ def test_fiber_rigid_odd_target_flips():
     assert fiber_orientation_sign(prob, []) == -1
 
 
+def test_combined_map_is_built_once_per_problem():
+    prob = LinearFiberProblem.build([[1, 2]], [[Fraction(1, 3)]], 2, 1, 1)
+    assert prob.combined_map() == [[-1, -2, Fraction(1, 3)]]
+    assert prob.combined_map() is prob.combined_map()
+    assert prob == LinearFiberProblem.build([[1, 2]], [[Fraction(1, 3)]],
+                                            2, 1, 1)
+
+
 def test_fiber_rejects_non_transverse():
     df = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(0)]]
     dg = [[Fraction(0)], [Fraction(0)]]

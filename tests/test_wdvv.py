@@ -1,12 +1,14 @@
 """Residual evaluators, the recursion solver, and structural checks."""
 
+import functools
 import hashlib
 import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from opengw import fileio
+from opengw import fileio, wdvv
 from opengw.lattice import Target
 from opengw.wdvv import (
     GAMMA0_LABEL,
@@ -23,11 +25,14 @@ from opengw.wdvv import (
     degree_zero_extension,
     relation_instances,
     solve_wdvv,
+    unknown_keys,
+    wdvv1_form,
     wdvv1_residual,
+    wdvv2_form,
     wdvv2_residual,
 )
 
-from support import make_rng
+from support import make_rng, reference_wdvv_form
 
 F = Fraction
 
@@ -348,7 +353,19 @@ def test_solver_order_independence():
 SOLVE_DIGESTS = {
     (4, 4): "002e34f6bc322033ad493f1de6543bf2b43d10df6bf5e35191316fa1471fb735",
     (6, 4): "1535f978f286aa1571b63ad6a7a3ac2a834f7c3312ce8dd4d19998989fffc30a",
+    (8, 5): "60e6749dc3eafbcd456115c2db3a8fbe388619b4fcd19d2b85b809154eb30894",
 }
+
+
+def bundled_toy():
+    """The bundled toy: (target, model, closed table, seed table)."""
+    data = os.path.join(os.path.dirname(fileio.__file__), "data")
+    bundle = fileio.load_target(os.path.join(data, "toy_target.json"))
+    target, model = bundle.target, bundle.model
+    closed = fileio.load_closed(os.path.join(data, "toy_closed.json"))
+    seeds = fileio.load_seeds(os.path.join(data, "toy_seeds.json"),
+                              target, model)
+    return target, model, closed, seeds
 
 
 def solve_digest(result):
@@ -368,12 +385,7 @@ def solve_digest(result):
 def test_solver_result_pinned_beyond_planted_range(area_bound, max_insertions):
     """The bundled toy beyond its planted range: unsolved brackets, and
     at (6, 4) instances deferred as nonlinear and rebuilt later."""
-    data = os.path.join(os.path.dirname(fileio.__file__), "data")
-    bundle = fileio.load_target(os.path.join(data, "toy_target.json"))
-    target, model = bundle.target, bundle.model
-    closed = fileio.load_closed(os.path.join(data, "toy_closed.json"))
-    seeds = fileio.load_seeds(os.path.join(data, "toy_seeds.json"),
-                              target, model)
+    target, model, closed, seeds = bundled_toy()
     res = solve_wdvv(target, model, closed, seeds, F(area_bound),
                      max_insertions)
     assert solve_digest(res) == SOLVE_DIGESTS[area_bound, max_insertions]
@@ -381,12 +393,142 @@ def test_solver_result_pinned_beyond_planted_range(area_bound, max_insertions):
     assert res.nonlinear or area_bound < 6
 
 
-def test_nonlinear_error_names_both_factors():
-    left = LinForm(F(0), {"a": F(1)})
-    right = LinForm(F(2), {"b": F(3), "c": F(1)})
-    with pytest.raises(NonlinearEquationError) as err:
-        left * right
-    assert err.value.keys == {"a", "b", "c"}
+# (form builds, of which nonlinear) that solve_wdvv makes on the toy: one
+# build per instance, plus one per rebuild of a deferred instance
+BUILD_COUNTS = {(4, 4): (214, 87), (6, 4): (457, 256), (8, 5): (1239, 911)}
+
+
+@pytest.mark.parametrize("area_bound, max_insertions", sorted(BUILD_COUNTS))
+def test_solver_builds_each_form_on_schedule(monkeypatch, area_bound,
+                                             max_insertions):
+    counts = {"builds": 0, "nonlinear": 0}
+
+    def counted(builder):
+        def wrapper(*args, **kwargs):
+            counts["builds"] += 1
+            try:
+                return builder(*args, **kwargs)
+            except NonlinearEquationError:
+                counts["nonlinear"] += 1
+                raise
+        return wrapper
+
+    monkeypatch.setattr(wdvv, "wdvv1_form", counted(wdvv1_form))
+    monkeypatch.setattr(wdvv, "wdvv2_form", counted(wdvv2_form))
+    target, model, closed, seeds = bundled_toy()
+    solve_wdvv(target, model, closed, seeds, F(area_bound), max_insertions)
+    assert (counts["builds"], counts["nonlinear"]) == \
+        BUILD_COUNTS[area_bound, max_insertions]
+
+
+@pytest.mark.parametrize("area_bound, max_insertions, expected", [
+    (2, 3, []),
+    (2, 4, [((0,), (2, 2, 2, 2))]),
+    (4, 4, [((0,), (2, 2, 2, 2))]),
+    (8, 5, [((0,), (2, 2, 2, 2)), ((0,), (2, 2, 2, 2, 2))]),
+])
+def test_solver_names_brackets_it_assumed_zero(area_bound, max_insertions,
+                                               expected):
+    """Degree-zero brackets are not unknowns; one a relation reads that
+    is not seeded counts as 0, and the result names it."""
+    target, model, closed, seeds = bundled_toy()
+    res = solve_wdvv(target, model, closed, seeds, F(area_bound),
+                     max_insertions)
+    assert res.assumed_zero == expected
+    for coords, ins in res.assumed_zero:
+        assert not seeds.known(target.degree(coords), ins)
+        assert res.table.value(target.degree(coords), ins) == 0
+
+
+# --- the form builders against the defining loops -------------------------------
+
+
+ORACLE_RUNG = (6, 4)
+CONVENTIONS = {
+    "vanishing": binomial,
+    "clamped": functools.partial(binomial, out_of_range_zero=False),
+}
+
+
+def table_resolver(table):
+    def resolve(beta, insertions):
+        return LinForm(table.value(beta, insertions))
+    return resolve
+
+
+def partial_resolver(seeds, unknowns, values):
+    """The solver's view of the brackets: fixed and seeded values,
+    `values` for the unknowns taken as solved, every other unknown open."""
+    def resolve(beta, insertions):
+        fixed = seeds.resolve_fixed(beta, insertions)
+        if fixed is not None:
+            return LinForm(fixed)
+        key = (beta.coords, tuple(sorted(insertions)))
+        if key in values:
+            return LinForm(values[key])
+        if key in unknowns:
+            return LinForm(F(0), {key: F(1)})
+        return LinForm(seeds.value(beta, insertions))
+    return resolve
+
+
+def form_outcome(build):
+    try:
+        form = build()
+    except NonlinearEquationError as exc:
+        return "nonlinear", exc.keys
+    return None if form is None else (form.const, form.coeffs)
+
+
+def assert_builders_match_reference(target, model, closed, resolve):
+    instances = relation_instances(target, model, *ORACLE_RUNG)
+    builders = {1: wdvv1_form, 2: wdvv2_form}
+    for inst in instances:
+        beta = target.degree(inst.beta_coords)
+        for bino in CONVENTIONS.values():
+            got = form_outcome(lambda: builders[inst.relation](
+                target, model, closed, resolve, beta, inst.gamma, bino
+            ))
+            want = form_outcome(lambda: reference_wdvv_form(
+                target, model, closed, resolve, inst.relation, beta,
+                inst.gamma, bino
+            ))
+            assert got == want, (inst, bino)
+
+
+def test_form_builders_match_reference_on_solved_table():
+    target, model, closed, seeds = bundled_toy()
+    res = solve_wdvv(target, model, closed, seeds, F(ORACLE_RUNG[0]),
+                     ORACLE_RUNG[1])
+    assert_builders_match_reference(target, model, closed,
+                                    table_resolver(res.table))
+
+
+def test_form_builders_match_reference_with_every_unknown_open():
+    target, model, closed, seeds = bundled_toy()
+    unknowns = set(unknown_keys(target, model, seeds, F(ORACLE_RUNG[0]),
+                                ORACLE_RUNG[1]))
+    assert_builders_match_reference(target, model, closed,
+                                    partial_resolver(seeds, unknowns, {}))
+
+
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(st.data())
+def test_form_builders_match_reference_on_partial_tables(data):
+    """Some unknowns taken as solved with drawn values, the rest open."""
+    target, model, closed, seeds = bundled_toy()
+    unknowns = unknown_keys(target, model, seeds, F(ORACLE_RUNG[0]),
+                            ORACLE_RUNG[1])
+    drawn = data.draw(st.lists(
+        st.none() | st.fractions(min_value=-3, max_value=3,
+                                 max_denominator=4),
+        min_size=len(unknowns), max_size=len(unknowns),
+    ))
+    values = {key: v for key, v in zip(unknowns, drawn) if v is not None}
+    assert_builders_match_reference(
+        target, model, closed,
+        partial_resolver(seeds, set(unknowns), values),
+    )
 
 
 # --- structural checks -----------------------------------------------------------
