@@ -393,6 +393,14 @@ def test_solver_result_pinned_beyond_planted_range(area_bound, max_insertions):
     assert res.nonlinear or area_bound < 6
 
 
+def test_nonlinear_error_names_both_factors():
+    left = LinForm(F(0), {"a": F(1)})
+    right = LinForm(F(2), {"b": F(3), "c": F(1)})
+    with pytest.raises(NonlinearEquationError) as err:
+        left * right
+    assert err.value.keys == {"a", "b", "c"}
+
+
 # (form builds, of which nonlinear) that solve_wdvv makes on the toy: one
 # build per instance, plus one per rebuild of a deferred instance
 BUILD_COUNTS = {(4, 4): (214, 87), (6, 4): (457, 256), (8, 5): (1239, 911)}
