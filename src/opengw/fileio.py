@@ -17,6 +17,7 @@ Parse failures carry file, line and column.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,16 +39,31 @@ class FileFormatError(OpenGWError, ValueError):
 
 
 def _rational(value):
-    if isinstance(value, str):
-        return Fraction(value)
-    if isinstance(value, int):
-        return Fraction(value)
+    if isinstance(value, (str, int)):
+        try:
+            return Fraction(value)
+        except ZeroDivisionError as exc:
+            raise FileFormatError(
+                "rational %r has a zero denominator" % (value,)
+            ) from exc
     raise FileFormatError("rationals must be integers or 'p/q' strings, got %r"
                           % (value,))
 
 
 def rational_str(value):
     return str(Fraction(value))
+
+
+@contextmanager
+def _malformed_as_format_error(path):
+    """Report what a document of the wrong shape raises inside a loader
+    (a missing key, a list where an object belongs, a bad or infinite
+    value) as a FileFormatError naming the file."""
+    try:
+        yield
+    except (AttributeError, KeyError, OverflowError, TypeError,
+            ValueError) as exc:
+        raise FileFormatError("%s: %s" % (path, exc)) from exc
 
 
 def _load_document(path, expected_format):
@@ -82,7 +98,7 @@ class TargetBundle:
 
 def load_target(path):
     doc = _load_document(path, "opengw-target")
-    try:
+    with _malformed_as_format_error(path):
         generators = [
             (g["name"], _rational(g["area"]), int(g["maslov"]))
             for g in doc["generators"]
@@ -120,10 +136,6 @@ def load_target(path):
                 h2_push_trivial=c.get("h2_push_trivial", True),
             )
         return TargetBundle(target, model)
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, FileFormatError):
-            raise
-        raise FileFormatError("%s: %s" % (path, exc)) from exc
 
 
 @dataclass
@@ -135,7 +147,7 @@ class AtomBundle:
 
 def load_atoms(path, target):
     doc = _load_document(path, "opengw-atoms")
-    try:
+    with _malformed_as_format_error(path):
         atoms = [
             DiskAtom(
                 target.degree(a["degree"]),
@@ -168,15 +180,11 @@ def load_atoms(path, target):
         if not tuples:
             tuples = table.tuples()
         return AtomBundle(table, involution, tuples)
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, FileFormatError):
-            raise
-        raise FileFormatError("%s: %s" % (path, exc)) from exc
 
 
 def load_closed(path):
     doc = _load_document(path, "opengw-closed")
-    try:
+    with _malformed_as_format_error(path):
         table = ClosedGWTable()
         for e in doc.get("entries", []):
             insertions = [
@@ -184,16 +192,12 @@ def load_closed(path):
             ]
             table.set(e["degree"], insertions, _rational(e["value"]))
         return table
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, FileFormatError):
-            raise
-        raise FileFormatError("%s: %s" % (path, exc)) from exc
 
 
 def load_seeds(path, target, model):
     """Seed table: plain entries plus evaluated zero-degree data."""
     doc = _load_document(path, "opengw-seeds")
-    try:
+    with _malformed_as_format_error(path):
         table = OpenInvariantTable(target, model)
         for e in doc.get("entries", []):
             table.set(e["degree"], [int(i) for i in e["insertions"]],
@@ -201,8 +205,7 @@ def load_seeds(path, target, model):
         beta_zero = doc.get("beta_zero", [])
         if beta_zero and model is None:
             raise FileFormatError(
-                "%s: beta_zero entries need a target with a cohomology model"
-                % path
+                "beta_zero entries need a target with a cohomology model"
             )
         for e in beta_zero:
             corrections = [
@@ -218,7 +221,3 @@ def load_seeds(path, target, model):
             )
             table.set(e["degree"], [int(i) for i in e["insertions"]], value)
         return table
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, FileFormatError):
-            raise
-        raise FileFormatError("%s: %s" % (path, exc)) from exc

@@ -14,6 +14,13 @@ labels).  Degeneration types record how a tuple splits into a central
 part and an ordered list of sub-tuples; the degenerate shape with an
 empty central part and exactly one unconstrained slot is excluded at the
 type level.
+
+One generator, `Target._classes_through`, builds the classes of
+splittings up to permuting the parts, from a set of centers and a set
+of allowed parts; the full list `Target.degeneration_classes` is the
+call that allows every center and every predecessor.  The direct
+class-level enumerator and the raw expansion into ordered splittings
+are kept in the test suite as independent oracles for it.
 """
 
 from __future__ import annotations
@@ -29,10 +36,6 @@ from . import OpenGWError, linalg
 
 class TargetError(OpenGWError, ValueError):
     """Malformed or unusable target declaration."""
-
-
-class EnumerationError(OpenGWError, RuntimeError):
-    """An enumeration would be unbounded or exceeds a configured cap."""
 
 
 @dataclass(frozen=True, order=True)
@@ -349,113 +352,32 @@ class Target:
     def degeneration_classes(self, alpha):
         """Degenerations grouped up to permutation of the parts.
 
-        Enumerated directly at the class level: a choice of center
-        descriptors, a set partition of the remaining labels into part
-        blocks, effective degrees for the blocks, and an unordered
-        multiset of nonzero degrees for unlabeled parts.  Returns a
-        sorted list of (canonical representative, number of raw ordered
-        splittings in the class).  The part count is capped structurally:
-        one part per label plus one per area gap in the degree.
+        Returns a sorted list of (canonical representative, number of raw
+        ordered splittings in the class): the classes through every center
+        (degree below alpha's, no points, any of alpha's descriptors)
+        whose parts are all predecessors of alpha.
         """
-        cap = (
-            len(alpha.points) + len(alpha.descriptors)
-            + int(alpha.beta.area / self.area_gap)
+        return self._classes_through(
+            alpha,
+            [(beta, frozenset(), l)
+             for beta in self.effective_below(alpha.beta)
+             for l in _subsets(alpha.descriptors)],
+            self.predecessors(alpha),
         )
-        points = sorted(alpha.points)
-        descs = sorted(alpha.descriptors)
-        out = []
-        for center_l in _subsets(alpha.descriptors):
-            labels = points + [d for d in descs if d not in center_l]
-            for blocks in _set_partitions(labels):
-                if len(blocks) > cap:
-                    continue
-                block_tuples = [
-                    (
-                        frozenset(x for x in block if x in alpha.points),
-                        frozenset(x for x in block if x not in alpha.points),
-                    )
-                    for block in blocks
-                ]
-                for labeled in self._block_degree_choices(
-                    alpha.beta, len(blocks)
-                ):
-                    rest = alpha.beta
-                    for d in labeled:
-                        rest = rest - d
-                    parts_labeled = tuple(
-                        ConstraintTuple(d, pts, dsc)
-                        for d, (pts, dsc) in zip(labeled, block_tuples)
-                        if not (d.is_zero and not pts and not dsc)
-                    )
-                    if len(parts_labeled) != len(blocks):
-                        continue
-                    for center_beta, unlabeled in self._center_and_free_parts(
-                        rest, cap - len(blocks)
-                    ):
-                        k = len(blocks) + len(unlabeled)
-                        if center_beta.is_zero and k == 1 and not center_l:
-                            continue
-                        if k == 0 and points:
-                            continue
-                        parts = parts_labeled + tuple(
-                            ConstraintTuple(d, frozenset(), frozenset())
-                            for d in unlabeled
-                        )
-                        eta = DegenerationType(
-                            center_beta, center_l,
-                            tuple(sorted(parts, key=ConstraintTuple.sort_key)),
-                        )
-                        out.append((eta, _orderings(parts)))
-        out.sort(key=lambda pair: pair[0].sort_key())
-        return out
-
-    def _block_degree_choices(self, beta, blocks):
-        """Ordered tuples of `blocks` effective degrees with sum <= beta."""
-        out = []
-
-        def rec(remaining, chosen):
-            if len(chosen) == blocks:
-                out.append(tuple(chosen))
-                return
-            for d in self.effective_below(remaining):
-                rec(remaining - d, chosen + [d])
-
-        rec(beta, [])
-        return out
-
-    def _center_and_free_parts(self, budget, max_free):
-        """Pairs (center degree, non-increasing tuple of nonzero degrees)
-        with center + sum = budget."""
-        out = []
-        nonzero = [
-            d for d in self.effective_below(budget) if not d.is_zero
-        ]
-        nonzero.sort(key=lambda d: d.coords, reverse=True)
-
-        def rec(remaining, start, chosen):
-            if len(chosen) <= max_free:
-                out.append((remaining, tuple(chosen)))
-            if len(chosen) >= max_free:
-                return
-            for idx in range(start, len(nonzero)):
-                d = nonzero[idx]
-                if (remaining - d).is_effective:
-                    rec(remaining - d, idx, chosen + [d])
-
-        rec(budget, 0, [])
-        return out
 
     def _classes_through(self, alpha, centers, parts):
         """The classes of alpha with a given center and given parts.
 
         centers: (degree, point labels, descriptor labels) triples, the
-        empty triple allowed; parts: non-point tuples.  Returns the
-        entries of `degeneration_classes(alpha)`, in the same form and
-        order, whose center tuple is one of the triples and whose
-        non-point parts all lie in `parts`.  They are built from those
-        two sets alone: each center's point labels become bare point
-        parts, and the rest of alpha is split into a multiset of the
-        given parts, so the work follows the output, not the full list.
+        empty triple allowed; parts: tuples below alpha.  Returns, in the
+        form and order of `degeneration_classes`, the classes that split
+        alpha into one of the triples plus a multiset of the given parts:
+        each center's point labels become bare point parts, and the rest
+        of alpha is split into the given parts, so the work follows the
+        output.  Bare point tuples may be among the parts only when no
+        center carries point labels; otherwise a class would be listed
+        twice.  Every point-free center with every predecessor of alpha
+        as a part gives the full class list.
         """
         by_label = {}
         unlabeled = []
@@ -516,32 +438,6 @@ class Target:
                 place_labels(center, rest, alpha.points - pts,
                              alpha.descriptors - descs, [])
         out.sort(key=lambda pair: pair[0].sort_key())
-        return out
-
-    RAW_EXPANSION_CAP = 500_000
-
-    def degenerations(self, alpha, cap=None):
-        """The raw set of degeneration types of alpha (ordered parts).
-
-        Expanded from the class enumeration; refuses to materialize more
-        than `cap` raw splittings (enumeration caps are the finiteness
-        guard for large tuples).
-        """
-        cap = self.RAW_EXPANSION_CAP if cap is None else cap
-        classes = self.degeneration_classes(alpha)
-        total = sum(count for _, count in classes)
-        if total > cap:
-            raise EnumerationError(
-                "raw splitting expansion of size %d exceeds the cap %d"
-                % (total, cap)
-            )
-        out = []
-        for eta, _count in classes:
-            for perm in _distinct_permutations(eta.parts):
-                out.append(DegenerationType(
-                    eta.center_degree, eta.center_descriptors, perm
-                ))
-        out.sort(key=DegenerationType.sort_key)
         return out
 
     # -- numerical helpers ---------------------------------------------
@@ -653,49 +549,8 @@ def _subsets(items):
             yield frozenset(combo)
 
 
-def _set_partitions(items):
-    """All partitions of a list into nonempty blocks (including the empty
-    partition of the empty list)."""
-    if not items:
-        return [[]]
-    first, rest = items[0], items[1:]
-    out = []
-    for part in _set_partitions(rest):
-        out.append([[first]] + part)
-        for i in range(len(part)):
-            out.append(part[:i] + [[first] + part[i]] + part[i + 1:])
-    return out
-
-
 def _orderings(parts):
     """Number of distinct ordered arrangements of the parts."""
     return math.factorial(len(parts)) // math.prod(
         math.factorial(c) for c in Counter(parts).values()
     )
-
-
-def _distinct_permutations(parts):
-    """Distinct orderings of a tuple of (hashable) parts.
-
-    Knuth's Algorithm L (TAOCP 4A, 7.2.1.2) on the parts' first-seen
-    ranks: each distinct ordering once, in lexicographic rank order,
-    without walking the n! orderings of the plain permutations.
-    """
-    rank = {}
-    a = [rank.setdefault(p, len(rank)) for p in parts]
-    a.sort()
-    values = list(rank)
-    n = len(a)
-    out = [tuple(values[i] for i in a)]
-    while True:
-        j = n - 2
-        while j >= 0 and a[j] >= a[j + 1]:
-            j -= 1
-        if j < 0:
-            return out
-        l = n - 1
-        while a[j] >= a[l]:
-            l -= 1
-        a[j], a[l] = a[l], a[j]
-        a[j + 1:] = reversed(a[j + 1:])
-        out.append(tuple(values[i] for i in a))

@@ -4,9 +4,11 @@ The orientation oracles live in `opengw.selfcheck`; the tests import them
 from there and pass their own seeds and scales.  This module keeps what
 only the tests need: two determinants to cross-check `linalg.det` (a
 Bareiss elimination in Fractions and a permutation expansion that
-eliminates nothing), the synthetic instance generator, and the open WDVV
-relation forms built term by term to cross-check `wdvv1_form` and
-`wdvv2_form`.
+eliminates nothing), the synthetic instance generator, the direct
+class-level enumerator of degeneration classes and the raw expansion
+into ordered splittings (both independent of the live-class generator
+behind `Target.degeneration_classes`), and the open WDVV relation forms
+built term by term to cross-check `wdvv1_form` and `wdvv2_form`.
 """
 
 from __future__ import annotations
@@ -146,6 +148,187 @@ def dim0_subtuples(target, table, top):
         out.append(top)
     return out
 
+
+# --- degeneration classes, enumerated directly ------------------------------
+
+
+def direct_degeneration_classes(target, alpha):
+    """Degenerations grouped up to permutation of the parts.
+
+    Enumerated directly at the class level: a choice of center
+    descriptors, a set partition of the remaining labels into part
+    blocks, effective degrees for the blocks, and an unordered
+    multiset of nonzero degrees for unlabeled parts.  Returns a
+    sorted list of (canonical representative, number of raw ordered
+    splittings in the class).  The part count is capped structurally:
+    one part per label plus one per area gap in the degree.
+    """
+    from opengw.lattice import (
+        ConstraintTuple, DegenerationType, _orderings, _subsets,
+    )
+
+    cap = (
+        len(alpha.points) + len(alpha.descriptors)
+        + int(alpha.beta.area / target.area_gap)
+    )
+    points = sorted(alpha.points)
+    descs = sorted(alpha.descriptors)
+    out = []
+    for center_l in _subsets(alpha.descriptors):
+        labels = points + [d for d in descs if d not in center_l]
+        for blocks in _set_partitions(labels):
+            if len(blocks) > cap:
+                continue
+            block_tuples = [
+                (
+                    frozenset(x for x in block if x in alpha.points),
+                    frozenset(x for x in block if x not in alpha.points),
+                )
+                for block in blocks
+            ]
+            for labeled in _block_degree_choices(
+                target, alpha.beta, len(blocks)
+            ):
+                rest = alpha.beta
+                for d in labeled:
+                    rest = rest - d
+                parts_labeled = tuple(
+                    ConstraintTuple(d, pts, dsc)
+                    for d, (pts, dsc) in zip(labeled, block_tuples)
+                    if not (d.is_zero and not pts and not dsc)
+                )
+                if len(parts_labeled) != len(blocks):
+                    continue
+                for center_beta, unlabeled in _center_and_free_parts(
+                    target, rest, cap - len(blocks)
+                ):
+                    k = len(blocks) + len(unlabeled)
+                    if center_beta.is_zero and k == 1 and not center_l:
+                        continue
+                    if k == 0 and points:
+                        continue
+                    parts = parts_labeled + tuple(
+                        ConstraintTuple(d, frozenset(), frozenset())
+                        for d in unlabeled
+                    )
+                    eta = DegenerationType(
+                        center_beta, center_l,
+                        tuple(sorted(parts, key=ConstraintTuple.sort_key)),
+                    )
+                    out.append((eta, _orderings(parts)))
+    out.sort(key=lambda pair: pair[0].sort_key())
+    return out
+
+
+def _block_degree_choices(target, beta, blocks):
+    """Ordered tuples of `blocks` effective degrees with sum <= beta."""
+    out = []
+
+    def rec(remaining, chosen):
+        if len(chosen) == blocks:
+            out.append(tuple(chosen))
+            return
+        for d in target.effective_below(remaining):
+            rec(remaining - d, chosen + [d])
+
+    rec(beta, [])
+    return out
+
+
+def _center_and_free_parts(target, budget, max_free):
+    """Pairs (center degree, non-increasing tuple of nonzero degrees)
+    with center + sum = budget."""
+    out = []
+    nonzero = [
+        d for d in target.effective_below(budget) if not d.is_zero
+    ]
+    nonzero.sort(key=lambda d: d.coords, reverse=True)
+
+    def rec(remaining, start, chosen):
+        if len(chosen) <= max_free:
+            out.append((remaining, tuple(chosen)))
+        if len(chosen) >= max_free:
+            return
+        for idx in range(start, len(nonzero)):
+            d = nonzero[idx]
+            if (remaining - d).is_effective:
+                rec(remaining - d, idx, chosen + [d])
+
+    rec(budget, 0, [])
+    return out
+
+
+def _set_partitions(items):
+    """All partitions of a list into nonempty blocks (including the empty
+    partition of the empty list)."""
+    if not items:
+        return [[]]
+    first, rest = items[0], items[1:]
+    out = []
+    for part in _set_partitions(rest):
+        out.append([[first]] + part)
+        for i in range(len(part)):
+            out.append(part[:i] + [[first] + part[i]] + part[i + 1:])
+    return out
+
+
+# --- the raw expansion into ordered splittings -------------------------------
+
+
+RAW_EXPANSION_CAP = 500_000
+
+
+def raw_degenerations(target, alpha, cap=None):
+    """The raw set of degeneration types of alpha (ordered parts).
+
+    Expanded from the direct class enumeration; refuses to materialize
+    more than `cap` raw splittings.
+    """
+    from opengw.lattice import DegenerationType
+
+    cap = RAW_EXPANSION_CAP if cap is None else cap
+    classes = direct_degeneration_classes(target, alpha)
+    total = sum(count for _, count in classes)
+    if total > cap:
+        raise ValueError(
+            "raw splitting expansion of size %d exceeds the cap %d"
+            % (total, cap)
+        )
+    out = []
+    for eta, _count in classes:
+        for perm in distinct_permutations(eta.parts):
+            out.append(DegenerationType(
+                eta.center_degree, eta.center_descriptors, perm
+            ))
+    out.sort(key=DegenerationType.sort_key)
+    return out
+
+
+def distinct_permutations(parts):
+    """Distinct orderings of a tuple of (hashable) parts.
+
+    Knuth's Algorithm L (TAOCP 4A, 7.2.1.2) on the parts' first-seen
+    ranks: each distinct ordering once, in lexicographic rank order,
+    without walking the n! orderings of the plain permutations.
+    """
+    rank = {}
+    a = [rank.setdefault(p, len(rank)) for p in parts]
+    a.sort()
+    values = list(rank)
+    n = len(a)
+    out = [tuple(values[i] for i in a)]
+    while True:
+        j = n - 2
+        while j >= 0 and a[j] >= a[j + 1]:
+            j -= 1
+        if j < 0:
+            return out
+        l = n - 1
+        while a[j] >= a[l]:
+            l -= 1
+        a[j], a[l] = a[l], a[j]
+        a[j + 1:] = reversed(a[j + 1:])
+        out.append(tuple(values[i] for i in a))
 
 
 # --- the open WDVV relations, term by term ----------------------------------

@@ -2,9 +2,11 @@
 
 import json
 import os
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opengw import fileio
 from opengw.cli import RunConfig, build_parser, main, run
@@ -321,6 +323,7 @@ def test_main_parse_error_exit_code(tmp_path):
 def _assert_one_line_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
 
 
 def test_seeds_without_cohomology_model_is_typed_error(tmp_path, capsys):
@@ -344,3 +347,94 @@ def test_unbounded_atom_loop_is_typed_error(tmp_path, capsys):
     status, cfg = run_pipeline(tmp_path, "welschinger", atoms=str(atoms))
     assert status == 2
     _assert_one_line_error(capsys)
+
+
+# --- malformed documents -----------------------------------------------------
+
+
+def _replaced(doc, path, value):
+    """A copy of a JSON document with the node at `path` replaced."""
+    if not path:
+        return value
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("pipeline, kind, path, value", [
+    ("enumerate", "target", ("generators", 0, "area"), "1/0"),
+    ("enumerate", "target", ("generators", 0, "maslov"), float("inf")),
+    ("enumerate", "target", ("cohomology", "deg2_pairings"), [1]),
+    ("welschinger", "atoms", ("linking", 0, 2), "1/0"),
+    ("wdvv-solve", "closed_gw", ("entries", 0, "value"), "2/0"),
+    ("wdvv-solve", "seeds", ("beta_zero", 0), None),
+], ids=["area-1/0", "maslov-infinite", "deg2-pairings-list", "linking-1/0",
+        "closed-value-2/0", "beta-zero-null"])
+def test_malformed_document_is_one_line_error(tmp_path, capsys, pipeline,
+                                              kind, path, value):
+    paths = toy_paths()
+    doc = json.loads(open(paths[kind]).read())
+    paths[kind] = str(tmp_path / "bad.json")
+    with open(paths[kind], "w") as handle:
+        json.dump(_replaced(doc, path, value), handle)
+    argv = ["--pipeline", pipeline, "--out", str(tmp_path / "out")]
+    for name, file in paths.items():
+        argv += ["--" + name.replace("_", "-"), file]
+    assert main(argv) == 2
+    assert "bad.json" in _assert_one_line_error(capsys)
+
+
+def _node_paths(node, path=()):
+    """Paths to every node of a JSON document, the root included."""
+    yield path
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _node_paths(child, path + (key,))
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from _node_paths(child, path + (i,))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=4) | st.sampled_from(["0", "-3", "1/2", "1/0"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@pytest.fixture(scope="module")
+def toy_loaders():
+    """The toy documents and, per document kind, its loader."""
+    paths = toy_paths()
+    bundle = fileio.load_target(paths["target"])
+    docs = {kind: json.loads(open(path).read()) for kind, path in paths.items()}
+    return docs, {
+        "target": fileio.load_target,
+        "atoms": lambda p: fileio.load_atoms(p, bundle.target),
+        "closed_gw": fileio.load_closed,
+        "seeds": lambda p: fileio.load_seeds(p, bundle.target, bundle.model),
+    }
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_loaders_load_or_raise_file_format_error(toy_loaders, data):
+    """Each loader, given a toy document with one node replaced by a
+    random JSON value, loads it or raises FileFormatError."""
+    docs, loaders = toy_loaders
+    kind = data.draw(st.sampled_from(sorted(docs)))
+    path = data.draw(st.sampled_from(list(_node_paths(docs[kind]))))
+    doc = _replaced(docs[kind], path, data.draw(JSON_VALUES))
+    with tempfile.TemporaryDirectory() as tmp:
+        file = os.path.join(tmp, "doc.json")
+        with open(file, "w") as handle:
+            json.dump(doc, handle)
+        try:
+            loaders[kind](file)
+        except fileio.FileFormatError:
+            pass

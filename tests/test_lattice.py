@@ -1,8 +1,10 @@
 """Degree lattice, constraint tuples, and degeneration enumeration."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from opengw.lattice import (
     ConstraintTuple,
@@ -11,7 +13,12 @@ from opengw.lattice import (
     TargetError,
 )
 
-from support import make_rng
+from support import (
+    direct_degeneration_classes,
+    distinct_permutations,
+    make_rng,
+    raw_degenerations,
+)
 
 
 def rank1(maslov=2, descriptors=()):
@@ -184,17 +191,20 @@ def test_predecessor_count_monotone():
 
 
 # --- degenerations --------------------------------------------------------
+#
+# The raw expansion and the direct class enumerator are the test oracles in
+# `support`; `Target.degeneration_classes` is compared with them.
 
 
 def test_degenerations_of_point_tuple_empty():
     t = rank1()
-    assert t.degenerations(t.point_tuple("p")) == []
+    assert raw_degenerations(t, t.point_tuple("p")) == []
 
 
 def test_degenerations_of_single_descriptor():
     t = Target([("g", 1, 2)], descriptors=[("G", 4)])
     alpha = t.constraint_tuple((0,), descriptors=["G"])
-    etas = t.degenerations(alpha)
+    etas = raw_degenerations(t, alpha)
     assert len(etas) == 1
     eta = etas[0]
     assert eta.center_degree.is_zero
@@ -216,7 +226,7 @@ def test_degenerations_match_nested_oracle():
     slots one at a time, then split the degree; compare as sets."""
     t = rank1()
     alpha = t.constraint_tuple((1,), points=["p"], descriptors=[])
-    got = t.degenerations(alpha)
+    got = raw_degenerations(t, alpha)
 
     expect = set()
     beta_vals = [t.degree((i,)) for i in range(2)]
@@ -248,7 +258,7 @@ def test_degenerations_match_nested_oracle():
 def test_degeneration_parts_strictly_precede():
     t = rank2()
     alpha = t.constraint_tuple((1, 1), points=["p"], descriptors=["G4"])
-    etas = t.degenerations(alpha)
+    etas = raw_degenerations(t, alpha)
     assert etas
     for eta in etas:
         for part in eta.parts:
@@ -271,22 +281,21 @@ def test_degenerations_equivariant_under_relabeling():
         )
         return DegenerationType(eta.center_degree, eta.center_descriptors, parts)
 
-    assert {relabel(e) for e in t.degenerations(a1)} == set(t.degenerations(a2))
+    assert ({relabel(e) for e in raw_degenerations(t, a1)}
+            == set(raw_degenerations(t, a2)))
 
 
 def test_raw_expansion_cap_refused():
-    from opengw.lattice import EnumerationError
-
     t = rank2()
     alpha = t.constraint_tuple((2, 2), points=["p", "q"], descriptors=["G4"])
-    with pytest.raises(EnumerationError):
-        t.degenerations(alpha, cap=10)
+    with pytest.raises(ValueError, match="exceeds the cap 10"):
+        raw_degenerations(t, alpha, cap=10)
 
 
 def test_degeneration_classes_group_permutations():
     t = rank2()
     alpha = t.constraint_tuple((1, 1), points=["p", "q"])
-    raw = t.degenerations(alpha)
+    raw = raw_degenerations(t, alpha)
     classes = t.degeneration_classes(alpha)
     assert sum(count for _, count in classes) == len(raw)
     for rep, count in classes:
@@ -307,7 +316,7 @@ def test_classes_through_filters_the_full_list():
     ]
     repeated = 0
     for alpha in tuples:
-        full = t.degeneration_classes(alpha)
+        full = direct_degeneration_classes(t, alpha)
 
         def center(eta):
             return (eta.center_degree, eta.point_labels(),
@@ -336,9 +345,44 @@ def test_classes_through_filters_the_full_list():
     assert repeated
 
 
+AREAS = (Fraction(1), Fraction(2), Fraction(3), Fraction(1, 2), Fraction(3, 2))
+
+
+@st.composite
+def targets_and_tuples(draw):
+    """A rank 1-2 target with distinct generator areas and descriptors of
+    mixed codimension, and a tuple with up to 3 points and 4 labels."""
+    rank = draw(st.integers(1, 2))
+    areas = draw(st.lists(st.sampled_from(AREAS), min_size=rank,
+                          max_size=rank, unique=True))
+    codims = draw(st.lists(st.sampled_from((2, 4, 6)), max_size=3))
+    target = Target(
+        [("g%d" % i, a, 2) for i, a in enumerate(areas)],
+        descriptors=[("D%d" % i, c) for i, c in enumerate(codims)],
+    )
+    coords = draw(st.lists(st.integers(0, 2), min_size=rank, max_size=rank)
+                  .filter(lambda c: sum(c) <= 3))
+    points = ["p%d" % i for i in range(draw(st.integers(0, 3)))]
+    descs = draw(st.lists(st.sampled_from(sorted(target.descriptors)),
+                          unique=True, max_size=4 - len(points))
+                 if target.descriptors else st.just([]))
+    assume(any(coords) or points or descs)
+    return target, target.constraint_tuple(coords, points, descs)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(targets_and_tuples())
+def test_degeneration_classes_match_direct_oracle(case):
+    """The generator's full list against the direct enumerator, entry for
+    entry: representatives, raw counts and order."""
+    target, alpha = case
+    assert (target.degeneration_classes(alpha)
+            == direct_degeneration_classes(target, alpha))
+
+
 def test_distinct_permutations_walk_the_multiset():
     """Algorithm L yields each distinct ordering exactly once."""
-    from opengw.lattice import _distinct_permutations, _orderings
+    from opengw.lattice import _orderings
 
     t = rank1()
     a = t.point_tuple("p")
@@ -346,7 +390,7 @@ def test_distinct_permutations_walk_the_multiset():
     c = t.constraint_tuple((2,), points=["q"])
     for parts in [(), (a,), (b, b), (a, b, b), (b, a, b, c, b),
                   (c, b, c, a, b, b)]:
-        perms = _distinct_permutations(parts)
+        perms = distinct_permutations(parts)
         assert set(perms) == set(itertools.permutations(parts)), parts
         assert len(perms) == _orderings(parts), parts
 
@@ -357,7 +401,7 @@ def test_dimension_additive_over_degenerations():
     further correction."""
     t = rank2()
     alpha = t.constraint_tuple((1, 1), points=["p"], descriptors=["G4"])
-    etas = t.degenerations(alpha)
+    etas = raw_degenerations(t, alpha)
     assert etas
     for eta in etas:
         center_part = (

@@ -3,8 +3,8 @@
 `boundary_class_terms`, `constant_center_classes` and
 `branch_decompositions` build only the degeneration classes that can
 contribute.  The oracles below apply the same filters to the full
-`Target.degeneration_classes` list instead, and the two routes must
-agree class by class on the toy, on a benchmark-sized synthetic
+class list of the direct enumerator in `support` instead, and the two
+routes must agree class by class on the toy, on a benchmark-sized synthetic
 instance and on random synthetic instances.
 """
 
@@ -30,7 +30,12 @@ from opengw.bounding_chain import (
 from opengw.lattice import ConstraintTuple
 from opengw.ring import QQ
 
-from support import dim0_subtuples, make_rng, synthetic_instance
+from support import (
+    dim0_subtuples,
+    direct_degeneration_classes,
+    make_rng,
+    synthetic_instance,
+)
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DATA = os.path.join(os.path.dirname(fileio.__file__), "data")
@@ -122,7 +127,7 @@ def assert_live_routes_match(target, table, top, label):
 
     def classes(alpha):
         if alpha not in full:
-            full[alpha] = target.degeneration_classes(alpha)
+            full[alpha] = direct_degeneration_classes(target, alpha)
         return full[alpha]
 
     seen = Counter()
