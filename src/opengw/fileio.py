@@ -50,6 +50,14 @@ def _rational(value):
                           % (value,))
 
 
+def _integer(value):
+    """A JSON integer; a float, a boolean or a string is refused, never
+    truncated or coerced."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise FileFormatError("expected an integer, got %r" % (value,))
+
+
 def rational_str(value):
     return str(Fraction(value))
 
@@ -100,25 +108,30 @@ def load_target(path):
     doc = _load_document(path, "opengw-target")
     with _malformed_as_format_error(path):
         generators = [
-            (g["name"], _rational(g["area"]), int(g["maslov"]))
+            (g["name"], _rational(g["area"]), _integer(g["maslov"]))
             for g in doc["generators"]
         ]
         descriptors = [
-            (d["id"], int(d["codim"])) for d in doc.get("descriptors", [])
+            (d["id"], _integer(d["codim"])) for d in doc.get("descriptors", [])
         ]
         closed = [
-            (c["name"], _rational(c["area"]), int(c["w2_sign"]))
+            (c["name"], _rational(c["area"]), _integer(c["w2_sign"]))
             for c in doc.get("closed_generators", [])
         ]
         q_matrix = doc.get("q_matrix")
+        if q_matrix is not None:
+            q_matrix = [[_integer(x) for x in row] for row in q_matrix]
         target = Target(generators, descriptors, closed, q_matrix)
         model = None
         if "cohomology" in doc:
             c = doc["cohomology"]
             model = CohomologyModel(
-                degrees=c["degrees"],
+                degrees=[_integer(d) for d in c["degrees"]],
                 pairing=[[_rational(x) for x in row] for row in c["pairing"]],
-                restriction=c.get("restriction"),
+                restriction=(
+                    [_integer(i) for i in c["restriction"]]
+                    if c.get("restriction") is not None else None
+                ),
                 deg2_pairings={
                     int(k): [_rational(x) for x in v]
                     for k, v in c.get("deg2_pairings", {}).items()
@@ -127,7 +140,10 @@ def load_target(path):
                     int(k): _rational(v)
                     for k, v in c.get("lk_os_star", {}).items()
                 },
-                sphere_index=c.get("sphere_index"),
+                sphere_index=(
+                    _integer(c["sphere_index"])
+                    if c.get("sphere_index") is not None else None
+                ),
                 y_class_nonzero=c.get("y_class_nonzero", False),
                 gamma0_pairing=(
                     _rational(c["gamma0_pairing"])
@@ -150,10 +166,10 @@ def load_atoms(path, target):
     with _malformed_as_format_error(path):
         atoms = [
             DiskAtom(
-                target.degree(a["degree"]),
+                target.degree([_integer(x) for x in a["degree"]]),
                 frozenset(a.get("points", [])),
                 frozenset(a.get("descriptors", [])),
-                int(a["sign"]),
+                _integer(a["sign"]),
                 a["loop"],
             )
             for a in doc.get("atoms", [])
@@ -167,13 +183,15 @@ def load_atoms(path, target):
         if doc.get("involution"):
             inv = doc["involution"]
             involution = InvolutionData(
-                tuple(tuple(int(x) for x in row) for row in inv["degree_map"]),
+                tuple(tuple(_integer(x) for x in row)
+                      for row in inv["degree_map"]),
                 dict(inv["loop_pairs"]),
             )
             involution.validate(target)
         tuples = [
             target.constraint_tuple(
-                t["degree"], t.get("points", []), t.get("descriptors", [])
+                [_integer(x) for x in t["degree"]], t.get("points", []),
+                t.get("descriptors", []),
             )
             for t in doc.get("tuples_of_interest", [])
         ]
@@ -188,9 +206,11 @@ def load_closed(path):
         table = ClosedGWTable()
         for e in doc.get("entries", []):
             insertions = [
-                i if isinstance(i, str) else int(i) for i in e["insertions"]
+                i if isinstance(i, str) else _integer(i)
+                for i in e["insertions"]
             ]
-            table.set(e["degree"], insertions, _rational(e["value"]))
+            table.set([_integer(x) for x in e["degree"]], insertions,
+                      _rational(e["value"]))
         return table
 
 
@@ -200,7 +220,8 @@ def load_seeds(path, target, model):
     with _malformed_as_format_error(path):
         table = OpenInvariantTable(target, model)
         for e in doc.get("entries", []):
-            table.set(e["degree"], [int(i) for i in e["insertions"]],
+            table.set([_integer(x) for x in e["degree"]],
+                      [_integer(i) for i in e["insertions"]],
                       _rational(e["value"]))
         beta_zero = doc.get("beta_zero", [])
         if beta_zero and model is None:
@@ -210,7 +231,7 @@ def load_seeds(path, target, model):
         for e in beta_zero:
             corrections = [
                 (
-                    tuple(int(x) for x in c["closed_degree"]),
+                    tuple(_integer(x) for x in c["closed_degree"]),
                     _rational(c["lk"]),
                     [_rational(x) for x in c["lambda"]],
                 )
@@ -219,5 +240,6 @@ def load_seeds(path, target, model):
             value = degree_zero_extension(
                 target, model, _rational(e.get("welschinger", 0)), corrections
             )
-            table.set(e["degree"], [int(i) for i in e["insertions"]], value)
+            table.set([_integer(x) for x in e["degree"]],
+                      [_integer(i) for i in e["insertions"]], value)
         return table

@@ -18,18 +18,24 @@ type level.
 One generator, `Target._classes_through`, builds the classes of
 splittings up to permuting the parts, from a set of centers and a set
 of allowed parts; the full list `Target.degeneration_classes` is the
-call that allows every center and every predecessor.  The direct
-class-level enumerator and the raw expansion into ordered splittings
-are kept in the test suite as independent oracles for it.
+call that allows every center and every predecessor.  Its recursion
+works on integer coordinate tuples and builds a `DegenerationType` only
+for each class it emits.  The direct class-level enumerator and the raw
+expansion into ordered splittings are kept in the test suite as
+independent oracles for it.
+
+A `DegreeClass` hashes on its coordinates alone: its area and Maslov
+index are linear in them, so sets and dicts of degrees never hash a
+Fraction.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter, sub
 
 from . import OpenGWError, linalg
 
@@ -40,11 +46,15 @@ class TargetError(OpenGWError, ValueError):
 
 @dataclass(frozen=True, order=True)
 class DegreeClass:
-    """Element of the relative degree lattice with its linear data."""
+    """Element of the relative degree lattice with its linear data.
+
+    Area and Maslov index are linear in the coordinates, so the hash
+    reads the coordinates only; equality and order compare all three.
+    """
 
     coords: tuple
-    area: Fraction
-    maslov: int
+    area: Fraction = field(hash=False)
+    maslov: int = field(hash=False)
 
     def __add__(self, other):
         return DegreeClass(
@@ -62,7 +72,7 @@ class DegreeClass:
 
     @property
     def is_zero(self):
-        return all(c == 0 for c in self.coords)
+        return not any(self.coords)
 
     @property
     def is_effective(self):
@@ -378,67 +388,90 @@ class Target:
         center carries point labels; otherwise a class would be listed
         twice.  Every point-free center with every predecessor of alpha
         as a part gives the full class list.
+
+        The recursion runs on integer coordinate tuples: each part's
+        coordinates and sort key are read once, a degree is subtracted
+        coordinate by coordinate, and a `DegenerationType` is built only
+        for an emitted class.  The raw count of a class is n! over the
+        factorials of the runs of equal unlabeled parts, the only parts
+        that can repeat.
         """
         by_label = {}
         unlabeled = []
         for p in set(parts):
+            entry = (p, p.beta.coords, p.sort_key())
             labels = [("p", x) for x in p.points] + [
                 ("d", x) for x in p.descriptors
             ]
             for label in labels:
-                by_label.setdefault(label, []).append(p)
+                by_label.setdefault(label, []).append(entry)
             if not labels:
-                unlabeled.append(p)
+                unlabeled.append(entry)
+        point_parts = {}
+        for x in alpha.points:
+            pt = self.point_tuple(x)
+            point_parts[x] = (pt, pt.beta.coords, pt.sort_key())
         out = []
 
-        def emit(center, chosen):
-            beta, pts, descs = center
-            split = tuple(sorted(
-                [self.point_tuple(x) for x in pts] + chosen,
-                key=ConstraintTuple.sort_key,
-            ))
-            if beta.is_zero and not descs and len(split) == 1:
+        def emit(center, fixed, free):
+            beta, descs, center_key, trivial = center
+            if trivial and len(fixed) + len(free) == 1:
                 return  # the excluded degenerate splitting
-            out.append((DegenerationType(beta, descs, split), _orderings(split)))
+            split = sorted(fixed + [unlabeled[i] for i in free],
+                           key=itemgetter(2))
+            repeats = math.prod(
+                math.factorial(len(list(run)))
+                for _, run in itertools.groupby(free)
+            )
+            out.append((
+                center_key + (tuple(key for _, _, key in split),),
+                DegenerationType(beta, descs,
+                                 tuple(p for p, _, _ in split)),
+                math.factorial(len(split)) // repeats,
+            ))
 
-        def place_labels(center, beta, pts, descs, chosen):
+        def place_labels(center, rest, pts, descs, fixed):
             # the part holding the smallest unplaced label comes next
             if not pts and not descs:
-                add_unlabeled(center, beta, 0, chosen)
+                add_unlabeled(center, rest, 0, fixed, [])
                 return
             label = ("p", min(pts)) if pts else ("d", min(descs))
-            for p in by_label.get(label, ()):
+            for entry in by_label.get(label, ()):
+                p, coords, _ = entry
                 if not (p.points <= pts and p.descriptors <= descs):
                     continue
-                rest = beta - p.beta
-                if rest.is_effective:
-                    chosen.append(p)
-                    place_labels(center, rest, pts - p.points,
-                                 descs - p.descriptors, chosen)
-                    chosen.pop()
+                left = tuple(map(sub, rest, coords))
+                if min(left) >= 0:
+                    fixed.append(entry)
+                    place_labels(center, left, pts - p.points,
+                                 descs - p.descriptors, fixed)
+                    fixed.pop()
 
-        def add_unlabeled(center, beta, start, chosen):
+        def add_unlabeled(center, rest, start, fixed, free):
             # unlabeled parts as a multiset: indices never decrease
-            if beta.is_zero:
-                emit(center, chosen)
+            if not any(rest):
+                emit(center, fixed, free)
                 return
             for i in range(start, len(unlabeled)):
-                rest = beta - unlabeled[i].beta
-                if rest.is_effective:
-                    chosen.append(unlabeled[i])
-                    add_unlabeled(center, rest, i, chosen)
-                    chosen.pop()
+                left = tuple(map(sub, rest, unlabeled[i][1]))
+                if min(left) >= 0:
+                    free.append(i)
+                    add_unlabeled(center, left, i, fixed, free)
+                    free.pop()
 
-        for center in set(centers):
-            beta, pts, descs = center
+        for beta, pts, descs in set(centers):
             if not (pts <= alpha.points and descs <= alpha.descriptors):
                 continue
-            rest = alpha.beta - beta
-            if rest.is_effective:
+            rest = tuple(map(sub, alpha.beta.coords, beta.coords))
+            if min(rest) >= 0:
+                center = (beta, descs,
+                          (beta.coords, tuple(sorted(descs))),
+                          beta.is_zero and not descs)
                 place_labels(center, rest, alpha.points - pts,
-                             alpha.descriptors - descs, [])
-        out.sort(key=lambda pair: pair[0].sort_key())
-        return out
+                             alpha.descriptors - descs,
+                             [point_parts[x] for x in pts])
+        out.sort(key=itemgetter(0))
+        return [(eta, count) for _, eta, count in out]
 
     # -- numerical helpers ---------------------------------------------
 
@@ -547,10 +580,3 @@ def _subsets(items):
     for r in range(len(items) + 1):
         for combo in itertools.combinations(items, r):
             yield frozenset(combo)
-
-
-def _orderings(parts):
-    """Number of distinct ordered arrangements of the parts."""
-    return math.factorial(len(parts)) // math.prod(
-        math.factorial(c) for c in Counter(parts).values()
-    )

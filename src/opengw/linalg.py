@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 
 from .ring import integer_scaled
 
@@ -34,16 +35,19 @@ def zeros(m, n):
     return [[Fraction(0)] * n for _ in range(m)]
 
 
-def matmul(a, b):
+def product_is_zero(a, b):
+    """Whether the product of the rational matrices a and b is zero.
+
+    Each row of a and each column of b is scaled to integers; a positive
+    scale does not change whether a dot product vanishes, so only
+    integer dot products are formed.
+    """
     if a and b and len(a[0]) != len(b):
         raise ValueError("shape mismatch %dx%d @ %dx%d"
                          % (len(a), len(a[0]), len(b), len(b[0])))
-    cols = len(b[0]) if b else 0
-    return [
-        [sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0))
-         for j in range(cols)]
-        for i in range(len(a))
-    ]
+    rows = [integer_scaled(row)[0] for row in a]
+    cols = [integer_scaled(col)[0] for col in zip(*b)]
+    return all(sum(map(mul, row, col)) == 0 for row in rows for col in cols)
 
 
 def hstack(a, b):

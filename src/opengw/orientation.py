@@ -178,8 +178,7 @@ def fiber_orientation_sign(prob, candidate_basis):
             raise OrientationError("candidate basis has the wrong shape")
         if linalg.rank(cand) != d:
             raise OrientationError("candidate does not span the kernel")
-        image = linalg.matmul(combined, cand) if dim_x else []
-        if any(x != 0 for row in image for x in row):
+        if dim_x and not linalg.product_is_zero(combined, cand):
             raise OrientationError("candidate does not lie in the kernel")
     if dim_x:
         j = linalg.right_inverse(combined)

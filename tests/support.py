@@ -4,18 +4,21 @@ The orientation oracles live in `opengw.selfcheck`; the tests import them
 from there and pass their own seeds and scales.  This module keeps what
 only the tests need: two determinants to cross-check `linalg.det` (a
 Bareiss elimination in Fractions and a permutation expansion that
-eliminates nothing), the synthetic instance generator, the direct
-class-level enumerator of degeneration classes and the raw expansion
-into ordered splittings (both independent of the live-class generator
-behind `Target.degeneration_classes`), and the open WDVV relation forms
-built term by term to cross-check `wdvv1_form` and `wdvv2_form`.
+eliminates nothing), the synthetic instance generator and a writer of
+its instances as input documents, the direct class-level enumerator of
+degeneration classes and the raw expansion into ordered splittings
+(both independent of the live-class generator behind
+`Target.degeneration_classes`), and the open WDVV relation forms built
+term by term to cross-check `wdvv1_form` and `wdvv2_form`.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import random
+from collections import Counter
 from fractions import Fraction
 
 
@@ -138,6 +141,45 @@ def synthetic_instance(rng, n_points=2, n_quartic=1, n_sextic=0, n_conic=0,
     return target, table, top
 
 
+def instance_documents(target, table, top):
+    """An instance as opengw-target and opengw-atoms documents, with top
+    as the atoms document's tuple of interest; every loop pair is listed
+    in the linking data."""
+    from opengw.fileio import FORMAT_VERSION, rational_str
+
+    target_doc = {
+        "format": "opengw-target", "version": FORMAT_VERSION,
+        "generators": [
+            {"name": name, "area": rational_str(area), "maslov": maslov}
+            for name, area, maslov in zip(target.generator_names,
+                                          target.gen_areas, target.gen_maslov)
+        ],
+        "descriptors": [
+            {"id": d.ident, "codim": d.codim}
+            for d in sorted(target.descriptors.values(), key=lambda d: d.ident)
+        ],
+    }
+    loops = sorted(a.loop for a in table.atoms)
+    atoms_doc = {
+        "format": "opengw-atoms", "version": FORMAT_VERSION,
+        "atoms": [
+            {"degree": list(a.degree.coords), "points": sorted(a.points),
+             "descriptors": sorted(a.descriptors), "sign": a.sign,
+             "loop": a.loop}
+            for a in table.atoms
+        ],
+        "linking": [
+            [a, b, rational_str(table.links.lk(a, b))]
+            for a, b in itertools.combinations(loops, 2)
+        ],
+        "tuples_of_interest": [{
+            "degree": list(top.beta.coords), "points": sorted(top.points),
+            "descriptors": sorted(top.descriptors),
+        }],
+    }
+    return target_doc, atoms_doc
+
+
 def dim0_subtuples(target, table, top):
     """The dimension-0 tuples below (and including) the top tuple."""
     out = [
@@ -163,9 +205,7 @@ def direct_degeneration_classes(target, alpha):
     splittings in the class).  The part count is capped structurally:
     one part per label plus one per area gap in the degree.
     """
-    from opengw.lattice import (
-        ConstraintTuple, DegenerationType, _orderings, _subsets,
-    )
+    from opengw.lattice import ConstraintTuple, DegenerationType, _subsets
 
     cap = (
         len(alpha.points) + len(alpha.descriptors)
@@ -215,9 +255,16 @@ def direct_degeneration_classes(target, alpha):
                         center_beta, center_l,
                         tuple(sorted(parts, key=ConstraintTuple.sort_key)),
                     )
-                    out.append((eta, _orderings(parts)))
+                    out.append((eta, orderings(parts)))
     out.sort(key=lambda pair: pair[0].sort_key())
     return out
+
+
+def orderings(parts):
+    """Number of distinct ordered arrangements of the parts."""
+    return math.factorial(len(parts)) // math.prod(
+        math.factorial(c) for c in Counter(parts).values()
+    )
 
 
 def _block_degree_choices(target, beta, blocks):

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 
@@ -10,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from opengw import fileio
 from opengw.cli import RunConfig, build_parser, main, run
+
+from support import instance_documents, make_rng, synthetic_instance
 
 DATA = os.path.join(os.path.dirname(fileio.__file__), "data")
 
@@ -207,6 +211,38 @@ def test_verify_all_deterministic(tmp_path):
         assert (dir1 / name).read_bytes() == (dir2 / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("instance", ["toy", "synthetic"])
+def test_verify_all_independent_of_hash_seed(tmp_path, instance):
+    """verify-all in two processes whose string hashes are salted
+    differently (PYTHONHASHSEED 0 and 1) emits the same bytes: no
+    artifact follows set or dict iteration order."""
+    if instance == "toy":
+        paths = toy_paths()
+    else:
+        docs = instance_documents(*synthetic_instance(make_rng(9)))
+        paths = {}
+        for kind, doc in zip(("target", "atoms"), docs):
+            paths[kind] = str(tmp_path / (kind + ".json"))
+            with open(paths[kind], "w") as handle:
+                json.dump(doc, handle)
+    src = os.path.dirname(os.path.dirname(fileio.__file__))
+    outputs = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / ("hash-" + hash_seed)
+        argv = ["--pipeline", "verify-all", "--out", str(out)]
+        for name, file in paths.items():
+            argv += ["--" + name.replace("_", "-"), file]
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "opengw.cli"] + argv,
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert "degeneration_classes.tsv" in outputs[0]
+    assert outputs[0] == outputs[1]
+
+
 def test_enumerate_pipeline_tables(tmp_path):
     status, cfg = run_pipeline(tmp_path, "enumerate")
     assert status == 0
@@ -371,8 +407,25 @@ def _replaced(doc, path, value):
     ("welschinger", "atoms", ("linking", 0, 2), "1/0"),
     ("wdvv-solve", "closed_gw", ("entries", 0, "value"), "2/0"),
     ("wdvv-solve", "seeds", ("beta_zero", 0), None),
+    ("enumerate", "target", ("generators", 0, "maslov"), 4.9),
+    ("enumerate", "target", ("descriptors", 0, "codim"), 4.5),
+    ("enumerate", "target", ("closed_generators", 0, "w2_sign"), True),
+    ("enumerate", "target", ("q_matrix", 0, 0), 2.0),
+    ("enumerate", "target", ("cohomology", "degrees", 1), 2.0),
+    ("welschinger", "atoms", ("atoms", 0, "sign"), True),
+    ("welschinger", "atoms", ("atoms", 0, "degree", 0), 1.0),
+    ("welschinger", "atoms", ("involution", "degree_map", 0, 0), 1.5),
+    ("welschinger", "atoms", ("tuples_of_interest", 0, "degree", 0), 2.5),
+    ("wdvv-solve", "closed_gw", ("entries", 0, "insertions", 0), 2.0),
+    ("wdvv-solve", "seeds", ("entries", 0, "insertions", 0), 2.5),
+    ("wdvv-solve", "seeds",
+     ("beta_zero", 0, "corrections", 0, "closed_degree", 0), False),
 ], ids=["area-1/0", "maslov-infinite", "deg2-pairings-list", "linking-1/0",
-        "closed-value-2/0", "beta-zero-null"])
+        "closed-value-2/0", "beta-zero-null", "maslov-4.9", "codim-4.5",
+        "w2-sign-true", "q-matrix-float", "cohomology-degree-float",
+        "atom-sign-true", "atom-degree-float", "degree-map-1.5",
+        "tuple-degree-2.5", "closed-insertion-float", "seed-insertion-2.5",
+        "closed-degree-false"])
 def test_malformed_document_is_one_line_error(tmp_path, capsys, pipeline,
                                               kind, path, value):
     paths = toy_paths()

@@ -17,6 +17,7 @@ from support import (
     direct_degeneration_classes,
     distinct_permutations,
     make_rng,
+    orderings,
     raw_degenerations,
 )
 
@@ -51,6 +52,18 @@ def test_positive_cone_membership():
     assert not t.degree((-1, 0)).in_positive_cone()
     # positive area despite a negative coordinate still qualifies
     assert t.degree((2, -1)).in_positive_cone()
+
+
+def test_degree_class_hashes_on_coordinates():
+    """Equal coordinates hash equal across targets, while equality still
+    reads the area and the Maslov index."""
+    x = rank1().degree((2,))
+    y = Target([("g", 3, 2)]).degree((2,))
+    assert x.area != y.area
+    assert hash(x) == hash(y)
+    assert x != y
+    assert len({x, y}) == 2
+    assert x == rank1().degree((2,)) and hash(x) == hash(rank1().degree((2,)))
 
 
 def test_empty_tuple_rejected():
@@ -380,10 +393,21 @@ def test_degeneration_classes_match_direct_oracle(case):
             == direct_degeneration_classes(target, alpha))
 
 
+def test_degeneration_classes_with_repeated_unlabeled_parts():
+    """A degree-5 tuple, where an unlabeled part repeats up to five
+    times, against the direct enumerator, raw counts included."""
+    t = rank1(descriptors=[("Q", 4)])
+    alpha = t.constraint_tuple((5,), points=["p", "q"], descriptors=["Q"])
+    classes = t.degeneration_classes(alpha)
+    assert classes == direct_degeneration_classes(t, alpha)
+    unlabeled = t.constraint_tuple((1,))
+    assert max(eta.parts.count(unlabeled) for eta, _ in classes) == 5
+    assert sum(1 for eta, _ in classes
+               if max(map(eta.parts.count, eta.parts), default=0) >= 3) > 10
+
+
 def test_distinct_permutations_walk_the_multiset():
     """Algorithm L yields each distinct ordering exactly once."""
-    from opengw.lattice import _orderings
-
     t = rank1()
     a = t.point_tuple("p")
     b = t.constraint_tuple((1,))
@@ -392,7 +416,7 @@ def test_distinct_permutations_walk_the_multiset():
                   (c, b, c, a, b, b)]:
         perms = distinct_permutations(parts)
         assert set(perms) == set(itertools.permutations(parts)), parts
-        assert len(perms) == _orderings(parts), parts
+        assert len(perms) == orderings(parts), parts
 
 
 def test_dimension_additive_over_degenerations():

@@ -161,6 +161,24 @@ def test_rank_and_nullspace(a):
                    for row in a)
 
 
+@KERNEL_SETTINGS
+@given(matrices(), st.integers(0, 4), st.data())
+def test_product_is_zero_matches_the_rational_product(a, k, data):
+    """The integer test against the Fraction product, on products that
+    vanish (columns drawn from the kernel) and on free ones."""
+    cols = len(a[0]) if a else 0
+    kernel = linalg.nullspace(a)
+    if kernel and data.draw(st.booleans()):
+        k = max(k, 1)
+        b = linalg.columns_matrix(
+            [data.draw(st.sampled_from(kernel)) for _ in range(k)])
+    else:
+        b = data.draw(matrices(rows=cols, cols=k))
+    product = _product(a, b, cols, k)
+    assert linalg.product_is_zero(a, b) == all(
+        x == 0 for row in product for x in row)
+
+
 @st.composite
 def systems(draw):
     """(A, B): B is A times a drawn X half of the time (a consistent

@@ -178,6 +178,20 @@ def test_fiber_rejects_non_kernel_candidate():
         fiber_orientation_sign(prob, bad)
 
 
+def test_fiber_rejects_candidate_just_outside_the_kernel():
+    # ker(dg - df) = ker[-1, 0, 1] is spanned by (1, 0, 1) and (0, 1, 0);
+    # the second column misses it by 1/1000 in its last entry
+    prob = LinearFiberProblem.build([[Fraction(1), Fraction(0)]],
+                                    [[Fraction(1)]], 2, 1, 1)
+    inside = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)],
+              [Fraction(1), Fraction(0)]]
+    assert fiber_orientation_sign(prob, inside) in (1, -1)
+    outside = [row[:] for row in inside]
+    outside[2][1] = Fraction(1, 1000)
+    with pytest.raises(OrientationError, match="does not lie in the kernel"):
+        fiber_orientation_sign(prob, outside)
+
+
 def test_fiber_consistent_with_ses_sign():
     """Internal consistency: the fiber orientation is the unique one
     making the defining sequence orientation-compatible, so recomputing
