@@ -11,6 +11,7 @@ configurations produce byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -156,6 +157,8 @@ def _dim0_worklist(target, tuples):
 
 def run_enumerate(bundle, atom_bundle, config, rep):
     target = bundle.target
+    # the class parts repeat a few predecessors many times
+    label = functools.cache(_tuple_label)
     tuples = atom_bundle.tuples if atom_bundle else []
     rows = []
     class_rows = []
@@ -163,16 +166,16 @@ def run_enumerate(bundle, atom_bundle, config, rep):
         classes = target.degeneration_classes(alpha)
         raw = sum(count for _, count in classes)
         rows.append((
-            _tuple_label(alpha), target.dimension(alpha),
+            label(alpha), target.dimension(alpha),
             len(target.predecessors(alpha)), len(classes), raw,
             "yes" if target.in_closed_image(alpha.beta) else "no",
         ))
         for eta, count in classes:
             class_rows.append((
-                _tuple_label(alpha),
+                label(alpha),
                 ",".join(str(c) for c in eta.center_degree.coords),
                 ",".join(sorted(eta.center_descriptors)) or "-",
-                "|".join(_tuple_label(p) for p in eta.parts) or "-",
+                "|".join(label(p) for p in eta.parts) or "-",
                 count,
             ))
     rep.table("tuples",

@@ -17,6 +17,7 @@ Parse failures carry file, line and column.
 from __future__ import annotations
 
 import json
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,6 +57,15 @@ def _integer(value):
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise FileFormatError("expected an integer, got %r" % (value,))
+
+
+def _index(key):
+    """An object key naming an index: an optional minus sign and ASCII
+    digits only, so " +2 " or "0_3" is refused rather than read as 2 or
+    3."""
+    if not re.fullmatch(r"-?[0-9]+", key):
+        raise FileFormatError("expected an integer index key, got %r" % (key,))
+    return int(key)
 
 
 def rational_str(value):
@@ -133,11 +143,11 @@ def load_target(path):
                     if c.get("restriction") is not None else None
                 ),
                 deg2_pairings={
-                    int(k): [_rational(x) for x in v]
+                    _index(k): [_rational(x) for x in v]
                     for k, v in c.get("deg2_pairings", {}).items()
                 },
                 lk_os_star={
-                    int(k): _rational(v)
+                    _index(k): _rational(v)
                     for k, v in c.get("lk_os_star", {}).items()
                 },
                 sphere_index=(

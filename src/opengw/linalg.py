@@ -1,10 +1,10 @@
 """Exact linear algebra over the rationals and the integers.
 
-Everything the sign calculus needs: determinants, kernels, one-sided
-inverses, and an integer Smith normal form for lattice-image membership.
-Matrices are plain lists of lists of Fraction or int.  The rational
-routines scale each row to integers, eliminate fraction-free and build
-Fractions only for their results; dimensions stay small, so
+Everything the sign calculus needs: determinants, ranks, kernels,
+linear solves, and an integer Smith normal form for lattice-image
+membership.  Matrices are plain lists of lists of Fraction or int.  The
+rational routines scale each row to integers, eliminate fraction-free
+and build Fractions only for their results; dimensions stay small, so
 straightforward elimination wins over any heavyweight dependency.
 """
 
@@ -128,13 +128,14 @@ def _det_field(a):
     return result
 
 
-def _echelon(a):
-    """Row-reduce the rational matrix `a`; return (rref matrix of
-    Fractions, pivot columns).
+def _int_echelon(a):
+    """Row-reduce the rational matrix `a` in integers; return (integer
+    rows, pivot columns).
 
     Fraction-free Gauss-Jordan: each row is scaled to integers, rows are
-    combined in integers and divided by their content, and each pivot
-    row is divided by its pivot once, for the output.
+    combined in integers and divided by their content.  Row i < the
+    number of pivots has its pivot at pivots[i] and zeros in every other
+    pivot column; the rows below are zero.
     """
     m = []
     for row in a:
@@ -163,10 +164,19 @@ def _echelon(a):
         r += 1
         if r == rows:
             break
+    return m, pivots
+
+
+def _echelon(a):
+    """Row-reduce the rational matrix `a`; return (rref matrix of
+    Fractions, pivot columns).  Each pivot row of `_int_echelon` is
+    divided by its pivot once, for the output."""
+    m, pivots = _int_echelon(a)
+    cols = len(m[0]) if m else 0
     zero = Fraction(0)
     out = []
     for i, row in enumerate(m):
-        if i < r:
+        if i < len(pivots):
             p = row[pivots[i]]
             out.append([Fraction(x, p) if x else zero for x in row])
         else:
@@ -177,7 +187,7 @@ def _echelon(a):
 def rank(a):
     if not a or not a[0]:
         return 0
-    return len(_echelon(a)[1])
+    return len(_int_echelon(a)[1])
 
 
 def nullspace(a):
@@ -220,11 +230,6 @@ def solve(a, b):
         if any(red[r][cols + j] != 0 for j in range(k)):
             return None
     return [row[0] for row in x] if vector else x
-
-
-def right_inverse(a):
-    """A matrix J with A J = I; None when A is not surjective."""
-    return solve(a, identity(len(a)))
 
 
 def columns_matrix(vectors):

@@ -207,7 +207,7 @@ def _packed_trees(m):
     )
 
 
-def _trees(m, cap):
+def tree_edge_indices(m, cap=DEFAULT_TREE_CAP):
     """Iterate over the spanning trees on m vertices, each a sorted tuple
     of edge indices into itertools.combinations(range(m), 2).  m above
     the cap is refused before any work, since the count m^(m-2)
@@ -230,7 +230,7 @@ def spanning_trees(m, cap=DEFAULT_TREE_CAP):
     Pruefer decoding; m above the cap is refused since the count m^(m-2)
     explodes.
     """
-    trees = _trees(m, cap)
+    trees = tree_edge_indices(m, cap)
     edges = list(itertools.combinations(range(m), 2))
     return [frozenset([edges[k] for k in tree]) for tree in trees]
 
@@ -247,7 +247,7 @@ def _tree_sum(m, weights, ring, cap):
     edge weights.  Over QQ with rational weights the products are taken
     in integers, over the weights' common denominator, and divided once;
     any other ring multiplies its own elements."""
-    trees = _trees(m, cap)
+    trees = tree_edge_indices(m, cap)
     scaled = integer_scaled(weights) if isinstance(ring, Rationals) else None
     if scaled is not None:
         ints, den = scaled
@@ -502,7 +502,7 @@ def conjugation_cancellation_check(tuples, table, involution, ring=QQ,
                            tree_cap)
         multi_total = multi_total + (weight if sgn > 0 else -weight)
         edges = list(itertools.combinations(range(m), 2))
-        for tree in _trees(m, tree_cap):
+        for tree in tree_edge_indices(m, tree_cap):
             pair_count += 1
             deg = [0] * m
             for k in tree:

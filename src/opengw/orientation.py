@@ -17,8 +17,11 @@ M x G as the kernel of (v, w) |-> dg(w) - df(v), and is oriented so that
     0 -> T(fiber) -> T(M x G) -> TX -> 0
 
 is orientation-compatible, with the product orientation in the middle.
-Only transverse problems are oriented; a non-surjective combined map is
-a hard error, never a sign 0.
+Any complement of the fiber that the combined map carries isomorphically
+onto TX splits this sequence; the sign is read off the transpose of the
+combined map, whose columns span the orthogonal complement of the fiber
+(see `fiber_orientation_sign`).  Only transverse problems are oriented;
+a non-surjective combined map is a hard error, never a sign 0.
 """
 
 from __future__ import annotations
@@ -57,6 +60,10 @@ class OrientedSpace:
             raise OrientationError("orientation sign must be +1 or -1")
 
 
+def _fraction(x):
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
 @dataclass(frozen=True)
 class LinearFiberProblem:
     """Oriented linear data for a fiber product M x_X G.
@@ -74,8 +81,8 @@ class LinearFiberProblem:
 
     @staticmethod
     def build(df_rows, dg_rows, dim_m, dim_g, dim_x, sign_m=1, sign_g=1, sign_x=1):
-        df = [tuple(Fraction(x) for x in row) for row in df_rows]
-        dg = [tuple(Fraction(x) for x in row) for row in dg_rows]
+        df = [tuple(map(_fraction, row)) for row in df_rows]
+        dg = [tuple(map(_fraction, row)) for row in dg_rows]
         if len(df) != dim_x or any(len(r) != dim_m for r in df):
             raise OrientationError("df has the wrong shape")
         if len(dg) != dim_x or any(len(r) != dim_g for r in dg):
@@ -101,14 +108,21 @@ class LinearFiberProblem:
         return self._combined
 
     @cached_property
+    def surjective(self):
+        """Whether the combined map is onto Q^{dim X}, i.e. whether the
+        problem is transverse; decided once per problem."""
+        dim_x = self.space_x.dim
+        return dim_x == 0 or linalg.rank(self._combined) == dim_x
+
+    @cached_property
     def _combined(self):
         dim_x = self.space_x.dim
         dim_m = self.space_m.dim
         dim_g = self.space_g.dim
         rows = []
         for i in range(dim_x):
-            neg = [-Fraction(x) for x in (self.df[i] if self.df else [])]
-            pos = [Fraction(x) for x in (self.dg[i] if self.dg else [])]
+            neg = [-_fraction(x) for x in (self.df[i] if self.df else [])]
+            pos = [_fraction(x) for x in (self.dg[i] if self.dg else [])]
             if len(neg) != dim_m or len(pos) != dim_g:
                 raise OrientationError("map rows do not match declared dims")
             rows.append(neg + pos)
@@ -163,6 +177,17 @@ def fiber_orientation_sign(prob, candidate_basis):
     candidate_basis: columns spanning ker(dg - df) inside Q^{dim M + dim G}.
     Returns +1 when the candidate is positively oriented for the fiber
     product orientation of prob, else -1.
+
+    With A the combined map and J any right inverse of it, the columns
+    of J split the defining sequence, so the orientation is the sign of
+    det[cand | J].  The sign is read off det[cand | A^T] instead, which
+    needs no inverse: over Q the rows of A span the orthogonal
+    complement of ker A, and A^T = J (A A^T) + (columns in ker A), so
+    det[cand | A^T] = det[cand | J] det(A A^T).  A A^T is the Gram
+    matrix of the independent rows of A, so its determinant is
+    positive.  For the same reason det[cand | A^T] is nonzero exactly
+    when a candidate inside ker A has full rank, so one determinant also
+    decides whether it spans the kernel.
     """
     combined = prob.combined_map()
     dim_x = prob.space_x.dim
@@ -170,23 +195,17 @@ def fiber_orientation_sign(prob, candidate_basis):
     d = prob.fiber_dim
     if d < 0:
         raise TransversalityError("fiber dimension would be negative")
-    if dim_x and linalg.rank(combined) != dim_x:
+    if not prob.surjective:
         raise TransversalityError("combined map dg - df is not surjective")
     cand = linalg.mat(candidate_basis) if d else [[] for _ in range(n)]
     if d:
         if len(cand) != n or len(cand[0]) != d:
             raise OrientationError("candidate basis has the wrong shape")
-        if linalg.rank(cand) != d:
-            raise OrientationError("candidate does not span the kernel")
         if dim_x and not linalg.product_is_zero(combined, cand):
+            if linalg.rank(cand) != d:
+                raise OrientationError("candidate does not span the kernel")
             raise OrientationError("candidate does not lie in the kernel")
-    if dim_x:
-        j = linalg.right_inverse(combined)
-        if j is None:
-            raise TransversalityError("combined map dg - df is not surjective")
-        assembled = [list(cand[i] if d else []) + list(j[i]) for i in range(n)]
-    else:
-        assembled = cand
+    assembled = [cand[i] + [row[i] for row in combined] for i in range(n)]
     dd = linalg.det(assembled) if n else Fraction(1)
     if dd == 0:
         raise OrientationError("candidate does not span the kernel")

@@ -46,10 +46,14 @@ def integer_scaled(values):
     to ints[i] / d and d the lcm of their denominators; None when some
     value is not an int or a Fraction.  The exact kernels run on ints
     and build Fractions only for their output."""
-    if not all(isinstance(v, (int, Fraction)) for v in values):
-        return None
-    d = math.lcm(*[v.denominator for v in values])
-    return [v.numerator * (d // v.denominator) for v in values], d
+    for v in values:
+        if not isinstance(v, (int, Fraction)):
+            return None
+    dens = [v.denominator for v in values]
+    d = math.lcm(*dens)
+    if d == 1:
+        return [v.numerator for v in values], 1
+    return [v.numerator * (d // q) for v, q in zip(values, dens)], d
 
 
 class ModElement:

@@ -4,7 +4,8 @@ The orientation oracles live in `opengw.selfcheck`; the tests import them
 from there and pass their own seeds and scales.  This module keeps what
 only the tests need: two determinants to cross-check `linalg.det` (a
 Bareiss elimination in Fractions and a permutation expansion that
-eliminates nothing), the synthetic instance generator and a writer of
+eliminates nothing), a right inverse for the splitting route to the
+fiber product orientation, the synthetic instance generator and a writer of
 its instances as input documents, the direct class-level enumerator of
 degeneration classes and the raw expansion into ordered splittings
 (both independent of the live-class generator behind
@@ -60,6 +61,13 @@ def det_leibniz(a):
             term = term * a[i][j]
         total = total + term
     return total
+
+
+def right_inverse(a):
+    """A matrix J with A J = I; None when A is not surjective."""
+    from opengw import linalg
+
+    return linalg.solve(a, linalg.identity(len(a)))
 
 
 def make_rng(seed):

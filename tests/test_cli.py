@@ -420,12 +420,17 @@ def _replaced(doc, path, value):
     ("wdvv-solve", "seeds", ("entries", 0, "insertions", 0), 2.5),
     ("wdvv-solve", "seeds",
      ("beta_zero", 0, "corrections", 0, "closed_degree", 0), False),
+    ("enumerate", "target", ("cohomology", "deg2_pairings"),
+     {" +2 ": ["1/2"]}),
+    ("enumerate", "target", ("cohomology", "lk_os_star"), {"0_3": "1/2"}),
+    ("enumerate", "target", ("cohomology", "lk_os_star"), {"+3": "1/2"}),
 ], ids=["area-1/0", "maslov-infinite", "deg2-pairings-list", "linking-1/0",
         "closed-value-2/0", "beta-zero-null", "maslov-4.9", "codim-4.5",
         "w2-sign-true", "q-matrix-float", "cohomology-degree-float",
         "atom-sign-true", "atom-degree-float", "degree-map-1.5",
         "tuple-degree-2.5", "closed-insertion-float", "seed-insertion-2.5",
-        "closed-degree-false"])
+        "closed-degree-false", "deg2-pairings-key-padded",
+        "lk-os-star-key-underscore", "lk-os-star-key-plus"])
 def test_malformed_document_is_one_line_error(tmp_path, capsys, pipeline,
                                               kind, path, value):
     paths = toy_paths()

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from opengw import linalg
 from opengw.orientation import (
@@ -27,7 +28,7 @@ from opengw.selfcheck import (
     sign_of,
 )
 
-from support import det_bareiss, make_rng
+from support import det_bareiss, make_rng, right_inverse
 
 
 # --- exact_sequence_sign -------------------------------------------------
@@ -161,6 +162,18 @@ def test_combined_map_is_built_once_per_problem():
                                             2, 1, 1)
 
 
+def test_surjectivity_is_decided_once_per_problem(monkeypatch):
+    prob = LinearFiberProblem.build([[1, 0]], [[1]], 2, 1, 1)
+    ranked = []
+    rank = linalg.rank
+    monkeypatch.setattr(linalg, "rank", lambda a: ranked.append(a) or rank(a))
+    kernel = [[1, 0], [0, 1], [1, 0]]
+    assert prob.surjective
+    for _ in range(3):
+        assert fiber_orientation_sign(prob, kernel) == 1
+    assert ranked == [prob.combined_map()]
+
+
 def test_fiber_rejects_non_transverse():
     df = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(0)]]
     dg = [[Fraction(0)], [Fraction(0)]]
@@ -192,6 +205,56 @@ def test_fiber_rejects_candidate_just_outside_the_kernel():
         fiber_orientation_sign(prob, outside)
 
 
+# ker[-1, 0, 1] is spanned by (1, 0, 1) and (0, 1, 0)
+_LINE = ([[1, 0]], [[1]], 2, 1, 1)
+
+
+@pytest.mark.parametrize("problem, candidate, error, message", [
+    (([[1, 0], [0, 0]], [[0], [0]], 2, 1, 2), [[1], [0], [0]],
+     TransversalityError, "not surjective"),
+    (_LINE, [[1, 1], [0, 0], [0, 0]], OrientationError, "does not span"),
+    (_LINE, [[1, 1], [0, 0], [1, 1]], OrientationError, "does not span"),
+    (([], [], 2, 1, 0), [[1, 1, 0], [0, 0, 0], [0, 0, 1]],
+     OrientationError, "does not span"),
+], ids=["non-surjective-bad-candidate", "rank-deficient-outside-kernel",
+        "rank-deficient-inside-kernel", "point-target-rank-deficient"])
+def test_fiber_error_precedence(problem, candidate, error, message):
+    """Transversality is decided first; a rank-deficient candidate fails
+    to span whether or not it lies in the kernel."""
+    prob = LinearFiberProblem.build(*problem)
+    with pytest.raises(error, match=message):
+        fiber_orientation_sign(prob, candidate)
+
+
+NONZERO = st.builds(lambda s, p, q: Fraction(s * p, q),
+                    st.sampled_from((1, -1)), st.integers(1, 6),
+                    st.integers(1, 4))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_transpose_complement_matches_right_inverse(seed, data):
+    """The sign read off [cand | A^T] is the sign of [cand | J] for a
+    right inverse J of the combined map A, over random problems, random
+    kernel bases and column scalings of either sign."""
+    rng = make_rng(seed)
+    prob = random_fiber_problem(rng, max_dim=4)
+    n = prob.space_m.dim + prob.space_g.dim
+    dim_x = prob.space_x.dim
+    d = prob.fiber_dim
+    combined = prob.combined_map()
+    kernel = linalg.nullspace(combined) if dim_x else linalg.identity(n)
+    mix = rand_matrix(rng, d, d)
+    assume(det_bareiss(mix) != 0)
+    scales = data.draw(st.lists(NONZERO, min_size=d, max_size=d))
+    cand = [[sum(kernel[t][i] * mix[t][j] for t in range(d)) * scales[j]
+             for j in range(d)] for i in range(n)]
+    j = right_inverse(combined) if dim_x else [[] for _ in range(n)]
+    expected = (sign_of(det_bareiss([cand[i] + j[i] for i in range(n)]))
+                * prob.space_m.sign * prob.space_g.sign * prob.space_x.sign)
+    assert fiber_orientation_sign(prob, cand) == expected
+
+
 def test_fiber_consistent_with_ses_sign():
     """Internal consistency: the fiber orientation is the unique one
     making the defining sequence orientation-compatible, so recomputing
@@ -210,7 +273,7 @@ def test_fiber_consistent_with_ses_sign():
         kmat = linalg.columns_matrix(vecs)
         got = fiber_orientation_sign(prob, kmat if vecs else [[] for _ in range(n)])
         if dim_x:
-            j = linalg.right_inverse(combined)
+            j = right_inverse(combined)
             middle_sign = prob.space_m.sign * prob.space_g.sign
             ses = exact_sequence_sign(
                 OrientedSpace(n - dim_x, 1),
