@@ -29,16 +29,19 @@ configuration count.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
+from typing import NamedTuple
 
 from . import OpenGWError
 from .lattice import ConstraintTuple, DegenerationType
 from .multidisk import (
-    ConfigurationError,
     MultiDisk,
-    spanning_trees,
+    tree_edge_indices,
     tree_weight_sum,
     welschinger_count,
 )
@@ -68,9 +71,6 @@ class BoundingChain:
             if name == loop:
                 return value
         return ring.zero
-
-    def as_dict(self):
-        return dict(self.boundary)
 
 
 def point_chain(target, label):
@@ -346,212 +346,259 @@ def invariant_via_weights(alpha, table, target, chains, ring=QQ,
 # --- decorated configurations and the branch bijection ----------------------
 
 
-def _loop_edges(tree_indices, atoms):
-    return frozenset(
-        frozenset((atoms[i].loop, atoms[j].loop)) for i, j in tree_indices
-    )
+class Decorated(NamedTuple):
+    """A configuration with a distinguished disk and a spanning tree, packed.
 
-
-@dataclass(frozen=True)
-class DecoratedMultiDisk:
-    """A configuration with a distinguished disk and a spanning tree.
-
-    The tree is a set of unordered loop-id pairs over the configuration's
-    boundary loops.
+    center indexes config.atoms; tree is a tuple of edge indices into
+    itertools.combinations(range(len(config)), 2), as
+    `multidisk.tree_edge_indices` yields it.  Trees come only from that
+    table, so a packed tree is a spanning tree by construction.
     """
 
     config: MultiDisk
-    center: object
-    tree: frozenset
-
-    def __post_init__(self):
-        if self.center not in self.config.atoms:
-            raise ConfigurationError("distinguished disk not in the configuration")
-        loops = {a.loop for a in self.config.atoms}
-        m = len(loops)
-        if len(self.tree) != m - 1:
-            raise ConfigurationError("tree must have exactly m - 1 edges")
-        adj = {l: set() for l in loops}
-        for edge in self.tree:
-            a, b = tuple(edge)
-            if a not in loops or b not in loops:
-                raise ConfigurationError("tree edge outside the configuration")
-            adj[a].add(b)
-            adj[b].add(a)
-        seen = set()
-        stack = [next(iter(loops))]
-        while stack:
-            node = stack.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            stack.extend(adj[node])
-        if seen != loops:
-            raise ConfigurationError("tree does not span the configuration")
-
-    def sort_key(self):
-        return (
-            tuple(a.loop for a in self.config.atoms),
-            self.center.loop,
-            tuple(sorted(tuple(sorted(e)) for e in self.tree)),
-        )
+    center: int
+    tree: tuple
 
 
-@dataclass(frozen=True)
-class BranchDecomposition:
+class BranchCut(NamedTuple):
     """The cut-at-the-center form of a decorated configuration.
 
-    parts mirrors the degeneration type: one bare point part per point
-    constraint on the center, one part per branch.  branches holds, in
-    canonical order, (part tuple, attached decorated sub-configuration).
+    eta is the canonical splitting: one bare point part per point of the
+    center disk, one part per branch.  branches holds (part tuple,
+    decorated sub-configuration) pairs, ordered by part and then by
+    loops; a branch's distinguished disk is the one joined to the center.
     """
 
     eta: DegenerationType
     center: object
     branches: tuple
 
-    def sort_key(self):
-        return (
-            self.eta.sort_key(),
-            self.center.loop,
-            tuple(b.sort_key() for _, b in self.branches),
-        )
+
+@functools.cache
+def _edge_pairs(m):
+    return tuple(itertools.combinations(range(m), 2))
+
+
+def _edge_index(i, j, m):
+    """The index of edge {i, j} in itertools.combinations(range(m), 2)."""
+    if i > j:
+        i, j = j, i
+    return i * (2 * m - i - 3) // 2 + j - 1
+
+
+@functools.cache
+def _tree_table(m):
+    return frozenset(tree_edge_indices(m, cap=m))
 
 
 def decorated_multidisks(alpha, table, tree_cap=None):
-    """All (configuration, center, spanning tree) triples for the tuple."""
-    out = []
+    """All decorated configurations of the tuple, packed: every
+    configuration with every tree of the tree table and every
+    distinguished disk."""
     kwargs = {} if tree_cap is None else {"cap": tree_cap}
-    for config in table.multi_disks(alpha):
-        m = len(config)
-        for tree_idx in spanning_trees(m, **kwargs) if m > 1 else [frozenset()]:
-            tree = _loop_edges(tree_idx, config.atoms)
-            for center in config.atoms:
-                out.append(DecoratedMultiDisk(config, center, tree))
-    out.sort(key=DecoratedMultiDisk.sort_key)
-    return out
+    return [
+        Decorated(config, center, tree)
+        for config in table.multi_disks(alpha)
+        for tree in tree_edge_indices(len(config), **kwargs)
+        for center in range(len(config))
+    ]
 
 
-def to_branches(decorated, target):
+def to_branches(decorated, target, memo=None):
     """Cut the tree at the distinguished disk.
 
-    Each branch keeps its subtree, and its attachment vertex (the disk
-    that was linked to the center) becomes its distinguished disk.
+    Each neighbour of the center roots one branch: the subtree behind
+    it, on its own atoms, with that neighbour as its distinguished disk.
+    `memo` maps a branch's loop tuple to its sub-configuration, part
+    tuple and part sort key, and a center's loop to its point parts;
+    calls on one target may share it.
     """
-    config = decorated.config
-    center = decorated.center
-    others = [a for a in config.atoms if a.loop != center.loop]
-    adj = {}
-    for edge in decorated.tree:
-        a, b = tuple(edge)
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
-    by_loop = {a.loop: a for a in config.atoms}
+    memo = {} if memo is None else memo
+    config, c, tree = decorated
+    atoms = config.atoms
+    m = len(atoms)
+    pairs = _edge_pairs(m)
+    adj = [[] for _ in range(m)]
+    for k in tree:
+        i, j = pairs[k]
+        adj[i].append(j)
+        adj[j].append(i)
+    root_of = [None] * m
+    root_of[c] = c
     components = []
-    unvisited = {a.loop for a in others}
-    while unvisited:
-        start = min(unvisited)
-        comp = set()
-        stack = [start]
-        while stack:
-            node = stack.pop()
-            if node in comp or node == center.loop:
-                continue
-            comp.add(node)
-            stack.extend(adj.get(node, ()))
-        unvisited -= comp
-        components.append(comp)
+    for root in adj[c]:
+        root_of[root] = root
+        comp = [root]
+        for v in comp:  # grows while it is walked
+            for w in adj[v]:
+                if root_of[w] is None:
+                    root_of[w] = root
+                    comp.append(w)
+        comp.sort()
+        components.append((root, comp))
+    edges_of = {root: [] for root in adj[c]}
+    for k in tree:
+        i, j = pairs[k]
+        if c not in (i, j):
+            edges_of[root_of[i]].append((i, j))
     branches = []
-    for comp in components:
-        attach = [
-            l for l in comp if center.loop in adj.get(l, ())
+    for root, comp in components:
+        loops = tuple(atoms[v].loop for v in comp)
+        entry = memo.get(loops)
+        if entry is None:
+            sub = MultiDisk(tuple(atoms[v] for v in comp))
+            part = ConstraintTuple(sub.total_degree(), sub.total_points(),
+                                   sub.total_descriptors())
+            entry = memo[loops] = (sub, part, part.sort_key())
+        sub, part, key = entry
+        pos = {v: k for k, v in enumerate(comp)}
+        s = len(comp)
+        sub_tree = tuple(sorted(
+            _edge_index(pos[i], pos[j], s) for i, j in edges_of[root]
+        ))
+        branches.append((key, loops, part, Decorated(sub, pos[root], sub_tree)))
+    branches.sort(key=itemgetter(0, 1))
+    center = atoms[c]
+    points = memo.get(center.loop)
+    if points is None:
+        points = memo[center.loop] = [
+            (pt.sort_key(), pt)
+            for pt in map(target.point_tuple, center.points)
         ]
-        if len(attach) != 1:
-            raise ConfigurationError("tree branch attaches more than once")
-        atoms = tuple(by_loop[l] for l in sorted(comp))
-        sub_tree = frozenset(
-            e for e in decorated.tree if all(x in comp for x in e)
-        )
-        sub = DecoratedMultiDisk(MultiDisk(atoms), by_loop[attach[0]], sub_tree)
-        beta = sub.config.total_degree()
-        part = ConstraintTuple(
-            beta, sub.config.total_points(), sub.config.total_descriptors()
-        )
-        branches.append((part, sub))
-    point_parts = [target.point_tuple(p) for p in sorted(center.points)]
-    all_parts = point_parts + [p for p, _ in branches]
-    all_parts.sort(key=ConstraintTuple.sort_key)
-    eta = DegenerationType(
-        center.degree, center.descriptors, tuple(all_parts)
-    )
-    branches.sort(key=lambda pb: (pb[0].sort_key(), pb[1].sort_key()))
-    return BranchDecomposition(eta, center, tuple(branches))
+    keyed = [(key, part) for key, _, part, _ in branches] + points
+    keyed.sort(key=itemgetter(0))
+    eta = DegenerationType(center.degree, center.descriptors,
+                           tuple(part for _, part in keyed))
+    return BranchCut(eta, center,
+                     tuple((part, sub) for _, _, part, sub in branches))
 
 
-def from_branches(decomposition, target):
-    """Reattach the branches to the center (inverse of to_branches)."""
-    center = decomposition.center
-    atoms = [center]
-    edges = set()
-    for part, sub in decomposition.branches:
-        total = ConstraintTuple(
-            sub.config.total_degree(),
-            sub.config.total_points(),
-            sub.config.total_descriptors(),
-        )
-        if total != part:
-            raise ConfigurationError(
-                "branch contents contradict the splitting part %r" % (part,)
-            )
-        atoms.extend(sub.config.atoms)
-        edges |= sub.tree
-        edges.add(frozenset((center.loop, sub.center.loop)))
-    expected_parts = sorted(
-        [target.point_tuple(p) for p in center.points]
-        + [p for p, _ in decomposition.branches],
-        key=ConstraintTuple.sort_key,
-    )
-    if tuple(expected_parts) != tuple(
-        sorted(decomposition.eta.parts, key=ConstraintTuple.sort_key)
-    ):
-        raise ConfigurationError("splitting parts contradict the branches")
-    return DecoratedMultiDisk(
-        MultiDisk(tuple(atoms)), center, frozenset(edges)
-    )
+def from_branches(cut):
+    """Reattach the branches to the center (the inverse of to_branches)."""
+    center = cut.center
+    config = MultiDisk((center,) + tuple(
+        a for _, sub in cut.branches for a in sub.config.atoms
+    ))
+    m = len(config)
+    index = {a.loop: k for k, a in enumerate(config.atoms)}
+    c = index[center.loop]
+    tree = []
+    for _, sub in cut.branches:
+        at = [index[a.loop] for a in sub.config.atoms]
+        pairs = _edge_pairs(len(at))
+        for k in sub.tree:
+            i, j = pairs[k]
+            tree.append(_edge_index(at[i], at[j], m))
+        tree.append(_edge_index(c, at[sub.center], m))
+    tree.sort()
+    return Decorated(config, c, tuple(tree))
 
 
-def branch_decompositions(alpha, table, target, decorated=None):
-    """Independent enumeration of branch decompositions (the quotient
-    side of the bijection), built from splittings and sub-configurations
-    rather than by cutting trees.
+def _branch_classes(alpha, decorated, table, target):
+    """The quotient side of the branch bijection of alpha, class by class.
 
-    `decorated` maps tuples to their `decorated_multidisks`, so that one
-    map can serve every tuple of a run; a part missing from it is
-    decorated here with the default tree cap.
+    Returns (parts, classes): parts maps each dimension-0, non-point
+    predecessor of alpha with decorated configurations to them; classes
+    lists (splitting, center disks, slot parts) for every class of alpha
+    through a table tuple as center and those parts, and gives the
+    number of branch decompositions of each class as |center disks|
+    times the product over slots of |decorated(part)|.  That count is
+    exact when every atom carries a label: the atoms of the center and
+    of distinct parts are then distinct, and no two parts of a class are
+    equal.  A table with an unlabeled atom raises ChainError.
+
+    `decorated` maps alpha and each of its dimension-0, non-point
+    predecessors to its `decorated_multidisks`.
     """
-    known = {} if decorated is None else decorated
-    parts = {}
-    for part in target.predecessors(alpha):
-        if target.dimension(part) == 0 and not part.is_point_tuple():
-            dmds = known.get(part)
-            if dmds is None:
-                dmds = decorated_multidisks(part, table)
-            if dmds:
-                parts[part] = dmds
-    out = set()
-    for eta, _count in target._classes_through(
-        alpha, _center_triples(table), parts
-    ):
-        slot_parts = [eta.parts[i] for i in eta.chain_slots()]
-        slot_dmds = [parts[part] for part in slot_parts]
-        for center_atom in table.single_disks(eta.center_tuple()):
-            for assignment in itertools.product(*slot_dmds):
-                branches = sorted(
-                    zip(slot_parts, assignment),
-                    key=lambda pb: (pb[0].sort_key(), pb[1].sort_key()),
-                )
-                out.add(BranchDecomposition(eta, center_atom, tuple(branches)))
-    return sorted(out, key=BranchDecomposition.sort_key)
+    for atom in table.atoms:
+        if not atom.points and not atom.descriptors:
+            raise ChainError(
+                "atom on loop %r carries no point or descriptor label; the "
+                "branch decompositions are counted only over labeled atoms"
+                % (atom.loop,)
+            )
+    preds = target.predecessors(alpha)
+    for part in preds + [alpha]:
+        if (target.dimension(part) == 0 and not part.is_point_tuple()
+                and part not in decorated):
+            raise ChainError(
+                "no decorated configurations given for %r" % (part,)
+            )
+    parts = {
+        part: decorated[part] for part in preds
+        if target.dimension(part) == 0 and not part.is_point_tuple()
+        and decorated[part]
+    }
+    classes = [
+        (eta, table.single_disks(eta.center_tuple()),
+         tuple(eta.parts[i] for i in eta.chain_slots()))
+        for eta, _count in target._classes_through(
+            alpha, _center_triples(table), parts
+        )
+    ]
+    return parts, classes
+
+
+def _class_size(centers, slots, parts):
+    return len(centers) * math.prod(len(parts[part]) for part in slots)
+
+
+def branch_decomposition_count(alpha, decorated, table, target):
+    """The number of branch decompositions of alpha, counted per class
+    without building one (see `_branch_classes`)."""
+    parts, classes = _branch_classes(alpha, decorated, table, target)
+    return sum(_class_size(centers, slots, parts)
+               for _eta, centers, slots in classes)
+
+
+def branch_bijection_failures(alpha, decorated, table, target):
+    """The steps of the branch-bijection proof that fail for alpha; ()
+    when cutting at the center is a bijection from the decorated
+    configurations of alpha onto its branch decompositions.
+
+    1. from_branches(to_branches(d)) == d for every d: a left inverse,
+       so the cut is injective.
+    2. Every image is a branch decomposition, checked structurally: its
+       splitting is one of the classes of `_branch_classes`, its center
+       disk realizes that class's center tuple, its branches carry the
+       class's slot parts, and each branch is a configuration of its
+       part with a tree of the tree table.
+    3. The number of decorated configurations equals the class-level
+       count of branch decompositions.
+
+    Steps 1 and 2 make the cut an injection into the decompositions and
+    step 3 makes it onto them.  The arguments are those of
+    `_branch_classes`, which raises for a table with an unlabeled atom.
+    """
+    parts, classes = _branch_classes(alpha, decorated, table, target)
+    failed = []
+    memo = {}
+    images = [to_branches(d, target, memo) for d in decorated[alpha]]
+    if any(from_branches(b) != d for d, b in zip(decorated[alpha], images)):
+        failed.append(1)
+    by_eta = {eta: (centers, slots) for eta, centers, slots in classes}
+    configs = {}
+
+    def is_branch_of(part, sub):
+        if part not in configs:
+            configs[part] = frozenset(d.config for d in parts.get(part, ()))
+        return (sub.config in configs[part]
+                and 0 <= sub.center < len(sub.config)
+                and sub.tree in _tree_table(len(sub.config)))
+
+    for b in images:
+        centers, slots = by_eta.get(b.eta, ((), None))
+        if (b.center not in centers
+                or tuple(part for part, _ in b.branches) != slots
+                or not all(is_branch_of(part, sub)
+                           for part, sub in b.branches)):
+            failed.append(2)
+            break
+    count = sum(_class_size(centers, slots, parts)
+                for _eta, centers, slots in classes)
+    if count != len(decorated[alpha]):
+        failed.append(3)
+    return tuple(failed)
 
 
 # --- headline comparison ------------------------------------------------------

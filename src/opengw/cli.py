@@ -22,15 +22,13 @@ from fractions import Fraction
 from . import OpenGWError, fileio, selfcheck
 from .bounding_chain import (
     assemble_boundary,
+    branch_bijection_failures,
     build_chains,
     constant_center_classes,
-    branch_decompositions,
     decorated_multidisks,
     direct_boundary,
-    from_branches,
     invariant_via_degree,
     invariant_via_weights,
-    to_branches,
     verify_welschinger_relation,
 )
 from .lattice import ConstraintTuple
@@ -396,24 +394,15 @@ def run_verify_all(bundle, atom_bundle, closed, seeds, config, rep):
         bij_bad = []
         bij_count = 0
         # every dimension-0 part of a worklist tuple is in the worklist,
-        # so this one map serves both sides of every tuple's bijection
+        # so this one map serves every tuple's check
         decorated_by_tuple = {
             alpha: decorated_multidisks(alpha, table, tree_cap=config.cap_trees)
             for alpha in worklist
         }
         for alpha in worklist:
-            decorated = decorated_by_tuple[alpha]
-            images = [to_branches(d, target) for d in decorated]
-            bij_count += len(decorated)
-            if len(set(images)) != len(decorated):
-                bij_bad.append(alpha)
-                continue
-            if set(images) != set(branch_decompositions(
-                    alpha, table, target, decorated=decorated_by_tuple)):
-                bij_bad.append(alpha)
-                continue
-            if any(from_branches(b, target) != d
-                   for d, b in zip(decorated, images)):
+            bij_count += len(decorated_by_tuple[alpha])
+            if branch_bijection_failures(alpha, decorated_by_tuple, table,
+                                         target):
                 bij_bad.append(alpha)
         _tally(rep, "branch-bijection", bij_bad,
                "%d decorated configurations" % bij_count)

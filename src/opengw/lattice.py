@@ -100,10 +100,6 @@ class ConstraintDescriptor:
                 "descriptor %r: codim must be one of 2, 4, 6" % (self.ident,)
             )
 
-    @property
-    def deg_cohomology(self):
-        return self.codim
-
 
 @dataclass(frozen=True)
 class ConstraintTuple:
@@ -504,11 +500,6 @@ class Target:
         if len(coords) != self.closed_rank:
             raise TargetError("closed coords must have length %d" % self.closed_rank)
         return coords
-
-    def closed_area(self, coords):
-        return sum(
-            (a * c for a, c in zip(self.closed_areas, coords)), Fraction(0)
-        )
 
     def w2_sign(self, coords):
         """(-1)^(pairing of the orientation datum with B), multiplicative."""

@@ -71,6 +71,15 @@ def boundary_face_oracle(rng, face, max_dim):
     Returns (problem, observed sign) with [boundary orientation of the
     face] = observed sign * [fiber product orientation of the boundary
     problem].
+
+    The face basis is read off the kernel basis v_1..v_d: with v_o the
+    first vector whose cut coordinate is nonzero, it is
+    v_i - (v_i[cut] / v_o[cut]) v_o for i != o, and its coefficients in
+    kernel coordinates are written down directly.  The observed sign
+    does not depend on the face basis: changing it by a matrix P scales
+    the determinant of [face basis | outward] in kernel coordinates by
+    det P and flips the boundary problem's orientation sign of the face
+    basis by the sign of det P, so the two factors flip together.
     """
     while True:
         prob = random_fiber_problem(
@@ -80,14 +89,11 @@ def boundary_face_oracle(rng, face, max_dim):
         dim_m, dim_g = prob.space_m.dim, prob.space_g.dim
         dim_x = prob.space_x.dim
         n = dim_m + dim_g
-        combined = prob.combined_map()
         # the face cuts off the last coordinate of M or of G
         cut = dim_m - 1 if face == FACE_M else n - 1
-        kernel = _kernel_vectors(combined, n)
-        face_vecs = linalg.nullspace(
-            combined + [[Fraction(int(j == cut)) for j in range(n)]]
-        )
-        if len(face_vecs) != len(kernel) - 1:
+        kernel = _kernel_vectors(prob.combined_map(), n)
+        o = next((i for i, v in enumerate(kernel) if v[cut] != 0), None)
+        if o is None:
             continue  # the cut functional vanishes on the kernel
         if face == FACE_M:
             sub = LinearFiberProblem.build(
@@ -105,16 +111,18 @@ def boundary_face_oracle(rng, face, max_dim):
             )
         if not sub.surjective:
             continue
-        # outward vector: a kernel element with positive cut coordinate
-        outward = next((v for v in kernel if v[cut] != 0), None)
-        assert outward is not None
-        if outward[cut] < 0:
-            outward = [-x for x in outward]
-        kmat = linalg.columns_matrix(kernel)
-        sigma = fiber_orientation_sign(prob, kmat)
-        # [face basis | outward] in kernel coordinates
-        coeffs = linalg.solve(kmat, linalg.columns_matrix(face_vecs + [outward]))
-        assert coeffs is not None
+        v_o = kernel[o]
+        d = len(kernel)
+        face_vecs = []
+        coeffs = [[Fraction(0)] * d for _ in range(d)]
+        for col, i in enumerate(k for k in range(d) if k != o):
+            t = kernel[i][cut] / v_o[cut]
+            face_vecs.append([x - t * y for x, y in zip(kernel[i], v_o)])
+            coeffs[i][col] = Fraction(1)
+            coeffs[o][col] = -t
+        # outward vector: v_o, turned to a positive cut coordinate
+        coeffs[o][d - 1] = Fraction(sign_of(v_o[cut]))
+        sigma = fiber_orientation_sign(prob, linalg.columns_matrix(kernel))
         observed = sigma * sign_of(linalg.det(coeffs))
         # the same face basis, in the coordinates of the boundary problem
         dropped = [[v[i] for v in face_vecs] for i in range(n) if i != cut]

@@ -9,7 +9,9 @@ fiber product orientation, the synthetic instance generator and a writer of
 its instances as input documents, the direct class-level enumerator of
 degeneration classes and the raw expansion into ordered splittings
 (both independent of the live-class generator behind
-`Target.degeneration_classes`), and the open WDVV relation forms built
+`Target.degeneration_classes`), the quotient side of the branch
+bijection enumerated on loop-pair objects (the oracle for the packed
+check in `bounding_chain`), and the open WDVV relation forms built
 term by term to cross-check `wdvv1_form` and `wdvv2_form`.
 """
 
@@ -20,6 +22,7 @@ import math
 import os
 import random
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -384,6 +387,156 @@ def distinct_permutations(parts):
         a[j], a[l] = a[l], a[j]
         a[j + 1:] = reversed(a[j + 1:])
         out.append(tuple(values[i] for i in a))
+
+
+# --- the branch bijection on loop-pair objects -----------------------------
+
+
+@dataclass(frozen=True)
+class DecoratedMultiDisk:
+    """A configuration with a distinguished disk and a spanning tree.
+
+    The tree is a set of unordered loop-id pairs over the configuration's
+    boundary loops, and construction checks that it spans.
+    """
+
+    config: object
+    center: object
+    tree: frozenset
+
+    def __post_init__(self):
+        from opengw.multidisk import ConfigurationError
+
+        if self.center not in self.config.atoms:
+            raise ConfigurationError("distinguished disk not in the configuration")
+        loops = {a.loop for a in self.config.atoms}
+        if len(self.tree) != len(loops) - 1:
+            raise ConfigurationError("tree must have exactly m - 1 edges")
+        adj = {l: set() for l in loops}
+        for edge in self.tree:
+            a, b = tuple(edge)
+            if a not in loops or b not in loops:
+                raise ConfigurationError("tree edge outside the configuration")
+            adj[a].add(b)
+            adj[b].add(a)
+        seen = set()
+        stack = [next(iter(loops))]
+        while stack:
+            node = stack.pop()
+            if node in seen:
+                continue
+            seen.add(node)
+            stack.extend(adj[node])
+        if seen != loops:
+            raise ConfigurationError("tree does not span the configuration")
+
+    def sort_key(self):
+        return (
+            tuple(a.loop for a in self.config.atoms),
+            self.center.loop,
+            tuple(sorted(tuple(sorted(e)) for e in self.tree)),
+        )
+
+
+@dataclass(frozen=True)
+class BranchDecomposition:
+    """A splitting, a center disk, and (part tuple, decorated
+    sub-configuration) branches in canonical order."""
+
+    eta: object
+    center: object
+    branches: tuple
+
+    def sort_key(self):
+        return (
+            self.eta.sort_key(),
+            self.center.loop,
+            tuple(b.sort_key() for _, b in self.branches),
+        )
+
+
+def _canonical_branches(pairs):
+    return tuple(sorted(pairs, key=lambda pb: (pb[0].sort_key(),
+                                               pb[1].sort_key())))
+
+
+def loop_decorated_multidisks(alpha, table):
+    """All (configuration, center, spanning tree) triples of the tuple,
+    with `spanning_trees` edge sets turned into loop pairs."""
+    from opengw.multidisk import spanning_trees
+
+    out = []
+    for config in table.multi_disks(alpha):
+        m = len(config)
+        for edges in spanning_trees(m) if m > 1 else [frozenset()]:
+            tree = frozenset(
+                frozenset((config.atoms[i].loop, config.atoms[j].loop))
+                for i, j in edges
+            )
+            for center in config.atoms:
+                out.append(DecoratedMultiDisk(config, center, tree))
+    return out
+
+
+def loop_form(decorated):
+    """A packed `bounding_chain.Decorated` as a DecoratedMultiDisk."""
+    atoms = decorated.config.atoms
+    pairs = list(itertools.combinations(range(len(atoms)), 2))
+    return DecoratedMultiDisk(
+        decorated.config, atoms[decorated.center],
+        frozenset(frozenset((atoms[pairs[k][0]].loop, atoms[pairs[k][1]].loop))
+                  for k in decorated.tree),
+    )
+
+
+def decomposition_form(cut):
+    """A packed `bounding_chain.BranchCut` as a BranchDecomposition."""
+    return BranchDecomposition(cut.eta, cut.center, _canonical_branches(
+        (part, loop_form(sub)) for part, sub in cut.branches
+    ))
+
+
+def branch_decompositions(alpha, table, target, decorated=None):
+    """The quotient side of the branch bijection, enumerated: every
+    splitting class of alpha through a table tuple as center and parts
+    with decorated configurations, with every center disk and every
+    assignment of decorated configurations to the slots whose atoms are
+    pairwise distinct, the center disk included.  Equal unlabeled parts
+    make equal decompositions, which the set merges.
+
+    `decorated` maps tuples to their `loop_decorated_multidisks`, so that
+    one map can serve every tuple of a run; a part missing from it is
+    decorated here.
+    """
+    from opengw.bounding_chain import _center_triples
+
+    known = {} if decorated is None else decorated
+    parts = {}
+    for part in target.predecessors(alpha):
+        if target.dimension(part) == 0 and not part.is_point_tuple():
+            dmds = known.get(part)
+            if dmds is None:
+                dmds = loop_decorated_multidisks(part, table)
+            if dmds:
+                parts[part] = dmds
+    out = set()
+    for eta, _count in target._classes_through(
+        alpha, _center_triples(table), parts
+    ):
+        slot_parts = [eta.parts[i] for i in eta.chain_slots()]
+        slot_dmds = [parts[part] for part in slot_parts]
+        for center_atom in table.single_disks(eta.center_tuple()):
+            for assignment in itertools.product(*slot_dmds):
+                loops = [center_atom.loop] + [
+                    a.loop for d in assignment for a in d.config.atoms
+                ]
+                if len(set(loops)) != len(loops):
+                    continue
+                out.add(BranchDecomposition(
+                    eta, center_atom,
+                    _canonical_branches(zip(slot_parts, assignment)),
+                ))
+    return sorted(out, key=BranchDecomposition.sort_key)
 
 
 # --- the open WDVV relations, term by term ----------------------------------

@@ -13,7 +13,7 @@ from fractions import Fraction
 from opengw import fileio
 from opengw.bounding_chain import (
     assemble_boundary,
-    branch_decompositions,
+    branch_bijection_failures,
     build_chains,
     constant_center_classes,
     decorated_multidisks,
@@ -55,7 +55,13 @@ from opengw.wdvv import (
     wdvv2_residual,
 )
 
-from support import dim0_subtuples, make_rng, synthetic_instance
+from support import (
+    branch_decompositions,
+    decomposition_form,
+    dim0_subtuples,
+    make_rng,
+    synthetic_instance,
+)
 
 DATA = os.path.join(os.path.dirname(fileio.__file__), "data")
 
@@ -145,24 +151,29 @@ def _instance(seed):
 
 def test_criterion_3_branch_bijection():
     """Round-trip identity and cardinality match on >= 500 decorated
-    configurations (at most 5 disks, nesting depth within 3)."""
+    configurations (at most 5 disks, nesting depth within 3), against the
+    enumerated quotient side of `support`."""
     total = 0
     seed = 0
     while total < 500:
         target, table, top = _instance(31000 + seed)
         seed += 1
-        for alpha in dim0_subtuples(target, table, top):
-            decorated = decorated_multidisks(alpha, table)
+        worklist = dim0_subtuples(target, table, top)
+        by_tuple = {a: decorated_multidisks(a, table) for a in worklist}
+        for alpha in worklist:
+            decorated = by_tuple[alpha]
             if not decorated:
                 continue
             assert all(len(d.config) <= 5 for d in decorated)
             images = [to_branches(d, target) for d in decorated]
             assert len(set(images)) == len(decorated), alpha
-            assert set(images) == set(
+            assert {decomposition_form(b) for b in images} == set(
                 branch_decompositions(alpha, table, target)
             ), alpha
             for d, b in zip(decorated, images):
-                assert from_branches(b, target) == d
+                assert from_branches(b) == d
+            assert branch_bijection_failures(alpha, by_tuple, table,
+                                             target) == (), alpha
             total += len(decorated)
     report("3-branch-bijection", total >= 500,
            "%d decorated configurations, %d instances" % (total, seed))

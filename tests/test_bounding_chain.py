@@ -3,13 +3,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from opengw import bounding_chain
 from opengw.bounding_chain import (
     BoundingChain,
     ChainError,
     assemble_boundary,
     boundary_class_terms,
-    branch_decompositions,
+    branch_bijection_failures,
+    branch_decomposition_count,
     build_chains,
     constant_center_classes,
     decorated_multidisks,
@@ -23,10 +26,18 @@ from opengw.bounding_chain import (
     to_branches,
     verify_welschinger_relation,
 )
-from opengw.lattice import Target
+from opengw.lattice import DegenerationType, Target
 from opengw.multidisk import AtomTable, DiskAtom, LinkingMatrix
 
-from support import dim0_subtuples, make_rng, synthetic_instance, toy_atoms
+from support import (
+    branch_decompositions,
+    decomposition_form,
+    dim0_subtuples,
+    loop_decorated_multidisks,
+    make_rng,
+    synthetic_instance,
+    toy_atoms,
+)
 
 
 def small_instance():
@@ -436,14 +447,14 @@ def test_branch_round_trip_small():
     t, table, top = small_instance()
     for alpha in dim0_subtuples(t, table, top):
         for d in decorated_multidisks(alpha, table):
-            assert from_branches(to_branches(d, t), t) == d
+            assert from_branches(to_branches(d, t)) == d
 
 
 def test_bijection_cardinality_small():
     t, table, top = small_instance()
     for alpha in dim0_subtuples(t, table, top):
         dmds = decorated_multidisks(alpha, table)
-        images = {to_branches(d, t) for d in dmds}
+        images = {decomposition_form(to_branches(d, t)) for d in dmds}
         assert len(images) == len(dmds)
         assert images == set(branch_decompositions(alpha, table, t))
 
@@ -458,11 +469,11 @@ def test_bijection_randomized():
             dmds = decorated_multidisks(alpha, table)
             images = [to_branches(d, target) for d in dmds]
             assert len(set(images)) == len(dmds), (seed, alpha)
-            assert set(images) == set(
+            assert {decomposition_form(b) for b in images} == set(
                 branch_decompositions(alpha, table, target)
             ), (seed, alpha)
             for d, b in zip(dmds, images):
-                assert from_branches(b, target) == d
+                assert from_branches(b) == d
 
 
 def test_branch_decompositions_take_a_decorated_map(monkeypatch):
@@ -482,7 +493,7 @@ def test_branch_decompositions_take_a_decorated_map(monkeypatch):
     compared = 0
     for target, table, top in instances:
         worklist = dim0_subtuples(target, table, top)
-        decorated = {a: decorated_multidisks(a, table) for a in worklist}
+        decorated = {a: loop_decorated_multidisks(a, table) for a in worklist}
         assert calls[0] == len(worklist)
         for alpha in worklist:
             calls[0] = 0
@@ -493,3 +504,108 @@ def test_branch_decompositions_take_a_decorated_map(monkeypatch):
             compared += bool(with_map)
         calls[0] = 0
     assert compared >= 10
+
+
+def unlabeled_atom_instance():
+    """Generators a (area 1, Maslov 2) and b (area 1, Maslov 0); atoms
+    L0 = (a; p0), L1 = (b), L2 = (b); the tuple (1,2; p0).  L1 and L2
+    carry no label, so a slot assignment can reuse one of them."""
+    t = Target([("a", 1, 2), ("b", 1, 0)])
+    atoms = [
+        DiskAtom(t.degree((1, 0)), frozenset(["p0"]), frozenset(), 1, "L0"),
+        DiskAtom(t.degree((0, 1)), frozenset(), frozenset(), 1, "L1"),
+        DiskAtom(t.degree((0, 1)), frozenset(), frozenset(), -1, "L2"),
+    ]
+    entries = [("L0", "L1", 1), ("L0", "L2", 2), ("L1", "L2", -1)]
+    table = AtomTable(t, atoms, LinkingMatrix(entries))
+    return t, table, t.constraint_tuple((1, 2), ["p0"])
+
+
+def test_branch_decompositions_keep_atoms_disjoint():
+    """Without the disjointness filter the oracle lists 17
+    decompositions here, 8 of them with an atom used twice."""
+    t, table, alpha = unlabeled_atom_instance()
+    decorated = decorated_multidisks(alpha, table)
+    assert len(decorated) == 9
+    oracle = branch_decompositions(alpha, table, t)
+    assert len(oracle) == 9
+    assert {decomposition_form(to_branches(d, t)) for d in decorated} \
+        == set(oracle)
+
+
+def test_branch_count_refuses_an_unlabeled_atom():
+    t, table, alpha = unlabeled_atom_instance()
+    by_tuple = {a: decorated_multidisks(a, table)
+                for a in dim0_subtuples(t, table, alpha)}
+    for check in (branch_decomposition_count, branch_bijection_failures):
+        with pytest.raises(ChainError, match="'L1'"):
+            check(alpha, by_tuple, table, t)
+
+
+def test_branch_check_needs_every_part_decorated():
+    t, table, top = small_instance()
+    by_tuple = {top: decorated_multidisks(top, table)}
+    with pytest.raises(ChainError, match="no decorated configurations"):
+        branch_bijection_failures(top, by_tuple, table, t)
+
+
+def test_each_bijection_step_catches_what_the_others_miss(monkeypatch):
+    """Three broken variants, each failing exactly one step: a cut that
+    sends every configuration to one valid image (not injective), a cut
+    whose splitting lists its parts out of canonical order (off the
+    quotient side, though it still round-trips), and an enumerator that
+    loses a decorated configuration (not onto)."""
+    t, table, top = small_instance()
+    by_tuple = {a: decorated_multidisks(a, table)
+                for a in dim0_subtuples(t, table, top)}
+    assert branch_bijection_failures(top, by_tuple, table, t) == ()
+    original = bounding_chain.to_branches
+    first = original(by_tuple[top][0], t)
+
+    def constant(decorated, target, memo=None):
+        return first
+
+    monkeypatch.setattr(bounding_chain, "to_branches", constant)
+    assert branch_bijection_failures(top, by_tuple, table, t) == (1,)
+
+    def reversed_parts(decorated, target, memo=None):
+        cut = original(decorated, target, memo)
+        eta = cut.eta
+        return cut._replace(eta=DegenerationType(
+            eta.center_degree, eta.center_descriptors, eta.parts[::-1]
+        ))
+
+    monkeypatch.setattr(bounding_chain, "to_branches", reversed_parts)
+    assert branch_bijection_failures(top, by_tuple, table, t) == (2,)
+    monkeypatch.undo()
+    lossy = dict(by_tuple)
+    lossy[top] = by_tuple[top][1:]
+    assert branch_bijection_failures(top, lossy, table, t) == (3,)
+
+
+BRANCH_SHAPES = ((1, 0, 0, 0), (2, 0, 0, 0), (3, 0, 0, 0), (1, 1, 0, 0),
+                 (2, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1), (2, 0, 0, 1))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), shape=st.sampled_from(BRANCH_SHAPES))
+def test_branch_count_and_images_match_the_oracle(seed, shape):
+    """The class-level count equals the number of enumerated
+    decompositions, and the packed images map one-to-one onto them."""
+    target, table, top = synthetic_instance(make_rng(seed), *shape)
+    worklist = dim0_subtuples(target, table, top)
+    by_tuple = {a: decorated_multidisks(a, table) for a in worklist}
+    loop_by_tuple = {a: loop_decorated_multidisks(a, table)
+                     for a in worklist}
+    for alpha in worklist:
+        oracle = branch_decompositions(alpha, table, target,
+                                       decorated=loop_by_tuple)
+        assert branch_decomposition_count(
+            alpha, by_tuple, table, target
+        ) == len(oracle), alpha
+        images = [decomposition_form(to_branches(d, target))
+                  for d in by_tuple[alpha]]
+        assert len(set(images)) == len(images), alpha
+        assert set(images) == set(oracle), alpha
+        assert branch_bijection_failures(alpha, by_tuple, table,
+                                         target) == (), alpha

@@ -1,11 +1,12 @@
 """Live-class generation against the full class list.
 
-`boundary_class_terms`, `constant_center_classes` and
-`branch_decompositions` build only the degeneration classes that can
-contribute.  The oracles below apply the same filters to the full
-class list of the direct enumerator in `support` instead, and the two
-routes must agree class by class on the toy, on a benchmark-sized synthetic
-instance and on random synthetic instances.
+`boundary_class_terms`, `constant_center_classes`, the class-level
+count of branch decompositions and the enumerated quotient side
+`support.branch_decompositions` build only the degeneration classes
+that can contribute.  The oracles below apply the same filters to the
+full class list of the direct enumerator in `support` instead, and the
+routes must agree class by class on the toy, on a benchmark-sized
+synthetic instance and on random synthetic instances.
 """
 
 import importlib.util
@@ -17,10 +18,9 @@ from collections import Counter
 from opengw import fileio
 from opengw.bounding_chain import (
     SIGN_TOGGLES_DEFAULT,
-    BranchDecomposition,
     _class_sign_exponent,
     boundary_class_terms,
-    branch_decompositions,
+    branch_decomposition_count,
     build_chains,
     constant_center_classes,
     decorated_multidisks,
@@ -31,8 +31,11 @@ from opengw.lattice import ConstraintTuple
 from opengw.ring import QQ
 
 from support import (
+    BranchDecomposition,
+    branch_decompositions,
     dim0_subtuples,
     direct_degeneration_classes,
+    loop_decorated_multidisks,
     make_rng,
     synthetic_instance,
 )
@@ -102,10 +105,15 @@ def full_branch_decompositions(alpha, table, classes):
         slot_parts = [eta.parts[i] for i in eta.chain_slots()]
         for part in slot_parts:
             if part not in decorated:
-                decorated[part] = decorated_multidisks(part, table)
+                decorated[part] = loop_decorated_multidisks(part, table)
         slot_dmds = [decorated[part] for part in slot_parts]
         for center_atom in table.single_disks(center):
             for assignment in itertools.product(*slot_dmds):
+                loops = [center_atom.loop] + [
+                    a.loop for d in assignment for a in d.config.atoms
+                ]
+                if len(set(loops)) != len(loops):
+                    continue
                 branches = sorted(
                     zip(slot_parts, assignment),
                     key=lambda pb: (pb[0].sort_key(), pb[1].sort_key()),
@@ -131,7 +139,9 @@ def assert_live_routes_match(target, table, top, label):
         return full[alpha]
 
     seen = Counter()
-    for alpha in dim0_subtuples(target, table, top):
+    worklist = dim0_subtuples(target, table, top)
+    decorated = {a: decorated_multidisks(a, table) for a in worklist}
+    for alpha in worklist:
         terms = boundary_class_terms(alpha, chains, table, target)
         assert terms == full_boundary_class_terms(
             alpha, chains, table, classes
@@ -144,6 +154,9 @@ def assert_live_routes_match(target, table, top, label):
         assert decompositions == full_branch_decompositions(
             alpha, table, classes
         ), (label, alpha)
+        assert branch_decomposition_count(
+            alpha, decorated, table, target
+        ) == len(decompositions), (label, alpha)
         seen["terms"] += len(terms)
         seen["constant"] += len(constant)
         seen["branches"] += len(decompositions)
