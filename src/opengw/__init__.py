@@ -3,7 +3,7 @@ style disk counts over declared combinatorial targets.
 
 Subpackages by concern:
 
-- ring, linalg: coefficient rings and exact matrix arithmetic
+- linalg: exact matrix arithmetic over the rationals and the integers
 - orientation: sign calculus for oriented sequences and fiber products
 - lattice: degree lattice, constraint tuples, degeneration enumeration
 - multidisk: disk configurations, linking numbers, spanning-tree sums

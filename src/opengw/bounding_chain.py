@@ -45,7 +45,6 @@ from .multidisk import (
     tree_weight_sum,
     welschinger_count,
 )
-from .ring import QQ
 
 
 class ChainError(OpenGWError, ValueError):
@@ -66,12 +65,6 @@ class BoundingChain:
     is_point: bool
     virtual_dim: int
 
-    def coefficient(self, loop, ring=QQ):
-        for name, value in self.boundary:
-            if name == loop:
-                return value
-        return ring.zero
-
 
 def point_chain(target, label):
     """The chain of a bare point tuple: the point itself, no boundary."""
@@ -79,39 +72,33 @@ def point_chain(target, label):
     return BoundingChain(alpha, (), True, target.dimension(alpha) + 2)
 
 
-def _chain_linking(loop, chain, links, ring):
+def _chain_linking(loop, chain, links):
     """lk of a loop against a chain boundary multiset, extended linearly."""
-    total = ring.zero
+    total = Fraction(0)
     for other, coeff in chain.boundary:
         total = total + coeff * links.lk(loop, other)
     return total
 
 
-def divisor_covering_degree(loop, chain_list, links, ring=QQ):
+def divisor_covering_degree(loop, chain_list, links):
     """Covering degree absorbing codimension-1 boundary insertions:
     (-1)^(number of insertions) * product of chain linking numbers."""
-    product = ring.one
+    product = Fraction(1)
     for chain in chain_list:
-        product = product * _chain_linking(loop, chain, links, ring)
+        product = product * _chain_linking(loop, chain, links)
     return product if len(chain_list) % 2 == 0 else -product
 
 
-SIGN_TOGGLES_DEFAULT = (True, True, True)
-
-
-def _class_sign_exponent(eta, toggles):
-    """Exponent of the class-level sign.
+def _class_sign(part_count):
+    """The class-level sign, (-1)^(part count).
 
     The derivation stacks three separate (-1)^(part count) factors (the
-    unordered regrouping, the flip rule, the reassociation rule); the
-    divisor trade's own (-1)^(chain slots) lives inside
-    divisor_covering_degree, and together they reduce to
-    (-1)^(point parts).  The toggles exist so the test suite can flip
-    each stacked factor independently and watch the result move by the
-    predicted sign.
+    unordered regrouping, the flip rule, the reassociation rule), whose
+    product is (-1)^(part count); the divisor trade's own
+    (-1)^(chain slots) lives inside divisor_covering_degree, and
+    together they reduce to (-1)^(point parts).
     """
-    k = eta.part_count
-    return sum(1 for t in toggles if t) * k
+    return -1 if part_count % 2 else 1
 
 
 def _live_parts(alpha, chains, target):
@@ -140,8 +127,7 @@ def _center_triples(table, extra_point=None):
     ]
 
 
-def boundary_class_terms(alpha, chains, table, target, ring=QQ,
-                         sign_toggles=SIGN_TOGGLES_DEFAULT, extra_point=None):
+def boundary_class_terms(alpha, chains, table, target, extra_point=None):
     """Per-class contributions to the boundary multiset of alpha.
 
     Yields (canonical splitting, {loop: coefficient}) for every
@@ -169,30 +155,25 @@ def boundary_class_terms(alpha, chains, table, target, ring=QQ,
             pts = pts | {extra_point}
         center = ConstraintTuple(eta.center_degree, pts, eta.center_descriptors)
         atoms = table.single_disks(center)
-        exponent = _class_sign_exponent(eta, sign_toggles)
+        sign = _class_sign(eta.part_count)
         # the divisor trade itself contributes (-1)^(chain slots), which
         # divisor_covering_degree already carries
         contribution = {}
         for atom in atoms:
-            value = divisor_covering_degree(
-                atom.loop, slot_chains, table.links, ring=ring
-            )
-            if atom.sign < 0:
+            value = divisor_covering_degree(atom.loop, slot_chains, table.links)
+            if atom.sign * sign < 0:
                 value = -value
-            if exponent % 2:
-                value = -value
-            if value != ring.zero:
+            if value != 0:
                 contribution[atom.loop] = (
-                    contribution.get(atom.loop, ring.zero) + value
+                    contribution.get(atom.loop, Fraction(0)) + value
                 )
-        contribution = {k: v for k, v in contribution.items() if v != ring.zero}
+        contribution = {k: v for k, v in contribution.items() if v != 0}
         if contribution:
             out.append((eta, contribution))
     return out
 
 
-def assemble_boundary(alpha, chains, table, target, ring=QQ,
-                      sign_toggles=SIGN_TOGGLES_DEFAULT):
+def assemble_boundary(alpha, chains, table, target):
     """The boundary multiset of the chain attached to a dimension-0 tuple."""
     dim = target.dimension(alpha)
     if dim != 0:
@@ -200,30 +181,29 @@ def assemble_boundary(alpha, chains, table, target, ring=QQ,
             "boundary assembly needs a dimension-0 tuple, got dimension %d" % dim
         )
     total = {}
-    for _eta, contribution in boundary_class_terms(
-        alpha, chains, table, target, ring=ring, sign_toggles=sign_toggles
-    ):
+    for _eta, contribution in boundary_class_terms(alpha, chains, table,
+                                                   target):
         for loop, value in contribution.items():
-            total[loop] = total.get(loop, ring.zero) + value
-    return {k: v for k, v in total.items() if v != ring.zero}
+            total[loop] = total.get(loop, Fraction(0)) + value
+    return {k: v for k, v in total.items() if v != 0}
 
 
-def direct_boundary(alpha, table, target, ring=QQ):
+def direct_boundary(alpha, table, target):
     """The multi-disk side of the same multiset:
     (-1)^|K| * sum over configurations of sgn * tree weight on each loop."""
     total = {}
     sign = -1 if len(alpha.points) % 2 else 1
     for config in table.multi_disks(alpha):
-        weight = tree_weight_sum(config, table.links, ring=ring)
+        weight = tree_weight_sum(config, table.links)
         value = weight if config.sgn() > 0 else -weight
         if sign < 0:
             value = -value
         for atom in config.atoms:
-            total[atom.loop] = total.get(atom.loop, ring.zero) + value
-    return {k: v for k, v in total.items() if v != ring.zero}
+            total[atom.loop] = total.get(atom.loop, Fraction(0)) + value
+    return {k: v for k, v in total.items() if v != 0}
 
 
-def build_chains(alpha, table, target, ring=QQ, include_self=False):
+def build_chains(alpha, table, target, include_self=False):
     """Chain family for all strict predecessors of alpha (and alpha
     itself when include_self and dim(alpha) = 0), by increasing level."""
     chains = {}
@@ -236,7 +216,7 @@ def build_chains(alpha, table, target, ring=QQ, include_self=False):
         if cand.is_point_tuple():
             chains[cand] = point_chain(target, next(iter(cand.points)))
         elif target.dimension(cand) == 0:
-            boundary = assemble_boundary(cand, chains, table, target, ring=ring)
+            boundary = assemble_boundary(cand, chains, table, target)
             chains[cand] = BoundingChain(
                 cand,
                 tuple(sorted(boundary.items())),
@@ -249,8 +229,7 @@ def build_chains(alpha, table, target, ring=QQ, include_self=False):
 # --- the two invariants -----------------------------------------------------
 
 
-def invariant_via_degree(alpha, table, target, point, chains, ring=QQ,
-                         sign_toggles=SIGN_TOGGLES_DEFAULT):
+def invariant_via_degree(alpha, table, target, point, chains):
     """Degree of the top chain of a dimension-2 tuple.
 
     Evaluated by cutting with one extra point constraint: minus the
@@ -265,25 +244,23 @@ def invariant_via_degree(alpha, table, target, point, chains, ring=QQ,
         raise ChainError(
             "degree invariant needs a dimension-2 tuple, got dimension %d" % dim
         )
-    total = ring.zero
+    total = Fraction(0)
     for _eta, contribution in boundary_class_terms(
-        alpha, chains, table, target, ring=ring,
-        sign_toggles=sign_toggles, extra_point=point,
+        alpha, chains, table, target, extra_point=point
     ):
         for value in contribution.values():
             total = total + value
     return -total
 
 
-def default_weight_rule(part_count):
+def splitting_weight(part_count):
     """The splitting weight: 1 at no parts, else 1/parts - 1/2."""
     if part_count == 0:
         return Fraction(1)
     return Fraction(1, part_count) - Fraction(1, 2)
 
 
-def constant_center_classes(alpha, chains, table, target,
-                            weight_rule=default_weight_rule):
+def constant_center_classes(alpha, chains, table, target):
     """Splittings the weighted invariant cannot see.
 
     A splitting with zero central degree, no point parts, no central
@@ -299,13 +276,11 @@ def constant_center_classes(alpha, chains, table, target,
         (eta, count) for eta, count in target._classes_through(
             alpha, [empty_center], _live_parts(alpha, chains, target)
         )
-        if weight_rule(eta.part_count) != 0
+        if splitting_weight(eta.part_count) != 0
     ]
 
 
-def invariant_via_weights(alpha, table, target, chains, ring=QQ,
-                          weight_rule=default_weight_rule,
-                          sign_toggles=SIGN_TOGGLES_DEFAULT):
+def invariant_via_weights(alpha, table, target, chains):
     """Weighted sum over raw splittings plus the half point-drop sum.
 
     Defined for dimension-0 tuples (zero otherwise).  The fiber count of
@@ -323,22 +298,20 @@ def invariant_via_weights(alpha, table, target, chains, ring=QQ,
     this factor.
     """
     if target.dimension(alpha) != 0:
-        return ring.zero
-    total = ring.zero
-    for eta, contribution in boundary_class_terms(
-        alpha, chains, table, target, ring=ring, sign_toggles=sign_toggles
-    ):
-        scale = ring(weight_rule(eta.part_count)) * ring(max(eta.part_count, 1))
+        return Fraction(0)
+    total = Fraction(0)
+    for eta, contribution in boundary_class_terms(alpha, chains, table,
+                                                  target):
+        scale = splitting_weight(eta.part_count) * max(eta.part_count, 1)
         for value in contribution.values():
             total = total + scale * value
-    half = ring(Fraction(1, 2))
+    half = Fraction(1, 2)
     for p in sorted(alpha.points):
         dropped = ConstraintTuple(
             alpha.beta, alpha.points - {p}, alpha.descriptors
         )
         total = total + half * invariant_via_degree(
-            dropped, table, target, point=p, chains=chains, ring=ring,
-            sign_toggles=sign_toggles,
+            dropped, table, target, point=p, chains=chains
         )
     return total
 
@@ -618,8 +591,7 @@ class ComparisonReport:
         return self.chain_degree == expected
 
 
-def verify_welschinger_relation(alpha, table, target, chains, point=None,
-                                ring=QQ):
+def verify_welschinger_relation(alpha, table, target, chains, point=None):
     """Check the sign relation between the chain-degree invariant and the
     direct linking-weighted count.
 
@@ -637,8 +609,8 @@ def verify_welschinger_relation(alpha, table, target, chains, point=None,
     if p not in alpha.points:
         raise ChainError("point %r is not a constraint of the tuple" % (p,))
     dropped = ConstraintTuple(alpha.beta, alpha.points - {p}, alpha.descriptors)
-    degree = invariant_via_degree(dropped, table, target, p, chains, ring=ring)
+    degree = invariant_via_degree(dropped, table, target, p, chains)
     configs = table.multi_disks(alpha)
-    total = welschinger_count(alpha, configs, table.links, target, ring=ring)
+    total = welschinger_count(alpha, configs, table.links, target)
     sign = -1 if len(alpha.points) % 2 else 1
     return ComparisonReport(alpha, p, degree, total, sign)

@@ -484,7 +484,11 @@ def run(config):
     except OpenGWError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    rep.flush(config)
+    try:
+        rep.flush(config)
+    except OSError as exc:
+        print("error: cannot write the artifacts: %s" % exc, file=sys.stderr)
+        return 2
     failed = rep.failed
     print("%s: %s (%d checks; artifacts in %s)" % (
         config.pipeline, "ok" if not failed else "FAILED", len(rep.checks),

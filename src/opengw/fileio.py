@@ -68,10 +68,6 @@ def _index(key):
     return int(key)
 
 
-def rational_str(value):
-    return str(Fraction(value))
-
-
 @contextmanager
 def _malformed_as_format_error(path):
     """Report what a document of the wrong shape raises inside a loader

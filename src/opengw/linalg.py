@@ -14,7 +14,21 @@ import math
 from fractions import Fraction
 from operator import mul
 
-from .ring import integer_scaled
+
+def _integer_scaled(values):
+    """The values over one denominator: (ints, d) with values[i] equal
+    to ints[i] / d and d the lcm of their denominators.  The exact
+    kernels run on ints and build Fractions only for their output; an
+    entry that is not an int or a Fraction is refused with TypeError."""
+    for v in values:
+        if not isinstance(v, (int, Fraction)):
+            raise TypeError("exact linear algebra needs int or Fraction "
+                            "entries, got %s" % type(v).__name__)
+    dens = [v.denominator for v in values]
+    d = math.lcm(*dens)
+    if d == 1:
+        return [v.numerator for v in values], 1
+    return [v.numerator * (d // q) for v, q in zip(values, dens)], d
 
 
 def mat(rows):
@@ -45,8 +59,8 @@ def product_is_zero(a, b):
     if a and b and len(a[0]) != len(b):
         raise ValueError("shape mismatch %dx%d @ %dx%d"
                          % (len(a), len(a[0]), len(b), len(b[0])))
-    rows = [integer_scaled(row)[0] for row in a]
-    cols = [integer_scaled(col)[0] for col in zip(*b)]
+    rows = [_integer_scaled(row)[0] for row in a]
+    cols = [_integer_scaled(col)[0] for col in zip(*b)]
     return all(sum(map(mul, row, col)) == 0 for row in rows for col in cols)
 
 
@@ -63,17 +77,13 @@ def transpose(a):
 def det(a):
     """Determinant of a square matrix; Fraction(0) when it is singular.
 
-    Rational entries (int or Fraction) are scaled to integers row by row
-    and eliminated fraction-free; the result is one Fraction.  Entries
-    from any other field whose elements compare with 0 (`ring.PrimeField`
-    elements) go through plain Gaussian elimination.
+    The entries (int or Fraction) are scaled to integers row by row and
+    eliminated fraction-free; the result is one Fraction.
     """
     n = len(a)
     if any(len(r) != n for r in a):
         raise ValueError("determinant of a non-square matrix")
-    scaled = [integer_scaled(row) for row in a]
-    if None in scaled:
-        return _det_field(a)
+    scaled = [_integer_scaled(row) for row in a]
     return Fraction(_det_bareiss([ints for ints, _ in scaled]),
                     math.prod(d for _, d in scaled))
 
@@ -104,30 +114,6 @@ def _det_bareiss(m):
     return sign * m[n - 1][n - 1]
 
 
-def _det_field(a):
-    """Determinant by Gaussian elimination over a field."""
-    n = len(a)
-    m = [row[:] for row in a]
-    sign = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            sign = -sign
-        pv = m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col] / pv
-                for c in range(col, n):
-                    m[r][c] -= f * m[col][c]
-    result = Fraction(sign)
-    for i in range(n):
-        result *= m[i][i]
-    return result
-
-
 def _int_echelon(a):
     """Row-reduce the rational matrix `a` in integers; return (integer
     rows, pivot columns).
@@ -137,12 +123,7 @@ def _int_echelon(a):
     number of pivots has its pivot at pivots[i] and zeros in every other
     pivot column; the rows below are zero.
     """
-    m = []
-    for row in a:
-        scaled = integer_scaled(row)
-        if scaled is None:
-            raise TypeError("row reduction needs int or Fraction entries")
-        m.append(scaled[0])
+    m = [_integer_scaled(row)[0] for row in a]
     rows = len(m)
     cols = len(m[0]) if m else 0
     pivots = []

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import OpenGWError, linalg
-from .ring import QQ, Rationals, integer_scaled
 
 
 DEFAULT_TREE_CAP = 7
@@ -69,8 +68,7 @@ class LinkingMatrix:
     diagonal is undefined by convention.
     """
 
-    def __init__(self, entries, ring=QQ, unbounded=()):
-        self.ring = ring
+    def __init__(self, entries, unbounded=()):
         self.loops = set()
         self.unbounded = frozenset(unbounded)
         self._values = {}
@@ -78,7 +76,7 @@ class LinkingMatrix:
             if a == b:
                 raise LinkingError("self-linking entry for loop %r" % (a,))
             key = (a, b) if a <= b else (b, a)
-            coerced = ring(value)
+            coerced = Fraction(value)
             if key in self._values and self._values[key] != coerced:
                 raise LinkingError("conflicting entries for %r" % (key,))
             self._values[key] = coerced
@@ -100,19 +98,7 @@ class LinkingMatrix:
             if loop not in self.loops:
                 raise LinkingError("loop %r has no linking data" % (loop,))
         key = (a, b) if a <= b else (b, a)
-        return self._values.get(key, self.ring.zero)
-
-    def linking_number(self, a, b, variant=1):
-        """One of the four equivalent fiber-count expressions for lk.
-
-        Variants 1 and 3 (chain of a against b, chain of b against a)
-        agree; variants 2 and 4 (arguments through the loop first) are
-        their negatives.
-        """
-        if variant not in (1, 2, 3, 4):
-            raise LinkingError("variant must be 1..4")
-        base = self.lk(a, b) if variant in (1, 2) else self.lk(b, a)
-        return base if variant in (1, 3) else -base
+        return self._values.get(key, Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -242,36 +228,25 @@ def _edge_weights(config, links):
             for a, b in itertools.combinations(config.atoms, 2)]
 
 
-def _tree_sum(m, weights, ring, cap):
+def _tree_sum(m, weights, cap):
     """Sum over the spanning trees on m vertices of the product of their
-    edge weights.  Over QQ with rational weights the products are taken
-    in integers, over the weights' common denominator, and divided once;
-    any other ring multiplies its own elements."""
-    trees = tree_edge_indices(m, cap)
-    scaled = integer_scaled(weights) if isinstance(ring, Rationals) else None
-    if scaled is not None:
-        ints, den = scaled
-        total = sum(math.prod([ints[k] for k in tree]) for tree in trees)
-        return Fraction(total, den ** (m - 1))
-    total = ring.zero
-    for tree in trees:
-        prod = ring.one
-        for k in tree:
-            prod = prod * weights[k]
-        total = total + prod
-    return total
+    edge weights.  The products are taken in integers, over the weights'
+    common denominator, and divided once."""
+    ints, den = linalg._integer_scaled(weights)
+    total = sum(math.prod([ints[k] for k in tree])
+                for tree in tree_edge_indices(m, cap))
+    return Fraction(total, den ** (m - 1))
 
 
-def tree_weight_sum(config, links, ring=QQ):
+def tree_weight_sum(config, links):
     """Sum over spanning trees of the product of edge linking numbers,
-    via the weighted matrix-tree cofactor determinant (the ring must be
-    a field)."""
+    via the weighted matrix-tree cofactor determinant."""
     m = len(config)
     if m == 1:
-        return ring.one
+        return Fraction(1)
     w = _edge_weights(config, links)
     size = m - 1
-    lap = [[ring.zero for _ in range(size)] for _ in range(size)]
+    lap = [[Fraction(0)] * size for _ in range(size)]
     for (i, j), val in zip(itertools.combinations(range(m), 2), w):
         if i < size and j < size:
             lap[i][j] = lap[i][j] - val
@@ -280,15 +255,15 @@ def tree_weight_sum(config, links, ring=QQ):
             lap[i][i] = lap[i][i] + val
         if j < size:
             lap[j][j] = lap[j][j] + val
-    return ring(linalg.det(lap))
+    return linalg.det(lap)
 
 
-def tree_weight_sum_enumerated(config, links, ring=QQ, cap=DEFAULT_TREE_CAP):
+def tree_weight_sum_enumerated(config, links, cap=DEFAULT_TREE_CAP):
     """The same sum by explicit tree enumeration; the oracle route."""
     m = len(config)
     if m == 1:
-        return ring.one
-    return _tree_sum(m, _edge_weights(config, links), ring, cap)
+        return Fraction(1)
+    return _tree_sum(m, _edge_weights(config, links), cap)
 
 
 # --- the atom table and configuration enumeration -------------------------
@@ -297,9 +272,8 @@ def tree_weight_sum_enumerated(config, links, ring=QQ, cap=DEFAULT_TREE_CAP):
 class AtomTable:
     """The declared synthetic geometry: rigid disks plus linking data."""
 
-    def __init__(self, target, atoms, links, ring=QQ):
+    def __init__(self, target, atoms, links):
         self.target = target
-        self.ring = ring
         self.links = links
         self.atoms = tuple(sorted(atoms, key=DiskAtom.sort_key))
         loops = [a.loop for a in self.atoms]
@@ -366,7 +340,7 @@ class AtomTable:
         return out
 
 
-def welschinger_count(alpha, configs, links, target, ring=QQ):
+def welschinger_count(alpha, configs, links, target):
     """Signed linking-weighted count over the supplied configurations.
 
     Configurations are validated against the tuple; the count is zero by
@@ -375,11 +349,11 @@ def welschinger_count(alpha, configs, links, target, ring=QQ):
     for config in configs:
         config.validate_against(alpha)
     if target.dimension(alpha) != 0:
-        return ring.zero
-    total = ring.zero
+        return Fraction(0)
+    total = Fraction(0)
     for config in configs:
         sgn = config.sgn()
-        weight = tree_weight_sum(config, links, ring=ring)
+        weight = tree_weight_sum(config, links)
         total = total + (weight if sgn > 0 else -weight)
     return total
 
@@ -446,10 +420,10 @@ class CancellationReport:
 
     @property
     def cancels(self):
-        return self.multi_disk_total == 0 or self.multi_disk_total == Fraction(0)
+        return self.multi_disk_total == 0
 
 
-def conjugation_cancellation_check(tuples, table, involution, ring=QQ,
+def conjugation_cancellation_check(tuples, table, involution,
                                    tree_cap=DEFAULT_TREE_CAP):
     """Verify the conjugation pairing on a degree-class orbit.
 
@@ -488,18 +462,17 @@ def conjugation_cancellation_check(tuples, table, involution, ring=QQ,
                 raise ConfigurationError(
                     "configuration set is not closed under the atom flip"
                 )
-    multi_total = ring.zero
-    single_total = ring.zero
+    multi_total = Fraction(0)
+    single_total = Fraction(0)
     valences = {}
     pair_count = 0
     for config in configs:
         sgn = config.sgn()
         if len(config) == 1:
-            single_total = single_total + (ring.one if sgn > 0 else -ring.one)
+            single_total += sgn
             continue
         m = len(config)
-        weight = _tree_sum(m, _edge_weights(config, table.links), ring,
-                           tree_cap)
+        weight = _tree_sum(m, _edge_weights(config, table.links), tree_cap)
         multi_total = multi_total + (weight if sgn > 0 else -weight)
         edges = list(itertools.combinations(range(m), 2))
         for tree in tree_edge_indices(m, tree_cap):

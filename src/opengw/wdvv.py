@@ -132,9 +132,6 @@ class CohomologyModel:
     def restrict(self, index):
         return self.restriction[index - 1]
 
-    def g_inv(self, i, j):
-        return self.pairing_inv[i - 1][j - 1]
-
     def lattice_pairing(self, index, beta):
         vec = self.deg2_pairings.get(index)
         if vec is None:
@@ -261,18 +258,11 @@ def anchored_partitions(l, kind="plain", i=None, j=None):
     return out
 
 
-def binomial(n, m, out_of_range_zero=True):
-    """Binomial coefficient with the out-of-range-vanishes convention.
-
-    The convention is load-bearing for the relations; the toggle exists
-    only as a negative control (clamping instead of vanishing).
-    """
+def binomial(n, m):
+    """Binomial coefficient with the out-of-range-vanishes convention,
+    which is load-bearing for the relations."""
     if m < 0 or m > n:
-        if out_of_range_zero:
-            return 0
-        m = min(max(m, 0), max(n, 0))
-    if n < 0:
-        raise ModelError("negative upper binomial argument")
+        return 0
     out = 1
     for t in range(min(m, n - m)):
         out = out * (n - t) // (t + 1)
@@ -292,37 +282,6 @@ class LinForm:
     @property
     def is_constant(self):
         return not self.coeffs
-
-    def __add__(self, other):
-        if isinstance(other, LinForm):
-            coeffs = dict(self.coeffs)
-            for k, v in other.coeffs.items():
-                coeffs[k] = coeffs.get(k, Fraction(0)) + v
-            return LinForm(self.const + other.const,
-                           {k: v for k, v in coeffs.items() if v != 0})
-        return LinForm(self.const + other, dict(self.coeffs))
-
-    def __sub__(self, other):
-        return self + (other * Fraction(-1) if isinstance(other, LinForm)
-                       else -other)
-
-    def __mul__(self, other):
-        if isinstance(other, LinForm):
-            if not self.is_constant and not other.is_constant:
-                raise NonlinearEquationError(
-                    "product of two unknown brackets",
-                    set(self.coeffs) | set(other.coeffs),
-                )
-            if other.is_constant:
-                return self * other.const
-            return other * self.const
-        scalar = Fraction(other)
-        if scalar == 0:
-            return LinForm()
-        return LinForm(self.const * scalar,
-                       {k: v * scalar for k, v in self.coeffs.items()})
-
-    __rmul__ = __mul__
 
     def substitute(self, values):
         const = self.const
@@ -459,7 +418,7 @@ def _add_mixed(form, ctx, resolve, beta, groups, sign):
                             coeff * (sign * mult))
 
 
-def _add_open(form, ctx, resolve, beta, groups, k, shift, bino, sign):
+def _add_open(form, ctx, resolve, beta, groups, k, shift, sign):
     """form += sign * (open x open convolution with binomial weights).
 
     The weight is C(k, count(left bracket) - shift) with the out-of-range
@@ -470,7 +429,7 @@ def _add_open(form, ctx, resolve, beta, groups, k, shift, bino, sign):
             count = ctx.count(b1, left_ins)
             if count is None:
                 continue
-            weight = bino(k, count - shift)
+            weight = binomial(k, count - shift)
             if weight == 0:
                 continue
             v1 = resolve(b1, left_ins)
@@ -491,8 +450,7 @@ def _pruned(form):
     return form
 
 
-def wdvv1_form(target, model, closed, resolve, beta, gamma, bino=binomial,
-               context=None):
+def wdvv1_form(target, model, closed, resolve, beta, gamma, context=None):
     """First relation, anchored at slot 2, as a linear form.
 
     Applies when the tuple has at least two entries and the reduced
@@ -511,13 +469,12 @@ def wdvv1_form(target, model, closed, resolve, beta, gamma, bino=binomial,
     right = _insertion_groups(gamma, ctx.partitions(l, "right", j=2))
     form = LinForm()
     _add_mixed(form, ctx, resolve, beta, left, 1)
-    _add_open(form, ctx, resolve, beta, left, k - 1, 0, bino, -1)
-    _add_open(form, ctx, resolve, beta, right, k - 1, 1, bino, 1)
+    _add_open(form, ctx, resolve, beta, left, k - 1, 0, -1)
+    _add_open(form, ctx, resolve, beta, right, k - 1, 1, 1)
     return _pruned(form)
 
 
-def wdvv2_form(target, model, closed, resolve, beta, gamma, bino=binomial,
-               context=None):
+def wdvv2_form(target, model, closed, resolve, beta, gamma, context=None):
     """Second relation: the (2;3)-anchored side minus the (3;2) side.
     `context` as for `wdvv1_form`."""
     l = len(gamma)
@@ -531,30 +488,22 @@ def wdvv2_form(target, model, closed, resolve, beta, gamma, bino=binomial,
     for i, j, sign in ((2, 3, 1), (3, 2, -1)):
         both = _insertion_groups(gamma, ctx.partitions(l, "both", i=i, j=j))
         _add_mixed(form, ctx, resolve, beta, both, sign)
-        _add_open(form, ctx, resolve, beta, both, k, 0, bino, -sign)
+        _add_open(form, ctx, resolve, beta, both, k, 0, -sign)
     return _pruned(form)
 
 
-def _clamped_binomial(n, m, out_of_range_zero=True):
-    return binomial(n, m, out_of_range_zero=False)
-
-
-def wdvv1_residual(target, model, closed, open_table, beta, gamma,
-                   binomial_convention=True):
+def wdvv1_residual(target, model, closed, open_table, beta, gamma):
     """Numeric residual of the first relation (zero when inapplicable)."""
     form = wdvv1_form(
-        target, model, closed, _resolver_from_table(open_table), beta, gamma,
-        bino=binomial if binomial_convention else _clamped_binomial,
+        target, model, closed, _resolver_from_table(open_table), beta, gamma
     )
     return Fraction(0) if form is None else form.const
 
 
-def wdvv2_residual(target, model, closed, open_table, beta, gamma,
-                   binomial_convention=True):
+def wdvv2_residual(target, model, closed, open_table, beta, gamma):
     """Numeric residual of the second relation (zero when inapplicable)."""
     form = wdvv2_form(
-        target, model, closed, _resolver_from_table(open_table), beta, gamma,
-        bino=binomial if binomial_convention else _clamped_binomial,
+        target, model, closed, _resolver_from_table(open_table), beta, gamma
     )
     return Fraction(0) if form is None else form.const
 

@@ -12,7 +12,11 @@ degeneration classes and the raw expansion into ordered splittings
 `Target.degeneration_classes`), the quotient side of the branch
 bijection enumerated on loop-pair objects (the oracle for the packed
 check in `bounding_chain`), and the open WDVV relation forms built
-term by term to cross-check `wdvv1_form` and `wdvv2_form`.
+term by term, with their own `LinForm` arithmetic, to cross-check
+`wdvv1_form` and `wdvv2_form`.  It also keeps the small helpers that
+only tests call: the four fiber-count expressions of a linking number,
+the rational formatter of the document writer and the clamped binomial
+of the negative controls.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ def det_bareiss(a):
 
 def det_leibniz(a):
     """Determinant by permutation expansion, for n <= 6.  No elimination
-    and no division, so it also holds over any commutative ring."""
+    and no division."""
     n = len(a)
     if n > 6:
         raise ValueError("permutation expansion is capped at n = 6")
@@ -75,6 +79,31 @@ def right_inverse(a):
 
 def make_rng(seed):
     return random.Random(seed)
+
+
+def rational_str(value):
+    return str(Fraction(value))
+
+
+def linking_number(links, a, b, variant=1):
+    """One of the four equivalent fiber-count expressions for lk.
+
+    Variants 1 and 3 (chain of a against b, chain of b against a)
+    agree; variants 2 and 4 (arguments through the loop first) are
+    their negatives.
+    """
+    from opengw.multidisk import LinkingError
+
+    if variant not in (1, 2, 3, 4):
+        raise LinkingError("variant must be 1..4")
+    base = links.lk(a, b) if variant in (1, 2) else links.lk(b, a)
+    return base if variant in (1, 3) else -base
+
+
+def clamped_binomial(n, m):
+    """C(n, m) with m clamped into [0, n] where the relations' binomial
+    vanishes: the wrong convention of the negative controls."""
+    return math.comb(n, min(max(m, 0), n))
 
 
 def toy_atoms():
@@ -156,7 +185,7 @@ def instance_documents(target, table, top):
     """An instance as opengw-target and opengw-atoms documents, with top
     as the atoms document's tuple of interest; every loop pair is listed
     in the linking data."""
-    from opengw.fileio import FORMAT_VERSION, rational_str
+    from opengw.fileio import FORMAT_VERSION
 
     target_doc = {
         "format": "opengw-target", "version": FORMAT_VERSION,
@@ -542,11 +571,52 @@ def branch_decompositions(alpha, table, target, decorated=None):
 # --- the open WDVV relations, term by term ----------------------------------
 
 
+def form_sum(a, b):
+    """a + b for two `LinForm`s; coefficients that cancel are dropped."""
+    from opengw.wdvv import LinForm
+
+    coeffs = dict(a.coeffs)
+    for k, v in b.coeffs.items():
+        coeffs[k] = coeffs.get(k, Fraction(0)) + v
+    return LinForm(a.const + b.const,
+                   {k: v for k, v in coeffs.items() if v != 0})
+
+
+def form_scaled(form, scalar):
+    """scalar * form; the empty form when scalar is 0."""
+    from opengw.wdvv import LinForm
+
+    scalar = Fraction(scalar)
+    if scalar == 0:
+        return LinForm()
+    return LinForm(form.const * scalar,
+                   {k: v * scalar for k, v in form.coeffs.items()})
+
+
+def form_difference(a, b):
+    return form_sum(a, form_scaled(b, -1))
+
+
+def form_product(a, b):
+    """a * b, which is affine only when one factor is constant; a
+    product of two unknowns raises NonlinearEquationError naming the
+    unknowns of both factors."""
+    from opengw.wdvv import NonlinearEquationError
+
+    if a.coeffs and b.coeffs:
+        raise NonlinearEquationError("product of two unknown brackets",
+                                     set(a.coeffs) | set(b.coeffs))
+    if not b.coeffs:
+        return form_scaled(a, b.const)
+    return form_scaled(b, a.const)
+
+
 def reference_wdvv_form(target, model, closed, resolve, relation, beta, gamma,
                         bino):
     """A relation form built by the defining loops: every complex or real
     split, every anchored partition and every (i, j) pair of the inverse
-    pairing, added one term at a time with `LinForm` arithmetic.
+    pairing, added one term at a time with the form arithmetic above.
+    `bino` gives the binomial weights of the open-open terms.
 
     Returns None where the relation does not apply; raises
     NonlinearEquationError at the first product of two unknowns, in the
@@ -568,12 +638,14 @@ def reference_wdvv_form(target, model, closed, resolve, relation, beta, gamma,
                     if closed_val == 0:
                         continue
                     for j in range(1, model.size + 1):
-                        g = model.g_inv(i, j)
+                        g = model.pairing_inv[i - 1][j - 1]
                         if g == 0:
                             continue
                         open_val = resolve(rel_part,
                                            tuple(sorted(open_ins + [j])))
-                        total = total + open_val * (closed_val * g)
+                        total = form_sum(
+                            total, form_scaled(open_val, closed_val * g)
+                        )
         return total
 
     def open_sum(partitions, k, shift):
@@ -590,8 +662,9 @@ def reference_wdvv_form(target, model, closed, resolve, relation, beta, gamma,
                 weight = bino(k, count - shift)
                 if weight == 0:
                     continue
-                total = total + (resolve(b1, left_ins)
-                                 * resolve(b2, right_ins)) * weight
+                product = form_product(resolve(b1, left_ins),
+                                       resolve(b2, right_ins))
+                total = form_sum(total, form_scaled(product, weight))
         return total
 
     l = len(gamma)
@@ -604,13 +677,15 @@ def reference_wdvv_form(target, model, closed, resolve, relation, beta, gamma,
             return None
         left = anchored_partitions(l, "left", i=2)
         right = anchored_partitions(l, "right", j=2)
-        return (mixed_sum(left) - open_sum(left, k - 1, 0)
-                + open_sum(right, k - 1, 1))
+        return form_sum(
+            form_difference(mixed_sum(left), open_sum(left, k - 1, 0)),
+            open_sum(right, k - 1, 1),
+        )
     if l < 3 or k is None or k < 0:
         return None
 
     def side(i, j):
         both = anchored_partitions(l, "both", i=i, j=j)
-        return mixed_sum(both) - open_sum(both, k, 0)
+        return form_difference(mixed_sum(both), open_sum(both, k, 0))
 
-    return side(2, 3) - side(3, 2)
+    return form_difference(side(2, 3), side(3, 2))

@@ -10,7 +10,7 @@ import os
 import time
 from fractions import Fraction
 
-from opengw import fileio
+from opengw import bounding_chain, fileio, wdvv
 from opengw.bounding_chain import (
     assemble_boundary,
     branch_bijection_failures,
@@ -57,6 +57,7 @@ from opengw.wdvv import (
 
 from support import (
     branch_decompositions,
+    clamped_binomial,
     decomposition_form,
     dim0_subtuples,
     make_rng,
@@ -325,7 +326,7 @@ def test_criterion_8_structure_checks():
            % (len(divisor.passed), len(sphere.passed), len(vanishing.passed)))
 
 
-def test_criterion_9_weighted_conventions():
+def test_criterion_9_weighted_conventions(monkeypatch):
     """Weighted definition equals the degree definition with one fewer
     point wherever point independence holds and no splitting falls in
     the zero-center blind spot; dropping the -1/2 from the weight breaks
@@ -367,19 +368,22 @@ def test_criterion_9_weighted_conventions():
         dropped = ConstraintTuple(top.beta, top.points - {p}, top.descriptors)
         degree = invariant_via_degree(dropped, table, target, point=p,
                                       chains=chains)
-        if invariant_via_weights(top, table, target, chains=chains,
-                                 weight_rule=wrong_rule) != degree:
+        with monkeypatch.context() as patch:
+            patch.setattr(bounding_chain, "splitting_weight", wrong_rule)
+            weighted = invariant_via_weights(top, table, target,
+                                             chains=chains)
+        if weighted != degree:
             broken += 1
     assert broken > 0
     # companion convention control: clamped binomials break residuals
     bundle, closed, seeds = _toy_wdvv()
     table = solve_wdvv(bundle.target, bundle.model, closed, seeds, 2, 3).table
+    monkeypatch.setattr(wdvv, "binomial", clamped_binomial)
     clamped_broken = sum(
         1 for inst in relation_instances(bundle.target, bundle.model, 2, 3)
         if (wdvv1_residual if inst.relation == 1 else wdvv2_residual)(
             bundle.target, bundle.model, closed, table,
             bundle.target.degree(inst.beta_coords), inst.gamma,
-            binomial_convention=False,
         ) != 0
     )
     assert clamped_broken > 0

@@ -16,13 +16,13 @@ from opengw.bounding_chain import (
     build_chains,
     constant_center_classes,
     decorated_multidisks,
-    default_weight_rule,
     direct_boundary,
     divisor_covering_degree,
     from_branches,
     invariant_via_degree,
     invariant_via_weights,
     point_chain,
+    splitting_weight,
     to_branches,
     verify_welschinger_relation,
 )
@@ -151,35 +151,58 @@ def test_flagship_boundary_identity_randomized():
             assert lhs == rhs, (seed, alpha)
 
 
-def test_sign_toggle_moves_class_terms_by_predicted_sign():
-    """Disabling one of the three stacked sign factors multiplies each
-    class contribution by (-1)^(part count)."""
-    t, table, top = small_instance()
-    chains = build_chains(top, table, t)
-    base = dict(
-        (eta.class_key(), contrib)
-        for eta, contrib in boundary_class_terms(top, chains, table, t)
-    )
-    toggled = dict(
-        (eta.class_key(), contrib)
-        for eta, contrib in boundary_class_terms(
-            top, chains, table, t, sign_toggles=(True, True, False)
+def _unsigned_classes(part_count):
+    """The class sign with its (-1)^(part count) dropped: flipped for odd
+    part counts."""
+    return 1
+
+
+def test_sign_toggle_moves_class_terms_by_predicted_sign(monkeypatch):
+    """Dropping the class sign multiplies each class contribution by
+    (-1)^(part count), on the worked example (two-part classes only) and
+    on a random instance with odd part counts."""
+    instances = [small_instance(), synthetic_instance(
+        make_rng(16000), n_points=1, n_quartic=1
+    )]
+    odd = 0
+    for t, table, top in instances:
+        chains = build_chains(top, table, t)
+        base = boundary_class_terms(top, chains, table, t)
+        with monkeypatch.context() as patch:
+            patch.setattr(bounding_chain, "_class_sign", _unsigned_classes)
+            flipped = dict(
+                (eta.class_key(), contrib)
+                for eta, contrib in boundary_class_terms(top, chains, table, t)
+            )
+        assert flipped.keys() == {eta.class_key() for eta, _ in base}
+        for eta, contrib in base:
+            factor = -1 if eta.part_count % 2 else 1
+            odd += factor < 0
+            assert flipped[eta.class_key()] == {
+                k: factor * v for k, v in contrib.items()
+            }
+    assert odd
+
+
+def test_class_sign_flip_breaks_the_boundary_identity(monkeypatch):
+    """Negative control: with the class sign flipped for odd part
+    counts, the recursion side differs from the direct multi-disk side
+    on some tuple of some random instance, so the identity above sees
+    the sign."""
+    monkeypatch.setattr(bounding_chain, "_class_sign", _unsigned_classes)
+    broken = 0
+    for seed in range(len(INSTANCE_SHAPES)):
+        rng = make_rng(5000 + seed)
+        np_, nq, ns, nc = INSTANCE_SHAPES[seed]
+        target, table, top = synthetic_instance(
+            rng, n_points=np_, n_quartic=nq, n_sextic=ns, n_conic=nc,
         )
-    )
-    assert base.keys() == toggled.keys()
-    for eta, contrib in boundary_class_terms(top, chains, table, t):
-        parts = len(eta.parts)
-        factor = -1 if parts % 2 else 1
-        assert toggled[eta.class_key()] == {
-            k: factor * v for k, v in contrib.items()
-        }
-    # and flipping all three is the same as flipping one
-    assert dict(
-        (eta.class_key(), contrib)
-        for eta, contrib in boundary_class_terms(
-            top, chains, table, t, sign_toggles=(False, False, False)
-        )
-    ) == toggled
+        chains = build_chains(top, table, target, include_self=True)
+        if any(assemble_boundary(alpha, chains, table, target)
+               != direct_boundary(alpha, table, target)
+               for alpha in dim0_subtuples(target, table, top)):
+            broken += 1
+    assert broken > 0
 
 
 def test_missing_predecessor_chain_raises():
@@ -337,72 +360,52 @@ def test_weighted_invariant_zero_outside_dimension_zero():
     ) == 0
 
 
-def test_weighted_invariant_forwards_sign_toggles():
-    """Flipping one stacked sign factor moves each class term of the
-    weighted sum by (-1)^(part count); the half point-drop sum moves
-    with the toggled degree invariants."""
+def test_weighted_invariant_forwards_sign_toggles(monkeypatch):
+    """Flipping the class sign for odd part counts moves each class term
+    of the weighted sum by (-1)^(part count); the half point-drop sum
+    moves with the flipped degree invariants."""
     rng = make_rng(16000)
     target, table, top = synthetic_instance(rng, n_points=1, n_quartic=1)
     chains = build_chains(top, table, target, include_self=True)
-    toggles = (True, False, True)
     unmoved = moved = Fraction(0)
     for eta, contrib in boundary_class_terms(top, chains, table, target):
         k = eta.part_count
-        term = default_weight_rule(k) * max(k, 1) * sum(contrib.values())
+        term = splitting_weight(k) * max(k, 1) * sum(contrib.values())
         unmoved += term
         moved += term if k % 2 == 0 else -term
     # odd part counts carry weight here, so the flip is visible
     assert moved != unmoved
+    monkeypatch.setattr(bounding_chain, "_class_sign", _unsigned_classes)
     (p,) = top.points
     dropped = target.constraint_tuple(top.beta, (), top.descriptors)
     degree = invariant_via_degree(dropped, table, target, point=p,
-                                  chains=chains, sign_toggles=toggles)
+                                  chains=chains)
     assert invariant_via_weights(
-        top, table, target, chains=chains, sign_toggles=toggles
+        top, table, target, chains=chains
     ) == moved + Fraction(1, 2) * degree
 
 
 def test_splitting_weight_values():
-    assert default_weight_rule(0) == 1
-    assert default_weight_rule(1) == Fraction(1, 2)
-    assert default_weight_rule(2) == 0  # two-part splittings drop
-    assert default_weight_rule(3) == Fraction(-1, 6)
+    assert splitting_weight(0) == 1
+    assert splitting_weight(1) == Fraction(1, 2)
+    assert splitting_weight(2) == 0  # two-part splittings drop
+    assert splitting_weight(3) == Fraction(-1, 6)
 
 
-def test_flagship_identity_over_prime_field():
-    from opengw.ring import PrimeField
-
-    gf = PrimeField(13)
-    t, table, top = small_instance()
-    chains = build_chains(top, table, t, ring=gf)
-    for alpha in dim0_subtuples(t, table, top):
-        lhs = assemble_boundary(alpha, chains, table, t, ring=gf)
-        rhs = direct_boundary(alpha, table, t, ring=gf)
-        assert lhs == rhs, alpha
-    # and the mod-p boundary is the reduction of the rational one
-    rational = build_chains(top, table, t)
-    for alpha, chain in rational.items():
-        if chain.is_point:
-            continue
-        reduced = {k: gf(v) for k, v in chain.boundary if gf(v) != gf(0)}
-        assert reduced == dict(chains[alpha].boundary), alpha
-
-
-def test_wrong_weight_rule_breaks_the_match():
+def test_wrong_weight_rule_breaks_the_match(monkeypatch):
     """Negative control: dropping the -1/2 from the splitting weight
     must break the equality on some instance."""
 
     def wrong_rule(k):
         return Fraction(1) if k == 0 else Fraction(1, k)
 
+    monkeypatch.setattr(bounding_chain, "splitting_weight", wrong_rule)
     broken = 0
     for seed in range(10):
         rng = make_rng(14000 + seed)
         target, table, top = synthetic_instance(rng, n_points=1, n_quartic=0)
         chains = build_chains(top, table, target, include_self=True)
-        weighted = invariant_via_weights(
-            top, table, target, chains=chains, weight_rule=wrong_rule
-        )
+        weighted = invariant_via_weights(top, table, target, chains=chains)
         p = next(iter(top.points))
         dropped = target.constraint_tuple(
             top.beta, top.points - {p}, top.descriptors

@@ -375,6 +375,17 @@ def test_seeds_without_cohomology_model_is_typed_error(tmp_path, capsys):
     _assert_one_line_error(capsys)
 
 
+def test_out_naming_a_file_is_one_line_error(tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    paths = toy_paths()
+    status = main(["--pipeline", "enumerate", "--target", paths["target"],
+                   "--atoms", paths["atoms"], "--out", str(afile)])
+    assert status == 2
+    assert "afile" in _assert_one_line_error(capsys)
+    assert afile.read_text() == "kept\n"
+
+
 def test_unbounded_atom_loop_is_typed_error(tmp_path, capsys):
     doc = json.loads(open(toy_paths()["atoms"]).read())
     doc["unbounded_loops"] = [doc["atoms"][0]["loop"]]

@@ -14,21 +14,19 @@ import itertools
 import os
 import random
 from collections import Counter
+from fractions import Fraction
 
 from opengw import fileio
 from opengw.bounding_chain import (
-    SIGN_TOGGLES_DEFAULT,
-    _class_sign_exponent,
     boundary_class_terms,
     branch_decomposition_count,
     build_chains,
     constant_center_classes,
     decorated_multidisks,
-    default_weight_rule,
     divisor_covering_degree,
+    splitting_weight,
 )
 from opengw.lattice import ConstraintTuple
-from opengw.ring import QQ
 
 from support import (
     BranchDecomposition,
@@ -57,8 +55,7 @@ def _full_slot_chains(eta, chains):
     return out
 
 
-def full_boundary_class_terms(alpha, chains, table, classes, extra_point=None,
-                              sign_toggles=SIGN_TOGGLES_DEFAULT):
+def full_boundary_class_terms(alpha, chains, table, classes, extra_point=None):
     out = []
     for eta, _count in classes(alpha):
         if eta.center_degree.is_zero:
@@ -72,14 +69,16 @@ def full_boundary_class_terms(alpha, chains, table, classes, extra_point=None,
         atoms = table.single_disks(
             ConstraintTuple(eta.center_degree, pts, eta.center_descriptors)
         )
-        odd = _class_sign_exponent(eta, sign_toggles) % 2
+        odd = eta.part_count % 2  # the class sign (-1)^(part count)
         contribution = {}
         for atom in atoms:
             value = divisor_covering_degree(atom.loop, slot_chains, table.links)
             if (atom.sign < 0) != odd:
                 value = -value
-            contribution[atom.loop] = contribution.get(atom.loop, QQ.zero) + value
-        contribution = {k: v for k, v in contribution.items() if v != QQ.zero}
+            contribution[atom.loop] = (
+                contribution.get(atom.loop, Fraction(0)) + value
+            )
+        contribution = {k: v for k, v in contribution.items() if v != 0}
         if contribution:
             out.append((eta, contribution))
     return out
@@ -90,7 +89,7 @@ def full_constant_center_classes(alpha, chains, classes):
         (eta, count) for eta, count in classes(alpha)
         if eta.center_degree.is_zero
         and not eta.center_descriptors and not eta.point_labels()
-        and default_weight_rule(eta.part_count) != 0
+        and splitting_weight(eta.part_count) != 0
         and _full_slot_chains(eta, chains) is not None
     ]
 

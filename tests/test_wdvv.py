@@ -1,6 +1,5 @@
 """Residual evaluators, the recursion solver, and structural checks."""
 
-import functools
 import hashlib
 import os
 from fractions import Fraction
@@ -32,7 +31,12 @@ from opengw.wdvv import (
     wdvv2_residual,
 )
 
-from support import make_rng, reference_wdvv_form
+from support import (
+    clamped_binomial,
+    form_product,
+    make_rng,
+    reference_wdvv_form,
+)
 
 F = Fraction
 
@@ -131,7 +135,7 @@ def test_binomial_conventions():
     assert binomial(3, 2) == 3
     assert binomial(3, -1) == 0
     assert binomial(3, 4) == 0
-    assert binomial(3, 4, out_of_range_zero=False) == 1  # clamped control
+    assert clamped_binomial(3, 4) == 1  # the negative controls' convention
     assert binomial(0, 0) == 1
 
 
@@ -317,15 +321,15 @@ def test_solver_negative_control_perturbation():
     assert nonzero
 
 
-def test_wrong_binomial_convention_breaks_residuals():
+def test_wrong_binomial_convention_breaks_residuals(monkeypatch):
     target, model, closed = toy_target(), toy_model(), toy_closed()
     table = planted_table(target, model)
+    monkeypatch.setattr(wdvv, "binomial", clamped_binomial)
     broken = []
     for inst in relation_instances(target, model, 2, 3):
         fn = wdvv1_residual if inst.relation == 1 else wdvv2_residual
         r = fn(target, model, closed, table,
-               target.degree(inst.beta_coords), inst.gamma,
-               binomial_convention=False)
+               target.degree(inst.beta_coords), inst.gamma)
         if r != 0:
             broken.append(inst)
     assert broken
@@ -397,7 +401,7 @@ def test_nonlinear_error_names_both_factors():
     left = LinForm(F(0), {"a": F(1)})
     right = LinForm(F(2), {"b": F(3), "c": F(1)})
     with pytest.raises(NonlinearEquationError) as err:
-        left * right
+        form_product(left, right)
     assert err.value.keys == {"a", "b", "c"}
 
 
@@ -452,10 +456,7 @@ def test_solver_names_brackets_it_assumed_zero(area_bound, max_insertions,
 
 
 ORACLE_RUNG = (6, 4)
-CONVENTIONS = {
-    "vanishing": binomial,
-    "clamped": functools.partial(binomial, out_of_range_zero=False),
-}
+CONVENTIONS = {"vanishing": binomial, "clamped": clamped_binomial}
 
 
 def table_resolver(table):
@@ -491,17 +492,19 @@ def form_outcome(build):
 def assert_builders_match_reference(target, model, closed, resolve):
     instances = relation_instances(target, model, *ORACLE_RUNG)
     builders = {1: wdvv1_form, 2: wdvv2_form}
-    for inst in instances:
-        beta = target.degree(inst.beta_coords)
-        for bino in CONVENTIONS.values():
-            got = form_outcome(lambda: builders[inst.relation](
-                target, model, closed, resolve, beta, inst.gamma, bino
-            ))
-            want = form_outcome(lambda: reference_wdvv_form(
-                target, model, closed, resolve, inst.relation, beta,
-                inst.gamma, bino
-            ))
-            assert got == want, (inst, bino)
+    for name, bino in CONVENTIONS.items():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(wdvv, "binomial", bino)
+            for inst in instances:
+                beta = target.degree(inst.beta_coords)
+                got = form_outcome(lambda: builders[inst.relation](
+                    target, model, closed, resolve, beta, inst.gamma
+                ))
+                want = form_outcome(lambda: reference_wdvv_form(
+                    target, model, closed, resolve, inst.relation, beta,
+                    inst.gamma, bino
+                ))
+                assert got == want, (inst, name)
 
 
 def test_form_builders_match_reference_on_solved_table():
