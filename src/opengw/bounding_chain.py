@@ -1,9 +1,10 @@
 """The boundary recursion for disk counts, and both invariant definitions.
 
-A bounding chain assigns to every admissible sub-tuple a 2-chain in the
-ambient 3-manifold, known here only through its boundary: a formal
-signed multiset of boundary loops.  The recursion builds those
-multisets level by level over the predecessor order:
+A bounding chain assigns to every dimension-0, non-point tuple at or
+below the tuples of interest (the tops) a 2-chain in the ambient
+3-manifold, known here only through its boundary: a formal signed
+multiset of boundary loops.  One family per run holds them all; the
+recursion builds it level by level over the predecessor order:
 
   boundary(alpha) = sum over degeneration classes of alpha of
       (-1)^(number of point parts)
@@ -17,7 +18,7 @@ moduli are constant disks, which either miss the interior constraints
 or cancel in sign pairs; and parts of nonzero dimension contribute
 nothing because their chains are empty.
 
-Two invariants come out of a chain family.  The degree-type invariant
+Two invariants are read off the family.  The degree-type invariant
 of a dimension-2 tuple is (minus) the count of the top chain through
 one extra point.  The weighted-type invariant of a dimension-0 tuple
 sums over raw splittings with weight (-1)^(parts) * s(parts), where
@@ -53,23 +54,15 @@ class ChainError(OpenGWError, ValueError):
 
 @dataclass(frozen=True)
 class BoundingChain:
-    """A chain datum: the tuple it bounds for, and its boundary multiset.
+    """A chain datum: the dimension-0, non-point tuple it bounds for, and
+    its boundary multiset, the only part of the chain the model keeps.
 
-    boundary: sorted tuple of (loop id, coefficient); empty for point
-    chains and for tuples that carry no rigid disks.  virtual_dim
-    records dim(alpha) + 2, the dimension the chain itself would have.
+    boundary: sorted tuple of (loop id, coefficient); empty for tuples
+    that carry no rigid disks.
     """
 
     alpha: ConstraintTuple
     boundary: tuple
-    is_point: bool
-    virtual_dim: int
-
-
-def point_chain(target, label):
-    """The chain of a bare point tuple: the point itself, no boundary."""
-    alpha = target.point_tuple(label)
-    return BoundingChain(alpha, (), True, target.dimension(alpha) + 2)
 
 
 def _chain_linking(loop, chain, links):
@@ -102,19 +95,20 @@ def _class_sign(part_count):
 
 
 def _live_parts(alpha, chains, target):
-    """The parts a contributing class of alpha may carry: the non-point
-    tuples whose chains have nonempty boundary.
+    """The parts a contributing class of alpha may carry: the tuples of
+    the family whose chains have nonempty boundary.
 
-    Nothing is silently zero: a dimension-0, non-point strict
-    predecessor of alpha without a chain raises instead of reading as
-    an empty chain.
+    The family holds no point tuples, and the class generator places
+    only parts that fit below alpha, so the family of any tops above
+    alpha serves.  Nothing is silently zero: a dimension-0, non-point
+    strict predecessor of alpha without a chain raises instead of
+    reading as an empty chain.
     """
     for pred in target.predecessors(alpha):
         if (pred not in chains and not pred.is_point_tuple()
                 and target.dimension(pred) == 0):
             raise ChainError("missing predecessor chain for %r" % (pred,))
-    return [a for a, chain in chains.items()
-            if chain.boundary and not a.is_point_tuple()]
+    return [a for a, chain in chains.items() if chain.boundary]
 
 
 def _center_triples(table, extra_point=None):
@@ -203,27 +197,31 @@ def direct_boundary(alpha, table, target):
     return {k: v for k, v in total.items() if v != 0}
 
 
-def build_chains(alpha, table, target, include_self=False):
-    """Chain family for all strict predecessors of alpha (and alpha
-    itself when include_self and dim(alpha) = 0), by increasing level."""
+def chain_tuples(target, tops):
+    """The tuples that carry a chain in the family of `tops`: every
+    dimension-0, non-point tuple at or below one of them, sorted."""
+    seen = set()
+    for top in tops:
+        seen.update(
+            alpha for alpha in target.predecessors(top) + [top]
+            if target.dimension(alpha) == 0 and not alpha.is_point_tuple()
+        )
+    return sorted(seen, key=ConstraintTuple.sort_key)
+
+
+def build_chains(tops, table, target):
+    """The one chain family of `tops`, keyed in `chain_tuples` order.
+
+    Chains are assembled by increasing level (area, then constraint
+    count), so the chains of a tuple's strict predecessors come first.
+    """
+    order = chain_tuples(target, tops)
     chains = {}
-    preds = target.predecessors(alpha)
-    if include_self:
-        preds = preds + [alpha]
-    preds.sort(key=lambda a: (a.beta.area, len(a.points) + len(a.descriptors),
-                              a.sort_key()))
-    for cand in preds:
-        if cand.is_point_tuple():
-            chains[cand] = point_chain(target, next(iter(cand.points)))
-        elif target.dimension(cand) == 0:
-            boundary = assemble_boundary(cand, chains, table, target)
-            chains[cand] = BoundingChain(
-                cand,
-                tuple(sorted(boundary.items())),
-                False,
-                target.dimension(cand) + 2,
-            )
-    return chains
+    for alpha in sorted(order, key=lambda a: (
+            a.beta.area, len(a.points) + len(a.descriptors), a.sort_key())):
+        boundary = assemble_boundary(alpha, chains, table, target)
+        chains[alpha] = BoundingChain(alpha, tuple(sorted(boundary.items())))
+    return {alpha: chains[alpha] for alpha in order}
 
 
 # --- the two invariants -----------------------------------------------------
@@ -235,8 +233,8 @@ def invariant_via_degree(alpha, table, target, point, chains):
     Evaluated by cutting with one extra point constraint: minus the
     total signed coefficient of the point-augmented boundary assembly
     (the odd ambient dimension flips the count against the degree).
-    `chains` must hold the chains of alpha's predecessors; the family of
-    any tuple above alpha serves, since a chain depends only on its
+    `chains` must hold the chains of alpha's dimension-0 predecessors;
+    the one family of a run serves, since a chain depends only on its
     tuple.
     """
     dim = target.dimension(alpha)
@@ -599,7 +597,8 @@ def verify_welschinger_relation(alpha, table, target, chains, point=None):
     the smallest label), the degree invariant of the tuple with that
     point removed must equal (-1)^|K| times the configuration count of
     the full tuple.  `chains` is a chain family covering alpha's
-    predecessors, such as that of alpha or of any tuple above it.
+    predecessors, such as the one family of a run whose tops include
+    alpha or a tuple above it.
     """
     if target.dimension(alpha) != 0:
         raise ChainError("the comparison needs a dimension-0 tuple")

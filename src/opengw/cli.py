@@ -21,9 +21,9 @@ from fractions import Fraction
 
 from . import OpenGWError, fileio, selfcheck
 from .bounding_chain import (
-    assemble_boundary,
     branch_bijection_failures,
     build_chains,
+    chain_tuples,
     constant_center_classes,
     decorated_multidisks,
     direct_boundary,
@@ -143,16 +143,6 @@ def _tally(rep, name, bad, summary, failure="mismatch at"):
               summary if not bad else "%s %s" % (failure, _tuple_label(bad[0])))
 
 
-def _dim0_worklist(target, tuples):
-    """Tuples of interest plus their dimension-0 predecessors."""
-    seen = {}
-    for top in tuples:
-        for alpha in target.predecessors(top) + [top]:
-            if target.dimension(alpha) == 0 and not alpha.is_point_tuple():
-                seen[alpha] = None
-    return sorted(seen, key=ConstraintTuple.sort_key)
-
-
 def run_enumerate(bundle, atom_bundle, config, rep):
     target = bundle.target
     # the class parts repeat a few predecessors many times
@@ -199,7 +189,7 @@ def run_welschinger(bundle, atom_bundle, config, rep):
     table = atom_bundle.table
     config_rows = []
     count_rows = []
-    for alpha in _dim0_worklist(target, atom_bundle.tuples):
+    for alpha in chain_tuples(target, atom_bundle.tuples):
         configs = table.multi_disks(alpha)
         total = welschinger_count(alpha, configs, table.links, target)
         count_rows.append((_tuple_label(alpha), len(configs), total))
@@ -216,46 +206,40 @@ def run_welschinger(bundle, atom_bundle, config, rep):
 
 
 def run_bb_recursion(bundle, atom_bundle, config, rep):
-    """Build, tabulate and evaluate the chains.
+    """Build, tabulate and evaluate the run's one chain family.
 
-    Returns ({top: chains}, {top: (weighted invariant, {point: degree
-    invariant with that point dropped})}); the second holds the
-    dimension-0 tops only.
+    Returns (chains, {top: (weighted invariant, {point: degree invariant
+    with that point dropped})}); the second holds the dimension-0 tops
+    only.
     """
     target = bundle.target
     table = atom_bundle.table
-    chains_by_top = {}
+    chains = build_chains(atom_bundle.tuples, table, target)
+    chain_rows = [
+        (_tuple_label(alpha), loop, coeff)
+        for alpha, chain in chains.items() for loop, coeff in chain.boundary
+    ]
     invariants = {}
-    chain_rows = []
     invariant_rows = []
     for top in atom_bundle.tuples:
-        chains = build_chains(top, table, target, include_self=True)
-        chains_by_top[top] = chains
-        for alpha in sorted(chains, key=ConstraintTuple.sort_key):
-            chain = chains[alpha]
-            if chain.is_point:
-                continue
-            for loop, coeff in chain.boundary:
-                chain_rows.append((_tuple_label(alpha), loop, coeff))
-        if target.dimension(top) == 0:
-            weighted = invariant_via_weights(top, table, target, chains)
-            invariant_rows.append((_tuple_label(top), "weighted", "-", weighted))
-            degrees = {}
-            for p in sorted(top.points):
-                dropped = ConstraintTuple(
-                    top.beta, top.points - {p}, top.descriptors
-                )
-                degrees[p] = invariant_via_degree(
-                    dropped, table, target, p, chains
-                )
-                invariant_rows.append(
-                    (_tuple_label(dropped), "degree", p, degrees[p])
-                )
-            invariants[top] = (weighted, degrees)
+        if target.dimension(top) != 0:
+            continue
+        weighted = invariant_via_weights(top, table, target, chains)
+        invariant_rows.append((_tuple_label(top), "weighted", "-", weighted))
+        degrees = {}
+        for p in sorted(top.points):
+            dropped = ConstraintTuple(top.beta, top.points - {p},
+                                      top.descriptors)
+            degrees[p] = invariant_via_degree(dropped, table, target, p,
+                                              chains)
+            invariant_rows.append(
+                (_tuple_label(dropped), "degree", p, degrees[p])
+            )
+        invariants[top] = (weighted, degrees)
     rep.table("chains", ("tuple", "loop", "coefficient"), chain_rows)
     rep.table("invariants", ("tuple", "kind", "point", "value"),
               invariant_rows)
-    return chains_by_top, invariants
+    return chains, invariants
 
 
 def _bracket_label(coords, ins):
@@ -263,12 +247,9 @@ def _bracket_label(coords, ins):
 
 
 def run_wdvv_solve(bundle, closed, seeds, config, rep):
-    """Solve, audit and tabulate; returns the SolveResult (None without a
-    cohomology model)."""
+    """Solve, audit and tabulate; returns the SolveResult.  The seeds
+    loader has already refused a target without a cohomology model."""
     target, model = bundle.target, bundle.model
-    if model is None:
-        rep.check("wdvv-solve", "FAIL", "target declares no cohomology model")
-        return None
     result = solve_wdvv(target, model, closed, seeds,
                         area_bound=config.area_bound,
                         max_insertions=config.cap_insertions)
@@ -337,30 +318,19 @@ def run_verify_all(bundle, atom_bundle, closed, seeds, config, rep):
     if atom_bundle is not None:
         table = atom_bundle.table
         run_welschinger(bundle, atom_bundle, config, rep)
-        chains_by_top, invariants = run_bb_recursion(
-            bundle, atom_bundle, config, rep
-        )
-        worklist = _dim0_worklist(target, atom_bundle.tuples)
-        bad = []
-        for top in atom_bundle.tuples:
-            chains = chains_by_top[top]
-            for alpha in _dim0_worklist(target, [top]):
-                if assemble_boundary(alpha, chains, table, target) != \
-                        direct_boundary(alpha, table, target):
-                    bad.append(alpha)
+        chains, invariants = run_bb_recursion(bundle, atom_bundle, config,
+                                              rep)
+        # the stored boundary is the recursion side of the identity
+        bad = [alpha for alpha, chain in chains.items()
+               if dict(chain.boundary) != direct_boundary(alpha, table, target)]
         _tally(rep, "boundary-recursion-identity", bad,
-               "%d tuples compared" % len(worklist))
-        # a chain depends only on its tuple, so the merged top families
-        # cover every predecessor in the worklist
-        family = {}
-        for chains in chains_by_top.values():
-            family.update(chains)
+               "%d tuples compared" % len(chains))
         relation_bad = []
         relation_checked = 0
-        for alpha in worklist:
+        for alpha in chains:
             for p in sorted(alpha.points):
                 report = verify_welschinger_relation(
-                    alpha, table, target, family, point=p
+                    alpha, table, target, chains, point=p
                 )
                 relation_checked += 1
                 if not report.holds:
@@ -372,7 +342,7 @@ def run_verify_all(bundle, atom_bundle, closed, seeds, config, rep):
         for top in atom_bundle.tuples:
             if target.dimension(top) != 0 or not top.points:
                 continue
-            if constant_center_classes(top, chains_by_top[top], table, target):
+            if constant_center_classes(top, chains, table, target):
                 rep.check(
                     "weighted-degree-comparison", "SKIP",
                     "live zero-center splitting at " + _tuple_label(top),
@@ -393,13 +363,13 @@ def run_verify_all(bundle, atom_bundle, closed, seeds, config, rep):
                    "%d tuples compared" % weighted_checked)
         bij_bad = []
         bij_count = 0
-        # every dimension-0 part of a worklist tuple is in the worklist,
-        # so this one map serves every tuple's check
+        # every dimension-0 part of a tuple of the family is in the
+        # family, so this one map serves every tuple's check
         decorated_by_tuple = {
             alpha: decorated_multidisks(alpha, table, tree_cap=config.cap_trees)
-            for alpha in worklist
+            for alpha in chains
         }
-        for alpha in worklist:
+        for alpha in chains:
             bij_count += len(decorated_by_tuple[alpha])
             if branch_bijection_failures(alpha, decorated_by_tuple, table,
                                          target):
@@ -421,7 +391,7 @@ def run_verify_all(bundle, atom_bundle, closed, seeds, config, rep):
         else:
             rep.check("conjugation-cancellation", "SKIP",
                       "no involution declared")
-    if closed is not None and seeds is not None and bundle.model is not None:
+    if closed is not None and seeds is not None:
         result = run_wdvv_solve(bundle, closed, seeds, config, rep)
         # negative control: a unit perturbation of a solved entry must
         # break at least one residual

@@ -221,20 +221,20 @@ def load_closed(path):
 
 
 def load_seeds(path, target, model):
-    """Seed table: plain entries plus evaluated zero-degree data."""
+    """Seed table: plain entries plus evaluated zero-degree data.  Seeds
+    feed only the solver, which needs the target's cohomology model."""
     doc = _load_document(path, "opengw-seeds")
+    if model is None:
+        raise FileFormatError(
+            "%s: seeds need a target with a cohomology model" % path
+        )
     with _malformed_as_format_error(path):
         table = OpenInvariantTable(target, model)
         for e in doc.get("entries", []):
             table.set([_integer(x) for x in e["degree"]],
                       [_integer(i) for i in e["insertions"]],
                       _rational(e["value"]))
-        beta_zero = doc.get("beta_zero", [])
-        if beta_zero and model is None:
-            raise FileFormatError(
-                "beta_zero entries need a target with a cohomology model"
-            )
-        for e in beta_zero:
+        for e in doc.get("beta_zero", []):
             corrections = [
                 (
                     tuple(_integer(x) for x in c["closed_degree"]),

@@ -189,13 +189,6 @@ class DegenerationType:
             tuple(sorted(p.sort_key() for p in self.parts)),
         )
 
-    def canonical(self):
-        return DegenerationType(
-            self.center_degree,
-            self.center_descriptors,
-            tuple(sorted(self.parts, key=ConstraintTuple.sort_key)),
-        )
-
 
 class Target:
     """A declared combinatorial target: lattices, functionals, descriptors.
@@ -466,6 +459,10 @@ class Target:
                 place_labels(center, rest, alpha.points - pts,
                              alpha.descriptors - descs,
                              [point_parts[x] for x in pts])
+        # the recursive closures refer to themselves; clearing them frees
+        # the emitted keys and the part tables now, not at the next full
+        # garbage collection
+        del place_labels, add_unlabeled
         out.sort(key=itemgetter(0))
         return [(eta, count) for _, eta, count in out]
 

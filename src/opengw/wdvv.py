@@ -723,8 +723,7 @@ class CheckOutcome:
         return not self.failed
 
 
-def check_structure(target, model, open_table, closed_table=None,
-                    checks=("divisor", "sphere", "mixed", "vanishing")):
+def check_structure(target, model, open_table, closed_table=None):
     """Entry-by-entry structural audits of a populated open table.
 
     divisor: a degree-2 insertion multiplies the bracket by its pairing
@@ -733,87 +732,84 @@ def check_structure(target, model, open_table, closed_table=None,
     mixed: the single-boundary-point brackets against the closed table
     through the ambient-class pairing, with orientation-datum signs.
     vanishing: with a nonzero ambient fixed-locus class, every bracket
-    with two or more boundary points vanishes.
+    with two or more boundary points vanishes.  Returns one CheckOutcome
+    per audit, in that order.
     """
     outcomes = []
     entries = open_table.entries()
-    if "divisor" in checks:
-        passed, failed, skipped = [], [], []
+    passed, failed, skipped = [], [], []
+    for (coords, ins), value in entries:
+        beta = target.degree(coords)
+        for pos, idx in enumerate(ins):
+            if model.degree_of(idx) != 2:
+                continue
+            rest = ins[:pos] + ins[pos + 1:]
+            if idx not in model.deg2_pairings:
+                skipped.append(((coords, ins), "no pairing for %d" % idx))
+                continue
+            if not (open_table.known(beta, rest)
+                    or open_table.resolve_fixed(beta, rest) is not None):
+                skipped.append(((coords, ins), "reduced entry absent"))
+                continue
+            expect = model.lattice_pairing(idx, beta) * open_table.value(
+                beta, rest
+            )
+            (passed if value == expect else failed).append(
+                ((coords, ins), value, expect)
+            )
+    outcomes.append(CheckOutcome("divisor", passed, failed, skipped))
+    passed, failed, skipped = [], [], []
+    if model.sphere_index is None:
+        skipped.append((None, "no sphere class declared"))
+    else:
+        s = model.sphere_index
+        for (coords, ins), value in entries:
+            if s not in ins:
+                continue
+            beta = target.degree(coords)
+            pos = ins.index(s)
+            rest = ins[:pos] + ins[pos + 1:]
+            if not (open_table.known(beta, rest)
+                    or open_table.resolve_fixed(beta, rest) is not None):
+                skipped.append(((coords, ins), "traded entry absent"))
+                continue
+            expect = -open_table.value(beta, rest)
+            (passed if value == expect else failed).append(
+                ((coords, ins), value, expect)
+            )
+    outcomes.append(CheckOutcome("sphere", passed, failed, skipped))
+    passed, failed, skipped = [], [], []
+    if closed_table is None or model.gamma0_pairing is None:
+        skipped.append((None, "no closed table or ambient pairing"))
+    else:
         for (coords, ins), value in entries:
             beta = target.degree(coords)
-            for pos, idx in enumerate(ins):
-                if model.degree_of(idx) != 2:
-                    continue
-                rest = ins[:pos] + ins[pos + 1:]
-                if idx not in model.deg2_pairings:
-                    skipped.append(((coords, ins), "no pairing for %d" % idx))
-                    continue
-                if not (open_table.known(beta, rest)
-                        or open_table.resolve_fixed(beta, rest) is not None):
-                    skipped.append(((coords, ins), "reduced entry absent"))
-                    continue
-                expect = model.lattice_pairing(idx, beta) * open_table.value(
-                    beta, rest
-                )
-                (passed if value == expect else failed).append(
-                    ((coords, ins), value, expect)
-                )
-        outcomes.append(CheckOutcome("divisor", passed, failed, skipped))
-    if "sphere" in checks:
-        passed, failed, skipped = [], [], []
-        if model.sphere_index is None:
-            skipped.append((None, "no sphere class declared"))
-        else:
-            s = model.sphere_index
-            for (coords, ins), value in entries:
-                if s not in ins:
-                    continue
-                beta = target.degree(coords)
-                pos = ins.index(s)
-                rest = ins[:pos] + ins[pos + 1:]
-                if not (open_table.known(beta, rest)
-                        or open_table.resolve_fixed(beta, rest) is not None):
-                    skipped.append(((coords, ins), "traded entry absent"))
-                    continue
-                expect = -open_table.value(beta, rest)
-                (passed if value == expect else failed).append(
-                    ((coords, ins), value, expect)
-                )
-        outcomes.append(CheckOutcome("sphere", passed, failed, skipped))
-    if "mixed" in checks:
-        passed, failed, skipped = [], [], []
-        if closed_table is None or model.gamma0_pairing is None:
-            skipped.append((None, "no closed table or ambient pairing"))
-        else:
-            for (coords, ins), value in entries:
-                beta = target.degree(coords)
-                if open_table.boundary_points(beta, ins) != 1:
-                    continue
-                rhs = Fraction(0)
-                for b in target.closed_preimages(beta):
-                    closed_ins = [PD_Y_LABEL, GAMMA0_LABEL] + [
-                        model.restrict(i) for i in ins
-                    ]
-                    rhs -= target.w2_sign(b) * closed_table.value(b, closed_ins)
-                lhs = model.gamma0_pairing * value
-                (passed if lhs == rhs else failed).append(
-                    ((coords, ins), lhs, rhs)
-                )
-        outcomes.append(CheckOutcome("mixed", passed, failed, skipped))
-    if "vanishing" in checks:
-        passed, failed, skipped = [], [], []
-        if not model.y_class_nonzero:
-            skipped.append((None, "ambient fixed-locus class declared zero"))
-        else:
-            for (coords, ins), value in entries:
-                beta = target.degree(coords)
-                count = open_table.boundary_points(beta, ins)
-                if count is None or count < 2:
-                    continue
-                (passed if value == 0 else failed).append(
-                    ((coords, ins), value, Fraction(0))
-                )
-        outcomes.append(CheckOutcome("vanishing", passed, failed, skipped))
+            if open_table.boundary_points(beta, ins) != 1:
+                continue
+            rhs = Fraction(0)
+            for b in target.closed_preimages(beta):
+                closed_ins = [PD_Y_LABEL, GAMMA0_LABEL] + [
+                    model.restrict(i) for i in ins
+                ]
+                rhs -= target.w2_sign(b) * closed_table.value(b, closed_ins)
+            lhs = model.gamma0_pairing * value
+            (passed if lhs == rhs else failed).append(
+                ((coords, ins), lhs, rhs)
+            )
+    outcomes.append(CheckOutcome("mixed", passed, failed, skipped))
+    passed, failed, skipped = [], [], []
+    if not model.y_class_nonzero:
+        skipped.append((None, "ambient fixed-locus class declared zero"))
+    else:
+        for (coords, ins), value in entries:
+            beta = target.degree(coords)
+            count = open_table.boundary_points(beta, ins)
+            if count is None or count < 2:
+                continue
+            (passed if value == 0 else failed).append(
+                ((coords, ins), value, Fraction(0))
+            )
+    outcomes.append(CheckOutcome("vanishing", passed, failed, skipped))
     return outcomes
 
 

@@ -571,6 +571,14 @@ def branch_decompositions(alpha, table, target, decorated=None):
 # --- the open WDVV relations, term by term ----------------------------------
 
 
+def structure_outcome(name, target, model, open_table, closed_table=None):
+    """The outcome of the structural audit called `name` on a table."""
+    from opengw.wdvv import check_structure
+
+    outcomes = check_structure(target, model, open_table, closed_table)
+    return next(o for o in outcomes if o.name == name)
+
+
 def form_sum(a, b):
     """a + b for two `LinForm`s; coefficients that cancel are dropped."""
     from opengw.wdvv import LinForm

@@ -48,7 +48,6 @@ from opengw.selfcheck import (
 )
 from opengw.wdvv import (
     OpenInvariantTable,
-    check_structure,
     relation_instances,
     solve_wdvv,
     wdvv1_residual,
@@ -61,6 +60,7 @@ from support import (
     decomposition_form,
     dim0_subtuples,
     make_rng,
+    structure_outcome,
     synthetic_instance,
 )
 
@@ -188,7 +188,7 @@ def test_criterion_4_boundary_identity():
     tuples_checked = 0
     for seed in range(100):
         target, table, top = _instance(41000 + seed)
-        chains = build_chains(top, table, target, include_self=True)
+        chains = build_chains([top], table, target)
         for alpha in dim0_subtuples(target, table, top):
             lhs = assemble_boundary(alpha, chains, table, target)
             rhs = direct_boundary(alpha, table, target)
@@ -208,7 +208,7 @@ def test_criterion_5_sign_relation():
     pairs = 0
     for seed in range(100):
         target, table, top = _instance(51000 + seed)
-        chains = build_chains(top, table, target, include_self=True)
+        chains = build_chains([top], table, target)
         for p in sorted(top.points):
             result = verify_welschinger_relation(
                 top, table, target, chains, point=p
@@ -287,7 +287,7 @@ def test_criterion_8_structure_checks():
     target, model = bundle.target, bundle.model
     table = solve_wdvv(target, model, closed, seeds, area_bound=2,
                        max_insertions=3).table
-    (divisor,) = check_structure(target, model, table, checks=("divisor",))
+    divisor = structure_outcome("divisor", target, model, table)
     assert divisor.ok and divisor.passed
     from opengw.wdvv import CohomologyModel
 
@@ -300,8 +300,7 @@ def test_criterion_8_structure_checks():
         ((1,), (), Fraction(3)), ((1,), (3,), Fraction(-3)),
         ((2,), (4,), Fraction(2)), ((2,), (3, 4), Fraction(-2)),
     ])
-    (sphere,) = check_structure(target, sphere_model, planted,
-                                checks=("sphere",))
+    sphere = structure_outcome("sphere", target, sphere_model, planted)
     assert sphere.ok and len(sphere.passed) == 2
     vanishing_model = CohomologyModel(
         degrees=(0, 2, 4, 6),
@@ -311,15 +310,13 @@ def test_criterion_8_structure_checks():
     good = OpenInvariantTable(target, vanishing_model, [
         ((1,), (), Fraction(0)), ((1,), (4,), Fraction(5)),
     ])
-    (vanishing,) = check_structure(target, vanishing_model, good,
-                                   checks=("vanishing",))
+    vanishing = structure_outcome("vanishing", target, vanishing_model, good)
     assert vanishing.ok and vanishing.passed
     # negative control: a nonzero two-point bracket must be flagged
     bad = OpenInvariantTable(target, vanishing_model, [
         ((1,), (), Fraction(1)),
     ])
-    (broken,) = check_structure(target, vanishing_model, bad,
-                                checks=("vanishing",))
+    broken = structure_outcome("vanishing", target, vanishing_model, bad)
     assert not broken.ok
     report("8-structure-checks", True,
            "divisor %d, sphere %d, vanishing %d entries; control trips"
@@ -335,7 +332,7 @@ def test_criterion_9_weighted_conventions(monkeypatch):
     skipped = 0
     for seed in range(60):
         target, table, top = _instance(91000 + seed)
-        chains = build_chains(top, table, target, include_self=True)
+        chains = build_chains([top], table, target)
         if constant_center_classes(top, chains, table, target):
             skipped += 1
             continue
@@ -361,7 +358,7 @@ def test_criterion_9_weighted_conventions(monkeypatch):
     broken = 0
     for seed in range(20):
         target, table, top = _instance(92000 + seed)
-        chains = build_chains(top, table, target, include_self=True)
+        chains = build_chains([top], table, target)
         if constant_center_classes(top, chains, table, target):
             continue
         p = min(top.points)

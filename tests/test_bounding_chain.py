@@ -14,6 +14,7 @@ from opengw.bounding_chain import (
     branch_bijection_failures,
     branch_decomposition_count,
     build_chains,
+    chain_tuples,
     constant_center_classes,
     decorated_multidisks,
     direct_boundary,
@@ -21,7 +22,6 @@ from opengw.bounding_chain import (
     from_branches,
     invariant_via_degree,
     invariant_via_weights,
-    point_chain,
     splitting_weight,
     to_branches,
     verify_welschinger_relation,
@@ -66,14 +66,6 @@ def small_instance():
 # --- chains and assembly ----------------------------------------------------
 
 
-def test_point_chain_shape():
-    t = Target([("g", 1, 2)])
-    chain = point_chain(t, "p")
-    assert chain.is_point
-    assert chain.boundary == ()
-    assert chain.virtual_dim == 0  # dim(point tuple) + 2
-
-
 def test_assemble_empty_for_descriptor_only_minimal_tuple():
     t = Target([("g", 1, 2)], descriptors=[("C", 2)])
     alpha = t.constraint_tuple((0,), descriptors=["C"])
@@ -93,7 +85,7 @@ def test_assemble_single_level():
     """One point, degree g: the boundary is -sgn on each disk loop."""
     t, table, _ = small_instance()
     alpha = t.constraint_tuple((1,), ["p"])
-    got = assemble_boundary(alpha, build_chains(alpha, table, t), table, t)
+    got = assemble_boundary(alpha, build_chains([alpha], table, t), table, t)
     assert got == {"a1": Fraction(-1), "a2": Fraction(1)}
 
 
@@ -101,7 +93,7 @@ def test_assemble_two_level_hand_computation():
     """Worked example: boundary of the top tuple with one point removed
     feeds the linking products of the next level."""
     t, table, top = small_instance()
-    chains = build_chains(top, table, t)
+    chains = build_chains([top], table, t)
     got = assemble_boundary(top, chains, table, t)
     # class with two point parts: +sgn(c) on c-loops
     # classes with one point part and one chain part:
@@ -121,7 +113,7 @@ def test_assemble_two_level_hand_computation():
 
 def test_flagship_boundary_identity_small_instance():
     t, table, top = small_instance()
-    chains = build_chains(top, table, t)
+    chains = build_chains([top], table, t)
     for alpha in dim0_subtuples(t, table, top):
         lhs = assemble_boundary(alpha, chains, table, t)
         rhs = direct_boundary(alpha, table, t)
@@ -144,7 +136,7 @@ def test_flagship_boundary_identity_randomized():
         target, table, top = synthetic_instance(
             rng, n_points=np_, n_quartic=nq, n_sextic=ns, n_conic=nc,
         )
-        chains = build_chains(top, table, target, include_self=True)
+        chains = build_chains([top], table, target)
         for alpha in dim0_subtuples(target, table, top):
             lhs = assemble_boundary(alpha, chains, table, target)
             rhs = direct_boundary(alpha, table, target)
@@ -166,7 +158,7 @@ def test_sign_toggle_moves_class_terms_by_predicted_sign(monkeypatch):
     )]
     odd = 0
     for t, table, top in instances:
-        chains = build_chains(top, table, t)
+        chains = build_chains([top], table, t)
         base = boundary_class_terms(top, chains, table, t)
         with monkeypatch.context() as patch:
             patch.setattr(bounding_chain, "_class_sign", _unsigned_classes)
@@ -197,7 +189,7 @@ def test_class_sign_flip_breaks_the_boundary_identity(monkeypatch):
         target, table, top = synthetic_instance(
             rng, n_points=np_, n_quartic=nq, n_sextic=ns, n_conic=nc,
         )
-        chains = build_chains(top, table, target, include_self=True)
+        chains = build_chains([top], table, target)
         if any(assemble_boundary(alpha, chains, table, target)
                != direct_boundary(alpha, table, target)
                for alpha in dim0_subtuples(target, table, top)):
@@ -205,11 +197,34 @@ def test_class_sign_flip_breaks_the_boundary_identity(monkeypatch):
     assert broken > 0
 
 
+def test_one_family_serves_several_tops():
+    """The family of several tops is keyed by `chain_tuples` and holds
+    every chain of each top's own family, with the same boundary; each
+    stored boundary is the assembly against the family itself."""
+    target, table, top = synthetic_instance(make_rng(5003), n_points=2,
+                                            n_quartic=1)
+    tops = table.tuples()
+    assert len(tops) > 1
+    chains = build_chains(tops, table, target)
+    assert list(chains) == chain_tuples(target, tops)
+    assert all(not alpha.is_point_tuple() and target.dimension(alpha) == 0
+               for alpha in chains)
+    covered = set()
+    for t in tops:
+        own = build_chains([t], table, target)
+        assert all(chains[alpha] == chain for alpha, chain in own.items())
+        covered.update(own)
+    assert covered == set(chains)
+    for alpha, chain in chains.items():
+        assert dict(chain.boundary) == assemble_boundary(alpha, chains,
+                                                         table, target)
+
+
 def test_missing_predecessor_chain_raises():
     """Nothing is silently zero: a family without the chain of a
     dimension-0 predecessor is refused, not read as an empty chain."""
     t, table, top = small_instance()
-    chains = build_chains(top, table, t)
+    chains = build_chains([top], table, t)
     del chains[t.constraint_tuple((1,), ["q"])]
     with pytest.raises(ChainError, match="missing predecessor chain"):
         assemble_boundary(top, chains, table, t)
@@ -221,21 +236,21 @@ def test_missing_predecessor_chain_raises():
 def test_divisor_covering_degree_values():
     t, table, _ = small_instance()
     alpha_q = t.constraint_tuple((1,), ["q"])
-    chains = build_chains(t.constraint_tuple((2,), ["p", "q"]), table, t)
+    chains = build_chains([t.constraint_tuple((2,), ["p", "q"])], table, t)
     # empty insertion list: the empty product, degree +1
     assert divisor_covering_degree("a1", [], table.links) == 1
     # one insertion with chain boundary {b1: -1} against lk(a1, b1) = 2:
     # (-1)^1 * (-1 * 2) = +2
     assert divisor_covering_degree("a1", [chains[alpha_q]], table.links) == 2
     # three insertions of linking value 2 each: (-1)^3 * 2 * 2 * 2 = -8
-    fake = BoundingChain(alpha_q, (("b1", Fraction(1)),), False, 2)
+    fake = BoundingChain(alpha_q, (("b1", Fraction(1)),))
     assert divisor_covering_degree("a1", [fake, fake, fake], table.links) == -8
 
 
 def test_divisor_covering_degree_missing_linking_data():
     t, table, _ = small_instance()
     alpha_q = t.constraint_tuple((1,), ["q"])
-    fake = BoundingChain(alpha_q, (("zz", Fraction(1)),), False, 2)
+    fake = BoundingChain(alpha_q, (("zz", Fraction(1)),))
     from opengw.multidisk import LinkingError
 
     with pytest.raises(LinkingError):
@@ -247,7 +262,7 @@ def test_divisor_covering_degree_missing_linking_data():
 
 def test_invariant_via_degree_requires_dimension_two():
     t, table, top = small_instance()
-    chains = build_chains(top, table, t, include_self=True)
+    chains = build_chains([top], table, t)
     with pytest.raises(ChainError):
         invariant_via_degree(top, table, t, point="z", chains=chains)
 
@@ -256,13 +271,13 @@ def test_invariant_degree_empty_splittings():
     t = Target([("g", 1, 2)], descriptors=[("C", 2)])
     table = AtomTable(t, [], LinkingMatrix([]))
     alpha = t.constraint_tuple((1,), descriptors=["C"])  # dimension 2
-    chains = build_chains(alpha, table, t, include_self=True)
+    chains = build_chains([alpha], table, t)
     assert invariant_via_degree(alpha, table, t, point="p", chains=chains) == 0
 
 
 def test_welschinger_relation_small_instance():
     t, table, top = small_instance()
-    chains = build_chains(top, table, t, include_self=True)
+    chains = build_chains([top], table, t)
     report = verify_welschinger_relation(top, table, t, chains)
     assert report.holds
     # spot value: even |K| so the two sides agree on the nose
@@ -277,7 +292,7 @@ def test_welschinger_relation_randomized():
         target, table, top = synthetic_instance(
             rng, n_points=max(np_, 1), n_quartic=nq, n_sextic=ns, n_conic=nc,
         )
-        chains = build_chains(top, table, target, include_self=True)
+        chains = build_chains([top], table, target)
         for point in sorted(top.points):
             report = verify_welschinger_relation(
                 top, table, target, chains, point=point
@@ -298,7 +313,7 @@ def test_weighted_invariant_matches_degree_invariant():
             rng, n_points=1, n_quartic=rng.choice((0, 1)),
             n_sextic=rng.choice((0, 1)),
         )
-        chains = build_chains(top, table, target, include_self=True)
+        chains = build_chains([top], table, target)
         if constant_center_classes(top, chains, table, target):
             continue
         checked += 1
@@ -321,7 +336,7 @@ def test_constant_center_detector_flags_triple_intersection_case():
     target, table, top = synthetic_instance(
         rng, n_points=1, n_quartic=1, n_sextic=1,
     )
-    chains = build_chains(top, table, target, include_self=True)
+    chains = build_chains([top], table, target)
     live = constant_center_classes(top, chains, table, target)
     assert live
     assert all(eta.center_degree.is_zero for eta, _ in live)
@@ -334,7 +349,7 @@ def test_weighted_invariant_point_independence_gate():
     for seed in range(25):
         rng = make_rng(13000 + seed)
         target, table, top = synthetic_instance(rng, n_points=2, n_quartic=0)
-        chains = build_chains(top, table, target, include_self=True)
+        chains = build_chains([top], table, target)
         if constant_center_classes(top, chains, table, target):
             continue
         values = {}
@@ -366,7 +381,7 @@ def test_weighted_invariant_forwards_sign_toggles(monkeypatch):
     moves with the flipped degree invariants."""
     rng = make_rng(16000)
     target, table, top = synthetic_instance(rng, n_points=1, n_quartic=1)
-    chains = build_chains(top, table, target, include_self=True)
+    chains = build_chains([top], table, target)
     unmoved = moved = Fraction(0)
     for eta, contrib in boundary_class_terms(top, chains, table, target):
         k = eta.part_count
@@ -404,7 +419,7 @@ def test_wrong_weight_rule_breaks_the_match(monkeypatch):
     for seed in range(10):
         rng = make_rng(14000 + seed)
         target, table, top = synthetic_instance(rng, n_points=1, n_quartic=0)
-        chains = build_chains(top, table, target, include_self=True)
+        chains = build_chains([top], table, target)
         weighted = invariant_via_weights(top, table, target, chains=chains)
         p = next(iter(top.points))
         dropped = target.constraint_tuple(

@@ -151,13 +151,13 @@ def test_verify_all_on_bundled_toy(tmp_path):
     ] == TOY_VERIFY_ALL_SEED_3
 
 
-def test_verify_all_builds_and_evaluates_once_per_top(tmp_path, monkeypatch):
-    """verify-all builds each top tuple's chain family once and evaluates
-    each weighted invariant once; every check reuses them."""
+def _count_calls(monkeypatch, names):
+    """Count the calls of bounding_chain functions, under both the names
+    `bounding_chain` and `cli` bind them to."""
     from opengw import bounding_chain, cli
 
-    calls = {"build_chains": 0, "invariant_via_weights": 0}
-    for name in calls:
+    calls = dict.fromkeys(names, 0)
+    for name in names:
         original = getattr(bounding_chain, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -166,14 +166,58 @@ def test_verify_all_builds_and_evaluates_once_per_top(tmp_path, monkeypatch):
 
         monkeypatch.setattr(bounding_chain, name, counted)
         monkeypatch.setattr(cli, name, counted)
+    return calls
+
+
+def test_verify_all_builds_and_evaluates_once_per_run(tmp_path, monkeypatch):
+    """verify-all builds one chain family per run and evaluates each
+    weighted invariant once; every check reuses them."""
+    calls = _count_calls(monkeypatch,
+                         ("build_chains", "invariant_via_weights"))
     status, cfg = run_pipeline(tmp_path, "verify-all", seed=3)
     assert status == 0
     bundle = fileio.load_target(toy_paths()["target"])
     tops = fileio.load_atoms(toy_paths()["atoms"], bundle.target).tuples
     dim0_tops = [t for t in tops if bundle.target.dimension(t) == 0]
     assert dim0_tops
-    assert calls == {"build_chains": len(tops),
+    assert calls == {"build_chains": 1,
                      "invariant_via_weights": len(dim0_tops)}
+
+
+def test_verify_all_lists_each_chain_once_for_several_tops(tmp_path,
+                                                           monkeypatch):
+    """Without tuples of interest every atom tuple is a top.  verify-all
+    still builds one family, and chains.tsv holds each row the per-top
+    families would give exactly once."""
+    from opengw.bounding_chain import build_chains
+    from opengw.cli import _tuple_label
+
+    target, table, top = synthetic_instance(make_rng(9))
+    target_doc, atoms_doc = instance_documents(target, table, top)
+    del atoms_doc["tuples_of_interest"]
+    paths = {}
+    for kind, doc in (("target", target_doc), ("atoms", atoms_doc)):
+        paths[kind] = str(tmp_path / (kind + ".json"))
+        with open(paths[kind], "w") as handle:
+            json.dump(doc, handle)
+    tops = fileio.load_atoms(paths["atoms"], target).tuples
+    assert len(tops) > 1
+    per_top = [
+        "%s\t%s\t%s" % (_tuple_label(alpha), loop, coeff)
+        for t in tops
+        for alpha, chain in build_chains([t], table, target).items()
+        for loop, coeff in chain.boundary
+    ]
+    assert len(set(per_top)) < len(per_top)  # the families overlap
+    calls = _count_calls(monkeypatch, ("build_chains",))
+    status, cfg = run_pipeline(tmp_path, "verify-all", atoms=paths["atoms"],
+                               target=paths["target"], closed_gw=None,
+                               seeds=None)
+    assert status == 0
+    assert calls == {"build_chains": 1}
+    rows = (tmp_path / "out" / "chains.tsv").read_text().splitlines()[1:]
+    assert len(rows) == len(set(rows))
+    assert set(rows) == set(per_top)
 
 
 def test_verify_all_decorates_each_tuple_once(tmp_path, monkeypatch):
@@ -195,7 +239,7 @@ def test_verify_all_decorates_each_tuple_once(tmp_path, monkeypatch):
     assert status == 0
     bundle = fileio.load_target(toy_paths()["target"])
     tops = fileio.load_atoms(toy_paths()["atoms"], bundle.target).tuples
-    worklist = cli._dim0_worklist(bundle.target, tops)
+    worklist = bounding_chain.chain_tuples(bundle.target, tops)
     assert caps == [cfg.cap_trees] * len(worklist)
 
 
@@ -373,6 +417,27 @@ def test_seeds_without_cohomology_model_is_typed_error(tmp_path, capsys):
     status, cfg = run_pipeline(tmp_path, "verify-all", target=str(target))
     assert status == 2
     _assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("pipeline", ["verify-all", "wdvv-solve"])
+def test_plain_seeds_without_cohomology_model_is_typed_error(
+        tmp_path, capsys, pipeline):
+    """Seeds with plain entries only (no beta_zero data) are refused for
+    a target without a cohomology model too, in every pipeline."""
+    target_doc = json.loads(open(toy_paths()["target"]).read())
+    del target_doc["cohomology"]
+    seeds_doc = json.loads(open(toy_paths()["seeds"]).read())
+    del seeds_doc["beta_zero"]
+    assert seeds_doc["entries"]
+    paths = {}
+    for kind, doc in (("target", target_doc), ("seeds", seeds_doc)):
+        paths[kind] = str(tmp_path / (kind + ".json"))
+        with open(paths[kind], "w") as handle:
+            json.dump(doc, handle)
+    status, cfg = run_pipeline(tmp_path, pipeline, **paths)
+    assert status == 2
+    err = _assert_one_line_error(capsys)
+    assert "seeds.json" in err and "cohomology model" in err
 
 
 def test_out_naming_a_file_is_one_line_error(tmp_path, capsys):

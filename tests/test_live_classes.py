@@ -129,7 +129,7 @@ def assert_live_routes_match(target, table, top, label):
     dimension-0 tuples below top and their point-dropped tuples.
     Returns how many items each route produced, so that callers can
     check the comparison was not vacuous."""
-    chains = build_chains(top, table, target, include_self=True)
+    chains = build_chains([top], table, target)
     full = {}
 
     def classes(alpha):

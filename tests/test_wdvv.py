@@ -20,7 +20,6 @@ from opengw.wdvv import (
     OpenInvariantTable,
     anchored_partitions,
     binomial,
-    check_structure,
     degree_zero_extension,
     relation_instances,
     solve_wdvv,
@@ -36,6 +35,7 @@ from support import (
     form_product,
     make_rng,
     reference_wdvv_form,
+    structure_outcome,
 )
 
 F = Fraction
@@ -547,9 +547,8 @@ def test_form_builders_match_reference_on_partial_tables(data):
 
 def test_divisor_check_on_planted_table():
     target, model = toy_target(), toy_model()
-    outcomes = check_structure(target, model, planted_table(target, model),
-                               checks=("divisor",))
-    (divisor,) = outcomes
+    divisor = structure_outcome("divisor", target, model,
+                                planted_table(target, model))
     assert divisor.ok
     assert divisor.passed  # nontrivial coverage
 
@@ -564,7 +563,7 @@ def test_divisor_check_with_pairing_three():
     table = OpenInvariantTable(target, model, [
         ((1,), (3,), F(5)), ((1,), (2, 3), F(15)),  # 3 * 5
     ])
-    (divisor,) = check_structure(target, model, table, checks=("divisor",))
+    divisor = structure_outcome("divisor", target, model, table)
     assert divisor.ok and len(divisor.passed) == 1
 
 
@@ -572,7 +571,7 @@ def test_divisor_check_catches_violation():
     target, model = toy_target(), toy_model()
     table = planted_table(target, model)
     table.set((1,), (2,), F(999))
-    (divisor,) = check_structure(target, model, table, checks=("divisor",))
+    divisor = structure_outcome("divisor", target, model, table)
     assert not divisor.ok
 
 
@@ -583,10 +582,10 @@ def test_sphere_trade_check():
         ((1,), (), F(2)), ((1,), (3,), F(-2)),
         ((2,), (4,), F(5)), ((2,), (3, 4), F(-5)),
     ])
-    (sphere,) = check_structure(target, model, table, checks=("sphere",))
+    sphere = structure_outcome("sphere", target, model, table)
     assert sphere.ok and len(sphere.passed) == 2
     table.set((1,), (3,), F(2))
-    (sphere,) = check_structure(target, model, table, checks=("sphere",))
+    sphere = structure_outcome("sphere", target, model, table)
     assert not sphere.ok
 
 
@@ -597,8 +596,7 @@ def test_mixed_check_with_closed_table():
     table = OpenInvariantTable(target, model, [((1,), (3,), F(3))])
     closed = ClosedGWTable()
     # q-preimages of d: none (q multiplies by 2), so the right side is 0
-    (mixed,) = check_structure(target, model, table, closed,
-                               checks=("mixed",))
+    mixed = structure_outcome("mixed", target, model, table, closed)
     assert not mixed.ok  # 2 * 3 != 0
     # (2d, (3, 4)) carries exactly one boundary point
     table = OpenInvariantTable(target, model, [((2,), (3, 4), F(3))])
@@ -606,8 +604,7 @@ def test_mixed_check_with_closed_table():
         ((1,), (PD_Y_LABEL, GAMMA0_LABEL, 3, 4), F(6)),
     ])
     # q-preimage of 2d is L with orientation sign -1: rhs = -(-1)*6 = 6
-    (mixed,) = check_structure(target, model, table, closed,
-                               checks=("mixed",))
+    mixed = structure_outcome("mixed", target, model, table, closed)
     assert mixed.ok and len(mixed.passed) == 1
 
 
@@ -618,18 +615,17 @@ def test_vanishing_check():
         ((1,), (), F(0)),       # two boundary points: must vanish
         ((1,), (4,), F(7)),     # zero boundary points: unconstrained
     ])
-    (vanishing,) = check_structure(target, model, good, checks=("vanishing",))
+    vanishing = structure_outcome("vanishing", target, model, good)
     assert vanishing.ok and len(vanishing.passed) == 1
     bad = OpenInvariantTable(target, model, [((1,), (), F(1))])
-    (vanishing,) = check_structure(target, model, bad, checks=("vanishing",))
+    vanishing = structure_outcome("vanishing", target, model, bad)
     assert not vanishing.ok
 
 
 def test_vanishing_check_skipped_when_class_zero():
     target, model = toy_target(), toy_model()
-    (vanishing,) = check_structure(
-        target, model, planted_table(target, model), checks=("vanishing",)
-    )
+    vanishing = structure_outcome("vanishing", target, model,
+                                  planted_table(target, model))
     assert vanishing.ok and vanishing.untestable
 
 
