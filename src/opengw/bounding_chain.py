@@ -43,7 +43,6 @@ from .lattice import ConstraintTuple, DegenerationType
 from .multidisk import (
     MultiDisk,
     tree_edge_indices,
-    tree_weight_sum,
     welschinger_count,
 )
 
@@ -187,8 +186,8 @@ def direct_boundary(alpha, table, target):
     (-1)^|K| * sum over configurations of sgn * tree weight on each loop."""
     total = {}
     sign = -1 if len(alpha.points) % 2 else 1
-    for config in table.multi_disks(alpha):
-        weight = tree_weight_sum(config, table.links)
+    for config, weight in zip(table.multi_disks(alpha),
+                              table.tree_weights(alpha)):
         value = weight if config.sgn() > 0 else -weight
         if sign < 0:
             value = -value
@@ -278,13 +277,16 @@ def constant_center_classes(alpha, chains, table, target):
     ]
 
 
-def invariant_via_weights(alpha, table, target, chains):
+def invariant_via_weights(alpha, table, target, chains, degrees=None):
     """Weighted sum over raw splittings plus the half point-drop sum.
 
     Defined for dimension-0 tuples (zero otherwise).  The fiber count of
     each splitting is evaluated through the divisor-trade rule on the
     declared rigid disks: the class terms of the boundary assembly, whose
-    sign already carries (-1)^(parts).
+    sign already carries (-1)^(parts).  `degrees` may map points of
+    alpha to the degree invariant of alpha with that point dropped, as a
+    caller that has evaluated them keeps them; the others are evaluated
+    here.
 
     Multiplicity bookkeeping: the raw sum ranges over ordered splittings
     whose center moduli carry position-ordered boundary points.  A rigid
@@ -304,13 +306,16 @@ def invariant_via_weights(alpha, table, target, chains):
         for value in contribution.values():
             total = total + scale * value
     half = Fraction(1, 2)
+    degrees = {} if degrees is None else degrees
     for p in sorted(alpha.points):
-        dropped = ConstraintTuple(
-            alpha.beta, alpha.points - {p}, alpha.descriptors
-        )
-        total = total + half * invariant_via_degree(
-            dropped, table, target, point=p, chains=chains
-        )
+        degree = degrees.get(p)
+        if degree is None:
+            dropped = ConstraintTuple(
+                alpha.beta, alpha.points - {p}, alpha.descriptors
+            )
+            degree = invariant_via_degree(dropped, table, target, point=p,
+                                          chains=chains)
+        total = total + half * degree
     return total
 
 
@@ -589,7 +594,8 @@ class ComparisonReport:
         return self.chain_degree == expected
 
 
-def verify_welschinger_relation(alpha, table, target, chains, point=None):
+def verify_welschinger_relation(alpha, table, target, chains, point=None,
+                                degree=None, total=None):
     """Check the sign relation between the chain-degree invariant and the
     direct linking-weighted count.
 
@@ -598,7 +604,9 @@ def verify_welschinger_relation(alpha, table, target, chains, point=None):
     point removed must equal (-1)^|K| times the configuration count of
     the full tuple.  `chains` is a chain family covering alpha's
     predecessors, such as the one family of a run whose tops include
-    alpha or a tuple above it.
+    alpha or a tuple above it.  A caller that has already evaluated the
+    degree invariant or the configuration count passes it as `degree`
+    or `total`; the other is evaluated here.
     """
     if target.dimension(alpha) != 0:
         raise ChainError("the comparison needs a dimension-0 tuple")
@@ -607,9 +615,13 @@ def verify_welschinger_relation(alpha, table, target, chains, point=None):
     p = min(alpha.points) if point is None else point
     if p not in alpha.points:
         raise ChainError("point %r is not a constraint of the tuple" % (p,))
-    dropped = ConstraintTuple(alpha.beta, alpha.points - {p}, alpha.descriptors)
-    degree = invariant_via_degree(dropped, table, target, p, chains)
-    configs = table.multi_disks(alpha)
-    total = welschinger_count(alpha, configs, table.links, target)
+    if degree is None:
+        dropped = ConstraintTuple(alpha.beta, alpha.points - {p},
+                                  alpha.descriptors)
+        degree = invariant_via_degree(dropped, table, target, p, chains)
+    if total is None:
+        total = welschinger_count(alpha, table.multi_disks(alpha),
+                                  table.links, target,
+                                  table.tree_weights(alpha))
     sign = -1 if len(alpha.points) % 2 else 1
     return ComparisonReport(alpha, p, degree, total, sign)

@@ -11,6 +11,7 @@ configurations produce byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -32,8 +33,7 @@ from .bounding_chain import (
     verify_welschinger_relation,
 )
 from .lattice import ConstraintTuple
-from .multidisk import conjugation_cancellation_check, tree_weight_sum, \
-    welschinger_count
+from .multidisk import conjugation_cancellation_check, welschinger_count
 from .wdvv import (
     OpenInvariantTable,
     check_structure,
@@ -83,14 +83,40 @@ def _tuple_label(alpha):
     )
 
 
+class ArtifactError(OpenGWError):
+    """An artifact could not be written."""
+
+
+@contextlib.contextmanager
+def _writing_artifacts():
+    try:
+        yield
+    except OSError as exc:
+        raise ArtifactError("cannot write the artifacts: %s" % exc) from exc
+
+
+def _write_tsv(path, header, rows):
+    with open(path, "w") as fh:
+        fh.write("\t".join(header) + "\n")
+        for row in rows:
+            fh.write("\t".join(map(str, row)) + "\n")
+
+
 class Reporter:
     """Collects check results and table rows; writes everything at the
-    end so two identical runs emit identical bytes."""
+    end so two identical runs emit identical bytes.
+
+    A table too large to hold is streamed instead: its rows are written
+    as they come, under a temporary name in the output directory, and
+    `flush` moves the file into place.  A run that fails calls `discard`,
+    which removes it, so no listing that looks complete is left behind.
+    """
 
     def __init__(self, out_dir):
         self.out_dir = out_dir
         self.checks = []
         self.tables = {}
+        self.streamed = {}  # table name -> temporary path
 
     def check(self, name, status, detail=""):
         self.checks.append({"check": name, "status": status, "detail": detail})
@@ -98,39 +124,55 @@ class Reporter:
     def table(self, name, header, rows):
         self.tables[name] = (header, rows)
 
+    def stream(self, name, header, rows):
+        """Write a table now, consuming the row iterable as it goes."""
+        path = os.path.join(self.out_dir, ".%s.tsv.partial" % name)
+        with _writing_artifacts():
+            os.makedirs(self.out_dir, exist_ok=True)
+            self.streamed[name] = path
+            _write_tsv(path, header, rows)
+
+    def discard(self):
+        """Remove the streamed tables that `flush` has not moved."""
+        for path in self.streamed.values():
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        self.streamed.clear()
+
     @property
     def failed(self):
         return [c for c in self.checks if c["status"] == "FAIL"]
 
     def flush(self, config):
-        os.makedirs(self.out_dir, exist_ok=True)
-        for name, (header, rows) in sorted(self.tables.items()):
-            path = os.path.join(self.out_dir, name + ".tsv")
-            with open(path, "w") as fh:
-                fh.write("\t".join(header) + "\n")
-                for row in rows:
-                    fh.write("\t".join(str(x) for x in row) + "\n")
-        summary = {
-            "pipeline": config.pipeline,
-            "seed": config.seed,
-            "area_bound": str(config.area_bound),
-            "checks": self.checks,
-            "ok": not self.failed,
-        }
-        with open(os.path.join(self.out_dir, "checks.json"), "w") as fh:
-            json.dump(summary, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        lines = ["pipeline: %s" % config.pipeline,
-                 "seed: %d" % config.seed, ""]
-        for c in self.checks:
-            lines.append("[%s] %s%s" % (
-                c["status"], c["check"],
-                (" -- " + c["detail"]) if c["detail"] else "",
-            ))
-        lines.append("")
-        lines.append("result: %s" % ("ok" if not self.failed else "FAILED"))
-        with open(os.path.join(self.out_dir, "report.txt"), "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        with _writing_artifacts():
+            os.makedirs(self.out_dir, exist_ok=True)
+            for name, (header, rows) in sorted(self.tables.items()):
+                _write_tsv(os.path.join(self.out_dir, name + ".tsv"), header,
+                           rows)
+            for name, path in sorted(self.streamed.items()):
+                os.replace(path, os.path.join(self.out_dir, name + ".tsv"))
+            self.streamed.clear()
+            summary = {
+                "pipeline": config.pipeline,
+                "seed": config.seed,
+                "area_bound": str(config.area_bound),
+                "checks": self.checks,
+                "ok": not self.failed,
+            }
+            with open(os.path.join(self.out_dir, "checks.json"), "w") as fh:
+                json.dump(summary, fh, indent=1, sort_keys=True)
+                fh.write("\n")
+            lines = ["pipeline: %s" % config.pipeline,
+                     "seed: %d" % config.seed, ""]
+            for c in self.checks:
+                lines.append("[%s] %s%s" % (
+                    c["status"], c["check"],
+                    (" -- " + c["detail"]) if c["detail"] else "",
+                ))
+            lines.append("")
+            lines.append("result: %s" % ("ok" if not self.failed else "FAILED"))
+            with open(os.path.join(self.out_dir, "report.txt"), "w") as fh:
+                fh.write("\n".join(lines) + "\n")
 
 
 # --- pipeline pieces ----------------------------------------------------------
@@ -144,35 +186,39 @@ def _tally(rep, name, bad, summary, failure="mismatch at"):
 
 
 def run_enumerate(bundle, atom_bundle, config, rep):
+    """Tabulate the tuples and stream their degeneration classes."""
     target = bundle.target
     # the class parts repeat a few predecessors many times
     label = functools.cache(_tuple_label)
     tuples = atom_bundle.tuples if atom_bundle else []
     rows = []
-    class_rows = []
-    for alpha in tuples:
-        classes = target.degeneration_classes(alpha)
-        raw = sum(count for _, count in classes)
-        rows.append((
-            label(alpha), target.dimension(alpha),
-            len(target.predecessors(alpha)), len(classes), raw,
-            "yes" if target.in_closed_image(alpha.beta) else "no",
-        ))
-        for eta, count in classes:
-            class_rows.append((
-                label(alpha),
-                ",".join(str(c) for c in eta.center_degree.coords),
-                ",".join(sorted(eta.center_descriptors)) or "-",
-                "|".join(label(p) for p in eta.parts) or "-",
-                count,
+
+    def class_rows():
+        # rows in the listing's final order, each made as it is written;
+        # the tuples table takes the counts as they go by
+        for alpha in tuples:
+            head = functools.cache(lambda beta, descs: "%s\t%s\t%s" % (
+                label(alpha), ",".join(map(str, beta.coords)),
+                ",".join(sorted(descs)) or "-"))
+            classes = raw = 0
+            for eta, count in target.iter_degeneration_classes(alpha):
+                classes += 1
+                raw += count
+                yield (head(eta.center_degree, eta.center_descriptors),
+                       "|".join(map(label, eta.parts)) or "-", count)
+            rows.append((
+                label(alpha), target.dimension(alpha),
+                len(target.predecessors(alpha)), classes, raw,
+                "yes" if target.in_closed_image(alpha.beta) else "no",
             ))
+
+    rep.stream("degeneration_classes",
+               ("tuple", "center", "center_descriptors", "parts", "size"),
+               class_rows())
     rep.table("tuples",
               ("tuple", "dim", "predecessors", "classes", "raw",
                "closed_image"),
               rows)
-    rep.table("degeneration_classes",
-              ("tuple", "center", "center_descriptors", "parts", "size"),
-              class_rows)
     violations = target.positivity_violations(config.area_bound)
     rep.check(
         "positivity-audit", "PASS" if not violations else "FAIL",
@@ -185,24 +231,30 @@ def run_enumerate(bundle, atom_bundle, config, rep):
 
 
 def run_welschinger(bundle, atom_bundle, config, rep):
+    """Tabulate the configurations and counts of the chain tuples;
+    returns {tuple: Welschinger count}."""
     target = bundle.target
     table = atom_bundle.table
     config_rows = []
     count_rows = []
+    counts = {}
     for alpha in chain_tuples(target, atom_bundle.tuples):
         configs = table.multi_disks(alpha)
-        total = welschinger_count(alpha, configs, table.links, target)
+        weights = table.tree_weights(alpha)
+        total = counts[alpha] = welschinger_count(alpha, configs, table.links,
+                                                  target, weights)
         count_rows.append((_tuple_label(alpha), len(configs), total))
-        for cfg in configs:
+        for cfg, weight in zip(configs, weights):
             config_rows.append((
                 _tuple_label(alpha),
                 "|".join(a.loop for a in cfg.atoms),
                 cfg.sgn(),
-                tree_weight_sum(cfg, table.links),
+                weight,
             ))
     rep.table("welschinger", ("tuple", "configurations", "count"), count_rows)
     rep.table("configurations", ("tuple", "loops", "sign", "tree_weight"),
               config_rows)
+    return counts
 
 
 def run_bb_recursion(bundle, atom_bundle, config, rep):
@@ -224,17 +276,19 @@ def run_bb_recursion(bundle, atom_bundle, config, rep):
     for top in atom_bundle.tuples:
         if target.dimension(top) != 0:
             continue
-        weighted = invariant_via_weights(top, table, target, chains)
-        invariant_rows.append((_tuple_label(top), "weighted", "-", weighted))
         degrees = {}
+        degree_rows = []
         for p in sorted(top.points):
             dropped = ConstraintTuple(top.beta, top.points - {p},
                                       top.descriptors)
             degrees[p] = invariant_via_degree(dropped, table, target, p,
                                               chains)
-            invariant_rows.append(
+            degree_rows.append(
                 (_tuple_label(dropped), "degree", p, degrees[p])
             )
+        weighted = invariant_via_weights(top, table, target, chains, degrees)
+        invariant_rows.append((_tuple_label(top), "weighted", "-", weighted))
+        invariant_rows.extend(degree_rows)
         invariants[top] = (weighted, degrees)
     rep.table("chains", ("tuple", "loop", "coefficient"), chain_rows)
     rep.table("invariants", ("tuple", "kind", "point", "value"),
@@ -317,7 +371,7 @@ def run_verify_all(bundle, atom_bundle, closed, seeds, config, rep):
     run_enumerate(bundle, atom_bundle, config, rep)
     if atom_bundle is not None:
         table = atom_bundle.table
-        run_welschinger(bundle, atom_bundle, config, rep)
+        counts = run_welschinger(bundle, atom_bundle, config, rep)
         chains, invariants = run_bb_recursion(bundle, atom_bundle, config,
                                               rep)
         # the stored boundary is the recursion side of the identity
@@ -328,9 +382,12 @@ def run_verify_all(bundle, atom_bundle, closed, seeds, config, rep):
         relation_bad = []
         relation_checked = 0
         for alpha in chains:
+            # the recursion has evaluated the degree invariants of the tops
+            degrees = invariants[alpha][1] if alpha in invariants else {}
             for p in sorted(alpha.points):
                 report = verify_welschinger_relation(
-                    alpha, table, target, chains, point=p
+                    alpha, table, target, chains, point=p,
+                    degree=degrees.get(p), total=counts[alpha],
                 )
                 relation_checked += 1
                 if not report.holds:
@@ -425,40 +482,43 @@ def run(config):
     config.validate()
     rep = Reporter(config.out)
     try:
-        bundle = fileio.load_target(config.target)
-        atom_bundle = (
-            fileio.load_atoms(config.atoms, bundle.target)
-            if config.atoms else None
-        )
-        closed = fileio.load_closed(config.closed_gw) if config.closed_gw else None
-        seeds = (
-            fileio.load_seeds(config.seeds, bundle.target, bundle.model)
-            if config.seeds else None
-        )
-        needs = PIPELINE_INPUTS.get(config.pipeline, ())
-        if not all(getattr(config, name) for name in needs):
-            print("error: pipeline needs " + " and ".join(
-                "--" + name.replace("_", "-") for name in needs
-            ), file=sys.stderr)
-            return 2
-        if config.pipeline == "enumerate":
-            run_enumerate(bundle, atom_bundle, config, rep)
-        elif config.pipeline == "welschinger":
-            run_welschinger(bundle, atom_bundle, config, rep)
-        elif config.pipeline == "bb-recursion":
-            run_bb_recursion(bundle, atom_bundle, config, rep)
-        elif config.pipeline == "wdvv-solve":
-            run_wdvv_solve(bundle, closed, seeds, config, rep)
-        else:
-            run_verify_all(bundle, atom_bundle, closed, seeds, config, rep)
+        return _run_pipeline(config, rep)
     except OpenGWError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    try:
-        rep.flush(config)
-    except OSError as exc:
-        print("error: cannot write the artifacts: %s" % exc, file=sys.stderr)
+    finally:
+        rep.discard()
+
+
+def _run_pipeline(config, rep):
+    """Load the inputs, run the pipeline and write its artifacts."""
+    bundle = fileio.load_target(config.target)
+    atom_bundle = (
+        fileio.load_atoms(config.atoms, bundle.target)
+        if config.atoms else None
+    )
+    closed = fileio.load_closed(config.closed_gw) if config.closed_gw else None
+    seeds = (
+        fileio.load_seeds(config.seeds, bundle.target, bundle.model)
+        if config.seeds else None
+    )
+    needs = PIPELINE_INPUTS.get(config.pipeline, ())
+    if not all(getattr(config, name) for name in needs):
+        print("error: pipeline needs " + " and ".join(
+            "--" + name.replace("_", "-") for name in needs
+        ), file=sys.stderr)
         return 2
+    if config.pipeline == "enumerate":
+        run_enumerate(bundle, atom_bundle, config, rep)
+    elif config.pipeline == "welschinger":
+        run_welschinger(bundle, atom_bundle, config, rep)
+    elif config.pipeline == "bb-recursion":
+        run_bb_recursion(bundle, atom_bundle, config, rep)
+    elif config.pipeline == "wdvv-solve":
+        run_wdvv_solve(bundle, closed, seeds, config, rep)
+    else:
+        run_verify_all(bundle, atom_bundle, closed, seeds, config, rep)
+    rep.flush(config)
     failed = rep.failed
     print("%s: %s (%d checks; artifacts in %s)" % (
         config.pipeline, "ok" if not failed else "FAILED", len(rep.checks),

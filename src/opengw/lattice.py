@@ -15,14 +15,15 @@ part and an ordered list of sub-tuples; the degenerate shape with an
 empty central part and exactly one unconstrained slot is excluded at the
 type level.
 
-One generator, `Target._classes_through`, builds the classes of
+One generator, `Target._iter_classes_through`, yields the classes of
 splittings up to permuting the parts, from a set of centers and a set
-of allowed parts; the full list `Target.degeneration_classes` is the
-call that allows every center and every predecessor.  Its recursion
-works on integer coordinate tuples and builds a `DegenerationType` only
-for each class it emits.  The direct class-level enumerator and the raw
-expansion into ordered splittings are kept in the test suite as
-independent oracles for it.
+of allowed parts, in their final order and one center group at a time;
+the full list `Target.degeneration_classes` is the call that allows
+every center and every predecessor.  Its recursion works on integer
+coordinate tuples and builds a `DegenerationType` only for each class
+it emits.  The direct class-level enumerator and the raw expansion into
+ordered splittings are kept in the test suite as independent oracles
+for it.
 
 A `DegreeClass` hashes on its coordinates alone: its area and Maslov
 index are linear in them, so sets and dicts of degrees never hash a
@@ -233,6 +234,7 @@ class Target:
         if any(a <= 0 for a in self.closed_areas):
             raise TargetError("closed generators need positive area")
         self.closed_rank = len(closed_generators)
+        self._predecessors = {}  # tuple -> its sorted strict predecessors
         if q_matrix is None:
             q_matrix = [[0] * self.closed_rank for _ in range(self.rank)]
         self.q_matrix = [[int(x) for x in row] for row in q_matrix]
@@ -334,19 +336,25 @@ class Target:
         return [self.degree(c) for c in itertools.product(*ranges)]
 
     def predecessors(self, alpha):
-        """All strict predecessors of alpha with effective degree."""
-        subs = self.effective_below(alpha.beta)
-        out = []
-        for beta in subs:
-            for k in _subsets(alpha.points):
-                for l in _subsets(alpha.descriptors):
-                    if beta.is_zero and not k and not l:
-                        continue
-                    cand = ConstraintTuple(beta, k, l)
-                    if cand != alpha:
-                        out.append(cand)
-        out.sort(key=ConstraintTuple.sort_key)
-        return out
+        """All strict predecessors of alpha with effective degree, sorted.
+
+        Listed once per tuple and kept on the target; each call returns a
+        new list.
+        """
+        preds = self._predecessors.get(alpha)
+        if preds is None:
+            out = []
+            for beta in self.effective_below(alpha.beta):
+                for k in _subsets(alpha.points):
+                    for l in _subsets(alpha.descriptors):
+                        if beta.is_zero and not k and not l:
+                            continue
+                        cand = ConstraintTuple(beta, k, l)
+                        if cand != alpha:
+                            out.append(cand)
+            out.sort(key=ConstraintTuple.sort_key)
+            preds = self._predecessors[alpha] = tuple(out)
+        return list(preds)
 
     def degeneration_classes(self, alpha):
         """Degenerations grouped up to permutation of the parts.
@@ -356,7 +364,12 @@ class Target:
         (degree below alpha's, no points, any of alpha's descriptors)
         whose parts are all predecessors of alpha.
         """
-        return self._classes_through(
+        return list(self.iter_degeneration_classes(alpha))
+
+    def iter_degeneration_classes(self, alpha):
+        """The items of `degeneration_classes(alpha)`, in its order,
+        holding the classes of one center group at a time."""
+        return self._iter_classes_through(
             alpha,
             [(beta, frozenset(), l)
              for beta in self.effective_below(alpha.beta)
@@ -365,10 +378,14 @@ class Target:
         )
 
     def _classes_through(self, alpha, centers, parts):
+        """The list of `_iter_classes_through`."""
+        return list(self._iter_classes_through(alpha, centers, parts))
+
+    def _iter_classes_through(self, alpha, centers, parts):
         """The classes of alpha with a given center and given parts.
 
         centers: (degree, point labels, descriptor labels) triples, the
-        empty triple allowed; parts: tuples below alpha.  Returns, in the
+        empty triple allowed; parts: tuples below alpha.  Yields, in the
         form and order of `degeneration_classes`, the classes that split
         alpha into one of the triples plus a multiset of the given parts:
         each center's point labels become bare point parts, and the rest
@@ -377,6 +394,11 @@ class Target:
         center carries point labels; otherwise a class would be listed
         twice.  Every point-free center with every predecessor of alpha
         as a part gives the full class list.
+
+        The centers are grouped by their degree coordinates and sorted
+        descriptors, the leading part of the sort key; the groups run in
+        key order, and each is sorted on its part keys and yielded before
+        the next one is built, so only one group is held at a time.
 
         The recursion runs on integer coordinate tuples: each part's
         coordinates and sort key are read once, a degree is subtracted
@@ -400,10 +422,18 @@ class Target:
         for x in alpha.points:
             pt = self.point_tuple(x)
             point_parts[x] = (pt, pt.beta.coords, pt.sort_key())
+        groups = {}
+        for beta, pts, descs in set(centers):
+            if not (pts <= alpha.points and descs <= alpha.descriptors):
+                continue
+            rest = tuple(map(sub, alpha.beta.coords, beta.coords))
+            if min(rest) >= 0:
+                key = (beta.coords, tuple(sorted(descs)))
+                groups.setdefault(key, []).append((beta, pts, descs, rest))
         out = []
 
         def emit(center, fixed, free):
-            beta, descs, center_key, trivial = center
+            beta, descs, trivial = center
             if trivial and len(fixed) + len(free) == 1:
                 return  # the excluded degenerate splitting
             split = sorted(fixed + [unlabeled[i] for i in free],
@@ -413,7 +443,7 @@ class Target:
                 for _, run in itertools.groupby(free)
             )
             out.append((
-                center_key + (tuple(key for _, _, key in split),),
+                tuple(key for _, _, key in split),
                 DegenerationType(beta, descs,
                                  tuple(p for p, _, _ in split)),
                 math.factorial(len(split)) // repeats,
@@ -448,23 +478,23 @@ class Target:
                     add_unlabeled(center, left, i, fixed, free)
                     free.pop()
 
-        for beta, pts, descs in set(centers):
-            if not (pts <= alpha.points and descs <= alpha.descriptors):
-                continue
-            rest = tuple(map(sub, alpha.beta.coords, beta.coords))
-            if min(rest) >= 0:
-                center = (beta, descs,
-                          (beta.coords, tuple(sorted(descs))),
-                          beta.is_zero and not descs)
-                place_labels(center, rest, alpha.points - pts,
-                             alpha.descriptors - descs,
-                             [point_parts[x] for x in pts])
-        # the recursive closures refer to themselves; clearing them frees
-        # the emitted keys and the part tables now, not at the next full
-        # garbage collection
-        del place_labels, add_unlabeled
-        out.sort(key=itemgetter(0))
-        return [(eta, count) for _, eta, count in out]
+        try:
+            for key in sorted(groups):
+                for beta, pts, descs, rest in groups[key]:
+                    place_labels((beta, descs, beta.is_zero and not descs),
+                                 rest, alpha.points - pts,
+                                 alpha.descriptors - descs,
+                                 [point_parts[x] for x in pts])
+                # within a group the part keys order the classes
+                out.sort(key=itemgetter(0))
+                for _, eta, count in out:
+                    yield eta, count
+                out.clear()
+        finally:
+            # the recursive closures refer to themselves; clearing them
+            # frees the part tables when the generator ends or is closed,
+            # not at the next full garbage collection
+            del place_labels, add_unlabeled
 
     # -- numerical helpers ---------------------------------------------
 

@@ -154,18 +154,18 @@ class MultiDisk:
 # --- spanning trees --------------------------------------------------------
 
 
-def _tree_from_pruefer(seq, m):
-    """Decode a Pruefer sequence over [0, m), m >= 2, into its tree's
-    edges (i, j), i < j, in linear time: a pointer walks forward to the
-    next leaf, and a vertex that becomes a leaf behind it is taken at
-    once."""
+def _tree_from_pruefer(seq, m, index):
+    """Decode a Pruefer sequence over [0, m), m >= 2, into the indices of
+    its tree's edges, read from the symmetric m x m table `index`, in
+    linear time: a pointer walks forward to the next leaf, and a vertex
+    that becomes a leaf behind it is taken at once."""
     degree = [1] * m
     for v in seq:
         degree[v] += 1
     ptr = leaf = degree.index(1)
     edges = []
     for v in seq:
-        edges.append((leaf, v) if leaf < v else (v, leaf))
+        edges.append(index[leaf][v])
         degree[v] -= 1
         if degree[v] == 1 and v < ptr:
             leaf = v
@@ -174,7 +174,7 @@ def _tree_from_pruefer(seq, m):
             while degree[ptr] != 1:
                 ptr += 1
             leaf = ptr
-    edges.append((leaf, m - 1))
+    edges.append(index[leaf][m - 1])
     return edges
 
 
@@ -185,12 +185,15 @@ def _packed_trees(m):
     itertools.combinations(range(m), 2), packed end to end in one bytes
     object; decoded once per m.  (An index fits a byte up to m = 23, far
     past any m whose m^(m-2) trees can be enumerated.)"""
-    index = {e: k for k, e in enumerate(itertools.combinations(range(m), 2))}
-    return bytes(
-        k
-        for seq in itertools.product(range(m), repeat=m - 2)
-        for k in sorted(index[e] for e in _tree_from_pruefer(seq, m))
-    )
+    index = [[0] * m for _ in range(m)]
+    for k, (i, j) in enumerate(itertools.combinations(range(m), 2)):
+        index[i][j] = index[j][i] = k
+    packed = bytearray()
+    for seq in itertools.product(range(m), repeat=m - 2):
+        edges = _tree_from_pruefer(seq, m, index)
+        edges.sort()
+        packed += bytes(edges)
+    return bytes(packed)
 
 
 def tree_edge_indices(m, cap=DEFAULT_TREE_CAP):
@@ -280,6 +283,8 @@ class AtomTable:
         if len(set(loops)) != len(loops):
             raise ConfigurationError("duplicate boundary loop identifiers")
         self._by_tuple = {}
+        self._configs = {}  # tuple -> its configurations, listed once
+        self._weights = {}  # tuple -> their tree weight sums
         for atom in self.atoms:
             if atom.degree.is_zero:
                 raise ConfigurationError(
@@ -305,7 +310,28 @@ class AtomTable:
 
     def multi_disks(self, alpha):
         """MD: unordered configurations of distinct atoms that jointly
-        partition the tuple."""
+        partition the tuple.  Listed once per tuple and kept on the
+        table; each call returns a new list."""
+        return list(self._configurations(alpha))
+
+    def tree_weights(self, alpha):
+        """The `tree_weight_sum` of each configuration of the tuple, in
+        the order of `multi_disks`; evaluated once per tuple."""
+        weights = self._weights.get(alpha)
+        if weights is None:
+            weights = self._weights[alpha] = tuple(
+                tree_weight_sum(config, self.links)
+                for config in self._configurations(alpha)
+            )
+        return weights
+
+    def _configurations(self, alpha):
+        configs = self._configs.get(alpha)
+        if configs is None:
+            configs = self._configs[alpha] = self._list_configurations(alpha)
+        return configs
+
+    def _list_configurations(self, alpha):
         usable = [
             a for a in self.atoms
             if a.points <= alpha.points
@@ -337,24 +363,26 @@ class AtomTable:
 
         rec(0, [], alpha.beta, alpha.points, alpha.descriptors)
         out.sort(key=lambda c: tuple(a.loop for a in c.atoms))
-        return out
+        return tuple(out)
 
 
-def welschinger_count(alpha, configs, links, target):
+def welschinger_count(alpha, configs, links, target, weights=None):
     """Signed linking-weighted count over the supplied configurations.
 
     Configurations are validated against the tuple; the count is zero by
-    definition when the tuple has nonzero dimension.
+    definition when the tuple has nonzero dimension.  `weights`, when
+    given, holds the configurations' tree weight sums in their order, as
+    `AtomTable.tree_weights` keeps them; otherwise they are evaluated.
     """
     for config in configs:
         config.validate_against(alpha)
     if target.dimension(alpha) != 0:
         return Fraction(0)
+    if weights is None:
+        weights = [tree_weight_sum(config, links) for config in configs]
     total = Fraction(0)
-    for config in configs:
-        sgn = config.sgn()
-        weight = tree_weight_sum(config, links)
-        total = total + (weight if sgn > 0 else -weight)
+    for config, weight in zip(configs, weights, strict=True):
+        total = total + (weight if config.sgn() > 0 else -weight)
     return total
 
 

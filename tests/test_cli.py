@@ -13,7 +13,12 @@ from hypothesis import given, settings, strategies as st
 from opengw import fileio
 from opengw.cli import RunConfig, build_parser, main, run
 
-from support import instance_documents, make_rng, synthetic_instance
+from support import (
+    direct_degeneration_classes,
+    instance_documents,
+    make_rng,
+    synthetic_instance,
+)
 
 DATA = os.path.join(os.path.dirname(fileio.__file__), "data")
 
@@ -171,17 +176,64 @@ def _count_calls(monkeypatch, names):
 
 def test_verify_all_builds_and_evaluates_once_per_run(tmp_path, monkeypatch):
     """verify-all builds one chain family per run and evaluates each
-    weighted invariant once; every check reuses them."""
+    weighted invariant once, each degree invariant once per (tuple,
+    point) pair, each tuple's configuration listing once and each
+    configuration's tree weight once; every table and check reuses
+    them."""
+    from collections import Counter
+
+    from opengw import bounding_chain, cli, multidisk
+    from opengw.lattice import ConstraintTuple
+    from opengw.multidisk import AtomTable
+
     calls = _count_calls(monkeypatch,
                          ("build_chains", "invariant_via_weights"))
+    degree_pairs = Counter()
+    listed = Counter()
+    weighed = Counter()
+    degree_of = bounding_chain.invariant_via_degree
+    list_configurations = AtomTable._list_configurations
+    weight_of = multidisk.tree_weight_sum
+
+    def degree(alpha, table, target, point, chains):
+        degree_pairs[alpha, point] += 1
+        return degree_of(alpha, table, target, point, chains)
+
+    def listing(self, alpha):
+        listed[alpha] += 1
+        return list_configurations(self, alpha)
+
+    def weight(config, links):
+        weighed[config] += 1
+        return weight_of(config, links)
+
+    monkeypatch.setattr(bounding_chain, "invariant_via_degree", degree)
+    monkeypatch.setattr(cli, "invariant_via_degree", degree)
+    monkeypatch.setattr(AtomTable, "_list_configurations", listing)
+    monkeypatch.setattr(multidisk, "tree_weight_sum", weight)
     status, cfg = run_pipeline(tmp_path, "verify-all", seed=3)
     assert status == 0
     bundle = fileio.load_target(toy_paths()["target"])
-    tops = fileio.load_atoms(toy_paths()["atoms"], bundle.target).tuples
+    atoms = fileio.load_atoms(toy_paths()["atoms"], bundle.target)
+    tops = atoms.tuples
     dim0_tops = [t for t in tops if bundle.target.dimension(t) == 0]
     assert dim0_tops
     assert calls == {"build_chains": 1,
                      "invariant_via_weights": len(dim0_tops)}
+    worklist = bounding_chain.chain_tuples(bundle.target, tops)
+    assert degree_pairs == Counter({
+        (ConstraintTuple(a.beta, a.points - {p}, a.descriptors), p): 1
+        for a in worklist for p in a.points
+    })
+    assert set(worklist) <= set(listed)
+    assert set(listed.values()) == {1}
+    # the matrix-tree self-check weighs configurations of its own loops
+    loops = {a.loop for a in atoms.table.atoms}
+    table_weights = {c: n for c, n in weighed.items()
+                     if {a.loop for a in c.atoms} <= loops}
+    assert table_weights == {
+        c: 1 for a in listed for c in atoms.table.multi_disks(a)
+    }
 
 
 def test_verify_all_lists_each_chain_once_for_several_tops(tmp_path,
@@ -285,6 +337,52 @@ def test_verify_all_independent_of_hash_seed(tmp_path, instance):
         outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
     assert "degeneration_classes.tsv" in outputs[0]
     assert outputs[0] == outputs[1]
+
+
+LISTING_SHAPES = ((1, 0, 0, 0), (2, 0, 0, 0), (3, 0, 0, 0), (1, 1, 0, 0),
+                  (2, 1, 0, 0), (1, 0, 1, 0), (2, 0, 0, 1), (1, 1, 1, 0))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       shape=st.sampled_from(LISTING_SHAPES))
+def test_streamed_listing_matches_the_direct_oracle(seed, shape):
+    """The streamed degeneration_classes.tsv holds the rows of the direct
+    class oracle in sorted order, and the class generator yields exactly
+    the list of Target.degeneration_classes."""
+    from opengw.cli import _tuple_label
+
+    target, table, top = synthetic_instance(make_rng(seed), *shape)
+    classes = target.degeneration_classes(top)
+    assert list(target.iter_degeneration_classes(top)) == classes
+    expected = [
+        "\t".join((
+            _tuple_label(top),
+            ",".join(str(c) for c in eta.center_degree.coords),
+            ",".join(sorted(eta.center_descriptors)) or "-",
+            "|".join(_tuple_label(p) for p in eta.parts) or "-",
+            str(count),
+        ))
+        for eta, count in sorted(direct_degeneration_classes(target, top),
+                                 key=lambda item: item[0].sort_key())
+    ]
+    with tempfile.TemporaryDirectory() as work:
+        paths = {}
+        for kind, doc in zip(("target", "atoms"),
+                             instance_documents(target, table, top)):
+            paths[kind] = os.path.join(work, kind + ".json")
+            with open(paths[kind], "w") as handle:
+                json.dump(doc, handle)
+        out = os.path.join(work, "out")
+        assert run(RunConfig(pipeline="enumerate", out=out, **paths)) == 0
+        assert sorted(os.listdir(out)) == [
+            "checks.json", "degeneration_classes.tsv", "report.txt",
+            "tuples.tsv",
+        ]
+        with open(os.path.join(out, "degeneration_classes.tsv")) as handle:
+            rows = handle.read().splitlines()
+    assert rows[0] == "tuple\tcenter\tcenter_descriptors\tparts\tsize"
+    assert rows[1:] == expected
 
 
 def test_enumerate_pipeline_tables(tmp_path):
@@ -440,15 +538,41 @@ def test_plain_seeds_without_cohomology_model_is_typed_error(
     assert "seeds.json" in err and "cohomology model" in err
 
 
-def test_out_naming_a_file_is_one_line_error(tmp_path, capsys):
+@pytest.mark.parametrize("pipeline", ["enumerate", "verify-all"])
+def test_out_naming_a_file_is_one_line_error(tmp_path, capsys, pipeline):
+    """The class listing is written before the other artifacts; failing
+    to create --out for it is the same one-line error as in flush."""
     afile = tmp_path / "afile"
     afile.write_text("kept\n")
     paths = toy_paths()
-    status = main(["--pipeline", "enumerate", "--target", paths["target"],
+    status = main(["--pipeline", pipeline, "--target", paths["target"],
                    "--atoms", paths["atoms"], "--out", str(afile)])
     assert status == 2
-    assert "afile" in _assert_one_line_error(capsys)
+    err = _assert_one_line_error(capsys)
+    assert "cannot write the artifacts" in err and "afile" in err
     assert afile.read_text() == "kept\n"
+
+
+def test_failed_run_leaves_no_class_listing(tmp_path, capsys, monkeypatch):
+    """A run that fails after the class listing is written removes it:
+    --out holds no degeneration_classes.tsv, complete-looking or not."""
+    from opengw import cli
+    from opengw.bounding_chain import ChainError
+
+    enumerate_tables = cli.run_enumerate
+    written = []
+
+    def enumerate_then_fail(bundle, atom_bundle, config, rep):
+        enumerate_tables(bundle, atom_bundle, config, rep)
+        written.extend(os.listdir(config.out))
+        raise ChainError("forced failure after the listing")
+
+    monkeypatch.setattr(cli, "run_enumerate", enumerate_then_fail)
+    status, cfg = run_pipeline(tmp_path, "verify-all", seed=3)
+    assert status == 2
+    assert "forced failure" in _assert_one_line_error(capsys)
+    assert written and "degeneration_classes.tsv" not in written
+    assert os.listdir(cfg.out) == []
 
 
 def test_unbounded_atom_loop_is_typed_error(tmp_path, capsys):

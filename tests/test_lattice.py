@@ -316,6 +316,19 @@ def test_degeneration_classes_group_permutations():
         assert len(members) == count
 
 
+def test_predecessors_are_listed_once_per_tuple(monkeypatch):
+    """The target keeps each tuple's predecessor list and hands out
+    copies, so a caller that changes its list changes nothing else."""
+    t = rank2()
+    alpha = t.constraint_tuple((2, 1), points=["p", "q"], descriptors=["G4"])
+    first = t.predecessors(alpha)
+    monkeypatch.setattr(t, "effective_below", None)  # no second listing
+    again = t.predecessors(alpha)
+    assert again == first and again is not first
+    first.clear()
+    assert t.predecessors(alpha) == again
+
+
 def test_classes_through_filters_the_full_list():
     """The output-sensitive class generator against the full class list
     filtered by center and parts, with random center and part sets;

@@ -106,6 +106,29 @@ def test_spanning_trees_cross_checked_by_filter():
         assert set(spanning_trees(m)) == expect
 
 
+# SHA-256 of the packed tree table per vertex count: the tree order and
+# the edge indices that every stored decorated tree refers to
+PACKED_TREES_SHA256 = {
+    2: "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d",
+    3: "44248ac999e14bb7bcea91fd9089b090e0aebda07b5fec810c36a1b9588662a5",
+    4: "127e64dca9949dd1cb8f4d88c0b726171590494a484a3d7d4386a08e75a9d590",
+    5: "7699f8ef0e1cf7cf7533185a7bb417cbd5ba3e562845f665e25dc9daa3694799",
+    6: "a083770386ef808709988648c8904582f2ace928f54937dd401ab541ef6044b5",
+    7: "239050441a94d0beb8cb43c14233de0b7768dec8a4e345926cd2cb3bd945fa97",
+}
+
+
+def test_packed_tree_table_bytes_are_pinned():
+    import hashlib
+
+    from opengw.multidisk import _packed_trees
+
+    for m, digest in PACKED_TREES_SHA256.items():
+        packed = _packed_trees(m)
+        assert len(packed) == (m - 1) * m ** (m - 2)
+        assert hashlib.sha256(packed).hexdigest() == digest, m
+
+
 def test_spanning_trees_cap():
     with pytest.raises(ConfigurationError):
         spanning_trees(9, cap=8)
@@ -312,6 +335,27 @@ def test_multi_disks_enumeration():
     # single disks of a sub-tuple
     sub = t.constraint_tuple((1,), points=["p"])
     assert [a.loop for a in table.single_disks(sub)] == ["a1", "a2"]
+
+
+def test_atom_table_keeps_configurations_and_tree_weights():
+    """multi_disks lists a tuple once and hands out copies; tree_weights
+    gives the matrix-tree sum of each configuration in that order, and
+    the count over them equals the count that evaluates its own."""
+    target, bundle = toy_atoms()
+    table = bundle.table
+    for alpha in table.tuples() + list(bundle.tuples):
+        configs = table.multi_disks(alpha)
+        again = table.multi_disks(alpha)
+        assert configs == again and configs is not again
+        configs.clear()
+        assert table.multi_disks(alpha) == again
+        weights = table.tree_weights(alpha)
+        assert weights is table.tree_weights(alpha)
+        assert list(weights) == [tree_weight_sum(c, table.links)
+                                 for c in again]
+        assert welschinger_count(alpha, again, table.links, target,
+                                 weights) == \
+            welschinger_count(alpha, again, table.links, target)
 
 
 def test_atom_table_rejects_wrong_dimension_and_zero_degree():
