@@ -40,11 +40,7 @@ from typing import NamedTuple
 
 from . import OpenGWError
 from .lattice import ConstraintTuple, DegenerationType
-from .multidisk import (
-    MultiDisk,
-    tree_edge_indices,
-    welschinger_count,
-)
+from .multidisk import MultiDisk, tree_edge_indices
 
 
 class ChainError(OpenGWError, ValueError):
@@ -138,7 +134,7 @@ def boundary_class_terms(alpha, chains, table, target, extra_point=None):
     if extra_point is not None and extra_point in alpha.points:
         raise ChainError("augmentation point %r already constrained" % (extra_point,))
     out = []
-    for eta, _count in target._classes_through(
+    for eta, _count in target.classes_through(
         alpha, _center_triples(table, extra_point),
         _live_parts(alpha, chains, target),
     ):
@@ -250,6 +246,20 @@ def invariant_via_degree(alpha, table, target, point, chains):
     return -total
 
 
+def point_drop_degrees(alpha, table, target, chains):
+    """The degree invariants of a dimension-0 tuple with each of its
+    points dropped: {point: (alpha without the point, its degree
+    invariant through that point)}, by increasing point.  `chains` is as
+    for `invariant_via_degree`."""
+    drops = {}
+    for p in sorted(alpha.points):
+        dropped = ConstraintTuple(alpha.beta, alpha.points - {p},
+                                  alpha.descriptors)
+        drops[p] = (dropped,
+                    invariant_via_degree(dropped, table, target, p, chains))
+    return drops
+
+
 def splitting_weight(part_count):
     """The splitting weight: 1 at no parts, else 1/parts - 1/2."""
     if part_count == 0:
@@ -270,23 +280,22 @@ def constant_center_classes(alpha, chains, table, target):
     """
     empty_center = (target.zero_degree(), frozenset(), frozenset())
     return [
-        (eta, count) for eta, count in target._classes_through(
+        (eta, count) for eta, count in target.classes_through(
             alpha, [empty_center], _live_parts(alpha, chains, target)
         )
         if splitting_weight(eta.part_count) != 0
     ]
 
 
-def invariant_via_weights(alpha, table, target, chains, degrees=None):
+def invariant_via_weights(alpha, table, target, chains, drops):
     """Weighted sum over raw splittings plus the half point-drop sum.
 
     Defined for dimension-0 tuples (zero otherwise).  The fiber count of
     each splitting is evaluated through the divisor-trade rule on the
     declared rigid disks: the class terms of the boundary assembly, whose
-    sign already carries (-1)^(parts).  `degrees` may map points of
-    alpha to the degree invariant of alpha with that point dropped, as a
-    caller that has evaluated them keeps them; the others are evaluated
-    here.
+    sign already carries (-1)^(parts).  `drops` is the map
+    `point_drop_degrees(alpha, ...)`, whose degree invariants make the
+    half point-drop sum.
 
     Multiplicity bookkeeping: the raw sum ranges over ordered splittings
     whose center moduli carry position-ordered boundary points.  A rigid
@@ -306,15 +315,7 @@ def invariant_via_weights(alpha, table, target, chains, degrees=None):
         for value in contribution.values():
             total = total + scale * value
     half = Fraction(1, 2)
-    degrees = {} if degrees is None else degrees
-    for p in sorted(alpha.points):
-        degree = degrees.get(p)
-        if degree is None:
-            dropped = ConstraintTuple(
-                alpha.beta, alpha.points - {p}, alpha.descriptors
-            )
-            degree = invariant_via_degree(dropped, table, target, point=p,
-                                          chains=chains)
+    for _dropped, degree in drops.values():
         total = total + half * degree
     return total
 
@@ -508,7 +509,7 @@ def _branch_classes(alpha, decorated, table, target):
     classes = [
         (eta, table.single_disks(eta.center_tuple()),
          tuple(eta.parts[i] for i in eta.chain_slots()))
-        for eta, _count in target._classes_through(
+        for eta, _count in target.classes_through(
             alpha, _center_triples(table), parts
         )
     ]
@@ -580,48 +581,9 @@ def branch_bijection_failures(alpha, decorated, table, target):
 # --- headline comparison ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    alpha: ConstraintTuple
-    removed_point: str
-    chain_degree: object
-    welschinger_total: object
-    sign: int
-
-    @property
-    def holds(self):
-        expected = self.welschinger_total if self.sign > 0 else -self.welschinger_total
-        return self.chain_degree == expected
-
-
-def verify_welschinger_relation(alpha, table, target, chains, point=None,
-                                degree=None, total=None):
-    """Check the sign relation between the chain-degree invariant and the
-    direct linking-weighted count.
-
-    For a dimension-0 tuple whose point set contains `point` (default:
-    the smallest label), the degree invariant of the tuple with that
-    point removed must equal (-1)^|K| times the configuration count of
-    the full tuple.  `chains` is a chain family covering alpha's
-    predecessors, such as the one family of a run whose tops include
-    alpha or a tuple above it.  A caller that has already evaluated the
-    degree invariant or the configuration count passes it as `degree`
-    or `total`; the other is evaluated here.
-    """
-    if target.dimension(alpha) != 0:
-        raise ChainError("the comparison needs a dimension-0 tuple")
-    if not alpha.points:
-        raise ChainError("the comparison needs at least one point constraint")
-    p = min(alpha.points) if point is None else point
-    if p not in alpha.points:
-        raise ChainError("point %r is not a constraint of the tuple" % (p,))
-    if degree is None:
-        dropped = ConstraintTuple(alpha.beta, alpha.points - {p},
-                                  alpha.descriptors)
-        degree = invariant_via_degree(dropped, table, target, p, chains)
-    if total is None:
-        total = welschinger_count(alpha, table.multi_disks(alpha),
-                                  table.links, target,
-                                  table.tree_weights(alpha))
-    sign = -1 if len(alpha.points) % 2 else 1
-    return ComparisonReport(alpha, p, degree, total, sign)
+def verify_welschinger_relation(alpha, degree, total):
+    """The sign relation between the two counts of a dimension-0 tuple:
+    the degree invariant of alpha with one point dropped (`degree`, from
+    `point_drop_degrees`) equals (-1)^|K| times the configuration count
+    of alpha (`total`, from `welschinger_count`)."""
+    return degree == (-total if len(alpha.points) % 2 else total)

@@ -28,11 +28,10 @@ from .bounding_chain import (
     constant_center_classes,
     decorated_multidisks,
     direct_boundary,
-    invariant_via_degree,
     invariant_via_weights,
+    point_drop_degrees,
     verify_welschinger_relation,
 )
-from .lattice import ConstraintTuple
 from .multidisk import conjugation_cancellation_check, welschinger_count
 from .wdvv import (
     OpenInvariantTable,
@@ -51,6 +50,9 @@ PIPELINE_INPUTS = {
     "bb-recursion": ("atoms",),
     "wdvv-solve": ("closed_gw", "seeds"),
 }
+# the tree tables up to this many vertices hold 9^7 trees; 10 vertices
+# would hold 10^8
+MAX_CAP_TREES = 9
 
 
 @dataclass
@@ -73,6 +75,9 @@ class RunConfig:
             raise ValueError("area bound must be positive")
         if self.cap_trees < 1 or self.cap_insertions < 1:
             raise ValueError("caps must be at least 1")
+        if self.cap_trees > MAX_CAP_TREES:
+            raise ValueError("--cap-trees %d exceeds the largest tree cap, %d"
+                             % (self.cap_trees, MAX_CAP_TREES))
 
 
 def _tuple_label(alpha):
@@ -95,49 +100,41 @@ def _writing_artifacts():
         raise ArtifactError("cannot write the artifacts: %s" % exc) from exc
 
 
-def _write_tsv(path, header, rows):
-    with open(path, "w") as fh:
-        fh.write("\t".join(header) + "\n")
-        for row in rows:
-            fh.write("\t".join(map(str, row)) + "\n")
-
-
 class Reporter:
-    """Collects check results and table rows; writes everything at the
-    end so two identical runs emit identical bytes.
+    """Collects check results and writes the tables of a run.
 
-    A table too large to hold is streamed instead: its rows are written
-    as they come, under a temporary name in the output directory, and
-    `flush` moves the file into place.  A run that fails calls `discard`,
-    which removes it, so no listing that looks complete is left behind.
+    Each table is written when it is handed over, under a temporary name
+    in the output directory, so a large one streams row by row; `flush`
+    moves them all into place and writes the check summary and report.
+    A run that fails calls `discard`, which removes the tables not yet
+    moved, so no artifact that looks complete is left behind.
     """
 
     def __init__(self, out_dir):
         self.out_dir = out_dir
         self.checks = []
-        self.tables = {}
-        self.streamed = {}  # table name -> temporary path
+        self.written = {}  # table name -> temporary path
 
     def check(self, name, status, detail=""):
         self.checks.append({"check": name, "status": status, "detail": detail})
 
     def table(self, name, header, rows):
-        self.tables[name] = (header, rows)
-
-    def stream(self, name, header, rows):
         """Write a table now, consuming the row iterable as it goes."""
         path = os.path.join(self.out_dir, ".%s.tsv.partial" % name)
         with _writing_artifacts():
             os.makedirs(self.out_dir, exist_ok=True)
-            self.streamed[name] = path
-            _write_tsv(path, header, rows)
+            self.written[name] = path
+            with open(path, "w") as fh:
+                fh.write("\t".join(header) + "\n")
+                for row in rows:
+                    fh.write("\t".join(map(str, row)) + "\n")
 
     def discard(self):
-        """Remove the streamed tables that `flush` has not moved."""
-        for path in self.streamed.values():
+        """Remove the tables that `flush` has not moved."""
+        for path in self.written.values():
             with contextlib.suppress(OSError):
                 os.remove(path)
-        self.streamed.clear()
+        self.written.clear()
 
     @property
     def failed(self):
@@ -146,12 +143,9 @@ class Reporter:
     def flush(self, config):
         with _writing_artifacts():
             os.makedirs(self.out_dir, exist_ok=True)
-            for name, (header, rows) in sorted(self.tables.items()):
-                _write_tsv(os.path.join(self.out_dir, name + ".tsv"), header,
-                           rows)
-            for name, path in sorted(self.streamed.items()):
+            for name, path in sorted(self.written.items()):
                 os.replace(path, os.path.join(self.out_dir, name + ".tsv"))
-            self.streamed.clear()
+            self.written.clear()
             summary = {
                 "pipeline": config.pipeline,
                 "seed": config.seed,
@@ -186,7 +180,8 @@ def _tally(rep, name, bad, summary, failure="mismatch at"):
 
 
 def run_enumerate(bundle, atom_bundle, config, rep):
-    """Tabulate the tuples and stream their degeneration classes."""
+    """Tabulate the tuples and their degeneration classes, the classes
+    written as they are generated."""
     target = bundle.target
     # the class parts repeat a few predecessors many times
     label = functools.cache(_tuple_label)
@@ -212,9 +207,9 @@ def run_enumerate(bundle, atom_bundle, config, rep):
                 "yes" if target.in_closed_image(alpha.beta) else "no",
             ))
 
-    rep.stream("degeneration_classes",
-               ("tuple", "center", "center_descriptors", "parts", "size"),
-               class_rows())
+    rep.table("degeneration_classes",
+              ("tuple", "center", "center_descriptors", "parts", "size"),
+              class_rows())
     rep.table("tuples",
               ("tuple", "dim", "predecessors", "classes", "raw",
                "closed_image"),
@@ -260,9 +255,8 @@ def run_welschinger(bundle, atom_bundle, config, rep):
 def run_bb_recursion(bundle, atom_bundle, config, rep):
     """Build, tabulate and evaluate the run's one chain family.
 
-    Returns (chains, {top: (weighted invariant, {point: degree invariant
-    with that point dropped})}); the second holds the dimension-0 tops
-    only.
+    Returns (chains, {top: (weighted invariant, point_drop_degrees of
+    top)}); the second holds the dimension-0 tops only.
     """
     target = bundle.target
     table = atom_bundle.table
@@ -276,20 +270,14 @@ def run_bb_recursion(bundle, atom_bundle, config, rep):
     for top in atom_bundle.tuples:
         if target.dimension(top) != 0:
             continue
-        degrees = {}
-        degree_rows = []
-        for p in sorted(top.points):
-            dropped = ConstraintTuple(top.beta, top.points - {p},
-                                      top.descriptors)
-            degrees[p] = invariant_via_degree(dropped, table, target, p,
-                                              chains)
-            degree_rows.append(
-                (_tuple_label(dropped), "degree", p, degrees[p])
-            )
-        weighted = invariant_via_weights(top, table, target, chains, degrees)
+        drops = point_drop_degrees(top, table, target, chains)
+        weighted = invariant_via_weights(top, table, target, chains, drops)
         invariant_rows.append((_tuple_label(top), "weighted", "-", weighted))
-        invariant_rows.extend(degree_rows)
-        invariants[top] = (weighted, degrees)
+        invariant_rows.extend(
+            (_tuple_label(dropped), "degree", p, degree)
+            for p, (dropped, degree) in drops.items()
+        )
+        invariants[top] = (weighted, drops)
     rep.table("chains", ("tuple", "loop", "coefficient"), chain_rows)
     rep.table("invariants", ("tuple", "kind", "point", "value"),
               invariant_rows)
@@ -383,14 +371,12 @@ def run_verify_all(bundle, atom_bundle, closed, seeds, config, rep):
         relation_checked = 0
         for alpha in chains:
             # the recursion has evaluated the degree invariants of the tops
-            degrees = invariants[alpha][1] if alpha in invariants else {}
-            for p in sorted(alpha.points):
-                report = verify_welschinger_relation(
-                    alpha, table, target, chains, point=p,
-                    degree=degrees.get(p), total=counts[alpha],
-                )
+            drops = (invariants[alpha][1] if alpha in invariants
+                     else point_drop_degrees(alpha, table, target, chains))
+            for _dropped, degree in drops.values():
                 relation_checked += 1
-                if not report.holds:
+                if not verify_welschinger_relation(alpha, degree,
+                                                   counts[alpha]):
                     relation_bad.append(alpha)
         _tally(rep, "welschinger-sign-relation", relation_bad,
                "%d (tuple, point) pairs" % relation_checked)
@@ -405,15 +391,16 @@ def run_verify_all(bundle, atom_bundle, closed, seeds, config, rep):
                     "live zero-center splitting at " + _tuple_label(top),
                 )
                 break
-            weighted, degrees = invariants[top]
-            if len(set(degrees.values())) != 1:
+            weighted, drops = invariants[top]
+            degrees = {degree for _dropped, degree in drops.values()}
+            if len(degrees) != 1:
                 rep.check(
                     "weighted-degree-comparison", "SKIP",
                     "point dependence at " + _tuple_label(top),
                 )
                 break
             weighted_checked += 1
-            if weighted != next(iter(degrees.values())):
+            if degrees != {weighted}:
                 weighted_bad.append(top)
         else:
             _tally(rep, "weighted-degree-comparison", weighted_bad,

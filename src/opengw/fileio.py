@@ -40,7 +40,9 @@ class FileFormatError(OpenGWError, ValueError):
 
 
 def _rational(value):
-    if isinstance(value, (str, int)):
+    """A JSON integer or a "p/q" string; a boolean is refused, not read
+    as 0 or 1."""
+    if isinstance(value, (str, int)) and not isinstance(value, bool):
         try:
             return Fraction(value)
         except ZeroDivisionError as exc:
@@ -57,6 +59,29 @@ def _integer(value):
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise FileFormatError("expected an integer, got %r" % (value,))
+
+
+def _boolean(value):
+    """A JSON boolean; "false" or 0 is refused rather than coerced."""
+    if isinstance(value, bool):
+        return value
+    raise FileFormatError("expected true or false, got %r" % (value,))
+
+
+def _label(value):
+    """A label (a point, descriptor, generator or loop id): a JSON
+    string."""
+    if isinstance(value, str):
+        return value
+    raise FileFormatError("expected a string label, got %r" % (value,))
+
+
+def _labels(value):
+    """A JSON list of labels; a string is refused rather than split into
+    its characters."""
+    if not isinstance(value, list):
+        raise FileFormatError("expected a list of labels, got %r" % (value,))
+    return [_label(x) for x in value]
 
 
 def _index(key):
@@ -114,14 +139,15 @@ def load_target(path):
     doc = _load_document(path, "opengw-target")
     with _malformed_as_format_error(path):
         generators = [
-            (g["name"], _rational(g["area"]), _integer(g["maslov"]))
+            (_label(g["name"]), _rational(g["area"]), _integer(g["maslov"]))
             for g in doc["generators"]
         ]
         descriptors = [
-            (d["id"], _integer(d["codim"])) for d in doc.get("descriptors", [])
+            (_label(d["id"]), _integer(d["codim"]))
+            for d in doc.get("descriptors", [])
         ]
         closed = [
-            (c["name"], _rational(c["area"]), _integer(c["w2_sign"]))
+            (_label(c["name"]), _rational(c["area"]), _integer(c["w2_sign"]))
             for c in doc.get("closed_generators", [])
         ]
         q_matrix = doc.get("q_matrix")
@@ -150,12 +176,11 @@ def load_target(path):
                     _integer(c["sphere_index"])
                     if c.get("sphere_index") is not None else None
                 ),
-                y_class_nonzero=c.get("y_class_nonzero", False),
+                y_class_nonzero=_boolean(c.get("y_class_nonzero", False)),
                 gamma0_pairing=(
                     _rational(c["gamma0_pairing"])
                     if c.get("gamma0_pairing") is not None else None
                 ),
-                h2_push_trivial=c.get("h2_push_trivial", True),
             )
         return TargetBundle(target, model)
 
@@ -173,16 +198,17 @@ def load_atoms(path, target):
         atoms = [
             DiskAtom(
                 target.degree([_integer(x) for x in a["degree"]]),
-                frozenset(a.get("points", [])),
-                frozenset(a.get("descriptors", [])),
+                frozenset(_labels(a.get("points", []))),
+                frozenset(_labels(a.get("descriptors", []))),
                 _integer(a["sign"]),
-                a["loop"],
+                _label(a["loop"]),
             )
             for a in doc.get("atoms", [])
         ]
         links = LinkingMatrix(
-            [(a, b, _rational(v)) for a, b, v in doc.get("linking", [])],
-            unbounded=doc.get("unbounded_loops", []),
+            [(_label(a), _label(b), _rational(v))
+             for a, b, v in doc.get("linking", [])],
+            unbounded=_labels(doc.get("unbounded_loops", [])),
         )
         table = AtomTable(target, atoms, links)
         involution = None
@@ -191,13 +217,13 @@ def load_atoms(path, target):
             involution = InvolutionData(
                 tuple(tuple(_integer(x) for x in row)
                       for row in inv["degree_map"]),
-                dict(inv["loop_pairs"]),
+                {_label(a): _label(b) for a, b in inv["loop_pairs"].items()},
             )
             involution.validate(target)
         tuples = [
             target.constraint_tuple(
-                [_integer(x) for x in t["degree"]], t.get("points", []),
-                t.get("descriptors", []),
+                [_integer(x) for x in t["degree"]],
+                _labels(t.get("points", [])), _labels(t.get("descriptors", [])),
             )
             for t in doc.get("tuples_of_interest", [])
         ]

@@ -15,7 +15,7 @@ part and an ordered list of sub-tuples; the degenerate shape with an
 empty central part and exactly one unconstrained slot is excluded at the
 type level.
 
-One generator, `Target._iter_classes_through`, yields the classes of
+One generator, `Target.classes_through`, yields the classes of
 splittings up to permuting the parts, from a set of centers and a set
 of allowed parts, in their final order and one center group at a time;
 the full list `Target.degeneration_classes` is the call that allows
@@ -369,7 +369,7 @@ class Target:
     def iter_degeneration_classes(self, alpha):
         """The items of `degeneration_classes(alpha)`, in its order,
         holding the classes of one center group at a time."""
-        return self._iter_classes_through(
+        return self.classes_through(
             alpha,
             [(beta, frozenset(), l)
              for beta in self.effective_below(alpha.beta)
@@ -377,11 +377,7 @@ class Target:
             self.predecessors(alpha),
         )
 
-    def _classes_through(self, alpha, centers, parts):
-        """The list of `_iter_classes_through`."""
-        return list(self._iter_classes_through(alpha, centers, parts))
-
-    def _iter_classes_through(self, alpha, centers, parts):
+    def classes_through(self, alpha, centers, parts):
         """The classes of alpha with a given center and given parts.
 
         centers: (degree, point labels, descriptor labels) triples, the
@@ -522,12 +518,6 @@ class Target:
 
     # -- closed lattice ------------------------------------------------
 
-    def closed_degree(self, coords):
-        coords = tuple(int(c) for c in coords)
-        if len(coords) != self.closed_rank:
-            raise TargetError("closed coords must have length %d" % self.closed_rank)
-        return coords
-
     def w2_sign(self, coords):
         """(-1)^(pairing of the orientation datum with B), multiplicative."""
         exponent = sum(
@@ -549,7 +539,7 @@ class Target:
             return beta.is_zero
         return linalg.integer_solve(self.q_matrix, list(beta.coords)) is not None
 
-    def effective_closed(self, max_area, include_zero=True):
+    def effective_closed(self, max_area):
         """Effective closed classes with area <= max_area, sorted."""
         out = []
 
@@ -565,8 +555,6 @@ class Target:
 
         walk([], Fraction(max_area))
         out.sort()
-        if not include_zero:
-            out = [b for b in out if any(b)]
         return out
 
     def closed_preimages(self, beta):

@@ -442,7 +442,6 @@ class CancellationReport:
     multi_disk_total: object
     single_disk_total: object
     full_total: object
-    config_count: int
     pair_count: int
     valence_histogram: tuple
 
@@ -516,7 +515,6 @@ def conjugation_cancellation_check(tuples, table, involution,
         multi_disk_total=multi_total,
         single_disk_total=single_total,
         full_total=multi_total + single_total,
-        config_count=len(configs),
         pair_count=pair_count,
         valence_histogram=tuple(sorted(valences.items())),
     )

@@ -62,13 +62,12 @@ class CohomologyModel:
     sphere_index: the distinguished degree-4 class traded by the
     sphere-insertion rule; y_class_nonzero: whether the ambient class of
     the fixed locus is nonzero (kills all k >= 2 counts and the whole
-    degree-0 extension); h2_push_trivial records (unverifiable here) that
-    the degree-2 push forward from the fixed locus vanishes.
+    degree-0 extension).
     """
 
     def __init__(self, degrees, pairing, restriction=None, deg2_pairings=None,
                  lk_os_star=None, sphere_index=None, y_class_nonzero=False,
-                 gamma0_pairing=None, h2_push_trivial=True):
+                 gamma0_pairing=None):
         self.degrees = tuple(int(d) for d in degrees)
         if not self.degrees or self.degrees[0] != 0:
             raise ModelError("index 1 must be the unit (degree 0)")
@@ -122,7 +121,6 @@ class CohomologyModel:
         self.gamma0_pairing = (
             None if gamma0_pairing is None else Fraction(gamma0_pairing)
         )
-        self.h2_push_trivial = bool(h2_push_trivial)
 
     def degree_of(self, index):
         if not 1 <= index <= self.size:

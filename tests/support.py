@@ -549,7 +549,7 @@ def branch_decompositions(alpha, table, target, decorated=None):
             if dmds:
                 parts[part] = dmds
     out = set()
-    for eta, _count in target._classes_through(
+    for eta, _count in target.classes_through(
         alpha, _center_triples(table), parts
     ):
         slot_parts = [eta.parts[i] for i in eta.chain_slots()]

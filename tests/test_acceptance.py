@@ -21,6 +21,7 @@ from opengw.bounding_chain import (
     from_branches,
     invariant_via_degree,
     invariant_via_weights,
+    point_drop_degrees,
     to_branches,
     verify_welschinger_relation,
 )
@@ -33,6 +34,7 @@ from opengw.multidisk import (
     conjugation_cancellation_check,
     tree_weight_sum,
     tree_weight_sum_enumerated,
+    welschinger_count,
 )
 from opengw.orientation import (
     FACE_G,
@@ -209,11 +211,12 @@ def test_criterion_5_sign_relation():
     for seed in range(100):
         target, table, top = _instance(51000 + seed)
         chains = build_chains([top], table, target)
-        for p in sorted(top.points):
-            result = verify_welschinger_relation(
-                top, table, target, chains, point=p
-            )
-            assert result.holds, (seed, p)
+        total = welschinger_count(top, table.multi_disks(top), table.links,
+                                  target)
+        drops = point_drop_degrees(top, table, target, chains)
+        assert sorted(drops) == sorted(top.points)
+        for p, (_dropped, degree) in drops.items():
+            assert verify_welschinger_relation(top, degree, total), (seed, p)
             pairs += 1
     report("5-sign-relation", pairs >= 100,
            "%d (instance, point) pairs" % pairs)
@@ -347,7 +350,9 @@ def test_criterion_9_weighted_conventions(monkeypatch):
         if len(set(values.values())) != 1:
             skipped += 1
             continue
-        weighted = invariant_via_weights(top, table, target, chains=chains)
+        weighted = invariant_via_weights(
+            top, table, target, chains,
+            point_drop_degrees(top, table, target, chains))
         assert weighted == next(iter(values.values())), seed
         compared += 1
     assert compared >= 30
@@ -367,8 +372,9 @@ def test_criterion_9_weighted_conventions(monkeypatch):
                                       chains=chains)
         with monkeypatch.context() as patch:
             patch.setattr(bounding_chain, "splitting_weight", wrong_rule)
-            weighted = invariant_via_weights(top, table, target,
-                                             chains=chains)
+            weighted = invariant_via_weights(
+                top, table, target, chains,
+                point_drop_degrees(top, table, target, chains))
         if weighted != degree:
             broken += 1
     assert broken > 0

@@ -22,12 +22,18 @@ from opengw.bounding_chain import (
     from_branches,
     invariant_via_degree,
     invariant_via_weights,
+    point_drop_degrees,
     splitting_weight,
     to_branches,
     verify_welschinger_relation,
 )
-from opengw.lattice import DegenerationType, Target
-from opengw.multidisk import AtomTable, DiskAtom, LinkingMatrix
+from opengw.lattice import ConstraintTuple, DegenerationType, Target
+from opengw.multidisk import (
+    AtomTable,
+    DiskAtom,
+    LinkingMatrix,
+    welschinger_count,
+)
 
 from support import (
     branch_decompositions,
@@ -278,11 +284,12 @@ def test_invariant_degree_empty_splittings():
 def test_welschinger_relation_small_instance():
     t, table, top = small_instance()
     chains = build_chains([top], table, t)
-    report = verify_welschinger_relation(top, table, t, chains)
-    assert report.holds
+    total = welschinger_count(top, table.multi_disks(top), table.links, t)
+    _dropped, degree = point_drop_degrees(top, table, t, chains)[min(top.points)]
+    assert verify_welschinger_relation(top, degree, total)
     # spot value: even |K| so the two sides agree on the nose
-    assert report.sign == 1
-    assert report.chain_degree == report.welschinger_total
+    assert len(top.points) % 2 == 0
+    assert degree == total
 
 
 def test_welschinger_relation_randomized():
@@ -293,11 +300,46 @@ def test_welschinger_relation_randomized():
             rng, n_points=max(np_, 1), n_quartic=nq, n_sextic=ns, n_conic=nc,
         )
         chains = build_chains([top], table, target)
-        for point in sorted(top.points):
-            report = verify_welschinger_relation(
-                top, table, target, chains, point=point
-            )
-            assert report.holds, (seed, point)
+        total = welschinger_count(top, table.multi_disks(top), table.links,
+                                  target)
+        drops = point_drop_degrees(top, table, target, chains)
+        assert sorted(drops) == sorted(top.points)
+        for point, (_dropped, degree) in drops.items():
+            assert verify_welschinger_relation(top, degree, total), (seed, point)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       shape=st.sampled_from(INSTANCE_SHAPES))
+def test_sign_relation_on_every_chain_tuple_and_point(seed, shape):
+    """For every tuple of the chain family and every point of it, the
+    degree invariant of point_drop_degrees is (-1)^|K| times the tuple's
+    configuration count."""
+    target, table, top = synthetic_instance(make_rng(seed), *shape)
+    chains = build_chains([top], table, target)
+    for alpha in chains:
+        total = welschinger_count(alpha, table.multi_disks(alpha),
+                                  table.links, target)
+        drops = point_drop_degrees(alpha, table, target, chains)
+        assert list(drops) == sorted(alpha.points)
+        for p, (dropped, degree) in drops.items():
+            assert dropped == ConstraintTuple(
+                alpha.beta, alpha.points - {p}, alpha.descriptors)
+            assert verify_welschinger_relation(alpha, degree, total), (alpha, p)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       shape=st.sampled_from(INSTANCE_SHAPES))
+def test_every_chain_boundary_is_the_direct_boundary(seed, shape):
+    """The recursion's boundary of every chain of the family equals the
+    multi-disk side."""
+    target, table, top = synthetic_instance(make_rng(seed), *shape)
+    chains = build_chains([top], table, target)
+    assert list(chains) == chain_tuples(target, [top])
+    for alpha, chain in chains.items():
+        assert dict(chain.boundary) == direct_boundary(alpha, table,
+                                                       target), alpha
 
 
 def test_weighted_invariant_matches_degree_invariant():
@@ -317,7 +359,9 @@ def test_weighted_invariant_matches_degree_invariant():
         if constant_center_classes(top, chains, table, target):
             continue
         checked += 1
-        weighted = invariant_via_weights(top, table, target, chains=chains)
+        weighted = invariant_via_weights(
+            top, table, target, chains,
+            point_drop_degrees(top, table, target, chains))
         p = next(iter(top.points))
         dropped = target.constraint_tuple(
             top.beta, top.points - {p}, top.descriptors
@@ -363,7 +407,9 @@ def test_weighted_invariant_point_independence_gate():
         if len(set(values.values())) != 1:
             continue  # point-dependent instance: hypothesis fails, skip
         checked += 1
-        weighted = invariant_via_weights(top, table, target, chains=chains)
+        weighted = invariant_via_weights(
+            top, table, target, chains,
+            point_drop_degrees(top, table, target, chains))
         assert weighted == next(iter(values.values())), seed
     assert checked >= 3
 
@@ -371,7 +417,7 @@ def test_weighted_invariant_point_independence_gate():
 def test_weighted_invariant_zero_outside_dimension_zero():
     t, table, top = small_instance()
     assert invariant_via_weights(
-        t.constraint_tuple((2,), ["p"]), table, t, chains={}
+        t.constraint_tuple((2,), ["p"]), table, t, chains={}, drops={}
     ) == 0
 
 
@@ -396,7 +442,8 @@ def test_weighted_invariant_forwards_sign_toggles(monkeypatch):
     degree = invariant_via_degree(dropped, table, target, point=p,
                                   chains=chains)
     assert invariant_via_weights(
-        top, table, target, chains=chains
+        top, table, target, chains,
+        point_drop_degrees(top, table, target, chains),
     ) == moved + Fraction(1, 2) * degree
 
 
@@ -420,7 +467,9 @@ def test_wrong_weight_rule_breaks_the_match(monkeypatch):
         rng = make_rng(14000 + seed)
         target, table, top = synthetic_instance(rng, n_points=1, n_quartic=0)
         chains = build_chains([top], table, target)
-        weighted = invariant_via_weights(top, table, target, chains=chains)
+        weighted = invariant_via_weights(
+            top, table, target, chains,
+            point_drop_degrees(top, table, target, chains))
         p = next(iter(top.points))
         dropped = target.constraint_tuple(
             top.beta, top.points - {p}, top.descriptors

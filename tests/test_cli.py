@@ -1,5 +1,6 @@
 """File formats and the batch front-end."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -95,6 +96,18 @@ def test_config_validation():
         cfg.validate()
 
 
+def test_tree_cap_is_bounded(capsys):
+    """The tree tables grow as m^(m-2): --cap-trees stops at 9 vertices
+    (4.8 million trees) and names the cap when refused."""
+    RunConfig(pipeline="verify-all", target="x", cap_trees=9).validate()
+    with pytest.raises(ValueError, match="--cap-trees 10 exceeds the "
+                                         "largest tree cap, 9"):
+        RunConfig(pipeline="verify-all", target="x", cap_trees=10).validate()
+    assert main(["--pipeline", "enumerate", "--target", "x",
+                 "--cap-trees", "10"]) == 2
+    assert "--cap-trees 10" in _assert_one_line_error(capsys)
+
+
 def test_parser_flags():
     parser = build_parser()
     args = parser.parse_args([
@@ -156,6 +169,77 @@ def test_verify_all_on_bundled_toy(tmp_path):
     ] == TOY_VERIFY_ALL_SEED_3
 
 
+# The SHA-256 of every table the toy pipelines write at --seed 0; a
+# table's bytes do not depend on the pipeline that writes it.
+TOY_TABLE_SHA256 = {
+    "chains.tsv":
+        "5f24d706c93f3e35569ce2d422c640095419039cfa95246aae6bb860bef97868",
+    "configurations.tsv":
+        "2609fdac697eaa33ab072506f0d3dc7fd06e382613a14bc5d98a5b9ec7a1d94b",
+    "degeneration_classes.tsv":
+        "3c8401e56cc7c8f48335671fa1ac6598bd8ef14020dcbee9995aa724b9bfd3de",
+    "invariants.tsv":
+        "fd168e9439a9a55ce0514f27246a075348168baf771d455d3e5123800500206c",
+    "tuples.tsv":
+        "1bcd2a753519d0888f30ea772e3eeee2a58a08a9502a631825ee192f808cf70d",
+    "wdvv_assumed_zero.tsv":
+        "d334cc91234b5e481d23e807fefc0144b81320da4cf939d84a39f0ee3f43a983",
+    "wdvv_residuals.tsv":
+        "d28cfd3728a6d0957881b9794fe331f66f4e0cd63d38abb02643caf30a9072c1",
+    "wdvv_solved.tsv":
+        "2da746fc33b3261cabbe83fed8fd27cbaef7d64ee592b137d3e426b6e3dc5441",
+    "wdvv_table.tsv":
+        "8badf2ad27b5cdd5897a10dbe0d0e33b3d36038ef0fe0dd9c3c240067012fac9",
+    "welschinger.tsv":
+        "cf2db27198708808d3f07333f26e6dc422a724fc017cb966a67f551cb28b0881",
+}
+# per pipeline: the SHA-256 of its checks.json and report.txt, and the
+# tables it writes
+TOY_RUN_SHA256 = {
+    "enumerate": (
+        "80fb337a96debd585dec2f272b74aea63a079d4f176040600d775d84599bd3fe",
+        "39d5a0cfc22478445fd3b84d1fbb7fe158fcbe5f6f85c34ec39a5300f2061bf2",
+        ("degeneration_classes.tsv", "tuples.tsv"),
+    ),
+    "welschinger": (
+        "23b09264307d10d2ece2b6631492469cba2bce93a98f206a093ddeb57610ae0b",
+        "0e9fd7afaa0b52dd03ae16b31609d561d314d76a7ee8b506a4a547f835f4ace8",
+        ("configurations.tsv", "welschinger.tsv"),
+    ),
+    "bb-recursion": (
+        "90a2b834bb005d3a6ae18e41aa4826abe8ff41fb09a7b516427c64f1837b3659",
+        "6863c17bc6494736268adea2fc10e35ba69fc738a45ea8c5bacf414b29296947",
+        ("chains.tsv", "invariants.tsv"),
+    ),
+    "wdvv-solve": (
+        "ae806ea5c3d89e3b41779a74178ec04270f1c08a52570d139cc5aceb1e91b3a1",
+        "5d3ad209d669db6b8f55db89979e32c2d898ae53f95fc77fa9590ae452265ebb",
+        ("wdvv_assumed_zero.tsv", "wdvv_residuals.tsv", "wdvv_solved.tsv",
+         "wdvv_table.tsv"),
+    ),
+    "verify-all": (
+        "92a8e30d9b680102ec97477d5bcbef03541ff3be1cd58e564d0c54d83005e4b3",
+        "2fd5b023cf43631fa2de71ab3020894ea42c19198fc2ae51b91d324c7788a405",
+        tuple(sorted(TOY_TABLE_SHA256)),
+    ),
+}
+
+
+@pytest.mark.parametrize("pipeline", list(TOY_RUN_SHA256))
+def test_toy_artifacts_are_pinned(tmp_path, pipeline):
+    """Every artifact of each pipeline on the toy at --seed 0, byte for
+    byte."""
+    status, cfg = run_pipeline(tmp_path, pipeline, seed=0)
+    assert status == 0
+    checks, report, tables = TOY_RUN_SHA256[pipeline]
+    expected = {"checks.json": checks, "report.txt": report}
+    expected.update((name, TOY_TABLE_SHA256[name]) for name in tables)
+    assert {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in (tmp_path / "out").iterdir()
+    } == expected
+
+
 def _count_calls(monkeypatch, names):
     """Count the calls of bounding_chain functions, under both the names
     `bounding_chain` and `cli` bind them to."""
@@ -182,7 +266,7 @@ def test_verify_all_builds_and_evaluates_once_per_run(tmp_path, monkeypatch):
     them."""
     from collections import Counter
 
-    from opengw import bounding_chain, cli, multidisk
+    from opengw import bounding_chain, multidisk
     from opengw.lattice import ConstraintTuple
     from opengw.multidisk import AtomTable
 
@@ -208,7 +292,6 @@ def test_verify_all_builds_and_evaluates_once_per_run(tmp_path, monkeypatch):
         return weight_of(config, links)
 
     monkeypatch.setattr(bounding_chain, "invariant_via_degree", degree)
-    monkeypatch.setattr(cli, "invariant_via_degree", degree)
     monkeypatch.setattr(AtomTable, "_list_configurations", listing)
     monkeypatch.setattr(multidisk, "tree_weight_sum", weight)
     status, cfg = run_pipeline(tmp_path, "verify-all", seed=3)
@@ -624,13 +707,26 @@ def _replaced(doc, path, value):
      {" +2 ": ["1/2"]}),
     ("enumerate", "target", ("cohomology", "lk_os_star"), {"0_3": "1/2"}),
     ("enumerate", "target", ("cohomology", "lk_os_star"), {"+3": "1/2"}),
+    ("enumerate", "target", ("cohomology", "y_class_nonzero"), "false"),
+    ("enumerate", "target", ("cohomology", "y_class_nonzero"), 0),
+    ("enumerate", "target", ("generators", 0, "area"), True),
+    ("enumerate", "target", ("generators", 0, "name"), 1),
+    ("enumerate", "target", ("descriptors", 0, "id"), 1),
+    ("welschinger", "atoms", ("atoms", 0, "points"), [1, 2]),
+    ("welschinger", "atoms", ("atoms", 0, "points"), "p1"),
+    ("welschinger", "atoms", ("unbounded_loops",), "a1"),
+    ("welschinger", "atoms", ("tuples_of_interest", 0, "points"), [1, 2]),
+    ("welschinger", "atoms", ("tuples_of_interest", 0, "points"), "p1p2"),
 ], ids=["area-1/0", "maslov-infinite", "deg2-pairings-list", "linking-1/0",
         "closed-value-2/0", "beta-zero-null", "maslov-4.9", "codim-4.5",
         "w2-sign-true", "q-matrix-float", "cohomology-degree-float",
         "atom-sign-true", "atom-degree-float", "degree-map-1.5",
         "tuple-degree-2.5", "closed-insertion-float", "seed-insertion-2.5",
         "closed-degree-false", "deg2-pairings-key-padded",
-        "lk-os-star-key-underscore", "lk-os-star-key-plus"])
+        "lk-os-star-key-underscore", "lk-os-star-key-plus",
+        "y-class-string", "y-class-zero", "area-true", "generator-name-int",
+        "descriptor-id-int", "atom-points-ints", "atom-points-string",
+        "unbounded-loops-string", "tuple-points-ints", "tuple-points-string"])
 def test_malformed_document_is_one_line_error(tmp_path, capsys, pipeline,
                                               kind, path, value):
     paths = toy_paths()

@@ -355,7 +355,7 @@ def test_classes_through_filters_the_full_list():
                          key=lambda c: (c[0].coords, sorted(c[1]), sorted(c[2])))
         parts = sorted({p for eta, _ in full for p in slots(eta)},
                        key=ConstraintTuple.sort_key)
-        assert t._classes_through(alpha, centers, parts) == full
+        assert list(t.classes_through(alpha, centers, parts)) == full
         for _ in range(15):
             some_centers = rng.sample(centers, rng.randint(1, len(centers)))
             some_parts = set(rng.sample(parts, rng.randint(0, len(parts))))
@@ -364,7 +364,8 @@ def test_classes_through_filters_the_full_list():
                 if center(eta) in some_centers
                 and all(p in some_parts for p in slots(eta))
             ]
-            assert t._classes_through(alpha, some_centers, some_parts) == expect
+            assert list(t.classes_through(alpha, some_centers,
+                                          some_parts)) == expect
             repeated += sum(
                 1 for eta, _ in expect if len(set(slots(eta))) < len(slots(eta))
             )
