@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import json
 import os
 import random
@@ -179,41 +178,19 @@ def _tally(rep, name, bad, summary, failure="mismatch at"):
               summary if not bad else "%s %s" % (failure, _tuple_label(bad[0])))
 
 
-def run_enumerate(bundle, atom_bundle, config, rep):
-    """Tabulate the tuples and their degeneration classes, the classes
-    written as they are generated."""
+def run_tuples(bundle, atom_bundle, config, rep):
+    """Tabulate the tuples with their class counts and audit the target;
+    returns {tuple: (classes, raw splittings)}."""
     target = bundle.target
-    # the class parts repeat a few predecessors many times
-    label = functools.cache(_tuple_label)
     tuples = atom_bundle.tuples if atom_bundle else []
-    rows = []
-
-    def class_rows():
-        # rows in the listing's final order, each made as it is written;
-        # the tuples table takes the counts as they go by
-        for alpha in tuples:
-            head = functools.cache(lambda beta, descs: "%s\t%s\t%s" % (
-                label(alpha), ",".join(map(str, beta.coords)),
-                ",".join(sorted(descs)) or "-"))
-            classes = raw = 0
-            for eta, count in target.iter_degeneration_classes(alpha):
-                classes += 1
-                raw += count
-                yield (head(eta.center_degree, eta.center_descriptors),
-                       "|".join(map(label, eta.parts)) or "-", count)
-            rows.append((
-                label(alpha), target.dimension(alpha),
-                len(target.predecessors(alpha)), classes, raw,
-                "yes" if target.in_closed_image(alpha.beta) else "no",
-            ))
-
-    rep.table("degeneration_classes",
-              ("tuple", "center", "center_descriptors", "parts", "size"),
-              class_rows())
+    counts = {alpha: target.class_counts(alpha) for alpha in tuples}
     rep.table("tuples",
               ("tuple", "dim", "predecessors", "classes", "raw",
                "closed_image"),
-              rows)
+              [(_tuple_label(alpha), target.dimension(alpha),
+                len(target.predecessors(alpha)), *counts[alpha],
+                "yes" if target.in_closed_image(alpha.beta) else "no")
+               for alpha in tuples])
     violations = target.positivity_violations(config.area_bound)
     rep.check(
         "positivity-audit", "PASS" if not violations else "FAIL",
@@ -223,6 +200,56 @@ def run_enumerate(bundle, atom_bundle, config, rep):
     odd = target.odd_maslov_generators()
     rep.check("index-parity-audit", "PASS" if not odd else "FAIL",
               ("odd generators: " + ",".join(odd)) if odd else "all even")
+    return counts
+
+
+def run_class_listing(bundle, atom_bundle, counts, rep):
+    """Write every degeneration class of the tuples as it is generated,
+    and check each tuple's tally of classes and raw splittings against
+    its counts."""
+    target = bundle.target
+    tuples = atom_bundle.tuples if atom_bundle else []
+    tallies = []
+
+    def class_rows():
+        # rows in the listing's final order, each made as it is written
+        for alpha in tuples:
+            top = _tuple_label(alpha)
+            # every part is one of these objects: label each once, keyed
+            # by identity so that no row hashes a tuple
+            preds = target.predecessors(alpha)
+            label = {id(p): _tuple_label(p) for p in preds}
+            beta = descs = None
+            classes = raw = 0
+            for eta, count in target.iter_degeneration_classes(alpha):
+                # the classes of one center arrive together
+                if (eta.center_degree is not beta
+                        or eta.center_descriptors is not descs):
+                    beta, descs = eta.center_degree, eta.center_descriptors
+                    head = "%s\t%s\t%s" % (
+                        top, ",".join(map(str, beta.coords)),
+                        ",".join(sorted(descs)) or "-")
+                classes += 1
+                raw += count
+                yield (head,
+                       "|".join([label[id(p)] for p in eta.parts]) or "-",
+                       count)
+            tallies.append((alpha, (classes, raw)))
+
+    rep.table("degeneration_classes",
+              ("tuple", "center", "center_descriptors", "parts", "size"),
+              class_rows())
+    _tally(rep, "class-count-identity",
+           [alpha for alpha, tally in tallies if tally != counts[alpha]],
+           "%d tuples, %d classes listed"
+           % (len(tallies), sum(c for _, (c, _) in tallies)))
+
+
+def run_enumerate(bundle, atom_bundle, config, rep):
+    """The enumerate pipeline: the tuples table, then the class listing
+    checked against its counts."""
+    counts = run_tuples(bundle, atom_bundle, config, rep)
+    run_class_listing(bundle, atom_bundle, counts, rep)
 
 
 def run_welschinger(bundle, atom_bundle, config, rep):
@@ -356,7 +383,7 @@ def run_verify_all(bundle, atom_bundle, closed, seeds, config, rep):
     rep.check("matrix-tree-agreement", "PASS" if ok else "FAIL", detail)
     ok, detail = selfcheck.tree_count_suite(max_vertices=config.cap_trees)
     rep.check("tree-count-closed-form", "PASS" if ok else "FAIL", detail)
-    run_enumerate(bundle, atom_bundle, config, rep)
+    run_tuples(bundle, atom_bundle, config, rep)
     if atom_bundle is not None:
         table = atom_bundle.table
         counts = run_welschinger(bundle, atom_bundle, config, rep)

@@ -25,6 +25,11 @@ it emits.  The direct class-level enumerator and the raw expansion into
 ordered splittings are kept in the test suite as independent oracles
 for it.
 
+`Target.class_counts` is the counting route beside `classes_through`:
+it gives the number of classes of the full list and the number of raw
+ordered splittings in them without listing any, from a recursion on
+the number of labels left and the degree left.
+
 A `DegreeClass` hashes on its coordinates alone: its area and Maslov
 index are linear in them, so sets and dicts of degrees never hash a
 Fraction.
@@ -332,8 +337,7 @@ class Target:
 
     def effective_below(self, beta):
         """Effective degrees d with beta - d effective, sorted."""
-        ranges = [range(c + 1) for c in beta.coords]
-        return [self.degree(c) for c in itertools.product(*ranges)]
+        return [self.degree(c) for c in _box(beta.coords)]
 
     def predecessors(self, alpha):
         """All strict predecessors of alpha with effective degree, sorted.
@@ -376,6 +380,30 @@ class Target:
              for l in _subsets(alpha.descriptors)],
             self.predecessors(alpha),
         )
+
+    def class_counts(self, alpha):
+        """(number of classes, number of raw ordered splittings) of
+        `degeneration_classes(alpha)`, counted without listing them.
+
+        A center is a degree below alpha's with some of alpha's
+        descriptors; the other labels are split into labeled parts, each
+        with any degree, and the rest of the degree into a multiset of
+        nonzero unlabeled parts.  Only the number of labels matters, so
+        the centers with m descriptors count C(|descriptors|, m) times.
+        The one-part splitting with a trivial center is the one class
+        these choices count that the list excludes.
+        """
+        labels = len(alpha.points) + len(alpha.descriptors)
+        n_descs = len(alpha.descriptors)
+        counter = _SplitCounter()
+        classes = raw = 0
+        for beta in _box(alpha.beta.coords):
+            rest = tuple(map(sub, alpha.beta.coords, beta))
+            for m in range(n_descs + 1):
+                c, r = counter.splits(labels - m, rest, 0)
+                classes += math.comb(n_descs, m) * c
+                raw += math.comb(n_descs, m) * r
+        return classes - 1, raw - 1
 
     def classes_through(self, alpha, centers, parts):
         """The classes of alpha with a given center and given parts.
@@ -586,3 +614,79 @@ def _subsets(items):
     for r in range(len(items) + 1):
         for combo in itertools.combinations(items, r):
             yield frozenset(combo)
+
+
+# --- class counting -------------------------------------------------------
+
+
+def _box(top):
+    """The coordinate tuples between zero and top, zero first."""
+    return itertools.product(*(range(c + 1) for c in top))
+
+
+class _SplitCounter:
+    """Memoized split counts over integer coordinate tuples.  One is made
+    per `Target.class_counts` call, so its tables go with the call."""
+
+    def __init__(self):
+        self.memo = {}
+
+    def sequences(self, rest):
+        """Entry u: the ordered sequences of u nonzero degrees summing to
+        rest."""
+        key = ("sequences", rest)
+        if key not in self.memo:
+            out = [1] if not any(rest) else []
+            for part in _box(rest):
+                if not any(part):
+                    continue
+                left = self.sequences(tuple(map(sub, rest, part)))
+                out.extend([0] * (len(left) + 1 - len(out)))
+                for u, n in enumerate(left, 1):
+                    out[u] += n
+            self.memo[key] = out
+        return self.memo[key]
+
+    def multisets(self, rest, bound):
+        """The multisets of nonzero degrees summing to rest whose largest
+        part, in coordinate order, is at most bound."""
+        key = ("multisets", rest, bound)
+        if key not in self.memo:
+            self.memo[key] = 1 if not any(rest) else sum(
+                self.multisets(tuple(map(sub, rest, part)), part)
+                for part in _box(rest) if any(part) and part <= bound
+            )
+        return self.memo[key]
+
+    def splits(self, labels, rest, placed):
+        """(classes, raw count) of the ways to split `labels` labels and
+        the degree rest into parts, with `placed` labeled parts already
+        made.
+
+        The part holding the smallest label comes first, with any k of
+        the others and any degree; once no label is left the rest is a
+        multiset of u nonzero unlabeled parts.  A class with j labeled
+        and u unlabeled parts stands for (j+u)! / prod(m!) raw
+        splittings, m running over the multiplicities of equal unlabeled
+        parts; summed over the multisets that is (j+u)!/u! times the
+        ordered sequences.
+        """
+        key = ("splits", labels, rest, placed)
+        if key in self.memo:
+            return self.memo[key]
+        if not labels:
+            classes = self.multisets(rest, rest)
+            raw = sum(math.perm(placed + u, placed) * n
+                      for u, n in enumerate(self.sequences(rest)))
+        else:
+            classes = raw = 0
+            for k in range(labels):
+                ways = math.comb(labels - 1, k)
+                for degree in _box(rest):
+                    c, r = self.splits(labels - 1 - k,
+                                       tuple(map(sub, rest, degree)),
+                                       placed + 1)
+                    classes += ways * c
+                    raw += ways * r
+        self.memo[key] = classes, raw
+        return classes, raw

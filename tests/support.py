@@ -21,6 +21,7 @@ of the negative controls.
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import math
 import os
@@ -218,6 +219,23 @@ def instance_documents(target, table, top):
         }],
     }
     return target_doc, atoms_doc
+
+
+# (points, quartics, sextics, conics) of the synthetic instances whose
+# class listing the tests check
+LISTING_SHAPES = ((1, 0, 0, 0), (2, 0, 0, 0), (3, 0, 0, 0), (1, 1, 0, 0),
+                  (2, 1, 0, 0), (1, 0, 1, 0), (2, 0, 0, 1), (1, 1, 1, 0))
+
+
+def benchmark_synth():
+    """The benchmark's own copy of the instance generator,
+    perfbench/synth.py, loaded as a module."""
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench", "synth.py")
+    spec = importlib.util.spec_from_file_location("perfbench_synth", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def dim0_subtuples(target, table, top):

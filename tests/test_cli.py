@@ -15,6 +15,7 @@ from opengw import fileio
 from opengw.cli import RunConfig, build_parser, main, run
 
 from support import (
+    LISTING_SHAPES,
     direct_degeneration_classes,
     instance_documents,
     make_rng,
@@ -197,8 +198,8 @@ TOY_TABLE_SHA256 = {
 # tables it writes
 TOY_RUN_SHA256 = {
     "enumerate": (
-        "80fb337a96debd585dec2f272b74aea63a079d4f176040600d775d84599bd3fe",
-        "39d5a0cfc22478445fd3b84d1fbb7fe158fcbe5f6f85c34ec39a5300f2061bf2",
+        "bcaf4f95f912675f3434a58fd6aad23f5a4022d4d73c2993b3899eeddfb75e3c",
+        "f883c4dd38e4ce4981a27a156b76010c415f8050c23c4f5f50df3ee6130bb518",
         ("degeneration_classes.tsv", "tuples.tsv"),
     ),
     "welschinger": (
@@ -220,7 +221,8 @@ TOY_RUN_SHA256 = {
     "verify-all": (
         "92a8e30d9b680102ec97477d5bcbef03541ff3be1cd58e564d0c54d83005e4b3",
         "2fd5b023cf43631fa2de71ab3020894ea42c19198fc2ae51b91d324c7788a405",
-        tuple(sorted(TOY_TABLE_SHA256)),
+        # the class listing belongs to enumerate alone
+        tuple(sorted(set(TOY_TABLE_SHA256) - {"degeneration_classes.tsv"})),
     ),
 }
 
@@ -390,40 +392,85 @@ def test_verify_all_deterministic(tmp_path):
         assert (dir1 / name).read_bytes() == (dir2 / name).read_bytes(), name
 
 
+def _instance_paths(tmp_path, instance):
+    """Input paths of the toy, or of a synthetic instance written under
+    tmp_path."""
+    if instance == "toy":
+        return toy_paths()
+    docs = instance_documents(*synthetic_instance(make_rng(9)))
+    paths = {}
+    for kind, doc in zip(("target", "atoms"), docs):
+        paths[kind] = str(tmp_path / (kind + ".json"))
+        with open(paths[kind], "w") as handle:
+            json.dump(doc, handle)
+    return paths
+
+
 @pytest.mark.parametrize("instance", ["toy", "synthetic"])
 def test_verify_all_independent_of_hash_seed(tmp_path, instance):
-    """verify-all in two processes whose string hashes are salted
-    differently (PYTHONHASHSEED 0 and 1) emits the same bytes: no
-    artifact follows set or dict iteration order."""
-    if instance == "toy":
-        paths = toy_paths()
-    else:
-        docs = instance_documents(*synthetic_instance(make_rng(9)))
-        paths = {}
-        for kind, doc in zip(("target", "atoms"), docs):
-            paths[kind] = str(tmp_path / (kind + ".json"))
-            with open(paths[kind], "w") as handle:
-                json.dump(doc, handle)
+    """verify-all and enumerate in two processes whose string hashes are
+    salted differently (PYTHONHASHSEED 0 and 1) emit the same bytes: no
+    artifact, the class listing included, follows set or dict iteration
+    order."""
+    paths = _instance_paths(tmp_path, instance)
     src = os.path.dirname(os.path.dirname(fileio.__file__))
-    outputs = []
-    for hash_seed in ("0", "1"):
-        out = tmp_path / ("hash-" + hash_seed)
-        argv = ["--pipeline", "verify-all", "--out", str(out)]
-        for name, file in paths.items():
-            argv += ["--" + name.replace("_", "-"), file]
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
-                   PYTHONPATH=os.pathsep.join(
-                       filter(None, [src, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run([sys.executable, "-m", "opengw.cli"] + argv,
-                              env=env, capture_output=True, text=True)
-        assert done.returncode == 0, done.stderr
-        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
-    assert "degeneration_classes.tsv" in outputs[0]
-    assert outputs[0] == outputs[1]
+    for pipeline in ("verify-all", "enumerate"):
+        outputs = []
+        for hash_seed in ("0", "1"):
+            out = tmp_path / ("%s-hash-%s" % (pipeline, hash_seed))
+            argv = ["--pipeline", pipeline, "--out", str(out)]
+            for name, file in paths.items():
+                argv += ["--" + name.replace("_", "-"), file]
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, [src, os.environ.get("PYTHONPATH")])))
+            done = subprocess.run(
+                [sys.executable, "-m", "opengw.cli"] + argv,
+                env=env, capture_output=True, text=True)
+            assert done.returncode == 0, done.stderr
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert ("degeneration_classes.tsv" in outputs[0]) == (
+            pipeline == "enumerate")
+        assert outputs[0] == outputs[1]
 
 
-LISTING_SHAPES = ((1, 0, 0, 0), (2, 0, 0, 0), (3, 0, 0, 0), (1, 1, 0, 0),
-                  (2, 1, 0, 0), (1, 0, 1, 0), (2, 0, 0, 1), (1, 1, 1, 0))
+@pytest.mark.parametrize("instance", ["toy", "synthetic"])
+def test_only_enumerate_lists_the_classes(tmp_path, monkeypatch, instance):
+    """verify-all takes the classes and raw columns of tuples.tsv from
+    the class counts and lists no class; enumerate lists each tuple's
+    classes once, and its listing tallies to the same counts."""
+    from collections import Counter
+
+    from opengw.lattice import Target
+
+    # a synthetic instance has no closed table or seeds
+    paths = {"closed_gw": None, "seeds": None}
+    paths.update(_instance_paths(tmp_path, instance))
+    listed = Counter()
+    iter_classes = Target.iter_degeneration_classes
+
+    def listing(self, alpha):
+        listed[alpha] += 1
+        return iter_classes(self, alpha)
+
+    monkeypatch.setattr(Target, "iter_degeneration_classes", listing)
+    outputs = {}
+    for pipeline in ("verify-all", "enumerate"):
+        listed.clear()
+        status, cfg = run_pipeline(tmp_path / pipeline, pipeline, **paths)
+        assert status == 0
+        outputs[pipeline] = listed.copy()
+        checks = json.loads((tmp_path / pipeline / "out" / "checks.json")
+                            .read_text())["checks"]
+        assert ("class-count-identity" in [c["check"] for c in checks]) == (
+            pipeline == "enumerate")
+    target = fileio.load_target(paths["target"]).target
+    tops = fileio.load_atoms(paths["atoms"], target).tuples
+    assert outputs["verify-all"] == Counter()
+    assert outputs["enumerate"] == Counter(tops)
+    assert set(outputs["enumerate"].values()) == {1}
+    assert (tmp_path / "verify-all" / "out" / "tuples.tsv").read_bytes() == \
+        (tmp_path / "enumerate" / "out" / "tuples.tsv").read_bytes()
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -623,8 +670,8 @@ def test_plain_seeds_without_cohomology_model_is_typed_error(
 
 @pytest.mark.parametrize("pipeline", ["enumerate", "verify-all"])
 def test_out_naming_a_file_is_one_line_error(tmp_path, capsys, pipeline):
-    """The class listing is written before the other artifacts; failing
-    to create --out for it is the same one-line error as in flush."""
+    """The first table is written before the other artifacts; failing to
+    create --out for it is the same one-line error as in flush."""
     afile = tmp_path / "afile"
     afile.write_text("kept\n")
     paths = toy_paths()
@@ -637,8 +684,9 @@ def test_out_naming_a_file_is_one_line_error(tmp_path, capsys, pipeline):
 
 
 def test_failed_run_leaves_no_class_listing(tmp_path, capsys, monkeypatch):
-    """A run that fails after the class listing is written removes it:
-    --out holds no degeneration_classes.tsv, complete-looking or not."""
+    """An enumerate run that fails after the class listing is written
+    removes it: --out holds no degeneration_classes.tsv, complete-looking
+    or not."""
     from opengw import cli
     from opengw.bounding_chain import ChainError
 
@@ -651,10 +699,11 @@ def test_failed_run_leaves_no_class_listing(tmp_path, capsys, monkeypatch):
         raise ChainError("forced failure after the listing")
 
     monkeypatch.setattr(cli, "run_enumerate", enumerate_then_fail)
-    status, cfg = run_pipeline(tmp_path, "verify-all", seed=3)
+    status, cfg = run_pipeline(tmp_path, "enumerate", seed=3)
     assert status == 2
     assert "forced failure" in _assert_one_line_error(capsys)
     assert written and "degeneration_classes.tsv" not in written
+    assert ".degeneration_classes.tsv.partial" in written
     assert os.listdir(cfg.out) == []
 
 

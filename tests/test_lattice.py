@@ -1,10 +1,11 @@
 """Degree lattice, constraint tuples, and degeneration enumeration."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from opengw.lattice import (
     ConstraintTuple,
@@ -14,11 +15,15 @@ from opengw.lattice import (
 )
 
 from support import (
+    LISTING_SHAPES,
+    benchmark_synth,
     direct_degeneration_classes,
     distinct_permutations,
     make_rng,
     orderings,
     raw_degenerations,
+    synthetic_instance,
+    toy_atoms,
 )
 
 
@@ -450,6 +455,96 @@ def test_dimension_additive_over_degenerations():
         center_dim = t.dimension(center_part) if center_part else 0
         total = center_dim + sum(t.dimension(p) for p in eta.parts)
         assert total == t.dimension(alpha)
+
+
+# --- class counts ---------------------------------------------------------
+# `Target.class_counts` counts what the listing lists; the listing's tally
+# is the second route.
+
+
+def listing_tally(target, alpha):
+    """(classes, raw splittings) of the listing, counted one by one."""
+    classes = raw = 0
+    for _eta, count in target.iter_degeneration_classes(alpha):
+        classes += 1
+        raw += count
+    return classes, raw
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       shape=st.sampled_from(LISTING_SHAPES))
+def test_class_counts_match_the_listing_on_synthetic_instances(seed, shape):
+    target, _table, top = synthetic_instance(make_rng(seed), *shape)
+    assert target.class_counts(top) == listing_tally(target, top)
+
+
+# the rank-2 lattice of the swap-involution instances, with a quartic and
+# a sextic
+INVOLUTION_TARGET = Target([("u", 1, 2), ("v", 1, 2)],
+                           descriptors=[("Q", 4), ("S", 6)])
+
+
+@st.composite
+def involution_tuples(draw):
+    """A tuple of the rank-2 target with up to two points and any of its
+    descriptors."""
+    coords = draw(st.tuples(st.integers(0, 2), st.integers(0, 2)))
+    points = ["p", "q"][:draw(st.integers(0, 2))]
+    descs = draw(st.sets(st.sampled_from(("Q", "S"))))
+    assume(any(coords) or points or descs)
+    return INVOLUTION_TARGET.constraint_tuple(coords, points, descs)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(involution_tuples())
+@example(INVOLUTION_TARGET.constraint_tuple((2, 1), ["p", "q"], ["Q", "S"]))
+def test_class_counts_match_the_listing_on_rank2_targets(alpha):
+    assert (INVOLUTION_TARGET.class_counts(alpha)
+            == listing_tally(INVOLUTION_TARGET, alpha))
+
+
+def test_class_counts_include_the_zero_part_class():
+    """A point-free tuple splits into its whole self as the center and no
+    part, one class of one raw splitting."""
+    alpha = INVOLUTION_TARGET.constraint_tuple((1, 1), (), ["Q", "S"])
+    classes = INVOLUTION_TARGET.degeneration_classes(alpha)
+    assert [count for eta, count in classes if not eta.parts] == [1]
+    assert INVOLUTION_TARGET.class_counts(alpha) == (
+        len(classes), sum(count for _, count in classes))
+
+
+# (points, quartics) of the seed-41 benchmark instances -> class counts
+BENCHMARK_CLASS_COUNTS = {
+    (4, 1): (12392, 2395391),
+    (5, 1): (124880, 127415679),
+    (5, 2): (1606146, 8476327935),
+}
+
+
+def test_class_counts_on_the_benchmark_rungs(tmp_path):
+    """The toy and the seed-41 instances of perfbench/synth.py.  The two
+    K=5 rungs are counted only: their listings hold 124,880 and
+    1,606,146 classes."""
+    from opengw import fileio
+
+    target, atoms = toy_atoms()
+    (top,) = atoms.tuples
+    assert target.class_counts(top) == listing_tally(target, top) \
+        == (331, 4079)
+    synth = benchmark_synth()
+    for (points, quartics), expected in BENCHMARK_CLASS_COUNTS.items():
+        paths = {}
+        docs = synth.synthetic_documents(random.Random(41), points, quartics)
+        for kind, doc in zip(("target", "atoms"), docs):
+            paths[kind] = str(tmp_path / ("%s-%d-%d.json"
+                                          % (kind, points, quartics)))
+            synth.write_document(paths[kind], doc)
+        target = fileio.load_target(paths["target"]).target
+        (top,) = fileio.load_atoms(paths["atoms"], target).tuples
+        assert target.class_counts(top) == expected
+        if points == 4:
+            assert listing_tally(target, top) == expected
 
 
 # --- numerical helpers ----------------------------------------------------

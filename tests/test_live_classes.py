@@ -9,7 +9,6 @@ routes must agree class by class on the toy, on a benchmark-sized
 synthetic instance and on random synthetic instances.
 """
 
-import importlib.util
 import itertools
 import os
 import random
@@ -30,6 +29,7 @@ from opengw.lattice import ConstraintTuple
 
 from support import (
     BranchDecomposition,
+    benchmark_synth,
     branch_decompositions,
     dim0_subtuples,
     direct_degeneration_classes,
@@ -38,7 +38,6 @@ from support import (
     synthetic_instance,
 )
 
-REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DATA = os.path.join(os.path.dirname(fileio.__file__), "data")
 
 
@@ -183,18 +182,10 @@ def test_live_classes_match_full_list_on_toy():
         assert seen["terms"] and seen["branches"]
 
 
-def _benchmark_synth():
-    path = os.path.join(REPO, "perfbench", "synth.py")
-    spec = importlib.util.spec_from_file_location("perfbench_synth", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_live_classes_match_full_list_on_benchmark_instance(tmp_path):
     """The seed-7 instance of the verify-synth benchmark workload: four
     points and a quartic, degree 5."""
-    synth = _benchmark_synth()
+    synth = benchmark_synth()
     target_doc, atoms_doc = synth.synthetic_documents(random.Random(7), 4, 1)
     paths = {}
     for name, doc in (("target", target_doc), ("atoms", atoms_doc)):
