@@ -471,21 +471,20 @@ def from_branches(cut):
     return Decorated(config, c, tuple(tree))
 
 
-def _branch_classes(alpha, decorated, table, target):
+def _branch_classes(alpha, table, target):
     """The quotient side of the branch bijection of alpha, class by class.
 
-    Returns (parts, classes): parts maps each dimension-0, non-point
-    predecessor of alpha with decorated configurations to them; classes
-    lists (splitting, center disks, slot parts) for every class of alpha
-    through a table tuple as center and those parts, and gives the
-    number of branch decompositions of each class as |center disks|
-    times the product over slots of |decorated(part)|.  That count is
-    exact when every atom carries a label: the atoms of the center and
-    of distinct parts are then distinct, and no two parts of a class are
+    Returns (classes, count): classes maps the splitting of every class
+    of alpha through a table tuple as center, and dimension-0, non-point
+    parts with configurations, to its (center disks, slot parts); count
+    is the number of branch decompositions, summed per class as |center
+    disks| times the product over slots of the part's decorated count.
+    A part's decorated count is what `decorated_multidisks` would list:
+    the sum over its configurations of m times the trees of the tree
+    table on m vertices, m the configuration's size.  The count is exact
+    when every atom carries a label: the atoms of the center and of
+    distinct parts are then distinct, and no two parts of a class are
     equal.  A table with an unlabeled atom raises ChainError.
-
-    `decorated` maps alpha and each of its dimension-0, non-point
-    predecessors to its `decorated_multidisks`.
     """
     for atom in table.atoms:
         if not atom.points and not atom.descriptors:
@@ -494,38 +493,31 @@ def _branch_classes(alpha, decorated, table, target):
                 "branch decompositions are counted only over labeled atoms"
                 % (atom.loop,)
             )
-    preds = target.predecessors(alpha)
-    for part in preds + [alpha]:
-        if (target.dimension(part) == 0 and not part.is_point_tuple()
-                and part not in decorated):
-            raise ChainError(
-                "no decorated configurations given for %r" % (part,)
-            )
-    parts = {
-        part: decorated[part] for part in preds
+    parts = [
+        part for part in target.predecessors(alpha)
         if target.dimension(part) == 0 and not part.is_point_tuple()
-        and decorated[part]
-    }
-    classes = [
-        (eta, table.single_disks(eta.center_tuple()),
-         tuple(eta.parts[i] for i in eta.chain_slots()))
-        for eta, _count in target.classes_through(
-            alpha, _center_triples(table), parts
-        )
+        and table.multi_disks(part)
     ]
-    return parts, classes
+    sizes = {}
 
+    def decorated_count(part):
+        if part not in sizes:
+            sizes[part] = sum(len(config) * len(_tree_table(len(config)))
+                              for config in table.multi_disks(part))
+        return sizes[part]
 
-def _class_size(centers, slots, parts):
-    return len(centers) * math.prod(len(parts[part]) for part in slots)
-
-
-def branch_decomposition_count(alpha, decorated, table, target):
-    """The number of branch decompositions of alpha, counted per class
-    without building one (see `_branch_classes`)."""
-    parts, classes = _branch_classes(alpha, decorated, table, target)
-    return sum(_class_size(centers, slots, parts)
-               for _eta, centers, slots in classes)
+    classes = {}
+    count = 0
+    # every center is a table tuple, so every class has center disks, and
+    # only the parts that fill a slot are counted
+    for eta, _raw in target.classes_through(
+        alpha, _center_triples(table), parts
+    ):
+        centers = table.single_disks(eta.center_tuple())
+        slots = tuple(eta.parts[i] for i in eta.chain_slots())
+        classes[eta] = (centers, slots)
+        count += len(centers) * math.prod(map(decorated_count, slots))
+    return classes, count
 
 
 def branch_bijection_failures(alpha, decorated, table, target):
@@ -544,38 +536,36 @@ def branch_bijection_failures(alpha, decorated, table, target):
        count of branch decompositions.
 
     Steps 1 and 2 make the cut an injection into the decompositions and
-    step 3 makes it onto them.  The arguments are those of
-    `_branch_classes`, which raises for a table with an unlabeled atom.
+    step 3 makes it onto them.  `decorated` is alpha's
+    `decorated_multidisks`; steps 1 and 2 run in one pass over it, and
+    the parts are read from the table.  Raises as `_branch_classes` does
+    for a table with an unlabeled atom.
     """
-    parts, classes = _branch_classes(alpha, decorated, table, target)
-    failed = []
-    memo = {}
-    images = [to_branches(d, target, memo) for d in decorated[alpha]]
-    if any(from_branches(b) != d for d, b in zip(decorated[alpha], images)):
-        failed.append(1)
-    by_eta = {eta: (centers, slots) for eta, centers, slots in classes}
+    classes, count = _branch_classes(alpha, table, target)
     configs = {}
 
     def is_branch_of(part, sub):
         if part not in configs:
-            configs[part] = frozenset(d.config for d in parts.get(part, ()))
+            configs[part] = frozenset(table.multi_disks(part))
         return (sub.config in configs[part]
                 and 0 <= sub.center < len(sub.config)
                 and sub.tree in _tree_table(len(sub.config)))
 
-    for b in images:
-        centers, slots = by_eta.get(b.eta, ((), None))
-        if (b.center not in centers
-                or tuple(part for part, _ in b.branches) != slots
-                or not all(is_branch_of(part, sub)
-                           for part, sub in b.branches)):
-            failed.append(2)
-            break
-    count = sum(_class_size(centers, slots, parts)
-                for _eta, centers, slots in classes)
-    if count != len(decorated[alpha]):
-        failed.append(3)
-    return tuple(failed)
+    def is_decomposition(cut):
+        centers, slots = classes.get(cut.eta, ((), None))
+        return (cut.center in centers
+                and tuple(part for part, _ in cut.branches) == slots
+                and all(is_branch_of(part, sub)
+                        for part, sub in cut.branches))
+
+    left_inverse = in_classes = True
+    memo = {}
+    for d in decorated:
+        cut = to_branches(d, target, memo)
+        left_inverse = left_inverse and from_branches(cut) == d
+        in_classes = in_classes and is_decomposition(cut)
+    steps = (left_inverse, in_classes, count == len(decorated))
+    return tuple(step for step, ok in enumerate(steps, 1) if not ok)
 
 
 # --- headline comparison ------------------------------------------------------

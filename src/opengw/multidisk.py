@@ -442,8 +442,6 @@ class CancellationReport:
     multi_disk_total: object
     single_disk_total: object
     full_total: object
-    pair_count: int
-    valence_histogram: tuple
 
     @property
     def cancels(self):
@@ -491,8 +489,6 @@ def conjugation_cancellation_check(tuples, table, involution,
                 )
     multi_total = Fraction(0)
     single_total = Fraction(0)
-    valences = {}
-    pair_count = 0
     for config in configs:
         sgn = config.sgn()
         if len(config) == 1:
@@ -501,20 +497,8 @@ def conjugation_cancellation_check(tuples, table, involution,
         m = len(config)
         weight = _tree_sum(m, _edge_weights(config, table.links), tree_cap)
         multi_total = multi_total + (weight if sgn > 0 else -weight)
-        edges = list(itertools.combinations(range(m), 2))
-        for tree in tree_edge_indices(m, tree_cap):
-            pair_count += 1
-            deg = [0] * m
-            for k in tree:
-                a, b = edges[k]
-                deg[a] += 1
-                deg[b] += 1
-            for d in deg:
-                valences[d] = valences.get(d, 0) + 1
     return CancellationReport(
         multi_disk_total=multi_total,
         single_disk_total=single_total,
         full_total=multi_total + single_total,
-        pair_count=pair_count,
-        valence_histogram=tuple(sorted(valences.items())),
     )

@@ -162,9 +162,8 @@ def test_criterion_3_branch_bijection():
         target, table, top = _instance(31000 + seed)
         seed += 1
         worklist = dim0_subtuples(target, table, top)
-        by_tuple = {a: decorated_multidisks(a, table) for a in worklist}
         for alpha in worklist:
-            decorated = by_tuple[alpha]
+            decorated = decorated_multidisks(alpha, table)
             if not decorated:
                 continue
             assert all(len(d.config) <= 5 for d in decorated)
@@ -175,7 +174,7 @@ def test_criterion_3_branch_bijection():
             ), alpha
             for d, b in zip(decorated, images):
                 assert from_branches(b) == d
-            assert branch_bijection_failures(alpha, by_tuple, table,
+            assert branch_bijection_failures(alpha, decorated, table,
                                              target) == (), alpha
             total += len(decorated)
     report("3-branch-bijection", total >= 500,

@@ -12,7 +12,6 @@ from opengw.bounding_chain import (
     assemble_boundary,
     boundary_class_terms,
     branch_bijection_failures,
-    branch_decomposition_count,
     build_chains,
     chain_tuples,
     constant_center_classes,
@@ -602,18 +601,27 @@ def test_branch_decompositions_keep_atoms_disjoint():
 
 def test_branch_count_refuses_an_unlabeled_atom():
     t, table, alpha = unlabeled_atom_instance()
-    by_tuple = {a: decorated_multidisks(a, table)
-                for a in dim0_subtuples(t, table, alpha)}
-    for check in (branch_decomposition_count, branch_bijection_failures):
-        with pytest.raises(ChainError, match="'L1'"):
-            check(alpha, by_tuple, table, t)
+    with pytest.raises(ChainError, match="'L1'"):
+        branch_bijection_failures(alpha, decorated_multidisks(alpha, table),
+                                  table, t)
 
 
-def test_branch_check_needs_every_part_decorated():
-    t, table, top = small_instance()
-    by_tuple = {top: decorated_multidisks(top, table)}
-    with pytest.raises(ChainError, match="no decorated configurations"):
-        branch_bijection_failures(top, by_tuple, table, t)
+def test_branch_check_lists_no_part(monkeypatch):
+    """The check reads the parts from the atom table: with the decorated
+    listing unavailable, it still passes on every tuple given its own
+    listing."""
+    target, table, top = synthetic_instance(make_rng(16002), n_points=3)
+    worklist = dim0_subtuples(target, table, top)
+    by_tuple = {a: decorated_multidisks(a, table) for a in worklist}
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a part's decorated listing was built")
+
+    monkeypatch.setattr(bounding_chain, "decorated_multidisks", refused)
+    for alpha in worklist:
+        assert branch_bijection_failures(alpha, by_tuple[alpha], table,
+                                         target) == (), alpha
+    assert sum(map(len, by_tuple.values())) > len(by_tuple[top]) > 0
 
 
 def test_each_bijection_step_catches_what_the_others_miss(monkeypatch):
@@ -625,7 +633,7 @@ def test_each_bijection_step_catches_what_the_others_miss(monkeypatch):
     t, table, top = small_instance()
     by_tuple = {a: decorated_multidisks(a, table)
                 for a in dim0_subtuples(t, table, top)}
-    assert branch_bijection_failures(top, by_tuple, table, t) == ()
+    assert branch_bijection_failures(top, by_tuple[top], table, t) == ()
     original = bounding_chain.to_branches
     first = original(by_tuple[top][0], t)
 
@@ -633,7 +641,7 @@ def test_each_bijection_step_catches_what_the_others_miss(monkeypatch):
         return first
 
     monkeypatch.setattr(bounding_chain, "to_branches", constant)
-    assert branch_bijection_failures(top, by_tuple, table, t) == (1,)
+    assert branch_bijection_failures(top, by_tuple[top], table, t) == (1,)
 
     def reversed_parts(decorated, target, memo=None):
         cut = original(decorated, target, memo)
@@ -643,11 +651,11 @@ def test_each_bijection_step_catches_what_the_others_miss(monkeypatch):
         ))
 
     monkeypatch.setattr(bounding_chain, "to_branches", reversed_parts)
-    assert branch_bijection_failures(top, by_tuple, table, t) == (2,)
+    assert branch_bijection_failures(top, by_tuple[top], table, t) == (2,)
     monkeypatch.undo()
     lossy = dict(by_tuple)
     lossy[top] = by_tuple[top][1:]
-    assert branch_bijection_failures(top, lossy, table, t) == (3,)
+    assert branch_bijection_failures(top, lossy[top], table, t) == (3,)
 
 
 BRANCH_SHAPES = ((1, 0, 0, 0), (2, 0, 0, 0), (3, 0, 0, 0), (1, 1, 0, 0),
@@ -657,8 +665,9 @@ BRANCH_SHAPES = ((1, 0, 0, 0), (2, 0, 0, 0), (3, 0, 0, 0), (1, 1, 0, 0),
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2 ** 32 - 1), shape=st.sampled_from(BRANCH_SHAPES))
 def test_branch_count_and_images_match_the_oracle(seed, shape):
-    """The class-level count equals the number of enumerated
-    decompositions, and the packed images map one-to-one onto them."""
+    """The decorated configurations are as many as the enumerated
+    decompositions, the packed images map one-to-one onto them, and the
+    check, with its class-level count, passes."""
     target, table, top = synthetic_instance(make_rng(seed), *shape)
     worklist = dim0_subtuples(target, table, top)
     by_tuple = {a: decorated_multidisks(a, table) for a in worklist}
@@ -667,12 +676,10 @@ def test_branch_count_and_images_match_the_oracle(seed, shape):
     for alpha in worklist:
         oracle = branch_decompositions(alpha, table, target,
                                        decorated=loop_by_tuple)
-        assert branch_decomposition_count(
-            alpha, by_tuple, table, target
-        ) == len(oracle), alpha
+        assert len(by_tuple[alpha]) == len(oracle), alpha
         images = [decomposition_form(to_branches(d, target))
                   for d in by_tuple[alpha]]
         assert len(set(images)) == len(images), alpha
         assert set(images) == set(oracle), alpha
-        assert branch_bijection_failures(alpha, by_tuple, table,
+        assert branch_bijection_failures(alpha, by_tuple[alpha], table,
                                          target) == (), alpha

@@ -358,9 +358,9 @@ def test_verify_all_lists_each_chain_once_for_several_tops(tmp_path,
 
 
 def test_verify_all_decorates_each_tuple_once(tmp_path, monkeypatch):
-    """The branch-bijection check builds one map from tuple to decorated
-    configurations, with the run's tree cap, and both sides of every
-    tuple's bijection read it."""
+    """The branch-bijection check builds each tuple's decorated
+    configurations once, with the run's tree cap, and lists no part's
+    configurations to check it."""
     from opengw import bounding_chain, cli
 
     caps = []

@@ -18,7 +18,7 @@ from fractions import Fraction
 from opengw import fileio
 from opengw.bounding_chain import (
     boundary_class_terms,
-    branch_decomposition_count,
+    branch_bijection_failures,
     build_chains,
     constant_center_classes,
     decorated_multidisks,
@@ -152,9 +152,10 @@ def assert_live_routes_match(target, table, top, label):
         assert decompositions == full_branch_decompositions(
             alpha, table, classes
         ), (label, alpha)
-        assert branch_decomposition_count(
-            alpha, decorated, table, target
-        ) == len(decompositions), (label, alpha)
+        assert len(decorated[alpha]) == len(decompositions), (label, alpha)
+        assert branch_bijection_failures(
+            alpha, decorated[alpha], table, target
+        ) == (), (label, alpha)
         seen["terms"] += len(terms)
         seen["constant"] += len(constant)
         seen["branches"] += len(decompositions)
