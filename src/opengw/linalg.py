@@ -2,29 +2,42 @@
 
 Everything the sign calculus needs: determinants, ranks, kernels,
 linear solves, and an integer Smith normal form for lattice-image
-membership.  Matrices are plain lists of lists of Fraction or int.  The
-rational routines scale each row to integers, eliminate fraction-free
-and build Fractions only for their results; dimensions stay small, so
-straightforward elimination wins over any heavyweight dependency.
+membership.  Matrices are plain lists of lists of Fraction or int; any
+other entry (a float, a string) is refused with TypeError by `_exact`,
+the one type check.  The rational routines scale each row to integers,
+eliminate fraction-free and build Fractions only for their results;
+dimensions stay small, so straightforward elimination wins over any
+heavyweight dependency.
+
+Three private routines work in integers only and build no Fraction:
+`_int_echelon` (fraction-free Gauss-Jordan of integer rows),
+`_int_kernel` (the primitive integer kernel basis read off that
+elimination; `nullspace` divides it out) and `_det_bareiss` (Bareiss's
+determinant).  The orientation layer calls them directly, so that a
+sign is read off an integer determinant without any Fraction.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
+
+
+def _exact(values):
+    """Refuse, with TypeError, any of the values that is not an int or a
+    Fraction; return the values."""
+    for v in values:
+        if not isinstance(v, (int, Fraction)):
+            raise TypeError("exact linear algebra needs int or Fraction "
+                            "entries, got %s" % type(v).__name__)
+    return values
 
 
 def _integer_scaled(values):
     """The values over one denominator: (ints, d) with values[i] equal
     to ints[i] / d and d the lcm of their denominators.  The exact
-    kernels run on ints and build Fractions only for their output; an
-    entry that is not an int or a Fraction is refused with TypeError."""
-    for v in values:
-        if not isinstance(v, (int, Fraction)):
-            raise TypeError("exact linear algebra needs int or Fraction "
-                            "entries, got %s" % type(v).__name__)
-    dens = [v.denominator for v in values]
+    kernels run on ints and build Fractions only for their output."""
+    dens = [v.denominator for v in _exact(values)]
     d = math.lcm(*dens)
     if d == 1:
         return [v.numerator for v in values], 1
@@ -34,7 +47,7 @@ def _integer_scaled(values):
 def mat(rows):
     """Copy `rows` into a rectangular list-of-lists of Fractions; Fraction
     entries are kept as they are."""
-    out = [[x if isinstance(x, Fraction) else Fraction(x) for x in row]
+    out = [[x if isinstance(x, Fraction) else Fraction(x) for x in _exact(row)]
            for row in rows]
     if out and any(len(r) != len(out[0]) for r in out):
         raise ValueError("ragged matrix")
@@ -47,21 +60,6 @@ def identity(n):
 
 def zeros(m, n):
     return [[Fraction(0)] * n for _ in range(m)]
-
-
-def product_is_zero(a, b):
-    """Whether the product of the rational matrices a and b is zero.
-
-    Each row of a and each column of b is scaled to integers; a positive
-    scale does not change whether a dot product vanishes, so only
-    integer dot products are formed.
-    """
-    if a and b and len(a[0]) != len(b):
-        raise ValueError("shape mismatch %dx%d @ %dx%d"
-                         % (len(a), len(a[0]), len(b), len(b[0])))
-    rows = [_integer_scaled(row)[0] for row in a]
-    cols = [_integer_scaled(col)[0] for col in zip(*b)]
-    return all(sum(map(mul, row, col)) == 0 for row in rows for col in cols)
 
 
 def hstack(a, b):
@@ -114,16 +112,23 @@ def _det_bareiss(m):
     return sign * m[n - 1][n - 1]
 
 
-def _int_echelon(a):
-    """Row-reduce the rational matrix `a` in integers; return (integer
-    rows, pivot columns).
+def _int_rows(a):
+    """Each row of the rational matrix `a` times the lcm of its
+    denominators: a list of integer rows, each a positive multiple of
+    the row of `a`."""
+    return [_integer_scaled(row)[0] for row in a]
 
-    Fraction-free Gauss-Jordan: each row is scaled to integers, rows are
-    combined in integers and divided by their content.  Row i < the
-    number of pivots has its pivot at pivots[i] and zeros in every other
-    pivot column; the rows below are zero.
+
+def _int_echelon(a):
+    """Row-reduce the integer matrix `a`; return (integer rows, pivot
+    columns).  `a` is not modified.
+
+    Fraction-free Gauss-Jordan: rows are combined in integers and divided
+    by their content.  Row i < the number of pivots has its pivot at
+    pivots[i] and zeros in every other pivot column; the rows below are
+    zero.
     """
-    m = [_integer_scaled(row)[0] for row in a]
+    m = list(a)
     rows = len(m)
     cols = len(m[0]) if m else 0
     pivots = []
@@ -152,7 +157,7 @@ def _echelon(a):
     """Row-reduce the rational matrix `a`; return (rref matrix of
     Fractions, pivot columns).  Each pivot row of `_int_echelon` is
     divided by its pivot once, for the output."""
-    m, pivots = _int_echelon(a)
+    m, pivots = _int_echelon(_int_rows(a))
     cols = len(m[0]) if m else 0
     zero = Fraction(0)
     out = []
@@ -168,24 +173,43 @@ def _echelon(a):
 def rank(a):
     if not a or not a[0]:
         return 0
-    return len(_int_echelon(a)[1])
+    return len(_int_echelon(_int_rows(a))[1])
+
+
+def _int_kernel(m, pivots, cols):
+    """Integer basis of the right kernel of a map on Q^cols, read off its
+    integer echelon form (m, pivots) from `_int_echelon`.
+
+    One vector per free column f: the primitive integer vector with a
+    positive entry at f and zeros at the other free columns.  Each is a
+    positive multiple of the `nullspace` vector of f.
+    """
+    pivot_set = set(pivots)
+    scale = math.lcm(*(abs(m[r][p]) for r, p in enumerate(pivots)))
+    basis = []
+    for f in range(cols):
+        if f in pivot_set:
+            continue
+        v = [0] * cols
+        v[f] = scale
+        for r, p in enumerate(pivots):
+            v[p] = -m[r][f] * (scale // m[r][p])
+        g = math.gcd(*v)
+        basis.append([x // g for x in v] if g > 1 else v)
+    return basis
 
 
 def nullspace(a):
-    """Basis of the right kernel, as a list of column vectors."""
+    """Basis of the right kernel, as a list of column vectors: for each
+    free column, the kernel vector with a 1 there and zeros at the other
+    free columns."""
     if not a:
         return []
     cols = len(a[0])
-    red, pivots = _echelon(a)
+    m, pivots = _int_echelon(_int_rows(a))
     free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * cols
-        v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -red[r][f]
-        basis.append(v)
-    return basis
+    return [[Fraction(x, v[f]) for x in v]
+            for v, f in zip(_int_kernel(m, pivots, cols), free)]
 
 
 def solve(a, b):

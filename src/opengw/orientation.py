@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from operator import mul
 
 from . import OpenGWError, linalg
 
@@ -60,17 +61,15 @@ class OrientedSpace:
             raise OrientationError("orientation sign must be +1 or -1")
 
 
-def _fraction(x):
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 @dataclass(frozen=True)
 class LinearFiberProblem:
     """Oriented linear data for a fiber product M x_X G.
 
     df and dg are exact-rational matrices Q^{dim M} -> Q^{dim X} and
     Q^{dim G} -> Q^{dim X}; the three orientation signs are relative to
-    standard bases.
+    standard bases.  The combined map is scaled to integer rows and
+    row-reduced once per problem; transversality, the kernel and every
+    orientation sign are read from that one elimination.
     """
 
     df: tuple
@@ -81,15 +80,13 @@ class LinearFiberProblem:
 
     @staticmethod
     def build(df_rows, dg_rows, dim_m, dim_g, dim_x, sign_m=1, sign_g=1, sign_x=1):
-        df = [tuple(map(_fraction, row)) for row in df_rows]
-        dg = [tuple(map(_fraction, row)) for row in dg_rows]
-        if len(df) != dim_x or any(len(r) != dim_m for r in df):
+        if len(df_rows) != dim_x or any(len(r) != dim_m for r in df_rows):
             raise OrientationError("df has the wrong shape")
-        if len(dg) != dim_x or any(len(r) != dim_g for r in dg):
+        if len(dg_rows) != dim_x or any(len(r) != dim_g for r in dg_rows):
             raise OrientationError("dg has the wrong shape")
         return LinearFiberProblem(
-            tuple(df),
-            tuple(dg),
+            tuple(map(tuple, linalg.mat(df_rows))),
+            tuple(map(tuple, linalg.mat(dg_rows))),
             OrientedSpace(dim_m, sign_m),
             OrientedSpace(dim_g, sign_g),
             OrientedSpace(dim_x, sign_x),
@@ -110,9 +107,20 @@ class LinearFiberProblem:
     @cached_property
     def surjective(self):
         """Whether the combined map is onto Q^{dim X}, i.e. whether the
-        problem is transverse; decided once per problem."""
-        dim_x = self.space_x.dim
-        return dim_x == 0 or linalg.rank(self._combined) == dim_x
+        problem is transverse."""
+        return len(self._echelon[1]) == self.space_x.dim
+
+    def kernel(self):
+        """An integer basis of ker(dg - df), as fiber_dim column vectors
+        (all of Q^{dim M + dim G} when X is a point).
+
+        Read off the problem's one elimination; each vector is a positive
+        multiple of the corresponding `linalg.nullspace` vector.  The
+        lists are fresh on every call.
+        """
+        m, pivots = self._echelon
+        n = self.space_m.dim + self.space_g.dim
+        return linalg._int_kernel(m, pivots, n)
 
     @cached_property
     def _combined(self):
@@ -121,12 +129,24 @@ class LinearFiberProblem:
         dim_g = self.space_g.dim
         rows = []
         for i in range(dim_x):
-            neg = [-_fraction(x) for x in (self.df[i] if self.df else [])]
-            pos = [_fraction(x) for x in (self.dg[i] if self.dg else [])]
+            neg = [-x for x in (self.df[i] if self.df else [])]
+            pos = list(self.dg[i] if self.dg else [])
             if len(neg) != dim_m or len(pos) != dim_g:
                 raise OrientationError("map rows do not match declared dims")
             rows.append(neg + pos)
         return rows
+
+    @cached_property
+    def _int_rows(self):
+        """The combined map with each row scaled to integers by a positive
+        factor."""
+        return linalg._int_rows(self._combined)
+
+    @cached_property
+    def _echelon(self):
+        """(integer rows, pivot columns) of the combined map, row-reduced
+        fraction-free once per problem."""
+        return linalg._int_echelon(self._int_rows)
 
 
 def exact_sequence_sign(sub, total, quotient, splitting, inclusion=None):
@@ -174,9 +194,10 @@ def exact_sequence_sign(sub, total, quotient, splitting, inclusion=None):
 def fiber_orientation_sign(prob, candidate_basis):
     """Sign of `candidate_basis` against the fiber product orientation.
 
-    candidate_basis: columns spanning ker(dg - df) inside Q^{dim M + dim G}.
-    Returns +1 when the candidate is positively oriented for the fiber
-    product orientation of prob, else -1.
+    candidate_basis: columns spanning ker(dg - df) inside Q^{dim M + dim G},
+    with int or Fraction entries.  Returns +1 when the candidate is
+    positively oriented for the fiber product orientation of prob, else
+    -1.
 
     With A the combined map and J any right inverse of it, the columns
     of J split the defining sequence, so the orientation is the sign of
@@ -188,25 +209,34 @@ def fiber_orientation_sign(prob, candidate_basis):
     positive.  For the same reason det[cand | A^T] is nonzero exactly
     when a candidate inside ker A has full rank, so one determinant also
     decides whether it spans the kernel.
+
+    Everything runs in integers.  Each row of A (the problem's cached
+    integer rows) and each candidate column is multiplied by the
+    positive lcm of its denominators.  Multiplying a column of
+    [cand | A^T] by a positive number multiplies its determinant by
+    that number, so the sign is unchanged; nor does it change whether
+    A cand vanishes.  Both the in-kernel test and the Bareiss
+    determinant are taken on those integers, and only the determinant's
+    sign is read.
     """
-    combined = prob.combined_map()
-    dim_x = prob.space_x.dim
     n = prob.space_m.dim + prob.space_g.dim
     d = prob.fiber_dim
     if d < 0:
         raise TransversalityError("fiber dimension would be negative")
     if not prob.surjective:
         raise TransversalityError("combined map dg - df is not surjective")
-    cand = linalg.mat(candidate_basis) if d else [[] for _ in range(n)]
+    cols = []
     if d:
-        if len(cand) != n or len(cand[0]) != d:
+        if len(candidate_basis) != n or any(len(r) != d for r in candidate_basis):
             raise OrientationError("candidate basis has the wrong shape")
-        if dim_x and not linalg.product_is_zero(combined, cand):
-            if linalg.rank(cand) != d:
-                raise OrientationError("candidate does not span the kernel")
-            raise OrientationError("candidate does not lie in the kernel")
-    assembled = [cand[i] + [row[i] for row in combined] for i in range(n)]
-    dd = linalg.det(assembled) if n else Fraction(1)
+        cols = linalg._int_rows(zip(*candidate_basis))
+    rows = prob._int_rows
+    if any(sum(map(mul, row, col)) for row in rows for col in cols):
+        if len(linalg._int_echelon(cols)[1]) != d:
+            raise OrientationError("candidate does not span the kernel")
+        raise OrientationError("candidate does not lie in the kernel")
+    # rows of the transpose of [cand | A^T]; Bareiss overwrites them
+    dd = linalg._det_bareiss([list(v) for v in cols + rows])
     if dd == 0:
         raise OrientationError("candidate does not span the kernel")
     sign = 1 if dd > 0 else -1

@@ -41,12 +41,6 @@ def sign_of(x):
     return 1 if x > 0 else -1
 
 
-def _kernel_vectors(matrix, n):
-    """Basis of the kernel of a map on Q^n; all of Q^n when the map has
-    no rows."""
-    return linalg.nullspace(matrix) if matrix else linalg.identity(n)
-
-
 def random_fiber_problem(rng, max_dim, min_fiber=0, need_m_face=False,
                          need_g_face=False):
     """A random transverse LinearFiberProblem (resampled until valid)."""
@@ -72,14 +66,18 @@ def boundary_face_oracle(rng, face, max_dim):
     face] = observed sign * [fiber product orientation of the boundary
     problem].
 
-    The face basis is read off the kernel basis v_1..v_d: with v_o the
-    first vector whose cut coordinate is nonzero, it is
-    v_i - (v_i[cut] / v_o[cut]) v_o for i != o, and its coefficients in
-    kernel coordinates are written down directly.  The observed sign
-    does not depend on the face basis: changing it by a matrix P scales
-    the determinant of [face basis | outward] in kernel coordinates by
-    det P and flips the boundary problem's orientation sign of the face
-    basis by the sign of det P, so the two factors flip together.
+    The face basis is read off the problem's integer kernel basis
+    v_1..v_d: with v_o the first vector whose cut coordinate is nonzero,
+    a = v_o[cut] and b_i = v_i[cut], it is a v_i - b_i v_o for i != o.
+    Each of these integer vectors has cut coordinate 0, so it lies in
+    the face, and its coefficients in kernel coordinates (a at i, -b_i
+    at o) are written down directly.  The observed sign does not depend
+    on the face basis: changing it by a matrix P scales the determinant
+    of [face basis | outward] in kernel coordinates by det P and flips
+    the boundary problem's orientation sign of the face basis by the
+    sign of det P, so the two factors flip together.  So the basis
+    a v_i - b_i v_o, which is a times v_i - (b_i / a) v_o, gives the same
+    sign as the rational one, and no Fraction is built for it.
     """
     while True:
         prob = random_fiber_problem(
@@ -91,7 +89,7 @@ def boundary_face_oracle(rng, face, max_dim):
         n = dim_m + dim_g
         # the face cuts off the last coordinate of M or of G
         cut = dim_m - 1 if face == FACE_M else n - 1
-        kernel = _kernel_vectors(prob.combined_map(), n)
+        kernel = prob.kernel()
         o = next((i for i, v in enumerate(kernel) if v[cut] != 0), None)
         if o is None:
             continue  # the cut functional vanishes on the kernel
@@ -112,16 +110,17 @@ def boundary_face_oracle(rng, face, max_dim):
         if not sub.surjective:
             continue
         v_o = kernel[o]
+        a = v_o[cut]
         d = len(kernel)
         face_vecs = []
-        coeffs = [[Fraction(0)] * d for _ in range(d)]
+        coeffs = [[0] * d for _ in range(d)]
         for col, i in enumerate(k for k in range(d) if k != o):
-            t = kernel[i][cut] / v_o[cut]
-            face_vecs.append([x - t * y for x, y in zip(kernel[i], v_o)])
-            coeffs[i][col] = Fraction(1)
-            coeffs[o][col] = -t
+            b = kernel[i][cut]
+            face_vecs.append([a * x - b * y for x, y in zip(kernel[i], v_o)])
+            coeffs[i][col] = a
+            coeffs[o][col] = -b
         # outward vector: v_o, turned to a positive cut coordinate
-        coeffs[o][d - 1] = Fraction(sign_of(v_o[cut]))
+        coeffs[o][d - 1] = sign_of(a)
         sigma = fiber_orientation_sign(prob, linalg.columns_matrix(kernel))
         observed = sigma * sign_of(linalg.det(coeffs))
         # the same face basis, in the coordinates of the boundary problem
@@ -163,7 +162,7 @@ def flip_oracle(rng, max_dim):
         n = dim_m + dim_g
         if n == 0:
             return det_signs, 1
-        vecs = _kernel_vectors(prob.combined_map(), n)
+        vecs = prob.kernel()
         kmat = linalg.columns_matrix(vecs) if vecs else [[] for _ in range(n)]
         diag = sm + sg
         flipped = [[diag[i] * x for x in row] for i, row in enumerate(kmat)]
@@ -193,7 +192,7 @@ def association_oracle(rng, max_dim):
         if not inner.surjective:
             continue
         n1 = dim_m + dim_g
-        k1_vecs = _kernel_vectors(inner.combined_map(), n1)
+        k1_vecs = inner.kernel()
         d1 = len(k1_vecs)
         k1 = linalg.columns_matrix(k1_vecs)
         inner_sign = fiber_orientation_sign(
@@ -221,7 +220,7 @@ def association_oracle(rng, max_dim):
         )
         if not onestep.surjective:
             continue
-        kb_vecs = _kernel_vectors(onestep.combined_map(), n1 + dim_c)
+        kb_vecs = onestep.kernel()
         if not kb_vecs:
             continue  # a rigid instance carries no basis to compare
         kb = linalg.columns_matrix(kb_vecs)

@@ -170,6 +170,40 @@ def test_verify_all_on_bundled_toy(tmp_path):
     ] == TOY_VERIFY_ALL_SEED_3
 
 
+# a wrong variant of each closed-form sign rule: the boundary-face rule
+# and the reassociation rule flip their sign when a dimension is odd,
+# and the flip rule forgets the target's diffeomorphism
+WRONG_SIGN_RULES = {
+    "boundary_face_sign": lambda rule: (
+        lambda m, g, x, face: -rule(m, g, x, face) if m % 2
+        else rule(m, g, x, face)),
+    "flip_sign": lambda rule: lambda sm, sg, sx: rule(sm, sg, 1),
+    "association_sign": lambda rule: (
+        lambda x, c: -rule(x, c) if x % 2 else rule(x, c)),
+}
+
+
+@pytest.mark.parametrize("rule", list(WRONG_SIGN_RULES))
+def test_orientation_oracle_catches_a_wrong_sign_rule(tmp_path, monkeypatch,
+                                                      rule):
+    """Negative control: with one closed-form rule wrong, the suite
+    fails with a nonzero count, and the toy verify-all reports
+    orientation-model-oracle FAIL and exits nonzero."""
+    from opengw import selfcheck
+
+    wrong = WRONG_SIGN_RULES[rule](getattr(selfcheck, rule))
+    monkeypatch.setattr(selfcheck, rule, wrong)
+    ok, detail = selfcheck.orientation_suite(make_rng(0), instances=200)
+    instances, failures = (int(w) for w in detail.split()[::2])
+    assert not ok and instances == 200 and failures > 0
+    status, cfg = run_pipeline(tmp_path, "verify-all", seed=0)
+    assert status == 1
+    summary = json.loads((tmp_path / "out" / "checks.json").read_text())
+    assert not summary["ok"]
+    assert [c["check"] for c in summary["checks"]
+            if c["status"] == "FAIL"] == ["orientation-model-oracle"]
+
+
 # The SHA-256 of every table the toy pipelines write at --seed 0; a
 # table's bytes do not depend on the pipeline that writes it.
 TOY_TABLE_SHA256 = {

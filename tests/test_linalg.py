@@ -71,6 +71,15 @@ def test_det_refuses_a_float_entry():
         linalg.rank([[Fraction(1), 0.5]])
 
 
+@pytest.mark.parametrize("entry", [0.5, 1.0, "1", None])
+def test_mat_refuses_an_inexact_entry(entry):
+    """mat converts ints and keeps Fractions, and refuses anything else
+    with the TypeError of det, instead of storing the float's binary
+    expansion as a Fraction."""
+    with pytest.raises(TypeError, match="int or Fraction"):
+        linalg.mat([[Fraction(1), entry]])
+
+
 # --- properties of the kernels ------------------------------------------------
 
 # the rationals p/q with |p| <= 5, 1 <= q <= 4; zero about one time in four
@@ -146,24 +155,6 @@ def test_rank_and_nullspace(a):
         assert all(type(x) is Fraction for x in v)
         assert all(sum((x * y for x, y in zip(row, v)), Fraction(0)) == 0
                    for row in a)
-
-
-@KERNEL_SETTINGS
-@given(matrices(), st.integers(0, 4), st.data())
-def test_product_is_zero_matches_the_rational_product(a, k, data):
-    """The integer test against the Fraction product, on products that
-    vanish (columns drawn from the kernel) and on free ones."""
-    cols = len(a[0]) if a else 0
-    kernel = linalg.nullspace(a)
-    if kernel and data.draw(st.booleans()):
-        k = max(k, 1)
-        b = linalg.columns_matrix(
-            [data.draw(st.sampled_from(kernel)) for _ in range(k)])
-    else:
-        b = data.draw(matrices(rows=cols, cols=k))
-    product = _product(a, b, cols, k)
-    assert linalg.product_is_zero(a, b) == all(
-        x == 0 for row in product for x in row)
 
 
 @st.composite
