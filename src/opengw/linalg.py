@@ -3,11 +3,11 @@
 Everything the sign calculus needs: determinants, ranks, kernels,
 linear solves, and an integer Smith normal form for lattice-image
 membership.  Matrices are plain lists of lists of Fraction or int; any
-other entry (a float, a string) is refused with TypeError by `_exact`,
-the one type check.  The rational routines scale each row to integers,
-eliminate fraction-free and build Fractions only for their results;
-dimensions stay small, so straightforward elimination wins over any
-heavyweight dependency.
+other entry (a float, a string, a bool) is refused with TypeError by
+`_exact`, the one type check.  The rational routines scale each row to
+integers, eliminate fraction-free and build Fractions only for their
+results; dimensions stay small, so straightforward elimination wins over
+any heavyweight dependency.
 
 Three private routines work in integers only and build no Fraction:
 `_int_echelon` (fraction-free Gauss-Jordan of integer rows),
@@ -24,10 +24,11 @@ from fractions import Fraction
 
 
 def _exact(values):
-    """Refuse, with TypeError, any of the values that is not an int or a
-    Fraction; return the values."""
+    """Refuse, with TypeError, any of the values whose type is not int
+    or Fraction; return the values.  So a bool, a subclass of int, is
+    refused too, as the input loaders refuse a boolean rational."""
     for v in values:
-        if not isinstance(v, (int, Fraction)):
+        if type(v) not in (int, Fraction):
             raise TypeError("exact linear algebra needs int or Fraction "
                             "entries, got %s" % type(v).__name__)
     return values

@@ -13,10 +13,12 @@ through the inverse pairing against open-times-open convolutions with
 binomial weights.  The solver eliminates unknown brackets in sweeps:
 each sweep visits the open unknowns in increasing (area, size, key)
 order and solves each from the first relation instance (in instance
-order) that, after everything solved so far, involves it alone.
-Afterwards every instance is evaluated as a residual that must vanish;
-inconsistencies are reported with the offending instance, never
-averaged away.
+order) that, after everything solved so far, involves it alone.  Each
+instance's form is built once, in one pass: a build that meets a
+product of two unknown brackets is suspended there and resumed where it
+stopped once one of them is solved.  Afterwards every instance is
+evaluated as a residual that must vanish; inconsistencies are reported
+with the offending instance, never averaged away.
 """
 
 from __future__ import annotations
@@ -318,8 +320,9 @@ class _FormContext:
     sorted closed-side insertions: the closed brackets contracted with
     the inverse pairing, as nonzero (j, coefficient) pairs.  Per real
     split side and sorted insertions: the boundary-point count.  Per
-    (l, kind, i, j): the anchored partitions.  The closed table must
-    not change while a context built on it is in use.
+    (gamma, kind, i, j): the insertion groups of the anchored
+    partitions, which every degree with that gamma shares.  The closed
+    table must not change while a context built on it is in use.
     """
 
     def __init__(self, target, model, closed):
@@ -333,7 +336,7 @@ class _FormContext:
         self._splits = {}
         self._closed_rows = {}
         self._counts = {}
-        self._partitions = {}
+        self._groups = {}
 
     def splits(self, beta):
         """(complex splits, real splits) of beta."""
@@ -374,11 +377,14 @@ class _FormContext:
             )
         return self._counts[key]
 
-    def partitions(self, l, kind, i=None, j=None):
-        key = (l, kind, i, j)
-        out = self._partitions.get(key)
+    def groups(self, gamma, kind, i=None, j=None):
+        """`_insertion_groups` of gamma's anchored partitions."""
+        key = (gamma, kind, i, j)
+        out = self._groups.get(key)
         if out is None:
-            out = self._partitions[key] = anchored_partitions(l, kind, i, j)
+            out = self._groups[key] = _insertion_groups(
+                gamma, anchored_partitions(len(gamma), kind, i, j)
+            )
         return out
 
 
@@ -397,7 +403,8 @@ def _insertion_groups(gamma, partitions):
 
 def _add_scaled(form, term, scale):
     """form += scale * term, in place; zero coefficients are pruned once
-    the whole form is built."""
+    the whole form is built.  `term` is only read, so a resolver may hand
+    the same `LinForm` to every reader of a bracket."""
     if term.const:
         form.const += term.const * scale
     coeffs = form.coeffs
@@ -416,31 +423,39 @@ def _add_mixed(form, ctx, resolve, beta, groups, sign):
                             coeff * (sign * mult))
 
 
-def _add_open(form, ctx, resolve, beta, groups, k, shift, sign):
-    """form += sign * (open x open convolution with binomial weights).
+def _add_open(form, ctx, resolve, beta, segments):
+    """form += each segment's open x open convolution with binomial
+    weights, as a generator that returns the pruned form.
 
-    The weight is C(k, count(left bracket) - shift) with the out-of-range
-    convention; `k` was already reduced per the relation.
+    A segment (groups, k, shift, sign) adds sign times the convolution
+    whose weight is C(k, count(left bracket) - shift) with the
+    out-of-range convention; `k` was already reduced per the relation.
+    At a product of two unknown brackets the generator yields the
+    unknowns of both factors, and when resumed it resolves that same
+    product again, so the caller resumes it once it has solved one of
+    them.  The resolved brackets are only read, as in `_add_scaled`.
     """
-    for b1, b2 in ctx.splits(beta)[1]:
-        for left_ins, right_ins, mult in groups:
-            count = ctx.count(b1, left_ins)
-            if count is None:
-                continue
-            weight = binomial(k, count - shift)
-            if weight == 0:
-                continue
-            v1 = resolve(b1, left_ins)
-            v2 = resolve(b2, right_ins)
-            if v1.coeffs and v2.coeffs:
-                raise NonlinearEquationError(
-                    "product of two unknown brackets",
-                    set(v1.coeffs) | set(v2.coeffs),
-                )
-            if v2.coeffs:
-                v1, v2 = v2, v1
-            if v2.const:
-                _add_scaled(form, v1, v2.const * (weight * mult * sign))
+    splits = ctx.splits(beta)[1]
+    for groups, k, shift, sign in segments:
+        for b1, b2 in splits:
+            for left_ins, right_ins, mult in groups:
+                count = ctx.count(b1, left_ins)
+                if count is None:
+                    continue
+                weight = binomial(k, count - shift)
+                if weight == 0:
+                    continue
+                v1 = resolve(b1, left_ins)
+                v2 = resolve(b2, right_ins)
+                while v1.coeffs and v2.coeffs:
+                    yield (*v1.coeffs, *v2.coeffs)
+                    v1 = resolve(b1, left_ins)
+                    v2 = resolve(b2, right_ins)
+                if v2.coeffs:
+                    v1, v2 = v2, v1
+                if v2.const:
+                    _add_scaled(form, v1, v2.const * (weight * mult * sign))
+    return _pruned(form)
 
 
 def _pruned(form):
@@ -448,46 +463,84 @@ def _pruned(form):
     return form
 
 
-def wdvv1_form(target, model, closed, resolve, beta, gamma, context=None):
-    """First relation, anchored at slot 2, as a linear form.
-
-    Applies when the tuple has at least two entries and the reduced
-    count k is an integer >= 1; returns None otherwise.  `context` is
-    the `_FormContext` of (target, model, closed) that a caller building
-    many forms shares between them; a fresh one is made without it.
+def _build1(ctx, resolve, beta, gamma):
+    """Start the build of the first relation's form, anchored at slot 2:
+    add its closed x open terms and return the `_add_open` generator
+    that adds the rest in one pass.  None where the relation does not
+    apply: fewer than two entries, or a reduced count k that is not an
+    integer >= 1.
     """
     l = len(gamma)
     if l < 2:
         return None
-    k = _wdvv_k(target, model, beta, gamma)
+    k = _wdvv_k(ctx.target, ctx.model, beta, gamma)
     if k is None or k < 1:
         return None
-    ctx = _FormContext(target, model, closed) if context is None else context
-    left = _insertion_groups(gamma, ctx.partitions(l, "left", i=2))
-    right = _insertion_groups(gamma, ctx.partitions(l, "right", j=2))
+    left = ctx.groups(gamma, "left", i=2)
+    right = ctx.groups(gamma, "right", j=2)
     form = LinForm()
     _add_mixed(form, ctx, resolve, beta, left, 1)
-    _add_open(form, ctx, resolve, beta, left, k - 1, 0, -1)
-    _add_open(form, ctx, resolve, beta, right, k - 1, 1, 1)
-    return _pruned(form)
+    return _add_open(form, ctx, resolve, beta,
+                     ((left, k - 1, 0, -1), (right, k - 1, 1, 1)))
+
+
+def _build2(ctx, resolve, beta, gamma):
+    """Start the build of the second relation's form, the (2;3)-anchored
+    side minus the (3;2) side, as `_build1` does: the closed x open terms
+    of both sides first, then the generator of both open sides.  None
+    where it does not apply (fewer than three entries, or k not an
+    integer >= 0)."""
+    l = len(gamma)
+    if l < 3:
+        return None
+    k = _wdvv_k(ctx.target, ctx.model, beta, gamma)
+    if k is None or k < 0:
+        return None
+    form = LinForm()
+    segments = []
+    for i, j, sign in ((2, 3, 1), (3, 2, -1)):
+        both = ctx.groups(gamma, "both", i=i, j=j)
+        _add_mixed(form, ctx, resolve, beta, both, sign)
+        segments.append((both, k, 0, -sign))
+    return _add_open(form, ctx, resolve, beta, segments)
+
+
+def _first_pass(builder, target, model, closed, resolve, beta, gamma,
+                context):
+    """The form `builder` builds, None where it does not apply, or
+    NonlinearEquationError naming the unknowns of the first product of
+    two unknown brackets it meets."""
+    ctx = _FormContext(target, model, closed) if context is None else context
+    build = builder(ctx, resolve, beta, gamma)
+    if build is None:
+        return None
+    try:
+        keys = next(build)
+    except StopIteration as done:
+        return done.value
+    build.close()
+    raise NonlinearEquationError("product of two unknown brackets", keys)
+
+
+def wdvv1_form(target, model, closed, resolve, beta, gamma, context=None):
+    """First relation, anchored at slot 2, as a linear form.
+
+    Applies when the tuple has at least two entries and the reduced
+    count k is an integer >= 1; returns None otherwise.  Raises
+    NonlinearEquationError at the first product of two unknown brackets.
+    `context` is the `_FormContext` of (target, model, closed) that a
+    caller building many forms shares between them; a fresh one is made
+    without it.
+    """
+    return _first_pass(_build1, target, model, closed, resolve, beta, gamma,
+                       context)
 
 
 def wdvv2_form(target, model, closed, resolve, beta, gamma, context=None):
     """Second relation: the (2;3)-anchored side minus the (3;2) side.
-    `context` as for `wdvv1_form`."""
-    l = len(gamma)
-    if l < 3:
-        return None
-    k = _wdvv_k(target, model, beta, gamma)
-    if k is None or k < 0:
-        return None
-    ctx = _FormContext(target, model, closed) if context is None else context
-    form = LinForm()
-    for i, j, sign in ((2, 3, 1), (3, 2, -1)):
-        both = _insertion_groups(gamma, ctx.partitions(l, "both", i=i, j=j))
-        _add_mixed(form, ctx, resolve, beta, both, sign)
-        _add_open(form, ctx, resolve, beta, both, k, 0, -sign)
-    return _pruned(form)
+    Applicability, errors and `context` as for `wdvv1_form`."""
+    return _first_pass(_build2, target, model, closed, resolve, beta, gamma,
+                       context)
 
 
 def wdvv1_residual(target, model, closed, open_table, beta, gamma):
@@ -588,9 +641,20 @@ def solve_wdvv(target, model, closed, seeds, area_bound, max_insertions=3):
     coefficient.  Sweeps repeat until one solves nothing.  So the
     instance that determines a bracket is the first to isolate it when
     it is visited, not the first that would isolate it by the end; on a
-    consistent system both give the same value.  An instance that is
-    quadratic in open unknowns is deferred and rebuilt, followed by
-    more sweeps, once an unknown of its failing product is solved.
+    consistent system both give the same value.
+
+    Each form is built once, in one pass.  The builds start in instance
+    order; one that meets a product of two open unknowns is suspended
+    there, and once the sweeps have solved an unknown of that product it
+    is resumed where it stopped, followed by more sweeps.  When it
+    finishes, the brackets solved since it started are substituted into
+    its form.  This gives exactly the form of a build from scratch at
+    that moment: solved values are only ever added, so a term that read
+    a bracket while it was open equals, after the substitution, the term
+    a later build reads; and every product before the suspension had a
+    known factor when it was met, and keeps it.  For the same reason the
+    next product a resumed build stops at is the one a build from
+    scratch would stop at.
 
     Afterwards every instance is evaluated numerically; the residual
     vector of a consistent system is identically zero.  Unknowns no
@@ -608,36 +672,43 @@ def solve_wdvv(target, model, closed, seeds, area_bound, max_insertions=3):
     solved_log = []
 
     context = _FormContext(target, model, closed)
-    # (coords, insertions) -> (value, key): the value of a bracket that
-    # is fixed or not an unknown never changes during the solve; an
-    # unknown has value None and is looked up by its key
-    brackets = {}
+    # (coords, insertions) -> the bracket as a LinForm, the same object
+    # for every reader: a bracket that is fixed or not an unknown never
+    # changes during the solve, and an unknown's open form is replaced
+    # by its value when it is solved (`open_probes` finds it)
+    brackets, open_probes = {}, {}
     assumed_zero = set()
 
     def resolve(beta, insertions):
         probe = (beta.coords, insertions)
-        if probe not in brackets:
-            value = table.resolve_fixed(beta, insertions)
-            key = table._key(beta, insertions)
-            if value is None and key not in unknowns:
+        term = brackets.get(probe)
+        if term is not None:
+            return term
+        value = table.resolve_fixed(beta, insertions)
+        key = table._key(beta, insertions)
+        if value is None:
+            if key in solved_values:
+                value = solved_values[key]
+            elif key in unknowns:
+                term = brackets[probe] = LinForm(Fraction(0),
+                                                 {key: Fraction(1)})
+                open_probes.setdefault(key, []).append(probe)
+                return term
+            else:
                 if not table.known(beta, insertions):
                     # neither fixed, nor seeded, nor to be solved
                     assumed_zero.add(key)
                 value = table.value(beta, insertions)
-            brackets[probe] = (value, key)
-        value, key = brackets[probe]
-        if value is not None:
-            return LinForm(value)
-        if key in solved_values:
-            return LinForm(solved_values[key])
-        return LinForm(Fraction(0), {key: Fraction(1)})
+        term = brackets[probe] = LinForm(value)
+        return term
 
     # forms: instance -> its form with every solved bracket substituted;
     # occurs: open unknown -> instances whose form mentions it;
     # isolating: open unknown -> the first instance whose form involves
     # it alone (such a form keeps isolating it until it is solved, so the
     # minimum never goes stale);
-    # blocked: deferred instance -> unknowns of its failing product
+    # blocked: suspended instance -> (unknowns of the product it stopped
+    # at, its build)
     forms, occurs, isolating, blocked = {}, {}, {}, {}
 
     def note_isolating(inst, form):
@@ -654,30 +725,43 @@ def solve_wdvv(target, model, closed, seeds, area_bound, max_insertions=3):
         value = -form.const / form.coeffs[key]
         solved_values[key] = value
         solved_log.append((key, inst, value))
+        term = LinForm(value)
+        for probe in open_probes.pop(key, ()):
+            brackets[probe] = term
         for other in occurs.pop(key):
             forms[other] = forms[other].substitute({key: value})
             note_isolating(other, forms[other])
 
-    # the first failing product of a deferred instance fails again until
-    # one of its unknowns is solved, so only such instances are rebuilt
-    to_build = instances
-    while to_build:
-        for inst in to_build:
-            builder = wdvv1_form if inst.relation == 1 else wdvv2_form
-            try:
-                form = builder(target, model, closed, resolve,
-                               target.degree(inst.beta_coords), inst.gamma,
-                               context=context)
-            except NonlinearEquationError as exc:
-                blocked[inst] = exc.keys
-                continue
-            blocked.pop(inst, None)
-            if form is None:
-                continue
-            forms[inst] = form
-            for key in form.coeffs:
-                occurs.setdefault(key, set()).add(inst)
-            note_isolating(inst, form)
+    def advance(inst, build):
+        """Run a build to the product it stops at, or register its form."""
+        if build is None:
+            return
+        try:
+            keys = next(build)
+        except StopIteration as done:
+            form = done.value
+        else:
+            blocked[inst] = (keys, build)
+            return
+        if blocked.pop(inst, None) is not None:
+            # resumed: the build pruned the form, and substituting only
+            # drops keys
+            form = form.substitute(solved_values)
+        forms[inst] = form
+        for key in form.coeffs:
+            occurs.setdefault(key, set()).add(inst)
+        note_isolating(inst, form)
+
+    builders = {1: _build1, 2: _build2}
+    # builds start lazily, in instance order; a suspended build stops at
+    # the same product until one of its unknowns is solved, so only such
+    # builds are resumed
+    ready = ((inst, builders[inst.relation](
+        context, resolve, target.degree(inst.beta_coords), inst.gamma))
+        for inst in instances)
+    while True:
+        for inst, build in ready:
+            advance(inst, build)
         advanced = True
         while advanced:
             advanced = False
@@ -685,8 +769,10 @@ def solve_wdvv(target, model, closed, seeds, area_bound, max_insertions=3):
                 if key in isolating:
                     solve(key)
                     advanced = True
-        to_build = [inst for inst, keys in blocked.items()
-                    if not keys.isdisjoint(solved_values)]
+        ready = [(inst, build) for inst, (keys, build) in blocked.items()
+                 if not solved_values.keys().isdisjoint(keys)]
+        if not ready:
+            break
     for (coords, ins), value in sorted(solved_values.items()):
         table.set(coords, ins, value)
     residuals = []

@@ -13,7 +13,9 @@ degeneration classes and the raw expansion into ordered splittings
 bijection enumerated on loop-pair objects (the oracle for the packed
 check in `bounding_chain`), and the open WDVV relation forms built
 term by term, with their own `LinForm` arithmetic, to cross-check
-`wdvv1_form` and `wdvv2_form`.  It also keeps the small helpers that
+`wdvv1_form` and `wdvv2_form`, and the open WDVV solver that rebuilds a
+deferred form from scratch (the reference for `solve_wdvv`, which
+resumes it).  It also keeps the small helpers that
 only tests call: the four fiber-count expressions of a linking number,
 the rational formatter of the document writer and the clamped binomial
 of the negative controls.
@@ -715,3 +717,105 @@ def reference_wdvv_form(target, model, closed, resolve, relation, beta, gamma,
         return form_difference(mixed_sum(both), open_sum(both, k, 0))
 
     return form_difference(side(2, 3), side(3, 2))
+
+
+def reference_solve_wdvv(target, model, closed, seeds, area_bound,
+                         max_insertions):
+    """`solve_wdvv` with the same sweeps and schedule, building each form
+    with the public `wdvv1_form` / `wdvv2_form`: an instance whose build
+    raises NonlinearEquationError is deferred and, once an unknown of
+    its failing product is solved, rebuilt from scratch."""
+    from opengw import wdvv
+    from opengw.wdvv import (LinForm, NonlinearEquationError,
+                             OpenInvariantTable, RelationInstance,
+                             SolveResult, relation_instances, unknown_keys)
+
+    table = OpenInvariantTable(target, model)
+    for (coords, ins), value in seeds.entries():
+        table.set(coords, ins, value)
+    order = unknown_keys(target, model, seeds, area_bound, max_insertions)
+    unknowns = set(order)
+    instances = relation_instances(target, model, area_bound, max_insertions)
+    solved_values = {}
+    solved_log = []
+    context = wdvv._FormContext(target, model, closed)
+    assumed_zero = set()
+
+    def resolve(beta, insertions):
+        value = table.resolve_fixed(beta, insertions)
+        key = table._key(beta, insertions)
+        if value is None and key not in unknowns:
+            if not table.known(beta, insertions):
+                assumed_zero.add(key)
+            value = table.value(beta, insertions)
+        if value is not None:
+            return LinForm(value)
+        if key in solved_values:
+            return LinForm(solved_values[key])
+        return LinForm(Fraction(0), {key: Fraction(1)})
+
+    forms, occurs, isolating, blocked = {}, {}, {}, {}
+
+    def note_isolating(inst, form):
+        if len(form.coeffs) != 1:
+            return
+        ((key, coeff),) = form.coeffs.items()
+        if coeff != 0 and (key not in isolating or
+                           inst.sort_key() < isolating[key].sort_key()):
+            isolating[key] = inst
+
+    def solve(key):
+        inst = isolating.pop(key)
+        form = forms[inst]
+        value = -form.const / form.coeffs[key]
+        solved_values[key] = value
+        solved_log.append((key, inst, value))
+        for other in occurs.pop(key):
+            forms[other] = forms[other].substitute({key: value})
+            note_isolating(other, forms[other])
+
+    to_build = instances
+    while to_build:
+        for inst in to_build:
+            builder = (wdvv.wdvv1_form if inst.relation == 1
+                       else wdvv.wdvv2_form)
+            try:
+                form = builder(target, model, closed, resolve,
+                               target.degree(inst.beta_coords), inst.gamma,
+                               context=context)
+            except NonlinearEquationError as exc:
+                blocked[inst] = exc.keys
+                continue
+            blocked.pop(inst, None)
+            if form is None:
+                continue
+            forms[inst] = form
+            for key in form.coeffs:
+                occurs.setdefault(key, set()).add(inst)
+            note_isolating(inst, form)
+        advanced = True
+        while advanced:
+            advanced = False
+            for key in order:
+                if key in isolating:
+                    solve(key)
+                    advanced = True
+        to_build = [inst for inst, keys in blocked.items()
+                    if not keys.isdisjoint(solved_values)]
+    for (coords, ins), value in sorted(solved_values.items()):
+        table.set(coords, ins, value)
+    residuals = []
+    for inst in instances:
+        if inst in forms:
+            form = forms[inst]
+            residuals.append((inst, form.const if form.is_constant else None))
+        elif inst in blocked:
+            residuals.append((inst, None))
+    return SolveResult(
+        table=table,
+        solved=solved_log,
+        unsolved=sorted(unknowns - set(solved_values)),
+        residuals=residuals,
+        nonlinear=sorted(blocked, key=RelationInstance.sort_key),
+        assumed_zero=sorted(assumed_zero),
+    )

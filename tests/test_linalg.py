@@ -67,11 +67,13 @@ def test_det_refuses_a_float_entry():
     refused with TypeError, as row reduction refuses it."""
     with pytest.raises(TypeError):
         linalg.det([[Fraction(1), 0.5], [0, 1]])
+    with pytest.raises(TypeError, match="int or Fraction"):
+        linalg.det([[True]])  # a bool is an int subclass, not a number here
     with pytest.raises(TypeError):
         linalg.rank([[Fraction(1), 0.5]])
 
 
-@pytest.mark.parametrize("entry", [0.5, 1.0, "1", None])
+@pytest.mark.parametrize("entry", [0.5, 1.0, "1", None, True, False])
 def test_mat_refuses_an_inexact_entry(entry):
     """mat converts ints and keeps Fractions, and refuses anything else
     with the TypeError of det, instead of storing the float's binary

@@ -261,6 +261,8 @@ def test_build_refuses_an_inexact_entry():
         LinearFiberProblem.build([[0.1]], [[1]], 1, 1, 1)
     with pytest.raises(TypeError, match="int or Fraction"):
         LinearFiberProblem.build([[1]], [[Fraction(1, 2), 0.5]], 1, 2, 1)
+    with pytest.raises(TypeError, match="int or Fraction"):
+        LinearFiberProblem.build([[True]], [[1]], 1, 1, 1)
 
 
 def test_fiber_sign_refuses_an_inexact_candidate():
@@ -271,6 +273,8 @@ def test_fiber_sign_refuses_an_inexact_candidate():
         fiber_orientation_sign(prob, [[1.0], [0.1]])
     with pytest.raises(TypeError, match="int or Fraction"):
         fiber_orientation_sign(prob, [[1], [1.0]])
+    with pytest.raises(TypeError, match="int or Fraction"):
+        fiber_orientation_sign(prob, [[True], [1]])
 
 
 def test_ses_refuses_an_inexact_entry():

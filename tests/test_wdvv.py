@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -34,6 +35,7 @@ from support import (
     clamped_binomial,
     form_product,
     make_rng,
+    reference_solve_wdvv,
     reference_wdvv_form,
     structure_outcome,
 )
@@ -353,11 +355,15 @@ def test_solver_order_independence():
 
 # SHA-256 of the toy's full solve result beyond its planted range, taken
 # while the indexed solver still agreed result for result with the
-# rescan loop it replaced
+# rescan loop it replaced; the (2, 4), (6, 5) and (10, 6) pins were taken
+# from the solver that rebuilt a deferred form from scratch
 SOLVE_DIGESTS = {
+    (2, 4): "e0f12eb8fd33444588c46c0ba6c6c0fd065ebba0c9f5df76bdc2ec9dc682f8a7",
     (4, 4): "002e34f6bc322033ad493f1de6543bf2b43d10df6bf5e35191316fa1471fb735",
     (6, 4): "1535f978f286aa1571b63ad6a7a3ac2a834f7c3312ce8dd4d19998989fffc30a",
+    (6, 5): "c675546fdb19357c241f87cd3dc6855b89553aecaf421de91908266581ca61eb",
     (8, 5): "60e6749dc3eafbcd456115c2db3a8fbe388619b4fcd19d2b85b809154eb30894",
+    (10, 6): "100b1a2bd429e718aaeacc47eda76fdaa84e8b5e599b70f56a3915b55f3ab010",
 }
 
 
@@ -388,7 +394,7 @@ def solve_digest(result):
 @pytest.mark.parametrize("area_bound, max_insertions", sorted(SOLVE_DIGESTS))
 def test_solver_result_pinned_beyond_planted_range(area_bound, max_insertions):
     """The bundled toy beyond its planted range: unsolved brackets, and
-    at (6, 4) instances deferred as nonlinear and rebuilt later."""
+    from (6, 4) on instances suspended as nonlinear and resumed later."""
     target, model, closed, seeds = bundled_toy()
     res = solve_wdvv(target, model, closed, seeds, F(area_bound),
                      max_insertions)
@@ -405,32 +411,80 @@ def test_nonlinear_error_names_both_factors():
     assert err.value.keys == {"a", "b", "c"}
 
 
-# (form builds, of which nonlinear) that solve_wdvv makes on the toy: one
-# build per instance, plus one per rebuild of a deferred instance
-BUILD_COUNTS = {(4, 4): (214, 87), (6, 4): (457, 256), (8, 5): (1239, 911)}
+# resumptions of suspended builds that solve_wdvv makes on the toy: as
+# many as the rebuilds of a solver that rebuilds a deferred form from
+# scratch (214, 457 and 1,239 builds for 127, 239 and 582 instances)
+RESUMPTIONS = {(4, 4): 87, (6, 4): 218, (8, 5): 657}
 
 
-@pytest.mark.parametrize("area_bound, max_insertions", sorted(BUILD_COUNTS))
+@pytest.mark.parametrize("area_bound, max_insertions", sorted(RESUMPTIONS))
 def test_solver_builds_each_form_on_schedule(monkeypatch, area_bound,
                                              max_insertions):
-    counts = {"builds": 0, "nonlinear": 0}
+    """Each form is built in one pass: every build starts once, and the
+    closed x open contraction runs once for a relation-1 instance and
+    once per side for a relation-2 instance, so no prefix of a build is
+    evaluated twice; a suspended build is resumed, never restarted."""
+    started = Counter()
+    mixed = resumed = 0
+    add_mixed = wdvv._add_mixed
 
-    def counted(builder):
-        def wrapper(*args, **kwargs):
-            counts["builds"] += 1
-            try:
-                return builder(*args, **kwargs)
-            except NonlinearEquationError:
-                counts["nonlinear"] += 1
-                raise
-        return wrapper
+    def counted_mixed(*args):
+        nonlocal mixed
+        mixed += 1
+        add_mixed(*args)
 
-    monkeypatch.setattr(wdvv, "wdvv1_form", counted(wdvv1_form))
-    monkeypatch.setattr(wdvv, "wdvv2_form", counted(wdvv2_form))
+    def counted(relation, builder):
+        def start(ctx, resolve, beta, gamma):
+            started[wdvv.RelationInstance(relation, beta.coords, gamma)] += 1
+            return resumptions(builder(ctx, resolve, beta, gamma))
+        return start
+
+    def resumptions(build):
+        nonlocal resumed
+        try:
+            keys = next(build)
+            while True:
+                yield keys
+                resumed += 1
+                keys = next(build)
+        except StopIteration as done:
+            return done.value
+
+    monkeypatch.setattr(wdvv, "_add_mixed", counted_mixed)
+    monkeypatch.setattr(wdvv, "_build1", counted(1, wdvv._build1))
+    monkeypatch.setattr(wdvv, "_build2", counted(2, wdvv._build2))
     target, model, closed, seeds = bundled_toy()
     solve_wdvv(target, model, closed, seeds, F(area_bound), max_insertions)
-    assert (counts["builds"], counts["nonlinear"]) == \
-        BUILD_COUNTS[area_bound, max_insertions]
+    instances = relation_instances(target, model, F(area_bound),
+                                   max_insertions)
+    assert started == Counter(instances)
+    relations = Counter(inst.relation for inst in instances)
+    assert mixed == relations[1] + 2 * relations[2]
+    assert resumed == RESUMPTIONS[area_bound, max_insertions]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_solver_matches_rebuilding_reference_with_seeds_dropped(data):
+    """Resuming a suspended build gives what rebuilding it from scratch
+    gives: with a random subset of the toy's seeds dropped, the solve
+    result and the brackets assumed zero equal the reference's."""
+    target, model, closed, seeds = bundled_toy()
+    entries = seeds.entries()
+    dropped = data.draw(st.sets(st.integers(0, len(entries) - 1)))
+    partial = OpenInvariantTable(
+        target, model,
+        [(c, i, v) for n, ((c, i), v) in enumerate(entries)
+         if n not in dropped],
+    )
+    area_bound, max_insertions = data.draw(
+        st.sampled_from([(2, 3), (2, 4), (4, 4), (6, 4), (6, 5)]))
+    got = solve_wdvv(target, model, closed, partial, F(area_bound),
+                     max_insertions)
+    want = reference_solve_wdvv(target, model, closed, partial,
+                                F(area_bound), max_insertions)
+    assert solve_digest(got) == solve_digest(want)
+    assert got.assumed_zero == want.assumed_zero
 
 
 @pytest.mark.parametrize("area_bound, max_insertions, expected", [
