@@ -356,11 +356,14 @@ def _edge_pairs(m):
     return tuple(itertools.combinations(range(m), 2))
 
 
-def _edge_index(i, j, m):
-    """The index of edge {i, j} in itertools.combinations(range(m), 2)."""
-    if i > j:
-        i, j = j, i
-    return i * (2 * m - i - 3) // 2 + j - 1
+@functools.cache
+def _edge_index_table(m):
+    """index[i][j]: the index of edge {i, j} in
+    itertools.combinations(range(m), 2), for i != j."""
+    index = [[None] * m for _ in range(m)]
+    for k, (i, j) in enumerate(_edge_pairs(m)):
+        index[i][j] = index[j][i] = k
+    return index
 
 
 @functools.cache
@@ -381,11 +384,102 @@ def decorated_multidisks(alpha, table, tree_cap=None):
     ]
 
 
+class CutShape(NamedTuple):
+    """The index-level cut of a tree at vertex c, and the shape-level
+    halves of steps 1 and 2 of the branch-bijection proof.
+
+    blocks is the vertex partition: one sorted vertex tuple per branch,
+    ordered by least vertex.  branches holds, per block, the branch's
+    local root (the block's neighbour of c) and its local subtree, both
+    in the block's own indices.  reglued says that `_glue` of the blocks
+    and branches gives back the tree; in_table that each local root lies
+    in its block and each local subtree is in the tree table of the
+    block's size.
+    """
+
+    blocks: tuple
+    branches: tuple
+    reglued: bool
+    in_table: bool
+
+
+def _glue(m, c, blocks, branches):
+    """Re-glue at the index level: each local subtree placed on its
+    block's vertices, plus the edge from c to the block's local root,
+    as the sorted edge indices of a graph on m vertices."""
+    index = _edge_index_table(m)
+    tree = []
+    for block, (root, sub_tree) in zip(blocks, branches):
+        pairs = _edge_pairs(len(block))
+        for k in sub_tree:
+            i, j = pairs[k]
+            tree.append(index[block[i]][block[j]])
+        tree.append(index[c][block[root]])
+    tree.sort()
+    return tuple(tree)
+
+
+@functools.cache
+def _interned(value):
+    """The first of the equal values met: one object per distinct block
+    partition or local branch, shared by the cut shapes that hold it."""
+    return value
+
+
+@functools.cache
+def _cut_shape(m, c, tree):
+    """Cut a tree on m vertices at vertex c: each neighbour of c roots one
+    branch, the subtree behind it.  Depends on (m, c, tree) only, so it
+    is worked out once per shape met; see `CutShape`."""
+    pairs = _edge_pairs(m)
+    adj = [[] for _ in range(m)]
+    for k in tree:
+        i, j = pairs[k]
+        adj[i].append(j)
+        adj[j].append(i)
+    # walk out from c: each vertex's parent, and the branch root above it
+    parent = [None] * m
+    root_of = [None] * m
+    parent[c] = c
+    walk = [c]
+    for v in walk:  # grows while it is walked
+        for w in adj[v]:
+            if parent[w] is None:
+                parent[w] = v
+                root_of[w] = w if v == c else root_of[v]
+                walk.append(w)
+    members = {}  # root -> its block, in order of least vertex
+    local = [None] * m  # a vertex's index in its block
+    for v in range(m):
+        if v != c:
+            block = members.setdefault(root_of[v], [])
+            local[v] = len(block)
+            block.append(v)
+    blocks = []
+    branches = []
+    for root, block in members.items():
+        index = _edge_index_table(len(block))
+        blocks.append(tuple(block))
+        branches.append(_interned((local[root], tuple(sorted(
+            index[local[parent[v]]][local[v]] for v in block if v != root
+        )))))
+    blocks = _interned(tuple(blocks))
+    branches = tuple(branches)
+    return CutShape(
+        blocks, branches, _glue(m, c, blocks, branches) == tree,
+        all(0 <= root < len(block) and sub_tree in _tree_table(len(block))
+            for block, (root, sub_tree) in zip(blocks, branches)),
+    )
+
+
 def to_branches(decorated, target, memo=None):
     """Cut the tree at the distinguished disk.
 
     Each neighbour of the center roots one branch: the subtree behind
     it, on its own atoms, with that neighbour as its distinguished disk.
+    This is the configuration's `_cut_shape` relabeled onto its atoms:
+    each block's atoms form the branch's sub-configuration, and the
+    block's local root and subtree are passed through unchanged.
     `memo` maps a branch's loop tuple to its sub-configuration, part
     tuple and part sort key, and a center's loop to its point parts;
     calls on one target may share it.
@@ -393,47 +487,18 @@ def to_branches(decorated, target, memo=None):
     memo = {} if memo is None else memo
     config, c, tree = decorated
     atoms = config.atoms
-    m = len(atoms)
-    pairs = _edge_pairs(m)
-    adj = [[] for _ in range(m)]
-    for k in tree:
-        i, j = pairs[k]
-        adj[i].append(j)
-        adj[j].append(i)
-    root_of = [None] * m
-    root_of[c] = c
-    components = []
-    for root in adj[c]:
-        root_of[root] = root
-        comp = [root]
-        for v in comp:  # grows while it is walked
-            for w in adj[v]:
-                if root_of[w] is None:
-                    root_of[w] = root
-                    comp.append(w)
-        comp.sort()
-        components.append((root, comp))
-    edges_of = {root: [] for root in adj[c]}
-    for k in tree:
-        i, j = pairs[k]
-        if c not in (i, j):
-            edges_of[root_of[i]].append((i, j))
+    shape = _cut_shape(len(atoms), c, tree)
     branches = []
-    for root, comp in components:
-        loops = tuple(atoms[v].loop for v in comp)
+    for block, (root, sub_tree) in zip(shape.blocks, shape.branches):
+        loops = tuple(atoms[v].loop for v in block)
         entry = memo.get(loops)
         if entry is None:
-            sub = MultiDisk(tuple(atoms[v] for v in comp))
+            sub = MultiDisk(tuple(atoms[v] for v in block))
             part = ConstraintTuple(sub.total_degree(), sub.total_points(),
                                    sub.total_descriptors())
             entry = memo[loops] = (sub, part, part.sort_key())
         sub, part, key = entry
-        pos = {v: k for k, v in enumerate(comp)}
-        s = len(comp)
-        sub_tree = tuple(sorted(
-            _edge_index(pos[i], pos[j], s) for i, j in edges_of[root]
-        ))
-        branches.append((key, loops, part, Decorated(sub, pos[root], sub_tree)))
+        branches.append((key, loops, part, Decorated(sub, root, sub_tree)))
     branches.sort(key=itemgetter(0, 1))
     center = atoms[c]
     points = memo.get(center.loop)
@@ -451,24 +516,20 @@ def to_branches(decorated, target, memo=None):
 
 
 def from_branches(cut):
-    """Reattach the branches to the center (the inverse of to_branches)."""
+    """Reattach the branches to the center (the inverse of to_branches):
+    each branch's local tree and root edge are placed at the positions of
+    its atoms in the re-glued configuration."""
     center = cut.center
     config = MultiDisk((center,) + tuple(
         a for _, sub in cut.branches for a in sub.config.atoms
     ))
-    m = len(config)
     index = {a.loop: k for k, a in enumerate(config.atoms)}
     c = index[center.loop]
-    tree = []
-    for _, sub in cut.branches:
-        at = [index[a.loop] for a in sub.config.atoms]
-        pairs = _edge_pairs(len(at))
-        for k in sub.tree:
-            i, j = pairs[k]
-            tree.append(_edge_index(at[i], at[j], m))
-        tree.append(_edge_index(c, at[sub.center], m))
-    tree.sort()
-    return Decorated(config, c, tuple(tree))
+    blocks = [tuple(index[a.loop] for a in sub.config.atoms)
+              for _, sub in cut.branches]
+    tree = _glue(len(config), c, blocks,
+                 [(sub.center, sub.tree) for _, sub in cut.branches])
+    return Decorated(config, c, tree)
 
 
 def _branch_classes(alpha, table, target):
@@ -537,19 +598,43 @@ def branch_bijection_failures(alpha, decorated, table, target):
 
     Steps 1 and 2 make the cut an injection into the decompositions and
     step 3 makes it onto them.  `decorated` is alpha's
-    `decorated_multidisks`; steps 1 and 2 run in one pass over it, and
-    the parts are read from the table.  Raises as `_branch_classes` does
-    for a table with an unlabeled atom.
+    `decorated_multidisks`, and the parts are read from the table.
+    Raises as `_branch_classes` does for a table with an unlabeled atom.
+
+    Steps 1 and 2 are proved once per cut shape and once per group, in
+    one pass over `decorated`.  to_branches relabels the cut shape of
+    d = (config, c, tree), `_cut_shape(m, c, tree)`, onto config's atoms,
+    so the image of d has two halves:
+    - its splitting, center disk and branch sub-configurations depend
+      only on the group of d, (config, c, blocks);
+    - each branch's distinguished disk and tree are its block's local
+      root and subtree, passed through from the shape.
+    from_branches rebuilds the configuration and center from the first
+    half, finds each branch's atoms at their positions in it, and places
+    the second half there by `_glue`.  A sub-configuration is its
+    block's atoms in the configuration's loop order, so once the rebuilt
+    configuration is config those positions are the block.  Hence, for
+    every d of a group whose first member is r:
+    - step 1 holds for d if it holds for r, which shows that the group's
+      half rebuilds config and c, and if d's shape is reglued, which
+      shows that `_glue` of d's local roots and subtrees at the blocks
+      is d's tree;
+    - step 2 holds for d if r's image passes the class, center disk,
+      slot part and sub-configuration checks, and if d's shape is
+      in_table.
+    Each shape is worked out once per process; to_branches,
+    from_branches and the class lookup run on the first member of each
+    group only.
     """
     classes, count = _branch_classes(alpha, table, target)
-    configs = {}
+    configs = {}  # part -> its configurations, keyed by loop tuple
 
     def is_branch_of(part, sub):
         if part not in configs:
-            configs[part] = frozenset(table.multi_disks(part))
-        return (sub.config in configs[part]
-                and 0 <= sub.center < len(sub.config)
-                and sub.tree in _tree_table(len(sub.config)))
+            configs[part] = {tuple(a.loop for a in config.atoms): config
+                             for config in table.multi_disks(part)}
+        loops = tuple(a.loop for a in sub.config.atoms)
+        return configs[part].get(loops) == sub.config
 
     def is_decomposition(cut):
         centers, slots = classes.get(cut.eta, ((), None))
@@ -559,11 +644,21 @@ def branch_bijection_failures(alpha, decorated, table, target):
                         for part, sub in cut.branches))
 
     left_inverse = in_classes = True
+    # the first member's verdicts per (id(config), c, blocks); `decorated`
+    # keeps every configuration alive, so an id names one configuration
+    groups = {}
     memo = {}
     for d in decorated:
-        cut = to_branches(d, target, memo)
-        left_inverse = left_inverse and from_branches(cut) == d
-        in_classes = in_classes and is_decomposition(cut)
+        config, c, tree = d
+        shape = _cut_shape(len(config.atoms), c, tree)
+        key = (id(config), c, shape.blocks)
+        proved = groups.get(key)
+        if proved is None:
+            cut = to_branches(d, target, memo)
+            proved = groups[key] = (from_branches(cut) == d,
+                                    is_decomposition(cut))
+        left_inverse = left_inverse and shape.reglued and proved[0]
+        in_classes = in_classes and shape.in_table and proved[1]
     steps = (left_inverse, in_classes, count == len(decorated))
     return tuple(step for step, ok in enumerate(steps, 1) if not ok)
 

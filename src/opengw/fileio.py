@@ -107,7 +107,7 @@ def _malformed_as_format_error(path):
 
 def _load_document(path, expected_format):
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             doc = json.load(handle)
     except OSError as exc:
         raise FileFormatError("%s: %s" % (path, exc)) from exc
@@ -115,6 +115,10 @@ def _load_document(path, expected_format):
         raise FileFormatError(
             "%s:%d:%d: %s" % (path, exc.lineno, exc.colno, exc.msg)
         ) from exc
+    except UnicodeDecodeError as exc:
+        raise FileFormatError("%s: not UTF-8 text: %s" % (path, exc)) from exc
+    except RecursionError as exc:
+        raise FileFormatError("%s: JSON nested too deeply" % path) from exc
     if not isinstance(doc, dict):
         raise FileFormatError("%s: top level must be an object" % path)
     if doc.get("format") != expected_format:

@@ -11,8 +11,11 @@ degeneration classes and the raw expansion into ordered splittings
 (both independent of the live-class generator behind
 `Target.degeneration_classes`), the quotient side of the branch
 bijection enumerated on loop-pair objects (the oracle for the packed
-check in `bounding_chain`), and the open WDVV relation forms built
-term by term, with their own `LinForm` arithmetic, to cross-check
+check in `bounding_chain`), the branch-bijection check run one
+decorated configuration at a time (the reference for the check, which
+proves its first two steps once per cut shape and once per group), and
+the open WDVV relation forms built term by term, with their own
+`LinForm` arithmetic, to cross-check
 `wdvv1_form` and `wdvv2_form`, and the open WDVV solver that rebuilds a
 deferred form from scratch (the reference for `solve_wdvv`, which
 resumes it).  It also keeps the small helpers that
@@ -586,6 +589,43 @@ def branch_decompositions(alpha, table, target, decorated=None):
                     _canonical_branches(zip(slot_parts, assignment)),
                 ))
     return sorted(out, key=BranchDecomposition.sort_key)
+
+
+def reference_branch_bijection_failures(alpha, decorated, table, target):
+    """The branch-bijection check one decorated configuration at a time:
+    every d is cut, re-glued and classified on its own.  The reference
+    for `bounding_chain.branch_bijection_failures`, which proves steps 1
+    and 2 once per cut shape and once per group; same arguments, same
+    result.  The cut and the re-glue are read from the module when
+    called, so a test that patches them patches both routes."""
+    from opengw import bounding_chain
+
+    classes, count = bounding_chain._branch_classes(alpha, table, target)
+    configs = {}
+
+    def is_branch_of(part, sub):
+        if part not in configs:
+            configs[part] = frozenset(table.multi_disks(part))
+        return (sub.config in configs[part]
+                and 0 <= sub.center < len(sub.config)
+                and sub.tree in bounding_chain._tree_table(len(sub.config)))
+
+    def is_decomposition(cut):
+        centers, slots = classes.get(cut.eta, ((), None))
+        return (cut.center in centers
+                and tuple(part for part, _ in cut.branches) == slots
+                and all(is_branch_of(part, sub)
+                        for part, sub in cut.branches))
+
+    left_inverse = in_classes = True
+    memo = {}
+    for d in decorated:
+        cut = bounding_chain.to_branches(d, target, memo)
+        left_inverse = (left_inverse
+                        and bounding_chain.from_branches(cut) == d)
+        in_classes = in_classes and is_decomposition(cut)
+    steps = (left_inverse, in_classes, count == len(decorated))
+    return tuple(step for step, ok in enumerate(steps, 1) if not ok)
 
 
 # --- the open WDVV relations, term by term ----------------------------------

@@ -31,6 +31,7 @@ from opengw.multidisk import (
     AtomTable,
     DiskAtom,
     LinkingMatrix,
+    tree_edge_indices,
     welschinger_count,
 )
 
@@ -40,6 +41,7 @@ from support import (
     dim0_subtuples,
     loop_decorated_multidisks,
     make_rng,
+    reference_branch_bijection_failures,
     synthetic_instance,
     toy_atoms,
 )
@@ -624,12 +626,70 @@ def test_branch_check_lists_no_part(monkeypatch):
     assert sum(map(len, by_tuple.values())) > len(by_tuple[top]) > 0
 
 
+def constant_cut(first):
+    """A cut that sends every configuration to the one image `first`."""
+    def constant(decorated, target, memo=None):
+        return first
+    return constant
+
+
+def reversed_parts_cut(original):
+    """A cut whose splitting lists its parts in reverse order."""
+    def reversed_parts(decorated, target, memo=None):
+        cut = original(decorated, target, memo)
+        eta = cut.eta
+        return cut._replace(eta=DegenerationType(
+            eta.center_degree, eta.center_descriptors, eta.parts[::-1]
+        ))
+    return reversed_parts
+
+
+def repeated_member(decorated):
+    """The first decorated configuration that is not the first member of
+    its group (same configuration, center and vertex partition), or
+    None."""
+    seen = set()
+    for d in decorated:
+        config, c, tree = d
+        shape = bounding_chain._cut_shape(len(config), c, tree)
+        key = (id(config), c, shape.blocks)
+        if key in seen:
+            return d
+        seen.add(key)
+    return None
+
+
+def broken_reglue_shape(original, victim):
+    """A cut shape that, for the victim's (m, c, tree) only, moves the
+    local root of its first branch of two or more vertices to the next
+    vertex of the block.  The local subtree is untouched, so it stays in
+    the tree table; re-gluing no longer gives the tree back."""
+    victim_key = (len(victim.config), victim.center, victim.tree)
+
+    def cut_shape(m, c, tree):
+        shape = original(m, c, tree)
+        if (m, c, tree) != victim_key:
+            return shape
+        k = next(i for i, block in enumerate(shape.blocks) if len(block) > 1)
+        root, sub_tree = shape.branches[k]
+        branches = list(shape.branches)
+        branches[k] = ((root + 1) % len(shape.blocks[k]), sub_tree)
+        return shape._replace(
+            branches=tuple(branches),
+            reglued=bounding_chain._glue(m, c, shape.blocks, branches) == tree,
+        )
+    return cut_shape
+
+
 def test_each_bijection_step_catches_what_the_others_miss(monkeypatch):
-    """Three broken variants, each failing exactly one step: a cut that
+    """Four broken variants, each failing exactly one step: a cut that
     sends every configuration to one valid image (not injective), a cut
     whose splitting lists its parts out of canonical order (off the
-    quotient side, though it still round-trips), and an enumerator that
-    loses a decorated configuration (not onto)."""
+    quotient side, though it still round-trips), an enumerator that
+    loses a decorated configuration (not onto), and a cut shape whose
+    re-glue is wrong for one tree that is not the first member of its
+    group, where the round trip never runs: only the shape-level half
+    of step 1 sees it."""
     t, table, top = small_instance()
     by_tuple = {a: decorated_multidisks(a, table)
                 for a in dim0_subtuples(t, table, top)}
@@ -637,25 +697,64 @@ def test_each_bijection_step_catches_what_the_others_miss(monkeypatch):
     original = bounding_chain.to_branches
     first = original(by_tuple[top][0], t)
 
-    def constant(decorated, target, memo=None):
-        return first
-
-    monkeypatch.setattr(bounding_chain, "to_branches", constant)
+    monkeypatch.setattr(bounding_chain, "to_branches", constant_cut(first))
     assert branch_bijection_failures(top, by_tuple[top], table, t) == (1,)
 
-    def reversed_parts(decorated, target, memo=None):
-        cut = original(decorated, target, memo)
-        eta = cut.eta
-        return cut._replace(eta=DegenerationType(
-            eta.center_degree, eta.center_descriptors, eta.parts[::-1]
-        ))
-
-    monkeypatch.setattr(bounding_chain, "to_branches", reversed_parts)
+    monkeypatch.setattr(bounding_chain, "to_branches",
+                        reversed_parts_cut(original))
     assert branch_bijection_failures(top, by_tuple[top], table, t) == (2,)
     monkeypatch.undo()
     lossy = dict(by_tuple)
     lossy[top] = by_tuple[top][1:]
     assert branch_bijection_failures(top, lossy[top], table, t) == (3,)
+
+    target, table, top = synthetic_instance(make_rng(16002), n_points=3)
+    decorated = decorated_multidisks(top, table)
+    victim = repeated_member(decorated)
+    assert victim is not None
+    assert branch_bijection_failures(top, decorated, table, target) == ()
+    monkeypatch.setattr(bounding_chain, "_cut_shape", broken_reglue_shape(
+        bounding_chain._cut_shape, victim))
+    assert from_branches(to_branches(victim, target)) != victim
+    assert branch_bijection_failures(top, decorated, table, target) == (1,)
+
+
+def test_bijection_cuts_once_per_group(monkeypatch):
+    """The cut, the re-glue and the class lookup run on the first member
+    of each group only: fewer times than there are decorated
+    configurations, and once per (configuration, center, partition)."""
+    target, table, top = synthetic_instance(make_rng(16002), n_points=3)
+    decorated = decorated_multidisks(top, table)
+    groups = {(id(d.config), d.center,
+               bounding_chain._cut_shape(len(d.config), d.center,
+                                         d.tree).blocks)
+              for d in decorated}
+    calls = []
+    original = bounding_chain.to_branches
+
+    def counted(d, target, memo=None):
+        calls.append(d)
+        return original(d, target, memo)
+
+    monkeypatch.setattr(bounding_chain, "to_branches", counted)
+    assert branch_bijection_failures(top, decorated, table, target) == ()
+    assert len(calls) == len(groups) < len(decorated)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_every_cut_shape_reglues_into_the_tree_table(m):
+    """Every (m, c, tree) with m up to 6: the blocks partition the other
+    vertices, re-gluing gives the tree back, and every local subtree is
+    a tree of the table."""
+    count = 0
+    for tree in tree_edge_indices(m):
+        for c in range(m):
+            shape = bounding_chain._cut_shape(m, c, tree)
+            assert sorted(v for block in shape.blocks for v in block) \
+                == [v for v in range(m) if v != c]
+            assert shape.reglued and shape.in_table, (m, c, tree)
+            count += 1
+    assert count == m ** (m - 1)
 
 
 BRANCH_SHAPES = ((1, 0, 0, 0), (2, 0, 0, 0), (3, 0, 0, 0), (1, 1, 0, 0),
@@ -683,3 +782,43 @@ def test_branch_count_and_images_match_the_oracle(seed, shape):
         assert set(images) == set(oracle), alpha
         assert branch_bijection_failures(alpha, by_tuple[alpha], table,
                                          target) == (), alpha
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), shape=st.sampled_from(BRANCH_SHAPES))
+def test_check_matches_the_per_configuration_reference(seed, shape):
+    """On every tuple, the check and the reference that cuts, re-glues
+    and classifies each decorated configuration on its own fail the same
+    steps: on the intact code, and under each broken variant of
+    `test_each_bijection_step_catches_what_the_others_miss`."""
+    target, table, top = synthetic_instance(make_rng(seed), *shape)
+    original_cut = bounding_chain.to_branches
+    original_shape = bounding_chain._cut_shape
+    for alpha in dim0_subtuples(target, table, top):
+        decorated = decorated_multidisks(alpha, table)
+
+        def both(listing=decorated):
+            return (branch_bijection_failures(alpha, listing, table, target),
+                    reference_branch_bijection_failures(alpha, listing,
+                                                        table, target))
+
+        assert both() == ((), ()), alpha
+        if not decorated:
+            continue
+        assert both(decorated[1:]) == ((3,), (3,)), alpha
+        variants = [
+            ("to_branches", constant_cut(original_cut(decorated[0], target)),
+             (1,) if len(decorated) > 1 else ()),
+            ("to_branches", reversed_parts_cut(original_cut), None),
+        ]
+        victim = repeated_member(decorated)
+        if victim is not None:
+            variants.append(("_cut_shape",
+                             broken_reglue_shape(original_shape, victim),
+                             (1,)))
+        for name, patched, expected in variants:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(bounding_chain, name, patched)
+                check, reference = both()
+            assert check == reference, (alpha, name)
+            assert expected is None or check == expected, (alpha, name)

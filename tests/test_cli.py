@@ -751,6 +751,23 @@ def test_unbounded_atom_loop_is_typed_error(tmp_path, capsys):
     _assert_one_line_error(capsys)
 
 
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe{}",  # a UTF-16 byte order mark: not UTF-8 text
+    b"[" * 200000,  # nested past the JSON decoder's recursion limit
+], ids=["not-utf8", "deep-nesting"])
+@pytest.mark.parametrize("kind", ["target", "atoms", "closed_gw", "seeds"])
+def test_undecodable_document_is_typed_error(tmp_path, capsys, kind,
+                                             content):
+    """A file that is not UTF-8, or JSON nested too deeply to decode, is
+    a one-line error naming the file and exit status 2, whichever
+    document it is."""
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    status, cfg = run_pipeline(tmp_path, "verify-all", **{kind: str(bad)})
+    assert status == 2
+    assert "bad.json" in _assert_one_line_error(capsys)
+
+
 # --- malformed documents -----------------------------------------------------
 
 
