@@ -31,7 +31,6 @@ configuration count.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,7 +39,12 @@ from typing import NamedTuple
 
 from . import OpenGWError
 from .lattice import ConstraintTuple, DegenerationType
-from .multidisk import MultiDisk, tree_edge_indices
+from .multidisk import (
+    MultiDisk,
+    _edge_index_table,
+    _edge_pairs,
+    tree_edge_indices,
+)
 
 
 class ChainError(OpenGWError, ValueError):
@@ -352,34 +356,18 @@ class BranchCut(NamedTuple):
 
 
 @functools.cache
-def _edge_pairs(m):
-    return tuple(itertools.combinations(range(m), 2))
-
-
-@functools.cache
-def _edge_index_table(m):
-    """index[i][j]: the index of edge {i, j} in
-    itertools.combinations(range(m), 2), for i != j."""
-    index = [[None] * m for _ in range(m)]
-    for k, (i, j) in enumerate(_edge_pairs(m)):
-        index[i][j] = index[j][i] = k
-    return index
-
-
-@functools.cache
 def _tree_table(m):
-    return frozenset(tree_edge_indices(m, cap=m))
+    return frozenset(tree_edge_indices(m))
 
 
-def decorated_multidisks(alpha, table, tree_cap=None):
+def decorated_multidisks(alpha, table):
     """All decorated configurations of the tuple, packed: every
     configuration with every tree of the tree table and every
     distinguished disk."""
-    kwargs = {} if tree_cap is None else {"cap": tree_cap}
     return [
         Decorated(config, center, tree)
         for config in table.multi_disks(alpha)
-        for tree in tree_edge_indices(len(config), **kwargs)
+        for tree in tree_edge_indices(len(config))
         for center in range(len(config))
     ]
 
@@ -472,7 +460,7 @@ def _cut_shape(m, c, tree):
     )
 
 
-def to_branches(decorated, target, memo=None):
+def to_branches(decorated, target, memo):
     """Cut the tree at the distinguished disk.
 
     Each neighbour of the center roots one branch: the subtree behind
@@ -482,9 +470,8 @@ def to_branches(decorated, target, memo=None):
     block's local root and subtree are passed through unchanged.
     `memo` maps a branch's loop tuple to its sub-configuration, part
     tuple and part sort key, and a center's loop to its point parts;
-    calls on one target may share it.
+    calls on one target may share it, and a new dict starts it.
     """
-    memo = {} if memo is None else memo
     config, c, tree = decorated
     atoms = config.atoms
     shape = _cut_shape(len(atoms), c, tree)

@@ -31,7 +31,11 @@ from .bounding_chain import (
     point_drop_degrees,
     verify_welschinger_relation,
 )
-from .multidisk import conjugation_cancellation_check, welschinger_count
+from .multidisk import (
+    ConfigurationError,
+    conjugation_cancellation_check,
+    welschinger_count,
+)
 from .wdvv import (
     OpenInvariantTable,
     check_structure,
@@ -48,8 +52,10 @@ PIPELINE_INPUTS = {
     "bb-recursion": ("atoms",),
     "wdvv-solve": ("closed_gw", "seeds"),
 }
-# the tree tables up to this many vertices hold 9^7 trees; 10 vertices
-# would hold 10^8
+# --cap-trees: the most atoms in a configuration whose spanning trees
+# verify-all enumerates.  The tree table of 9 vertices holds 9^7 trees;
+# that of 10 would hold 10^8
+DEFAULT_CAP_TREES = 7
 MAX_CAP_TREES = 9
 
 
@@ -61,7 +67,7 @@ class RunConfig:
     closed_gw: str = None
     seeds: str = None
     area_bound: Fraction = Fraction(2)
-    cap_trees: int = 7
+    cap_trees: int = DEFAULT_CAP_TREES
     cap_insertions: int = 3
     out: str = "out"
     seed: int = 0
@@ -262,8 +268,8 @@ def run_welschinger(bundle, atom_bundle, config, rep):
     for alpha in chain_tuples(target, atom_bundle.tuples):
         configs = table.multi_disks(alpha)
         weights = table.tree_weights(alpha)
-        total = counts[alpha] = welschinger_count(alpha, configs, table.links,
-                                                  target, weights)
+        total = counts[alpha] = welschinger_count(alpha, configs, weights,
+                                                  target)
         count_rows.append((_tuple_label(alpha), len(configs), total))
         for cfg, weight in zip(configs, weights):
             config_rows.append((
@@ -373,6 +379,18 @@ def run_wdvv_solve(bundle, closed, seeds, config, rep):
 
 def run_verify_all(bundle, atom_bundle, closed, seeds, config, rep):
     target = bundle.target
+    if atom_bundle is not None:
+        # refuse trees over the cap before any work: the bijection check
+        # lists the trees of the chain tuples' configurations, and the
+        # cancellation check sums those of the atom tuples
+        tuples = chain_tuples(target, atom_bundle.tuples)
+        if atom_bundle.involution is not None:
+            tuples += atom_bundle.tuples
+        largest = atom_bundle.table.largest_configuration(tuples)
+        if largest > config.cap_trees:
+            raise ConfigurationError(
+                "tree enumeration capped at %d vertices (asked for %d)"
+                % (config.cap_trees, largest))
     rng = random.Random(config.seed)
     ok, detail = selfcheck.orientation_suite(rng, instances=200)
     rep.check("orientation-model-oracle", "PASS" if ok else "FAIL", detail)
@@ -434,8 +452,7 @@ def run_verify_all(bundle, atom_bundle, closed, seeds, config, rep):
         bij_bad = []
         bij_count = 0
         for alpha in chains:
-            decorated = decorated_multidisks(alpha, table,
-                                             tree_cap=config.cap_trees)
+            decorated = decorated_multidisks(alpha, table)
             bij_count += len(decorated)
             if branch_bijection_failures(alpha, decorated, table, target):
                 bij_bad.append(alpha)
@@ -445,9 +462,7 @@ def run_verify_all(bundle, atom_bundle, closed, seeds, config, rep):
             cancel_bad = []
             for top in atom_bundle.tuples:
                 report = conjugation_cancellation_check(
-                    [top], table, atom_bundle.involution,
-                    tree_cap=config.cap_trees,
-                )
+                    [top], table, atom_bundle.involution)
                 if not report.cancels:
                     cancel_bad.append(top)
             _tally(rep, "conjugation-cancellation", cancel_bad,
@@ -548,8 +563,10 @@ def build_parser():
     parser.add_argument("--seeds", help="open-invariant seed file")
     parser.add_argument("--area-bound", dest="area_bound", default="2",
                         help="degree area bound for enumerations (rational)")
-    parser.add_argument("--cap-trees", dest="cap_trees", type=int, default=7,
-                        help="spanning-tree enumeration cap")
+    parser.add_argument("--cap-trees", dest="cap_trees", type=int,
+                        default=DEFAULT_CAP_TREES,
+                        help="largest configuration verify-all enumerates "
+                             "spanning trees on")
     parser.add_argument("--cap-insertions", dest="cap_insertions", type=int,
                         default=3, help="insertion count cap for the solver")
     parser.add_argument("--out", default="out", help="output directory")

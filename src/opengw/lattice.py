@@ -187,14 +187,6 @@ class DegenerationType:
             tuple(p.sort_key() for p in self.parts),
         )
 
-    def class_key(self):
-        """Canonical key identifying the splitting up to permuting parts."""
-        return (
-            self.center_degree.coords,
-            tuple(sorted(self.center_descriptors)),
-            tuple(sorted(p.sort_key() for p in self.parts)),
-        )
-
 
 class Target:
     """A declared combinatorial target: lattices, functionals, descriptors.
@@ -300,16 +292,6 @@ class Target:
             self.descriptors[d].codim - 2 for d in alpha.descriptors
         )
         return alpha.beta.maslov - 2 * len(alpha.points) - excess
-
-    def precedes(self, first, second, strict=False):
-        """Partial order: degree difference admissible, labels nested."""
-        diff = second.beta - first.beta
-        if not diff.in_positive_cone():
-            return False
-        if not (first.points <= second.points
-                and first.descriptors <= second.descriptors):
-            return False
-        return not strict or first != second
 
     # -- enumeration ---------------------------------------------------
 

@@ -1,6 +1,6 @@
 """Exact linear algebra over the rationals and the integers.
 
-Everything the sign calculus needs: determinants, ranks, kernels,
+Everything the sign calculus needs: determinants, integer kernels,
 linear solves, and an integer Smith normal form for lattice-image
 membership.  Matrices are plain lists of lists of Fraction or int; any
 other entry (a float, a string, a bool) is refused with TypeError by
@@ -12,9 +12,9 @@ any heavyweight dependency.
 Three private routines work in integers only and build no Fraction:
 `_int_echelon` (fraction-free Gauss-Jordan of integer rows),
 `_int_kernel` (the primitive integer kernel basis read off that
-elimination; `nullspace` divides it out) and `_det_bareiss` (Bareiss's
-determinant).  The orientation layer calls them directly, so that a
-sign is read off an integer determinant without any Fraction.
+elimination) and `_det_bareiss` (Bareiss's determinant).  The
+orientation layer calls them directly, so that a sign is read off an
+integer determinant without any Fraction.
 """
 
 from __future__ import annotations
@@ -67,10 +67,6 @@ def hstack(a, b):
     if len(a) != len(b):
         raise ValueError("row count mismatch")
     return [list(ra) + list(rb) for ra, rb in zip(a, b)]
-
-
-def transpose(a):
-    return [list(col) for col in zip(*a)] if a else []
 
 
 def det(a):
@@ -171,19 +167,13 @@ def _echelon(a):
     return out, pivots
 
 
-def rank(a):
-    if not a or not a[0]:
-        return 0
-    return len(_int_echelon(_int_rows(a))[1])
-
-
 def _int_kernel(m, pivots, cols):
     """Integer basis of the right kernel of a map on Q^cols, read off its
     integer echelon form (m, pivots) from `_int_echelon`.
 
     One vector per free column f: the primitive integer vector with a
-    positive entry at f and zeros at the other free columns.  Each is a
-    positive multiple of the `nullspace` vector of f.
+    positive entry at f and zeros at the other free columns, a positive
+    multiple of the rational kernel vector with a 1 at f.
     """
     pivot_set = set(pivots)
     scale = math.lcm(*(abs(m[r][p]) for r, p in enumerate(pivots)))
@@ -198,19 +188,6 @@ def _int_kernel(m, pivots, cols):
         g = math.gcd(*v)
         basis.append([x // g for x in v] if g > 1 else v)
     return basis
-
-
-def nullspace(a):
-    """Basis of the right kernel, as a list of column vectors: for each
-    free column, the kernel vector with a 1 there and zeros at the other
-    free columns."""
-    if not a:
-        return []
-    cols = len(a[0])
-    m, pivots = _int_echelon(_int_rows(a))
-    free = [c for c in range(cols) if c not in pivots]
-    return [[Fraction(x, v[f]) for x in v]
-            for v, f in zip(_int_kernel(m, pivots, cols), free)]
 
 
 def solve(a, b):

@@ -25,9 +25,6 @@ from fractions import Fraction
 from . import OpenGWError, linalg
 
 
-DEFAULT_TREE_CAP = 7
-
-
 class LinkingError(OpenGWError, ValueError):
     """Missing or ill-formed linking data."""
 
@@ -179,15 +176,28 @@ def _tree_from_pruefer(seq, m, index):
 
 
 @functools.cache
+def _edge_pairs(m):
+    return tuple(itertools.combinations(range(m), 2))
+
+
+@functools.cache
+def _edge_index_table(m):
+    """index[i][j]: the index of edge {i, j} in
+    itertools.combinations(range(m), 2), for i != j."""
+    index = [[None] * m for _ in range(m)]
+    for k, (i, j) in enumerate(_edge_pairs(m)):
+        index[i][j] = index[j][i] = k
+    return index
+
+
+@functools.cache
 def _packed_trees(m):
     """Every spanning tree of the complete graph on m >= 2 vertices, in
     Pruefer order, as the sorted indices of its m - 1 edges in
     itertools.combinations(range(m), 2), packed end to end in one bytes
     object; decoded once per m.  (An index fits a byte up to m = 23, far
     past any m whose m^(m-2) trees can be enumerated.)"""
-    index = [[0] * m for _ in range(m)]
-    for k, (i, j) in enumerate(itertools.combinations(range(m), 2)):
-        index[i][j] = index[j][i] = k
+    index = _edge_index_table(m)
     packed = bytearray()
     for seq in itertools.product(range(m), repeat=m - 2):
         edges = _tree_from_pruefer(seq, m, index)
@@ -196,32 +206,16 @@ def _packed_trees(m):
     return bytes(packed)
 
 
-def tree_edge_indices(m, cap=DEFAULT_TREE_CAP):
+def tree_edge_indices(m):
     """Iterate over the spanning trees on m vertices, each a sorted tuple
-    of edge indices into itertools.combinations(range(m), 2).  m above
-    the cap is refused before any work, since the count m^(m-2)
-    explodes."""
+    of edge indices into itertools.combinations(range(m), 2).  The count
+    is m^(m-2), so callers bound m: `verify-all` refuses a run whose
+    largest configuration is over its tree cap before any work."""
     if m < 1:
         raise ConfigurationError("need at least one vertex")
-    if m > cap:
-        raise ConfigurationError(
-            "tree enumeration capped at %d vertices (asked for %d)" % (cap, m)
-        )
     if m == 1:
         return iter([()])
     return zip(*[iter(_packed_trees(m))] * (m - 1))
-
-
-def spanning_trees(m, cap=DEFAULT_TREE_CAP):
-    """All spanning trees of the complete graph on m labeled vertices,
-    each a frozenset of edges (i, j), i < j.
-
-    Pruefer decoding; m above the cap is refused since the count m^(m-2)
-    explodes.
-    """
-    trees = tree_edge_indices(m, cap)
-    edges = list(itertools.combinations(range(m), 2))
-    return [frozenset([edges[k] for k in tree]) for tree in trees]
 
 
 def _edge_weights(config, links):
@@ -229,16 +223,6 @@ def _edge_weights(config, links):
     of itertools.combinations(range(m), 2)."""
     return [links.lk(a.loop, b.loop)
             for a, b in itertools.combinations(config.atoms, 2)]
-
-
-def _tree_sum(m, weights, cap):
-    """Sum over the spanning trees on m vertices of the product of their
-    edge weights.  The products are taken in integers, over the weights'
-    common denominator, and divided once."""
-    ints, den = linalg._integer_scaled(weights)
-    total = sum(math.prod([ints[k] for k in tree])
-                for tree in tree_edge_indices(m, cap))
-    return Fraction(total, den ** (m - 1))
 
 
 def tree_weight_sum(config, links):
@@ -261,12 +245,17 @@ def tree_weight_sum(config, links):
     return linalg.det(lap)
 
 
-def tree_weight_sum_enumerated(config, links, cap=DEFAULT_TREE_CAP):
-    """The same sum by explicit tree enumeration; the oracle route."""
+def tree_weight_sum_enumerated(config, links):
+    """The same sum by explicit tree enumeration; the oracle route.  The
+    products are taken in integers, over the weights' common
+    denominator, and divided once."""
     m = len(config)
     if m == 1:
         return Fraction(1)
-    return _tree_sum(m, _edge_weights(config, links), cap)
+    ints, den = linalg._integer_scaled(_edge_weights(config, links))
+    total = sum(math.prod([ints[k] for k in tree])
+                for tree in tree_edge_indices(m))
+    return Fraction(total, den ** (m - 1))
 
 
 # --- the atom table and configuration enumeration -------------------------
@@ -325,6 +314,12 @@ class AtomTable:
             )
         return weights
 
+    def largest_configuration(self, tuples):
+        """The most atoms in any configuration of the tuples; 0 when they
+        have none."""
+        return max((len(config) for alpha in tuples
+                    for config in self._configurations(alpha)), default=0)
+
     def _configurations(self, alpha):
         configs = self._configs.get(alpha)
         if configs is None:
@@ -366,20 +361,18 @@ class AtomTable:
         return tuple(out)
 
 
-def welschinger_count(alpha, configs, links, target, weights=None):
+def welschinger_count(alpha, configs, weights, target):
     """Signed linking-weighted count over the supplied configurations.
 
-    Configurations are validated against the tuple; the count is zero by
-    definition when the tuple has nonzero dimension.  `weights`, when
-    given, holds the configurations' tree weight sums in their order, as
-    `AtomTable.tree_weights` keeps them; otherwise they are evaluated.
+    `weights` holds the configurations' tree weight sums in their
+    order, as `AtomTable.tree_weights` keeps them.  Configurations are
+    validated against the tuple; the count is zero by definition when
+    the tuple has nonzero dimension.
     """
     for config in configs:
         config.validate_against(alpha)
     if target.dimension(alpha) != 0:
         return Fraction(0)
-    if weights is None:
-        weights = [tree_weight_sum(config, links) for config in configs]
     total = Fraction(0)
     for config, weight in zip(configs, weights, strict=True):
         total = total + (weight if config.sgn() > 0 else -weight)
@@ -448,8 +441,7 @@ class CancellationReport:
         return self.multi_disk_total == 0
 
 
-def conjugation_cancellation_check(tuples, table, involution,
-                                   tree_cap=DEFAULT_TREE_CAP):
+def conjugation_cancellation_check(tuples, table, involution):
     """Verify the conjugation pairing on a degree-class orbit.
 
     `tuples` lists the constraint tuples whose configurations make up
@@ -494,8 +486,7 @@ def conjugation_cancellation_check(tuples, table, involution,
         if len(config) == 1:
             single_total += sgn
             continue
-        m = len(config)
-        weight = _tree_sum(m, _edge_weights(config, table.links), tree_cap)
+        weight = tree_weight_sum_enumerated(config, table.links)
         multi_total = multi_total + (weight if sgn > 0 else -weight)
     return CancellationReport(
         multi_disk_total=multi_total,

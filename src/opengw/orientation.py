@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 from operator import mul
 
 from . import OpenGWError, linalg
@@ -96,14 +95,6 @@ class LinearFiberProblem:
     def fiber_dim(self):
         return self.space_m.dim + self.space_g.dim - self.space_x.dim
 
-    def combined_map(self):
-        """The matrix of (v, w) |-> dg(w) - df(v) on Q^{dim M + dim G}.
-
-        Built once per problem; every call returns the same rows, which
-        callers must not mutate.
-        """
-        return self._combined
-
     @cached_property
     def surjective(self):
         """Whether the combined map is onto Q^{dim X}, i.e. whether the
@@ -114,9 +105,9 @@ class LinearFiberProblem:
         """An integer basis of ker(dg - df), as fiber_dim column vectors
         (all of Q^{dim M + dim G} when X is a point).
 
-        Read off the problem's one elimination; each vector is a positive
-        multiple of the corresponding `linalg.nullspace` vector.  The
-        lists are fresh on every call.
+        Read off the problem's one elimination by `linalg._int_kernel`:
+        one primitive vector per free column, positive there and zero at
+        the other free columns.  The lists are fresh on every call.
         """
         m, pivots = self._echelon
         n = self.space_m.dim + self.space_g.dim
@@ -147,48 +138,6 @@ class LinearFiberProblem:
         """(integer rows, pivot columns) of the combined map, row-reduced
         fraction-free once per problem."""
         return linalg._int_echelon(self._int_rows)
-
-
-def exact_sequence_sign(sub, total, quotient, splitting, inclusion=None):
-    """Sign of the sequence 0 -> sub -> total -> quotient -> 0.
-
-    `splitting` maps the quotient into the total (columns = images of the
-    quotient's standard basis) and must be a genuine complement of the
-    included sub; `inclusion` defaults to the embedding onto the first
-    dim(sub) coordinates.  Returns +1 when sub-basis followed by split
-    quotient-basis is an oriented basis of the total, else -1; the result
-    does not depend on the choice of splitting.
-    """
-    if sub.dim + quotient.dim != total.dim:
-        raise OrientationError(
-            "dimension mismatch: %d + %d != %d" % (sub.dim, quotient.dim, total.dim)
-        )
-    n = total.dim
-    canonical = inclusion is None
-    if canonical:
-        inclusion = [[Fraction(int(i == j)) for j in range(sub.dim)] for i in range(n)]
-    else:
-        inclusion = linalg.mat(inclusion)
-        if len(inclusion) != n or (inclusion and len(inclusion[0]) != sub.dim):
-            raise OrientationError("inclusion has the wrong shape")
-    split = linalg.mat(splitting) if quotient.dim else [[] for _ in range(n)]
-    if quotient.dim and (len(split) != n or len(split[0]) != quotient.dim):
-        raise OrientationError("splitting has the wrong shape")
-    if canonical and quotient.dim:
-        # canonical projection drops the first dim(sub) coordinates;
-        # a splitting must invert it exactly
-        for i in range(quotient.dim):
-            for j in range(quotient.dim):
-                if split[sub.dim + i][j] != (1 if i == j else 0):
-                    raise OrientationError(
-                        "not a splitting: projection o splitting != identity"
-                    )
-    assembled = [list(inclusion[i]) + list(split[i] if split else []) for i in range(n)]
-    d = linalg.det(assembled) if n else Fraction(1)
-    if d == 0:
-        raise OrientationError("splitting does not complement the included sub")
-    sign = 1 if d > 0 else -1
-    return sign * sub.sign * quotient.sign * total.sign
 
 
 def fiber_orientation_sign(prob, candidate_basis):

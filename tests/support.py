@@ -21,7 +21,10 @@ deferred form from scratch (the reference for `solve_wdvv`, which
 resumes it).  It also keeps the small helpers that
 only tests call: the four fiber-count expressions of a linking number,
 the rational formatter of the document writer and the clamped binomial
-of the negative controls.
+of the negative controls; and the reference routines that production
+does not call (the class key of a splitting, the order on tuples, the
+combined map of a fiber problem, the sign of an exact sequence, rank,
+nullspace and transpose, and the spanning trees as edge sets).
 """
 
 from __future__ import annotations
@@ -110,6 +113,137 @@ def clamped_binomial(n, m):
     """C(n, m) with m clamped into [0, n] where the relations' binomial
     vanishes: the wrong convention of the negative controls."""
     return math.comb(n, min(max(m, 0), n))
+
+
+# --- reference routines that production does not call ----------------------
+
+
+def class_key(eta):
+    """Canonical key identifying a splitting up to permuting its parts."""
+    return (
+        eta.center_degree.coords,
+        tuple(sorted(eta.center_descriptors)),
+        tuple(sorted(p.sort_key() for p in eta.parts)),
+    )
+
+
+def precedes(first, second, strict=False):
+    """The partial order on constraint tuples: degree difference in the
+    positive cone, labels nested."""
+    if not (second.beta - first.beta).in_positive_cone():
+        return False
+    if not (first.points <= second.points
+            and first.descriptors <= second.descriptors):
+        return False
+    return not strict or first != second
+
+
+def combined_map(prob):
+    """The matrix of (v, w) |-> dg(w) - df(v) of a fiber problem: the rows
+    the problem builds once and eliminates, which callers must not
+    mutate."""
+    return prob._combined
+
+
+def exact_sequence_sign(sub, total, quotient, splitting, inclusion=None):
+    """Sign of the sequence 0 -> sub -> total -> quotient -> 0.
+
+    `splitting` maps the quotient into the total (columns = images of the
+    quotient's standard basis) and must be a genuine complement of the
+    included sub; `inclusion` defaults to the embedding onto the first
+    dim(sub) coordinates.  Returns +1 when sub-basis followed by split
+    quotient-basis is an oriented basis of the total, else -1; the result
+    does not depend on the choice of splitting.
+    """
+    from opengw import linalg
+    from opengw.orientation import OrientationError
+
+    if sub.dim + quotient.dim != total.dim:
+        raise OrientationError(
+            "dimension mismatch: %d + %d != %d" % (sub.dim, quotient.dim, total.dim)
+        )
+    n = total.dim
+    canonical = inclusion is None
+    if canonical:
+        inclusion = [[Fraction(int(i == j)) for j in range(sub.dim)] for i in range(n)]
+    else:
+        inclusion = linalg.mat(inclusion)
+        if len(inclusion) != n or (inclusion and len(inclusion[0]) != sub.dim):
+            raise OrientationError("inclusion has the wrong shape")
+    split = linalg.mat(splitting) if quotient.dim else [[] for _ in range(n)]
+    if quotient.dim and (len(split) != n or len(split[0]) != quotient.dim):
+        raise OrientationError("splitting has the wrong shape")
+    if canonical and quotient.dim:
+        # canonical projection drops the first dim(sub) coordinates;
+        # a splitting must invert it exactly
+        for i in range(quotient.dim):
+            for j in range(quotient.dim):
+                if split[sub.dim + i][j] != (1 if i == j else 0):
+                    raise OrientationError(
+                        "not a splitting: projection o splitting != identity"
+                    )
+    assembled = [list(inclusion[i]) + list(split[i] if split else []) for i in range(n)]
+    d = linalg.det(assembled) if n else Fraction(1)
+    if d == 0:
+        raise OrientationError("splitting does not complement the included sub")
+    sign = 1 if d > 0 else -1
+    return sign * sub.sign * quotient.sign * total.sign
+
+
+def transpose(a):
+    return [list(col) for col in zip(*a)] if a else []
+
+
+def rank(a):
+    """Rank of a rational matrix, from `linalg._int_echelon`."""
+    from opengw import linalg
+
+    if not a or not a[0]:
+        return 0
+    return len(linalg._int_echelon(linalg._int_rows(a))[1])
+
+
+def nullspace(a):
+    """Basis of the right kernel, as a list of column vectors: for each
+    free column, the kernel vector with a 1 there and zeros at the other
+    free columns; `linalg._int_kernel` divided out."""
+    from opengw import linalg
+
+    if not a:
+        return []
+    cols = len(a[0])
+    m, pivots = linalg._int_echelon(linalg._int_rows(a))
+    free = [c for c in range(cols) if c not in pivots]
+    return [[Fraction(x, v[f]) for x in v]
+            for v, f in zip(linalg._int_kernel(m, pivots, cols), free)]
+
+
+def spanning_trees(m):
+    """All spanning trees of the complete graph on m labeled vertices,
+    each a frozenset of edges (i, j), i < j, decoded from
+    `multidisk.tree_edge_indices`."""
+    from opengw.multidisk import tree_edge_indices
+
+    edges = list(itertools.combinations(range(m), 2))
+    return [frozenset([edges[k] for k in tree]) for tree in tree_edge_indices(m)]
+
+
+def tree_weights(configs, links):
+    """The `tree_weight_sum` of each configuration, in order: the
+    `weights` argument of `welschinger_count`."""
+    from opengw.multidisk import tree_weight_sum
+
+    return [tree_weight_sum(config, links) for config in configs]
+
+
+def configuration_count(alpha, table, target):
+    """`welschinger_count` over the tuple's configurations, with their
+    tree weight sums evaluated here rather than read from the table."""
+    from opengw.multidisk import welschinger_count
+
+    configs = table.multi_disks(alpha)
+    return welschinger_count(alpha, configs,
+                             tree_weights(configs, table.links), target)
 
 
 def toy_atoms():
@@ -515,12 +649,10 @@ def _canonical_branches(pairs):
 def loop_decorated_multidisks(alpha, table):
     """All (configuration, center, spanning tree) triples of the tuple,
     with `spanning_trees` edge sets turned into loop pairs."""
-    from opengw.multidisk import spanning_trees
-
     out = []
     for config in table.multi_disks(alpha):
         m = len(config)
-        for edges in spanning_trees(m) if m > 1 else [frozenset()]:
+        for edges in spanning_trees(m):
             tree = frozenset(
                 frozenset((config.atoms[i].loop, config.atoms[j].loop))
                 for i, j in edges

@@ -34,7 +34,6 @@ from opengw.multidisk import (
     conjugation_cancellation_check,
     tree_weight_sum,
     tree_weight_sum_enumerated,
-    welschinger_count,
 )
 from opengw.orientation import (
     FACE_G,
@@ -59,6 +58,7 @@ from opengw.wdvv import (
 from support import (
     branch_decompositions,
     clamped_binomial,
+    configuration_count,
     decomposition_form,
     dim0_subtuples,
     make_rng,
@@ -167,7 +167,7 @@ def test_criterion_3_branch_bijection():
             if not decorated:
                 continue
             assert all(len(d.config) <= 5 for d in decorated)
-            images = [to_branches(d, target) for d in decorated]
+            images = [to_branches(d, target, {}) for d in decorated]
             assert len(set(images)) == len(decorated), alpha
             assert {decomposition_form(b) for b in images} == set(
                 branch_decompositions(alpha, table, target)
@@ -210,8 +210,7 @@ def test_criterion_5_sign_relation():
     for seed in range(100):
         target, table, top = _instance(51000 + seed)
         chains = build_chains([top], table, target)
-        total = welschinger_count(top, table.multi_disks(top), table.links,
-                                  target)
+        total = configuration_count(top, table, target)
         drops = point_drop_degrees(top, table, target, chains)
         assert sorted(drops) == sorted(top.points)
         for p, (_dropped, degree) in drops.items():

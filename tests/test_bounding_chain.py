@@ -32,11 +32,12 @@ from opengw.multidisk import (
     DiskAtom,
     LinkingMatrix,
     tree_edge_indices,
-    welschinger_count,
 )
 
 from support import (
     branch_decompositions,
+    class_key,
+    configuration_count,
     decomposition_form,
     dim0_subtuples,
     loop_decorated_multidisks,
@@ -170,14 +171,14 @@ def test_sign_toggle_moves_class_terms_by_predicted_sign(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(bounding_chain, "_class_sign", _unsigned_classes)
             flipped = dict(
-                (eta.class_key(), contrib)
+                (class_key(eta), contrib)
                 for eta, contrib in boundary_class_terms(top, chains, table, t)
             )
-        assert flipped.keys() == {eta.class_key() for eta, _ in base}
+        assert flipped.keys() == {class_key(eta) for eta, _ in base}
         for eta, contrib in base:
             factor = -1 if eta.part_count % 2 else 1
             odd += factor < 0
-            assert flipped[eta.class_key()] == {
+            assert flipped[class_key(eta)] == {
                 k: factor * v for k, v in contrib.items()
             }
     assert odd
@@ -285,7 +286,7 @@ def test_invariant_degree_empty_splittings():
 def test_welschinger_relation_small_instance():
     t, table, top = small_instance()
     chains = build_chains([top], table, t)
-    total = welschinger_count(top, table.multi_disks(top), table.links, t)
+    total = configuration_count(top, table, t)
     _dropped, degree = point_drop_degrees(top, table, t, chains)[min(top.points)]
     assert verify_welschinger_relation(top, degree, total)
     # spot value: even |K| so the two sides agree on the nose
@@ -301,8 +302,7 @@ def test_welschinger_relation_randomized():
             rng, n_points=max(np_, 1), n_quartic=nq, n_sextic=ns, n_conic=nc,
         )
         chains = build_chains([top], table, target)
-        total = welschinger_count(top, table.multi_disks(top), table.links,
-                                  target)
+        total = configuration_count(top, table, target)
         drops = point_drop_degrees(top, table, target, chains)
         assert sorted(drops) == sorted(top.points)
         for point, (_dropped, degree) in drops.items():
@@ -319,8 +319,7 @@ def test_sign_relation_on_every_chain_tuple_and_point(seed, shape):
     target, table, top = synthetic_instance(make_rng(seed), *shape)
     chains = build_chains([top], table, target)
     for alpha in chains:
-        total = welschinger_count(alpha, table.multi_disks(alpha),
-                                  table.links, target)
+        total = configuration_count(alpha, table, target)
         drops = point_drop_degrees(alpha, table, target, chains)
         assert list(drops) == sorted(alpha.points)
         for p, (dropped, degree) in drops.items():
@@ -490,7 +489,7 @@ def test_to_branches_single_atom():
     alpha = t.constraint_tuple((1,), ["p"])
     dmds = decorated_multidisks(alpha, table)
     assert len(dmds) == 2  # two atoms, trivial tree, center forced
-    b = to_branches(dmds[0], t)
+    b = to_branches(dmds[0], t, {})
     assert b.branches == ()
     assert b.eta.part_count == 1  # the single point part
     assert b.eta.point_labels() == frozenset(["p"])
@@ -504,7 +503,7 @@ def test_to_branches_two_atoms():
     ]
     assert dmds
     for d in dmds:
-        b = to_branches(d, t)
+        b = to_branches(d, t, {})
         assert len(b.branches) == 1
         part, sub = b.branches[0]
         assert len(sub.config) == 1
@@ -515,14 +514,14 @@ def test_branch_round_trip_small():
     t, table, top = small_instance()
     for alpha in dim0_subtuples(t, table, top):
         for d in decorated_multidisks(alpha, table):
-            assert from_branches(to_branches(d, t)) == d
+            assert from_branches(to_branches(d, t, {})) == d
 
 
 def test_bijection_cardinality_small():
     t, table, top = small_instance()
     for alpha in dim0_subtuples(t, table, top):
         dmds = decorated_multidisks(alpha, table)
-        images = {decomposition_form(to_branches(d, t)) for d in dmds}
+        images = {decomposition_form(to_branches(d, t, {})) for d in dmds}
         assert len(images) == len(dmds)
         assert images == set(branch_decompositions(alpha, table, t))
 
@@ -535,7 +534,7 @@ def test_bijection_randomized():
         )
         for alpha in dim0_subtuples(target, table, top):
             dmds = decorated_multidisks(alpha, table)
-            images = [to_branches(d, target) for d in dmds]
+            images = [to_branches(d, target, {}) for d in dmds]
             assert len(set(images)) == len(dmds), (seed, alpha)
             assert {decomposition_form(b) for b in images} == set(
                 branch_decompositions(alpha, table, target)
@@ -597,7 +596,7 @@ def test_branch_decompositions_keep_atoms_disjoint():
     assert len(decorated) == 9
     oracle = branch_decompositions(alpha, table, t)
     assert len(oracle) == 9
-    assert {decomposition_form(to_branches(d, t)) for d in decorated} \
+    assert {decomposition_form(to_branches(d, t, {})) for d in decorated} \
         == set(oracle)
 
 
@@ -628,14 +627,14 @@ def test_branch_check_lists_no_part(monkeypatch):
 
 def constant_cut(first):
     """A cut that sends every configuration to the one image `first`."""
-    def constant(decorated, target, memo=None):
+    def constant(decorated, target, memo):
         return first
     return constant
 
 
 def reversed_parts_cut(original):
     """A cut whose splitting lists its parts in reverse order."""
-    def reversed_parts(decorated, target, memo=None):
+    def reversed_parts(decorated, target, memo):
         cut = original(decorated, target, memo)
         eta = cut.eta
         return cut._replace(eta=DegenerationType(
@@ -695,7 +694,7 @@ def test_each_bijection_step_catches_what_the_others_miss(monkeypatch):
                 for a in dim0_subtuples(t, table, top)}
     assert branch_bijection_failures(top, by_tuple[top], table, t) == ()
     original = bounding_chain.to_branches
-    first = original(by_tuple[top][0], t)
+    first = original(by_tuple[top][0], t, {})
 
     monkeypatch.setattr(bounding_chain, "to_branches", constant_cut(first))
     assert branch_bijection_failures(top, by_tuple[top], table, t) == (1,)
@@ -715,7 +714,7 @@ def test_each_bijection_step_catches_what_the_others_miss(monkeypatch):
     assert branch_bijection_failures(top, decorated, table, target) == ()
     monkeypatch.setattr(bounding_chain, "_cut_shape", broken_reglue_shape(
         bounding_chain._cut_shape, victim))
-    assert from_branches(to_branches(victim, target)) != victim
+    assert from_branches(to_branches(victim, target, {})) != victim
     assert branch_bijection_failures(top, decorated, table, target) == (1,)
 
 
@@ -732,7 +731,7 @@ def test_bijection_cuts_once_per_group(monkeypatch):
     calls = []
     original = bounding_chain.to_branches
 
-    def counted(d, target, memo=None):
+    def counted(d, target, memo):
         calls.append(d)
         return original(d, target, memo)
 
@@ -776,7 +775,7 @@ def test_branch_count_and_images_match_the_oracle(seed, shape):
         oracle = branch_decompositions(alpha, table, target,
                                        decorated=loop_by_tuple)
         assert len(by_tuple[alpha]) == len(oracle), alpha
-        images = [decomposition_form(to_branches(d, target))
+        images = [decomposition_form(to_branches(d, target, {}))
                   for d in by_tuple[alpha]]
         assert len(set(images)) == len(images), alpha
         assert set(images) == set(oracle), alpha
@@ -807,7 +806,7 @@ def test_check_matches_the_per_configuration_reference(seed, shape):
             continue
         assert both(decorated[1:]) == ((3,), (3,)), alpha
         variants = [
-            ("to_branches", constant_cut(original_cut(decorated[0], target)),
+            ("to_branches", constant_cut(original_cut(decorated[0], target, {})),
              (1,) if len(decorated) > 1 else ()),
             ("to_branches", reversed_parts_cut(original_cut), None),
         ]

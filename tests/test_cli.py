@@ -392,26 +392,52 @@ def test_verify_all_lists_each_chain_once_for_several_tops(tmp_path,
 
 
 def test_verify_all_decorates_each_tuple_once(tmp_path, monkeypatch):
-    """The branch-bijection check builds each tuple's decorated
-    configurations once, with the run's tree cap, and lists no part's
-    configurations to check it."""
+    """The branch-bijection check builds each chain tuple's decorated
+    configurations once, in the family's order; the tree cap was checked
+    before, so the listing is handed no cap."""
     from opengw import bounding_chain, cli
 
-    caps = []
+    listed = []
     original = bounding_chain.decorated_multidisks
 
-    def counted(alpha, table, tree_cap=None):
-        caps.append(tree_cap)
-        return original(alpha, table, tree_cap=tree_cap)
+    def counted(alpha, table):
+        listed.append(alpha)
+        return original(alpha, table)
 
     monkeypatch.setattr(bounding_chain, "decorated_multidisks", counted)
     monkeypatch.setattr(cli, "decorated_multidisks", counted)
-    status, cfg = run_pipeline(tmp_path, "verify-all", seed=3)
+    status, _cfg = run_pipeline(tmp_path, "verify-all", seed=3)
     assert status == 0
     bundle = fileio.load_target(toy_paths()["target"])
     tops = fileio.load_atoms(toy_paths()["atoms"], bundle.target).tuples
-    worklist = bounding_chain.chain_tuples(bundle.target, tops)
-    assert caps == [cfg.cap_trees] * len(worklist)
+    assert listed == bounding_chain.chain_tuples(bundle.target, tops)
+
+
+def test_tree_cap_is_refused_before_any_check(tmp_path, monkeypatch,
+                                              capsys):
+    """verify-all checks the tree cap before any work: on the toy, whose
+    largest configuration has 2 atoms, --cap-trees 1 exits 2 with one
+    line naming the cap and that size, runs no self-check and no
+    decorated listing, and leaves --out empty.  --cap-trees 2 passes."""
+    from opengw import bounding_chain, cli, selfcheck
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran before the tree cap was checked")
+
+    paths = toy_paths()
+    out = tmp_path / "out"
+    argv = ["--pipeline", "verify-all", "--target", paths["target"],
+            "--atoms", paths["atoms"], "--closed-gw", paths["closed_gw"],
+            "--seeds", paths["seeds"], "--out", str(out)]
+    with monkeypatch.context() as patch:
+        patch.setattr(selfcheck, "orientation_suite", no_work)
+        patch.setattr(bounding_chain, "decorated_multidisks", no_work)
+        patch.setattr(cli, "decorated_multidisks", no_work)
+        assert main(argv + ["--cap-trees", "1"]) == 2
+    assert _assert_one_line_error(capsys) == (
+        "error: tree enumeration capped at 1 vertices (asked for 2)\n")
+    assert not out.exists() or not os.listdir(out)
+    assert main(argv + ["--cap-trees", "2"]) == 0
 
 
 def test_verify_all_deterministic(tmp_path):

@@ -1,5 +1,6 @@
 """Configurations, linking numbers, tree sums, and the signed count."""
 
+import inspect
 import itertools
 from fractions import Fraction
 
@@ -15,14 +16,20 @@ from opengw.multidisk import (
     LinkingMatrix,
     MultiDisk,
     conjugation_cancellation_check,
-    spanning_trees,
+    tree_edge_indices,
     tree_weight_sum,
     tree_weight_sum_enumerated,
     welschinger_count,
 )
 from hypothesis import given, settings, strategies as st
 
-from support import linking_number, make_rng, toy_atoms
+from support import (
+    linking_number,
+    make_rng,
+    spanning_trees,
+    toy_atoms,
+    tree_weights,
+)
 
 
 def simple_target():
@@ -129,9 +136,14 @@ def test_packed_tree_table_bytes_are_pinned():
         assert hashlib.sha256(packed).hexdigest() == digest, m
 
 
-def test_spanning_trees_cap():
-    with pytest.raises(ConfigurationError):
-        spanning_trees(9, cap=8)
+def test_tree_edge_indices_need_a_vertex():
+    """The tree table refuses an empty vertex set and takes no cap: the
+    tree cap is a run policy that verify-all checks before any work."""
+    for m in (0, -1):
+        with pytest.raises(ConfigurationError, match="at least one vertex"):
+            tree_edge_indices(m)
+    assert list(tree_edge_indices(1)) == [()]
+    assert list(inspect.signature(tree_edge_indices).parameters) == ["m"]
 
 
 # --- tree weight sums -------------------------------------------------------
@@ -227,10 +239,10 @@ def test_welschinger_count_empty_and_single():
     t = simple_target()
     alpha = t.constraint_tuple((1,), points=["p"])
     lk = LinkingMatrix([])
-    assert welschinger_count(alpha, [], lk, t) == 0
+    assert welschinger_count(alpha, [], [], t) == 0
     lk.declare_loop("a")
     plus = MultiDisk((atom(t, (1,), ["p"], "a"),))
-    assert welschinger_count(alpha, [plus], lk, t) == 1
+    assert welschinger_count(alpha, [plus], tree_weights([plus], lk), t) == 1
 
 
 def test_welschinger_count_two_atom_example():
@@ -238,7 +250,7 @@ def test_welschinger_count_two_atom_example():
     alpha = t.constraint_tuple((2,), points=["p", "q"])
     cfg = MultiDisk((atom(t, (1,), ["p"], "a"), atom(t, (1,), ["q"], "b")))
     lk = LinkingMatrix([("a", "b", -2)])
-    assert welschinger_count(alpha, [cfg], lk, t) == -2
+    assert welschinger_count(alpha, [cfg], tree_weights([cfg], lk), t) == -2
 
 
 def test_welschinger_count_hand_enumerated_instance():
@@ -261,7 +273,8 @@ def test_welschinger_count_hand_enumerated_instance():
     configs = table.multi_disks(alpha)
     assert len(configs) == 3
     # by hand: -1 + (+1)(3) + (-1)(1/2)
-    assert welschinger_count(alpha, configs, table.links, t) == Fraction(3, 2)
+    assert welschinger_count(alpha, configs, tree_weights(configs, table.links),
+                             t) == Fraction(3, 2)
 
 
 def test_welschinger_zero_when_dimension_nonzero():
@@ -270,7 +283,7 @@ def test_welschinger_zero_when_dimension_nonzero():
     cfg = MultiDisk((atom(t, (2,), ["p"], "c"),))
     lk = LinkingMatrix([])
     lk.declare_loop("c")
-    assert welschinger_count(alpha, [cfg], lk, t) == 0
+    assert welschinger_count(alpha, [cfg], tree_weights([cfg], lk), t) == 0
 
 
 def test_welschinger_invariant_under_config_order():
@@ -280,9 +293,8 @@ def test_welschinger_invariant_under_config_order():
     b = MultiDisk((atom(t, (2,), ["p", "q"], "c"),))
     lk = LinkingMatrix([("a", "b", 5)])
     lk.declare_loop("c")
-    assert welschinger_count(alpha, [a, b], lk, t) == welschinger_count(
-        alpha, [b, a], lk, t
-    )
+    assert welschinger_count(alpha, [a, b], tree_weights([a, b], lk), t) == \
+        welschinger_count(alpha, [b, a], tree_weights([b, a], lk), t)
 
 
 def test_welschinger_additive_over_config_blocks():
@@ -297,9 +309,11 @@ def test_welschinger_additive_over_config_blocks():
         MultiDisk((atom(t, (2,), ["p", "q"], "z", sign=-1),)),
     ]
     lk.declare_loop("z")
-    total = welschinger_count(alpha, block1 + block2, lk, t)
-    assert total == welschinger_count(alpha, block1, lk, t) + \
-        welschinger_count(alpha, block2, lk, t)
+    total = welschinger_count(alpha, block1 + block2,
+                              tree_weights(block1 + block2, lk), t)
+    assert total == welschinger_count(alpha, block1, tree_weights(block1, lk),
+                                      t) + \
+        welschinger_count(alpha, block2, tree_weights(block2, lk), t)
 
 
 def test_welschinger_invariant_under_loop_relabeling():
@@ -311,9 +325,8 @@ def test_welschinger_invariant_under_loop_relabeling():
         (atom(t, (1,), ["p"], "zz"), atom(t, (1,), ["q"], "ww"))
     )
     lk2 = LinkingMatrix([("zz", "ww", Fraction(7, 3))])
-    assert welschinger_count(alpha, [cfg], lk, t) == welschinger_count(
-        alpha, [relabeled], lk2, t
-    )
+    assert welschinger_count(alpha, [cfg], tree_weights([cfg], lk), t) == \
+        welschinger_count(alpha, [relabeled], tree_weights([relabeled], lk2), t)
 
 
 def test_multi_disks_enumeration():
@@ -340,7 +353,7 @@ def test_multi_disks_enumeration():
 def test_atom_table_keeps_configurations_and_tree_weights():
     """multi_disks lists a tuple once and hands out copies; tree_weights
     gives the matrix-tree sum of each configuration in that order, and
-    the count over them equals the count that evaluates its own."""
+    the count over them equals the count over freshly evaluated sums."""
     target, bundle = toy_atoms()
     table = bundle.table
     for alpha in table.tuples() + list(bundle.tuples):
@@ -353,9 +366,9 @@ def test_atom_table_keeps_configurations_and_tree_weights():
         assert weights is table.tree_weights(alpha)
         assert list(weights) == [tree_weight_sum(c, table.links)
                                  for c in again]
-        assert welschinger_count(alpha, again, table.links, target,
-                                 weights) == \
-            welschinger_count(alpha, again, table.links, target)
+        assert welschinger_count(alpha, again, weights, target) == \
+            welschinger_count(alpha, again, tree_weights(again, table.links),
+                              target)
 
 
 def test_atom_table_rejects_wrong_dimension_and_zero_degree():

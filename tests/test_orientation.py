@@ -16,7 +16,6 @@ from opengw.orientation import (
     TransversalityError,
     association_sign,
     boundary_face_sign,
-    exact_sequence_sign,
     fiber_orientation_sign,
     flip_sign,
 )
@@ -29,7 +28,16 @@ from opengw.selfcheck import (
     sign_of,
 )
 
-from support import det_bareiss, make_rng, right_inverse
+from support import (
+    combined_map,
+    det_bareiss,
+    exact_sequence_sign,
+    make_rng,
+    nullspace,
+    rank,
+    right_inverse,
+    transpose,
+)
 
 
 # --- exact_sequence_sign -------------------------------------------------
@@ -157,8 +165,8 @@ def test_fiber_rigid_odd_target_flips():
 
 def test_combined_map_is_built_once_per_problem():
     prob = LinearFiberProblem.build([[1, 2]], [[Fraction(1, 3)]], 2, 1, 1)
-    assert prob.combined_map() == [[-1, -2, Fraction(1, 3)]]
-    assert prob.combined_map() is prob.combined_map()
+    assert combined_map(prob) == [[-1, -2, Fraction(1, 3)]]
+    assert combined_map(prob) is combined_map(prob)
     assert prob == LinearFiberProblem.build([[1, 2]], [[Fraction(1, 3)]],
                                             2, 1, 1)
 
@@ -197,14 +205,14 @@ def test_kernel_is_an_integer_basis_of_positive_nullspace_multiples(seed):
     prob = random_fiber_problem(make_rng(seed), max_dim=5)
     n = prob.space_m.dim + prob.space_g.dim
     d = prob.fiber_dim
-    combined = prob.combined_map()
+    combined = combined_map(prob)
     kernel = prob.kernel()
     assert len(kernel) == d
     assert all(type(x) is int for v in kernel for x in v)
     assert all(sum(x * y for x, y in zip(row, v)) == 0
                for row in combined for v in kernel)
-    assert d == 0 or linalg.rank(kernel) == d
-    reference = linalg.nullspace(combined) if combined else linalg.identity(n)
+    assert d == 0 or rank(kernel) == d
+    reference = nullspace(combined) if combined else linalg.identity(n)
     assert len(reference) == d
     for v, w in zip(kernel, reference):
         ratio = next(x / y for x, y in zip(v, w) if y)
@@ -228,9 +236,9 @@ def test_kernel_membership_matches_the_rational_product(seed, inside, data):
     prob = random_fiber_problem(rng, max_dim=4, min_fiber=1)
     n = prob.space_m.dim + prob.space_g.dim
     d = prob.fiber_dim
-    combined = prob.combined_map()
+    combined = combined_map(prob)
     if inside:
-        kernel = linalg.nullspace(combined) if combined else linalg.identity(n)
+        kernel = nullspace(combined) if combined else linalg.identity(n)
         mix = rand_matrix(rng, d, d)
         cand = [[sum(kernel[t][i] * mix[t][j] for t in range(d))
                  for j in range(d)] for i in range(n)]
@@ -246,7 +254,7 @@ def test_kernel_membership_matches_the_rational_product(seed, inside, data):
         outcome = fiber_orientation_sign(prob, cand)
     except OrientationError as exc:
         outcome = str(exc)
-    if linalg.rank(cand) < d:
+    if rank(cand) < d:
         assert outcome == "candidate does not span the kernel"
     elif vanishes:
         assert outcome in (1, -1)
@@ -355,8 +363,8 @@ def test_transpose_complement_matches_right_inverse(seed, data):
     n = prob.space_m.dim + prob.space_g.dim
     dim_x = prob.space_x.dim
     d = prob.fiber_dim
-    combined = prob.combined_map()
-    kernel = linalg.nullspace(combined) if dim_x else linalg.identity(n)
+    combined = combined_map(prob)
+    kernel = nullspace(combined) if dim_x else linalg.identity(n)
     mix = rand_matrix(rng, d, d)
     assume(det_bareiss(mix) != 0)
     scales = data.draw(st.lists(NONZERO, min_size=d, max_size=d))
@@ -377,8 +385,8 @@ def test_fiber_consistent_with_ses_sign():
         prob = random_fiber_problem(rng, max_dim=4, min_fiber=0)
         n = prob.space_m.dim + prob.space_g.dim
         dim_x = prob.space_x.dim
-        combined = prob.combined_map()
-        vecs = linalg.nullspace(combined) if dim_x else linalg.transpose(
+        combined = combined_map(prob)
+        vecs = nullspace(combined) if dim_x else transpose(
             linalg.identity(n)
         )
         if n == 0:
