@@ -360,18 +360,6 @@ def _tree_table(m):
     return frozenset(tree_edge_indices(m))
 
 
-def decorated_multidisks(alpha, table):
-    """All decorated configurations of the tuple, packed: every
-    configuration with every tree of the tree table and every
-    distinguished disk."""
-    return [
-        Decorated(config, center, tree)
-        for config in table.multi_disks(alpha)
-        for tree in tree_edge_indices(len(config))
-        for center in range(len(config))
-    ]
-
-
 class CutShape(NamedTuple):
     """The index-level cut of a tree at vertex c, and the shape-level
     halves of steps 1 and 2 of the branch-bijection proof.
@@ -407,18 +395,10 @@ def _glue(m, c, blocks, branches):
     return tuple(tree)
 
 
-@functools.cache
-def _interned(value):
-    """The first of the equal values met: one object per distinct block
-    partition or local branch, shared by the cut shapes that hold it."""
-    return value
-
-
-@functools.cache
 def _cut_shape(m, c, tree):
     """Cut a tree on m vertices at vertex c: each neighbour of c roots one
-    branch, the subtree behind it.  Depends on (m, c, tree) only, so it
-    is worked out once per shape met; see `CutShape`."""
+    branch, the subtree behind it.  Depends on (m, c, tree) only; see
+    `CutShape`."""
     pairs = _edge_pairs(m)
     adj = [[] for _ in range(m)]
     for k in tree:
@@ -443,38 +423,50 @@ def _cut_shape(m, c, tree):
             block = members.setdefault(root_of[v], [])
             local[v] = len(block)
             block.append(v)
-    blocks = []
+    blocks = tuple(map(tuple, members.values()))
     branches = []
     for root, block in members.items():
         index = _edge_index_table(len(block))
-        blocks.append(tuple(block))
-        branches.append(_interned((local[root], tuple(sorted(
+        branches.append((local[root], tuple(sorted(
             index[local[parent[v]]][local[v]] for v in block if v != root
-        )))))
-    blocks = _interned(tuple(blocks))
-    branches = tuple(branches)
+        ))))
     return CutShape(
-        blocks, branches, _glue(m, c, blocks, branches) == tree,
+        blocks, tuple(branches), _glue(m, c, blocks, branches) == tree,
         all(0 <= root < len(block) and sub_tree in _tree_table(len(block))
             for block, (root, sub_tree) in zip(blocks, branches)),
     )
 
 
-def to_branches(decorated, target, memo):
-    """Cut the tree at the distinguished disk.
+@functools.cache
+def _census(m):
+    """Per center c of m vertices, one bucket per vertex partition, in
+    order of first tree: (the number of trees cut at c into it, the first
+    of them, its `CutShape`, whether all are reglued, whether all are
+    in_table).  Every tree of the tree table is cut once at every center;
+    only the Bell(m - 1) buckets per center are kept."""
+    census = [{} for _ in range(m)]
+    for tree in tree_edge_indices(m):
+        for c, buckets in enumerate(census):
+            shape = _cut_shape(m, c, tree)
+            entry = buckets.setdefault(shape.blocks,
+                                       [0, tree, shape, True, True])
+            entry[0] += 1
+            entry[3] &= shape.reglued
+            entry[4] &= shape.in_table
+    return tuple(tuple(map(tuple, buckets.values())) for buckets in census)
 
-    Each neighbour of the center roots one branch: the subtree behind
-    it, on its own atoms, with that neighbour as its distinguished disk.
-    This is the configuration's `_cut_shape` relabeled onto its atoms:
-    each block's atoms form the branch's sub-configuration, and the
-    block's local root and subtree are passed through unchanged.
+
+def to_branches(config, c, shape, target, memo):
+    """Cut a tree of config at the distinguished disk c, given the tree's
+    `_cut_shape(len(config), c, tree)`: each neighbour of the center
+    roots one branch, the subtree behind it, on its own atoms, with that
+    neighbour as its distinguished disk.  Each block's atoms form the
+    branch's sub-configuration; its local root and subtree pass through.
     `memo` maps a branch's loop tuple to its sub-configuration, part
     tuple and part sort key, and a center's loop to its point parts;
     calls on one target may share it, and a new dict starts it.
     """
-    config, c, tree = decorated
     atoms = config.atoms
-    shape = _cut_shape(len(atoms), c, tree)
     branches = []
     for block, (root, sub_tree) in zip(shape.blocks, shape.branches):
         loops = tuple(atoms[v].loop for v in block)
@@ -527,12 +519,12 @@ def _branch_classes(alpha, table, target):
     parts with configurations, to its (center disks, slot parts); count
     is the number of branch decompositions, summed per class as |center
     disks| times the product over slots of the part's decorated count.
-    A part's decorated count is what `decorated_multidisks` would list:
-    the sum over its configurations of m times the trees of the tree
-    table on m vertices, m the configuration's size.  The count is exact
-    when every atom carries a label: the atoms of the center and of
-    distinct parts are then distinct, and no two parts of a class are
-    equal.  A table with an unlabeled atom raises ChainError.
+    A part's decorated count is the sum over its configurations of m
+    times the trees of the tree table on m vertices, m the
+    configuration's size.  The count is exact when every atom carries a
+    label: the atoms of the center and of distinct parts are then
+    distinct, and no two parts of a class are equal.  A table with an
+    unlabeled atom raises ChainError.
     """
     for atom in table.atoms:
         if not atom.points and not atom.descriptors:
@@ -568,10 +560,12 @@ def _branch_classes(alpha, table, target):
     return classes, count
 
 
-def branch_bijection_failures(alpha, decorated, table, target):
-    """The steps of the branch-bijection proof that fail for alpha; ()
-    when cutting at the center is a bijection from the decorated
-    configurations of alpha onto its branch decompositions.
+def branch_bijection_failures(alpha, table, target):
+    """(the steps of the branch-bijection proof that fail for alpha, the
+    number of decorated configurations of alpha).  The steps are () when
+    cutting at the center is a bijection from the decorated
+    configurations (config, c, tree) of alpha, tree from the tree table,
+    onto its branch decompositions.
 
     1. from_branches(to_branches(d)) == d for every d: a left inverse,
        so the cut is injective.
@@ -584,34 +578,24 @@ def branch_bijection_failures(alpha, decorated, table, target):
        count of branch decompositions.
 
     Steps 1 and 2 make the cut an injection into the decompositions and
-    step 3 makes it onto them.  `decorated` is alpha's
-    `decorated_multidisks`, and the parts are read from the table.
+    step 3 makes it onto them.  Configurations are read from the table.
     Raises as `_branch_classes` does for a table with an unlabeled atom.
 
-    Steps 1 and 2 are proved once per cut shape and once per group, in
-    one pass over `decorated`.  to_branches relabels the cut shape of
-    d = (config, c, tree), `_cut_shape(m, c, tree)`, onto config's atoms,
-    so the image of d has two halves:
-    - its splitting, center disk and branch sub-configurations depend
-      only on the group of d, (config, c, blocks);
-    - each branch's distinguished disk and tree are its block's local
-      root and subtree, passed through from the shape.
-    from_branches rebuilds the configuration and center from the first
-    half, finds each branch's atoms at their positions in it, and places
-    the second half there by `_glue`.  A sub-configuration is its
-    block's atoms in the configuration's loop order, so once the rebuilt
-    configuration is config those positions are the block.  Hence, for
-    every d of a group whose first member is r:
-    - step 1 holds for d if it holds for r, which shows that the group's
-      half rebuilds config and c, and if d's shape is reglued, which
-      shows that `_glue` of d's local roots and subtrees at the blocks
-      is d's tree;
-    - step 2 holds for d if r's image passes the class, center disk,
-      slot part and sub-configuration checks, and if d's shape is
-      in_table.
-    Each shape is worked out once per process; to_branches,
-    from_branches and the class lookup run on the first member of each
-    group only.
+    No decorated configuration is listed: the check walks alpha's
+    configurations x centers c x buckets of `_census(m)[c]`.  The image
+    of d = (config, c, tree) has two halves: its splitting, center disk
+    and branch sub-configurations depend only on (config, c, blocks),
+    and each branch's distinguished disk and tree are its block's local
+    root and subtree, passed through from the cut shape.  from_branches
+    rebuilds config and c from the first half and, a sub-configuration
+    being its block's atoms in loop order, glues the second half at the
+    blocks.  So for every tree t of a bucket whose first tree is r, step
+    1 holds for (config, c, t) if it holds for (config, c, r) and t's
+    shape is reglued, and step 2 if r's image passes the class checks
+    and t's shape is in_table.  The census proves both verdicts for
+    every tree; the round trip and the class checks run on r.  The
+    buckets of a center partition the tree table, so their counts,
+    summed over configurations and centers, are step 3's number.
     """
     classes, count = _branch_classes(alpha, table, target)
     configs = {}  # part -> its configurations, keyed by loop tuple
@@ -631,23 +615,18 @@ def branch_bijection_failures(alpha, decorated, table, target):
                         for part, sub in cut.branches))
 
     left_inverse = in_classes = True
-    # the first member's verdicts per (id(config), c, blocks); `decorated`
-    # keeps every configuration alive, so an id names one configuration
-    groups = {}
+    decorated = 0
     memo = {}
-    for d in decorated:
-        config, c, tree = d
-        shape = _cut_shape(len(config.atoms), c, tree)
-        key = (id(config), c, shape.blocks)
-        proved = groups.get(key)
-        if proved is None:
-            cut = to_branches(d, target, memo)
-            proved = groups[key] = (from_branches(cut) == d,
-                                    is_decomposition(cut))
-        left_inverse = left_inverse and shape.reglued and proved[0]
-        in_classes = in_classes and shape.in_table and proved[1]
-    steps = (left_inverse, in_classes, count == len(decorated))
-    return tuple(step for step, ok in enumerate(steps, 1) if not ok)
+    for config in table.multi_disks(alpha):
+        for c, buckets in enumerate(_census(len(config))):
+            for trees, tree, shape, reglued, in_table in buckets:
+                cut = to_branches(config, c, shape, target, memo)
+                left_inverse = left_inverse and reglued and (
+                    from_branches(cut) == Decorated(config, c, tree))
+                in_classes = in_classes and in_table and is_decomposition(cut)
+                decorated += trees
+    steps = (left_inverse, in_classes, count == decorated)
+    return tuple(step for step, ok in enumerate(steps, 1) if not ok), decorated
 
 
 # --- headline comparison ------------------------------------------------------

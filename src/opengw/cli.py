@@ -25,7 +25,6 @@ from .bounding_chain import (
     build_chains,
     chain_tuples,
     constant_center_classes,
-    decorated_multidisks,
     direct_boundary,
     invariant_via_weights,
     point_drop_degrees,
@@ -449,15 +448,12 @@ def run_verify_all(bundle, atom_bundle, closed, seeds, config, rep):
         else:
             _tally(rep, "weighted-degree-comparison", weighted_bad,
                    "%d tuples compared" % weighted_checked)
-        bij_bad = []
-        bij_count = 0
-        for alpha in chains:
-            decorated = decorated_multidisks(alpha, table)
-            bij_count += len(decorated)
-            if branch_bijection_failures(alpha, decorated, table, target):
-                bij_bad.append(alpha)
-        _tally(rep, "branch-bijection", bij_bad,
-               "%d decorated configurations" % bij_count)
+        bijection = {alpha: branch_bijection_failures(alpha, table, target)
+                     for alpha in chains}
+        _tally(rep, "branch-bijection",
+               [alpha for alpha, (failed, _) in bijection.items() if failed],
+               "%d decorated configurations"
+               % sum(count for _, count in bijection.values()))
         if atom_bundle.involution is not None:
             cancel_bad = []
             for top in atom_bundle.tuples:
@@ -517,7 +513,8 @@ def _run_pipeline(config, rep):
         fileio.load_atoms(config.atoms, bundle.target)
         if config.atoms else None
     )
-    closed = fileio.load_closed(config.closed_gw) if config.closed_gw else None
+    closed = (fileio.load_closed(config.closed_gw, bundle.target)
+              if config.closed_gw else None)
     seeds = (
         fileio.load_seeds(config.seeds, bundle.target, bundle.model)
         if config.seeds else None

@@ -93,6 +93,16 @@ def _index(key):
     return int(key)
 
 
+def _vector(values, read, rank, entry):
+    """A JSON list of values, each read by `read`; with `rank`, one per
+    lattice generator, so another length is refused, not truncated."""
+    if rank is not None and (not isinstance(values, list)
+                             or len(values) != rank):
+        raise FileFormatError("%s: expected %d values, one per lattice "
+                              "generator, got %r" % (entry, rank, values))
+    return [read(x) for x in values]
+
+
 @contextmanager
 def _malformed_as_format_error(path):
     """Report what a document of the wrong shape raises inside a loader
@@ -169,7 +179,8 @@ def load_target(path):
                     if c.get("restriction") is not None else None
                 ),
                 deg2_pairings={
-                    _index(k): [_rational(x) for x in v]
+                    _index(k): _vector(v, _rational, target.rank,
+                                       "deg2_pairings[%s]" % k)
                     for k, v in c.get("deg2_pairings", {}).items()
                 },
                 lk_os_star={
@@ -236,17 +247,20 @@ def load_atoms(path, target):
         return AtomBundle(table, involution, tuples)
 
 
-def load_closed(path):
+def load_closed(path, target=None):
+    """Closed-invariant table; `target` checks each degree's closed rank."""
     doc = _load_document(path, "opengw-closed")
+    rank = None if target is None else target.closed_rank
     with _malformed_as_format_error(path):
         table = ClosedGWTable()
-        for e in doc.get("entries", []):
+        for n, e in enumerate(doc.get("entries", [])):
             insertions = [
                 i if isinstance(i, str) else _integer(i)
                 for i in e["insertions"]
             ]
-            table.set([_integer(x) for x in e["degree"]], insertions,
-                      _rational(e["value"]))
+            table.set(_vector(e["degree"], _integer, rank,
+                              "entries[%d].degree" % n),
+                      insertions, _rational(e["value"]))
         return table
 
 
@@ -264,14 +278,17 @@ def load_seeds(path, target, model):
             table.set([_integer(x) for x in e["degree"]],
                       [_integer(i) for i in e["insertions"]],
                       _rational(e["value"]))
-        for e in doc.get("beta_zero", []):
+        for n, e in enumerate(doc.get("beta_zero", [])):
             corrections = [
                 (
-                    tuple(_integer(x) for x in c["closed_degree"]),
+                    tuple(_vector(c["closed_degree"], _integer,
+                                  target.closed_rank,
+                                  "beta_zero[%d].corrections[%d]"
+                                  ".closed_degree" % (n, k))),
                     _rational(c["lk"]),
                     [_rational(x) for x in c["lambda"]],
                 )
-                for c in e.get("corrections", [])
+                for k, c in enumerate(e.get("corrections", []))
             ]
             value = degree_zero_extension(
                 target, model, _rational(e.get("welschinger", 0)), corrections

@@ -505,12 +505,10 @@ def _build2(ctx, resolve, beta, gamma):
     return _add_open(form, ctx, resolve, beta, segments)
 
 
-def _first_pass(builder, target, model, closed, resolve, beta, gamma,
-                context):
-    """The form `builder` builds, None where it does not apply, or
-    NonlinearEquationError naming the unknowns of the first product of
-    two unknown brackets it meets."""
-    ctx = _FormContext(target, model, closed) if context is None else context
+def _first_pass(builder, ctx, resolve, beta, gamma):
+    """The form `builder` builds on the `_FormContext` ctx, None where it
+    does not apply, or NonlinearEquationError naming the unknowns of the
+    first product of two unknown brackets it meets."""
     build = builder(ctx, resolve, beta, gamma)
     if build is None:
         return None
@@ -522,25 +520,22 @@ def _first_pass(builder, target, model, closed, resolve, beta, gamma,
     raise NonlinearEquationError("product of two unknown brackets", keys)
 
 
-def wdvv1_form(target, model, closed, resolve, beta, gamma, context=None):
+def wdvv1_form(target, model, closed, resolve, beta, gamma):
     """First relation, anchored at slot 2, as a linear form.
 
     Applies when the tuple has at least two entries and the reduced
     count k is an integer >= 1; returns None otherwise.  Raises
     NonlinearEquationError at the first product of two unknown brackets.
-    `context` is the `_FormContext` of (target, model, closed) that a
-    caller building many forms shares between them; a fresh one is made
-    without it.
     """
-    return _first_pass(_build1, target, model, closed, resolve, beta, gamma,
-                       context)
+    return _first_pass(_build1, _FormContext(target, model, closed),
+                       resolve, beta, gamma)
 
 
-def wdvv2_form(target, model, closed, resolve, beta, gamma, context=None):
+def wdvv2_form(target, model, closed, resolve, beta, gamma):
     """Second relation: the (2;3)-anchored side minus the (3;2) side.
-    Applicability, errors and `context` as for `wdvv1_form`."""
-    return _first_pass(_build2, target, model, closed, resolve, beta, gamma,
-                       context)
+    Applicability and errors as for `wdvv1_form`."""
+    return _first_pass(_build2, _FormContext(target, model, closed),
+                       resolve, beta, gamma)
 
 
 def wdvv1_residual(target, model, closed, open_table, beta, gamma):

@@ -11,9 +11,10 @@ degeneration classes and the raw expansion into ordered splittings
 (both independent of the live-class generator behind
 `Target.degeneration_classes`), the quotient side of the branch
 bijection enumerated on loop-pair objects (the oracle for the packed
-check in `bounding_chain`), the branch-bijection check run one
-decorated configuration at a time (the reference for the check, which
-proves its first two steps once per cut shape and once per group), and
+check in `bounding_chain`), the listing of the packed decorated
+configurations and the branch-bijection check run one of them at a time
+(the reference for the check, which proves its first two steps once per
+census bucket and configuration, and lists none), and
 the open WDVV relation forms built term by term, with their own
 `LinForm` arithmetic, to cross-check
 `wdvv1_form` and `wdvv2_form`, and the open WDVV solver that rebuilds a
@@ -723,13 +724,40 @@ def branch_decompositions(alpha, table, target, decorated=None):
     return sorted(out, key=BranchDecomposition.sort_key)
 
 
-def reference_branch_bijection_failures(alpha, decorated, table, target):
+def decorated_multidisks(alpha, table):
+    """All decorated configurations of the tuple, packed as
+    `bounding_chain.Decorated`: every configuration with every tree of
+    the tree table and every distinguished disk."""
+    from opengw.bounding_chain import Decorated
+    from opengw.multidisk import tree_edge_indices
+
+    return [
+        Decorated(config, center, tree)
+        for config in table.multi_disks(alpha)
+        for tree in tree_edge_indices(len(config))
+        for center in range(len(config))
+    ]
+
+
+def cut_decorated(decorated, target, memo):
+    """`bounding_chain.to_branches` of a packed decorated configuration,
+    with its tree cut first.  The cut and the shape are read from the
+    module when called, so a test that patches them patches this too."""
+    from opengw import bounding_chain
+
+    config, c, tree = decorated
+    shape = bounding_chain._cut_shape(len(config), c, tree)
+    return bounding_chain.to_branches(config, c, shape, target, memo)
+
+
+def reference_branch_bijection_failures(alpha, table, target):
     """The branch-bijection check one decorated configuration at a time:
-    every d is cut, re-glued and classified on its own.  The reference
-    for `bounding_chain.branch_bijection_failures`, which proves steps 1
-    and 2 once per cut shape and once per group; same arguments, same
-    result.  The cut and the re-glue are read from the module when
-    called, so a test that patches them patches both routes."""
+    alpha's `decorated_multidisks` are listed, and each is cut, re-glued
+    and classified on its own.  The reference for
+    `bounding_chain.branch_bijection_failures`, which proves steps 1 and
+    2 once per census bucket and configuration; same arguments, same
+    result.  The cut, the shape and the re-glue are read from the module
+    when called, so a test that patches them patches both routes."""
     from opengw import bounding_chain
 
     classes, count = bounding_chain._branch_classes(alpha, table, target)
@@ -751,13 +779,15 @@ def reference_branch_bijection_failures(alpha, decorated, table, target):
 
     left_inverse = in_classes = True
     memo = {}
+    decorated = decorated_multidisks(alpha, table)
     for d in decorated:
-        cut = bounding_chain.to_branches(d, target, memo)
+        cut = cut_decorated(d, target, memo)
         left_inverse = (left_inverse
                         and bounding_chain.from_branches(cut) == d)
         in_classes = in_classes and is_decomposition(cut)
     steps = (left_inverse, in_classes, count == len(decorated))
-    return tuple(step for step, ok in enumerate(steps, 1) if not ok)
+    return (tuple(step for step, ok in enumerate(steps, 1) if not ok),
+            len(decorated))
 
 
 # --- the open WDVV relations, term by term ----------------------------------
@@ -894,9 +924,10 @@ def reference_wdvv_form(target, model, closed, resolve, relation, beta, gamma,
 def reference_solve_wdvv(target, model, closed, seeds, area_bound,
                          max_insertions):
     """`solve_wdvv` with the same sweeps and schedule, building each form
-    with the public `wdvv1_form` / `wdvv2_form`: an instance whose build
-    raises NonlinearEquationError is deferred and, once an unknown of
-    its failing product is solved, rebuilt from scratch."""
+    as the public `wdvv1_form` / `wdvv2_form` do, by `_first_pass`, on
+    one shared `_FormContext`: an instance whose build raises
+    NonlinearEquationError is deferred and, once an unknown of its
+    failing product is solved, rebuilt from scratch."""
     from opengw import wdvv
     from opengw.wdvv import (LinForm, NonlinearEquationError,
                              OpenInvariantTable, RelationInstance,
@@ -949,12 +980,11 @@ def reference_solve_wdvv(target, model, closed, seeds, area_bound,
     to_build = instances
     while to_build:
         for inst in to_build:
-            builder = (wdvv.wdvv1_form if inst.relation == 1
-                       else wdvv.wdvv2_form)
+            builder = wdvv._build1 if inst.relation == 1 else wdvv._build2
             try:
-                form = builder(target, model, closed, resolve,
-                               target.degree(inst.beta_coords), inst.gamma,
-                               context=context)
+                form = wdvv._first_pass(builder, context, resolve,
+                                        target.degree(inst.beta_coords),
+                                        inst.gamma)
             except NonlinearEquationError as exc:
                 blocked[inst] = exc.keys
                 continue

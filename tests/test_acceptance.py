@@ -16,13 +16,11 @@ from opengw.bounding_chain import (
     branch_bijection_failures,
     build_chains,
     constant_center_classes,
-    decorated_multidisks,
     direct_boundary,
     from_branches,
     invariant_via_degree,
     invariant_via_weights,
     point_drop_degrees,
-    to_branches,
     verify_welschinger_relation,
 )
 from opengw.cli import RunConfig, run
@@ -59,7 +57,9 @@ from support import (
     branch_decompositions,
     clamped_binomial,
     configuration_count,
+    cut_decorated,
     decomposition_form,
+    decorated_multidisks,
     dim0_subtuples,
     make_rng,
     structure_outcome,
@@ -167,15 +167,15 @@ def test_criterion_3_branch_bijection():
             if not decorated:
                 continue
             assert all(len(d.config) <= 5 for d in decorated)
-            images = [to_branches(d, target, {}) for d in decorated]
+            images = [cut_decorated(d, target, {}) for d in decorated]
             assert len(set(images)) == len(decorated), alpha
             assert {decomposition_form(b) for b in images} == set(
                 branch_decompositions(alpha, table, target)
             ), alpha
             for d, b in zip(decorated, images):
                 assert from_branches(b) == d
-            assert branch_bijection_failures(alpha, decorated, table,
-                                             target) == (), alpha
+            assert branch_bijection_failures(alpha, table, target) \
+                == ((), len(decorated)), alpha
             total += len(decorated)
     report("3-branch-bijection", total >= 500,
            "%d decorated configurations, %d instances" % (total, seed))

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -391,26 +392,37 @@ def test_verify_all_lists_each_chain_once_for_several_tops(tmp_path,
     assert set(rows) == set(per_top)
 
 
-def test_verify_all_decorates_each_tuple_once(tmp_path, monkeypatch):
-    """The branch-bijection check builds each chain tuple's decorated
-    configurations once, in the family's order; the tree cap was checked
-    before, so the listing is handed no cap."""
-    from opengw import bounding_chain, cli
+def test_verify_all_cuts_each_tree_once_per_center(tmp_path, monkeypatch):
+    """The branch-bijection check lists no decorated configuration: a
+    verify-all run cuts each tree of the tree table once at each center,
+    for each configuration size met, and no tree twice."""
+    from opengw import bounding_chain
+    from opengw.multidisk import tree_edge_indices
 
-    listed = []
-    original = bounding_chain.decorated_multidisks
+    cuts = Counter()
+    original = bounding_chain._cut_shape
 
-    def counted(alpha, table):
-        listed.append(alpha)
-        return original(alpha, table)
+    def counted(m, c, tree):
+        cuts[m, c, tree] += 1
+        return original(m, c, tree)
 
-    monkeypatch.setattr(bounding_chain, "decorated_multidisks", counted)
-    monkeypatch.setattr(cli, "decorated_multidisks", counted)
-    status, _cfg = run_pipeline(tmp_path, "verify-all", seed=3)
+    monkeypatch.setattr(bounding_chain, "_cut_shape", counted)
+    bounding_chain._census.cache_clear()
+    try:
+        status, _cfg = run_pipeline(tmp_path, "verify-all", seed=3)
+    finally:
+        bounding_chain._census.cache_clear()
     assert status == 0
     bundle = fileio.load_target(toy_paths()["target"])
-    tops = fileio.load_atoms(toy_paths()["atoms"], bundle.target).tuples
-    assert listed == bounding_chain.chain_tuples(bundle.target, tops)
+    atoms = fileio.load_atoms(toy_paths()["atoms"], bundle.target)
+    sizes = {len(config)
+             for alpha in bounding_chain.chain_tuples(bundle.target,
+                                                      atoms.tuples)
+             for config in atoms.table.multi_disks(alpha)}
+    assert sizes == {1, 2}
+    assert cuts == Counter({(m, c, tree): 1 for m in sizes
+                            for c in range(m)
+                            for tree in tree_edge_indices(m)})
 
 
 def test_tree_cap_is_refused_before_any_check(tmp_path, monkeypatch,
@@ -418,8 +430,9 @@ def test_tree_cap_is_refused_before_any_check(tmp_path, monkeypatch,
     """verify-all checks the tree cap before any work: on the toy, whose
     largest configuration has 2 atoms, --cap-trees 1 exits 2 with one
     line naming the cap and that size, runs no self-check and no
-    decorated listing, and leaves --out empty.  --cap-trees 2 passes."""
-    from opengw import bounding_chain, cli, selfcheck
+    census of cut shapes, and leaves --out empty.  --cap-trees 2
+    passes."""
+    from opengw import bounding_chain, selfcheck
 
     def no_work(*args, **kwargs):
         raise AssertionError("work ran before the tree cap was checked")
@@ -431,8 +444,7 @@ def test_tree_cap_is_refused_before_any_check(tmp_path, monkeypatch,
             "--seeds", paths["seeds"], "--out", str(out)]
     with monkeypatch.context() as patch:
         patch.setattr(selfcheck, "orientation_suite", no_work)
-        patch.setattr(bounding_chain, "decorated_multidisks", no_work)
-        patch.setattr(cli, "decorated_multidisks", no_work)
+        patch.setattr(bounding_chain, "_census", no_work)
         assert main(argv + ["--cap-trees", "1"]) == 2
     assert _assert_one_line_error(capsys) == (
         "error: tree enumeration capped at 1 vertices (asked for 2)\n")
@@ -867,6 +879,34 @@ def test_malformed_document_is_one_line_error(tmp_path, capsys, pipeline,
     assert "bad.json" in _assert_one_line_error(capsys)
 
 
+@pytest.mark.parametrize("kind, path, value, entry", [
+    ("target", ("cohomology", "deg2_pairings"), {"2": ["1/2", "7"]},
+     "deg2_pairings[2]"),
+    ("target", ("cohomology", "deg2_pairings"), {"2": []},
+     "deg2_pairings[2]"),
+    ("closed_gw", ("entries", 0, "degree"), [0, 0], "entries[0].degree"),
+    ("seeds", ("beta_zero", 0, "corrections", 0, "closed_degree"), [0, 5],
+     "beta_zero[0].corrections[0].closed_degree"),
+], ids=["deg2-pairings-long", "deg2-pairings-empty", "closed-degree-long",
+        "correction-closed-degree-long"])
+def test_vector_of_the_wrong_rank_is_one_line_error(tmp_path, capsys, kind,
+                                                    path, value, entry):
+    """A vector paired with a lattice must have one value per generator:
+    a longer or shorter one is a one-line error naming the file and the
+    entry, with exit status 2, never truncated or padded by a zip."""
+    paths = toy_paths()
+    doc = json.loads(open(paths[kind]).read())
+    paths[kind] = str(tmp_path / "bad.json")
+    with open(paths[kind], "w") as handle:
+        json.dump(_replaced(doc, path, value), handle)
+    argv = ["--pipeline", "verify-all", "--out", str(tmp_path / "out")]
+    for name, file in paths.items():
+        argv += ["--" + name.replace("_", "-"), file]
+    assert main(argv) == 2
+    err = _assert_one_line_error(capsys)
+    assert "bad.json" in err and entry in err, err
+
+
 def _node_paths(node, path=()):
     """Paths to every node of a JSON document, the root included."""
     yield path
@@ -896,7 +936,7 @@ def toy_loaders():
     return docs, {
         "target": fileio.load_target,
         "atoms": lambda p: fileio.load_atoms(p, bundle.target),
-        "closed_gw": fileio.load_closed,
+        "closed_gw": lambda p: fileio.load_closed(p, bundle.target),
         "seeds": lambda p: fileio.load_seeds(p, bundle.target, bundle.model),
     }
 
