@@ -18,14 +18,24 @@ moduli are constant disks, which either miss the interior constraints
 or cancel in sign pairs; and parts of nonzero dimension contribute
 nothing because their chains are empty.
 
-Two invariants are read off the family.  The degree-type invariant
-of a dimension-2 tuple is (minus) the count of the top chain through
-one extra point.  The weighted-type invariant of a dimension-0 tuple
-sums over raw splittings with weight (-1)^(parts) * s(parts), where
-s(k) = 1/k - 1/2 for k > 0 and s(0) = 1, and adds half the sum of the
-degree-type invariants with one point dropped.  The test suite checks
-the two against each other and against the direct linking-weighted
-configuration count.
+Two invariants are read off the same walk over alpha's classes, and
+each chain carries them, so a run walks the classes of each chain tuple
+once:
+
+- The degree-type invariant of alpha with a point p dropped, a
+  dimension-2 tuple, is minus the count of its top chain through p as
+  one extra point constraint (the odd ambient dimension flips the count
+  against the degree).  It is the sum of alpha's class contributions
+  over the classes with p among their point parts.
+- The weighted-type invariant of alpha sums over raw splittings with
+  weight (-1)^(parts) * s(parts), where s(k) = 1/k - 1/2 for k > 0 and
+  s(0) = 1: each class adds s(k) * max(k, 1) times its total.  Half the
+  sum of the point-dropped degree invariants is added.
+
+`assemble_chain` says why both readings are exact.  The test suite
+keeps the separate walks (through an extra point, and weighted) as
+oracles, and checks the invariants against each other and against the
+direct linking-weighted configuration count.
 """
 
 from __future__ import annotations
@@ -53,15 +63,31 @@ class ChainError(OpenGWError, ValueError):
 
 @dataclass(frozen=True)
 class BoundingChain:
-    """A chain datum: the dimension-0, non-point tuple it bounds for, and
-    its boundary multiset, the only part of the chain the model keeps.
+    """A chain datum: the dimension-0, non-point tuple it bounds for, its
+    boundary multiset, the only part of the chain the model keeps, and
+    the two invariants of the tuple read off the same class walk.
 
     boundary: sorted tuple of (loop id, coefficient); empty for tuples
     that carry no rigid disks.
+    degrees: (point, degree invariant of alpha without the point,
+    through that point) pairs, by increasing point.
+    weighted: the weighted-type invariant of alpha.
     """
 
     alpha: ConstraintTuple
     boundary: tuple
+    degrees: tuple
+    weighted: Fraction
+
+    def point_drop_degrees(self):
+        """{point: (alpha without the point, its degree invariant through
+        that point)}, by increasing point."""
+        alpha = self.alpha
+        return {
+            p: (ConstraintTuple(alpha.beta, alpha.points - {p},
+                                alpha.descriptors), degree)
+            for p, degree in self.degrees
+        }
 
 
 def _chain_linking(loop, chain, links):
@@ -110,24 +136,36 @@ def _live_parts(alpha, chains, target):
     return [a for a, chain in chains.items() if chain.boundary]
 
 
-def _center_triples(table, extra_point=None):
-    """The atom table's tuples as class centers; with `extra_point`, only
-    those through that point, with the point removed."""
-    return [
-        (c.beta, c.points - {extra_point}, c.descriptors)
-        for c in table.tuples()
-        if extra_point is None or extra_point in c.points
-    ]
+def _center_triples(table):
+    """The atom table's tuples as class centers."""
+    return [(c.beta, c.points, c.descriptors) for c in table.tuples()]
 
 
-def boundary_class_terms(alpha, chains, table, target, extra_point=None):
+def _class_contribution(eta, center, chains, table):
+    """{loop: coefficient} of one class whose center tuple is `center`:
+    per rigid center disk, its sign times the class sign times the
+    divisor-rule count of the slot chains, zeros dropped."""
+    slot_chains = [chains[eta.parts[i]] for i in eta.chain_slots()]
+    sign = _class_sign(eta.part_count)
+    # the divisor trade itself contributes (-1)^(chain slots), which
+    # divisor_covering_degree already carries
+    contribution = {}
+    for atom in table.single_disks(center):
+        value = divisor_covering_degree(atom.loop, slot_chains, table.links)
+        if atom.sign * sign < 0:
+            value = -value
+        if value != 0:
+            contribution[atom.loop] = (
+                contribution.get(atom.loop, Fraction(0)) + value
+            )
+    return {k: v for k, v in contribution.items() if v != 0}
+
+
+def boundary_class_terms(alpha, chains, table, target):
     """Per-class contributions to the boundary multiset of alpha.
 
-    Yields (canonical splitting, {loop: coefficient}) for every
-    degeneration class with a nonzero evaluation rule.  With
-    `extra_point`, the center tuple is augmented by one more point
-    constraint (the degree-counting configuration); the returned
-    multisets then represent a rigid signed count per loop.
+    Returns a list of (canonical splitting, {loop: coefficient}) for
+    every degeneration class with a nonzero evaluation rule.
 
     Only classes that can contribute are generated: the center carries
     a rigid disk (so its degree is nonzero; constant central disks are
@@ -135,50 +173,81 @@ def boundary_class_terms(alpha, chains, table, target, extra_point=None):
     marked-point orderings) and every non-point part has a chain with
     nonempty boundary.
     """
-    if extra_point is not None and extra_point in alpha.points:
-        raise ChainError("augmentation point %r already constrained" % (extra_point,))
     out = []
     for eta, _count in target.classes_through(
-        alpha, _center_triples(table, extra_point),
-        _live_parts(alpha, chains, target),
+        alpha, _center_triples(table), _live_parts(alpha, chains, target),
     ):
-        slot_chains = [chains[eta.parts[i]] for i in eta.chain_slots()]
-        pts = eta.point_labels()
-        if extra_point is not None:
-            pts = pts | {extra_point}
-        center = ConstraintTuple(eta.center_degree, pts, eta.center_descriptors)
-        atoms = table.single_disks(center)
-        sign = _class_sign(eta.part_count)
-        # the divisor trade itself contributes (-1)^(chain slots), which
-        # divisor_covering_degree already carries
-        contribution = {}
-        for atom in atoms:
-            value = divisor_covering_degree(atom.loop, slot_chains, table.links)
-            if atom.sign * sign < 0:
-                value = -value
-            if value != 0:
-                contribution[atom.loop] = (
-                    contribution.get(atom.loop, Fraction(0)) + value
-                )
-        contribution = {k: v for k, v in contribution.items() if v != 0}
+        contribution = _class_contribution(eta, eta.center_tuple(), chains,
+                                           table)
         if contribution:
             out.append((eta, contribution))
     return out
 
 
-def assemble_boundary(alpha, chains, table, target):
-    """The boundary multiset of the chain attached to a dimension-0 tuple."""
+def splitting_weight(part_count):
+    """The splitting weight: 1 at no parts, else 1/parts - 1/2."""
+    if part_count == 0:
+        return Fraction(1)
+    return Fraction(1, part_count) - Fraction(1, 2)
+
+
+def assemble_chain(alpha, chains, table, target):
+    """The chain of a dimension-0 tuple: its boundary multiset, its
+    point-dropped degree invariants and its weighted invariant, from one
+    walk over `boundary_class_terms(alpha, ...)`.  `chains` must hold
+    the chains of alpha's dimension-0 predecessors.
+
+    Why one walk is exact.  The degree invariant of alpha without p,
+    through p, walks the classes of alpha without p whose centers are
+    the table tuples through p, with p removed; each class counts with p
+    put back on its center, and the total is negated.  Adding p back as
+    a bare point part maps those classes one-to-one onto the classes of
+    alpha whose point parts include p.  The slot chains and the center
+    tuple, hence its rigid disks, are the same.  Every center has
+    nonzero degree (an atom of zero degree is refused), so the excluded
+    splitting, a trivial center with one part, is on neither side.  The
+    part count rises by one, so the class sign flips, and that flip
+    cancels the minus.  So the degree invariant through p is the sum of
+    alpha's class totals over the classes with p among their point
+    parts.
+
+    The weighted invariant's class terms are the same class totals:
+    each class's fiber count is evaluated through the divisor-trade
+    rule on the declared rigid disks, and its sign already carries
+    (-1)^(parts).  Multiplicity bookkeeping: the raw sum ranges over
+    ordered splittings whose center moduli carry position-ordered
+    boundary points.  A rigid center configuration with k constrained
+    boundary points is position-compatible with exactly the k cyclic
+    rotations of the slot-to-point matching, so a class of k parts
+    contributes its full (unordered) divisor-rule count times max(k, 1),
+    not times the raw class size.  The comparison against the degree
+    invariant pins this factor.
+    """
     dim = target.dimension(alpha)
     if dim != 0:
         raise ChainError(
             "boundary assembly needs a dimension-0 tuple, got dimension %d" % dim
         )
-    total = {}
-    for _eta, contribution in boundary_class_terms(alpha, chains, table,
-                                                   target):
+    boundary = {}
+    degrees = dict.fromkeys(sorted(alpha.points), Fraction(0))
+    by_parts = {}  # part count -> the sum of its class totals
+    for eta, contribution in boundary_class_terms(alpha, chains, table,
+                                                  target):
+        total = sum(contribution.values())
         for loop, value in contribution.items():
-            total[loop] = total.get(loop, Fraction(0)) + value
-    return {k: v for k, v in total.items() if v != 0}
+            boundary[loop] = boundary.get(loop, Fraction(0)) + value
+        for p in eta.point_labels():
+            degrees[p] += total
+        k = eta.part_count
+        by_parts[k] = by_parts.get(k, 0) + total
+    weighted = Fraction(sum(degrees.values()), 2) + sum(
+        splitting_weight(k) * max(k, 1) * total
+        for k, total in by_parts.items()
+    )
+    return BoundingChain(
+        alpha, tuple(sorted((k, v) for k, v in boundary.items() if v != 0)),
+        tuple(degrees.items()), weighted,
+    )
 
 
 def direct_boundary(alpha, table, target):
@@ -218,57 +287,8 @@ def build_chains(tops, table, target):
     chains = {}
     for alpha in sorted(order, key=lambda a: (
             a.beta.area, len(a.points) + len(a.descriptors), a.sort_key())):
-        boundary = assemble_boundary(alpha, chains, table, target)
-        chains[alpha] = BoundingChain(alpha, tuple(sorted(boundary.items())))
+        chains[alpha] = assemble_chain(alpha, chains, table, target)
     return {alpha: chains[alpha] for alpha in order}
-
-
-# --- the two invariants -----------------------------------------------------
-
-
-def invariant_via_degree(alpha, table, target, point, chains):
-    """Degree of the top chain of a dimension-2 tuple.
-
-    Evaluated by cutting with one extra point constraint: minus the
-    total signed coefficient of the point-augmented boundary assembly
-    (the odd ambient dimension flips the count against the degree).
-    `chains` must hold the chains of alpha's dimension-0 predecessors;
-    the one family of a run serves, since a chain depends only on its
-    tuple.
-    """
-    dim = target.dimension(alpha)
-    if dim != 2:
-        raise ChainError(
-            "degree invariant needs a dimension-2 tuple, got dimension %d" % dim
-        )
-    total = Fraction(0)
-    for _eta, contribution in boundary_class_terms(
-        alpha, chains, table, target, extra_point=point
-    ):
-        for value in contribution.values():
-            total = total + value
-    return -total
-
-
-def point_drop_degrees(alpha, table, target, chains):
-    """The degree invariants of a dimension-0 tuple with each of its
-    points dropped: {point: (alpha without the point, its degree
-    invariant through that point)}, by increasing point.  `chains` is as
-    for `invariant_via_degree`."""
-    drops = {}
-    for p in sorted(alpha.points):
-        dropped = ConstraintTuple(alpha.beta, alpha.points - {p},
-                                  alpha.descriptors)
-        drops[p] = (dropped,
-                    invariant_via_degree(dropped, table, target, p, chains))
-    return drops
-
-
-def splitting_weight(part_count):
-    """The splitting weight: 1 at no parts, else 1/parts - 1/2."""
-    if part_count == 0:
-        return Fraction(1)
-    return Fraction(1, part_count) - Fraction(1, 2)
 
 
 def constant_center_classes(alpha, chains, table, target):
@@ -289,39 +309,6 @@ def constant_center_classes(alpha, chains, table, target):
         )
         if splitting_weight(eta.part_count) != 0
     ]
-
-
-def invariant_via_weights(alpha, table, target, chains, drops):
-    """Weighted sum over raw splittings plus the half point-drop sum.
-
-    Defined for dimension-0 tuples (zero otherwise).  The fiber count of
-    each splitting is evaluated through the divisor-trade rule on the
-    declared rigid disks: the class terms of the boundary assembly, whose
-    sign already carries (-1)^(parts).  `drops` is the map
-    `point_drop_degrees(alpha, ...)`, whose degree invariants make the
-    half point-drop sum.
-
-    Multiplicity bookkeeping: the raw sum ranges over ordered splittings
-    whose center moduli carry position-ordered boundary points.  A rigid
-    center configuration with k constrained boundary points is
-    position-compatible with exactly the k cyclic rotations of the
-    slot-to-point matching, so the class of a splitting contributes its
-    full (unordered) divisor-rule count times k, not times the raw class
-    size.  The dual-formula comparison against the degree invariant pins
-    this factor.
-    """
-    if target.dimension(alpha) != 0:
-        return Fraction(0)
-    total = Fraction(0)
-    for eta, contribution in boundary_class_terms(alpha, chains, table,
-                                                  target):
-        scale = splitting_weight(eta.part_count) * max(eta.part_count, 1)
-        for value in contribution.values():
-            total = total + scale * value
-    half = Fraction(1, 2)
-    for _dropped, degree in drops.values():
-        total = total + half * degree
-    return total
 
 
 # --- decorated configurations and the branch bijection ----------------------
@@ -634,7 +621,7 @@ def branch_bijection_failures(alpha, table, target):
 
 def verify_welschinger_relation(alpha, degree, total):
     """The sign relation between the two counts of a dimension-0 tuple:
-    the degree invariant of alpha with one point dropped (`degree`, from
-    `point_drop_degrees`) equals (-1)^|K| times the configuration count
-    of alpha (`total`, from `welschinger_count`)."""
+    the degree invariant of alpha with one point dropped (`degree`, one
+    of the `degrees` of alpha's chain) equals (-1)^|K| times the
+    configuration count of alpha (`total`, from `welschinger_count`)."""
     return degree == (-total if len(alpha.points) % 2 else total)

@@ -26,8 +26,6 @@ from .bounding_chain import (
     chain_tuples,
     constant_center_classes,
     direct_boundary,
-    invariant_via_weights,
-    point_drop_degrees,
     verify_welschinger_relation,
 )
 from .multidisk import (
@@ -81,14 +79,6 @@ class RunConfig:
         if self.cap_trees > MAX_CAP_TREES:
             raise ValueError("--cap-trees %d exceeds the largest tree cap, %d"
                              % (self.cap_trees, MAX_CAP_TREES))
-
-
-def _tuple_label(alpha):
-    return "%s;%s;%s" % (
-        ",".join(str(c) for c in alpha.beta.coords),
-        ",".join(sorted(alpha.points)) or "-",
-        ",".join(sorted(alpha.descriptors)) or "-",
-    )
 
 
 class ArtifactError(OpenGWError):
@@ -179,7 +169,7 @@ def _tally(rep, name, bad, summary, failure="mismatch at"):
     """PASS with the summary when nothing is bad, else FAIL naming the
     first bad tuple."""
     rep.check(name, "PASS" if not bad else "FAIL",
-              summary if not bad else "%s %s" % (failure, _tuple_label(bad[0])))
+              summary if not bad else "%s %s" % (failure, bad[0].label()))
 
 
 def run_tuples(bundle, atom_bundle, config, rep):
@@ -191,7 +181,7 @@ def run_tuples(bundle, atom_bundle, config, rep):
     rep.table("tuples",
               ("tuple", "dim", "predecessors", "classes", "raw",
                "closed_image"),
-              [(_tuple_label(alpha), target.dimension(alpha),
+              [(alpha.label(), target.dimension(alpha),
                 len(target.predecessors(alpha)), *counts[alpha],
                 "yes" if target.in_closed_image(alpha.beta) else "no")
                for alpha in tuples])
@@ -218,11 +208,11 @@ def run_class_listing(bundle, atom_bundle, counts, rep):
     def class_rows():
         # rows in the listing's final order, each made as it is written
         for alpha in tuples:
-            top = _tuple_label(alpha)
+            top = alpha.label()
             # every part is one of these objects: label each once, keyed
             # by identity so that no row hashes a tuple
             preds = target.predecessors(alpha)
-            label = {id(p): _tuple_label(p) for p in preds}
+            label = {id(p): p.label() for p in preds}
             beta = descs = None
             classes = raw = 0
             for eta, count in target.iter_degeneration_classes(alpha):
@@ -269,10 +259,10 @@ def run_welschinger(bundle, atom_bundle, config, rep):
         weights = table.tree_weights(alpha)
         total = counts[alpha] = welschinger_count(alpha, configs, weights,
                                                   target)
-        count_rows.append((_tuple_label(alpha), len(configs), total))
+        count_rows.append((alpha.label(), len(configs), total))
         for cfg, weight in zip(configs, weights):
             config_rows.append((
-                _tuple_label(alpha),
+                alpha.label(),
                 "|".join(a.loop for a in cfg.atoms),
                 cfg.sgn(),
                 weight,
@@ -284,35 +274,28 @@ def run_welschinger(bundle, atom_bundle, config, rep):
 
 
 def run_bb_recursion(bundle, atom_bundle, config, rep):
-    """Build, tabulate and evaluate the run's one chain family.
-
-    Returns (chains, {top: (weighted invariant, point_drop_degrees of
-    top)}); the second holds the dimension-0 tops only.
-    """
+    """Build and tabulate the run's one chain family, whose chains carry
+    the invariants; returns it."""
     target = bundle.target
-    table = atom_bundle.table
-    chains = build_chains(atom_bundle.tuples, table, target)
+    chains = build_chains(atom_bundle.tuples, atom_bundle.table, target)
     chain_rows = [
-        (_tuple_label(alpha), loop, coeff)
+        (alpha.label(), loop, coeff)
         for alpha, chain in chains.items() for loop, coeff in chain.boundary
     ]
-    invariants = {}
     invariant_rows = []
     for top in atom_bundle.tuples:
         if target.dimension(top) != 0:
             continue
-        drops = point_drop_degrees(top, table, target, chains)
-        weighted = invariant_via_weights(top, table, target, chains, drops)
-        invariant_rows.append((_tuple_label(top), "weighted", "-", weighted))
+        chain = chains[top]
+        invariant_rows.append((top.label(), "weighted", "-", chain.weighted))
         invariant_rows.extend(
-            (_tuple_label(dropped), "degree", p, degree)
-            for p, (dropped, degree) in drops.items()
+            (dropped.label(), "degree", p, degree)
+            for p, (dropped, degree) in chain.point_drop_degrees().items()
         )
-        invariants[top] = (weighted, drops)
     rep.table("chains", ("tuple", "loop", "coefficient"), chain_rows)
     rep.table("invariants", ("tuple", "kind", "point", "value"),
               invariant_rows)
-    return chains, invariants
+    return chains
 
 
 def _bracket_label(coords, ins):
@@ -403,8 +386,7 @@ def run_verify_all(bundle, atom_bundle, closed, seeds, config, rep):
     if atom_bundle is not None:
         table = atom_bundle.table
         counts = run_welschinger(bundle, atom_bundle, config, rep)
-        chains, invariants = run_bb_recursion(bundle, atom_bundle, config,
-                                              rep)
+        chains = run_bb_recursion(bundle, atom_bundle, config, rep)
         # the stored boundary is the recursion side of the identity
         bad = [alpha for alpha, chain in chains.items()
                if dict(chain.boundary) != direct_boundary(alpha, table, target)]
@@ -412,11 +394,8 @@ def run_verify_all(bundle, atom_bundle, closed, seeds, config, rep):
                "%d tuples compared" % len(chains))
         relation_bad = []
         relation_checked = 0
-        for alpha in chains:
-            # the recursion has evaluated the degree invariants of the tops
-            drops = (invariants[alpha][1] if alpha in invariants
-                     else point_drop_degrees(alpha, table, target, chains))
-            for _dropped, degree in drops.values():
+        for alpha, chain in chains.items():
+            for _point, degree in chain.degrees:
                 relation_checked += 1
                 if not verify_welschinger_relation(alpha, degree,
                                                    counts[alpha]):
@@ -431,19 +410,19 @@ def run_verify_all(bundle, atom_bundle, closed, seeds, config, rep):
             if constant_center_classes(top, chains, table, target):
                 rep.check(
                     "weighted-degree-comparison", "SKIP",
-                    "live zero-center splitting at " + _tuple_label(top),
+                    "live zero-center splitting at " + top.label(),
                 )
                 break
-            weighted, drops = invariants[top]
-            degrees = {degree for _dropped, degree in drops.values()}
+            chain = chains[top]
+            degrees = {degree for _point, degree in chain.degrees}
             if len(degrees) != 1:
                 rep.check(
                     "weighted-degree-comparison", "SKIP",
-                    "point dependence at " + _tuple_label(top),
+                    "point dependence at " + top.label(),
                 )
                 break
             weighted_checked += 1
-            if degrees != {weighted}:
+            if degrees != {chain.weighted}:
                 weighted_bad.append(top)
         else:
             _tally(rep, "weighted-degree-comparison", weighted_bad,

@@ -103,6 +103,17 @@ def _vector(values, read, rank, entry):
     return [read(x) for x in values]
 
 
+def _degree(values, rank, entry):
+    """A degree: a `_vector` of integers, one per lattice generator with
+    `rank`; a negative coordinate, outside the effective cone, is
+    refused."""
+    coords = _vector(values, _integer, rank, entry)
+    if any(c < 0 for c in coords):
+        raise FileFormatError("%s: degree %r has a negative coordinate, "
+                              "outside the effective cone" % (entry, values))
+    return coords
+
+
 @contextmanager
 def _malformed_as_format_error(path):
     """Report what a document of the wrong shape raises inside a loader
@@ -258,8 +269,7 @@ def load_closed(path, target=None):
                 i if isinstance(i, str) else _integer(i)
                 for i in e["insertions"]
             ]
-            table.set(_vector(e["degree"], _integer, rank,
-                              "entries[%d].degree" % n),
+            table.set(_degree(e["degree"], rank, "entries[%d].degree" % n),
                       insertions, _rational(e["value"]))
         return table
 
@@ -274,15 +284,15 @@ def load_seeds(path, target, model):
         )
     with _malformed_as_format_error(path):
         table = OpenInvariantTable(target, model)
-        for e in doc.get("entries", []):
-            table.set([_integer(x) for x in e["degree"]],
+        for n, e in enumerate(doc.get("entries", [])):
+            table.set(_degree(e["degree"], target.rank,
+                              "entries[%d].degree" % n),
                       [_integer(i) for i in e["insertions"]],
                       _rational(e["value"]))
         for n, e in enumerate(doc.get("beta_zero", [])):
             corrections = [
                 (
-                    tuple(_vector(c["closed_degree"], _integer,
-                                  target.closed_rank,
+                    tuple(_degree(c["closed_degree"], target.closed_rank,
                                   "beta_zero[%d].corrections[%d]"
                                   ".closed_degree" % (n, k))),
                     _rational(c["lk"]),
@@ -293,6 +303,7 @@ def load_seeds(path, target, model):
             value = degree_zero_extension(
                 target, model, _rational(e.get("welschinger", 0)), corrections
             )
-            table.set([_integer(x) for x in e["degree"]],
+            table.set(_degree(e["degree"], target.rank,
+                              "beta_zero[%d].degree" % n),
                       [_integer(i) for i in e["insertions"]], value)
         return table

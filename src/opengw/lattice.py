@@ -128,12 +128,18 @@ class ConstraintTuple:
     def is_point_tuple(self):
         return self.beta.is_zero and len(self.points) == 1 and not self.descriptors
 
-    def __repr__(self):
-        return "(%s;%s;%s)" % (
+    def label(self):
+        """The tuple's name in every table and message:
+        coords;points;descriptors, each list comma-joined and sorted, "-"
+        when empty."""
+        return "%s;%s;%s" % (
             ",".join(str(c) for c in self.beta.coords),
             ",".join(sorted(self.points)) or "-",
             ",".join(sorted(self.descriptors)) or "-",
         )
+
+    def __repr__(self):
+        return "(%s)" % self.label()
 
 
 @dataclass(frozen=True)
@@ -299,23 +305,8 @@ class Target:
         """All effective degrees with area <= max_area, sorted."""
         if max_area < 0:
             return []
-        out = []
-
-        def walk(prefix, budget):
-            i = len(prefix)
-            if i == self.rank:
-                out.append(self.degree(prefix))
-                return
-            c = 0
-            while c * self.gen_areas[i] <= budget:
-                walk(prefix + (c,), budget - c * self.gen_areas[i])
-                c += 1
-
-        walk((), Fraction(max_area))
-        out.sort(key=lambda b: b.coords)
-        if not include_zero:
-            out = [b for b in out if not b.is_zero]
-        return out
+        return [self.degree(c) for c in _within_area(self.gen_areas, max_area)
+                if include_zero or any(c)]
 
     def effective_below(self, beta):
         """Effective degrees d with beta - d effective, sorted."""
@@ -551,21 +542,7 @@ class Target:
 
     def effective_closed(self, max_area):
         """Effective closed classes with area <= max_area, sorted."""
-        out = []
-
-        def walk(prefix, budget):
-            i = len(prefix)
-            if i == self.closed_rank:
-                out.append(tuple(prefix))
-                return
-            c = 0
-            while c * self.closed_areas[i] <= budget:
-                walk(prefix + [c], budget - c * self.closed_areas[i])
-                c += 1
-
-        walk([], Fraction(max_area))
-        out.sort()
-        return out
+        return _within_area(self.closed_areas, max_area)
 
     def closed_preimages(self, beta):
         """Effective closed classes mapping onto beta (area bounded)."""
@@ -596,6 +573,26 @@ def _subsets(items):
     for r in range(len(items) + 1):
         for combo in itertools.combinations(items, r):
             yield frozenset(combo)
+
+
+def _within_area(areas, max_area):
+    """The coordinate tuples c >= 0, one entry per generator area, with
+    sum of c[i] * areas[i] <= max_area, sorted.  The walk raises each
+    coordinate in turn, so it yields them in sorted order."""
+    out = []
+
+    def walk(prefix, budget):
+        i = len(prefix)
+        if i == len(areas):
+            out.append(prefix)
+            return
+        c = 0
+        while c * areas[i] <= budget:
+            walk(prefix + (c,), budget - c * areas[i])
+            c += 1
+
+    walk((), Fraction(max_area))
+    return out
 
 
 # --- class counting -------------------------------------------------------

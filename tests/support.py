@@ -14,7 +14,10 @@ bijection enumerated on loop-pair objects (the oracle for the packed
 check in `bounding_chain`), the listing of the packed decorated
 configurations and the branch-bijection check run one of them at a time
 (the reference for the check, which proves its first two steps once per
-census bucket and configuration, and lists none), and
+census bucket and configuration, and lists none), the degree invariant
+through an extra point and the weighted invariant, each by its own walk
+over the classes (the references for the invariants a chain carries,
+which `bounding_chain.assemble_chain` reads off the chain's one walk),
 the open WDVV relation forms built term by term, with their own
 `LinForm` arithmetic, to cross-check
 `wdvv1_form` and `wdvv2_form`, and the open WDVV solver that rebuilds a
@@ -788,6 +791,67 @@ def reference_branch_bijection_failures(alpha, table, target):
     steps = (left_inverse, in_classes, count == len(decorated))
     return (tuple(step for step, ok in enumerate(steps, 1) if not ok),
             len(decorated))
+
+
+# --- the chain invariants, each by its own walk ----------------------------
+
+
+def point_class_terms(alpha, chains, table, target, point):
+    """The class terms of alpha through one extra point constraint: the
+    classes of alpha whose centers are the table tuples through `point`,
+    with the point removed, each evaluated as
+    `bounding_chain.boundary_class_terms` evaluates a class, with the
+    point put back on its center."""
+    from opengw import bounding_chain
+    from opengw.lattice import ConstraintTuple
+
+    assert point not in alpha.points, (alpha, point)
+    centers = [(c.beta, c.points - {point}, c.descriptors)
+               for c in table.tuples() if point in c.points]
+    out = []
+    for eta, _count in target.classes_through(
+        alpha, centers, bounding_chain._live_parts(alpha, chains, target)
+    ):
+        center = ConstraintTuple(eta.center_degree,
+                                 eta.point_labels() | {point},
+                                 eta.center_descriptors)
+        contribution = bounding_chain._class_contribution(eta, center,
+                                                          chains, table)
+        if contribution:
+            out.append((eta, contribution))
+    return out
+
+
+def reference_degree_invariant(alpha, table, target, point, chains):
+    """The degree invariant of a dimension-2 tuple through one extra
+    point, by its own walk: minus the total of `point_class_terms`.  The
+    oracle for the `degrees` of the chain of alpha with the point."""
+    assert target.dimension(alpha) == 2, alpha
+    return -sum((sum(contribution.values()) for _, contribution in
+                 point_class_terms(alpha, chains, table, target, point)),
+                Fraction(0))
+
+
+def reference_weighted_invariant(alpha, table, target, chains):
+    """The weighted invariant of a dimension-0 tuple, by its own walk:
+    each class total of `boundary_class_terms` times s(k) * max(k, 1),
+    plus half the `reference_degree_invariant` of each point drop.  The
+    oracle for the chain's `weighted`."""
+    from opengw import bounding_chain
+    from opengw.lattice import ConstraintTuple
+
+    total = Fraction(0)
+    for eta, contribution in bounding_chain.boundary_class_terms(
+            alpha, chains, table, target):
+        k = eta.part_count
+        total += (bounding_chain.splitting_weight(k) * max(k, 1)
+                  * sum(contribution.values()))
+    for p in alpha.points:
+        dropped = ConstraintTuple(alpha.beta, alpha.points - {p},
+                                  alpha.descriptors)
+        total += Fraction(1, 2) * reference_degree_invariant(
+            dropped, table, target, p, chains)
+    return total
 
 
 # --- the open WDVV relations, term by term ----------------------------------

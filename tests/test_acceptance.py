@@ -12,15 +12,11 @@ from fractions import Fraction
 
 from opengw import bounding_chain, fileio, wdvv
 from opengw.bounding_chain import (
-    assemble_boundary,
     branch_bijection_failures,
     build_chains,
     constant_center_classes,
     direct_boundary,
     from_branches,
-    invariant_via_degree,
-    invariant_via_weights,
-    point_drop_degrees,
     verify_welschinger_relation,
 )
 from opengw.cli import RunConfig, run
@@ -62,6 +58,7 @@ from support import (
     decorated_multidisks,
     dim0_subtuples,
     make_rng,
+    reference_degree_invariant,
     structure_outcome,
     synthetic_instance,
 )
@@ -191,7 +188,7 @@ def test_criterion_4_boundary_identity():
         target, table, top = _instance(41000 + seed)
         chains = build_chains([top], table, target)
         for alpha in dim0_subtuples(target, table, top):
-            lhs = assemble_boundary(alpha, chains, table, target)
+            lhs = dict(chains[alpha].boundary)
             rhs = direct_boundary(alpha, table, target)
             assert lhs == rhs, (seed, alpha)
             assert all(
@@ -211,7 +208,7 @@ def test_criterion_5_sign_relation():
         target, table, top = _instance(51000 + seed)
         chains = build_chains([top], table, target)
         total = configuration_count(top, table, target)
-        drops = point_drop_degrees(top, table, target, chains)
+        drops = chains[top].point_drop_degrees()
         assert sorted(drops) == sorted(top.points)
         for p, (_dropped, degree) in drops.items():
             assert verify_welschinger_relation(top, degree, total), (seed, p)
@@ -342,16 +339,13 @@ def test_criterion_9_weighted_conventions(monkeypatch):
             dropped = ConstraintTuple(
                 top.beta, top.points - {p}, top.descriptors
             )
-            values[p] = invariant_via_degree(
-                dropped, table, target, point=p, chains=chains
+            values[p] = reference_degree_invariant(
+                dropped, table, target, p, chains
             )
         if len(set(values.values())) != 1:
             skipped += 1
             continue
-        weighted = invariant_via_weights(
-            top, table, target, chains,
-            point_drop_degrees(top, table, target, chains))
-        assert weighted == next(iter(values.values())), seed
+        assert chains[top].weighted == next(iter(values.values())), seed
         compared += 1
     assert compared >= 30
 
@@ -366,13 +360,12 @@ def test_criterion_9_weighted_conventions(monkeypatch):
             continue
         p = min(top.points)
         dropped = ConstraintTuple(top.beta, top.points - {p}, top.descriptors)
-        degree = invariant_via_degree(dropped, table, target, point=p,
-                                      chains=chains)
+        degree = reference_degree_invariant(dropped, table, target, p,
+                                            chains)
+        # the chains carry the weighted invariant: build them under the rule
         with monkeypatch.context() as patch:
             patch.setattr(bounding_chain, "splitting_weight", wrong_rule)
-            weighted = invariant_via_weights(
-                top, table, target, chains,
-                point_drop_degrees(top, table, target, chains))
+            weighted = build_chains([top], table, target)[top].weighted
         if weighted != degree:
             broken += 1
     assert broken > 0

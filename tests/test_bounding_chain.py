@@ -12,7 +12,7 @@ from opengw.bounding_chain import (
     BoundingChain,
     ChainError,
     Decorated,
-    assemble_boundary,
+    assemble_chain,
     boundary_class_terms,
     branch_bijection_failures,
     build_chains,
@@ -21,9 +21,6 @@ from opengw.bounding_chain import (
     direct_boundary,
     divisor_covering_degree,
     from_branches,
-    invariant_via_degree,
-    invariant_via_weights,
-    point_drop_degrees,
     splitting_weight,
     verify_welschinger_relation,
 )
@@ -46,6 +43,8 @@ from support import (
     loop_decorated_multidisks,
     make_rng,
     reference_branch_bijection_failures,
+    reference_degree_invariant,
+    reference_weighted_invariant,
     synthetic_instance,
     toy_atoms,
 )
@@ -82,22 +81,22 @@ def test_assemble_empty_for_descriptor_only_minimal_tuple():
     alpha = t.constraint_tuple((0,), descriptors=["C"])
     assert t.dimension(alpha) == 0
     table = AtomTable(t, [], LinkingMatrix([]))
-    assert assemble_boundary(alpha, {}, table, t) == {}
+    assert assemble_chain(alpha, {}, table, t).boundary == ()
 
 
 def test_assemble_requires_dimension_zero():
     t, table, top = small_instance()
     bad = t.constraint_tuple((2,), ["p"])
     with pytest.raises(ChainError):
-        assemble_boundary(bad, {}, table, t)
+        assemble_chain(bad, {}, table, t)
 
 
 def test_assemble_single_level():
     """One point, degree g: the boundary is -sgn on each disk loop."""
     t, table, _ = small_instance()
     alpha = t.constraint_tuple((1,), ["p"])
-    got = assemble_boundary(alpha, build_chains([alpha], table, t), table, t)
-    assert got == {"a1": Fraction(-1), "a2": Fraction(1)}
+    got = assemble_chain(alpha, build_chains([alpha], table, t), table, t)
+    assert dict(got.boundary) == {"a1": Fraction(-1), "a2": Fraction(1)}
 
 
 def test_assemble_two_level_hand_computation():
@@ -105,7 +104,7 @@ def test_assemble_two_level_hand_computation():
     feeds the linking products of the next level."""
     t, table, top = small_instance()
     chains = build_chains([top], table, t)
-    got = assemble_boundary(top, chains, table, t)
+    got = dict(assemble_chain(top, chains, table, t).boundary)
     # class with two point parts: +sgn(c) on c-loops
     # classes with one point part and one chain part:
     #   -sgn(a) * lk(a, boundary(g,{q})) on a-loops, and symmetrically
@@ -126,7 +125,7 @@ def test_flagship_boundary_identity_small_instance():
     t, table, top = small_instance()
     chains = build_chains([top], table, t)
     for alpha in dim0_subtuples(t, table, top):
-        lhs = assemble_boundary(alpha, chains, table, t)
+        lhs = dict(chains[alpha].boundary)
         rhs = direct_boundary(alpha, table, t)
         assert lhs == rhs, alpha
 
@@ -149,7 +148,7 @@ def test_flagship_boundary_identity_randomized():
         )
         chains = build_chains([top], table, target)
         for alpha in dim0_subtuples(target, table, top):
-            lhs = assemble_boundary(alpha, chains, table, target)
+            lhs = dict(chains[alpha].boundary)
             rhs = direct_boundary(alpha, table, target)
             assert lhs == rhs, (seed, alpha)
 
@@ -189,9 +188,9 @@ def test_sign_toggle_moves_class_terms_by_predicted_sign(monkeypatch):
 
 def test_class_sign_flip_breaks_the_boundary_identity(monkeypatch):
     """Negative control: with the class sign flipped for odd part
-    counts, the recursion side differs from the direct multi-disk side
-    on some tuple of some random instance, so the identity above sees
-    the sign."""
+    counts while the family is built, the recursion side differs from
+    the direct multi-disk side on some tuple of some random instance, so
+    the identity above sees the sign."""
     monkeypatch.setattr(bounding_chain, "_class_sign", _unsigned_classes)
     broken = 0
     for seed in range(len(INSTANCE_SHAPES)):
@@ -201,7 +200,7 @@ def test_class_sign_flip_breaks_the_boundary_identity(monkeypatch):
             rng, n_points=np_, n_quartic=nq, n_sextic=ns, n_conic=nc,
         )
         chains = build_chains([top], table, target)
-        if any(assemble_boundary(alpha, chains, table, target)
+        if any(dict(chains[alpha].boundary)
                != direct_boundary(alpha, table, target)
                for alpha in dim0_subtuples(target, table, top)):
             broken += 1
@@ -210,8 +209,9 @@ def test_class_sign_flip_breaks_the_boundary_identity(monkeypatch):
 
 def test_one_family_serves_several_tops():
     """The family of several tops is keyed by `chain_tuples` and holds
-    every chain of each top's own family, with the same boundary; each
-    stored boundary is the assembly against the family itself."""
+    every chain of each top's own family, with the same boundary and
+    invariants; each stored chain is the assembly against the family
+    itself."""
     target, table, top = synthetic_instance(make_rng(5003), n_points=2,
                                             n_quartic=1)
     tops = table.tuples()
@@ -227,8 +227,7 @@ def test_one_family_serves_several_tops():
         covered.update(own)
     assert covered == set(chains)
     for alpha, chain in chains.items():
-        assert dict(chain.boundary) == assemble_boundary(alpha, chains,
-                                                         table, target)
+        assert chain == assemble_chain(alpha, chains, table, target)
 
 
 def test_missing_predecessor_chain_raises():
@@ -238,7 +237,7 @@ def test_missing_predecessor_chain_raises():
     chains = build_chains([top], table, t)
     del chains[t.constraint_tuple((1,), ["q"])]
     with pytest.raises(ChainError, match="missing predecessor chain"):
-        assemble_boundary(top, chains, table, t)
+        assemble_chain(top, chains, table, t)
 
 
 # --- divisor covering degree -------------------------------------------------
@@ -254,14 +253,14 @@ def test_divisor_covering_degree_values():
     # (-1)^1 * (-1 * 2) = +2
     assert divisor_covering_degree("a1", [chains[alpha_q]], table.links) == 2
     # three insertions of linking value 2 each: (-1)^3 * 2 * 2 * 2 = -8
-    fake = BoundingChain(alpha_q, (("b1", Fraction(1)),))
+    fake = BoundingChain(alpha_q, (("b1", Fraction(1)),), (), Fraction(0))
     assert divisor_covering_degree("a1", [fake, fake, fake], table.links) == -8
 
 
 def test_divisor_covering_degree_missing_linking_data():
     t, table, _ = small_instance()
     alpha_q = t.constraint_tuple((1,), ["q"])
-    fake = BoundingChain(alpha_q, (("zz", Fraction(1)),))
+    fake = BoundingChain(alpha_q, (("zz", Fraction(1)),), (), Fraction(0))
     from opengw.multidisk import LinkingError
 
     with pytest.raises(LinkingError):
@@ -271,26 +270,25 @@ def test_divisor_covering_degree_missing_linking_data():
 # --- invariants ----------------------------------------------------------------
 
 
-def test_invariant_via_degree_requires_dimension_two():
-    t, table, top = small_instance()
-    chains = build_chains([top], table, t)
-    with pytest.raises(ChainError):
-        invariant_via_degree(top, table, t, point="z", chains=chains)
-
-
 def test_invariant_degree_empty_splittings():
+    """A chain tuple without rigid disks has no class: its degree
+    invariant through its point and its weighted invariant are 0, as the
+    separate walk through the extra point finds."""
     t = Target([("g", 1, 2)], descriptors=[("C", 2)])
     table = AtomTable(t, [], LinkingMatrix([]))
-    alpha = t.constraint_tuple((1,), descriptors=["C"])  # dimension 2
+    alpha = t.constraint_tuple((1,), ["p"], ["C"])  # dimension 0
     chains = build_chains([alpha], table, t)
-    assert invariant_via_degree(alpha, table, t, point="p", chains=chains) == 0
+    assert chains[alpha].degrees == (("p", 0),)
+    assert chains[alpha].weighted == 0
+    dropped = t.constraint_tuple((1,), descriptors=["C"])  # dimension 2
+    assert reference_degree_invariant(dropped, table, t, "p", chains) == 0
 
 
 def test_welschinger_relation_small_instance():
     t, table, top = small_instance()
     chains = build_chains([top], table, t)
     total = configuration_count(top, table, t)
-    _dropped, degree = point_drop_degrees(top, table, t, chains)[min(top.points)]
+    _dropped, degree = chains[top].point_drop_degrees()[min(top.points)]
     assert verify_welschinger_relation(top, degree, total)
     # spot value: even |K| so the two sides agree on the nose
     assert len(top.points) % 2 == 0
@@ -306,7 +304,7 @@ def test_welschinger_relation_randomized():
         )
         chains = build_chains([top], table, target)
         total = configuration_count(top, table, target)
-        drops = point_drop_degrees(top, table, target, chains)
+        drops = chains[top].point_drop_degrees()
         assert sorted(drops) == sorted(top.points)
         for point, (_dropped, degree) in drops.items():
             assert verify_welschinger_relation(top, degree, total), (seed, point)
@@ -317,13 +315,13 @@ def test_welschinger_relation_randomized():
        shape=st.sampled_from(INSTANCE_SHAPES))
 def test_sign_relation_on_every_chain_tuple_and_point(seed, shape):
     """For every tuple of the chain family and every point of it, the
-    degree invariant of point_drop_degrees is (-1)^|K| times the tuple's
+    degree invariant the chain carries is (-1)^|K| times the tuple's
     configuration count."""
     target, table, top = synthetic_instance(make_rng(seed), *shape)
     chains = build_chains([top], table, target)
-    for alpha in chains:
+    for alpha, chain in chains.items():
         total = configuration_count(alpha, table, target)
-        drops = point_drop_degrees(alpha, table, target, chains)
+        drops = chain.point_drop_degrees()
         assert list(drops) == sorted(alpha.points)
         for p, (dropped, degree) in drops.items():
             assert dropped == ConstraintTuple(
@@ -362,16 +360,13 @@ def test_weighted_invariant_matches_degree_invariant():
         if constant_center_classes(top, chains, table, target):
             continue
         checked += 1
-        weighted = invariant_via_weights(
-            top, table, target, chains,
-            point_drop_degrees(top, table, target, chains))
         p = next(iter(top.points))
         dropped = target.constraint_tuple(
             top.beta, top.points - {p}, top.descriptors
         )
-        degree = invariant_via_degree(dropped, table, target, point=p,
-                                      chains=chains)
-        assert weighted == degree, seed
+        degree = reference_degree_invariant(dropped, table, target, p,
+                                            chains)
+        assert chains[top].weighted == degree, seed
     assert checked >= 10
 
 
@@ -404,50 +399,68 @@ def test_weighted_invariant_point_independence_gate():
             dropped = target.constraint_tuple(
                 top.beta, top.points - {p}, top.descriptors
             )
-            values[p] = invariant_via_degree(
-                dropped, table, target, point=p, chains=chains
+            values[p] = reference_degree_invariant(
+                dropped, table, target, p, chains
             )
         if len(set(values.values())) != 1:
             continue  # point-dependent instance: hypothesis fails, skip
         checked += 1
-        weighted = invariant_via_weights(
-            top, table, target, chains,
-            point_drop_degrees(top, table, target, chains))
-        assert weighted == next(iter(values.values())), seed
+        assert chains[top].weighted == next(iter(values.values())), seed
     assert checked >= 3
 
 
-def test_weighted_invariant_zero_outside_dimension_zero():
-    t, table, top = small_instance()
-    assert invariant_via_weights(
-        t.constraint_tuple((2,), ["p"]), table, t, chains={}, drops={}
-    ) == 0
+CHAIN_SHAPES = INSTANCE_SHAPES + ((3, 0, 0, 0), (3, 0, 0, 1))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       shape=st.sampled_from(CHAIN_SHAPES))
+def test_chain_invariants_match_the_separate_walks(seed, shape):
+    """Every chain's point-dropped degree invariants and weighted
+    invariant, read off its one class walk, equal the separate walks:
+    through each point as an extra constraint, and weighted."""
+    target, table, top = synthetic_instance(make_rng(seed), *shape)
+    chains = build_chains([top], table, target)
+    for alpha, chain in chains.items():
+        assert [p for p, _ in chain.degrees] == sorted(alpha.points)
+        for p, degree in chain.degrees:
+            dropped = ConstraintTuple(alpha.beta, alpha.points - {p},
+                                      alpha.descriptors)
+            assert degree == reference_degree_invariant(
+                dropped, table, target, p, chains), (alpha, p)
+        assert chain.weighted == reference_weighted_invariant(
+            alpha, table, target, chains), alpha
 
 
 def test_weighted_invariant_forwards_sign_toggles(monkeypatch):
-    """Flipping the class sign for odd part counts moves each class term
-    of the weighted sum by (-1)^(part count); the half point-drop sum
-    moves with the flipped degree invariants."""
+    """Flipping the class sign for odd part counts while the top chain
+    is assembled moves each class term of its weighted sum, and of its
+    degree invariant, by (-1)^(part count).  The separate walk through
+    the extra point then disagrees by a sign: the one-walk reading of
+    the degree rests on the sign flipping with the part count."""
     rng = make_rng(16000)
     target, table, top = synthetic_instance(rng, n_points=1, n_quartic=1)
     chains = build_chains([top], table, target)
-    unmoved = moved = Fraction(0)
+    (p,) = top.points
+    unmoved = moved = degree = Fraction(0)
     for eta, contrib in boundary_class_terms(top, chains, table, target):
         k = eta.part_count
+        factor = -1 if k % 2 else 1
         term = splitting_weight(k) * max(k, 1) * sum(contrib.values())
         unmoved += term
-        moved += term if k % 2 == 0 else -term
+        moved += factor * term
+        if p in eta.point_labels():
+            degree += factor * sum(contrib.values())
     # odd part counts carry weight here, so the flip is visible
-    assert moved != unmoved
+    assert moved != unmoved and degree != 0
     monkeypatch.setattr(bounding_chain, "_class_sign", _unsigned_classes)
-    (p,) = top.points
+    # the top's own walk under the flipped sign, over the unflipped family
+    flipped = assemble_chain(top, chains, table, target)
+    assert flipped.degrees == ((p, degree),)
+    assert flipped.weighted == moved + Fraction(1, 2) * degree
     dropped = target.constraint_tuple(top.beta, (), top.descriptors)
-    degree = invariant_via_degree(dropped, table, target, point=p,
-                                  chains=chains)
-    assert invariant_via_weights(
-        top, table, target, chains,
-        point_drop_degrees(top, table, target, chains),
-    ) == moved + Fraction(1, 2) * degree
+    assert reference_degree_invariant(dropped, table, target, p,
+                                      chains) == -degree
 
 
 def test_splitting_weight_values():
@@ -459,7 +472,8 @@ def test_splitting_weight_values():
 
 def test_wrong_weight_rule_breaks_the_match(monkeypatch):
     """Negative control: dropping the -1/2 from the splitting weight
-    must break the equality on some instance."""
+    while the family is built must break the equality on some
+    instance."""
 
     def wrong_rule(k):
         return Fraction(1) if k == 0 else Fraction(1, k)
@@ -470,16 +484,13 @@ def test_wrong_weight_rule_breaks_the_match(monkeypatch):
         rng = make_rng(14000 + seed)
         target, table, top = synthetic_instance(rng, n_points=1, n_quartic=0)
         chains = build_chains([top], table, target)
-        weighted = invariant_via_weights(
-            top, table, target, chains,
-            point_drop_degrees(top, table, target, chains))
         p = next(iter(top.points))
         dropped = target.constraint_tuple(
             top.beta, top.points - {p}, top.descriptors
         )
-        degree = invariant_via_degree(dropped, table, target, point=p,
-                                      chains=chains)
-        if weighted != degree:
+        degree = reference_degree_invariant(dropped, table, target, p,
+                                            chains)
+        if chains[top].weighted != degree:
             broken += 1
     assert broken > 0
 

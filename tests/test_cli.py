@@ -296,29 +296,19 @@ def _count_calls(monkeypatch, names):
 
 
 def test_verify_all_builds_and_evaluates_once_per_run(tmp_path, monkeypatch):
-    """verify-all builds one chain family per run and evaluates each
-    weighted invariant once, each degree invariant once per (tuple,
-    point) pair, each tuple's configuration listing once and each
-    configuration's tree weight once; every table and check reuses
-    them."""
+    """verify-all builds one chain family per run, lists each tuple's
+    configurations once and weighs each configuration's trees once;
+    every table and check reuses them."""
     from collections import Counter
 
     from opengw import bounding_chain, multidisk
-    from opengw.lattice import ConstraintTuple
     from opengw.multidisk import AtomTable
 
-    calls = _count_calls(monkeypatch,
-                         ("build_chains", "invariant_via_weights"))
-    degree_pairs = Counter()
+    calls = _count_calls(monkeypatch, ("build_chains",))
     listed = Counter()
     weighed = Counter()
-    degree_of = bounding_chain.invariant_via_degree
     list_configurations = AtomTable._list_configurations
     weight_of = multidisk.tree_weight_sum
-
-    def degree(alpha, table, target, point, chains):
-        degree_pairs[alpha, point] += 1
-        return degree_of(alpha, table, target, point, chains)
 
     def listing(self, alpha):
         listed[alpha] += 1
@@ -328,7 +318,6 @@ def test_verify_all_builds_and_evaluates_once_per_run(tmp_path, monkeypatch):
         weighed[config] += 1
         return weight_of(config, links)
 
-    monkeypatch.setattr(bounding_chain, "invariant_via_degree", degree)
     monkeypatch.setattr(AtomTable, "_list_configurations", listing)
     monkeypatch.setattr(multidisk, "tree_weight_sum", weight)
     status, cfg = run_pipeline(tmp_path, "verify-all", seed=3)
@@ -336,15 +325,8 @@ def test_verify_all_builds_and_evaluates_once_per_run(tmp_path, monkeypatch):
     bundle = fileio.load_target(toy_paths()["target"])
     atoms = fileio.load_atoms(toy_paths()["atoms"], bundle.target)
     tops = atoms.tuples
-    dim0_tops = [t for t in tops if bundle.target.dimension(t) == 0]
-    assert dim0_tops
-    assert calls == {"build_chains": 1,
-                     "invariant_via_weights": len(dim0_tops)}
+    assert calls == {"build_chains": 1}
     worklist = bounding_chain.chain_tuples(bundle.target, tops)
-    assert degree_pairs == Counter({
-        (ConstraintTuple(a.beta, a.points - {p}, a.descriptors), p): 1
-        for a in worklist for p in a.points
-    })
     assert set(worklist) <= set(listed)
     assert set(listed.values()) == {1}
     # the matrix-tree self-check weighs configurations of its own loops
@@ -356,13 +338,37 @@ def test_verify_all_builds_and_evaluates_once_per_run(tmp_path, monkeypatch):
     }
 
 
+def test_verify_all_walks_each_chain_tuples_classes_once(tmp_path,
+                                                         monkeypatch):
+    """The chains carry their invariants, so a toy verify-all walks the
+    classes of each of its 7 chain tuples once: the boundary, the degree
+    invariant of each (tuple, point) pair and the weighted invariant all
+    read that walk."""
+    from opengw import bounding_chain
+
+    walks = Counter()
+    walk = bounding_chain.boundary_class_terms
+
+    def counted(alpha, *args, **kwargs):
+        walks[alpha] += 1
+        return walk(alpha, *args, **kwargs)
+
+    monkeypatch.setattr(bounding_chain, "boundary_class_terms", counted)
+    status, cfg = run_pipeline(tmp_path, "verify-all", seed=3)
+    assert status == 0
+    bundle = fileio.load_target(toy_paths()["target"])
+    atoms = fileio.load_atoms(toy_paths()["atoms"], bundle.target)
+    worklist = bounding_chain.chain_tuples(bundle.target, atoms.tuples)
+    assert len(worklist) == 7 == sum(walks.values())
+    assert walks == Counter(worklist)
+
+
 def test_verify_all_lists_each_chain_once_for_several_tops(tmp_path,
                                                            monkeypatch):
     """Without tuples of interest every atom tuple is a top.  verify-all
     still builds one family, and chains.tsv holds each row the per-top
     families would give exactly once."""
     from opengw.bounding_chain import build_chains
-    from opengw.cli import _tuple_label
 
     target, table, top = synthetic_instance(make_rng(9))
     target_doc, atoms_doc = instance_documents(target, table, top)
@@ -375,7 +381,7 @@ def test_verify_all_lists_each_chain_once_for_several_tops(tmp_path,
     tops = fileio.load_atoms(paths["atoms"], target).tuples
     assert len(tops) > 1
     per_top = [
-        "%s\t%s\t%s" % (_tuple_label(alpha), loop, coeff)
+        "%s\t%s\t%s" % (alpha.label(), loop, coeff)
         for t in tops
         for alpha, chain in build_chains([t], table, target).items()
         for loop, coeff in chain.boundary
@@ -552,17 +558,15 @@ def test_streamed_listing_matches_the_direct_oracle(seed, shape):
     """The streamed degeneration_classes.tsv holds the rows of the direct
     class oracle in sorted order, and the class generator yields exactly
     the list of Target.degeneration_classes."""
-    from opengw.cli import _tuple_label
-
     target, table, top = synthetic_instance(make_rng(seed), *shape)
     classes = target.degeneration_classes(top)
     assert list(target.iter_degeneration_classes(top)) == classes
     expected = [
         "\t".join((
-            _tuple_label(top),
+            top.label(),
             ",".join(str(c) for c in eta.center_degree.coords),
             ",".join(sorted(eta.center_descriptors)) or "-",
-            "|".join(_tuple_label(p) for p in eta.parts) or "-",
+            "|".join(p.label() for p in eta.parts) or "-",
             str(count),
         ))
         for eta, count in sorted(direct_degeneration_classes(target, top),
@@ -887,24 +891,39 @@ def test_malformed_document_is_one_line_error(tmp_path, capsys, pipeline,
     ("closed_gw", ("entries", 0, "degree"), [0, 0], "entries[0].degree"),
     ("seeds", ("beta_zero", 0, "corrections", 0, "closed_degree"), [0, 5],
      "beta_zero[0].corrections[0].closed_degree"),
+    ("closed_gw", ("entries", 3, "degree"), [-1], "entries[3].degree"),
+    ("seeds", ("entries", 2, "degree"), [-1], "entries[2].degree"),
+    ("seeds", ("entries", 1, "degree"), [1, 0], "entries[1].degree"),
+    ("seeds", ("beta_zero", 0, "degree"), [-1], "beta_zero[0].degree"),
+    ("seeds", ("beta_zero", 0, "degree"), [0, 0], "beta_zero[0].degree"),
+    ("seeds", ("beta_zero", 0, "corrections", 0, "closed_degree"), [-1],
+     "beta_zero[0].corrections[0].closed_degree"),
 ], ids=["deg2-pairings-long", "deg2-pairings-empty", "closed-degree-long",
-        "correction-closed-degree-long"])
+        "correction-closed-degree-long", "closed-degree-negative",
+        "seed-degree-negative", "seed-degree-long",
+        "beta-zero-degree-negative", "beta-zero-degree-long",
+        "correction-closed-degree-negative"])
 def test_vector_of_the_wrong_rank_is_one_line_error(tmp_path, capsys, kind,
                                                     path, value, entry):
-    """A vector paired with a lattice must have one value per generator:
-    a longer or shorter one is a one-line error naming the file and the
-    entry, with exit status 2, never truncated or padded by a zip."""
+    """A vector paired with a lattice must have one value per generator,
+    and a degree of the closed table or the seeds must lie in the
+    effective cone: a longer or shorter vector, or a negative degree
+    coordinate, is a one-line error naming the file and the entry, with
+    exit status 2 and no artifact written, never truncated or padded by
+    a zip."""
     paths = toy_paths()
     doc = json.loads(open(paths[kind]).read())
     paths[kind] = str(tmp_path / "bad.json")
     with open(paths[kind], "w") as handle:
         json.dump(_replaced(doc, path, value), handle)
-    argv = ["--pipeline", "verify-all", "--out", str(tmp_path / "out")]
+    out = tmp_path / "out"
+    argv = ["--pipeline", "verify-all", "--out", str(out)]
     for name, file in paths.items():
         argv += ["--" + name.replace("_", "-"), file]
     assert main(argv) == 2
     err = _assert_one_line_error(capsys)
     assert "bad.json" in err and entry in err, err
+    assert not out.exists() or not os.listdir(out)
 
 
 def _node_paths(node, path=()):

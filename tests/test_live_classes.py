@@ -34,6 +34,7 @@ from support import (
     direct_degeneration_classes,
     loop_decorated_multidisks,
     make_rng,
+    point_class_terms,
     synthetic_instance,
 )
 
@@ -124,9 +125,11 @@ def full_branch_decompositions(alpha, table, classes):
 
 def assert_live_routes_match(target, table, top, label):
     """Compare every live-class consumer with its full-list oracle on the
-    dimension-0 tuples below top and their point-dropped tuples.
-    Returns how many items each route produced, so that callers can
-    check the comparison was not vacuous."""
+    dimension-0 tuples below top and their point-dropped tuples: the
+    chains' degree invariants and the extra-point walk of `support` with
+    the class terms through the extra point.  Returns how many items
+    each route produced, so that callers can check the comparison was
+    not vacuous."""
     chains = build_chains([top], table, target)
     full = {}
 
@@ -155,16 +158,18 @@ def assert_live_routes_match(target, table, top, label):
         seen["terms"] += len(terms)
         seen["constant"] += len(constant)
         seen["branches"] += len(decompositions)
-        for p in sorted(alpha.points):
+        for p, degree in chains[alpha].degrees:
             dropped = ConstraintTuple(
                 alpha.beta, alpha.points - {p}, alpha.descriptors
             )
-            terms = boundary_class_terms(
-                dropped, chains, table, target, extra_point=p
-            )
-            assert terms == full_boundary_class_terms(
+            terms = full_boundary_class_terms(
                 dropped, chains, table, classes, extra_point=p
-            ), (label, alpha, p)
+            )
+            assert point_class_terms(dropped, chains, table, target, p) \
+                == terms, (label, alpha, p)
+            assert degree == -sum(sum(contribution.values())
+                                  for _, contribution in terms), \
+                (label, alpha, p)
             seen["extra-point terms"] += len(terms)
     return seen
 
