@@ -54,6 +54,11 @@ PIPELINE_INPUTS = {
 # that of 10 would hold 10^8
 DEFAULT_CAP_TREES = 7
 MAX_CAP_TREES = 9
+# the pipelines that read --area-bound, and the most effective degrees
+# it may admit: they list every degree within it, so a bound over the
+# limit is refused before any work.  The toy has 101 at area 100
+AREA_PIPELINES = ("enumerate", "wdvv-solve", "verify-all")
+MAX_AREA_DEGREES = 10_000
 
 
 @dataclass
@@ -73,7 +78,8 @@ class RunConfig:
         if self.pipeline not in PIPELINES:
             raise ValueError("unknown pipeline %r" % (self.pipeline,))
         if self.area_bound <= 0:
-            raise ValueError("area bound must be positive")
+            raise ValueError("--area-bound must be positive, got %s"
+                             % self.area_bound)
         if self.cap_trees < 1 or self.cap_insertions < 1:
             raise ValueError("caps must be at least 1")
         if self.cap_trees > MAX_CAP_TREES:
@@ -83,6 +89,22 @@ class RunConfig:
 
 class ArtifactError(OpenGWError):
     """An artifact could not be written."""
+
+
+class AreaBoundError(OpenGWError, ValueError):
+    """--area-bound admits more effective degrees than a run may list."""
+
+
+def _check_area_bound(target, config):
+    """Refuse a bound that admits over MAX_AREA_DEGREES effective
+    degrees, counting them without listing them."""
+    if config.pipeline not in AREA_PIPELINES:
+        return
+    if target.count_effective_degrees(config.area_bound,
+                                      MAX_AREA_DEGREES) > MAX_AREA_DEGREES:
+        raise AreaBoundError(
+            "--area-bound admits more than %d effective degrees, the limit"
+            % MAX_AREA_DEGREES)
 
 
 @contextlib.contextmanager
@@ -504,6 +526,7 @@ def _run_pipeline(config, rep):
             "--" + name.replace("_", "-") for name in needs
         ), file=sys.stderr)
         return 2
+    _check_area_bound(bundle.target, config)
     if config.pipeline == "enumerate":
         run_enumerate(bundle, atom_bundle, config, rep)
     elif config.pipeline == "welschinger":
@@ -551,6 +574,16 @@ def build_parser():
     return parser
 
 
+def _area_bound(text):
+    """The --area-bound text as a Fraction; a parse error names the
+    option."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError("--area-bound %r is not a rational number"
+                         % (text,)) from None
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
@@ -560,7 +593,7 @@ def main(argv=None):
             atoms=args.atoms,
             closed_gw=args.closed_gw,
             seeds=args.seeds,
-            area_bound=Fraction(args.area_bound),
+            area_bound=_area_bound(args.area_bound),
             cap_trees=args.cap_trees,
             cap_insertions=args.cap_insertions,
             out=args.out,

@@ -308,6 +308,14 @@ class Target:
         return [self.degree(c) for c in _within_area(self.gen_areas, max_area)
                 if include_zero or any(c)]
 
+    def count_effective_degrees(self, max_area, limit):
+        """The number of effective degrees with area <= max_area, zero
+        included, counted without listing them; a count over `limit`
+        stops at limit + 1."""
+        if max_area < 0:
+            return 0
+        return _count_within_area(self.gen_areas, Fraction(max_area), limit)
+
     def effective_below(self, beta):
         """Effective degrees d with beta - d effective, sorted."""
         return [self.degree(c) for c in _box(beta.coords)]
@@ -593,6 +601,30 @@ def _within_area(areas, max_area):
 
     walk((), Fraction(max_area))
     return out
+
+
+def _count_within_area(areas, max_area, limit):
+    """The number of tuples `_within_area` lists, up to limit + 1.  The
+    walk fixes every coordinate but the last and counts the values of
+    the last at once, so each step adds at least one and the walk stops
+    after at most limit + 1 steps."""
+    *head, last = areas
+    count = 0
+
+    def walk(i, budget):
+        nonlocal count
+        if i == len(head):
+            count += budget // last + 1
+            return count > limit
+        c = 0
+        while c * head[i] <= budget:
+            if walk(i + 1, budget - c * head[i]):
+                return True
+            c += 1
+        return False
+
+    walk(0, max_area)
+    return min(count, limit + 1)
 
 
 # --- class counting -------------------------------------------------------

@@ -1,6 +1,6 @@
 """Exact linear algebra over the rationals and the integers.
 
-Everything the sign calculus needs: determinants, integer kernels,
+Everything the sign calculus needs: integer determinants and kernels,
 linear solves, and an integer Smith normal form for lattice-image
 membership.  Matrices are plain lists of lists of Fraction or int; any
 other entry (a float, a string, a bool) is refused with TypeError by
@@ -12,9 +12,10 @@ any heavyweight dependency.
 Three private routines work in integers only and build no Fraction:
 `_int_echelon` (fraction-free Gauss-Jordan of integer rows),
 `_int_kernel` (the primitive integer kernel basis read off that
-elimination) and `_det_bareiss` (Bareiss's determinant).  The
-orientation layer calls them directly, so that a sign is read off an
-integer determinant without any Fraction.
+elimination) and `_det_bareiss` (Bareiss's determinant), the one
+determinant.  The orientation and tree-sum layers call them directly,
+so that a sign or a cofactor is read off an integer determinant without
+any Fraction.
 """
 
 from __future__ import annotations
@@ -67,20 +68,6 @@ def hstack(a, b):
     if len(a) != len(b):
         raise ValueError("row count mismatch")
     return [list(ra) + list(rb) for ra, rb in zip(a, b)]
-
-
-def det(a):
-    """Determinant of a square matrix; Fraction(0) when it is singular.
-
-    The entries (int or Fraction) are scaled to integers row by row and
-    eliminated fraction-free; the result is one Fraction.
-    """
-    n = len(a)
-    if any(len(r) != n for r in a):
-        raise ValueError("determinant of a non-square matrix")
-    scaled = [_integer_scaled(row) for row in a]
-    return Fraction(_det_bareiss([ints for ints, _ in scaled]),
-                    math.prod(d for _, d in scaled))
 
 
 def _det_bareiss(m):

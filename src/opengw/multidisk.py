@@ -21,6 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from . import OpenGWError, linalg
 
@@ -227,34 +228,45 @@ def _edge_weights(config, links):
 
 def tree_weight_sum(config, links):
     """Sum over spanning trees of the product of edge linking numbers,
-    via the weighted matrix-tree cofactor determinant."""
+    via the weighted matrix-tree cofactor determinant.  The Laplacian
+    is built in integers, over the weights' common denominator den, so
+    its cofactor is den^(m-1) times the sum."""
     m = len(config)
     if m == 1:
         return Fraction(1)
-    w = _edge_weights(config, links)
+    ints, den = linalg._integer_scaled(_edge_weights(config, links))
     size = m - 1
-    lap = [[Fraction(0)] * size for _ in range(size)]
-    for (i, j), val in zip(itertools.combinations(range(m), 2), w):
-        if i < size and j < size:
-            lap[i][j] = lap[i][j] - val
-            lap[j][i] = lap[j][i] - val
-        if i < size:
-            lap[i][i] = lap[i][i] + val
+    lap = [[0] * size for _ in range(size)]
+    # i < j, so the row and column of i are always kept
+    for (i, j), w in zip(_edge_pairs(m), ints):
+        lap[i][i] += w
         if j < size:
-            lap[j][j] = lap[j][j] + val
-    return linalg.det(lap)
+            lap[j][j] += w
+            lap[i][j] -= w
+            lap[j][i] -= w
+    return Fraction(linalg._det_bareiss(lap), den ** size)
+
+
+@functools.cache
+def _tree_getters(m):
+    """One itemgetter per spanning tree on m >= 3 vertices, in the order
+    of `tree_edge_indices`, picking the tree's edges out of a list of
+    edge weights; built once per m."""
+    return tuple(itertools.starmap(itemgetter, tree_edge_indices(m)))
 
 
 def tree_weight_sum_enumerated(config, links):
     """The same sum by explicit tree enumeration; the oracle route.  The
     products are taken in integers, over the weights' common
-    denominator, and divided once."""
+    denominator, one per tree, and divided once."""
     m = len(config)
     if m == 1:
         return Fraction(1)
     ints, den = linalg._integer_scaled(_edge_weights(config, links))
-    total = sum(math.prod([ints[k] for k in tree])
-                for tree in tree_edge_indices(m))
+    if m == 2:
+        return Fraction(ints[0], den)  # the one tree is the one edge
+    prod = math.prod
+    total = sum([prod(tree(ints)) for tree in _tree_getters(m)])
     return Fraction(total, den ** (m - 1))
 
 

@@ -26,6 +26,7 @@ a non-surjective combined map is a hard error, never a sign 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
@@ -65,9 +66,10 @@ class LinearFiberProblem:
     """Oriented linear data for a fiber product M x_X G.
 
     df and dg are exact-rational matrices Q^{dim M} -> Q^{dim X} and
-    Q^{dim G} -> Q^{dim X}; the three orientation signs are relative to
-    standard bases.  The combined map is scaled to integer rows and
-    row-reduced once per problem; transversality, the kernel and every
+    Q^{dim G} -> Q^{dim X}, kept as tuples of rows of the int or Fraction
+    entries given; the three orientation signs are relative to standard
+    bases.  The combined map is scaled to integer rows and row-reduced
+    once per problem; transversality, the kernel and every
     orientation sign are read from that one elimination.
     """
 
@@ -79,13 +81,14 @@ class LinearFiberProblem:
 
     @staticmethod
     def build(df_rows, dg_rows, dim_m, dim_g, dim_x, sign_m=1, sign_g=1, sign_x=1):
-        if len(df_rows) != dim_x or any(len(r) != dim_m for r in df_rows):
+        df = tuple([linalg._exact(tuple(row)) for row in df_rows])
+        dg = tuple([linalg._exact(tuple(row)) for row in dg_rows])
+        if len(df) != dim_x or any(len(r) != dim_m for r in df):
             raise OrientationError("df has the wrong shape")
-        if len(dg_rows) != dim_x or any(len(r) != dim_g for r in dg_rows):
+        if len(dg) != dim_x or any(len(r) != dim_g for r in dg):
             raise OrientationError("dg has the wrong shape")
         return LinearFiberProblem(
-            tuple(map(tuple, linalg.mat(df_rows))),
-            tuple(map(tuple, linalg.mat(dg_rows))),
+            df, dg,
             OrientedSpace(dim_m, sign_m),
             OrientedSpace(dim_g, sign_g),
             OrientedSpace(dim_x, sign_x),
@@ -114,24 +117,21 @@ class LinearFiberProblem:
         return linalg._int_kernel(m, pivots, n)
 
     @cached_property
-    def _combined(self):
-        dim_x = self.space_x.dim
-        dim_m = self.space_m.dim
-        dim_g = self.space_g.dim
-        rows = []
-        for i in range(dim_x):
-            neg = [-x for x in (self.df[i] if self.df else [])]
-            pos = list(self.dg[i] if self.dg else [])
-            if len(neg) != dim_m or len(pos) != dim_g:
-                raise OrientationError("map rows do not match declared dims")
-            rows.append(neg + pos)
-        return rows
-
-    @cached_property
     def _int_rows(self):
-        """The combined map with each row scaled to integers by a positive
-        factor."""
-        return linalg._int_rows(self._combined)
+        """The combined map (v, w) |-> dg(w) - df(v), each row scaled to
+        integers by the positive lcm of its denominators: read straight
+        off df and dg, with the numerators of df negated as integers."""
+        rows = []
+        for f, g in zip(self.df, self.dg):
+            d = math.lcm(*[x.denominator for x in f],
+                         *[x.denominator for x in g])
+            if d == 1:
+                rows.append([-x.numerator for x in f]
+                            + [x.numerator for x in g])
+            else:
+                rows.append([-x.numerator * (d // x.denominator) for x in f]
+                            + [x.numerator * (d // x.denominator) for x in g])
+        return rows
 
     @cached_property
     def _echelon(self):

@@ -12,11 +12,12 @@ counts; the front-end turns them into report lines.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
+from operator import mul
 
-from . import linalg
-from .multidisk import LinkingMatrix, tree_edge_indices
+from . import linalg, multidisk
 from .orientation import (
     FACE_G,
     FACE_M,
@@ -28,9 +29,22 @@ from .orientation import (
 )
 
 
+@functools.cache
+def _small_rationals(top):
+    """Fraction(p, q) for |p| <= top and 1 <= q <= 3, at index
+    3 * (p + top) + q - 1; built once per bound and shared, since a
+    Fraction is immutable."""
+    return tuple(Fraction(p, q) for p in range(-top, top + 1)
+                 for q in range(1, 4))
+
+
 def rand_matrix(rng, rows, cols):
-    """A rows x cols matrix of rationals p/q, |p| <= 5, 1 <= q <= 3."""
-    return [[Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+    """A rows x cols matrix of rationals p/q, |p| <= 5, 1 <= q <= 3: p
+    and then q are drawn for each entry, and the entry is the shared
+    Fraction p/q."""
+    table = _small_rationals(5)
+    randint = rng.randint
+    return [[table[3 * randint(-5, 5) + randint(1, 3) + 14]
              for _ in range(cols)] for _ in range(rows)]
 
 
@@ -122,7 +136,7 @@ def boundary_face_oracle(rng, face, max_dim):
         # outward vector: v_o, turned to a positive cut coordinate
         coeffs[o][d - 1] = sign_of(a)
         sigma = fiber_orientation_sign(prob, linalg.columns_matrix(kernel))
-        observed = sigma * sign_of(linalg.det(coeffs))
+        observed = sigma * sign_of(linalg._det_bareiss(coeffs))
         # the same face basis, in the coordinates of the boundary problem
         dropped = [[v[i] for v in face_vecs] for i in range(n) if i != cut]
         return prob, observed * fiber_orientation_sign(sub, dropped)
@@ -143,12 +157,13 @@ def flip_oracle(rng, max_dim):
         sm = [rng.choice((1, -1)) for _ in range(dim_m)]
         sg = [rng.choice((1, -1)) for _ in range(dim_g)]
         sx = [rng.choice((1, -1)) for _ in range(dim_x)]
-        half = Fraction(1, 2)
 
         def equivariant(rows, cols, srow, scol):
+            # the equivariant part (a + srow a scol) / 2 of a random a:
+            # the entries of a where the two signs agree, zero elsewhere
             a = rand_matrix(rng, rows, cols)
-            return [[half * (a[i][j] + srow[i] * a[i][j] * scol[j])
-                     for j in range(cols)] for i in range(rows)]
+            return [[x if s == t else 0 for x, t in zip(row, scol)]
+                    for row, s in zip(a, srow)]
 
         prob = LinearFiberProblem.build(
             equivariant(dim_x, dim_m, sx, sm),
@@ -202,18 +217,19 @@ def association_oracle(rng, max_dim):
             k1_vecs[0] = [-x for x in k1_vecs[0]]
             k1 = linalg.columns_matrix(k1_vecs)
             inner_sign = 1
-        # e on the inner fiber, in k1 coordinates; a rigid inner fiber is
-        # a signed point and keeps its sign
-        de_inner = [[sum(de[i][t] * k1[t][j] for t in range(dim_m))
-                     for j in range(d1)] for i in range(dim_y)]
+        # e on the inner fiber, in k1 coordinates, each row of de over
+        # its own denominator; a rigid inner fiber is a signed point and
+        # keeps its sign
+        de_inner = [[Fraction(sum(map(mul, ints, v)), den) for v in k1_vecs]
+                    for ints, den in map(linalg._integer_scaled, de)]
         outer = LinearFiberProblem.build(de_inner, dh, d1, dim_c, dim_y,
                                          inner_sign, s_c, s_y)
         if not outer.surjective:
             continue
         # the one-step problem: M against G x C over X x Y
         big_df = df + de
-        big_dg = ([list(row) + [Fraction(0)] * dim_c for row in dg]
-                  + [[Fraction(0)] * dim_g + list(row) for row in dh])
+        big_dg = ([list(row) + [0] * dim_c for row in dg]
+                  + [[0] * dim_g + list(row) for row in dh])
         onestep = LinearFiberProblem.build(
             big_df, big_dg, dim_m, dim_g + dim_c, dim_x + dim_y,
             s_m, s_g * s_c, s_x * s_y,
@@ -225,13 +241,19 @@ def association_oracle(rng, max_dim):
             continue  # a rigid instance carries no basis to compare
         kb = linalg.columns_matrix(kb_vecs)
         one_sign = fiber_orientation_sign(onestep, kb)
-        # the same vectors in (inner fiber) x C coordinates
-        mg_part = [[kb[i][j] for j in range(len(kb_vecs))] for i in range(n1)]
-        coeffs = linalg.solve(k1, mg_part) if d1 else []
-        if d1 and coeffs is None:
+        # the same vectors in (inner fiber) x C coordinates: k1 x = the
+        # M x G part of each, solved fraction-free.  The columns of k1
+        # are independent, so row r of the reduced [k1 | M x G part]
+        # reads p_r x_r = its right-hand side; every vector is scaled by
+        # the positive lcm of the p_r, which keeps its orientation
+        red, pivots = linalg._int_echelon(
+            [[v[i] for v in k1_vecs] + kb[i] for i in range(n1)])
+        if any(p >= d1 for p in pivots):
             continue
-        c_part = [[kb[n1 + i][j] for j in range(len(kb_vecs))]
-                  for i in range(dim_c)]
+        scale = math.lcm(*(red[r][r] for r in range(d1)))
+        coeffs = [[x * (scale // red[r][r]) for x in red[r][d1:]]
+                  for r in range(d1)]
+        c_part = [[scale * x for x in kb[n1 + i]] for i in range(dim_c)]
         iter_sign = fiber_orientation_sign(outer, coeffs + c_part)
         return dim_x, dim_y - dim_c, iter_sign * one_sign
 
@@ -261,10 +283,11 @@ def orientation_suite(rng, instances=1000, max_dim=6):
 def matrix_tree_suite(rng, matrices=200, max_vertices=7):
     """Cofactor determinant against explicit tree enumeration."""
     from .lattice import Target
-    from .multidisk import DiskAtom, MultiDisk, tree_weight_sum, \
-        tree_weight_sum_enumerated
 
-    target = Target([("g", 1, 2)])
+    degree = Target([("g", 1, 2)]).degree((1,))
+    # linking numbers p/q, |p| <= 6, 1 <= q <= 3, drawn p first
+    table = _small_rationals(6)
+    randint = rng.randint
     failures = 0
     checked = 0
     per_m = max(1, matrices // max_vertices)
@@ -273,34 +296,40 @@ def matrix_tree_suite(rng, matrices=200, max_vertices=7):
             loops = ["t%d" % i for i in range(m)]
             entries = [
                 (loops[i], loops[j],
-                 Fraction(rng.randint(-6, 6), rng.randint(1, 3)))
+                 table[3 * randint(-6, 6) + randint(1, 3) + 17])
                 for i in range(m) for j in range(i + 1, m)
             ]
-            links = LinkingMatrix(entries)
+            links = multidisk.LinkingMatrix(entries)
             for ln in loops:
                 links.declare_loop(ln)
-            config = MultiDisk(tuple(
-                DiskAtom(target.degree((1,)), frozenset(["p%d" % i]),
-                         frozenset(), 1, loops[i])
+            config = multidisk.MultiDisk(tuple(
+                multidisk.DiskAtom(degree, frozenset(["p%d" % i]),
+                                   frozenset(), 1, loops[i])
                 for i in range(m)
             ))
             checked += 1
-            if tree_weight_sum(config, links) != tree_weight_sum_enumerated(
-                    config, links):
+            if multidisk.tree_weight_sum(config, links) \
+                    != multidisk.tree_weight_sum_enumerated(config, links):
                 failures += 1
     return failures == 0, "%d matrices, %d failures" % (checked, failures)
 
 
 def tree_count_suite(max_vertices=7):
-    """Tree enumeration against the closed-form count: the distinct edge
-    sets among the enumerated trees.  Each tree is kept as a bytes row of
-    its edge indices, all below 256, so distinct rows are exactly
-    distinct trees."""
+    """Tree enumeration against the closed-form count: the trees listed
+    and the distinct edge sets among them.  Each tree of the packed
+    table is a fixed-width bytes slice of its sorted edge indices, so
+    distinct slices are exactly distinct trees."""
     for m in range(1, max_vertices + 1):
         expected = 1 if m == 1 else m ** (m - 2)
-        got = len({bytes(tree) for tree in tree_edge_indices(m)})
-        if got != expected:
-            return False, "vertex count %d: %d trees, expected %d" % (
-                m, got, expected
-            )
+        if m == 1:
+            trees = list(multidisk.tree_edge_indices(1))
+            listed, distinct = len(trees), len(set(trees))
+        else:
+            packed, width = multidisk._packed_trees(m), m - 1
+            listed = len(packed) // width
+            distinct = len({packed[i:i + width]
+                            for i in range(0, len(packed), width)})
+        if listed != expected or distinct != expected:
+            return False, "vertex count %d: %d trees, %d distinct, " \
+                "expected %d" % (m, listed, distinct, expected)
     return True, "all vertex counts up to %d" % max_vertices

@@ -2,9 +2,11 @@
 
 The orientation oracles live in `opengw.selfcheck`; the tests import them
 from there and pass their own seeds and scales.  This module keeps what
-only the tests need: two determinants to cross-check `linalg.det` (a
-Bareiss elimination in Fractions and a permutation expansion that
-eliminates nothing), a right inverse for the splitting route to the
+only the tests need: the rational determinant `det` (rows scaled to
+integers, then `linalg._det_bareiss`), the oracle for every determinant
+a test needs, and two determinants to cross-check it (a Bareiss
+elimination in Fractions and a permutation expansion that eliminates
+nothing), a right inverse for the splitting route to the
 fiber product orientation, the synthetic instance generator and a writer of
 its instances as input documents, the direct class-level enumerator of
 degeneration classes and the raw expansion into ordered splittings
@@ -43,8 +45,26 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
+def det(a):
+    """Determinant of a square matrix of int or Fraction entries, as a
+    Fraction; Fraction(0) when it is singular.
+
+    Each row is scaled to integers by the lcm of its denominators, the
+    integer matrix goes through `linalg._det_bareiss`, and the result
+    is divided by the product of the scales.
+    """
+    from opengw import linalg
+
+    n = len(a)
+    if any(len(r) != n for r in a):
+        raise ValueError("determinant of a non-square matrix")
+    scaled = [linalg._integer_scaled(row) for row in a]
+    return Fraction(linalg._det_bareiss([ints for ints, _ in scaled]),
+                    math.prod(d for _, d in scaled))
+
+
 def det_bareiss(a):
-    """Fraction-free Bareiss determinant; independent of linalg.det."""
+    """Bareiss determinant in Fractions; independent of `det`."""
     n = len(a)
     if n == 0:
         return Fraction(1)
@@ -143,10 +163,10 @@ def precedes(first, second, strict=False):
 
 
 def combined_map(prob):
-    """The matrix of (v, w) |-> dg(w) - df(v) of a fiber problem: the rows
-    the problem builds once and eliminates, which callers must not
-    mutate."""
-    return prob._combined
+    """The matrix of (v, w) |-> dg(w) - df(v) of a fiber problem, built
+    from its df and dg: the map whose integer rows the problem
+    eliminates."""
+    return [[-x for x in f] + list(g) for f, g in zip(prob.df, prob.dg)]
 
 
 def exact_sequence_sign(sub, total, quotient, splitting, inclusion=None):
@@ -187,7 +207,7 @@ def exact_sequence_sign(sub, total, quotient, splitting, inclusion=None):
                         "not a splitting: projection o splitting != identity"
                     )
     assembled = [list(inclusion[i]) + list(split[i] if split else []) for i in range(n)]
-    d = linalg.det(assembled) if n else Fraction(1)
+    d = det(assembled) if n else Fraction(1)
     if d == 0:
         raise OrientationError("splitting does not complement the included sub")
     sign = 1 if d > 0 else -1

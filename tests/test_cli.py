@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from opengw import fileio
-from opengw.cli import RunConfig, build_parser, main, run
+from opengw.cli import MAX_AREA_DEGREES, RunConfig, build_parser, main, run
 
 from support import (
     LISTING_SHAPES,
@@ -203,6 +203,57 @@ def test_orientation_oracle_catches_a_wrong_sign_rule(tmp_path, monkeypatch,
     assert not summary["ok"]
     assert [c["check"] for c in summary["checks"]
             if c["status"] == "FAIL"] == ["orientation-model-oracle"]
+
+
+def _cofactor_off_by_a_sign(multidisk):
+    real = multidisk.tree_weight_sum
+    return "tree_weight_sum", lambda config, links: (
+        -real(config, links) if len(config) > 2 else real(config, links))
+
+
+def _seven_vertex_table(edit):
+    def patch(multidisk):
+        real = multidisk._packed_trees
+        return "_packed_trees", lambda m: edit(real(m), m - 1) if m == 7 \
+            else real(m)
+    return patch
+
+
+# a wrong variant of each tree route, with the one check that must catch
+# it: the cofactor sum off by a sign on configurations of more than two
+# disks (the toy's have at most two, so only the suite's draws reach
+# it), and the 7-vertex tree table with its first tree listed twice,
+# appended or written over the second tree
+WRONG_TREE_ROUTES = {
+    "cofactor-sign": ("matrix-tree-agreement", _cofactor_off_by_a_sign),
+    "tree-appended": ("tree-count-closed-form", _seven_vertex_table(
+        lambda packed, w: packed + packed[:w])),
+    "tree-overwritten": ("tree-count-closed-form", _seven_vertex_table(
+        lambda packed, w: packed[:w] * 2 + packed[2 * w:])),
+}
+
+
+@pytest.mark.parametrize("route", list(WRONG_TREE_ROUTES))
+def test_tree_checks_catch_a_wrong_tree_route(tmp_path, monkeypatch, route):
+    """Negative control: with one tree route wrong, its suite fails, and
+    the toy verify-all reports exactly that check FAIL and exits 1."""
+    from opengw import multidisk, selfcheck
+
+    check, wrong = WRONG_TREE_ROUTES[route]
+    monkeypatch.setattr(multidisk, *wrong(multidisk))
+    if check == "matrix-tree-agreement":
+        ok, detail = selfcheck.matrix_tree_suite(make_rng(0), matrices=70,
+                                                 max_vertices=6)
+        checked, failures = (int(w) for w in detail.split()[::2])
+        assert not ok and checked == 66 and failures > 0
+    else:
+        ok, detail = selfcheck.tree_count_suite(max_vertices=7)
+        assert not ok and detail.startswith("vertex count 7: ")
+    status, cfg = run_pipeline(tmp_path, "verify-all", seed=0)
+    assert status == 1
+    summary = json.loads((tmp_path / "out" / "checks.json").read_text())
+    assert [c["check"] for c in summary["checks"]
+            if c["status"] == "FAIL"] == [check]
 
 
 # The SHA-256 of every table the toy pipelines write at --seed 0; a
@@ -456,6 +507,64 @@ def test_tree_cap_is_refused_before_any_check(tmp_path, monkeypatch,
         "error: tree enumeration capped at 1 vertices (asked for 2)\n")
     assert not out.exists() or not os.listdir(out)
     assert main(argv + ["--cap-trees", "2"]) == 0
+
+
+# (pipeline, --area-bound, the end of its one error line).  The limit
+# counts the effective degrees within the bound: 1e12 admits 10^12 + 1
+# on the toy, whose one generator has area 1
+AREA_BOUND_ERRORS = [
+    ("verify-all", "1e12", "admits more than %d effective degrees, the limit"
+     % MAX_AREA_DEGREES),
+    ("enumerate", "1e12", "admits more than %d effective degrees, the limit"
+     % MAX_AREA_DEGREES),
+    ("wdvv-solve", "1e400", "admits more than %d effective degrees, the "
+     "limit" % MAX_AREA_DEGREES),
+    ("verify-all", "1/0", "'1/0' is not a rational number"),
+    ("wdvv-solve", "abc", "'abc' is not a rational number"),
+    ("enumerate", "-1", "must be positive, got -1"),
+]
+
+
+@pytest.mark.parametrize("pipeline, bound, message", AREA_BOUND_ERRORS,
+                         ids=["%s-%s" % case[:2] for case in AREA_BOUND_ERRORS])
+def test_area_bound_is_refused_before_any_work(tmp_path, monkeypatch, capsys,
+                                               pipeline, bound, message):
+    """A bound over the limit, or one that is not a positive rational,
+    exits 2 with one error line naming --area-bound, before any
+    self-check or degree listing, and leaves --out empty."""
+    from opengw import lattice, selfcheck
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran before the area bound was checked")
+
+    monkeypatch.setattr(selfcheck, "orientation_suite", no_work)
+    monkeypatch.setattr(lattice, "_within_area", no_work)
+    paths = toy_paths()
+    out = tmp_path / "out"
+    argv = ["--pipeline", pipeline, "--target", paths["target"],
+            "--atoms", paths["atoms"], "--closed-gw", paths["closed_gw"],
+            "--seeds", paths["seeds"], "--area-bound=" + bound,
+            "--out", str(out)]
+    assert main(argv) == 2
+    assert _assert_one_line_error(capsys) == (
+        "error: --area-bound %s\n" % message)
+    assert not out.exists() or not os.listdir(out)
+
+
+def test_area_bound_limit_leaves_other_pipelines_alone(tmp_path):
+    """welschinger and bb-recursion do not read the bound, so a bound
+    over the limit changes nothing there; area 100 on the toy is within
+    the limit."""
+    from opengw.lattice import _within_area
+
+    paths = toy_paths()
+    for pipeline in ("welschinger", "bb-recursion"):
+        assert main(["--pipeline", pipeline, "--target", paths["target"],
+                     "--atoms", paths["atoms"], "--area-bound", "1e400",
+                     "--out", str(tmp_path / pipeline)]) == 0
+    target = fileio.load_target(paths["target"]).target
+    assert target.count_effective_degrees(100, MAX_AREA_DEGREES) == 101
+    assert len(_within_area(target.gen_areas, 100)) == 101
 
 
 def test_verify_all_deterministic(tmp_path):

@@ -124,6 +124,18 @@ def test_dimension_parity_even_for_even_maslov():
 # --- partial order --------------------------------------------------------
 
 
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from([Fraction(1), Fraction(2), Fraction(1, 2),
+                                 Fraction(3, 2)]), min_size=1, max_size=3),
+       st.fractions(-1, 12, max_denominator=4), st.integers(0, 60))
+def test_effective_degrees_are_counted_without_listing(areas, bound, limit):
+    """count_effective_degrees is the length of the listing, capped at
+    limit + 1."""
+    t = Target([("g%d" % i, a, 2) for i, a in enumerate(areas)])
+    listed = len(t.effective_degrees(bound))
+    assert t.count_effective_degrees(bound, limit) == min(listed, limit + 1)
+
+
 def test_precedes_reflexive_and_examples():
     t = rank1()
     alpha = t.constraint_tuple((2,), points=["p", "q"], descriptors=[])

@@ -1,6 +1,7 @@
 """linalg against independent determinants, and properties of its
 exact kernels on random rational matrices."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,10 +10,13 @@ from hypothesis import given, settings, strategies as st
 from opengw import linalg
 from opengw.selfcheck import rand_matrix
 
-from support import det_bareiss, det_leibniz, make_rng, nullspace, rank
+from support import det, det_bareiss, det_leibniz, make_rng, nullspace, rank
 
 
 def test_det_matches_bareiss_over_rationals():
+    """_det_bareiss of a rational matrix with each row scaled to
+    integers is the Fraction Bareiss determinant times the product of
+    the row scales."""
     rng = make_rng(31)
     singular = 0
     for _ in range(200):
@@ -25,8 +29,10 @@ def test_det_matches_bareiss_over_rationals():
             a[i] = [scale * x for x in a[j]]
         expected = det_bareiss(a)
         singular += expected == 0
-        assert linalg.det(a) == expected
-    assert linalg.det([]) == 1
+        scaled = [linalg._integer_scaled(row) for row in a]
+        got = linalg._det_bareiss([ints for ints, _ in scaled])
+        assert got == expected * math.prod(d for _, d in scaled)
+    assert linalg._det_bareiss([]) == 1
     assert singular >= 20
 
 
@@ -37,38 +43,39 @@ def test_mat_converts_ints_and_keeps_fractions():
     assert out[0][0] is half and type(out[0][1]) is Fraction
 
 
-def test_det_of_integer_matrices_is_an_exact_fraction():
-    """Plain int entries give a Fraction, never a float."""
-    assert linalg.det([[-1, 0], [1, 1]]) == -1
-    assert isinstance(linalg.det([[-1, 0], [1, 1]]), Fraction)
+def test_det_of_integer_matrices_is_an_exact_integer():
+    """Integer entries give an int, never a float or a Fraction."""
+    assert linalg._det_bareiss([[-1, 0], [1, 1]]) == -1
     rng = make_rng(41)
     for _ in range(200):
         n = rng.randint(0, 6)
         a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        got = linalg.det(a)
-        assert isinstance(got, Fraction)
+        got = linalg._det_bareiss([row[:] for row in a])
+        assert type(got) is int
         assert got == det_bareiss(a)
 
 
 def test_det_matches_permutation_expansion():
     """The same determinant over Q and over the integers, against an
-    expansion that shares no elimination with linalg.det."""
+    expansion that shares no elimination with linalg._det_bareiss."""
     rng = make_rng(43)
     for _ in range(60):
         n = rng.randint(0, 6)
         rational = rand_matrix(rng, n, n)
-        assert linalg.det(rational) == det_leibniz(rational)
+        assert det(rational) == det_leibniz(rational)
         ints = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(n)]
-        assert linalg.det(ints) == det_leibniz(ints)
+        assert linalg._det_bareiss([row[:] for row in ints]) \
+            == det_leibniz(ints)
 
 
-def test_det_refuses_a_float_entry():
+def test_exact_kernels_refuse_a_float_entry():
     """Exact kernels take int or Fraction entries only: a float is
-    refused with TypeError, as row reduction refuses it."""
+    refused with TypeError by the scaling to integers and by row
+    reduction."""
     with pytest.raises(TypeError):
-        linalg.det([[Fraction(1), 0.5], [0, 1]])
+        linalg._int_rows([[Fraction(1), 0.5], [0, 1]])
     with pytest.raises(TypeError, match="int or Fraction"):
-        linalg.det([[True]])  # a bool is an int subclass, not a number here
+        linalg._int_rows([[True]])  # a bool is an int subclass, not a number here
     with pytest.raises(TypeError):
         linalg.solve([[Fraction(1), 0.5]], [1])
 
@@ -76,7 +83,7 @@ def test_det_refuses_a_float_entry():
 @pytest.mark.parametrize("entry", [0.5, 1.0, "1", None, True, False])
 def test_mat_refuses_an_inexact_entry(entry):
     """mat converts ints and keeps Fractions, and refuses anything else
-    with the TypeError of det, instead of storing the float's binary
+    with the TypeError of `_exact`, instead of storing the float's binary
     expansion as a Fraction."""
     with pytest.raises(TypeError, match="int or Fraction"):
         linalg.mat([[Fraction(1), entry]])
@@ -200,6 +207,6 @@ def test_solve_exactly_when_consistent(system):
 def test_det_is_multiplicative(pair):
     a, b = pair
     n = len(a)
-    det_ab = linalg.det(_product(a, b, n, n))
+    det_ab = det(_product(a, b, n, n))
     assert type(det_ab) is Fraction
-    assert det_ab == linalg.det(a) * linalg.det(b)
+    assert det_ab == det(a) * det(b)

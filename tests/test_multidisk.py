@@ -202,6 +202,46 @@ def test_matrix_tree_agrees_with_enumeration_random():
             assert tree_weight_sum(cfg, lk) == tree_weight_sum_enumerated(cfg, lk)
 
 
+# The SHA-256 of `_matrix_tree_stream()`.  It pins the linking matrices
+# the matrix-tree suite draws (through the cofactor sum of each), the
+# suite's return and the random stream it leaves behind, which
+# verify-all's later checks never read but a reordered draw would move.
+# Computed before the suite's draws and both tree routes went to integers.
+MATRIX_TREE_STREAM_SHA256 = (
+    "bdfbf854f8ff02c3df0a1d5f1e87588eb06bc0a05bef8f3ff7a9ddc62e87510e")
+
+
+def _matrix_tree_stream(monkeypatch, seeds=(0, 1, 2)):
+    """Per seed, at verify-all's scale (70 matrices, up to 6 vertices):
+    the tuple of `tree_weight_sum` values the suite compares, its return,
+    then the next rng.random()."""
+    from opengw import multidisk, selfcheck
+
+    real = multidisk.tree_weight_sum
+    seen = []
+    monkeypatch.setattr(multidisk, "tree_weight_sum",
+                        lambda config, links: seen.append(
+                            real(config, links)) or seen[-1])
+    records = []
+    for seed in seeds:
+        rng = make_rng(seed)
+        result = selfcheck.matrix_tree_suite(rng, matrices=70, max_vertices=6)
+        records.append((tuple(seen), result, rng.random()))
+        seen.clear()
+    return records
+
+
+def test_matrix_tree_stream_is_pinned(monkeypatch):
+    import hashlib
+
+    records = _matrix_tree_stream(monkeypatch)
+    assert [len(values) for values, _, _ in records] == [66] * 3
+    assert all(result == (True, "66 matrices, 0 failures")
+               for _, result, _ in records)
+    assert hashlib.sha256(repr(records).encode()).hexdigest() \
+        == MATRIX_TREE_STREAM_SHA256
+
+
 # --- configurations and the signed count ------------------------------------
 
 

@@ -163,10 +163,13 @@ def test_fiber_rigid_odd_target_flips():
     assert fiber_orientation_sign(prob, []) == -1
 
 
-def test_combined_map_is_built_once_per_problem():
+def test_integer_rows_are_built_once_per_problem():
+    """The combined map's rows, each scaled to integers by the lcm of its
+    denominators, are read off df and dg once per problem."""
     prob = LinearFiberProblem.build([[1, 2]], [[Fraction(1, 3)]], 2, 1, 1)
     assert combined_map(prob) == [[-1, -2, Fraction(1, 3)]]
-    assert combined_map(prob) is combined_map(prob)
+    assert prob._int_rows == [[-3, -6, 1]]
+    assert prob._int_rows is prob._int_rows
     assert prob == LinearFiberProblem.build([[1, 2]], [[Fraction(1, 3)]],
                                             2, 1, 1)
 
