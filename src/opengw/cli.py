@@ -54,6 +54,12 @@ PIPELINE_INPUTS = {
 # that of 10 would hold 10^8
 DEFAULT_CAP_TREES = 7
 MAX_CAP_TREES = 9
+# --cap-insertions: the most interior insertions of a bracket or a
+# relation instance the open WDVV solver lists.  An anchored family of
+# l insertions has 2^(l-1) partitions, so the run time grows about 4x
+# per step of 2
+DEFAULT_CAP_INSERTIONS = 3
+MAX_CAP_INSERTIONS = 12
 # the pipelines that read --area-bound, and the most effective degrees
 # it may admit: they list every degree within it, so a bound over the
 # limit is refused before any work.  The toy has 101 at area 100
@@ -70,7 +76,7 @@ class RunConfig:
     seeds: str = None
     area_bound: Fraction = Fraction(2)
     cap_trees: int = DEFAULT_CAP_TREES
-    cap_insertions: int = 3
+    cap_insertions: int = DEFAULT_CAP_INSERTIONS
     out: str = "out"
     seed: int = 0
 
@@ -80,11 +86,16 @@ class RunConfig:
         if self.area_bound <= 0:
             raise ValueError("--area-bound must be positive, got %s"
                              % self.area_bound)
-        if self.cap_trees < 1 or self.cap_insertions < 1:
-            raise ValueError("caps must be at least 1")
-        if self.cap_trees > MAX_CAP_TREES:
-            raise ValueError("--cap-trees %d exceeds the largest tree cap, %d"
-                             % (self.cap_trees, MAX_CAP_TREES))
+        for option, cap, limit, kind in (
+                ("--cap-trees", self.cap_trees, MAX_CAP_TREES, "tree"),
+                ("--cap-insertions", self.cap_insertions, MAX_CAP_INSERTIONS,
+                 "insertion")):
+            if cap < 1:
+                raise ValueError("%s must be at least 1, got %d"
+                                 % (option, cap))
+            if cap > limit:
+                raise ValueError("%s %d exceeds the largest %s cap, %d"
+                                 % (option, cap, kind, limit))
 
 
 class ArtifactError(OpenGWError):
@@ -567,7 +578,8 @@ def build_parser():
                         help="largest configuration verify-all enumerates "
                              "spanning trees on")
     parser.add_argument("--cap-insertions", dest="cap_insertions", type=int,
-                        default=3, help="insertion count cap for the solver")
+                        default=DEFAULT_CAP_INSERTIONS,
+                        help="insertion count cap for the solver")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for the randomized property suites")

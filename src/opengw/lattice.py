@@ -542,11 +542,10 @@ class Target:
         ))
 
     def in_closed_image(self, beta):
-        """Whether beta comes from the closed lattice (exact integer
-        solvability via Smith normal form)."""
-        if self.closed_rank == 0:
-            return beta.is_zero
-        return linalg.integer_solve(self.q_matrix, list(beta.coords)) is not None
+        """Whether beta comes from the closed lattice: whether its
+        coordinates are an integer combination of the q matrix's
+        columns."""
+        return linalg.in_integer_span(zip(*self.q_matrix), beta.coords)
 
     def effective_closed(self, max_area):
         """Effective closed classes with area <= max_area, sorted."""

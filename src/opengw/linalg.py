@@ -1,8 +1,9 @@
 """Exact linear algebra over the rationals and the integers.
 
-Everything the sign calculus needs: integer determinants and kernels,
-linear solves, and an integer Smith normal form for lattice-image
-membership.  Matrices are plain lists of lists of Fraction or int; any
+Everything the sign calculus and the lattice need: integer determinants
+and kernels, linear solves, and `in_integer_span`, which decides whether
+an integer vector lies in the integer span of others (closed-image
+membership).  Matrices are plain lists of lists of Fraction or int; any
 other entry (a float, a string, a bool) is refused with TypeError by
 `_exact`, the one type check.  The rational routines scale each row to
 integers, eliminate fraction-free and build Fractions only for their
@@ -178,19 +179,14 @@ def _int_kernel(m, pivots, cols):
 
 
 def solve(a, b):
-    """One solution X of A X = B, or None if inconsistent.
-
-    `b` may be a matrix or a single vector (returned in kind).
-    """
-    vector = b and not isinstance(b[0], list)
-    bm = [[x] for x in b] if vector else [row[:] for row in b]
+    """One solution X of A X = B, or None if inconsistent."""
     rows = len(a)
     cols = len(a[0]) if a else 0
-    wide = hstack(a, bm) if a else bm
+    wide = hstack(a, b) if a else b
     red, pivots = _echelon(wide) if wide else ([], [])
     if any(p >= cols for p in pivots):
         return None
-    k = len(bm[0]) if bm else 0
+    k = len(b[0]) if b else 0
     x = zeros(cols, k)
     for r, p in enumerate(pivots):
         for j in range(k):
@@ -199,7 +195,7 @@ def solve(a, b):
     for r in range(len(pivots), rows):
         if any(red[r][cols + j] != 0 for j in range(k)):
             return None
-    return [row[0] for row in x] if vector else x
+    return x
 
 
 def columns_matrix(vectors):
@@ -210,99 +206,37 @@ def columns_matrix(vectors):
     return [[v[i] for v in vectors] for i in range(n)]
 
 
-def smith_normal_form(a):
-    """Smith normal form of an integer matrix.
+def in_integer_span(vectors, b):
+    """Whether the integer vector b is an integer combination of the
+    integer vectors (all of b's length); the empty span holds only zero.
 
-    Returns (d, u, v) with u a v = d, u and v unimodular and d diagonal
-    with d[i][i] | d[i+1][i+1].
+    One coordinate at a time, Euclid's algorithm on the vectors' entries
+    there leaves one vector holding their gcd and zeros in the others.
+    Its steps are unimodular, so the span is unchanged.  b must then be
+    a multiple of that vector at that coordinate; the multiple is
+    subtracted and the vector set aside, since the others are zero at
+    every coordinate done.  b is in the span exactly when every
+    coordinate clears.
     """
-    m = [[int(x) for x in row] for row in a]
-    rows = len(m)
-    cols = len(m[0]) if m else 0
-    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
-
-    def swap_rows(i, j):
-        m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, q):
-        m[dst] = [x + q * y for x, y in zip(m[dst], m[src])]
-        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(src, dst, q):
-        for row in m:
-            row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
-
-    t = 0
-    while t < min(rows, cols):
-        # move a nonzero entry of minimal magnitude to (t, t)
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if m[i][j] != 0 and (best is None or abs(m[i][j]) < abs(m[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
-        dirty = False
-        for i in range(t + 1, rows):
-            if m[i][t] != 0:
-                q = -(m[i][t] // m[t][t])
-                add_row(t, i, q)
-                if m[i][t] != 0:
-                    dirty = True
-        for j in range(t + 1, cols):
-            if m[t][j] != 0:
-                q = -(m[t][j] // m[t][t])
-                add_col(t, j, q)
-                if m[t][j] != 0:
-                    dirty = True
-        if dirty:
+    vecs = [list(v) for v in vectors]
+    b = list(b)
+    for i in range(len(b)):
+        live = [v for v in vecs if v[i]]
+        while len(live) > 1:
+            p = min(live, key=lambda v: abs(v[i]))
+            for v in live:
+                if v is not p:
+                    q = v[i] // p[i]
+                    v[:] = [x - q * y for x, y in zip(v, p)]
+            live = [v for v in live if v[i]]
+        if not live:
+            if b[i]:
+                return False
             continue
-        # divisibility: fold in any entry the pivot does not divide
-        bad = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if m[i][j] % m[t][t] != 0:
-                    bad = i
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            add_row(bad, t, 1)
-            continue
-        if m[t][t] < 0:
-            m[t] = [-x for x in m[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-    return m, u, v
-
-
-def integer_solve(a, b):
-    """One integer solution x of A x = b, or None."""
-    d, u, v = smith_normal_form(a)
-    rows = len(a)
-    cols = len(a[0]) if a else 0
-    c = [sum(u[i][k] * int(b[k]) for k in range(rows)) for i in range(rows)]
-    y = [0] * cols
-    for i in range(min(rows, cols)):
-        if d[i][i] != 0:
-            if c[i] % d[i][i] != 0:
-                return None
-            y[i] = c[i] // d[i][i]
-        elif c[i] != 0:
-            return None
-    for i in range(min(rows, cols), rows):
-        if c[i] != 0:
-            return None
-    return [sum(v[i][k] * y[k] for k in range(cols)) for i in range(cols)]
+        p = live[0]
+        q, r = divmod(b[i], p[i])
+        if r:
+            return False
+        b = [x - q * y for x, y in zip(b, p)]
+        vecs = [v for v in vecs if not v[i]]
+    return True

@@ -258,19 +258,19 @@ def association_oracle(rng, max_dim):
         return dim_x, dim_y - dim_c, iter_sign * one_sign
 
 
-def orientation_suite(rng, instances=1000, max_dim=6):
+def orientation_suite(rng, instances):
     """Closed-form sign rules against the determinant model."""
     failures = 0
     per_kind = max(1, instances // 4)
     for face in (FACE_M, FACE_G):
         for _ in range(per_kind):
-            prob, observed = boundary_face_oracle(rng, face, min(max_dim, 5))
+            prob, observed = boundary_face_oracle(rng, face, 5)
             if observed != boundary_face_sign(
                 prob.space_m.dim, prob.space_g.dim, prob.space_x.dim, face
             ):
                 failures += 1
     for _ in range(per_kind):
-        det_signs, observed = flip_oracle(rng, min(max_dim, 4))
+        det_signs, observed = flip_oracle(rng, 4)
         if observed != flip_sign(*det_signs):
             failures += 1
     for _ in range(instances - 3 * per_kind):
@@ -280,7 +280,7 @@ def orientation_suite(rng, instances=1000, max_dim=6):
     return failures == 0, "%d instances, %d failures" % (instances, failures)
 
 
-def matrix_tree_suite(rng, matrices=200, max_vertices=7):
+def matrix_tree_suite(rng, matrices, max_vertices):
     """Cofactor determinant against explicit tree enumeration."""
     from .lattice import Target
 
@@ -314,7 +314,7 @@ def matrix_tree_suite(rng, matrices=200, max_vertices=7):
     return failures == 0, "%d matrices, %d failures" % (checked, failures)
 
 
-def tree_count_suite(max_vertices=7):
+def tree_count_suite(max_vertices):
     """Tree enumeration against the closed-form count: the trees listed
     and the distinct edge sets among them.  Each tree of the packed
     table is a fixed-width bytes slice of its sorted edge indices, so

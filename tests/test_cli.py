@@ -13,7 +13,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from opengw import fileio
-from opengw.cli import MAX_AREA_DEGREES, RunConfig, build_parser, main, run
+from opengw.cli import (
+    MAX_AREA_DEGREES,
+    MAX_CAP_INSERTIONS,
+    RunConfig,
+    build_parser,
+    main,
+    run,
+)
 
 from support import (
     LISTING_SHAPES,
@@ -108,6 +115,33 @@ def test_tree_cap_is_bounded(capsys):
     assert main(["--pipeline", "enumerate", "--target", "x",
                  "--cap-trees", "10"]) == 2
     assert "--cap-trees 10" in _assert_one_line_error(capsys)
+
+
+# (option, value, its one error line)
+CAP_ERRORS = [
+    ("--cap-insertions", MAX_CAP_INSERTIONS + 1,
+     "--cap-insertions %d exceeds the largest insertion cap, %d"
+     % (MAX_CAP_INSERTIONS + 1, MAX_CAP_INSERTIONS)),
+    ("--cap-insertions", 0, "--cap-insertions must be at least 1, got 0"),
+    ("--cap-trees", 0, "--cap-trees must be at least 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("option, value, message", CAP_ERRORS,
+                         ids=["%s-%d" % case[:2] for case in CAP_ERRORS])
+def test_cap_out_of_range_is_refused_before_any_work(tmp_path, capsys,
+                                                     option, value, message):
+    """An anchored family of l insertions has 2^(l-1) partitions, so an
+    unbounded --cap-insertions would run until killed.  A cap over its
+    limit or below 1 exits 2 with one error line naming the option, and
+    leaves --out empty."""
+    paths = toy_paths()
+    out = tmp_path / "out"
+    assert main(["--pipeline", "wdvv-solve", "--target", paths["target"],
+                 "--closed-gw", paths["closed_gw"], "--seeds",
+                 paths["seeds"], option, str(value), "--out", str(out)]) == 2
+    assert _assert_one_line_error(capsys) == "error: %s\n" % message
+    assert not out.exists() or not os.listdir(out)
 
 
 def test_parser_flags():
@@ -708,6 +742,50 @@ def test_enumerate_pipeline_tables(tmp_path):
         "tuple\tdim\tpredecessors\tclasses\traw\tclosed_image"
     assert tuples[1].endswith("yes")  # degree 2d lies in the closed image
     assert len(tuples) == 2  # one tuple of interest
+
+
+# degrees (a, b) of a rank-2 lattice whose closed classes L and M map to
+# (2, 1) and (1, 3): their integer span is the index-5 sublattice of the
+# (a, b) with 3a = b mod 5, and (5, 0) = 3 L - M is in it though no
+# effective closed class maps there.  Pinned from the Smith normal form
+# route that decided the column before `linalg.in_integer_span`
+RANK_TWO_CLOSED_IMAGE = [
+    ((1, 1), "no"), ((2, 1), "yes"), ((1, 3), "yes"), ((2, 2), "no"),
+    ((3, 4), "yes"), ((5, 0), "yes"), ((0, 5), "yes"), ((4, 1), "no"),
+]
+
+
+def test_closed_image_column_on_a_rank_two_closed_lattice(tmp_path):
+    """enumerate fills the closed_image column of tuples.tsv from a
+    non-diagonal 2-column q matrix, with tuples on both sides of the
+    image."""
+    target = {
+        "format": "opengw-target", "version": fileio.FORMAT_VERSION,
+        "generators": [{"name": "a", "area": "1", "maslov": 2},
+                       {"name": "b", "area": "1", "maslov": 2}],
+        "closed_generators": [{"name": "L", "area": "3", "w2_sign": 1},
+                              {"name": "M", "area": "4", "w2_sign": -1}],
+        "q_matrix": [[2, 1], [1, 3]],
+    }
+    atoms = {
+        "format": "opengw-atoms", "version": fileio.FORMAT_VERSION,
+        "atoms": [],
+        "tuples_of_interest": [{"degree": list(degree), "points": ["p"]}
+                               for degree, _ in RANK_TWO_CLOSED_IMAGE],
+    }
+    paths = {}
+    for kind, doc in (("target", target), ("atoms", atoms)):
+        paths[kind] = tmp_path / (kind + ".json")
+        paths[kind].write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["--pipeline", "enumerate", "--target", str(paths["target"]),
+                 "--atoms", str(paths["atoms"]), "--out", str(out)]) == 0
+    header, *rows = [line.split("\t") for line in
+                     (out / "tuples.tsv").read_text().splitlines()]
+    column = header.index("closed_image")
+    assert [row[column] for row in rows] == [
+        answer for _, answer in RANK_TWO_CLOSED_IMAGE]
+    assert len(rows) == len(RANK_TWO_CLOSED_IMAGE)
 
 
 def test_welschinger_pipeline_values_exact(tmp_path):

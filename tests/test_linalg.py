@@ -1,7 +1,10 @@
-"""linalg against independent determinants, and properties of its
-exact kernels on random rational matrices."""
+"""linalg against independent determinants, properties of its exact
+kernels on random rational matrices, and its integer span membership
+against the minors criterion."""
 
+import itertools
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -77,7 +80,7 @@ def test_exact_kernels_refuse_a_float_entry():
     with pytest.raises(TypeError, match="int or Fraction"):
         linalg._int_rows([[True]])  # a bool is an int subclass, not a number here
     with pytest.raises(TypeError):
-        linalg.solve([[Fraction(1), 0.5]], [1])
+        linalg.solve([[Fraction(1), 0.5]], [[1]])
 
 
 @pytest.mark.parametrize("entry", [0.5, 1.0, "1", None, True, False])
@@ -195,10 +198,6 @@ def test_solve_exactly_when_consistent(system):
         return
     assert x is not None
     assert _product(a, x, cols, len(b[0])) == b
-    # the vector form returns a vector
-    v = linalg.solve(a, [row[0] for row in b])
-    assert [sum((row[j] * v[j] for j in range(cols)), Fraction(0))
-            for row in a] == [row[0] for row in b]
 
 
 @KERNEL_SETTINGS
@@ -210,3 +209,64 @@ def test_det_is_multiplicative(pair):
     det_ab = det(_product(a, b, n, n))
     assert type(det_ab) is Fraction
     assert det_ab == det(a) * det(b)
+
+
+# --- integer span membership ---------------------------------------------------
+
+
+def _rank_and_minors_gcd(a, rows, cols):
+    """(k, d): k the rank of the integer matrix `a` (rows x cols) and d
+    the gcd of its k x k minors, each minor a permutation expansion; a
+    0 x 0 minor is 1."""
+    for k in range(min(rows, cols), -1, -1):
+        d = 0
+        for rs in itertools.combinations(range(rows), k):
+            for cs in itertools.combinations(range(cols), k):
+                d = math.gcd(d, det_leibniz([[a[r][c] for c in cs]
+                                             for r in rs]))
+        if d:
+            return k, d
+
+
+@st.composite
+def spans(draw):
+    """(Q, b, the column count of Q, whether b = Q x): an integer matrix
+    Q of shape 0-4 x 0-4, with entries |x| <= 4, a zero column or a multiple of another
+    column drawn often enough to make rank-deficient Q common, and b = Q x
+    for a drawn integer x half of the time, otherwise drawn freely."""
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    entry = st.integers(-4, 4)
+    q = [draw(st.lists(entry, min_size=cols, max_size=cols))
+         for _ in range(rows)]
+    if cols and draw(st.booleans()):
+        j = draw(st.integers(0, cols - 1))
+        if draw(st.booleans()):
+            for row in q:
+                row[j] = 0
+        else:
+            k = draw(st.integers(0, cols - 1))
+            scale = draw(entry)
+            for row in q:
+                row[j] = scale * row[k]
+    image = draw(st.booleans())
+    if image:
+        x = draw(st.lists(entry, min_size=cols, max_size=cols))
+        b = [sum(map(operator.mul, row, x)) for row in q]
+    else:
+        b = draw(st.lists(entry, min_size=rows, max_size=rows))
+    return q, b, cols, image
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(spans())
+def test_integer_span_matches_the_minors_criterion(span):
+    """b is in the integer span of Q's columns exactly when Q and [Q | b]
+    have the same rank k and the same gcd of k x k minors; every b = Q x
+    is inside."""
+    q, b, cols, image = span
+    got = linalg.in_integer_span([[row[j] for row in q] for j in range(cols)],
+                                 b)
+    assert got or not image
+    wide = [row + [x] for row, x in zip(q, b)]
+    assert got == (_rank_and_minors_gcd(q, len(q), cols)
+                   == _rank_and_minors_gcd(wide, len(q), cols + 1))
