@@ -50,8 +50,10 @@ PIPELINE_INPUTS = {
     "wdvv-solve": ("closed_gw", "seeds"),
 }
 # --cap-trees: the most atoms in a configuration whose spanning trees
-# verify-all enumerates.  The tree table of 9 vertices holds 9^7 trees;
-# that of 10 would hold 10^8
+# verify-all enumerates; a larger configuration is refused before any
+# work.  The tree table of 9 vertices holds 9^7 trees; that of 10 would
+# hold 10^8.  The tree-count self-check covers every table up to the
+# default, or up to the largest configuration when that is larger
 DEFAULT_CAP_TREES = 7
 MAX_CAP_TREES = 9
 # --cap-insertions: the most interior insertions of a bracket or a
@@ -394,26 +396,22 @@ def run_wdvv_solve(bundle, closed, seeds, config, rep):
 
 def run_verify_all(bundle, atom_bundle, closed, seeds, config, rep):
     target = bundle.target
+    largest = 0
     if atom_bundle is not None:
         # refuse trees over the cap before any work: the bijection check
-        # lists the trees of the chain tuples' configurations, and the
-        # cancellation check sums those of the atom tuples
-        tuples = chain_tuples(target, atom_bundle.tuples)
-        if atom_bundle.involution is not None:
-            tuples += atom_bundle.tuples
-        largest = atom_bundle.table.largest_configuration(tuples)
+        # lists the trees of the chain tuples' configurations
+        largest = atom_bundle.table.largest_configuration(
+            chain_tuples(target, atom_bundle.tuples))
         if largest > config.cap_trees:
             raise ConfigurationError(
                 "tree enumeration capped at %d vertices (asked for %d)"
                 % (config.cap_trees, largest))
     rng = random.Random(config.seed)
-    ok, detail = selfcheck.orientation_suite(rng, instances=200)
+    ok, detail = selfcheck.orientation_suite(rng)
     rep.check("orientation-model-oracle", "PASS" if ok else "FAIL", detail)
-    ok, detail = selfcheck.matrix_tree_suite(
-        rng, matrices=70, max_vertices=min(config.cap_trees, 6)
-    )
+    ok, detail = selfcheck.matrix_tree_suite(rng)
     rep.check("matrix-tree-agreement", "PASS" if ok else "FAIL", detail)
-    ok, detail = selfcheck.tree_count_suite(max_vertices=config.cap_trees)
+    ok, detail = selfcheck.tree_count_suite(max(DEFAULT_CAP_TREES, largest))
     rep.check("tree-count-closed-form", "PASS" if ok else "FAIL", detail)
     run_tuples(bundle, atom_bundle, config, rep)
     if atom_bundle is not None:
@@ -467,14 +465,18 @@ def run_verify_all(bundle, atom_bundle, closed, seeds, config, rep):
                "%d decorated configurations"
                % sum(count for _, count in bijection.values()))
         if atom_bundle.involution is not None:
-            cancel_bad = []
+            # an orbit is every top with the same point and descriptor
+            # labels: the involution moves degrees, never labels
+            orbits = {}
             for top in atom_bundle.tuples:
-                report = conjugation_cancellation_check(
-                    [top], table, atom_bundle.involution)
-                if not report.cancels:
-                    cancel_bad.append(top)
+                orbits.setdefault((top.points, top.descriptors),
+                                  []).append(top)
+            cancel_bad = [
+                orbit[0] for orbit in orbits.values()
+                if not conjugation_cancellation_check(
+                    orbit, table, atom_bundle.involution).cancels]
             _tally(rep, "conjugation-cancellation", cancel_bad,
-                   "%d orbits" % len(atom_bundle.tuples), "nonzero at")
+                   "%d orbits" % len(orbits), "nonzero at")
         else:
             rep.check("conjugation-cancellation", "SKIP",
                       "no involution declared")

@@ -223,13 +223,14 @@ def load_atoms(path, target):
     with _malformed_as_format_error(path):
         atoms = [
             DiskAtom(
-                target.degree([_integer(x) for x in a["degree"]]),
+                target.degree(_degree(a["degree"], target.rank,
+                                      "atoms[%d].degree" % n)),
                 frozenset(_labels(a.get("points", []))),
                 frozenset(_labels(a.get("descriptors", []))),
                 _integer(a["sign"]),
                 _label(a["loop"]),
             )
-            for a in doc.get("atoms", [])
+            for n, a in enumerate(doc.get("atoms", []))
         ]
         links = LinkingMatrix(
             [(_label(a), _label(b), _rational(v))
@@ -248,10 +249,11 @@ def load_atoms(path, target):
             involution.validate(target)
         tuples = [
             target.constraint_tuple(
-                [_integer(x) for x in t["degree"]],
+                _degree(t["degree"], target.rank,
+                        "tuples_of_interest[%d].degree" % n),
                 _labels(t.get("points", [])), _labels(t.get("descriptors", [])),
             )
-            for t in doc.get("tuples_of_interest", [])
+            for n, t in enumerate(doc.get("tuples_of_interest", []))
         ]
         if not tuples:
             tuples = table.tuples()

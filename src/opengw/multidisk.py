@@ -8,9 +8,11 @@ constraint tuple; pairwise boundary linking numbers are declared in a
 symmetric matrix over the loop identifiers.
 
 The weight of a configuration is the sum over spanning trees of its
-complete graph of the product of edge linking numbers.  The production
-evaluation goes through the weighted matrix-tree determinant; explicit
-tree enumeration is kept as the independent oracle route and the two
+complete graph of the product of edge linking numbers.  Every production
+evaluation goes through the weighted matrix-tree determinant, once per
+configuration, kept by `AtomTable.tree_weights`; explicit tree
+enumeration is kept as the independent oracle route, which the
+matrix-tree self-check compares with it on random weights, and the two
 must agree exactly.
 """
 
@@ -226,15 +228,15 @@ def _edge_weights(config, links):
             for a, b in itertools.combinations(config.atoms, 2)]
 
 
-def tree_weight_sum(config, links):
-    """Sum over spanning trees of the product of edge linking numbers,
-    via the weighted matrix-tree cofactor determinant.  The Laplacian
-    is built in integers, over the weights' common denominator den, so
-    its cofactor is den^(m-1) times the sum."""
-    m = len(config)
+def tree_weight_sum(m, weights):
+    """Sum over the spanning trees on m vertices of the product of their
+    edge weights, given in the order of itertools.combinations(range(m),
+    2), via the weighted matrix-tree cofactor determinant.  The
+    Laplacian is built in integers, over the weights' common denominator
+    den, so its cofactor is den^(m-1) times the sum."""
     if m == 1:
         return Fraction(1)
-    ints, den = linalg._integer_scaled(_edge_weights(config, links))
+    ints, den = linalg._integer_scaled(weights)
     size = m - 1
     lap = [[0] * size for _ in range(size)]
     # i < j, so the row and column of i are always kept
@@ -255,14 +257,13 @@ def _tree_getters(m):
     return tuple(itertools.starmap(itemgetter, tree_edge_indices(m)))
 
 
-def tree_weight_sum_enumerated(config, links):
+def tree_weight_sum_enumerated(m, weights):
     """The same sum by explicit tree enumeration; the oracle route.  The
     products are taken in integers, over the weights' common
     denominator, one per tree, and divided once."""
-    m = len(config)
     if m == 1:
         return Fraction(1)
-    ints, den = linalg._integer_scaled(_edge_weights(config, links))
+    ints, den = linalg._integer_scaled(weights)
     if m == 2:
         return Fraction(ints[0], den)  # the one tree is the one edge
     prod = math.prod
@@ -320,8 +321,9 @@ class AtomTable:
         the order of `multi_disks`; evaluated once per tuple."""
         weights = self._weights.get(alpha)
         if weights is None:
+            links = self.links
             weights = self._weights[alpha] = tuple(
-                tree_weight_sum(config, self.links)
+                tree_weight_sum(len(config), _edge_weights(config, links))
                 for config in self._configurations(alpha)
             )
         return weights
@@ -460,7 +462,8 @@ def conjugation_cancellation_check(tuples, table, involution):
     the orbit (same labels, conjugate degrees).  Checks that the data is
     closed under flipping any single atom, that the multi-disk part of
     the (configuration, tree) sum cancels exactly, and that the total
-    therefore equals the single-disk signed count.
+    therefore equals the single-disk signed count.  Each configuration's
+    tree sum is the one `AtomTable.tree_weights` keeps.
     """
     involution.validate(table.target)
     seen_labels = {(t.points, t.descriptors) for t in tuples}
@@ -473,11 +476,10 @@ def conjugation_cancellation_check(tuples, table, involution):
             raise ConfigurationError(
                 "degree orbit not closed: missing %r" % (flipped,)
             )
-    configs = []
-    for t in tuples:
-        configs.extend(table.multi_disks(t))
-    config_keys = {tuple(a.loop for a in c.atoms) for c in configs}
-    for config in configs:
+    weighted = [pair for t in tuples
+                for pair in zip(table.multi_disks(t), table.tree_weights(t))]
+    config_keys = {tuple(a.loop for a in c.atoms) for c, _ in weighted}
+    for config, _ in weighted:
         for i in range(len(config.atoms)):
             flipped_atoms = list(config.atoms)
             flipped_atoms[i] = involution.flip_atom(table.target, config.atoms[i])
@@ -493,13 +495,12 @@ def conjugation_cancellation_check(tuples, table, involution):
                 )
     multi_total = Fraction(0)
     single_total = Fraction(0)
-    for config in configs:
-        sgn = config.sgn()
+    for config, weight in weighted:
+        signed = weight if config.sgn() > 0 else -weight
         if len(config) == 1:
-            single_total += sgn
-            continue
-        weight = tree_weight_sum_enumerated(config, table.links)
-        multi_total = multi_total + (weight if sgn > 0 else -weight)
+            single_total += signed
+        else:
+            multi_total += signed
     return CancellationReport(
         multi_disk_total=multi_total,
         single_disk_total=single_total,

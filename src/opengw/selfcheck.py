@@ -7,7 +7,9 @@ closed-form sign rules they check.  `orientation_suite` compares them
 against those rules; the test suite imports the same oracles and passes
 its own seeds and scales.  The dual-route suites compare two independent
 evaluations of one quantity.  Each suite returns (ok, details) with exact
-counts; the front-end turns them into report lines.
+counts; the front-end turns them into report lines.  The suites fix
+their own sizes, apart from `tree_count_suite`, which the caller sizes
+to cover every tree table its run reads.
 """
 
 from __future__ import annotations
@@ -258,67 +260,53 @@ def association_oracle(rng, max_dim):
         return dim_x, dim_y - dim_c, iter_sign * one_sign
 
 
-def orientation_suite(rng, instances):
-    """Closed-form sign rules against the determinant model."""
+def orientation_suite(rng):
+    """Closed-form sign rules against the determinant model on 200
+    instances: 50 of each boundary face, then 50 flips and 50
+    associations."""
     failures = 0
-    per_kind = max(1, instances // 4)
     for face in (FACE_M, FACE_G):
-        for _ in range(per_kind):
+        for _ in range(50):
             prob, observed = boundary_face_oracle(rng, face, 5)
             if observed != boundary_face_sign(
                 prob.space_m.dim, prob.space_g.dim, prob.space_x.dim, face
             ):
                 failures += 1
-    for _ in range(per_kind):
+    for _ in range(50):
         det_signs, observed = flip_oracle(rng, 4)
         if observed != flip_sign(*det_signs):
             failures += 1
-    for _ in range(instances - 3 * per_kind):
+    for _ in range(50):
         dim_x, codim_h, observed = association_oracle(rng, 3)
         if observed != association_sign(dim_x, codim_h):
             failures += 1
-    return failures == 0, "%d instances, %d failures" % (instances, failures)
+    return failures == 0, "200 instances, %d failures" % failures
 
 
-def matrix_tree_suite(rng, matrices, max_vertices):
-    """Cofactor determinant against explicit tree enumeration."""
-    from .lattice import Target
-
-    degree = Target([("g", 1, 2)]).degree((1,))
-    # linking numbers p/q, |p| <= 6, 1 <= q <= 3, drawn p first
+def matrix_tree_suite(rng):
+    """Cofactor determinant against explicit tree enumeration on 11
+    weight lists per vertex count m from 1 to 6.  Each list holds one
+    linking number p/q, |p| <= 6, 1 <= q <= 3, drawn p first, per edge
+    of itertools.combinations(range(m), 2)."""
     table = _small_rationals(6)
     randint = rng.randint
     failures = 0
-    checked = 0
-    per_m = max(1, matrices // max_vertices)
-    for m in range(1, max_vertices + 1):
-        for _ in range(per_m):
-            loops = ["t%d" % i for i in range(m)]
-            entries = [
-                (loops[i], loops[j],
-                 table[3 * randint(-6, 6) + randint(1, 3) + 17])
-                for i in range(m) for j in range(i + 1, m)
-            ]
-            links = multidisk.LinkingMatrix(entries)
-            for ln in loops:
-                links.declare_loop(ln)
-            config = multidisk.MultiDisk(tuple(
-                multidisk.DiskAtom(degree, frozenset(["p%d" % i]),
-                                   frozenset(), 1, loops[i])
-                for i in range(m)
-            ))
-            checked += 1
-            if multidisk.tree_weight_sum(config, links) \
-                    != multidisk.tree_weight_sum_enumerated(config, links):
+    for m in range(1, 7):
+        for _ in range(11):
+            weights = [table[3 * randint(-6, 6) + randint(1, 3) + 17]
+                       for _ in range(m * (m - 1) // 2)]
+            if multidisk.tree_weight_sum(m, weights) \
+                    != multidisk.tree_weight_sum_enumerated(m, weights):
                 failures += 1
-    return failures == 0, "%d matrices, %d failures" % (checked, failures)
+    return failures == 0, "66 matrices, %d failures" % failures
 
 
 def tree_count_suite(max_vertices):
-    """Tree enumeration against the closed-form count: the trees listed
-    and the distinct edge sets among them.  Each tree of the packed
-    table is a fixed-width bytes slice of its sorted edge indices, so
-    distinct slices are exactly distinct trees."""
+    """Tree enumeration against the closed-form count on every vertex
+    count up to max_vertices: the trees listed and the distinct edge
+    sets among them.  Each tree of the packed table is a fixed-width
+    bytes slice of its sorted edge indices, so distinct slices are
+    exactly distinct trees."""
     for m in range(1, max_vertices + 1):
         expected = 1 if m == 1 else m ** (m - 2)
         if m == 1:

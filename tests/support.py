@@ -252,12 +252,21 @@ def spanning_trees(m):
     return [frozenset([edges[k] for k in tree]) for tree in tree_edge_indices(m)]
 
 
+def edge_weights(config, links):
+    """The linking numbers of the configuration's atom pairs, in the
+    order of itertools.combinations(range(len(config)), 2): the
+    `weights` argument of the tree sums."""
+    return [links.lk(a.loop, b.loop)
+            for a, b in itertools.combinations(config.atoms, 2)]
+
+
 def tree_weights(configs, links):
     """The `tree_weight_sum` of each configuration, in order: the
     `weights` argument of `welschinger_count`."""
     from opengw.multidisk import tree_weight_sum
 
-    return [tree_weight_sum(config, links) for config in configs]
+    return [tree_weight_sum(len(config), edge_weights(config, links))
+            for config in configs]
 
 
 def configuration_count(alpha, table, target):

@@ -57,6 +57,7 @@ from support import (
     decomposition_form,
     decorated_multidisks,
     dim0_subtuples,
+    edge_weights,
     make_rng,
     reference_degree_invariant,
     structure_outcome,
@@ -127,8 +128,9 @@ def test_criterion_2_matrix_tree_agreement():
                          frozenset(), 1, loops[i])
                 for i in range(m)
             ))
-            assert tree_weight_sum(config, links) == \
-                tree_weight_sum_enumerated(config, links)
+            weights = edge_weights(config, links)
+            assert tree_weight_sum(m, weights) == \
+                tree_weight_sum_enumerated(m, weights)
             checked += 1
     elapsed = time.monotonic() - start
     assert elapsed < 60, "matrix-tree took %.1fs" % elapsed

@@ -228,7 +228,7 @@ def test_orientation_oracle_catches_a_wrong_sign_rule(tmp_path, monkeypatch,
 
     wrong = WRONG_SIGN_RULES[rule](getattr(selfcheck, rule))
     monkeypatch.setattr(selfcheck, rule, wrong)
-    ok, detail = selfcheck.orientation_suite(make_rng(0), instances=200)
+    ok, detail = selfcheck.orientation_suite(make_rng(0))
     instances, failures = (int(w) for w in detail.split()[::2])
     assert not ok and instances == 200 and failures > 0
     status, cfg = run_pipeline(tmp_path, "verify-all", seed=0)
@@ -241,8 +241,8 @@ def test_orientation_oracle_catches_a_wrong_sign_rule(tmp_path, monkeypatch,
 
 def _cofactor_off_by_a_sign(multidisk):
     real = multidisk.tree_weight_sum
-    return "tree_weight_sum", lambda config, links: (
-        -real(config, links) if len(config) > 2 else real(config, links))
+    return "tree_weight_sum", lambda m, weights: (
+        -real(m, weights) if m > 2 else real(m, weights))
 
 
 def _seven_vertex_table(edit):
@@ -276,12 +276,11 @@ def test_tree_checks_catch_a_wrong_tree_route(tmp_path, monkeypatch, route):
     check, wrong = WRONG_TREE_ROUTES[route]
     monkeypatch.setattr(multidisk, *wrong(multidisk))
     if check == "matrix-tree-agreement":
-        ok, detail = selfcheck.matrix_tree_suite(make_rng(0), matrices=70,
-                                                 max_vertices=6)
+        ok, detail = selfcheck.matrix_tree_suite(make_rng(0))
         checked, failures = (int(w) for w in detail.split()[::2])
         assert not ok and checked == 66 and failures > 0
     else:
-        ok, detail = selfcheck.tree_count_suite(max_vertices=7)
+        ok, detail = selfcheck.tree_count_suite(7)
         assert not ok and detail.startswith("vertex count 7: ")
     status, cfg = run_pipeline(tmp_path, "verify-all", seed=0)
     assert status == 1
@@ -382,8 +381,9 @@ def _count_calls(monkeypatch, names):
 
 def test_verify_all_builds_and_evaluates_once_per_run(tmp_path, monkeypatch):
     """verify-all builds one chain family per run, lists each tuple's
-    configurations once and weighs each configuration's trees once;
-    every table and check reuses them."""
+    configurations once and weighs each configuration's trees once (it
+    reads each configuration's edge weights once, for its one matrix-tree
+    sum); every table and check reuses them."""
     from collections import Counter
 
     from opengw import bounding_chain, multidisk
@@ -393,7 +393,7 @@ def test_verify_all_builds_and_evaluates_once_per_run(tmp_path, monkeypatch):
     listed = Counter()
     weighed = Counter()
     list_configurations = AtomTable._list_configurations
-    weight_of = multidisk.tree_weight_sum
+    weights_of = multidisk._edge_weights
 
     def listing(self, alpha):
         listed[alpha] += 1
@@ -401,10 +401,10 @@ def test_verify_all_builds_and_evaluates_once_per_run(tmp_path, monkeypatch):
 
     def weight(config, links):
         weighed[config] += 1
-        return weight_of(config, links)
+        return weights_of(config, links)
 
     monkeypatch.setattr(AtomTable, "_list_configurations", listing)
-    monkeypatch.setattr(multidisk, "tree_weight_sum", weight)
+    monkeypatch.setattr(multidisk, "_edge_weights", weight)
     status, cfg = run_pipeline(tmp_path, "verify-all", seed=3)
     assert status == 0
     bundle = fileio.load_target(toy_paths()["target"])
@@ -414,13 +414,29 @@ def test_verify_all_builds_and_evaluates_once_per_run(tmp_path, monkeypatch):
     worklist = bounding_chain.chain_tuples(bundle.target, tops)
     assert set(worklist) <= set(listed)
     assert set(listed.values()) == {1}
-    # the matrix-tree self-check weighs configurations of its own loops
-    loops = {a.loop for a in atoms.table.atoms}
-    table_weights = {c: n for c, n in weighed.items()
-                     if {a.loop for a in c.atoms} <= loops}
-    assert table_weights == {
+    assert weighed == {
         c: 1 for a in listed for c in atoms.table.multi_disks(a)
     }
+
+
+def test_verify_all_enumerates_trees_only_in_the_matrix_tree_suite(
+        tmp_path, monkeypatch):
+    """Production sums spanning trees through the matrix-tree
+    determinant alone: a toy verify-all sums trees one by one only in
+    the matrix-tree self-check, once per weight list it draws."""
+    from opengw import multidisk
+
+    callers = Counter()
+    enumerated = multidisk.tree_weight_sum_enumerated
+
+    def counted(m, weights):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return enumerated(m, weights)
+
+    monkeypatch.setattr(multidisk, "tree_weight_sum_enumerated", counted)
+    status, cfg = run_pipeline(tmp_path, "verify-all", seed=3)
+    assert status == 0
+    assert callers == {"matrix_tree_suite": 66}
 
 
 def test_verify_all_walks_each_chain_tuples_classes_once(tmp_path,
@@ -541,6 +557,36 @@ def test_tree_cap_is_refused_before_any_check(tmp_path, monkeypatch,
         "error: tree enumeration capped at 1 vertices (asked for 2)\n")
     assert not out.exists() or not os.listdir(out)
     assert main(argv + ["--cap-trees", "2"]) == 0
+
+
+def test_tree_cap_only_refuses(tmp_path, monkeypatch):
+    """--cap-trees refuses and sizes nothing: the toy's largest
+    configuration has 2 atoms, so verify-all at caps 2, 7 and 9 writes
+    byte-identical directories, whose tree-count check covers 7
+    vertices.  The check covers the largest configuration instead when
+    that is larger, at any cap that admits it."""
+    from opengw import selfcheck
+    from opengw.multidisk import AtomTable
+
+    written = []
+    for cap in (2, 7, 9):
+        out = tmp_path / str(cap)
+        assert run(RunConfig(pipeline="verify-all", cap_trees=cap,
+                             out=str(out), **toy_paths())) == 0
+        written.append({name: (out / name).read_bytes()
+                        for name in os.listdir(out)})
+    assert written[0] == written[1] == written[2]
+    assert b"[PASS] tree-count-closed-form -- all vertex counts up to 7\n" \
+        in written[0]["report.txt"]
+    sizes = []
+    monkeypatch.setattr(AtomTable, "largest_configuration",
+                        lambda self, tuples: 8)
+    monkeypatch.setattr(selfcheck, "tree_count_suite",
+                        lambda m: sizes.append(m) or (True, ""))
+    for cap in (8, 9):
+        assert run(RunConfig(pipeline="verify-all", cap_trees=cap,
+                             out=str(tmp_path / "large"), **toy_paths())) == 0
+    assert sizes == [8, 8]
 
 
 # (pipeline, --area-bound, the end of its one error line).  The limit
@@ -1085,19 +1131,26 @@ def test_malformed_document_is_one_line_error(tmp_path, capsys, pipeline,
     ("seeds", ("beta_zero", 0, "degree"), [0, 0], "beta_zero[0].degree"),
     ("seeds", ("beta_zero", 0, "corrections", 0, "closed_degree"), [-1],
      "beta_zero[0].corrections[0].closed_degree"),
+    ("atoms", ("atoms", 0, "degree"), [-1], "atoms[0].degree"),
+    ("atoms", ("atoms", 2, "degree"), [1, 0], "atoms[2].degree"),
+    ("atoms", ("tuples_of_interest", 0, "degree"), [-1],
+     "tuples_of_interest[0].degree"),
+    ("atoms", ("tuples_of_interest", 0, "degree"), [2, 0],
+     "tuples_of_interest[0].degree"),
 ], ids=["deg2-pairings-long", "deg2-pairings-empty", "closed-degree-long",
         "correction-closed-degree-long", "closed-degree-negative",
         "seed-degree-negative", "seed-degree-long",
         "beta-zero-degree-negative", "beta-zero-degree-long",
-        "correction-closed-degree-negative"])
+        "correction-closed-degree-negative", "atom-degree-negative",
+        "atom-degree-long", "tuple-degree-negative", "tuple-degree-long"])
 def test_vector_of_the_wrong_rank_is_one_line_error(tmp_path, capsys, kind,
                                                     path, value, entry):
     """A vector paired with a lattice must have one value per generator,
-    and a degree of the closed table or the seeds must lie in the
-    effective cone: a longer or shorter vector, or a negative degree
-    coordinate, is a one-line error naming the file and the entry, with
-    exit status 2 and no artifact written, never truncated or padded by
-    a zip."""
+    and a degree of the closed table, the seeds, an atom or a tuple of
+    interest must lie in the effective cone: a longer or shorter vector,
+    or a negative degree coordinate, is a one-line error naming the file
+    and the entry, with exit status 2 and no artifact written, never
+    truncated or padded by a zip."""
     paths = toy_paths()
     doc = json.loads(open(paths[kind]).read())
     paths[kind] = str(tmp_path / "bad.json")
@@ -1110,6 +1163,81 @@ def test_vector_of_the_wrong_rank_is_one_line_error(tmp_path, capsys, kind,
     assert main(argv) == 2
     err = _assert_one_line_error(capsys)
     assert "bad.json" in err and entry in err, err
+    assert not out.exists() or not os.listdir(out)
+
+
+def _involution_documents(tmp_path, edits=(), involution=True):
+    """`involution_setup(make_rng(2000), n_pairs=1)` from the multi-disk
+    tests as target and atoms files: a rank-2 swap involution, its three
+    conjugate tops (2,0), (1,1) and (0,2) through points p and q as the
+    tuples of interest, and the (path, value) edits applied to the atoms
+    document.  Returns the verify-all argv without --out."""
+    from test_multidisk import involution_setup
+
+    target, table, inv, tops = involution_setup(make_rng(2000), n_pairs=1)
+    target_doc, atoms_doc = instance_documents(target, table, tops[0])
+    atoms_doc["tuples_of_interest"] = [
+        {"degree": list(top.beta.coords), "points": sorted(top.points)}
+        for top in tops]
+    if involution:
+        atoms_doc["involution"] = {
+            "degree_map": [list(row) for row in inv.degree_map],
+            "loop_pairs": inv.loop_partner}
+    for path, value in edits:
+        atoms_doc = _replaced(atoms_doc, path, value)
+    argv = ["--pipeline", "verify-all"]
+    for kind, doc in (("target", target_doc), ("atoms", atoms_doc)):
+        argv += ["--" + kind, str(tmp_path / (kind + ".json"))]
+        with open(argv[-1], "w") as handle:
+            json.dump(doc, handle)
+    return argv
+
+
+def test_verify_all_checks_cancellation_per_orbit(tmp_path, capsys):
+    """The swap involution moves the degree of each top, so the three
+    tops with labels p, q make one orbit: verify-all checks their
+    cancellation together and passes over 1 orbit.  A set of tops that
+    the involution does not close is a one-line error naming the
+    missing degree."""
+    from opengw.multidisk import conjugation_cancellation_check
+    from test_multidisk import involution_setup
+
+    target, table, inv, tops = involution_setup(make_rng(2000), n_pairs=1)
+    report = conjugation_cancellation_check(tops, table, inv)
+    assert report.cancels and report.single_disk_total == 0 \
+        and report.full_total == 0
+    out = tmp_path / "out"
+    assert main(_involution_documents(tmp_path) + ["--out", str(out)]) == 0
+    assert "[PASS] conjugation-cancellation -- 1 orbits\n" \
+        in (out / "report.txt").read_text()
+    capsys.readouterr()
+    open_orbit = _involution_documents(tmp_path, [(
+        ("tuples_of_interest",),
+        [{"degree": [2, 0], "points": ["p", "q"]},
+         {"degree": [1, 1], "points": ["p", "q"]}])])
+    assert main(open_orbit + ["--out", str(tmp_path / "open")]) == 2
+    assert _assert_one_line_error(capsys) == (
+        "error: degree orbit not closed: missing DegreeClass(0, 2)\n")
+
+
+@pytest.mark.parametrize("edits, entry", [
+    ([(("atoms", 0, "degree"), [2, -1]),
+      (("tuples_of_interest",), [{"degree": [3, -1], "points": ["p", "q"]}])],
+     "atoms[0].degree"),
+    ([(("tuples_of_interest",), [{"degree": [3, -1], "points": ["p", "q"]}])],
+     "tuples_of_interest[0].degree"),
+], ids=["atom-and-tuple", "tuple"])
+def test_degree_outside_the_cone_is_refused_on_rank_2(tmp_path, capsys,
+                                                      edits, entry):
+    """On a rank-2 target with generators of area 1, the degrees (2,-1)
+    and (3,-1) have positive area but lie outside the effective cone:
+    an atom or a tuple of interest there is a one-line error naming the
+    entry, with exit status 2 and no artifact written."""
+    out = tmp_path / "out"
+    argv = _involution_documents(tmp_path, edits, involution=False)
+    assert main(argv + ["--out", str(out)]) == 2
+    err = _assert_one_line_error(capsys)
+    assert "atoms.json" in err and entry in err, err
     assert not out.exists() or not os.listdir(out)
 
 

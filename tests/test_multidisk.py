@@ -24,6 +24,7 @@ from opengw.multidisk import (
 from hypothesis import given, settings, strategies as st
 
 from support import (
+    edge_weights,
     linking_number,
     make_rng,
     spanning_trees,
@@ -163,16 +164,17 @@ def test_tree_weight_single_atom():
     cfg = config_of(t, ["a"])
     lk = LinkingMatrix([])
     lk.declare_loop("a")
-    assert tree_weight_sum(cfg, lk) == 1
-    assert tree_weight_sum_enumerated(cfg, lk) == 1
+    assert tree_weight_sum(1, edge_weights(cfg, lk)) == 1
+    assert tree_weight_sum_enumerated(1, edge_weights(cfg, lk)) == 1
 
 
 def test_tree_weight_two_atoms():
     t = simple_target()
     cfg = config_of(t, ["a", "b"])
     lk = LinkingMatrix([("a", "b", Fraction(-7, 3))])
-    assert tree_weight_sum(cfg, lk) == Fraction(-7, 3)
-    assert tree_weight_sum_enumerated(cfg, lk) == Fraction(-7, 3)
+    assert tree_weight_sum(2, edge_weights(cfg, lk)) == Fraction(-7, 3)
+    assert tree_weight_sum_enumerated(2, edge_weights(cfg, lk)) \
+        == Fraction(-7, 3)
 
 
 def test_tree_weight_three_atoms_closed_form():
@@ -181,8 +183,8 @@ def test_tree_weight_three_atoms_closed_form():
     a, b, c = Fraction(2), Fraction(-1, 2), Fraction(5)
     lk = LinkingMatrix([("a", "b", a), ("a", "c", b), ("b", "c", c)])
     expect = a * b + a * c + b * c
-    assert tree_weight_sum(cfg, lk) == expect
-    assert tree_weight_sum_enumerated(cfg, lk) == expect
+    assert tree_weight_sum(3, edge_weights(cfg, lk)) == expect
+    assert tree_weight_sum_enumerated(3, edge_weights(cfg, lk)) == expect
 
 
 def test_matrix_tree_agrees_with_enumeration_random():
@@ -198,8 +200,9 @@ def test_matrix_tree_agrees_with_enumeration_random():
             lk = LinkingMatrix(entries)
             for ln in loops:
                 lk.declare_loop(ln)
-            cfg = config_of(t, loops)
-            assert tree_weight_sum(cfg, lk) == tree_weight_sum_enumerated(cfg, lk)
+            weights = edge_weights(config_of(t, loops), lk)
+            assert tree_weight_sum(m, weights) \
+                == tree_weight_sum_enumerated(m, weights)
 
 
 # The SHA-256 of `_matrix_tree_stream()`.  It pins the linking matrices
@@ -212,20 +215,20 @@ MATRIX_TREE_STREAM_SHA256 = (
 
 
 def _matrix_tree_stream(monkeypatch, seeds=(0, 1, 2)):
-    """Per seed, at verify-all's scale (70 matrices, up to 6 vertices):
-    the tuple of `tree_weight_sum` values the suite compares, its return,
+    """Per seed: the tuple of `tree_weight_sum` values the suite
+    compares (11 weight lists per vertex count up to 6), its return,
     then the next rng.random()."""
     from opengw import multidisk, selfcheck
 
     real = multidisk.tree_weight_sum
     seen = []
     monkeypatch.setattr(multidisk, "tree_weight_sum",
-                        lambda config, links: seen.append(
-                            real(config, links)) or seen[-1])
+                        lambda m, weights: seen.append(
+                            real(m, weights)) or seen[-1])
     records = []
     for seed in seeds:
         rng = make_rng(seed)
-        result = selfcheck.matrix_tree_suite(rng, matrices=70, max_vertices=6)
+        result = selfcheck.matrix_tree_suite(rng)
         records.append((tuple(seen), result, rng.random()))
         seen.clear()
     return records
@@ -404,8 +407,7 @@ def test_atom_table_keeps_configurations_and_tree_weights():
         assert table.multi_disks(alpha) == again
         weights = table.tree_weights(alpha)
         assert weights is table.tree_weights(alpha)
-        assert list(weights) == [tree_weight_sum(c, table.links)
-                                 for c in again]
+        assert list(weights) == tree_weights(again, table.links)
         assert welschinger_count(alpha, again, weights, target) == \
             welschinger_count(alpha, again, tree_weights(again, table.links),
                               target)
@@ -537,9 +539,9 @@ def _cancellation_by_tree_loop(tuples, table):
 
 
 def test_cancellation_report_matches_the_per_tree_loop():
-    """The report's multi-disk total, taken over the cached trees, equals
-    the plain per-tree loop on the toy and on three-point orbits
-    (three-disk configurations, valence-2 vertices)."""
+    """The report's multi-disk total, read off the table's matrix-tree
+    sums, equals the plain per-tree loop on the toy and on three-point
+    orbits (three-disk configurations, valence-2 vertices)."""
     target, bundle = toy_atoms()
     cases = [([top], bundle.table, bundle.involution)
              for top in bundle.tuples]
