@@ -44,13 +44,13 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 from typing import NamedTuple
 
 from . import OpenGWError
-from .lattice import ConstraintTuple, DegenerationType
+from .lattice import ConstraintTuple
 from .multidisk import (
     MultiDisk,
+    _block_tables,
     _edge_index_table,
     _edge_pairs,
     tree_edge_indices,
@@ -331,20 +331,89 @@ class Decorated(NamedTuple):
 class BranchCut(NamedTuple):
     """The cut-at-the-center form of a decorated configuration.
 
-    eta is the canonical splitting: one bare point part per point of the
-    center disk, one part per branch.  branches holds (part tuple,
-    decorated sub-configuration) pairs, ordered by part and then by
-    loops; a branch's distinguished disk is the one joined to the center.
+    key is the `SplittingKeys` key of its splitting: one bare point part
+    per point of the center disk, one part per branch.  center is the
+    center disk.  branches holds (part id, loop tuple, decorated
+    sub-configuration) triples, in increasing order; a branch's
+    distinguished disk is the one joined to the center.
     """
 
-    eta: DegenerationType
+    key: tuple
     center: object
     branches: tuple
+
+
+class SplittingKeys:
+    """Integer keys for the splittings of one target, shared by the class
+    side and the images of the branch-bijection checks on it.
+
+    Each part gets an id, in the order parts are first met, looked up by
+    its coordinates and label sets, never by its Fraction-bearing degree.
+    parts lists the parts by id, and labels holds the label of each bare
+    point part, None for the others.  The key of a splitting is (center
+    degree coordinates, sorted center descriptor labels, the ids of its
+    parts in increasing order).  Coordinates fix a degree of the target,
+    and a `DegenerationType` lists its parts in one canonical order, so
+    two splittings have equal keys exactly when they are equal.
+
+    branches maps a branch's loop tuple to (part id, sub-configuration),
+    and centers a center disk's loop to (coordinates, descriptor labels,
+    point part ids): each is built once per target, however many tuples
+    are checked.
+    """
+
+    def __init__(self, target):
+        self.target = target
+        self.parts = []
+        self.labels = []
+        self._ids = {}
+        self.branches = {}
+        self.centers = {}
+
+    def part_id(self, part):
+        key = (part.beta.coords, part.points, part.descriptors)
+        pid = self._ids.get(key)
+        if pid is None:
+            pid = self._ids[key] = len(self.parts)
+            self.parts.append(part)
+            self.labels.append(next(iter(part.points))
+                               if part.is_point_tuple() else None)
+        return pid
+
+    def class_key(self, eta):
+        """The key of a `DegenerationType`."""
+        return (eta.center_degree.coords,
+                tuple(sorted(eta.center_descriptors)),
+                tuple(sorted(map(self.part_id, eta.parts))))
+
+    def branch(self, atoms):
+        """The entry of `branches` for a block's atoms, in loop order."""
+        sub = MultiDisk(tuple(atoms))
+        entry = self.branches[tuple(a.loop for a in atoms)] = (
+            self.part_id(ConstraintTuple(sub.total_degree(),
+                                         sub.total_points(),
+                                         sub.total_descriptors())),
+            sub)
+        return entry
+
+    def center(self, atom):
+        """The entry of `centers` for a center disk."""
+        entry = self.centers[atom.loop] = (
+            atom.degree.coords, tuple(sorted(atom.descriptors)),
+            [self.part_id(self.target.point_tuple(x)) for x in atom.points])
+        return entry
 
 
 @functools.cache
 def _tree_table(m):
     return frozenset(tree_edge_indices(m))
+
+
+@functools.cache
+def _local_tree_tables(m):
+    """The tree tables of the block sizes on m vertices, by size, 1 to
+    m - 1."""
+    return (None,) + tuple(map(_tree_table, range(1, m)))
 
 
 class CutShape(NamedTuple):
@@ -355,9 +424,9 @@ class CutShape(NamedTuple):
     ordered by least vertex.  branches holds, per block, the branch's
     local root (the block's neighbour of c) and its local subtree, both
     in the block's own indices.  reglued says that `_glue` of the blocks
-    and branches gives back the tree; in_table that each local root lies
-    in its block and each local subtree is in the tree table of the
-    block's size.
+    and branches gives back the tree; in_table that each local subtree
+    is in the tree table of the block's size.  A local root is its
+    vertex's place in the block, so it lies in the block.
     """
 
     blocks: tuple
@@ -367,61 +436,102 @@ class CutShape(NamedTuple):
 
 
 def _glue(m, c, blocks, branches):
-    """Re-glue at the index level: each local subtree placed on its
-    block's vertices, plus the edge from c to the block's local root,
-    as the sorted edge indices of a graph on m vertices."""
-    index = _edge_index_table(m)
+    """Re-glue at the index level: each local subtree lifted onto its
+    block, given as a vertex bitmask, plus the edge from c to the
+    block's local root, as the sorted edge indices of a graph on m
+    vertices."""
+    tables = _block_tables(m)
+    index = _edge_index_table(m)[c]
     tree = []
-    for block, (root, sub_tree) in zip(blocks, branches):
-        pairs = _edge_pairs(len(block))
-        for k in sub_tree:
-            i, j = pairs[k]
-            tree.append(index[block[i]][block[j]])
-        tree.append(index[c][block[root]])
+    for mask, (root, sub_tree) in zip(blocks, branches):
+        verts, _, lift = tables[mask]
+        tree += [lift[k] for k in sub_tree]
+        tree.append(index[verts[root]])
     tree.sort()
     return tuple(tree)
+
+
+def _tree_cuts(m, tree):
+    """Cut a tree on m vertices at every vertex, from one walk of the
+    tree rooted at vertex 0: per center c, (blocks, branches, reglued,
+    in_table), with blocks the bitmasks of the branches' vertex sets,
+    ordered by least vertex, and the rest as in `CutShape`.
+
+    The branches at c are, unless c is the root, the rest of the tree,
+    joined to c at c's parent, which holds vertex 0, and then the
+    subtrees of c's children.  A block's local subtree is the edges from
+    its vertices to their parents, the block's top vertex excepted,
+    relabelled by the block's `_block_tables` entry.  reglued is
+    `_glue`'s re-glue, written out in the loop: the census makes m^(m-1)
+    cuts, and the call costs about a sixth of one.
+    """
+    pairs = _edge_pairs(m)
+    index = _edge_index_table(m)
+    adj = [[] for _ in range(m)]
+    for k in tree:
+        i, j = pairs[k]
+        adj[i].append(j)
+        adj[j].append(i)
+    parent = [-1] * m
+    parent[0] = 0
+    up = [-1] * m  # the edge from each vertex to its parent
+    order = [0]
+    for v in order:  # grows while it is walked
+        for w in adj[v]:
+            if parent[w] < 0:
+                parent[w] = v
+                up[w] = index[v][w]
+                order.append(w)
+    below = [1 << v for v in range(m)]  # each vertex's subtree
+    for v in reversed(order[1:]):
+        below[parent[v]] |= below[v]
+    # (block, the vertex joined to the center, the block's top vertex)
+    # per branch at each center, ordered by least vertex
+    everything = (1 << m) - 1
+    least = [b & -b for b in below]
+    at = [[] for _ in range(m)]
+    for v in order[1:]:
+        at[v].append((everything ^ below[v], parent[v], 0))
+    for v in sorted(order[1:], key=least.__getitem__):
+        at[parent[v]].append((below[v], v, v))
+    tables = _block_tables(m)
+    trees = _local_tree_tables(m)
+    cuts = []
+    for c, tops in enumerate(at):
+        blocks = []
+        branches = []
+        glued = []
+        in_table = True
+        for mask, root, top in tops:
+            verts, local, lift = tables[mask]
+            sub_tree = [local[up[v]] for v in verts if v != top]
+            sub_tree.sort()
+            sub_tree = tuple(sub_tree)
+            root = verts.index(root)
+            blocks.append(mask)
+            branches.append((root, sub_tree))
+            glued += [lift[k] for k in sub_tree]
+            glued.append(index[c][verts[root]])
+            in_table = in_table and sub_tree in trees[len(verts)]
+        glued.sort()
+        cuts.append((tuple(blocks), tuple(branches), tuple(glued) == tree,
+                     in_table))
+    return cuts
+
+
+def _shape(m, cut):
+    """The `CutShape` of one `_tree_cuts` entry."""
+    tables = _block_tables(m)
+    blocks, branches, reglued, in_table = cut
+    return CutShape(tuple(tables[mask][0] for mask in blocks), branches,
+                    reglued, in_table)
 
 
 def _cut_shape(m, c, tree):
     """Cut a tree on m vertices at vertex c: each neighbour of c roots one
     branch, the subtree behind it.  Depends on (m, c, tree) only; see
     `CutShape`."""
-    pairs = _edge_pairs(m)
-    adj = [[] for _ in range(m)]
-    for k in tree:
-        i, j = pairs[k]
-        adj[i].append(j)
-        adj[j].append(i)
-    # walk out from c: each vertex's parent, and the branch root above it
-    parent = [None] * m
-    root_of = [None] * m
-    parent[c] = c
-    walk = [c]
-    for v in walk:  # grows while it is walked
-        for w in adj[v]:
-            if parent[w] is None:
-                parent[w] = v
-                root_of[w] = w if v == c else root_of[v]
-                walk.append(w)
-    members = {}  # root -> its block, in order of least vertex
-    local = [None] * m  # a vertex's index in its block
-    for v in range(m):
-        if v != c:
-            block = members.setdefault(root_of[v], [])
-            local[v] = len(block)
-            block.append(v)
-    blocks = tuple(map(tuple, members.values()))
-    branches = []
-    for root, block in members.items():
-        index = _edge_index_table(len(block))
-        branches.append((local[root], tuple(sorted(
-            index[local[parent[v]]][local[v]] for v in block if v != root
-        ))))
-    return CutShape(
-        blocks, tuple(branches), _glue(m, c, blocks, branches) == tree,
-        all(0 <= root < len(block) and sub_tree in _tree_table(len(block))
-            for block, (root, sub_tree) in zip(blocks, branches)),
-    )
+    return _shape(m, _tree_cuts(m, tree)[c])
 
 
 @functools.cache
@@ -429,56 +539,53 @@ def _census(m):
     """Per center c of m vertices, one bucket per vertex partition, in
     order of first tree: (the number of trees cut at c into it, the first
     of them, its `CutShape`, whether all are reglued, whether all are
-    in_table).  Every tree of the tree table is cut once at every center;
-    only the Bell(m - 1) buckets per center are kept."""
+    in_table).  Every tree of the tree table is cut at every center, by
+    one `_tree_cuts` walk per tree, and gets both verdicts; a shape is
+    built for each bucket's first tree only, and only the Bell(m - 1)
+    buckets per center are kept."""
     census = [{} for _ in range(m)]
     for tree in tree_edge_indices(m):
-        for c, buckets in enumerate(census):
-            shape = _cut_shape(m, c, tree)
-            entry = buckets.setdefault(shape.blocks,
-                                       [0, tree, shape, True, True])
+        for buckets, cut in zip(census, _tree_cuts(m, tree)):
+            entry = buckets.get(cut[0])
+            if entry is None:
+                entry = buckets[cut[0]] = [0, tree, _shape(m, cut), True,
+                                           True]
             entry[0] += 1
-            entry[3] &= shape.reglued
-            entry[4] &= shape.in_table
+            entry[3] = entry[3] and cut[2]
+            entry[4] = entry[4] and cut[3]
     return tuple(tuple(map(tuple, buckets.values())) for buckets in census)
 
 
-def to_branches(config, c, shape, target, memo):
+def to_branches(config, c, shape, keys):
     """Cut a tree of config at the distinguished disk c, given the tree's
     `_cut_shape(len(config), c, tree)`: each neighbour of the center
     roots one branch, the subtree behind it, on its own atoms, with that
     neighbour as its distinguished disk.  Each block's atoms form the
     branch's sub-configuration; its local root and subtree pass through.
-    `memo` maps a branch's loop tuple to its sub-configuration, part
-    tuple and part sort key, and a center's loop to its point parts;
-    calls on one target may share it, and a new dict starts it.
+    `keys` is the target's `SplittingKeys`, which interns each branch by
+    loop tuple and each center disk by loop, so a cut costs lookups and
+    two short sorts.
     """
     atoms = config.atoms
+    interned = keys.branches
     branches = []
     for block, (root, sub_tree) in zip(shape.blocks, shape.branches):
-        loops = tuple(atoms[v].loop for v in block)
-        entry = memo.get(loops)
+        loops = tuple([atoms[v].loop for v in block])
+        entry = interned.get(loops)
         if entry is None:
-            sub = MultiDisk(tuple(atoms[v] for v in block))
-            part = ConstraintTuple(sub.total_degree(), sub.total_points(),
-                                   sub.total_descriptors())
-            entry = memo[loops] = (sub, part, part.sort_key())
-        sub, part, key = entry
-        branches.append((key, loops, part, Decorated(sub, root, sub_tree)))
-    branches.sort(key=itemgetter(0, 1))
+            entry = keys.branch([atoms[v] for v in block])
+        pid, sub = entry
+        branches.append((pid, loops, Decorated(sub, root, sub_tree)))
+    branches.sort()  # loops differ, so no two entries tie before the last
     center = atoms[c]
-    points = memo.get(center.loop)
-    if points is None:
-        points = memo[center.loop] = [
-            (pt.sort_key(), pt)
-            for pt in map(target.point_tuple, center.points)
-        ]
-    keyed = [(key, part) for key, _, part, _ in branches] + points
-    keyed.sort(key=itemgetter(0))
-    eta = DegenerationType(center.degree, center.descriptors,
-                           tuple(part for _, part in keyed))
-    return BranchCut(eta, center,
-                     tuple((part, sub) for _, _, part, sub in branches))
+    entry = keys.centers.get(center.loop)
+    if entry is None:
+        entry = keys.center(center)
+    coords, descriptors, points = entry
+    ids = [pid for pid, _, _ in branches] + points
+    ids.sort()
+    return BranchCut((coords, descriptors, tuple(ids)), center,
+                     tuple(branches))
 
 
 def from_branches(cut):
@@ -486,28 +593,33 @@ def from_branches(cut):
     each branch's local tree and root edge are placed at the positions of
     its atoms in the re-glued configuration."""
     center = cut.center
-    config = MultiDisk((center,) + tuple(
-        a for _, sub in cut.branches for a in sub.config.atoms
-    ))
+    atoms = [center]
+    for _, _, sub in cut.branches:
+        atoms += sub.config.atoms
+    config = MultiDisk(tuple(atoms))
     index = {a.loop: k for k, a in enumerate(config.atoms)}
+    blocks = []
+    for _, _, sub in cut.branches:
+        mask = 0
+        for a in sub.config.atoms:
+            mask |= 1 << index[a.loop]
+        blocks.append(mask)
     c = index[center.loop]
-    blocks = [tuple(index[a.loop] for a in sub.config.atoms)
-              for _, sub in cut.branches]
     tree = _glue(len(config), c, blocks,
-                 [(sub.center, sub.tree) for _, sub in cut.branches])
+                 [(sub.center, sub.tree) for _, _, sub in cut.branches])
     return Decorated(config, c, tree)
 
 
-def _branch_classes(alpha, table, target):
+def _branch_classes(alpha, table, target, keys):
     """The quotient side of the branch bijection of alpha, class by class.
 
-    Returns (classes, count): classes maps the splitting of every class
+    Returns (classes, count): classes maps the `keys` key of every class
     of alpha through a table tuple as center, and dimension-0, non-point
-    parts with configurations, to its (center disks, slot parts); count
-    is the number of branch decompositions, summed per class as |center
-    disks| times the product over slots of the part's decorated count.
-    A part's decorated count is the sum over its configurations of m
-    times the trees of the tree table on m vertices, m the
+    parts with configurations, to its (center disks, slot part ids);
+    count is the number of branch decompositions, summed per class as
+    |center disks| times the product over slots of the part's decorated
+    count.  A part's decorated count is the sum over its configurations
+    of m times the trees of the tree table on m vertices, m the
     configuration's size.  The count is exact when every atom carries a
     label: the atoms of the center and of distinct parts are then
     distinct, and no two parts of a class are equal.  A table with an
@@ -525,13 +637,17 @@ def _branch_classes(alpha, table, target):
         if target.dimension(part) == 0 and not part.is_point_tuple()
         and table.multi_disks(part)
     ]
+    # a center tuple by its sort key: coordinates and sorted labels
+    centers_of = {t.sort_key(): table.single_disks(t)
+                  for t in table.tuples()}
+    labels = keys.labels
     sizes = {}
 
-    def decorated_count(part):
-        if part not in sizes:
-            sizes[part] = sum(len(config) * len(_tree_table(len(config)))
-                              for config in table.multi_disks(part))
-        return sizes[part]
+    def decorated_count(pid):
+        if pid not in sizes:
+            sizes[pid] = sum(len(config) * len(_tree_table(len(config)))
+                             for config in table.multi_disks(keys.parts[pid]))
+        return sizes[pid]
 
     classes = {}
     count = 0
@@ -540,14 +656,18 @@ def _branch_classes(alpha, table, target):
     for eta, _raw in target.classes_through(
         alpha, _center_triples(table), parts
     ):
-        centers = table.single_disks(eta.center_tuple())
-        slots = tuple(eta.parts[i] for i in eta.chain_slots())
-        classes[eta] = (centers, slots)
+        key = keys.class_key(eta)
+        coords, descriptors, ids = key
+        points = tuple(sorted(labels[i] for i in ids
+                              if labels[i] is not None))
+        centers = centers_of.get((coords, points, descriptors), ())
+        slots = tuple(i for i in ids if labels[i] is None)
+        classes[key] = (centers, slots)
         count += len(centers) * math.prod(map(decorated_count, slots))
     return classes, count
 
 
-def branch_bijection_failures(alpha, table, target):
+def branch_bijection_failures(alpha, table, target, keys=None):
     """(the steps of the branch-bijection proof that fail for alpha, the
     number of decorated configurations of alpha).  The steps are () when
     cutting at the center is a bijection from the decorated
@@ -566,7 +686,9 @@ def branch_bijection_failures(alpha, table, target):
 
     Steps 1 and 2 make the cut an injection into the decompositions and
     step 3 makes it onto them.  Configurations are read from the table.
-    Raises as `_branch_classes` does for a table with an unlabeled atom.
+    `keys` is a `SplittingKeys` of the target, which the checks of
+    several tuples may share; a new one serves when it is None.  Raises
+    as `_branch_classes` does for a table with an unlabeled atom.
 
     No decorated configuration is listed: the check walks alpha's
     configurations x centers c x buckets of `_census(m)[c]`.  The image
@@ -583,33 +705,38 @@ def branch_bijection_failures(alpha, table, target):
     every tree; the round trip and the class checks run on r.  The
     buckets of a center partition the tree table, so their counts,
     summed over configurations and centers, are step 3's number.
+    Splittings and parts are compared by their integer keys and ids.
     """
-    classes, count = _branch_classes(alpha, table, target)
-    configs = {}  # part -> its configurations, keyed by loop tuple
-
-    def is_branch_of(part, sub):
-        if part not in configs:
-            configs[part] = {tuple(a.loop for a in config.atoms): config
-                             for config in table.multi_disks(part)}
-        loops = tuple(a.loop for a in sub.config.atoms)
-        return configs[part].get(loops) == sub.config
+    if keys is None:
+        keys = SplittingKeys(target)
+    classes, count = _branch_classes(alpha, table, target, keys)
+    configs = {}  # part id -> its configurations, keyed by loop tuple
 
     def is_decomposition(cut):
-        centers, slots = classes.get(cut.eta, ((), None))
-        return (cut.center in centers
-                and tuple(part for part, _ in cut.branches) == slots
-                and all(is_branch_of(part, sub)
-                        for part, sub in cut.branches))
+        centers, slots = classes.get(cut.key, ((), None))
+        if (cut.center not in centers
+                or tuple([pid for pid, _, _ in cut.branches]) != slots):
+            return False
+        for pid, loops, sub in cut.branches:
+            if pid not in configs:
+                configs[pid] = {
+                    tuple(a.loop for a in config.atoms): config
+                    for config in table.multi_disks(keys.parts[pid])}
+            # equal configurations have equal loops, so a branch whose
+            # loops were mislabeled fails here too
+            if configs[pid].get(loops) != sub.config:
+                return False
+        return True
 
     left_inverse = in_classes = True
     decorated = 0
-    memo = {}
     for config in table.multi_disks(alpha):
         for c, buckets in enumerate(_census(len(config))):
             for trees, tree, shape, reglued, in_table in buckets:
-                cut = to_branches(config, c, shape, target, memo)
+                cut = to_branches(config, c, shape, keys)
+                # a Decorated equals the plain tuple of its fields
                 left_inverse = left_inverse and reglued and (
-                    from_branches(cut) == Decorated(config, c, tree))
+                    from_branches(cut) == (config, c, tree))
                 in_classes = in_classes and in_table and is_decomposition(cut)
                 decorated += trees
     steps = (left_inverse, in_classes, count == decorated)

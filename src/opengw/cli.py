@@ -21,6 +21,7 @@ from fractions import Fraction
 
 from . import OpenGWError, fileio, selfcheck
 from .bounding_chain import (
+    SplittingKeys,
     branch_bijection_failures,
     build_chains,
     chain_tuples,
@@ -458,7 +459,9 @@ def run_verify_all(bundle, atom_bundle, closed, seeds, config, rep):
         else:
             _tally(rep, "weighted-degree-comparison", weighted_bad,
                    "%d tuples compared" % weighted_checked)
-        bijection = {alpha: branch_bijection_failures(alpha, table, target)
+        keys = SplittingKeys(target)
+        bijection = {alpha: branch_bijection_failures(alpha, table, target,
+                                                      keys)
                      for alpha in chains}
         _tally(rep, "branch-bijection",
                [alpha for alpha, (failed, _) in bijection.items() if failed],

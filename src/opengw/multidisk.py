@@ -23,7 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from . import OpenGWError, linalg
 
@@ -110,10 +110,10 @@ class MultiDisk:
     def __post_init__(self):
         if not self.atoms:
             raise ConfigurationError("a configuration needs at least one disk")
-        loops = [a.loop for a in self.atoms]
-        if len(set(loops)) != len(loops):
+        if len({a.loop for a in self.atoms}) != len(self.atoms):
             raise ConfigurationError("boundary loops must be pairwise distinct")
-        ordered = tuple(sorted(self.atoms, key=DiskAtom.sort_key))
+        # in loop order, the order of DiskAtom.sort_key
+        ordered = tuple(sorted(self.atoms, key=attrgetter("loop")))
         object.__setattr__(self, "atoms", ordered)
 
     def __len__(self):
@@ -191,6 +191,27 @@ def _edge_index_table(m):
     for k, (i, j) in enumerate(_edge_pairs(m)):
         index[i][j] = index[j][i] = k
     return index
+
+
+@functools.cache
+def _block_tables(m):
+    """Per subset of range(m), indexed by its bitmask: (its vertices in
+    increasing order, the local index of each edge of the complete graph
+    on m vertices that lies inside it, -1 for the others, and the edge
+    index on m vertices of each local edge).  Local indices are those of
+    itertools.combinations(range(size), 2) over the sorted vertices."""
+    index = _edge_index_table(m)
+    edges = len(_edge_pairs(m))
+    tables = []
+    for mask in range(1 << m):
+        verts = tuple(v for v in range(m) if mask >> v & 1)
+        lift = tuple(index[verts[i]][verts[j]]
+                     for i, j in _edge_pairs(len(verts)))
+        local = [-1] * edges
+        for k, edge in enumerate(lift):
+            local[edge] = k
+        tables.append((verts, tuple(local), lift))
+    return tuple(tables)
 
 
 @functools.cache

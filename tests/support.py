@@ -16,7 +16,10 @@ bijection enumerated on loop-pair objects (the oracle for the packed
 check in `bounding_chain`), the listing of the packed decorated
 configurations and the branch-bijection check run one of them at a time
 (the reference for the check, which proves its first two steps once per
-census bucket and configuration, and lists none), the degree invariant
+census bucket and configuration, and lists none), the census of cut
+shapes with every tree cut at every center by its own walk (the
+reference for the census, which cuts a tree at all centers from one
+rooted walk), the degree invariant
 through an extra point and the weighted invariant, each by its own walk
 over the classes (the references for the invariants a chain carries,
 which `bounding_chain.assemble_chain` reads off the chain's one walk),
@@ -293,13 +296,19 @@ def toy_atoms():
 
 
 def synthetic_instance(rng, n_points=2, n_quartic=1, n_sextic=0, n_conic=0,
-                       atom_choices=(0, 1, 1, 2), lk_range=3):
+                       atom_choices=(0, 1, 1, 2), lk_range=3, rank=1):
     """A random declared target plus a rigid-disk table.
 
-    Rank-1 lattice with Maslov 2 per generator step; every sub-tuple of
-    the top tuple that can carry rigid disks receives 0..2 atoms with
-    random signs, and all loop pairs get small random rational linking
-    numbers.  Returns (target, atom_table, top_tuple).
+    Maslov 2 per generator step; every sub-tuple of the top tuple that
+    can carry rigid disks receives 0..2 atoms with random signs, and all
+    loop pairs get small random rational linking numbers.  Returns
+    (target, atom_table, top_tuple).
+
+    rank 1 is one generator of area 1.  rank 2 adds a second generator of
+    area 3/2: an atom of total degree n gets the split (a, n - a), a
+    drawn right after its sign, and the top tuple of total degree n the
+    split (n - n // 2, n // 2).  Only rank 2 draws splits, so rank 1
+    makes the same draws as with no rank option.
     """
     from opengw.lattice import Target
     from opengw.multidisk import AtomTable, DiskAtom, LinkingMatrix
@@ -310,8 +319,14 @@ def synthetic_instance(rng, n_points=2, n_quartic=1, n_sextic=0, n_conic=0,
         + [("S%d" % i, 6) for i in range(n_sextic)]
         + [("C%d" % i, 2) for i in range(n_conic)]
     )
-    target = Target([("g", 1, 2)], descriptors=descs)
+    if rank not in (1, 2):
+        raise ValueError("rank must be 1 or 2")
+    generators = [("g", 1, 2), ("h", Fraction(3, 2), 2)][:rank]
+    target = Target(generators, descriptors=descs)
     codim = {name: c for name, c in descs}
+
+    def split(n, a):
+        return (n,) if rank == 1 else (a, n - a)
 
     def degree_for(k_set, l_set):
         # dimension-0 forces the degree: 2n = 2|K| + sum(codim - 2)
@@ -331,9 +346,11 @@ def synthetic_instance(rng, n_points=2, n_quartic=1, n_sextic=0, n_conic=0,
             if n is None or n == 0:
                 continue
             for _ in range(rng.choice(atom_choices)):
+                sign = rng.choice((1, -1))
+                a = rng.randint(0, n) if rank == 2 else None
                 atoms.append(DiskAtom(
-                    target.degree((n,)), k_set, l_set,
-                    rng.choice((1, -1)), "L%d" % next(counter),
+                    target.degree(split(n, a)), k_set, l_set,
+                    sign, "L%d" % next(counter),
                 ))
     loops = [a.loop for a in atoms]
     entries = []
@@ -350,7 +367,8 @@ def synthetic_instance(rng, n_points=2, n_quartic=1, n_sextic=0, n_conic=0,
     top_n = len(points) + sum(
         (codim[d] - 2) // 2 for d in desc_names
     )
-    top = target.constraint_tuple((top_n,), points, desc_names)
+    top = target.constraint_tuple(split(top_n, top_n - top_n // 2), points,
+                                  desc_names)
     return target, table, top
 
 
@@ -706,13 +724,6 @@ def loop_form(decorated):
     )
 
 
-def decomposition_form(cut):
-    """A packed `bounding_chain.BranchCut` as a BranchDecomposition."""
-    return BranchDecomposition(cut.eta, cut.center, _canonical_branches(
-        (part, loop_form(sub)) for part, sub in cut.branches
-    ))
-
-
 def branch_decompositions(alpha, table, target, decorated=None):
     """The quotient side of the branch bijection, enumerated: every
     splitting class of alpha through a table tuple as center and parts
@@ -771,15 +782,37 @@ def decorated_multidisks(alpha, table):
     ]
 
 
-def cut_decorated(decorated, target, memo):
+def cut_decorated(decorated, keys):
     """`bounding_chain.to_branches` of a packed decorated configuration,
-    with its tree cut first.  The cut and the shape are read from the
-    module when called, so a test that patches them patches this too."""
+    with its tree cut first, keyed by the `SplittingKeys` keys.  The cut
+    and the shape are read from the module when called, so a test that
+    patches them patches this too."""
     from opengw import bounding_chain
 
     config, c, tree = decorated
     shape = bounding_chain._cut_shape(len(config), c, tree)
-    return bounding_chain.to_branches(config, c, shape, target, memo)
+    return bounding_chain.to_branches(config, c, shape, keys)
+
+
+def splitting_of(key, keys):
+    """The `DegenerationType` a `SplittingKeys` key stands for: its parts
+    read back by id, in sort-key order."""
+    from opengw.lattice import ConstraintTuple, DegenerationType
+
+    coords, descriptors, ids = key
+    return DegenerationType(
+        keys.target.degree(coords), frozenset(descriptors),
+        tuple(sorted((keys.parts[i] for i in ids),
+                     key=ConstraintTuple.sort_key)))
+
+
+def decomposition_form(cut, keys):
+    """A packed `bounding_chain.BranchCut`, keyed by `keys`, as a
+    BranchDecomposition."""
+    return BranchDecomposition(
+        splitting_of(cut.key, keys), cut.center, _canonical_branches(
+            (keys.parts[pid], loop_form(sub))
+            for pid, _, sub in cut.branches))
 
 
 def reference_branch_bijection_failures(alpha, table, target):
@@ -792,34 +825,107 @@ def reference_branch_bijection_failures(alpha, table, target):
     when called, so a test that patches them patches both routes."""
     from opengw import bounding_chain
 
-    classes, count = bounding_chain._branch_classes(alpha, table, target)
+    keys = bounding_chain.SplittingKeys(target)
+    classes, count = bounding_chain._branch_classes(alpha, table, target,
+                                                    keys)
     configs = {}
 
-    def is_branch_of(part, sub):
-        if part not in configs:
-            configs[part] = frozenset(table.multi_disks(part))
-        return (sub.config in configs[part]
+    def is_branch_of(pid, sub):
+        if pid not in configs:
+            configs[pid] = frozenset(table.multi_disks(keys.parts[pid]))
+        return (sub.config in configs[pid]
                 and 0 <= sub.center < len(sub.config)
                 and sub.tree in bounding_chain._tree_table(len(sub.config)))
 
     def is_decomposition(cut):
-        centers, slots = classes.get(cut.eta, ((), None))
+        centers, slots = classes.get(cut.key, ((), None))
         return (cut.center in centers
-                and tuple(part for part, _ in cut.branches) == slots
-                and all(is_branch_of(part, sub)
-                        for part, sub in cut.branches))
+                and tuple(pid for pid, _, _ in cut.branches) == slots
+                and all(is_branch_of(pid, sub)
+                        for pid, _, sub in cut.branches))
 
     left_inverse = in_classes = True
-    memo = {}
     decorated = decorated_multidisks(alpha, table)
     for d in decorated:
-        cut = cut_decorated(d, target, memo)
+        cut = cut_decorated(d, keys)
         left_inverse = (left_inverse
                         and bounding_chain.from_branches(cut) == d)
         in_classes = in_classes and is_decomposition(cut)
     steps = (left_inverse, in_classes, count == len(decorated))
     return (tuple(step for step, ok in enumerate(steps, 1) if not ok),
             len(decorated))
+
+
+def reference_cut_shape(m, c, tree):
+    """`bounding_chain._cut_shape` by its own walk out from c: each
+    neighbour of c roots one branch, the subtree behind it.  Blocks are
+    vertex tuples in order of least vertex, and the re-glue places each
+    local subtree on its block's vertices by edge pairs, so neither the
+    bitmask tables nor the rooted walk of `_tree_cuts` is shared."""
+    from opengw import bounding_chain
+    from opengw.multidisk import _edge_index_table, _edge_pairs
+
+    pairs = _edge_pairs(m)
+    adj = [[] for _ in range(m)]
+    for k in tree:
+        i, j = pairs[k]
+        adj[i].append(j)
+        adj[j].append(i)
+    # walk out from c: each vertex's parent, and the branch root above it
+    parent = [None] * m
+    root_of = [None] * m
+    parent[c] = c
+    walk = [c]
+    for v in walk:  # grows while it is walked
+        for w in adj[v]:
+            if parent[w] is None:
+                parent[w] = v
+                root_of[w] = w if v == c else root_of[v]
+                walk.append(w)
+    members = {}  # root -> its block, in order of least vertex
+    local = [None] * m  # a vertex's index in its block
+    for v in range(m):
+        if v != c:
+            block = members.setdefault(root_of[v], [])
+            local[v] = len(block)
+            block.append(v)
+    blocks = tuple(map(tuple, members.values()))
+    branches = []
+    for root, block in members.items():
+        index = _edge_index_table(len(block))
+        branches.append((local[root], tuple(sorted(
+            index[local[parent[v]]][local[v]] for v in block if v != root
+        ))))
+    index = _edge_index_table(m)
+    glued = [index[c][block[root]]
+             for block, (root, _) in zip(blocks, branches)]
+    for block, (_, sub_tree) in zip(blocks, branches):
+        local_pairs = _edge_pairs(len(block))
+        glued += [index[block[local_pairs[k][0]]][block[local_pairs[k][1]]]
+                  for k in sub_tree]
+    return bounding_chain.CutShape(
+        blocks, tuple(branches), tuple(sorted(glued)) == tree,
+        all(0 <= root < len(block)
+            and sub_tree in bounding_chain._tree_table(len(block))
+            for block, (root, sub_tree) in zip(blocks, branches)),
+    )
+
+
+def reference_census(m):
+    """`bounding_chain._census(m)` with every tree cut at every center by
+    `reference_cut_shape`, one center at a time."""
+    from opengw.multidisk import tree_edge_indices
+
+    census = [{} for _ in range(m)]
+    for tree in tree_edge_indices(m):
+        for c, buckets in enumerate(census):
+            shape = reference_cut_shape(m, c, tree)
+            entry = buckets.setdefault(shape.blocks,
+                                       [0, tree, shape, True, True])
+            entry[0] += 1
+            entry[3] &= shape.reglued
+            entry[4] &= shape.in_table
+    return tuple(tuple(map(tuple, buckets.values())) for buckets in census)
 
 
 # --- the chain invariants, each by its own walk ----------------------------

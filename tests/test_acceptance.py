@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from opengw import bounding_chain, fileio, wdvv
 from opengw.bounding_chain import (
+    SplittingKeys,
     branch_bijection_failures,
     build_chains,
     constant_center_classes,
@@ -161,14 +162,15 @@ def test_criterion_3_branch_bijection():
         target, table, top = _instance(31000 + seed)
         seed += 1
         worklist = dim0_subtuples(target, table, top)
+        keys = SplittingKeys(target)
         for alpha in worklist:
             decorated = decorated_multidisks(alpha, table)
             if not decorated:
                 continue
             assert all(len(d.config) <= 5 for d in decorated)
-            images = [cut_decorated(d, target, {}) for d in decorated]
+            images = [cut_decorated(d, keys) for d in decorated]
             assert len(set(images)) == len(decorated), alpha
-            assert {decomposition_form(b) for b in images} == set(
+            assert {decomposition_form(b, keys) for b in images} == set(
                 branch_decompositions(alpha, table, target)
             ), alpha
             for d, b in zip(decorated, images):

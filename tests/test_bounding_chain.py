@@ -1,6 +1,7 @@
 """Boundary recursion, invariants, and the branch bijection."""
 
 import contextlib
+import itertools
 import math
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from opengw.bounding_chain import (
     BoundingChain,
     ChainError,
     Decorated,
+    SplittingKeys,
     assemble_chain,
     boundary_class_terms,
     branch_bijection_failures,
@@ -43,8 +45,10 @@ from support import (
     loop_decorated_multidisks,
     make_rng,
     reference_branch_bijection_failures,
+    reference_census,
     reference_degree_invariant,
     reference_weighted_invariant,
+    splitting_of,
     synthetic_instance,
     toy_atoms,
 )
@@ -503,10 +507,12 @@ def test_to_branches_single_atom():
     alpha = t.constraint_tuple((1,), ["p"])
     dmds = decorated_multidisks(alpha, table)
     assert len(dmds) == 2  # two atoms, trivial tree, center forced
-    b = cut_decorated(dmds[0], t, {})
+    keys = SplittingKeys(t)
+    b = cut_decorated(dmds[0], keys)
     assert b.branches == ()
-    assert b.eta.part_count == 1  # the single point part
-    assert b.eta.point_labels() == frozenset(["p"])
+    eta = splitting_of(b.key, keys)
+    assert eta.part_count == 1  # the single point part
+    assert eta.point_labels() == frozenset(["p"])
 
 
 def test_to_branches_two_atoms():
@@ -516,43 +522,51 @@ def test_to_branches_two_atoms():
         if len(d.config) == 2
     ]
     assert dmds
+    keys = SplittingKeys(t)
     for d in dmds:
-        b = cut_decorated(d, t, {})
+        b = cut_decorated(d, keys)
         assert len(b.branches) == 1
-        part, sub = b.branches[0]
+        pid, _, sub = b.branches[0]
         assert len(sub.config) == 1
-        assert part.points | b.eta.point_labels() == top.points
+        assert (keys.parts[pid].points
+                | splitting_of(b.key, keys).point_labels()) == top.points
 
 
 def test_branch_round_trip_small():
     t, table, top = small_instance()
+    keys = SplittingKeys(t)
     for alpha in dim0_subtuples(t, table, top):
         for d in decorated_multidisks(alpha, table):
-            assert from_branches(cut_decorated(d, t, {})) == d
+            assert from_branches(cut_decorated(d, keys)) == d
 
 
 def test_bijection_cardinality_small():
     t, table, top = small_instance()
+    keys = SplittingKeys(t)
     for alpha in dim0_subtuples(t, table, top):
         dmds = decorated_multidisks(alpha, table)
-        images = {decomposition_form(cut_decorated(d, t, {})) for d in dmds}
+        images = {decomposition_form(cut_decorated(d, keys), keys)
+                  for d in dmds}
         assert len(images) == len(dmds)
         assert images == set(branch_decompositions(alpha, table, t))
 
 
 def test_bijection_randomized():
-    for seed in range(10):
+    """Both lattice ranks: the images are distinct, equal the enumerated
+    decompositions, and re-glue to their decorated configurations."""
+    for rank, seed in itertools.product((1, 2), range(10)):
         rng = make_rng(15000 + seed)
         target, table, top = synthetic_instance(
-            rng, n_points=2, n_quartic=rng.choice((0, 1))
+            rng, n_points=2, n_quartic=rng.choice((0, 1)), rank=rank
         )
+        keys = SplittingKeys(target)
         for alpha in dim0_subtuples(target, table, top):
             dmds = decorated_multidisks(alpha, table)
-            images = [cut_decorated(d, target, {}) for d in dmds]
-            assert len(set(images)) == len(dmds), (seed, alpha)
-            assert {decomposition_form(b) for b in images} == set(
+            images = [cut_decorated(d, keys) for d in dmds]
+            assert len(set(images)) == len(dmds), (rank, seed, alpha)
+            assert {decomposition_form(b, keys) for b in images} == set(
                 branch_decompositions(alpha, table, target)
-            ), (seed, alpha)
+            ), (rank, seed, alpha)
             for d, b in zip(dmds, images):
                 assert from_branches(b) == d
 
@@ -610,8 +624,9 @@ def test_branch_decompositions_keep_atoms_disjoint():
     assert len(decorated) == 9
     oracle = branch_decompositions(alpha, table, t)
     assert len(oracle) == 9
-    assert {decomposition_form(cut_decorated(d, t, {})) for d in decorated} \
-        == set(oracle)
+    keys = SplittingKeys(t)
+    assert {decomposition_form(cut_decorated(d, keys), keys)
+            for d in decorated} == set(oracle)
 
 
 def test_branch_count_refuses_an_unlabeled_atom():
@@ -673,21 +688,33 @@ def test_census_buckets_match_the_closed_forms(m):
             == (m ** (m - 2) if m > 1 else 1)
 
 
+@pytest.mark.parametrize("m", range(1, 8))
+def test_census_matches_the_per_tree_reference(m):
+    """The census from one rooted walk per tree equals the census that
+    cuts every tree at every center by its own walk out from that
+    center: the same buckets in the same order, with the same counts,
+    first trees, shapes and both verdicts."""
+    assert bounding_chain._census(m) == reference_census(m)
+
+
 def constant_cut(first):
-    """A cut that sends every configuration to the one image `first`."""
-    def constant(config, c, shape, target, memo):
-        return first
+    """A cut that sends every configuration to the image of the one
+    decorated configuration `first`, keyed by the keys it is given."""
+    cut = bounding_chain.to_branches
+
+    def constant(config, c, shape, keys):
+        config, c, tree = first
+        return cut(config, c, bounding_chain._cut_shape(len(config), c,
+                                                        tree), keys)
     return constant
 
 
 def reversed_parts_cut(original):
-    """A cut whose splitting lists its parts in reverse order."""
-    def reversed_parts(config, c, shape, target, memo):
-        cut = original(config, c, shape, target, memo)
-        eta = cut.eta
-        return cut._replace(eta=DegenerationType(
-            eta.center_degree, eta.center_descriptors, eta.parts[::-1]
-        ))
+    """A cut whose splitting key lists its part ids in reverse order."""
+    def reversed_parts(config, c, shape, keys):
+        cut = original(config, c, shape, keys)
+        coords, descriptors, ids = cut.key
+        return cut._replace(key=(coords, descriptors, ids[::-1]))
     return reversed_parts
 
 
@@ -713,32 +740,36 @@ def census_victim(m):
     return None
 
 
-def broken_reglue_shape(original, victim):
-    """A cut shape that, for the victim (m, c, tree) only, moves the
-    local root of its first branch of two or more vertices to the next
-    vertex of the block.  The local subtree is untouched, so it stays in
-    the tree table; re-gluing no longer gives the tree back."""
-    def cut_shape(m, c, tree):
-        shape = original(m, c, tree)
-        if (m, c, tree) != victim:
-            return shape
-        k = next(i for i, block in enumerate(shape.blocks) if len(block) > 1)
-        root, sub_tree = shape.branches[k]
-        branches = list(shape.branches)
-        branches[k] = ((root + 1) % len(shape.blocks[k]), sub_tree)
-        return shape._replace(
-            branches=tuple(branches),
-            reglued=bounding_chain._glue(m, c, shape.blocks, branches) == tree,
-        )
-    return cut_shape
+def broken_reglue_cuts(original, victim):
+    """`_tree_cuts` that, for the victim (m, c, tree) only, moves the
+    local root of the first branch of two or more vertices at c to the
+    next vertex of its block.  The local subtree is untouched, so it
+    stays in the tree table; re-gluing no longer gives the tree back."""
+    def tree_cuts(m, tree):
+        cuts = original(m, tree)
+        if (m, tree) != victim[::2]:
+            return cuts
+        c = victim[1]
+        blocks, branches, _, in_table = cuts[c]
+        k = next(i for i, block in enumerate(blocks)
+                 if block.bit_count() > 1)
+        root, sub_tree = branches[k]
+        branches = list(branches)
+        branches[k] = ((root + 1) % blocks[k].bit_count(), sub_tree)
+        cuts = list(cuts)
+        cuts[c] = (blocks, tuple(branches),
+                   bounding_chain._glue(m, c, blocks, branches) == tree,
+                   in_table)
+        return cuts
+    return tree_cuts
 
 
 @contextlib.contextmanager
-def patched_shapes(cut_shape):
-    """`_cut_shape` replaced, with the census rebuilt from it inside and
+def patched_cuts(tree_cuts):
+    """`_tree_cuts` replaced, with the census rebuilt from it inside and
     from the original after."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(bounding_chain, "_cut_shape", cut_shape)
+        mp.setattr(bounding_chain, "_tree_cuts", tree_cuts)
         bounding_chain._census.cache_clear()
         try:
             yield
@@ -751,7 +782,7 @@ def test_each_bijection_step_catches_what_the_others_miss(monkeypatch):
     sends every configuration to one valid image (not injective), a cut
     whose splitting lists its parts out of canonical order (off the
     quotient side, though it still round-trips), a table that loses one
-    configuration of the tuple (not onto), and a cut shape whose re-glue
+    configuration of the tuple (not onto), and a tree cut whose re-glue
     is wrong for one tree that is not the first of its census bucket,
     where the round trip never runs: only the census verdict of step 1
     sees it."""
@@ -759,7 +790,7 @@ def test_each_bijection_step_catches_what_the_others_miss(monkeypatch):
     count = len(decorated_multidisks(top, table))
     assert branch_bijection_failures(top, table, t) == ((), count)
     original = bounding_chain.to_branches
-    first = cut_decorated(decorated_multidisks(top, table)[0], t, {})
+    first = decorated_multidisks(top, table)[0]
 
     monkeypatch.setattr(bounding_chain, "to_branches", constant_cut(first))
     assert branch_bijection_failures(top, table, t) == ((1,), count)
@@ -778,28 +809,31 @@ def test_each_bijection_step_catches_what_the_others_miss(monkeypatch):
     config = next(c for c in table.multi_disks(top) if len(c) == victim[0])
     d = Decorated(config, victim[1], victim[2])
     assert branch_bijection_failures(top, table, target)[0] == ()
-    with patched_shapes(broken_reglue_shape(bounding_chain._cut_shape,
-                                            victim)):
-        assert from_branches(cut_decorated(d, target, {})) != d
+    with patched_cuts(broken_reglue_cuts(bounding_chain._tree_cuts,
+                                         victim)):
+        assert from_branches(cut_decorated(d, SplittingKeys(target))) != d
         assert branch_bijection_failures(top, table, target)[0] == (1,)
     assert branch_bijection_failures(top, table, target)[0] == ()
 
 
 @pytest.mark.parametrize("verdict, step", [("reglued", 1), ("in_table", 2)])
 def test_census_verdicts_reach_their_steps(verdict, step):
-    """A shape verdict that is false for one tree, not the first of its
-    census bucket, fails exactly its step: only the census sees it."""
+    """A cut verdict that is false for one tree, not the first of its
+    census bucket, at one center fails exactly its step: only the census
+    sees it."""
     target, table, top = synthetic_instance(make_rng(16002), n_points=3)
     victim = census_victim(max(map(len, table.multi_disks(top))))
-    original = bounding_chain._cut_shape
+    original = bounding_chain._tree_cuts
+    place = bounding_chain.CutShape._fields.index(verdict)
 
-    def cut_shape(m, c, tree):
-        shape = original(m, c, tree)
-        if (m, c, tree) != victim:
-            return shape
-        return shape._replace(**{verdict: False})
+    def tree_cuts(m, tree):
+        cuts = original(m, tree)
+        if (m, tree) == victim[::2]:
+            c = victim[1]
+            cuts[c] = cuts[c][:place] + (False,) + cuts[c][place + 1:]
+        return cuts
 
-    with patched_shapes(cut_shape):
+    with patched_cuts(tree_cuts):
         assert branch_bijection_failures(top, table, target)[0] == (step,)
 
 
@@ -812,9 +846,9 @@ def test_bijection_cuts_once_per_group(monkeypatch):
     calls = []
     original = bounding_chain.to_branches
 
-    def counted(config, c, shape, target, memo):
+    def counted(config, c, shape, keys):
         calls.append((config, c, shape.blocks))
-        return original(config, c, shape, target, memo)
+        return original(config, c, shape, keys)
 
     monkeypatch.setattr(bounding_chain, "to_branches", counted)
     failed, decorated = branch_bijection_failures(top, table, target)
@@ -859,7 +893,8 @@ def test_branch_count_and_images_match_the_oracle(seed, shape):
         oracle = branch_decompositions(alpha, table, target,
                                        decorated=loop_by_tuple)
         assert len(by_tuple[alpha]) == len(oracle), alpha
-        images = [decomposition_form(cut_decorated(d, target, {}))
+        keys = SplittingKeys(target)
+        images = [decomposition_form(cut_decorated(d, keys), keys)
                   for d in by_tuple[alpha]]
         assert len(set(images)) == len(images), alpha
         assert set(images) == set(oracle), alpha
@@ -868,16 +903,19 @@ def test_branch_count_and_images_match_the_oracle(seed, shape):
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(seed=st.integers(0, 2 ** 32 - 1), shape=st.sampled_from(BRANCH_SHAPES))
-def test_check_matches_the_per_configuration_reference(seed, shape):
+@given(seed=st.integers(0, 2 ** 32 - 1), shape=st.sampled_from(BRANCH_SHAPES),
+       rank=st.sampled_from((1, 2)))
+def test_check_matches_the_per_configuration_reference(seed, shape, rank):
     """On every tuple, the check and the reference that lists, cuts,
     re-glues and classifies each decorated configuration on its own fail
     the same steps and count the same: on the intact code, and under
     each broken variant of
-    `test_each_bijection_step_catches_what_the_others_miss`."""
-    target, table, top = synthetic_instance(make_rng(seed), *shape)
+    `test_each_bijection_step_catches_what_the_others_miss`.  Both
+    lattice ranks are drawn."""
+    target, table, top = synthetic_instance(make_rng(seed), *shape,
+                                            rank=rank)
     original_cut = bounding_chain.to_branches
-    original_shape = bounding_chain._cut_shape
+    original_cuts = bounding_chain._tree_cuts
     for alpha in dim0_subtuples(target, table, top):
         decorated = decorated_multidisks(alpha, table)
 
@@ -894,8 +932,7 @@ def test_check_matches_the_per_configuration_reference(seed, shape):
             check, reference = both()
         assert check == reference and check[0] == (3,), alpha
         variants = [
-            ("to_branches", constant_cut(cut_decorated(decorated[0], target,
-                                                       {})),
+            ("to_branches", constant_cut(decorated[0]),
              (1,) if len(decorated) > 1 else ()),
             ("to_branches", reversed_parts_cut(original_cut), None),
         ]
@@ -907,6 +944,51 @@ def test_check_matches_the_per_configuration_reference(seed, shape):
             assert expected is None or check[0] == expected, (alpha, name)
         victim = census_victim(max(map(len, table.multi_disks(alpha))))
         if victim is not None:
-            with patched_shapes(broken_reglue_shape(original_shape, victim)):
+            with patched_cuts(broken_reglue_cuts(original_cuts, victim)):
                 check, reference = both()
             assert check == reference and check[0] == (1,), alpha
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), shape=st.sampled_from(BRANCH_SHAPES),
+       rank=st.sampled_from((1, 2)))
+def test_class_keys_are_equal_exactly_when_the_classes_are(seed, shape,
+                                                            rank):
+    """Over every dimension-0 tuple of a drawn instance, the classes of
+    `classes_through` (table tuples and the empty center as centers,
+    every dimension-0 predecessor as a part) get equal `SplittingKeys`
+    keys exactly when they are equal, and each key reads back as its
+    class.  The check with the keys shared across the tuples agrees with
+    the per-configuration reference on each tuple."""
+    target, table, top = synthetic_instance(make_rng(seed), *shape,
+                                            rank=rank)
+    keys = SplittingKeys(target)
+    centers = bounding_chain._center_triples(table) + [
+        (target.zero_degree(), frozenset(), frozenset())]
+    by_key = {}
+    for alpha in dim0_subtuples(target, table, top):
+        parts = [p for p in target.predecessors(alpha)
+                 if target.dimension(p) == 0 and not p.is_point_tuple()]
+        for eta, _count in target.classes_through(alpha, centers, parts):
+            by_key.setdefault(keys.class_key(eta), set()).add(eta)
+        assert branch_bijection_failures(alpha, table, target, keys) \
+            == reference_branch_bijection_failures(alpha, table, target), \
+            alpha
+    for key, etas in by_key.items():
+        assert etas == {splitting_of(key, keys)}, key
+
+
+def test_class_keys_tell_the_generators_apart():
+    """Rank 2: a part of degree (1, 0) and one of degree (0, 1), with the
+    same labels and centers of the other degree, key two classes."""
+    t = Target([("g", 1, 2), ("h", Fraction(3, 2), 2)])
+    keys = SplittingKeys(t)
+    etas = [
+        DegenerationType(t.degree(center), frozenset(), tuple(sorted(
+            [t.constraint_tuple(part, ["p"]), t.point_tuple("q")],
+            key=ConstraintTuple.sort_key)))
+        for center, part in (((1, 0), (0, 1)), ((0, 1), (1, 0)))
+    ]
+    assert etas[0] != etas[1]
+    assert keys.class_key(etas[0]) != keys.class_key(etas[1])
+    assert [splitting_of(keys.class_key(eta), keys) for eta in etas] == etas

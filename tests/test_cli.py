@@ -501,19 +501,21 @@ def test_verify_all_lists_each_chain_once_for_several_tops(tmp_path,
 
 def test_verify_all_cuts_each_tree_once_per_center(tmp_path, monkeypatch):
     """The branch-bijection check lists no decorated configuration: a
-    verify-all run cuts each tree of the tree table once at each center,
-    for each configuration size met, and no tree twice."""
+    verify-all run walks each tree of the tree table once, cutting it at
+    every center, for each configuration size met, and no tree twice."""
     from opengw import bounding_chain
     from opengw.multidisk import tree_edge_indices
 
     cuts = Counter()
-    original = bounding_chain._cut_shape
+    original = bounding_chain._tree_cuts
 
-    def counted(m, c, tree):
-        cuts[m, c, tree] += 1
-        return original(m, c, tree)
+    def counted(m, tree):
+        result = original(m, tree)
+        for c in range(len(result)):
+            cuts[m, c, tree] += 1
+        return result
 
-    monkeypatch.setattr(bounding_chain, "_cut_shape", counted)
+    monkeypatch.setattr(bounding_chain, "_tree_cuts", counted)
     bounding_chain._census.cache_clear()
     try:
         status, _cfg = run_pipeline(tmp_path, "verify-all", seed=3)
