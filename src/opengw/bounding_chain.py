@@ -344,8 +344,9 @@ class BranchCut(NamedTuple):
 
 
 class SplittingKeys:
-    """Integer keys for the splittings of one target, shared by the class
-    side and the images of the branch-bijection checks on it.
+    """Integer keys for the splittings of one atom table's target, shared
+    by the class side and the images of the branch-bijection checks on
+    that table.
 
     Each part gets an id, in the order parts are first met, looked up by
     its coordinates and label sets, never by its Fraction-bearing degree.
@@ -358,8 +359,9 @@ class SplittingKeys:
 
     branches maps a branch's loop tuple to (part id, sub-configuration),
     and centers a center disk's loop to (coordinates, descriptor labels,
-    point part ids): each is built once per target, however many tuples
-    are checked.
+    point part ids): each is built once, however many tuples are
+    checked.  Both are read from the table's atoms, so the keys belong to
+    one table: another table of the same target needs its own.
     """
 
     def __init__(self, target):
@@ -409,13 +411,6 @@ def _tree_table(m):
     return frozenset(tree_edge_indices(m))
 
 
-@functools.cache
-def _local_tree_tables(m):
-    """The tree tables of the block sizes on m vertices, by size, 1 to
-    m - 1."""
-    return (None,) + tuple(map(_tree_table, range(1, m)))
-
-
 class CutShape(NamedTuple):
     """The index-level cut of a tree at vertex c, and the shape-level
     halves of steps 1 and 2 of the branch-bijection proof.
@@ -423,10 +418,10 @@ class CutShape(NamedTuple):
     blocks is the vertex partition: one sorted vertex tuple per branch,
     ordered by least vertex.  branches holds, per block, the branch's
     local root (the block's neighbour of c) and its local subtree, both
-    in the block's own indices.  reglued says that `_glue` of the blocks
-    and branches gives back the tree; in_table that each local subtree
-    is in the tree table of the block's size.  A local root is its
-    vertex's place in the block, so it lies in the block.
+    in the block's own indices.  reglued says that `_glue` of the blocks'
+    bitmasks and the branches gives back the tree; in_table that each
+    local subtree is in the tree table of the block's size.  A local
+    root is its vertex's place in the block, so it lies in the block.
     """
 
     blocks: tuple
@@ -461,9 +456,7 @@ def _tree_cuts(m, tree):
     joined to c at c's parent, which holds vertex 0, and then the
     subtrees of c's children.  A block's local subtree is the edges from
     its vertices to their parents, the block's top vertex excepted,
-    relabelled by the block's `_block_tables` entry.  reglued is
-    `_glue`'s re-glue, written out in the loop: the census makes m^(m-1)
-    cuts, and the call costs about a sixth of one.
+    relabelled by the block's `_block_tables` entry.
     """
     pairs = _edge_pairs(m)
     index = _edge_index_table(m)
@@ -495,27 +488,21 @@ def _tree_cuts(m, tree):
     for v in sorted(order[1:], key=least.__getitem__):
         at[parent[v]].append((below[v], v, v))
     tables = _block_tables(m)
-    trees = _local_tree_tables(m)
     cuts = []
     for c, tops in enumerate(at):
         blocks = []
         branches = []
-        glued = []
         in_table = True
         for mask, root, top in tops:
-            verts, local, lift = tables[mask]
+            verts, local, _ = tables[mask]
             sub_tree = [local[up[v]] for v in verts if v != top]
             sub_tree.sort()
             sub_tree = tuple(sub_tree)
-            root = verts.index(root)
             blocks.append(mask)
-            branches.append((root, sub_tree))
-            glued += [lift[k] for k in sub_tree]
-            glued.append(index[c][verts[root]])
-            in_table = in_table and sub_tree in trees[len(verts)]
-        glued.sort()
-        cuts.append((tuple(blocks), tuple(branches), tuple(glued) == tree,
-                     in_table))
+            branches.append((verts.index(root), sub_tree))
+            in_table = in_table and sub_tree in _tree_table(len(verts))
+        cuts.append((tuple(blocks), tuple(branches),
+                     _glue(m, c, blocks, branches) == tree, in_table))
     return cuts
 
 
@@ -525,13 +512,6 @@ def _shape(m, cut):
     blocks, branches, reglued, in_table = cut
     return CutShape(tuple(tables[mask][0] for mask in blocks), branches,
                     reglued, in_table)
-
-
-def _cut_shape(m, c, tree):
-    """Cut a tree on m vertices at vertex c: each neighbour of c roots one
-    branch, the subtree behind it.  Depends on (m, c, tree) only; see
-    `CutShape`."""
-    return _shape(m, _tree_cuts(m, tree)[c])
 
 
 @functools.cache
@@ -558,11 +538,11 @@ def _census(m):
 
 def to_branches(config, c, shape, keys):
     """Cut a tree of config at the distinguished disk c, given the tree's
-    `_cut_shape(len(config), c, tree)`: each neighbour of the center
-    roots one branch, the subtree behind it, on its own atoms, with that
-    neighbour as its distinguished disk.  Each block's atoms form the
-    branch's sub-configuration; its local root and subtree pass through.
-    `keys` is the target's `SplittingKeys`, which interns each branch by
+    `CutShape` at c: each neighbour of the center roots one branch, the
+    subtree behind it, on its own atoms, with that neighbour as its
+    distinguished disk.  Each block's atoms form the branch's
+    sub-configuration; its local root and subtree pass through.
+    `keys` is the table's `SplittingKeys`, which interns each branch by
     loop tuple and each center disk by loop, so a cut costs lookups and
     two short sorts.
     """
@@ -667,7 +647,7 @@ def _branch_classes(alpha, table, target, keys):
     return classes, count
 
 
-def branch_bijection_failures(alpha, table, target, keys=None):
+def branch_bijection_failures(alpha, table, target, keys):
     """(the steps of the branch-bijection proof that fail for alpha, the
     number of decorated configurations of alpha).  The steps are () when
     cutting at the center is a bijection from the decorated
@@ -686,9 +666,9 @@ def branch_bijection_failures(alpha, table, target, keys=None):
 
     Steps 1 and 2 make the cut an injection into the decompositions and
     step 3 makes it onto them.  Configurations are read from the table.
-    `keys` is a `SplittingKeys` of the target, which the checks of
-    several tuples may share; a new one serves when it is None.  Raises
-    as `_branch_classes` does for a table with an unlabeled atom.
+    `keys` is the table's `SplittingKeys`, which the checks of the
+    table's tuples share.  Raises as `_branch_classes` does for a table
+    with an unlabeled atom.
 
     No decorated configuration is listed: the check walks alpha's
     configurations x centers c x buckets of `_census(m)[c]`.  The image
@@ -707,8 +687,6 @@ def branch_bijection_failures(alpha, table, target, keys=None):
     summed over configurations and centers, are step 3's number.
     Splittings and parts are compared by their integer keys and ids.
     """
-    if keys is None:
-        keys = SplittingKeys(target)
     classes, count = _branch_classes(alpha, table, target, keys)
     configs = {}  # part id -> its configurations, keyed by loop tuple
 

@@ -23,7 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 from . import OpenGWError, linalg
 
@@ -112,8 +112,7 @@ class MultiDisk:
             raise ConfigurationError("a configuration needs at least one disk")
         if len({a.loop for a in self.atoms}) != len(self.atoms):
             raise ConfigurationError("boundary loops must be pairwise distinct")
-        # in loop order, the order of DiskAtom.sort_key
-        ordered = tuple(sorted(self.atoms, key=attrgetter("loop")))
+        ordered = tuple(sorted(self.atoms, key=DiskAtom.sort_key))
         object.__setattr__(self, "atoms", ordered)
 
     def __len__(self):

@@ -782,16 +782,26 @@ def decorated_multidisks(alpha, table):
     ]
 
 
+def cut_shape(m, c, tree):
+    """The `bounding_chain.CutShape` of a tree on m vertices at vertex c:
+    each neighbour of c roots one branch, the subtree behind it.  Read
+    from the module's `_tree_cuts` when called, so a test that patches
+    the per-tree cut patches this too."""
+    from opengw import bounding_chain
+
+    return bounding_chain._shape(m, bounding_chain._tree_cuts(m, tree)[c])
+
+
 def cut_decorated(decorated, keys):
     """`bounding_chain.to_branches` of a packed decorated configuration,
-    with its tree cut first, keyed by the `SplittingKeys` keys.  The cut
-    and the shape are read from the module when called, so a test that
-    patches them patches this too."""
+    with its tree cut first by `cut_shape`, keyed by the `SplittingKeys`
+    keys.  The cut and the shape are read from the module when called,
+    so a test that patches them patches this too."""
     from opengw import bounding_chain
 
     config, c, tree = decorated
-    shape = bounding_chain._cut_shape(len(config), c, tree)
-    return bounding_chain.to_branches(config, c, shape, keys)
+    return bounding_chain.to_branches(config, c,
+                                      cut_shape(len(config), c, tree), keys)
 
 
 def splitting_of(key, keys):
@@ -857,7 +867,7 @@ def reference_branch_bijection_failures(alpha, table, target):
 
 
 def reference_cut_shape(m, c, tree):
-    """`bounding_chain._cut_shape` by its own walk out from c: each
+    """`cut_shape` by its own walk out from c: each
     neighbour of c roots one branch, the subtree behind it.  Blocks are
     vertex tuples in order of least vertex, and the re-glue places each
     local subtree on its block's vertices by edge pairs, so neither the

@@ -175,7 +175,8 @@ def test_criterion_3_branch_bijection():
             ), alpha
             for d, b in zip(decorated, images):
                 assert from_branches(b) == d
-            assert branch_bijection_failures(alpha, table, target) \
+            assert branch_bijection_failures(alpha, table, target,
+                                             SplittingKeys(target)) \
                 == ((), len(decorated)), alpha
             total += len(decorated)
     report("3-branch-bijection", total >= 500,

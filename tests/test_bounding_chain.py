@@ -39,6 +39,7 @@ from support import (
     class_key,
     configuration_count,
     cut_decorated,
+    cut_shape,
     decomposition_form,
     decorated_multidisks,
     dim0_subtuples,
@@ -632,7 +633,7 @@ def test_branch_decompositions_keep_atoms_disjoint():
 def test_branch_count_refuses_an_unlabeled_atom():
     t, table, alpha = unlabeled_atom_instance()
     with pytest.raises(ChainError, match="'L1'"):
-        branch_bijection_failures(alpha, table, t)
+        branch_bijection_failures(alpha, table, t, SplittingKeys(t))
 
 
 def test_branch_check_lists_no_part(monkeypatch):
@@ -644,14 +645,15 @@ def test_branch_check_lists_no_part(monkeypatch):
     worklist = dim0_subtuples(target, table, top)
     by_tuple = {a: decorated_multidisks(a, table) for a in worklist}
     for alpha in worklist:
-        branch_bijection_failures(alpha, table, target)
+        branch_bijection_failures(alpha, table, target, SplittingKeys(target))
 
     def refused(*args, **kwargs):
         raise AssertionError("a tree list was walked")
 
     monkeypatch.setattr(bounding_chain, "tree_edge_indices", refused)
     for alpha in worklist:
-        assert branch_bijection_failures(alpha, table, target) \
+        assert branch_bijection_failures(alpha, table, target,
+                                         SplittingKeys(target)) \
             == ((), len(by_tuple[alpha])), alpha
     assert sum(map(len, by_tuple.values())) > len(by_tuple[top]) > 0
 
@@ -680,7 +682,7 @@ def test_census_buckets_match_the_closed_forms(m):
         assert len({shape.blocks for _, _, shape, _, _ in buckets}) \
             == len(buckets)
         for count, tree, shape, reglued, in_table in buckets:
-            assert shape == bounding_chain._cut_shape(m, c, tree)
+            assert shape == cut_shape(m, c, tree)
             assert count == math.prod(len(block) ** (len(block) - 1)
                                       for block in shape.blocks)
             assert reglued and in_table, (m, c, tree)
@@ -704,8 +706,7 @@ def constant_cut(first):
 
     def constant(config, c, shape, keys):
         config, c, tree = first
-        return cut(config, c, bounding_chain._cut_shape(len(config), c,
-                                                        tree), keys)
+        return cut(config, c, cut_shape(len(config), c, tree), keys)
     return constant
 
 
@@ -788,19 +789,23 @@ def test_each_bijection_step_catches_what_the_others_miss(monkeypatch):
     sees it."""
     t, table, top = small_instance()
     count = len(decorated_multidisks(top, table))
-    assert branch_bijection_failures(top, table, t) == ((), count)
+    assert branch_bijection_failures(top, table, t,
+                                     SplittingKeys(t)) == ((), count)
     original = bounding_chain.to_branches
     first = decorated_multidisks(top, table)[0]
 
     monkeypatch.setattr(bounding_chain, "to_branches", constant_cut(first))
-    assert branch_bijection_failures(top, table, t) == ((1,), count)
+    assert branch_bijection_failures(top, table, t,
+                                     SplittingKeys(t)) == ((1,), count)
 
     monkeypatch.setattr(bounding_chain, "to_branches",
                         reversed_parts_cut(original))
-    assert branch_bijection_failures(top, table, t) == ((2,), count)
+    assert branch_bijection_failures(top, table, t,
+                                     SplittingKeys(t)) == ((2,), count)
     monkeypatch.undo()
     monkeypatch.setattr(table, "multi_disks", lossy_table(table, top))
-    assert branch_bijection_failures(top, table, t)[0] == (3,)
+    assert branch_bijection_failures(top, table, t,
+                                     SplittingKeys(t))[0] == (3,)
     monkeypatch.undo()
 
     target, table, top = synthetic_instance(make_rng(16002), n_points=3)
@@ -808,12 +813,15 @@ def test_each_bijection_step_catches_what_the_others_miss(monkeypatch):
     assert victim is not None
     config = next(c for c in table.multi_disks(top) if len(c) == victim[0])
     d = Decorated(config, victim[1], victim[2])
-    assert branch_bijection_failures(top, table, target)[0] == ()
+    assert branch_bijection_failures(top, table, target,
+                                     SplittingKeys(target))[0] == ()
     with patched_cuts(broken_reglue_cuts(bounding_chain._tree_cuts,
                                          victim)):
         assert from_branches(cut_decorated(d, SplittingKeys(target))) != d
-        assert branch_bijection_failures(top, table, target)[0] == (1,)
-    assert branch_bijection_failures(top, table, target)[0] == ()
+        assert branch_bijection_failures(top, table, target,
+                                         SplittingKeys(target))[0] == (1,)
+    assert branch_bijection_failures(top, table, target,
+                                     SplittingKeys(target))[0] == ()
 
 
 @pytest.mark.parametrize("verdict, step", [("reglued", 1), ("in_table", 2)])
@@ -834,7 +842,8 @@ def test_census_verdicts_reach_their_steps(verdict, step):
         return cuts
 
     with patched_cuts(tree_cuts):
-        assert branch_bijection_failures(top, table, target)[0] == (step,)
+        assert branch_bijection_failures(top, table, target,
+                                         SplittingKeys(target))[0] == (step,)
 
 
 def test_bijection_cuts_once_per_group(monkeypatch):
@@ -851,7 +860,8 @@ def test_bijection_cuts_once_per_group(monkeypatch):
         return original(config, c, shape, keys)
 
     monkeypatch.setattr(bounding_chain, "to_branches", counted)
-    failed, decorated = branch_bijection_failures(top, table, target)
+    failed, decorated = branch_bijection_failures(top, table, target,
+                                                  SplittingKeys(target))
     assert failed == ()
     assert len(calls) == len(set(calls)) \
         == sum(m * bell(m - 1) for m in sizes) < decorated
@@ -866,7 +876,7 @@ def test_every_cut_shape_reglues_into_the_tree_table(m):
     count = 0
     for tree in tree_edge_indices(m):
         for c in range(m):
-            shape = bounding_chain._cut_shape(m, c, tree)
+            shape = cut_shape(m, c, tree)
             assert sorted(v for block in shape.blocks for v in block) \
                 == [v for v in range(m) if v != c]
             assert shape.reglued and shape.in_table, (m, c, tree)
@@ -898,7 +908,8 @@ def test_branch_count_and_images_match_the_oracle(seed, shape):
                   for d in by_tuple[alpha]]
         assert len(set(images)) == len(images), alpha
         assert set(images) == set(oracle), alpha
-        assert branch_bijection_failures(alpha, table, target) \
+        assert branch_bijection_failures(alpha, table, target,
+                                         SplittingKeys(target)) \
             == ((), len(oracle)), alpha
 
 
@@ -920,7 +931,8 @@ def test_check_matches_the_per_configuration_reference(seed, shape, rank):
         decorated = decorated_multidisks(alpha, table)
 
         def both():
-            return (branch_bijection_failures(alpha, table, target),
+            return (branch_bijection_failures(alpha, table, target,
+                                              SplittingKeys(target)),
                     reference_branch_bijection_failures(alpha, table,
                                                         target))
 

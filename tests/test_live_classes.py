@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from opengw import fileio
 from opengw.bounding_chain import (
+    SplittingKeys,
     boundary_class_terms,
     branch_bijection_failures,
     build_chains,
@@ -153,7 +154,8 @@ def assert_live_routes_match(target, table, top, label):
         assert decompositions == full_branch_decompositions(
             alpha, table, classes
         ), (label, alpha)
-        assert branch_bijection_failures(alpha, table, target) \
+        assert branch_bijection_failures(alpha, table, target,
+                                         SplittingKeys(target)) \
             == ((), len(decompositions)), (label, alpha)
         seen["terms"] += len(terms)
         seen["constant"] += len(constant)
