@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -72,12 +72,20 @@ class BoundingChain:
     degrees: (point, degree invariant of alpha without the point,
     through that point) pairs, by increasing point.
     weighted: the weighted-type invariant of alpha.
+
+    A chain also keeps {loop: `_chain_linking` of the loop with it},
+    filled the first time a class links the loop with it, so each
+    (loop, chain) pair of a `build_chains` run is summed once.  The
+    linking numbers are those of the atom table the chain was built
+    from; they are not part of the chain's value.
     """
 
     alpha: ConstraintTuple
     boundary: tuple
     degrees: tuple
     weighted: Fraction
+    _linking: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     def point_drop_degrees(self):
         """{point: (alpha without the point, its degree invariant through
@@ -103,7 +111,11 @@ def divisor_covering_degree(loop, chain_list, links):
     (-1)^(number of insertions) * product of chain linking numbers."""
     product = Fraction(1)
     for chain in chain_list:
-        product = product * _chain_linking(loop, chain, links)
+        known = chain._linking
+        value = known.get(loop)
+        if value is None:
+            value = known[loop] = _chain_linking(loop, chain, links)
+        product = product * value
     return product if len(chain_list) % 2 == 0 else -product
 
 

@@ -30,6 +30,7 @@ from .bounding_chain import (
     verify_welschinger_relation,
 )
 from .multidisk import (
+    MAX_TREE_VERTICES,
     ConfigurationError,
     conjugation_cancellation_check,
     welschinger_count,
@@ -52,11 +53,11 @@ PIPELINE_INPUTS = {
 }
 # --cap-trees: the most atoms in a configuration whose spanning trees
 # verify-all enumerates; a larger configuration is refused before any
-# work.  The tree table of 9 vertices holds 9^7 trees; that of 10 would
-# hold 10^8.  The tree-count self-check covers every table up to the
-# default, or up to the largest configuration when that is larger
+# work.  It goes up to the largest tree table the decode holds.  The
+# tree-count self-check covers every table up to the default, or up to
+# the largest configuration when that is larger
 DEFAULT_CAP_TREES = 7
-MAX_CAP_TREES = 9
+MAX_CAP_TREES = MAX_TREE_VERTICES
 # --cap-insertions: the most interior insertions of a bracket or a
 # relation instance the open WDVV solver lists.  An anchored family of
 # l insertions has 2^(l-1) partitions, so the run time grows about 4x

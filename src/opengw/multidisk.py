@@ -152,29 +152,15 @@ class MultiDisk:
 
 # --- spanning trees --------------------------------------------------------
 
-
-def _tree_from_pruefer(seq, m, index):
-    """Decode a Pruefer sequence over [0, m), m >= 2, into the indices of
-    its tree's edges, read from the symmetric m x m table `index`, in
-    linear time: a pointer walks forward to the next leaf, and a vertex
-    that becomes a leaf behind it is taken at once."""
-    degree = [1] * m
-    for v in seq:
-        degree[v] += 1
-    ptr = leaf = degree.index(1)
-    edges = []
-    for v in seq:
-        edges.append(index[leaf][v])
-        degree[v] -= 1
-        if degree[v] == 1 and v < ptr:
-            leaf = v
-        else:
-            ptr += 1
-            while degree[ptr] != 1:
-                ptr += 1
-            leaf = ptr
-    edges.append(index[leaf][m - 1])
-    return edges
+# The most vertices a spanning-tree table is decoded for.  The decode
+# keeps the vertices below the last one as the bits of a byte, so 9 is
+# the most it can hold; the table of 9 vertices holds 9^7 trees, that
+# of 10 would hold 10^8.
+MAX_TREE_VERTICES = 9
+# the most Pruefer sequences the decode handles in one block: at 9
+# vertices a block's ints then take about 2 MB, and 2^16 decoded faster
+# than 2^12, 2^14 or 2^20
+_BLOCK_LANES = 1 << 16
 
 
 @functools.cache
@@ -213,27 +199,98 @@ def _block_tables(m):
     return tuple(tables)
 
 
+def _translated(lanes, count, table):
+    """The little-endian int of `count` byte lanes with each lane mapped
+    through a 256-byte table."""
+    return int.from_bytes(
+        lanes.to_bytes(count, "little").translate(table), "little")
+
+
 @functools.cache
 def _packed_trees(m):
-    """Every spanning tree of the complete graph on m >= 2 vertices, in
-    Pruefer order, as the sorted indices of its m - 1 edges in
-    itertools.combinations(range(m), 2), packed end to end in one bytes
-    object; decoded once per m.  (An index fits a byte up to m = 23, far
-    past any m whose m^(m-2) trees can be enumerated.)"""
+    """Every spanning tree of the complete graph on m vertices, 2 <= m <=
+    MAX_TREE_VERTICES, in Pruefer order, as the sorted indices of its
+    m - 1 edges in itertools.combinations(range(m), 2), packed end to
+    end in one bytes object; decoded once per m.
+
+    The decode runs each step of the Pruefer decode on a block of
+    sequences at once, one byte lane per sequence in a little-endian
+    int.  Step i joins the least vertex that is neither removed nor in
+    the sequence from position i on (the leaf) to the digit at i; the
+    last step joins the one vertex left below m - 1 to m - 1, as if
+    m - 1 closed the sequence.  Vertex m - 1 is never a leaf before the
+    last step, so a vertex set needs only the bits of the m - 1 <= 8
+    vertices below it, and a byte holds it.  The leaf is the lowest
+    clear bit of (removed | suffix), which adding 1 to each lane
+    isolates without a carry out of the lane.  The byte (leaf << 4) |
+    digit names the edge, since leaf < 8 and digit < 16.  The m - 1
+    edge lanes are then sorted by an odd-even transposition network:
+    edge indices are below 128, so (a | 128) - b keeps each lane apart
+    and its bit 7 says whether a >= b.  A block is the sequences that
+    share their leading digits, a contiguous slice of the table."""
+    if m > MAX_TREE_VERTICES:
+        raise ConfigurationError(
+            "the spanning trees of %d vertices are past the decode's "
+            "limit of %d vertices" % (m, MAX_TREE_VERTICES))
     index = _edge_index_table(m)
-    packed = bytearray()
-    for seq in itertools.product(range(m), repeat=m - 2):
-        edges = _tree_from_pruefer(seq, m, index)
-        edges.sort()
-        packed += bytes(edges)
-    return bytes(packed)
+    width = m - 1
+    onehot = bytes([1 << v for v in range(width)]).ljust(256, b"\0")
+    leaf = bytearray(256)  # a one-hot vertex byte -> vertex << 4
+    edge = bytearray(256)  # (leaf << 4) | digit -> the edge's index
+    for v in range(width):
+        leaf[1 << v] = v << 4
+        for d in range(m):
+            if d != v:
+                edge[v << 4 | d] = index[v][d]
+    tail = 0  # the trailing digits that vary within a block
+    while tail < m - 2 and m ** (tail + 1) <= _BLOCK_LANES:
+        tail += 1
+    lanes = m ** tail
+    head = m - 2 - tail
+    ones = int.from_bytes(b"\1" * lanes, "little")
+    guard = ones << 7
+    # the trailing digit columns, the same in every block, then m - 1;
+    # and for each, the vertices below m - 1 from its position on
+    columns = [int.from_bytes(
+        b"".join(bytes([d]) * m ** (m - 3 - j) for d in range(m))
+        * m ** (j - head), "little") for j in range(head, m - 2)]
+    columns.append((m - 1) * ones)
+    suffixes = [0]
+    for column in reversed(columns[:-1]):
+        suffixes.append(suffixes[-1] | _translated(column, lanes, onehot))
+    suffixes.reverse()
+    out = bytearray(width * m ** (m - 2))
+    size = width * lanes
+    for start, digits in zip(range(0, len(out), size),
+                             itertools.product(range(m), repeat=head)):
+        steps = list(zip(suffixes, columns))
+        for d in reversed(digits):  # the leading digits, fixed in a block
+            steps.insert(0, (steps[0][0] | onehot[d] * ones, d * ones))
+        removed = 0
+        rows = []
+        for suffix, column in steps:
+            taken = removed | suffix
+            low = (taken + ones) & ~taken
+            removed |= low
+            rows.append(_translated(
+                _translated(low, lanes, leaf) | column, lanes, edge))
+        for r in range(width):
+            for a in range(r & 1, width - 1, 2):
+                p, q = rows[a], rows[a + 1]
+                ge = ((p | guard) - q & guard) >> 7  # 1 where p >= q
+                swap = (p ^ q) & ((ge << 8) - ge)  # that 1 widened to 0xff
+                rows[a], rows[a + 1] = p ^ swap, q ^ swap
+        for j, row in enumerate(rows):
+            out[start + j:start + size:width] = row.to_bytes(lanes, "little")
+    return bytes(out)
 
 
 def tree_edge_indices(m):
     """Iterate over the spanning trees on m vertices, each a sorted tuple
     of edge indices into itertools.combinations(range(m), 2).  The count
     is m^(m-2), so callers bound m: `verify-all` refuses a run whose
-    largest configuration is over its tree cap before any work."""
+    largest configuration is over its tree cap before any work, and m
+    over MAX_TREE_VERTICES is refused before any decode."""
     if m < 1:
         raise ConfigurationError("need at least one vertex")
     if m == 1:

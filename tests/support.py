@@ -33,7 +33,9 @@ the rational formatter of the document writer and the clamped binomial
 of the negative controls; and the reference routines that production
 does not call (the class key of a splitting, the order on tuples, the
 combined map of a fiber problem, the sign of an exact sequence, rank,
-nullspace and transpose, and the spanning trees as edge sets).
+nullspace and transpose, the spanning trees as edge sets, and the tree
+table decoded one Pruefer sequence at a time, the reference for the
+lane decode of `multidisk._packed_trees`).
 """
 
 from __future__ import annotations
@@ -253,6 +255,36 @@ def spanning_trees(m):
 
     edges = list(itertools.combinations(range(m), 2))
     return [frozenset([edges[k] for k in tree]) for tree in tree_edge_indices(m)]
+
+
+def reference_packed_trees(m):
+    """The packed tree table of `multidisk._packed_trees(m)`, m >= 2,
+    decoded one Pruefer sequence at a time in linear time: a pointer
+    walks forward to the next leaf, and a vertex that becomes a leaf
+    behind it is taken at once.  The reference for the lane decode."""
+    from opengw.multidisk import _edge_index_table
+
+    index = _edge_index_table(m)
+    packed = bytearray()
+    for seq in itertools.product(range(m), repeat=m - 2):
+        degree = [1] * m
+        for v in seq:
+            degree[v] += 1
+        ptr = leaf = degree.index(1)
+        edges = []
+        for v in seq:
+            edges.append(index[leaf][v])
+            degree[v] -= 1
+            if degree[v] == 1 and v < ptr:
+                leaf = v
+            else:
+                ptr += 1
+                while degree[ptr] != 1:
+                    ptr += 1
+                leaf = ptr
+        edges.append(index[leaf][m - 1])
+        packed += bytes(sorted(edges))
+    return bytes(packed)
 
 
 def edge_weights(config, links):

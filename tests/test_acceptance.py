@@ -145,81 +145,99 @@ ACCEPTANCE_SHAPES = (
 )
 
 
-def _instance(seed):
+# the generated instances of criteria 3-5 are drawn on both lattice
+# ranks: (rank, offset of the instance seeds).  The rank-1 draws are
+# those the criteria made before rank 2 was drawn
+ACCEPTANCE_RANKS = ((1, 0), (2, 500))
+
+
+def _instance(seed, rank=1):
     rng = make_rng(seed)
     np_, nq, ns, nc = ACCEPTANCE_SHAPES[seed % len(ACCEPTANCE_SHAPES)]
     return synthetic_instance(rng, n_points=max(np_, 1), n_quartic=nq,
-                              n_sextic=ns, n_conic=nc)
+                              n_sextic=ns, n_conic=nc, rank=rank)
 
 
 def test_criterion_3_branch_bijection():
     """Round-trip identity and cardinality match on >= 500 decorated
-    configurations (at most 5 disks, nesting depth within 3), against the
-    enumerated quotient side of `support`."""
-    total = 0
-    seed = 0
-    while total < 500:
-        target, table, top = _instance(31000 + seed)
-        seed += 1
-        worklist = dim0_subtuples(target, table, top)
-        keys = SplittingKeys(target)
-        for alpha in worklist:
-            decorated = decorated_multidisks(alpha, table)
-            if not decorated:
-                continue
-            assert all(len(d.config) <= 5 for d in decorated)
-            images = [cut_decorated(d, keys) for d in decorated]
-            assert len(set(images)) == len(decorated), alpha
-            assert {decomposition_form(b, keys) for b in images} == set(
-                branch_decompositions(alpha, table, target)
-            ), alpha
-            for d, b in zip(decorated, images):
-                assert from_branches(b) == d
-            assert branch_bijection_failures(alpha, table, target,
-                                             SplittingKeys(target)) \
-                == ((), len(decorated)), alpha
-            total += len(decorated)
-    report("3-branch-bijection", total >= 500,
-           "%d decorated configurations, %d instances" % (total, seed))
+    configurations per lattice rank (at most 5 disks, nesting depth
+    within 3), against the enumerated quotient side of `support`."""
+    ok, found = True, []
+    for rank, offset in ACCEPTANCE_RANKS:
+        total = 0
+        seed = 0
+        while total < 500:
+            target, table, top = _instance(31000 + offset + seed, rank)
+            seed += 1
+            worklist = dim0_subtuples(target, table, top)
+            keys = SplittingKeys(target)
+            for alpha in worklist:
+                decorated = decorated_multidisks(alpha, table)
+                if not decorated:
+                    continue
+                assert all(len(d.config) <= 5 for d in decorated)
+                images = [cut_decorated(d, keys) for d in decorated]
+                assert len(set(images)) == len(decorated), alpha
+                assert {decomposition_form(b, keys) for b in images} == set(
+                    branch_decompositions(alpha, table, target)
+                ), alpha
+                for d, b in zip(decorated, images):
+                    assert from_branches(b) == d
+                assert branch_bijection_failures(alpha, table, target,
+                                                 SplittingKeys(target)) \
+                    == ((), len(decorated)), alpha
+                total += len(decorated)
+        ok = ok and total >= 500
+        found.append("rank %d: %d decorated configurations, %d instances"
+                     % (rank, total, seed))
+    report("3-branch-bijection", ok, "; ".join(found))
 
 
 def test_criterion_4_boundary_identity():
     """Recursion boundary equals the direct signed multi-disk boundary,
-    as multisets, on >= 100 generated targets (<= 4 disks per
-    configuration)."""
-    instances = 0
-    tuples_checked = 0
-    for seed in range(100):
-        target, table, top = _instance(41000 + seed)
-        chains = build_chains([top], table, target)
-        for alpha in dim0_subtuples(target, table, top):
-            lhs = dict(chains[alpha].boundary)
-            rhs = direct_boundary(alpha, table, target)
-            assert lhs == rhs, (seed, alpha)
-            assert all(
-                len(c) <= 4 for c in table.multi_disks(alpha)
-            )
-            tuples_checked += 1
-        instances += 1
-    report("4-boundary-identity", instances >= 100,
-           "%d targets, %d dimension-0 tuples" % (instances, tuples_checked))
+    as multisets, on >= 100 generated targets per lattice rank (<= 4
+    disks per configuration)."""
+    ok, found = True, []
+    for rank, offset in ACCEPTANCE_RANKS:
+        instances = 0
+        tuples_checked = 0
+        for seed in range(100):
+            target, table, top = _instance(41000 + offset + seed, rank)
+            chains = build_chains([top], table, target)
+            for alpha in dim0_subtuples(target, table, top):
+                lhs = dict(chains[alpha].boundary)
+                rhs = direct_boundary(alpha, table, target)
+                assert lhs == rhs, (rank, seed, alpha)
+                assert all(
+                    len(c) <= 4 for c in table.multi_disks(alpha)
+                )
+                tuples_checked += 1
+            instances += 1
+        ok = ok and instances >= 100
+        found.append("rank %d: %d targets, %d dimension-0 tuples"
+                     % (rank, instances, tuples_checked))
+    report("4-boundary-identity", ok, "; ".join(found))
 
 
 def test_criterion_5_sign_relation():
     """The chain-degree invariant carries the (-1)^|K| sign against the
-    direct count on every generated instance."""
-    pairs = 0
-    for seed in range(100):
-        target, table, top = _instance(51000 + seed)
-        chains = build_chains([top], table, target)
-        total = configuration_count(top, table, target)
-        drops = chains[top].point_drop_degrees()
-        assert sorted(drops) == sorted(top.points)
-        for p, (_dropped, degree) in drops.items():
-            assert verify_welschinger_relation(top, degree, total), (seed, p)
-            pairs += 1
-    report("5-sign-relation", pairs >= 100,
-           "%d (instance, point) pairs" % pairs)
+    direct count on every generated instance, on both lattice ranks."""
+    ok, found = True, []
+    for rank, offset in ACCEPTANCE_RANKS:
+        pairs = 0
+        for seed in range(100):
+            target, table, top = _instance(51000 + offset + seed, rank)
+            chains = build_chains([top], table, target)
+            total = configuration_count(top, table, target)
+            drops = chains[top].point_drop_degrees()
+            assert sorted(drops) == sorted(top.points)
+            for p, (_dropped, degree) in drops.items():
+                assert verify_welschinger_relation(top, degree, total), \
+                    (rank, seed, p)
+                pairs += 1
+        ok = ok and pairs >= 100
+        found.append("rank %d: %d (instance, point) pairs" % (rank, pairs))
+    report("5-sign-relation", ok, "; ".join(found))
 
 
 def test_criterion_6_conjugation_cancellation():

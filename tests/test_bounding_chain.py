@@ -272,6 +272,30 @@ def test_divisor_covering_degree_missing_linking_data():
         divisor_covering_degree("a1", [fake], table.links)
 
 
+@pytest.mark.parametrize("rank", [1, 2])
+def test_each_loop_is_linked_with_each_chain_once(monkeypatch, rank):
+    """build_chains sums the linking number of a (loop, chain) pair once,
+    however many classes link that loop with that chain."""
+    real = bounding_chain._chain_linking
+    divisor = bounding_chain.divisor_covering_degree
+    sums, uses = [], []
+
+    def counted(loop, chain, links):
+        sums.append((loop, chain.alpha))
+        return real(loop, chain, links)
+
+    def slots(loop, chain_list, links):
+        uses.extend((loop, chain.alpha) for chain in chain_list)
+        return divisor(loop, chain_list, links)
+
+    monkeypatch.setattr(bounding_chain, "_chain_linking", counted)
+    monkeypatch.setattr(bounding_chain, "divisor_covering_degree", slots)
+    target, table, top = synthetic_instance(make_rng(3), n_points=3,
+                                            rank=rank)
+    build_chains([top], table, target)
+    assert len(sums) == len(set(sums)) == len(set(uses)) < len(uses)
+
+
 # --- invariants ----------------------------------------------------------------
 
 

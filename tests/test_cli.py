@@ -663,10 +663,12 @@ def test_verify_all_deterministic(tmp_path):
 
 def _instance_paths(tmp_path, instance):
     """Input paths of the toy, or of a synthetic instance written under
-    tmp_path."""
+    tmp_path: "synthetic" on a rank-1 lattice, "synthetic-rank2" on a
+    rank-2 one."""
     if instance == "toy":
         return toy_paths()
-    docs = instance_documents(*synthetic_instance(make_rng(9)))
+    rank = 2 if instance == "synthetic-rank2" else 1
+    docs = instance_documents(*synthetic_instance(make_rng(9), rank=rank))
     paths = {}
     for kind, doc in zip(("target", "atoms"), docs):
         paths[kind] = str(tmp_path / (kind + ".json"))
@@ -675,7 +677,7 @@ def _instance_paths(tmp_path, instance):
     return paths
 
 
-@pytest.mark.parametrize("instance", ["toy", "synthetic"])
+@pytest.mark.parametrize("instance", ["toy", "synthetic", "synthetic-rank2"])
 def test_verify_all_independent_of_hash_seed(tmp_path, instance):
     """verify-all and enumerate in two processes whose string hashes are
     salted differently (PYTHONHASHSEED 0 and 1) emit the same bytes: no

@@ -209,14 +209,25 @@ LIVE_SHAPES = (
 )
 
 
-def test_live_classes_match_full_list_randomized():
-    """65 draws over 13 shapes, conics and sextics included."""
+def _randomized_routes_match(draws, base, rank):
     seen = Counter()
-    for seed in range(65):
-        rng = make_rng(21000 + seed)
+    for seed in range(draws):
+        rng = make_rng(base + seed)
         shape = LIVE_SHAPES[seed % len(LIVE_SHAPES)]
-        target, table, top = synthetic_instance(rng, *shape)
-        seen += assert_live_routes_match(target, table, top, (seed, shape))
+        target, table, top = synthetic_instance(rng, *shape, rank=rank)
+        seen += assert_live_routes_match(target, table, top,
+                                         (rank, seed, shape))
     assert all(seen[k] for k in (
         "terms", "extra-point terms", "constant", "branches"
     ))
+
+
+def test_live_classes_match_full_list_randomized():
+    """65 draws over 13 shapes, conics and sextics included."""
+    _randomized_routes_match(65, 21000, rank=1)
+
+
+def test_live_classes_match_full_list_randomized_rank2():
+    """39 draws over the same 13 shapes on a rank-2 lattice, whose
+    degrees split between two generators."""
+    _randomized_routes_match(39, 22000, rank=2)

@@ -8,6 +8,7 @@ import pytest
 
 from opengw.lattice import Target
 from opengw.multidisk import (
+    MAX_TREE_VERTICES,
     AtomTable,
     ConfigurationError,
     DiskAtom,
@@ -27,6 +28,7 @@ from support import (
     edge_weights,
     linking_number,
     make_rng,
+    reference_packed_trees,
     spanning_trees,
     toy_atoms,
     tree_weights,
@@ -123,6 +125,7 @@ PACKED_TREES_SHA256 = {
     5: "7699f8ef0e1cf7cf7533185a7bb417cbd5ba3e562845f665e25dc9daa3694799",
     6: "a083770386ef808709988648c8904582f2ace928f54937dd401ab541ef6044b5",
     7: "239050441a94d0beb8cb43c14233de0b7768dec8a4e345926cd2cb3bd945fa97",
+    8: "f829fce87167aebad15051d7b72b15647baefd045a3145b3b6c7c0e29b35518e",
 }
 
 
@@ -135,6 +138,34 @@ def test_packed_tree_table_bytes_are_pinned():
         packed = _packed_trees(m)
         assert len(packed) == (m - 1) * m ** (m - 2)
         assert hashlib.sha256(packed).hexdigest() == digest, m
+
+
+def test_lane_decode_matches_the_per_sequence_decode():
+    """The tree table decoded in byte lanes, a block of sequences at a
+    time, equals the table decoded one Pruefer sequence at a time."""
+    from opengw.multidisk import _packed_trees
+
+    for m in range(2, 9):
+        assert _packed_trees(m) == reference_packed_trees(m), m
+
+
+def test_tree_table_past_the_lane_limit_is_refused(monkeypatch):
+    """Lanes hold the trees of at most MAX_TREE_VERTICES vertices, the
+    largest tree cap; past it the table is refused, naming the limit,
+    before any decode."""
+    from opengw import cli, multidisk
+
+    assert cli.MAX_CAP_TREES == MAX_TREE_VERTICES == 9
+
+    def no_decode(*args):
+        raise AssertionError("decoded past the limit")
+
+    monkeypatch.setattr(multidisk, "_edge_index_table", no_decode)
+    monkeypatch.setattr(multidisk, "_translated", no_decode)
+    for m in (MAX_TREE_VERTICES + 1, 23):
+        with pytest.raises(ConfigurationError,
+                           match="limit of %d vertices" % MAX_TREE_VERTICES):
+            tree_edge_indices(m)
 
 
 def test_tree_edge_indices_need_a_vertex():
