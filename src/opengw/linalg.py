@@ -11,12 +11,14 @@ results; dimensions stay small, so straightforward elimination wins over
 any heavyweight dependency.
 
 Three private routines work in integers only and build no Fraction:
-`_int_echelon` (fraction-free Gauss-Jordan of integer rows),
-`_int_kernel` (the primitive integer kernel basis read off that
-elimination) and `_det_bareiss` (Bareiss's determinant), the one
-determinant.  The orientation and tree-sum layers call them directly,
-so that a sign or a cofactor is read off an integer determinant without
-any Fraction.
+`_int_echelon` (fraction-free Gauss-Jordan of integer rows, with the
+sign of the determinant of its row operations), `_int_kernel` (the
+primitive integer kernel basis read off that elimination) and
+`_det_bareiss` (Bareiss's determinant), the one determinant.  The
+orientation and tree-sum layers call them directly and build no
+Fraction: an orientation sign is read off a problem's one elimination
+and a Bareiss determinant the size of its fiber, a tree sum off a
+Bareiss cofactor.
 """
 
 from __future__ import annotations
@@ -25,21 +27,29 @@ import math
 from fractions import Fraction
 
 
+_EXACT_TYPES = frozenset((int, Fraction))
+_INT_TYPE = frozenset((int,))
+
+
 def _exact(values):
     """Refuse, with TypeError, any of the values whose type is not int
     or Fraction; return the values.  So a bool, a subclass of int, is
     refused too, as the input loaders refuse a boolean rational."""
-    for v in values:
-        if type(v) not in (int, Fraction):
-            raise TypeError("exact linear algebra needs int or Fraction "
-                            "entries, got %s" % type(v).__name__)
+    if not _EXACT_TYPES.issuperset(map(type, values)):
+        bad = next(v for v in values if type(v) not in _EXACT_TYPES)
+        raise TypeError("exact linear algebra needs int or Fraction "
+                        "entries, got %s" % type(bad).__name__)
     return values
 
 
 def _integer_scaled(values):
     """The values over one denominator: (ints, d) with values[i] equal
     to ints[i] / d and d the lcm of their denominators.  The exact
-    kernels run on ints and build Fractions only for their output."""
+    kernels run on ints and build Fractions only for their output.
+    All-int values are copied as they are; any inexact value is refused
+    by `_exact`."""
+    if _INT_TYPE.issuperset(map(type, values)):
+        return list(values), 1
     dens = [v.denominator for v in _exact(values)]
     d = math.lcm(*dens)
     if d == 1:
@@ -73,7 +83,9 @@ def hstack(a, b):
 
 def _det_bareiss(m):
     """Determinant of a square integer matrix by Bareiss's fraction-free
-    elimination (every division is exact); `m` is overwritten."""
+    elimination (every division is exact); `m` is overwritten.  A row
+    whose entry below the pivot p is zero is only rescaled by p / prev,
+    and left alone when p = prev; nothing is divided while prev is 1."""
     n = len(m)
     if n == 0:
         return 1
@@ -91,8 +103,15 @@ def _det_bareiss(m):
         for i in range(k + 1, n):
             row = m[i]
             f = row[k]
-            row[k + 1:] = [(p * x - f * y) // prev
-                           for x, y in zip(row[k + 1:], pivot_row)]
+            if f:
+                if prev == 1:
+                    row[k + 1:] = [p * x - f * y
+                                   for x, y in zip(row[k + 1:], pivot_row)]
+                else:
+                    row[k + 1:] = [(p * x - f * y) // prev
+                                   for x, y in zip(row[k + 1:], pivot_row)]
+            elif p != prev:
+                row[k + 1:] = [p * x // prev for x in row[k + 1:]]
         prev = p
     return sign * m[n - 1][n - 1]
 
@@ -106,23 +125,28 @@ def _int_rows(a):
 
 def _int_echelon(a):
     """Row-reduce the integer matrix `a`; return (integer rows, pivot
-    columns).  `a` is not modified.
+    columns, sign).  `a` is not modified.
 
     Fraction-free Gauss-Jordan: rows are combined in integers and divided
     by their content.  Row i < the number of pivots has its pivot at
     pivots[i] and zeros in every other pivot column; the rows below are
-    zero.
+    zero.  The rows are E a for an invertible E, and sign is the sign of
+    det E: a row swap negates it, and the update of a row to
+    (p row - f pivot row) / g, g > 0, multiplies det E by p / g.
     """
     m = list(a)
     rows = len(m)
     cols = len(m[0]) if m else 0
     pivots = []
+    sign = 1
     r = 0
     for c in range(cols):
         piv = next((i for i in range(r, rows) if m[i][c]), None)
         if piv is None:
             continue
-        m[r], m[piv] = m[piv], m[r]
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            sign = -sign
         pivot_row = m[r]
         p = pivot_row[c]
         for i in range(rows):
@@ -131,18 +155,20 @@ def _int_echelon(a):
                 row = [p * x - f * y for x, y in zip(m[i], pivot_row)]
                 g = math.gcd(*row)
                 m[i] = [x // g for x in row] if g > 1 else row
+                if p < 0:
+                    sign = -sign
         pivots.append(c)
         r += 1
         if r == rows:
             break
-    return m, pivots
+    return m, pivots, sign
 
 
 def _echelon(a):
     """Row-reduce the rational matrix `a`; return (rref matrix of
     Fractions, pivot columns).  Each pivot row of `_int_echelon` is
     divided by its pivot once, for the output."""
-    m, pivots = _int_echelon(_int_rows(a))
+    m, pivots, _ = _int_echelon(_int_rows(a))
     cols = len(m[0]) if m else 0
     zero = Fraction(0)
     out = []

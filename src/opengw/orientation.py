@@ -18,17 +18,18 @@ M x G as the kernel of (v, w) |-> dg(w) - df(v), and is oriented so that
 
 is orientation-compatible, with the product orientation in the middle.
 Any complement of the fiber that the combined map carries isomorphically
-onto TX splits this sequence; the sign is read off the transpose of the
-combined map, whose columns span the orthogonal complement of the fiber
-(see `fiber_orientation_sign`).  Only transverse problems are oriented;
-a non-surjective combined map is a hard error, never a sign 0.
+onto TX splits this sequence; the sign is that of the candidate basis
+followed by the transpose of the combined map, whose columns span the
+orthogonal complement of the fiber.  It is read off the problem's one
+Gauss-Jordan elimination and a fiber_dim x fiber_dim determinant of the
+candidate's rows at the free columns (see `fiber_orientation_sign`).
+Only transverse problems are oriented; a non-surjective combined map is
+a hard error, never a sign 0.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import cached_property
 from operator import mul
 
 from . import OpenGWError, linalg
@@ -61,6 +62,25 @@ class OrientedSpace:
             raise OrientationError("orientation sign must be +1 or -1")
 
 
+class _cached:
+    """`functools.cached_property` without the lock that Python 3.11
+    takes on every first read: the first read stores the value in the
+    instance dict, which every later read finds first."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class LinearFiberProblem:
     """Oriented linear data for a fiber product M x_X G.
@@ -69,8 +89,9 @@ class LinearFiberProblem:
     Q^{dim G} -> Q^{dim X}, kept as tuples of rows of the int or Fraction
     entries given; the three orientation signs are relative to standard
     bases.  The combined map is scaled to integer rows and row-reduced
-    once per problem; transversality, the kernel and every
-    orientation sign are read from that one elimination.
+    once per problem, fraction-free; transversality, the kernel and
+    every orientation sign are read from that one elimination, each
+    sign with a fiber_dim x fiber_dim determinant of the candidate.
     """
 
     df: tuple
@@ -98,7 +119,7 @@ class LinearFiberProblem:
     def fiber_dim(self):
         return self.space_m.dim + self.space_g.dim - self.space_x.dim
 
-    @cached_property
+    @property
     def surjective(self):
         """Whether the combined map is onto Q^{dim X}, i.e. whether the
         problem is transverse."""
@@ -112,31 +133,28 @@ class LinearFiberProblem:
         one primitive vector per free column, positive there and zero at
         the other free columns.  The lists are fresh on every call.
         """
-        m, pivots = self._echelon
+        m, pivots, _ = self._echelon
         n = self.space_m.dim + self.space_g.dim
         return linalg._int_kernel(m, pivots, n)
 
-    @cached_property
+    @_cached
     def _int_rows(self):
         """The combined map (v, w) |-> dg(w) - df(v), each row scaled to
-        integers by the positive lcm of its denominators: read straight
-        off df and dg, with the numerators of df negated as integers."""
+        integers by the positive lcm of its denominators: each row of df
+        and dg is scaled as one, and the df part negated."""
+        dim_m = self.space_m.dim
         rows = []
         for f, g in zip(self.df, self.dg):
-            d = math.lcm(*[x.denominator for x in f],
-                         *[x.denominator for x in g])
-            if d == 1:
-                rows.append([-x.numerator for x in f]
-                            + [x.numerator for x in g])
-            else:
-                rows.append([-x.numerator * (d // x.denominator) for x in f]
-                            + [x.numerator * (d // x.denominator) for x in g])
+            ints = linalg._integer_scaled(f + g)[0]
+            ints[:dim_m] = [-x for x in ints[:dim_m]]
+            rows.append(ints)
         return rows
 
-    @cached_property
+    @_cached
     def _echelon(self):
-        """(integer rows, pivot columns) of the combined map, row-reduced
-        fraction-free once per problem."""
+        """(integer rows, pivot columns, sign of the elimination) of the
+        combined map, row-reduced fraction-free once per problem by
+        `linalg._int_echelon`."""
         return linalg._int_echelon(self._int_rows)
 
 
@@ -144,29 +162,50 @@ def fiber_orientation_sign(prob, candidate_basis):
     """Sign of `candidate_basis` against the fiber product orientation.
 
     candidate_basis: columns spanning ker(dg - df) inside Q^{dim M + dim G},
-    with int or Fraction entries.  Returns +1 when the candidate is
-    positively oriented for the fiber product orientation of prob, else
-    -1.
+    with int or Fraction entries: n = dim M + dim G rows of d = fiber_dim
+    entries each, and for a rigid fiber (d = 0) either [] or n empty
+    rows.  Returns +1 when the candidate is positively oriented for the
+    fiber product orientation of prob, else -1.
 
     With A the combined map and J any right inverse of it, the columns
     of J split the defining sequence, so the orientation is the sign of
-    det[cand | J].  The sign is read off det[cand | A^T] instead, which
-    needs no inverse: over Q the rows of A span the orthogonal
-    complement of ker A, and A^T = J (A A^T) + (columns in ker A), so
-    det[cand | A^T] = det[cand | J] det(A A^T).  A A^T is the Gram
-    matrix of the independent rows of A, so its determinant is
-    positive.  For the same reason det[cand | A^T] is nonzero exactly
-    when a candidate inside ker A has full rank, so one determinant also
-    decides whether it spans the kernel.
+    det[cand | J].  That is the sign of det[cand | A^T], which needs no
+    inverse: over Q the rows of A span the orthogonal complement of
+    ker A, and A^T = J (A A^T) + (columns in ker A), so
+    det[cand | A^T] = det[cand | J] det(A A^T), and A A^T is the Gram
+    matrix of the independent rows of A, with positive determinant.
 
-    Everything runs in integers.  Each row of A (the problem's cached
-    integer rows) and each candidate column is multiplied by the
-    positive lcm of its denominators.  Multiplying a column of
-    [cand | A^T] by a positive number multiplies its determinant by
-    that number, so the sign is unchanged; nor does it change whether
-    A cand vanishes.  Both the in-kernel test and the Bareiss
-    determinant are taken on those integers, and only the determinant's
-    sign is read.
+    The sign of det[cand | A^T] is read off the problem's one
+    elimination.  Write C for the candidate, R = E A for the
+    Gauss-Jordan form of A from `linalg._int_echelon` (E invertible,
+    with the sign of det E returned beside R), P for its pivot columns
+    in increasing order, p_i for its pivot entries and F for its free
+    columns.  Once A C = 0 has been checked,
+
+        sign det[C | A^T] = sign det E * prod_i sign p_i
+                            * (-1)^#{(p, f) in P x F : f > p}
+                            * sign det C_F,
+
+    with C_F the rows of C at F.  Proof: [C | A^T] = [C | R^T] times
+    the block diagonal of I and E^-T, so the two determinants differ by
+    the factor 1 / det E.  Moving the rows at F ahead of those at P, in
+    order, takes #{(p, f) : f > p} transpositions and gives
+    [[C_F, R_F^T], [C_P, D]], where R_F holds the columns of R at F
+    and D = diag(p_i) those at P, since R is reduced.  Its determinant
+    is det D det(C_F - R_F^T D^-1 C_P).  A C = 0 means R C = 0, that is
+    R_F C_F + D C_P = 0, so C_P = -D^-1 R_F C_F and the complement is
+    (I + G^T G) C_F with G = D^-1 R_F, whose first factor has positive
+    determinant.  So det C_F decides the sign, and it vanishes exactly
+    when a candidate inside ker A fails to span it.
+
+    Everything runs in integers.  A is taken as the problem's integer
+    rows, each row of dg - df times the positive lcm of its
+    denominators, and each candidate column is multiplied likewise.
+    Either scaling multiplies det[C | A^T] by a positive number and
+    keeps whether A C vanishes.  The in-kernel test is taken on those
+    integers, and det C_F is a Bareiss determinant of size d; for the
+    kernel bases of `LinearFiberProblem.kernel`, C_F is a positive
+    diagonal.
     """
     n = prob.space_m.dim + prob.space_g.dim
     d = prob.fiber_dim
@@ -174,21 +213,31 @@ def fiber_orientation_sign(prob, candidate_basis):
         raise TransversalityError("fiber dimension would be negative")
     if not prob.surjective:
         raise TransversalityError("combined map dg - df is not surjective")
-    cols = []
-    if d:
-        if len(candidate_basis) != n or any(len(r) != d for r in candidate_basis):
-            raise OrientationError("candidate basis has the wrong shape")
-        cols = linalg._int_rows(zip(*candidate_basis))
-    rows = prob._int_rows
-    if any(sum(map(mul, row, col)) for row in rows for col in cols):
+    # a rigid fiber (d = 0) takes [] as well as n empty rows
+    if (d or len(candidate_basis)) and (
+            len(candidate_basis) != n
+            or any(len(r) != d for r in candidate_basis)):
+        raise OrientationError("candidate basis has the wrong shape")
+    cols = linalg._int_rows(zip(*candidate_basis))
+    if any(sum(map(mul, row, col)) for row in prob._int_rows for col in cols):
         if len(linalg._int_echelon(cols)[1]) != d:
             raise OrientationError("candidate does not span the kernel")
         raise OrientationError("candidate does not lie in the kernel")
-    # rows of the transpose of [cand | A^T]; Bareiss overwrites them
-    dd = linalg._det_bareiss([list(v) for v in cols + rows])
-    if dd == 0:
+    m, pivots, sign = prob._echelon
+    r = len(pivots)
+    # #{(p, f) : f > p} is r d + r (r - 1) / 2 - sum(pivots), as the
+    # i-th pivot p has n - 1 - p columns after it, r - 1 - i of them
+    # pivots; it and the negative pivots each flip the sign
+    flips = (r * d + r * (r - 1) // 2 + sum(pivots)
+             + sum(row[p] < 0 for row, p in zip(m, pivots)))
+    if flips % 2:
+        sign = -sign
+    free = [c for c in range(n) if c not in pivots]
+    det = linalg._det_bareiss([[col[f] for f in free] for col in cols])
+    if det == 0:
         raise OrientationError("candidate does not span the kernel")
-    sign = 1 if dd > 0 else -1
+    if det < 0:
+        sign = -sign
     return sign * prob.space_m.sign * prob.space_g.sign * prob.space_x.sign
 
 

@@ -248,7 +248,7 @@ def association_oracle(rng, max_dim):
         # are independent, so row r of the reduced [k1 | M x G part]
         # reads p_r x_r = its right-hand side; every vector is scaled by
         # the positive lcm of the p_r, which keeps its orientation
-        red, pivots = linalg._int_echelon(
+        red, pivots, _ = linalg._int_echelon(
             [[v[i] for v in k1_vecs] + kb[i] for i in range(n1)])
         if any(p >= d1 for p in pivots):
             continue

@@ -32,7 +32,10 @@ only tests call: the four fiber-count expressions of a linking number,
 the rational formatter of the document writer and the clamped binomial
 of the negative controls; and the reference routines that production
 does not call (the class key of a splitting, the order on tuples, the
-combined map of a fiber problem, the sign of an exact sequence, rank,
+combined map of a fiber problem, the orientation sign of a fiber
+problem read off one n x n determinant (the reference for the sign
+`orientation.fiber_orientation_sign` reads off the problem's
+elimination), the sign of an exact sequence, rank,
 nullspace and transpose, the spanning trees as edge sets, and the tree
 table decoded one Pruefer sequence at a time, the reference for the
 lane decode of `multidisk._packed_trees`).
@@ -174,6 +177,33 @@ def combined_map(prob):
     return [[-x for x in f] + list(g) for f, g in zip(prob.df, prob.dg)]
 
 
+def reference_fiber_orientation_sign(prob, candidate):
+    """The orientation sign of `fiber_orientation_sign` read off one
+    n x n determinant, det[cand | A^T] with A the combined map of the
+    transverse problem `prob` (n = dim M + dim G), instead of off the
+    problem's elimination; the same refusals of a candidate of the right
+    shape that is outside the kernel or rank-deficient inside it.  The
+    reference for the echelon identity.
+
+    A cand = 0 is checked on the rational map, a candidate outside the
+    kernel does not span when its rank is short, and the determinant is
+    `det` of the rows of the transpose, candidate columns first.
+    """
+    from opengw.orientation import OrientationError
+
+    a = combined_map(prob)
+    cols = [list(col) for col in zip(*candidate)]
+    if any(sum(x * y for x, y in zip(row, col)) for row in a for col in cols):
+        if rank(cols) != prob.fiber_dim:
+            raise OrientationError("candidate does not span the kernel")
+        raise OrientationError("candidate does not lie in the kernel")
+    d = det(cols + a)
+    if d == 0:
+        raise OrientationError("candidate does not span the kernel")
+    sign = 1 if d > 0 else -1
+    return sign * prob.space_m.sign * prob.space_g.sign * prob.space_x.sign
+
+
 def exact_sequence_sign(sub, total, quotient, splitting, inclusion=None):
     """Sign of the sequence 0 -> sub -> total -> quotient -> 0.
 
@@ -241,7 +271,7 @@ def nullspace(a):
     if not a:
         return []
     cols = len(a[0])
-    m, pivots = linalg._int_echelon(linalg._int_rows(a))
+    m, pivots, _ = linalg._int_echelon(linalg._int_rows(a))
     free = [c for c in range(cols) if c not in pivots]
     return [[Fraction(x, v[f]) for x in v]
             for v, f in zip(linalg._int_kernel(m, pivots, cols), free)]

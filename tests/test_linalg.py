@@ -83,6 +83,23 @@ def test_exact_kernels_refuse_a_float_entry():
         linalg.solve([[Fraction(1), 0.5]], [[1]])
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 7).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-6, 6), min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+def test_echelon_sign_is_that_of_its_row_operations(a):
+    """For a square integer A of full rank the echelon rows E A are
+    diagonal, so the sign `_int_echelon` returns for det E is the sign
+    of the product of the pivots times that of det A."""
+    det_a = linalg._det_bareiss([row[:] for row in a])
+    if det_a == 0:
+        return
+    rows, pivots, sign = linalg._int_echelon(a)
+    assert pivots == list(range(len(a)))
+    product = math.prod(rows[i][p] for i, p in enumerate(pivots))
+    assert sign == (1 if product > 0 else -1) * (1 if det_a > 0 else -1)
+
+
 @pytest.mark.parametrize("entry", [0.5, 1.0, "1", None, True, False])
 def test_mat_refuses_an_inexact_entry(entry):
     """mat converts ints and keeps Fractions, and refuses anything else

@@ -35,6 +35,7 @@ from support import (
     make_rng,
     nullspace,
     rank,
+    reference_fiber_orientation_sign,
     right_inverse,
     transpose,
 )
@@ -163,6 +164,22 @@ def test_fiber_rigid_odd_target_flips():
     assert fiber_orientation_sign(prob, []) == -1
 
 
+@pytest.mark.parametrize("candidate", [
+    [[5, 7]], "xyz", [[1.5], [2]], [[Fraction(3, 2)], [2]], [[], [], []],
+    [[]]], ids=["one-row", "string", "float-column", "fraction-column",
+                "three-empty-rows", "one-empty-row"])
+def test_rigid_fiber_refuses_a_candidate_of_the_wrong_shape(candidate):
+    """A rigid fiber (fiber_dim 0) is oriented by [] or by n empty rows
+    and nothing else: a candidate with columns, or with the wrong number
+    of rows, is refused, not given the sign of the point."""
+    prob = LinearFiberProblem.build([[1, 0], [0, 1]], [[], []], 2, 0, 2)
+    # the combined map is -I, whose determinant is 1
+    assert fiber_orientation_sign(prob, []) == 1
+    assert fiber_orientation_sign(prob, [[], []]) == 1
+    with pytest.raises(OrientationError, match="wrong shape"):
+        fiber_orientation_sign(prob, candidate)
+
+
 def test_integer_rows_are_built_once_per_problem():
     """The combined map's rows, each scaled to integers by the lcm of its
     denominators, are read off df and dg once per problem."""
@@ -178,12 +195,17 @@ def test_surjectivity_is_decided_once_per_problem(monkeypatch):
     """One fraction-free elimination per problem: transversality, the
     kernel and every orientation sign read the same one, so
     `linalg._int_echelon` runs once, on the problem's integer rows, for
-    surjective, kernel() and three signs."""
+    surjective, kernel() and three signs.  Each sign then takes one
+    determinant of size fiber_dim (2 here), not of size dim M + dim G."""
     prob = LinearFiberProblem.build([[1, 0]], [[Fraction(1, 2)]], 2, 1, 1)
     eliminated = []
+    determinants = []
     echelon = linalg._int_echelon
+    bareiss = linalg._det_bareiss
     monkeypatch.setattr(linalg, "_int_echelon",
                         lambda rows: eliminated.append(rows) or echelon(rows))
+    monkeypatch.setattr(linalg, "_det_bareiss",
+                        lambda m: determinants.append(len(m)) or bareiss(m))
     assert prob.surjective
     kernel = prob.kernel()
     assert kernel == [[0, 1, 0], [1, 0, 2]]
@@ -197,6 +219,7 @@ def test_surjectivity_is_decided_once_per_problem(monkeypatch):
     assert fiber_orientation_sign(other, [[1, 0], [0, 1], [1, 0]]) == 1
     assert other.kernel() == [[0, 1, 0], [1, 0, 1]]
     assert eliminated == [[[-2, 0, 1]], [[-1, 0, 1]]]
+    assert determinants == [2, 2, 2, 2]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -377,6 +400,76 @@ def test_transpose_complement_matches_right_inverse(seed, data):
     expected = (sign_of(det_bareiss([cand[i] + j[i] for i in range(n)]))
                 * prob.space_m.sign * prob.space_g.sign * prob.space_x.sign)
     assert fiber_orientation_sign(prob, cand) == expected
+
+
+def _fiber_problem_of_shape(rng, shape):
+    """A random problem (maybe not transverse) with dim M, dim G <= 4 and
+    rational entries p/q: a rigid fiber (dim X = dim M + dim G), a point
+    target (dim X = 0) or any dim X up to dim M + dim G."""
+    dim_m, dim_g = rng.randint(0, 4), rng.randint(0, 4)
+    dim_x = {"rigid": dim_m + dim_g, "point-target": 0,
+             "any": rng.randint(0, dim_m + dim_g)}[shape]
+    return LinearFiberProblem.build(
+        rand_matrix(rng, dim_x, dim_m), rand_matrix(rng, dim_x, dim_g),
+        dim_m, dim_g, dim_x,
+        rng.choice((1, -1)), rng.choice((1, -1)), rng.choice((1, -1)))
+
+
+def _outcome(route, prob, candidate):
+    try:
+        return route(prob, candidate)
+    except OrientationError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("shape", ["rigid", "point-target", "any"])
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_echelon_sign_matches_the_full_determinant(shape, seed, data):
+    """The sign read off the problem's elimination and a d x d
+    determinant against det[cand | A^T] (the n x n reference), on the
+    kernel basis times an invertible integer or rational d x d matrix
+    whose determinant takes either sign; and the same refusal from both
+    for that candidate moved off the kernel in one entry and for one
+    with a column made dependent on the others."""
+    rng = make_rng(seed)
+    prob = _fiber_problem_of_shape(rng, shape)
+    assume(prob.surjective)
+    n = prob.space_m.dim + prob.space_g.dim
+    d = prob.fiber_dim
+    kernel = prob.kernel()
+    if data.draw(st.booleans()):
+        mix = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)]
+    else:
+        mix = rand_matrix(rng, d, d)
+    if d and data.draw(st.booleans()):
+        for row in mix:
+            row[0] = -row[0]
+    mix_det = det_bareiss(mix)
+    assume(mix_det != 0)
+    cand = [[sum(kernel[t][i] * mix[t][j] for t in range(d))
+             for j in range(d)] for i in range(n)]
+    got = fiber_orientation_sign(prob, cand)
+    assert got == reference_fiber_orientation_sign(prob, cand)
+    basis = linalg.columns_matrix(kernel) or [[] for _ in range(n)]
+    assert got == fiber_orientation_sign(prob, basis) * sign_of(mix_det)
+    if not d:
+        return
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, d - 1))
+    off = [row[:] for row in cand]
+    off[i][j] += data.draw(NONZERO) / 1000
+    refused = _outcome(fiber_orientation_sign, prob, off)
+    assert refused == _outcome(reference_fiber_orientation_sign, prob, off)
+    if any(row[i] for row in combined_map(prob)):
+        assert refused in ("candidate does not lie in the kernel",
+                           "candidate does not span the kernel")
+    scale = data.draw(st.integers(-2, 2))
+    flat = [row[:] for row in cand]
+    for row in flat:
+        row[j] = scale * row[(j + 1) % d] if d > 1 else 0
+    assert _outcome(fiber_orientation_sign, prob, flat) \
+        == _outcome(reference_fiber_orientation_sign, prob, flat) \
+        == "candidate does not span the kernel"
 
 
 def test_fiber_consistent_with_ses_sign():
