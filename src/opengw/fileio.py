@@ -26,6 +26,7 @@ from . import OpenGWError
 from .lattice import Target
 from .multidisk import AtomTable, DiskAtom, InvolutionData, LinkingMatrix
 from .wdvv import (
+    UNIT_INDEX,
     ClosedGWTable,
     CohomologyModel,
     OpenInvariantTable,
@@ -112,6 +113,43 @@ def _degree(values, rank, entry):
         raise FileFormatError("%s: degree %r has a negative coordinate, "
                               "outside the effective cone" % (entry, values))
     return coords
+
+
+def _set_once(table, seen, entry, coords, insertions, value):
+    """Set one bracket of a closed or seed table.  `seen` maps the key of
+    each bracket set so far to (its entry, its value): an identical
+    repeat is accepted, a repeat with another value is refused, naming
+    both entries."""
+    key = table._key(coords, insertions)
+    if key in seen and seen[key][1] != value:
+        first, earlier = seen[key]
+        raise FileFormatError(
+            "%s and %s: conflicting entries for degree %s, insertions %s: "
+            "%s and %s" % (first, entry, list(key[0]), list(key[1]),
+                           earlier, value))
+    seen[key] = (entry, value)
+    table.set(coords, insertions, value)
+
+
+def _seed(table, seen, entry, coords, insertions, value):
+    """Set one seed bracket with `_set_once`, refusing a bracket the
+    solve would not read: an insertion outside the cohomology basis,
+    or a bracket whose value is hard-wired (one with a unit insertion,
+    or whose boundary-point count is negative or fractional)."""
+    size = table.model.size
+    bad = next((i for i in insertions if not 1 <= i <= size), None)
+    if bad is not None:
+        raise FileFormatError("%s: insertion %d is outside the cohomology "
+                              "basis 1..%d" % (entry, bad, size))
+    fixed = table.resolve_fixed(table.target.degree(coords), insertions)
+    if fixed is not None:
+        rule = ("it has a unit insertion" if UNIT_INDEX in insertions
+                else "its boundary-point count is negative or fractional")
+        raise FileFormatError(
+            "%s: the bracket of degree %s, insertions %s is hard-wired to "
+            "%s, as %s; it cannot be seeded" % (entry, coords, insertions,
+                                                fixed, rule))
+    _set_once(table, seen, entry, coords, insertions, value)
 
 
 @contextmanager
@@ -266,19 +304,23 @@ def load_closed(path, target=None):
     rank = None if target is None else target.closed_rank
     with _malformed_as_format_error(path):
         table = ClosedGWTable()
+        seen = {}
         for n, e in enumerate(doc.get("entries", [])):
             insertions = [
                 i if isinstance(i, str) else _integer(i)
                 for i in e["insertions"]
             ]
-            table.set(_degree(e["degree"], rank, "entries[%d].degree" % n),
+            _set_once(table, seen, "entries[%d]" % n,
+                      _degree(e["degree"], rank, "entries[%d].degree" % n),
                       insertions, _rational(e["value"]))
         return table
 
 
 def load_seeds(path, target, model):
     """Seed table: plain entries plus evaluated zero-degree data.  Seeds
-    feed only the solver, which needs the target's cohomology model."""
+    feed only the solver, which needs the target's cohomology model.
+    Each is a bracket the solve reads (see `_seed`), and a bracket
+    seeded twice has one value."""
     doc = _load_document(path, "opengw-seeds")
     if model is None:
         raise FileFormatError(
@@ -286,11 +328,12 @@ def load_seeds(path, target, model):
         )
     with _malformed_as_format_error(path):
         table = OpenInvariantTable(target, model)
+        seen = {}
         for n, e in enumerate(doc.get("entries", [])):
-            table.set(_degree(e["degree"], target.rank,
-                              "entries[%d].degree" % n),
-                      [_integer(i) for i in e["insertions"]],
-                      _rational(e["value"]))
+            _seed(table, seen, "entries[%d]" % n,
+                  _degree(e["degree"], target.rank, "entries[%d].degree" % n),
+                  [_integer(i) for i in e["insertions"]],
+                  _rational(e["value"]))
         for n, e in enumerate(doc.get("beta_zero", [])):
             corrections = [
                 (
@@ -305,7 +348,8 @@ def load_seeds(path, target, model):
             value = degree_zero_extension(
                 target, model, _rational(e.get("welschinger", 0)), corrections
             )
-            table.set(_degree(e["degree"], target.rank,
-                              "beta_zero[%d].degree" % n),
-                      [_integer(i) for i in e["insertions"]], value)
+            _seed(table, seen, "beta_zero[%d]" % n,
+                  _degree(e["degree"], target.rank,
+                          "beta_zero[%d].degree" % n),
+                  [_integer(i) for i in e["insertions"]], value)
         return table

@@ -224,14 +224,6 @@ def solve(a, b):
     return x
 
 
-def columns_matrix(vectors):
-    """Stack column vectors into a matrix."""
-    if not vectors:
-        return []
-    n = len(vectors[0])
-    return [[v[i] for v in vectors] for i in range(n)]
-
-
 def in_integer_span(vectors, b):
     """Whether the integer vector b is an integer combination of the
     integer vectors (all of b's length); the empty span holds only zero.

@@ -20,16 +20,19 @@ is orientation-compatible, with the product orientation in the middle.
 Any complement of the fiber that the combined map carries isomorphically
 onto TX splits this sequence; the sign is that of the candidate basis
 followed by the transpose of the combined map, whose columns span the
-orthogonal complement of the fiber.  It is read off the problem's one
-Gauss-Jordan elimination and a fiber_dim x fiber_dim determinant of the
-candidate's rows at the free columns (see `fiber_orientation_sign`).
+orthogonal complement of the fiber.  A basis of the fiber is one list of
+vectors, the form `LinearFiberProblem.kernel` returns and
+`fiber_orientation_sign` takes ([] for a rigid fiber).  The sign is read
+off the Gauss-Jordan elimination a problem takes once, when it is built,
+and a fiber_dim x fiber_dim determinant of the candidate's entries at
+the free columns (see `fiber_orientation_sign`).
 Only transverse problems are oriented; a non-surjective combined map is
 a hard error, never a sign 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import mul
 
 from . import OpenGWError, linalg
@@ -62,25 +65,6 @@ class OrientedSpace:
             raise OrientationError("orientation sign must be +1 or -1")
 
 
-class _cached:
-    """`functools.cached_property` without the lock that Python 3.11
-    takes on every first read: the first read stores the value in the
-    instance dict, which every later read finds first."""
-
-    def __init__(self, func):
-        self.func = func
-        self.__doc__ = func.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.func(obj)
-        return value
-
-
 @dataclass(frozen=True)
 class LinearFiberProblem:
     """Oriented linear data for a fiber product M x_X G.
@@ -88,10 +72,12 @@ class LinearFiberProblem:
     df and dg are exact-rational matrices Q^{dim M} -> Q^{dim X} and
     Q^{dim G} -> Q^{dim X}, kept as tuples of rows of the int or Fraction
     entries given; the three orientation signs are relative to standard
-    bases.  The combined map is scaled to integer rows and row-reduced
-    once per problem, fraction-free; transversality, the kernel and
-    every orientation sign are read from that one elimination, each
-    sign with a fiber_dim x fiber_dim determinant of the candidate.
+    bases.  `build` scales the combined map (v, w) |-> dg(w) - df(v) to
+    integer rows and row-reduces them, fraction-free, once per problem;
+    transversality, the kernel and every orientation sign are read from
+    that one elimination, each sign with a fiber_dim x fiber_dim
+    determinant of the candidate.  The rows and the elimination are
+    derived from df and dg, so they take no part in comparisons.
     """
 
     df: tuple
@@ -99,6 +85,12 @@ class LinearFiberProblem:
     space_m: OrientedSpace
     space_g: OrientedSpace
     space_x: OrientedSpace
+    # the combined map, each row of df and dg scaled as one to integers
+    # by the positive lcm of its denominators and the df part negated
+    _int_rows: list = field(compare=False, repr=False)
+    # (integer rows, pivot columns, sign of the elimination) of
+    # `linalg._int_echelon` on _int_rows
+    _echelon: tuple = field(compare=False, repr=False)
 
     @staticmethod
     def build(df_rows, dg_rows, dim_m, dim_g, dim_x, sign_m=1, sign_g=1, sign_x=1):
@@ -108,11 +100,17 @@ class LinearFiberProblem:
             raise OrientationError("df has the wrong shape")
         if len(dg) != dim_x or any(len(r) != dim_g for r in dg):
             raise OrientationError("dg has the wrong shape")
+        rows = []
+        for f, g in zip(df, dg):
+            ints = linalg._integer_scaled(f + g)[0]
+            ints[:dim_m] = [-x for x in ints[:dim_m]]
+            rows.append(ints)
         return LinearFiberProblem(
             df, dg,
             OrientedSpace(dim_m, sign_m),
             OrientedSpace(dim_g, sign_g),
             OrientedSpace(dim_x, sign_x),
+            rows, linalg._int_echelon(rows),
         )
 
     @property
@@ -126,8 +124,9 @@ class LinearFiberProblem:
         return len(self._echelon[1]) == self.space_x.dim
 
     def kernel(self):
-        """An integer basis of ker(dg - df), as fiber_dim column vectors
-        (all of Q^{dim M + dim G} when X is a point).
+        """An integer basis of ker(dg - df): fiber_dim vectors of length
+        dim M + dim G, the candidate form of `fiber_orientation_sign`
+        (the standard basis when X is a point).
 
         Read off the problem's one elimination by `linalg._int_kernel`:
         one primitive vector per free column, positive there and zero at
@@ -137,46 +136,28 @@ class LinearFiberProblem:
         n = self.space_m.dim + self.space_g.dim
         return linalg._int_kernel(m, pivots, n)
 
-    @_cached
-    def _int_rows(self):
-        """The combined map (v, w) |-> dg(w) - df(v), each row scaled to
-        integers by the positive lcm of its denominators: each row of df
-        and dg is scaled as one, and the df part negated."""
-        dim_m = self.space_m.dim
-        rows = []
-        for f, g in zip(self.df, self.dg):
-            ints = linalg._integer_scaled(f + g)[0]
-            ints[:dim_m] = [-x for x in ints[:dim_m]]
-            rows.append(ints)
-        return rows
 
-    @_cached
-    def _echelon(self):
-        """(integer rows, pivot columns, sign of the elimination) of the
-        combined map, row-reduced fraction-free once per problem by
-        `linalg._int_echelon`."""
-        return linalg._int_echelon(self._int_rows)
+def fiber_orientation_sign(prob, candidate):
+    """Sign of `candidate` against the fiber product orientation.
 
+    candidate: a basis of ker(dg - df) inside Q^{dim M + dim G}, with
+    int or Fraction entries, as d vectors of length n, d = fiber_dim and
+    n = dim M + dim G: the form `LinearFiberProblem.kernel` returns.  A
+    rigid fiber takes [].  Any other shape is refused.  Returns +1 when
+    the candidate is positively oriented for the fiber product
+    orientation of prob, else -1.
 
-def fiber_orientation_sign(prob, candidate_basis):
-    """Sign of `candidate_basis` against the fiber product orientation.
-
-    candidate_basis: columns spanning ker(dg - df) inside Q^{dim M + dim G},
-    with int or Fraction entries: n = dim M + dim G rows of d = fiber_dim
-    entries each, and for a rigid fiber (d = 0) either [] or n empty
-    rows.  Returns +1 when the candidate is positively oriented for the
-    fiber product orientation of prob, else -1.
-
-    With A the combined map and J any right inverse of it, the columns
+    Write C for the n x d matrix whose columns are the candidate's
+    vectors.  With A the combined map and J any right inverse of it, the columns
     of J split the defining sequence, so the orientation is the sign of
-    det[cand | J].  That is the sign of det[cand | A^T], which needs no
+    det[C | J].  That is the sign of det[C | A^T], which needs no
     inverse: over Q the rows of A span the orthogonal complement of
     ker A, and A^T = J (A A^T) + (columns in ker A), so
-    det[cand | A^T] = det[cand | J] det(A A^T), and A A^T is the Gram
+    det[C | A^T] = det[C | J] det(A A^T), and A A^T is the Gram
     matrix of the independent rows of A, with positive determinant.
 
-    The sign of det[cand | A^T] is read off the problem's one
-    elimination.  Write C for the candidate, R = E A for the
+    The sign of det[C | A^T] is read off the problem's one
+    elimination.  Write R = E A for the
     Gauss-Jordan form of A from `linalg._int_echelon` (E invertible,
     with the sign of det E returned beside R), P for its pivot columns
     in increasing order, p_i for its pivot entries and F for its free
@@ -200,7 +181,7 @@ def fiber_orientation_sign(prob, candidate_basis):
 
     Everything runs in integers.  A is taken as the problem's integer
     rows, each row of dg - df times the positive lcm of its
-    denominators, and each candidate column is multiplied likewise.
+    denominators, and each candidate vector is multiplied likewise.
     Either scaling multiplies det[C | A^T] by a positive number and
     keeps whether A C vanishes.  The in-kernel test is taken on those
     integers, and det C_F is a Bareiss determinant of size d; for the
@@ -213,12 +194,9 @@ def fiber_orientation_sign(prob, candidate_basis):
         raise TransversalityError("fiber dimension would be negative")
     if not prob.surjective:
         raise TransversalityError("combined map dg - df is not surjective")
-    # a rigid fiber (d = 0) takes [] as well as n empty rows
-    if (d or len(candidate_basis)) and (
-            len(candidate_basis) != n
-            or any(len(r) != d for r in candidate_basis)):
+    if len(candidate) != d or any(len(v) != n for v in candidate):
         raise OrientationError("candidate basis has the wrong shape")
-    cols = linalg._int_rows(zip(*candidate_basis))
+    cols = linalg._int_rows(candidate)
     if any(sum(map(mul, row, col)) for row in prob._int_rows for col in cols):
         if len(linalg._int_echelon(cols)[1]) != d:
             raise OrientationError("candidate does not span the kernel")

@@ -101,28 +101,20 @@ def boundary_face_oracle(rng, face, max_dim):
             need_m_face=(face == FACE_M), need_g_face=(face == FACE_G),
         )
         dim_m, dim_g = prob.space_m.dim, prob.space_g.dim
-        dim_x = prob.space_x.dim
         n = dim_m + dim_g
         # the face cuts off the last coordinate of M or of G
+        cut_m, cut_g = (1, 0) if face == FACE_M else (0, 1)
         cut = dim_m - 1 if face == FACE_M else n - 1
         kernel = prob.kernel()
         o = next((i for i, v in enumerate(kernel) if v[cut] != 0), None)
         if o is None:
             continue  # the cut functional vanishes on the kernel
-        if face == FACE_M:
-            sub = LinearFiberProblem.build(
-                [row[: dim_m - 1] for row in prob.df],
-                [list(row) for row in prob.dg],
-                dim_m - 1, dim_g, dim_x,
-                prob.space_m.sign, prob.space_g.sign, prob.space_x.sign,
-            )
-        else:
-            sub = LinearFiberProblem.build(
-                [list(row) for row in prob.df],
-                [row[: dim_g - 1] for row in prob.dg],
-                dim_m, dim_g - 1, dim_x,
-                prob.space_m.sign, prob.space_g.sign, prob.space_x.sign,
-            )
+        sub = LinearFiberProblem.build(
+            [row[:dim_m - cut_m] for row in prob.df],
+            [row[:dim_g - cut_g] for row in prob.dg],
+            dim_m - cut_m, dim_g - cut_g, prob.space_x.dim,
+            prob.space_m.sign, prob.space_g.sign, prob.space_x.sign,
+        )
         if not sub.surjective:
             continue
         v_o = kernel[o]
@@ -137,10 +129,10 @@ def boundary_face_oracle(rng, face, max_dim):
             coeffs[o][col] = -b
         # outward vector: v_o, turned to a positive cut coordinate
         coeffs[o][d - 1] = sign_of(a)
-        sigma = fiber_orientation_sign(prob, linalg.columns_matrix(kernel))
+        sigma = fiber_orientation_sign(prob, kernel)
         observed = sigma * sign_of(linalg._det_bareiss(coeffs))
         # the same face basis, in the coordinates of the boundary problem
-        dropped = [[v[i] for v in face_vecs] for i in range(n) if i != cut]
+        dropped = [v[:cut] + v[cut + 1:] for v in face_vecs]
         return prob, observed * fiber_orientation_sign(sub, dropped)
 
 
@@ -176,14 +168,10 @@ def flip_oracle(rng, max_dim):
         if not prob.surjective:
             continue
         det_signs = (math.prod(sm), math.prod(sg), math.prod(sx))
-        n = dim_m + dim_g
-        if n == 0:
-            return det_signs, 1
         vecs = prob.kernel()
-        kmat = linalg.columns_matrix(vecs) if vecs else [[] for _ in range(n)]
         diag = sm + sg
-        flipped = [[diag[i] * x for x in row] for i, row in enumerate(kmat)]
-        observed = (fiber_orientation_sign(prob, kmat)
+        flipped = [[s * x for s, x in zip(diag, v)] for v in vecs]
+        observed = (fiber_orientation_sign(prob, vecs)
                     * fiber_orientation_sign(prob, flipped))
         return det_signs, observed
 
@@ -209,20 +197,16 @@ def association_oracle(rng, max_dim):
         if not inner.surjective:
             continue
         n1 = dim_m + dim_g
-        k1_vecs = inner.kernel()
-        d1 = len(k1_vecs)
-        k1 = linalg.columns_matrix(k1_vecs)
-        inner_sign = fiber_orientation_sign(
-            inner, k1 if d1 else [[] for _ in range(n1)]
-        )
+        k1 = inner.kernel()
+        d1 = len(k1)
+        inner_sign = fiber_orientation_sign(inner, k1)
         if d1 and inner_sign == -1:
-            k1_vecs[0] = [-x for x in k1_vecs[0]]
-            k1 = linalg.columns_matrix(k1_vecs)
+            k1[0] = [-x for x in k1[0]]
             inner_sign = 1
         # e on the inner fiber, in k1 coordinates, each row of de over
         # its own denominator; a rigid inner fiber is a signed point and
         # keeps its sign
-        de_inner = [[Fraction(sum(map(mul, ints, v)), den) for v in k1_vecs]
+        de_inner = [[Fraction(sum(map(mul, ints, v)), den) for v in k1]
                     for ints, den in map(linalg._integer_scaled, de)]
         outer = LinearFiberProblem.build(de_inner, dh, d1, dim_c, dim_y,
                                          inner_sign, s_c, s_y)
@@ -238,25 +222,24 @@ def association_oracle(rng, max_dim):
         )
         if not onestep.surjective:
             continue
-        kb_vecs = onestep.kernel()
-        if not kb_vecs:
+        kb = onestep.kernel()
+        if not kb:
             continue  # a rigid instance carries no basis to compare
-        kb = linalg.columns_matrix(kb_vecs)
         one_sign = fiber_orientation_sign(onestep, kb)
         # the same vectors in (inner fiber) x C coordinates: k1 x = the
-        # M x G part of each, solved fraction-free.  The columns of k1
+        # M x G part of each, solved fraction-free.  The vectors of k1
         # are independent, so row r of the reduced [k1 | M x G part]
         # reads p_r x_r = its right-hand side; every vector is scaled by
         # the positive lcm of the p_r, which keeps its orientation
         red, pivots, _ = linalg._int_echelon(
-            [[v[i] for v in k1_vecs] + kb[i] for i in range(n1)])
+            [[v[i] for v in k1 + kb] for i in range(n1)])
         if any(p >= d1 for p in pivots):
             continue
         scale = math.lcm(*(red[r][r] for r in range(d1)))
-        coeffs = [[x * (scale // red[r][r]) for x in red[r][d1:]]
-                  for r in range(d1)]
-        c_part = [[scale * x for x in kb[n1 + i]] for i in range(dim_c)]
-        iter_sign = fiber_orientation_sign(outer, coeffs + c_part)
+        iter_sign = fiber_orientation_sign(outer, [
+            [red[r][d1 + j] * (scale // red[r][r]) for r in range(d1)]
+            + [scale * x for x in w[n1:]]
+            for j, w in enumerate(kb)])
         return dim_x, dim_y - dim_c, iter_sign * one_sign
 
 

@@ -179,20 +179,23 @@ def combined_map(prob):
 
 def reference_fiber_orientation_sign(prob, candidate):
     """The orientation sign of `fiber_orientation_sign` read off one
-    n x n determinant, det[cand | A^T] with A the combined map of the
-    transverse problem `prob` (n = dim M + dim G), instead of off the
-    problem's elimination; the same refusals of a candidate of the right
-    shape that is outside the kernel or rank-deficient inside it.  The
-    reference for the echelon identity.
+    n x n determinant, det[C | A^T] with A the combined map of the
+    transverse problem `prob` (n = dim M + dim G) and C the matrix whose
+    columns are the candidate's vectors, instead of off the problem's
+    elimination; the
+    same refusals of a candidate of the right shape (fiber_dim vectors
+    of length n) that is outside the kernel or rank-deficient inside it.
+    The reference for the echelon identity.
 
-    A cand = 0 is checked on the rational map, a candidate outside the
+    A C = 0 is checked on the rational map, a candidate outside the
     kernel does not span when its rank is short, and the determinant is
-    `det` of the rows of the transpose, candidate columns first.
+    `det` of the rows of the transpose: the candidate's vectors, then
+    the rows of A.
     """
     from opengw.orientation import OrientationError
 
     a = combined_map(prob)
-    cols = [list(col) for col in zip(*candidate)]
+    cols = [list(v) for v in candidate]
     if any(sum(x * y for x, y in zip(row, col)) for row in a for col in cols):
         if rank(cols) != prob.fiber_dim:
             raise OrientationError("candidate does not span the kernel")

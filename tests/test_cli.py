@@ -1170,6 +1170,108 @@ def test_vector_of_the_wrong_rank_is_one_line_error(tmp_path, capsys, kind,
     assert not out.exists() or not os.listdir(out)
 
 
+def _edited_toy_run(tmp_path, kind, edit, pipeline="wdvv-solve"):
+    """main() on the toy documents with the `kind` document passed
+    through `edit` and written to bad.json; returns (status, out)."""
+    paths = toy_paths()
+    doc = json.loads(open(paths[kind]).read())
+    edit(doc)
+    paths[kind] = str(tmp_path / "bad.json")
+    with open(paths[kind], "w") as handle:
+        json.dump(doc, handle)
+    out = tmp_path / "out"
+    argv = ["--pipeline", pipeline, "--out", str(out)]
+    for name, file in paths.items():
+        argv += ["--" + name.replace("_", "-"), file]
+    return main(argv), out
+
+
+def _appended(key, entry):
+    return lambda doc: doc[key].append(entry)
+
+
+def _beta_zero_insertions(insertions):
+    return lambda doc: doc["beta_zero"][0].update(insertions=insertions)
+
+
+@pytest.mark.parametrize("edit, entry, rule", [
+    (_appended("entries", {"degree": [1], "insertions": [4, 4],
+                           "value": "5"}),
+     "entries[18]", "boundary-point count is negative or fractional"),
+    (_appended("entries", {"degree": [0], "insertions": [1], "value": "7"}),
+     "entries[18]", "hard-wired to -1, as it has a unit insertion"),
+    (_appended("entries", {"degree": [1], "insertions": [9], "value": "1"}),
+     "entries[18]", "insertion 9 is outside the cohomology basis 1..4"),
+    (_beta_zero_insertions([4, 4]), "beta_zero[0]",
+     "boundary-point count is negative or fractional"),
+    (_beta_zero_insertions([1]), "beta_zero[0]",
+     "hard-wired to -1, as it has a unit insertion"),
+    (_beta_zero_insertions([9, 2]), "beta_zero[0]",
+     "insertion 9 is outside the cohomology basis 1..4"),
+], ids=["entry-negative-count", "entry-unit", "entry-index-out-of-range",
+        "beta-zero-negative-count", "beta-zero-unit",
+        "beta-zero-index-out-of-range"])
+def test_seed_the_solve_would_not_read_is_one_line_error(
+        tmp_path, capsys, edit, entry, rule):
+    """A seed of a bracket the solve overrides (a unit insertion, or a
+    negative or fractional boundary-point count, whose value is
+    hard-wired) or of an insertion outside the cohomology basis is
+    refused by the loader: a one-line error naming the file, the entry
+    and the rule, with exit status 2 and no artifact written."""
+    status, out = _edited_toy_run(tmp_path, "seeds", edit)
+    assert status == 2
+    err = _assert_one_line_error(capsys)
+    assert "bad.json: " + entry + ": " in err and rule in err, err
+    assert not out.exists() or not os.listdir(out)
+
+
+@pytest.mark.parametrize("kind, edit, entries", [
+    ("seeds", _appended("entries", {"degree": [1], "insertions": [2],
+                                    "value": "9"}),
+     "entries[2] and entries[18]"),
+    ("seeds", _appended("entries", {"degree": [0], "insertions": [2, 2],
+                                    "value": "5"}),
+     "entries[18] and beta_zero[0]"),
+    ("closed_gw", _appended("entries", {"degree": [0],
+                                        "insertions": [2, 2, 2],
+                                        "value": "3"}),
+     "entries[0] and entries[9]"),
+    ("closed_gw", _appended("entries", {"degree": [1],
+                                        "insertions": [4, 2, 4],
+                                        "value": "0"}),
+     "entries[4] and entries[9]"),
+], ids=["seed-entry", "seed-entry-and-beta-zero", "closed-entry",
+        "closed-entry-reordered"])
+def test_conflicting_repeat_is_one_line_error(tmp_path, capsys, kind, edit,
+                                              entries):
+    """A bracket given twice with different values, in the seeds (plain
+    entries or the evaluated beta_zero data) or in the closed table,
+    is refused naming both entries, not silently replaced by the
+    later one; insertions are compared as multisets."""
+    status, out = _edited_toy_run(tmp_path, kind, edit)
+    assert status == 2
+    err = _assert_one_line_error(capsys)
+    assert "bad.json: %s: conflicting entries for " % entries in err, err
+    assert not out.exists() or not os.listdir(out)
+
+
+def test_identical_repeat_is_accepted(tmp_path):
+    """A repeat of a bracket with the same value loads to the same
+    table as the toy documents."""
+    bundle = fileio.load_target(toy_paths()["target"])
+    loaders = {
+        "closed_gw": lambda p: fileio.load_closed(p, bundle.target).items(),
+        "seeds": lambda p: fileio.load_seeds(
+            p, bundle.target, bundle.model).entries(),
+    }
+    for kind, load in loaders.items():
+        doc = json.loads(open(toy_paths()[kind]).read())
+        doc["entries"] += doc["entries"][:3]
+        path = tmp_path / (kind + ".json")
+        path.write_text(json.dumps(doc))
+        assert load(str(path)) == load(toy_paths()[kind])
+
+
 def _involution_documents(tmp_path, edits=(), involution=True):
     """`involution_setup(make_rng(2000), n_pairs=1)` from the multi-disk
     tests as target and atoms files: a rank-2 swap involution, its three

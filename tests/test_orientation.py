@@ -166,16 +166,16 @@ def test_fiber_rigid_odd_target_flips():
 
 @pytest.mark.parametrize("candidate", [
     [[5, 7]], "xyz", [[1.5], [2]], [[Fraction(3, 2)], [2]], [[], [], []],
-    [[]]], ids=["one-row", "string", "float-column", "fraction-column",
-                "three-empty-rows", "one-empty-row"])
+    [[]], [[], []]], ids=["one-row", "string", "float-column",
+                          "fraction-column", "three-empty-rows",
+                          "one-empty-row", "two-empty-rows"])
 def test_rigid_fiber_refuses_a_candidate_of_the_wrong_shape(candidate):
-    """A rigid fiber (fiber_dim 0) is oriented by [] or by n empty rows
-    and nothing else: a candidate with columns, or with the wrong number
-    of rows, is refused, not given the sign of the point."""
+    """A rigid fiber (fiber_dim 0) is oriented by [], its zero vectors,
+    and nothing else: any vector, even an empty one, is refused, not
+    given the sign of the point; so are n empty rows, the column form."""
     prob = LinearFiberProblem.build([[1, 0], [0, 1]], [[], []], 2, 0, 2)
     # the combined map is -I, whose determinant is 1
     assert fiber_orientation_sign(prob, []) == 1
-    assert fiber_orientation_sign(prob, [[], []]) == 1
     with pytest.raises(OrientationError, match="wrong shape"):
         fiber_orientation_sign(prob, candidate)
 
@@ -194,10 +194,10 @@ def test_integer_rows_are_built_once_per_problem():
 def test_surjectivity_is_decided_once_per_problem(monkeypatch):
     """One fraction-free elimination per problem: transversality, the
     kernel and every orientation sign read the same one, so
-    `linalg._int_echelon` runs once, on the problem's integer rows, for
-    surjective, kernel() and three signs.  Each sign then takes one
-    determinant of size fiber_dim (2 here), not of size dim M + dim G."""
-    prob = LinearFiberProblem.build([[1, 0]], [[Fraction(1, 2)]], 2, 1, 1)
+    `linalg._int_echelon` runs once, on the problem's integer rows, when
+    the problem is built, and not again for surjective, kernel() and
+    three signs.  Each sign then takes one determinant of size fiber_dim
+    (2 here), not of size dim M + dim G."""
     eliminated = []
     determinants = []
     echelon = linalg._int_echelon
@@ -206,17 +206,17 @@ def test_surjectivity_is_decided_once_per_problem(monkeypatch):
                         lambda rows: eliminated.append(rows) or echelon(rows))
     monkeypatch.setattr(linalg, "_det_bareiss",
                         lambda m: determinants.append(len(m)) or bareiss(m))
+    prob = LinearFiberProblem.build([[1, 0]], [[Fraction(1, 2)]], 2, 1, 1)
     assert prob.surjective
     kernel = prob.kernel()
     assert kernel == [[0, 1, 0], [1, 0, 2]]
-    candidate = linalg.columns_matrix(kernel)
     for _ in range(3):
         # det of the rows (0, 1, 0), (1, 0, 2), (-2, 0, 1) is -5
-        assert fiber_orientation_sign(prob, candidate) == -1
+        assert fiber_orientation_sign(prob, kernel) == -1
     assert eliminated == [[[-2, 0, 1]]]
     # a second problem eliminates its own map once
     other = LinearFiberProblem.build([[1, 0]], [[1]], 2, 1, 1)
-    assert fiber_orientation_sign(other, [[1, 0], [0, 1], [1, 0]]) == 1
+    assert fiber_orientation_sign(other, [[1, 0, 1], [0, 1, 0]]) == 1
     assert other.kernel() == [[0, 1, 0], [1, 0, 1]]
     assert eliminated == [[[-2, 0, 1]], [[-1, 0, 1]]]
     assert determinants == [2, 2, 2, 2]
@@ -243,11 +243,8 @@ def test_kernel_is_an_integer_basis_of_positive_nullspace_multiples(seed):
     for v, w in zip(kernel, reference):
         ratio = next(x / y for x, y in zip(v, w) if y)
         assert ratio > 0 and v == [ratio * y for y in w]
-    if n:
-        assert fiber_orientation_sign(
-            prob, linalg.columns_matrix(kernel) or [[] for _ in range(n)]
-        ) == fiber_orientation_sign(
-            prob, linalg.columns_matrix(reference) or [[] for _ in range(n)])
+    assert fiber_orientation_sign(prob, kernel) \
+        == fiber_orientation_sign(prob, reference)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -267,14 +264,14 @@ def test_kernel_membership_matches_the_rational_product(seed, inside, data):
         kernel = nullspace(combined) if combined else linalg.identity(n)
         mix = rand_matrix(rng, d, d)
         cand = [[sum(kernel[t][i] * mix[t][j] for t in range(d))
-                 for j in range(d)] for i in range(n)]
+                 for i in range(n)] for j in range(d)]
     else:
-        cand = rand_matrix(rng, n, d)
+        cand = transpose(rand_matrix(rng, n, d))
     if data.draw(st.booleans()):
         # perturb one entry by a small rational
         i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, d - 1))
-        cand[i][j] += data.draw(NONZERO) / 1000
-    vanishes = all(sum(row[i] * cand[i][j] for i in range(n)) == 0
+        cand[j][i] += data.draw(NONZERO) / 1000
+    vanishes = all(sum(row[i] * cand[j][i] for i in range(n)) == 0
                    for row in combined for j in range(d))
     try:
         outcome = fiber_orientation_sign(prob, cand)
@@ -302,13 +299,13 @@ def test_build_refuses_an_inexact_entry():
 def test_fiber_sign_refuses_an_inexact_candidate():
     # ker[-1, 1] is spanned by (1, 1)
     prob = LinearFiberProblem.build([[1]], [[1]], 1, 1, 1)
-    assert fiber_orientation_sign(prob, [[1], [Fraction(1)]]) in (1, -1)
+    assert fiber_orientation_sign(prob, [[1, Fraction(1)]]) in (1, -1)
     with pytest.raises(TypeError, match="int or Fraction"):
-        fiber_orientation_sign(prob, [[1.0], [0.1]])
+        fiber_orientation_sign(prob, [[1.0, 0.1]])
     with pytest.raises(TypeError, match="int or Fraction"):
-        fiber_orientation_sign(prob, [[1], [1.0]])
+        fiber_orientation_sign(prob, [[1, 1.0]])
     with pytest.raises(TypeError, match="int or Fraction"):
-        fiber_orientation_sign(prob, [[True], [1]])
+        fiber_orientation_sign(prob, [[True, 1]])
 
 
 def test_ses_refuses_an_inexact_entry():
@@ -326,7 +323,7 @@ def test_fiber_rejects_non_transverse():
     dg = [[Fraction(0)], [Fraction(0)]]
     prob = LinearFiberProblem.build(df, dg, 2, 1, 2)
     with pytest.raises(TransversalityError):
-        fiber_orientation_sign(prob, [[Fraction(0)], [Fraction(0)], [Fraction(1)]])
+        fiber_orientation_sign(prob, [[Fraction(0), Fraction(0), Fraction(1)]])
 
 
 def test_fiber_rejects_non_kernel_candidate():
@@ -340,14 +337,14 @@ def test_fiber_rejects_non_kernel_candidate():
 
 def test_fiber_rejects_candidate_just_outside_the_kernel():
     # ker(dg - df) = ker[-1, 0, 1] is spanned by (1, 0, 1) and (0, 1, 0);
-    # the second column misses it by 1/1000 in its last entry
+    # the second vector misses it by 1/1000 in its last entry
     prob = LinearFiberProblem.build([[Fraction(1), Fraction(0)]],
                                     [[Fraction(1)]], 2, 1, 1)
-    inside = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)],
-              [Fraction(1), Fraction(0)]]
+    inside = [[Fraction(1), Fraction(0), Fraction(1)],
+              [Fraction(0), Fraction(1), Fraction(0)]]
     assert fiber_orientation_sign(prob, inside) in (1, -1)
-    outside = [row[:] for row in inside]
-    outside[2][1] = Fraction(1, 1000)
+    outside = [v[:] for v in inside]
+    outside[1][2] = Fraction(1, 1000)
     with pytest.raises(OrientationError, match="does not lie in the kernel"):
         fiber_orientation_sign(prob, outside)
 
@@ -357,11 +354,11 @@ _LINE = ([[1, 0]], [[1]], 2, 1, 1)
 
 
 @pytest.mark.parametrize("problem, candidate, error, message", [
-    (([[1, 0], [0, 0]], [[0], [0]], 2, 1, 2), [[1], [0], [0]],
+    (([[1, 0], [0, 0]], [[0], [0]], 2, 1, 2), [[1, 0, 0]],
      TransversalityError, "not surjective"),
-    (_LINE, [[1, 1], [0, 0], [0, 0]], OrientationError, "does not span"),
-    (_LINE, [[1, 1], [0, 0], [1, 1]], OrientationError, "does not span"),
-    (([], [], 2, 1, 0), [[1, 1, 0], [0, 0, 0], [0, 0, 1]],
+    (_LINE, [[1, 0, 0], [1, 0, 0]], OrientationError, "does not span"),
+    (_LINE, [[1, 0, 1], [1, 0, 1]], OrientationError, "does not span"),
+    (([], [], 2, 1, 0), [[1, 0, 0], [1, 0, 0], [0, 0, 1]],
      OrientationError, "does not span"),
 ], ids=["non-surjective-bad-candidate", "rank-deficient-outside-kernel",
         "rank-deficient-inside-kernel", "point-target-rank-deficient"])
@@ -395,9 +392,10 @@ def test_transpose_complement_matches_right_inverse(seed, data):
     assume(det_bareiss(mix) != 0)
     scales = data.draw(st.lists(NONZERO, min_size=d, max_size=d))
     cand = [[sum(kernel[t][i] * mix[t][j] for t in range(d)) * scales[j]
-             for j in range(d)] for i in range(n)]
-    j = right_inverse(combined) if dim_x else [[] for _ in range(n)]
-    expected = (sign_of(det_bareiss([cand[i] + j[i] for i in range(n)]))
+             for i in range(n)] for j in range(d)]
+    inverse = right_inverse(combined) if dim_x else [[] for _ in range(n)]
+    expected = (sign_of(det_bareiss([[v[i] for v in cand] + inverse[i]
+                                     for i in range(n)]))
                 * prob.space_m.sign * prob.space_g.sign * prob.space_x.sign)
     assert fiber_orientation_sign(prob, cand) == expected
 
@@ -448,28 +446,63 @@ def test_echelon_sign_matches_the_full_determinant(shape, seed, data):
     mix_det = det_bareiss(mix)
     assume(mix_det != 0)
     cand = [[sum(kernel[t][i] * mix[t][j] for t in range(d))
-             for j in range(d)] for i in range(n)]
+             for i in range(n)] for j in range(d)]
     got = fiber_orientation_sign(prob, cand)
     assert got == reference_fiber_orientation_sign(prob, cand)
-    basis = linalg.columns_matrix(kernel) or [[] for _ in range(n)]
-    assert got == fiber_orientation_sign(prob, basis) * sign_of(mix_det)
+    assert got == fiber_orientation_sign(prob, kernel) * sign_of(mix_det)
     if not d:
         return
     i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, d - 1))
-    off = [row[:] for row in cand]
-    off[i][j] += data.draw(NONZERO) / 1000
+    off = [v[:] for v in cand]
+    off[j][i] += data.draw(NONZERO) / 1000
     refused = _outcome(fiber_orientation_sign, prob, off)
     assert refused == _outcome(reference_fiber_orientation_sign, prob, off)
     if any(row[i] for row in combined_map(prob)):
         assert refused in ("candidate does not lie in the kernel",
                            "candidate does not span the kernel")
     scale = data.draw(st.integers(-2, 2))
-    flat = [row[:] for row in cand]
-    for row in flat:
-        row[j] = scale * row[(j + 1) % d] if d > 1 else 0
+    flat = [v[:] for v in cand]
+    flat[j] = [scale * x for x in cand[(j + 1) % d]] if d > 1 else [0] * n
     assert _outcome(fiber_orientation_sign, prob, flat) \
         == _outcome(reference_fiber_orientation_sign, prob, flat) \
         == "candidate does not span the kernel"
+
+
+@pytest.mark.parametrize("shape", ["rigid", "point-target", "any"])
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_a_candidate_is_fiber_dim_vectors(shape, seed):
+    """A candidate is d vectors of length n, the form of kernel(), with
+    d = fiber_dim and n = dim M + dim G.  Where d != n the column form
+    of the kernel basis (n rows of d entries) is refused as the wrong
+    shape, never given a sign.  Where d = n (X a point, A with no rows)
+    both forms pass the shape check, and a random invertible candidate
+    and its transpose get the same sign, that of det C = det C^T.  The
+    reference takes the same vectors and reads det[C | A^T] off the
+    matrix it assembles, as this test does."""
+    rng = make_rng(seed)
+    prob = _fiber_problem_of_shape(rng, shape)
+    assume(prob.surjective)
+    n = prob.space_m.dim + prob.space_g.dim
+    d = prob.fiber_dim
+    signs = prob.space_m.sign * prob.space_g.sign * prob.space_x.sign
+    if d == n:
+        cand = rand_matrix(rng, n, n)
+        assume(det_bareiss(cand) != 0)
+        candidates = [cand, transpose(cand)]
+    else:
+        kernel = prob.kernel()
+        columns = [[v[i] for v in kernel] for i in range(n)]
+        with pytest.raises(OrientationError, match="wrong shape"):
+            fiber_orientation_sign(prob, columns)
+        candidates = [kernel]
+    a = combined_map(prob)
+    for cand in candidates:
+        expected = signs * sign_of(det_bareiss(
+            [[v[i] for v in cand] + [row[i] for row in a] for i in range(n)]))
+        assert fiber_orientation_sign(prob, cand) \
+            == reference_fiber_orientation_sign(prob, cand) == expected
+    assert len({fiber_orientation_sign(prob, c) for c in candidates}) == 1
 
 
 def test_fiber_consistent_with_ses_sign():
@@ -487,8 +520,8 @@ def test_fiber_consistent_with_ses_sign():
         )
         if n == 0:
             continue
-        kmat = linalg.columns_matrix(vecs)
-        got = fiber_orientation_sign(prob, kmat if vecs else [[] for _ in range(n)])
+        kmat = transpose(vecs) or [[] for _ in range(n)]
+        got = fiber_orientation_sign(prob, vecs)
         if dim_x:
             j = right_inverse(combined)
             middle_sign = prob.space_m.sign * prob.space_g.sign
@@ -497,13 +530,13 @@ def test_fiber_consistent_with_ses_sign():
                 OrientedSpace(n, middle_sign),
                 OrientedSpace(dim_x, prob.space_x.sign),
                 j,
-                inclusion=kmat if vecs else [[] for _ in range(n)],
+                inclusion=kmat,
             )
         else:
             # a 0-dimensional X is a signed point and still twists
             ses = (
                 prob.space_m.sign * prob.space_g.sign * prob.space_x.sign
-                * sign_of(det_bareiss(kmat))
+                * sign_of(det_bareiss(vecs))
             )
         assert got == ses
 
