@@ -33,8 +33,10 @@ once:
   sum of the point-dropped degree invariants is added.
 
 `assemble_chain` says why both readings are exact.  The test suite
-keeps the separate walks (through an extra point, and weighted) as
-oracles, and checks the invariants against each other and against the
+keeps its own class listing as the oracle: it filters the full class
+list of a direct enumerator and evaluates each class with its own sign
+bookkeeping, once for alpha and once per point as an extra constraint.
+It also checks the invariants against each other and against the
 direct linking-weighted configuration count.
 """
 
@@ -68,14 +70,16 @@ class BoundingChain:
     the two invariants of the tuple read off the same class walk.
 
     boundary: sorted tuple of (loop id, coefficient); empty for tuples
-    that carry no rigid disks.
+    that carry no rigid disks.  The coefficient of a loop is the sum,
+    over the classes whose center disk bounds it, of sgn(center disk) *
+    (-1)^(point parts) * prod over slot chains of lk(loop, chain).
     degrees: (point, degree invariant of alpha without the point,
     through that point) pairs, by increasing point.
     weighted: the weighted-type invariant of alpha.
 
-    A chain also keeps {loop: `_chain_linking` of the loop with it},
-    filled the first time a class links the loop with it, so each
-    (loop, chain) pair of a `build_chains` run is summed once.  The
+    A chain also keeps {loop: lk(loop, its boundary)}, filled by
+    `_chain_linking` the first time a class links the loop with it, so
+    each (loop, chain) pair of a `build_chains` run is summed once.  The
     linking numbers are those of the atom table the chain was built
     from; they are not part of the chain's value.
     """
@@ -99,36 +103,26 @@ class BoundingChain:
 
 
 def _chain_linking(loop, chain, links):
-    """lk of a loop against a chain boundary multiset, extended linearly."""
-    total = Fraction(0)
-    for other, coeff in chain.boundary:
-        total = total + coeff * links.lk(loop, other)
-    return total
+    """lk of a loop against a chain's boundary multiset, extended
+    linearly, summed the first time the chain is asked for the loop."""
+    known = chain._linking
+    value = known.get(loop)
+    if value is None:
+        value = known[loop] = sum(
+            (coeff * links.lk(loop, other) for other, coeff in chain.boundary),
+            Fraction(0))
+    return value
 
 
-def divisor_covering_degree(loop, chain_list, links):
-    """Covering degree absorbing codimension-1 boundary insertions:
-    (-1)^(number of insertions) * product of chain linking numbers."""
-    product = Fraction(1)
-    for chain in chain_list:
-        known = chain._linking
-        value = known.get(loop)
-        if value is None:
-            value = known[loop] = _chain_linking(loop, chain, links)
-        product = product * value
-    return product if len(chain_list) % 2 == 0 else -product
+def _class_sign(eta):
+    """The sign of a class, (-1)^(point parts).
 
-
-def _class_sign(part_count):
-    """The class-level sign, (-1)^(part count).
-
-    The derivation stacks three separate (-1)^(part count) factors (the
-    unordered regrouping, the flip rule, the reassociation rule), whose
-    product is (-1)^(part count); the divisor trade's own
-    (-1)^(chain slots) lives inside divisor_covering_degree, and
-    together they reduce to (-1)^(point parts).
+    The derivation stacks three (-1)^(part count) factors (the unordered
+    regrouping, the flip rule, the reassociation rule) and the divisor
+    trade's (-1)^(chain slots); a part is a bare point or fills a slot,
+    so together they reduce to (-1)^(point parts).
     """
-    return -1 if part_count % 2 else 1
+    return -1 if len(eta.point_labels()) % 2 else 1
 
 
 def _live_parts(alpha, chains, target):
@@ -153,49 +147,6 @@ def _center_triples(table):
     return [(c.beta, c.points, c.descriptors) for c in table.tuples()]
 
 
-def _class_contribution(eta, center, chains, table):
-    """{loop: coefficient} of one class whose center tuple is `center`:
-    per rigid center disk, its sign times the class sign times the
-    divisor-rule count of the slot chains, zeros dropped."""
-    slot_chains = [chains[eta.parts[i]] for i in eta.chain_slots()]
-    sign = _class_sign(eta.part_count)
-    # the divisor trade itself contributes (-1)^(chain slots), which
-    # divisor_covering_degree already carries
-    contribution = {}
-    for atom in table.single_disks(center):
-        value = divisor_covering_degree(atom.loop, slot_chains, table.links)
-        if atom.sign * sign < 0:
-            value = -value
-        if value != 0:
-            contribution[atom.loop] = (
-                contribution.get(atom.loop, Fraction(0)) + value
-            )
-    return {k: v for k, v in contribution.items() if v != 0}
-
-
-def boundary_class_terms(alpha, chains, table, target):
-    """Per-class contributions to the boundary multiset of alpha.
-
-    Returns a list of (canonical splitting, {loop: coefficient}) for
-    every degeneration class with a nonzero evaluation rule.
-
-    Only classes that can contribute are generated: the center carries
-    a rigid disk (so its degree is nonzero; constant central disks are
-    killed by the interior constraints or cancel in sign pairs between
-    marked-point orderings) and every non-point part has a chain with
-    nonempty boundary.
-    """
-    out = []
-    for eta, _count in target.classes_through(
-        alpha, _center_triples(table), _live_parts(alpha, chains, target),
-    ):
-        contribution = _class_contribution(eta, eta.center_tuple(), chains,
-                                           table)
-        if contribution:
-            out.append((eta, contribution))
-    return out
-
-
 def splitting_weight(part_count):
     """The splitting weight: 1 at no parts, else 1/parts - 1/2."""
     if part_count == 0:
@@ -206,8 +157,17 @@ def splitting_weight(part_count):
 def assemble_chain(alpha, chains, table, target):
     """The chain of a dimension-0 tuple: its boundary multiset, its
     point-dropped degree invariants and its weighted invariant, from one
-    walk over `boundary_class_terms(alpha, ...)`.  `chains` must hold
-    the chains of alpha's dimension-0 predecessors.
+    walk over the classes of alpha that can contribute.  `chains` must
+    hold the chains of alpha's dimension-0 predecessors.
+
+    Only those classes are generated: the center is a table tuple, so it
+    carries a rigid disk (constant central disks are killed by the
+    interior constraints or cancel in sign pairs between marked-point
+    orderings), and every non-point part has a chain with nonempty
+    boundary.  Each rigid center disk of a class adds its class total,
+    sgn(disk) * (-1)^(point parts) * prod over the slot chains of
+    lk(disk loop, chain), to the disk's loop; the class total is the sum
+    over its center disks.
 
     Why one walk is exact.  The degree invariant of alpha without p,
     through p, walks the classes of alpha without p whose centers are
@@ -218,14 +178,15 @@ def assemble_chain(alpha, chains, table, target):
     tuple, hence its rigid disks, are the same.  Every center has
     nonzero degree (an atom of zero degree is refused), so the excluded
     splitting, a trivial center with one part, is on neither side.  The
-    part count rises by one, so the class sign flips, and that flip
+    point parts rise by one, so the class sign flips, and that flip
     cancels the minus.  So the degree invariant through p is the sum of
     alpha's class totals over the classes with p among their point
     parts.
 
     The weighted invariant's class terms are the same class totals:
-    each class's fiber count is evaluated through the divisor-trade
-    rule on the declared rigid disks, and its sign already carries
+    a class total is (-1)^(parts) times the class's fiber count through
+    the divisor-trade rule on the declared rigid disks, sgn(disk) *
+    (-1)^(slots) * prod lk, so it already carries the weight's
     (-1)^(parts).  Multiplicity bookkeeping: the raw sum ranges over
     ordered splittings whose center moduli carry position-ordered
     boundary points.  A rigid center configuration with k constrained
@@ -240,14 +201,22 @@ def assemble_chain(alpha, chains, table, target):
         raise ChainError(
             "boundary assembly needs a dimension-0 tuple, got dimension %d" % dim
         )
+    links = table.links
     boundary = {}
     degrees = dict.fromkeys(sorted(alpha.points), Fraction(0))
     by_parts = {}  # part count -> the sum of its class totals
-    for eta, contribution in boundary_class_terms(alpha, chains, table,
-                                                  target):
-        total = sum(contribution.values())
-        for loop, value in contribution.items():
-            boundary[loop] = boundary.get(loop, Fraction(0)) + value
+    for eta, _count in target.classes_through(
+        alpha, _center_triples(table), _live_parts(alpha, chains, target),
+    ):
+        slots = [chains[eta.parts[i]] for i in eta.chain_slots()]
+        sign = _class_sign(eta)
+        total = Fraction(0)
+        for atom in table.single_disks(eta.center_tuple()):
+            value = Fraction(sign * atom.sign)
+            for chain in slots:
+                value *= _chain_linking(atom.loop, chain, links)
+            boundary[atom.loop] = boundary.get(atom.loop, 0) + value
+            total += value
         for p in eta.point_labels():
             degrees[p] += total
         k = eta.part_count

@@ -202,11 +202,14 @@ class Reporter:
 # --- pipeline pieces ----------------------------------------------------------
 
 
-def _tally(rep, name, bad, summary, failure="mismatch at"):
-    """PASS with the summary when nothing is bad, else FAIL naming the
-    first bad tuple."""
-    rep.check(name, "PASS" if not bad else "FAIL",
-              summary if not bad else "%s %s" % (failure, bad[0].label()))
+def _tally(rep, name, bad, checked, summary, failure="mismatch at"):
+    """FAIL naming the first bad tuple; else PASS with the summary, or
+    SKIP with it when `checked`, the count the summary opens with, is 0:
+    a check that compared nothing does not pass."""
+    if bad:
+        rep.check(name, "FAIL", "%s %s" % (failure, bad[0].label()))
+    else:
+        rep.check(name, "PASS" if checked else "SKIP", summary)
 
 
 def run_tuples(bundle, atom_bundle, config, rep):
@@ -272,7 +275,7 @@ def run_class_listing(bundle, atom_bundle, counts, rep):
               class_rows())
     _tally(rep, "class-count-identity",
            [alpha for alpha, tally in tallies if tally != counts[alpha]],
-           "%d tuples, %d classes listed"
+           len(tallies), "%d tuples, %d classes listed"
            % (len(tallies), sum(c for _, (c, _) in tallies)))
 
 
@@ -423,7 +426,7 @@ def run_verify_all(bundle, atom_bundle, closed, seeds, config, rep):
         # the stored boundary is the recursion side of the identity
         bad = [alpha for alpha, chain in chains.items()
                if dict(chain.boundary) != direct_boundary(alpha, table, target)]
-        _tally(rep, "boundary-recursion-identity", bad,
+        _tally(rep, "boundary-recursion-identity", bad, len(chains),
                "%d tuples compared" % len(chains))
         relation_bad = []
         relation_checked = 0
@@ -434,7 +437,7 @@ def run_verify_all(bundle, atom_bundle, closed, seeds, config, rep):
                                                    counts[alpha]):
                     relation_bad.append(alpha)
         _tally(rep, "welschinger-sign-relation", relation_bad,
-               "%d (tuple, point) pairs" % relation_checked)
+               relation_checked, "%d (tuple, point) pairs" % relation_checked)
         weighted_bad = []
         weighted_checked = 0
         for top in atom_bundle.tuples:
@@ -459,15 +462,15 @@ def run_verify_all(bundle, atom_bundle, closed, seeds, config, rep):
                 weighted_bad.append(top)
         else:
             _tally(rep, "weighted-degree-comparison", weighted_bad,
-                   "%d tuples compared" % weighted_checked)
+                   weighted_checked, "%d tuples compared" % weighted_checked)
         keys = SplittingKeys(target)
         bijection = {alpha: branch_bijection_failures(alpha, table, target,
                                                       keys)
                      for alpha in chains}
+        decorated = sum(count for _, count in bijection.values())
         _tally(rep, "branch-bijection",
                [alpha for alpha, (failed, _) in bijection.items() if failed],
-               "%d decorated configurations"
-               % sum(count for _, count in bijection.values()))
+               decorated, "%d decorated configurations" % decorated)
         if atom_bundle.involution is not None:
             # an orbit is every top with the same point and descriptor
             # labels: the involution moves degrees, never labels
@@ -479,7 +482,7 @@ def run_verify_all(bundle, atom_bundle, closed, seeds, config, rep):
                 orbit[0] for orbit in orbits.values()
                 if not conjugation_cancellation_check(
                     orbit, table, atom_bundle.involution).cancels]
-            _tally(rep, "conjugation-cancellation", cancel_bad,
+            _tally(rep, "conjugation-cancellation", cancel_bad, len(orbits),
                    "%d orbits" % len(orbits), "nonzero at")
         else:
             rep.check("conjugation-cancellation", "SKIP",

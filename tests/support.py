@@ -19,11 +19,12 @@ configurations and the branch-bijection check run one of them at a time
 census bucket and configuration, and lists none), the census of cut
 shapes with every tree cut at every center by its own walk (the
 reference for the census, which cuts a tree at all centers from one
-rooted walk), the degree invariant
-through an extra point and the weighted invariant, each by its own walk
-over the classes (the references for the invariants a chain carries,
-which `bounding_chain.assemble_chain` reads off the chain's one walk),
-the open WDVV relation forms built term by term, with their own
+rooted walk), the class listing of a tuple, alone or through an extra
+point, filtered from the direct enumerator's full list and evaluated
+class by class with its own sign bookkeeping, and the boundary, the
+degree invariant and the weighted invariant summed from it (the
+references for a chain's values, which `bounding_chain.assemble_chain`
+sums as it walks the live classes), the open WDVV relation forms built term by term, with their own
 `LinForm` arithmetic, to cross-check
 `wdvv1_form` and `wdvv2_form`, and the open WDVV solver that rebuilds a
 deferred form from scratch (the reference for `solve_wdvv`, which
@@ -48,6 +49,7 @@ import itertools
 import math
 import os
 import random
+import weakref
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -1006,56 +1008,96 @@ def reference_census(m):
 # --- the chain invariants, each by its own walk ----------------------------
 
 
-def point_class_terms(alpha, chains, table, target, point):
-    """The class terms of alpha through one extra point constraint: the
-    classes of alpha whose centers are the table tuples through `point`,
-    with the point removed, each evaluated as
-    `bounding_chain.boundary_class_terms` evaluates a class, with the
-    point put back on its center."""
-    from opengw import bounding_chain
+_FULL_CLASSES = weakref.WeakKeyDictionary()
+
+
+def full_class_list(target, alpha):
+    """`direct_degeneration_classes(target, alpha)`, kept per target and
+    tuple while the target lives."""
+    known = _FULL_CLASSES.setdefault(target, {})
+    if alpha not in known:
+        known[alpha] = direct_degeneration_classes(target, alpha)
+    return known[alpha]
+
+
+def reference_class_terms(alpha, chains, table, target, point=None):
+    """The classes of alpha that add to its chain, as (class, {loop:
+    coefficient}) pairs with zeros dropped; the listing oracle for
+    `bounding_chain.assemble_chain`, which sums the same classes as it
+    walks them and lists none.
+
+    The classes are the full list of `direct_degeneration_classes`
+    (through `full_class_list`), filtered to a center of nonzero degree
+    and non-point parts whose chains have nonempty boundary.  Each rigid
+    disk of a class's center tuple adds sgn(disk) * (-1)^(parts) * (-1)^(slots) times the product
+    over the slot chains of sum coeff * lk(disk loop, loop) over the
+    chain's boundary: the class sign and the divisor trade's sign, each
+    kept on its own.  With `point`, the classes of alpha through `point`
+    as one extra constraint: the point is put back on every center.
+    """
     from opengw.lattice import ConstraintTuple
 
-    assert point not in alpha.points, (alpha, point)
-    centers = [(c.beta, c.points - {point}, c.descriptors)
-               for c in table.tuples() if point in c.points]
+    extra = frozenset() if point is None else frozenset([point])
+    assert not extra & alpha.points, (alpha, point)
+    links = table.links
     out = []
-    for eta, _count in target.classes_through(
-        alpha, centers, bounding_chain._live_parts(alpha, chains, target)
-    ):
+    for eta, _count in full_class_list(target, alpha):
+        slots = [chains.get(part) for part in eta.parts
+                 if not part.is_point_tuple()]
+        if eta.center_degree.is_zero or not all(
+                chain is not None and chain.boundary for chain in slots):
+            continue
         center = ConstraintTuple(eta.center_degree,
-                                 eta.point_labels() | {point},
+                                 eta.point_labels() | extra,
                                  eta.center_descriptors)
-        contribution = bounding_chain._class_contribution(eta, center,
-                                                          chains, table)
+        sign = (-1) ** eta.part_count * (-1) ** len(slots)
+        contribution = {}
+        for atom in table.single_disks(center):
+            value = Fraction(sign * atom.sign)
+            for chain in slots:
+                value *= sum((coeff * links.lk(atom.loop, other)
+                              for other, coeff in chain.boundary), Fraction(0))
+            contribution[atom.loop] = contribution.get(atom.loop, 0) + value
+        contribution = {loop: v for loop, v in contribution.items() if v}
         if contribution:
             out.append((eta, contribution))
     return out
 
 
+def reference_boundary(terms):
+    """The boundary multiset, {loop: coefficient}, that a list of
+    `reference_class_terms` sums to."""
+    total = Counter()
+    for _eta, contribution in terms:
+        total.update(contribution)
+    return {loop: v for loop, v in total.items() if v}
+
+
 def reference_degree_invariant(alpha, table, target, point, chains):
     """The degree invariant of a dimension-2 tuple through one extra
-    point, by its own walk: minus the total of `point_class_terms`.  The
-    oracle for the `degrees` of the chain of alpha with the point."""
+    point: minus the total of its `reference_class_terms` through the
+    point.  The oracle for the `degrees` of the chain of alpha with the
+    point."""
     assert target.dimension(alpha) == 2, alpha
     return -sum((sum(contribution.values()) for _, contribution in
-                 point_class_terms(alpha, chains, table, target, point)),
+                 reference_class_terms(alpha, chains, table, target, point)),
                 Fraction(0))
 
 
 def reference_weighted_invariant(alpha, table, target, chains):
-    """The weighted invariant of a dimension-0 tuple, by its own walk:
-    each class total of `boundary_class_terms` times s(k) * max(k, 1),
-    plus half the `reference_degree_invariant` of each point drop.  The
-    oracle for the chain's `weighted`."""
-    from opengw import bounding_chain
+    """The weighted invariant of a dimension-0 tuple: each class total of
+    `reference_class_terms` times s(k) * max(k, 1), k its part count and
+    s(k) = 1/k - 1/2 (s(0) = 1), plus half the
+    `reference_degree_invariant` of each point drop.  The oracle for the
+    chain's `weighted`."""
     from opengw.lattice import ConstraintTuple
 
     total = Fraction(0)
-    for eta, contribution in bounding_chain.boundary_class_terms(
-            alpha, chains, table, target):
+    for eta, contribution in reference_class_terms(alpha, chains, table,
+                                                   target):
         k = eta.part_count
-        total += (bounding_chain.splitting_weight(k) * max(k, 1)
-                  * sum(contribution.values()))
+        weight = Fraction(1, k) - Fraction(1, 2) if k else Fraction(1)
+        total += weight * max(k, 1) * sum(contribution.values())
     for p in alpha.points:
         dropped = ConstraintTuple(alpha.beta, alpha.points - {p},
                                   alpha.descriptors)

@@ -11,17 +11,16 @@ from hypothesis import given, settings, strategies as st
 from opengw import bounding_chain
 from opengw.bounding_chain import (
     BoundingChain,
+    _chain_linking,
     ChainError,
     Decorated,
     SplittingKeys,
     assemble_chain,
-    boundary_class_terms,
     branch_bijection_failures,
     build_chains,
     chain_tuples,
     constant_center_classes,
     direct_boundary,
-    divisor_covering_degree,
     from_branches,
     splitting_weight,
     verify_welschinger_relation,
@@ -36,7 +35,6 @@ from opengw.multidisk import (
 
 from support import (
     branch_decompositions,
-    class_key,
     configuration_count,
     cut_decorated,
     cut_shape,
@@ -46,7 +44,9 @@ from support import (
     loop_decorated_multidisks,
     make_rng,
     reference_branch_bijection_failures,
+    reference_boundary,
     reference_census,
+    reference_class_terms,
     reference_degree_invariant,
     reference_weighted_invariant,
     splitting_of,
@@ -158,42 +158,47 @@ def test_flagship_boundary_identity_randomized():
             assert lhs == rhs, (seed, alpha)
 
 
-def _unsigned_classes(part_count):
-    """The class sign with its (-1)^(part count) dropped: flipped for odd
-    part counts."""
+def _unsigned_classes(eta):
+    """The class sign with its (-1)^(point parts) dropped: flipped for an
+    odd number of point parts."""
     return 1
 
 
+def _point_parity(eta):
+    """(-1)^(point parts), the factor `_unsigned_classes` moves a class
+    by."""
+    return -1 if len(eta.point_labels()) % 2 else 1
+
+
 def test_sign_toggle_moves_class_terms_by_predicted_sign(monkeypatch):
-    """Dropping the class sign multiplies each class contribution by
-    (-1)^(part count), on the worked example (two-part classes only) and
-    on a random instance with odd part counts."""
+    """Dropping the class sign while the top chain is assembled moves
+    each class term of its boundary by (-1)^(point parts): the flipped
+    boundary is the listing oracle's terms, each times that factor.  On
+    the worked example (two point parts or one, against one slot) and
+    on a random instance with classes of both parities."""
     instances = [small_instance(), synthetic_instance(
         make_rng(16000), n_points=1, n_quartic=1
     )]
     odd = 0
     for t, table, top in instances:
         chains = build_chains([top], table, t)
-        base = boundary_class_terms(top, chains, table, t)
+        terms = reference_class_terms(top, chains, table, t)
+        assert dict(chains[top].boundary) == reference_boundary(terms)
+        moved = [(eta, {loop: _point_parity(eta) * v
+                        for loop, v in contrib.items()})
+                 for eta, contrib in terms]
+        odd += sum(_point_parity(eta) < 0 for eta, _ in terms)
         with monkeypatch.context() as patch:
             patch.setattr(bounding_chain, "_class_sign", _unsigned_classes)
-            flipped = dict(
-                (class_key(eta), contrib)
-                for eta, contrib in boundary_class_terms(top, chains, table, t)
-            )
-        assert flipped.keys() == {class_key(eta) for eta, _ in base}
-        for eta, contrib in base:
-            factor = -1 if eta.part_count % 2 else 1
-            odd += factor < 0
-            assert flipped[class_key(eta)] == {
-                k: factor * v for k, v in contrib.items()
-            }
+            flipped = assemble_chain(top, chains, table, t)
+        assert dict(flipped.boundary) == reference_boundary(moved)
+        assert flipped.boundary != chains[top].boundary
     assert odd
 
 
 def test_class_sign_flip_breaks_the_boundary_identity(monkeypatch):
-    """Negative control: with the class sign flipped for odd part
-    counts while the family is built, the recursion side differs from
+    """Negative control: with the class sign flipped for odd numbers of
+    point parts while the family is built, the recursion side differs from
     the direct multi-disk side on some tuple of some random instance, so
     the identity above sees the sign."""
     monkeypatch.setattr(bounding_chain, "_class_sign", _unsigned_classes)
@@ -245,55 +250,67 @@ def test_missing_predecessor_chain_raises():
         assemble_chain(top, chains, table, t)
 
 
-# --- divisor covering degree -------------------------------------------------
+# --- linking a loop with a chain ------------------------------------------
 
 
-def test_divisor_covering_degree_values():
+def test_chain_linking_values():
+    """lk of a loop against a chain's boundary, extended linearly, and
+    kept on the chain once summed."""
     t, table, _ = small_instance()
     alpha_q = t.constraint_tuple((1,), ["q"])
     chains = build_chains([t.constraint_tuple((2,), ["p", "q"])], table, t)
-    # empty insertion list: the empty product, degree +1
-    assert divisor_covering_degree("a1", [], table.links) == 1
-    # one insertion with chain boundary {b1: -1} against lk(a1, b1) = 2:
-    # (-1)^1 * (-1 * 2) = +2
-    assert divisor_covering_degree("a1", [chains[alpha_q]], table.links) == 2
-    # three insertions of linking value 2 each: (-1)^3 * 2 * 2 * 2 = -8
-    fake = BoundingChain(alpha_q, (("b1", Fraction(1)),), (), Fraction(0))
-    assert divisor_covering_degree("a1", [fake, fake, fake], table.links) == -8
+    # boundary(g, {q}) = {b1: -1} against lk(a1, b1) = 2
+    assert _chain_linking("a1", chains[alpha_q], table.links) == -2
+    assert chains[alpha_q]._linking["a1"] == -2
+    # boundary {b1: 1, a2: 2} against lk(a1, b1) = 2 and lk(a1, a2) = 1
+    fake = BoundingChain(alpha_q, (("a2", Fraction(2)), ("b1", Fraction(1))),
+                         (), Fraction(0))
+    assert _chain_linking("a1", fake, table.links) == 4
+    # an empty boundary links with nothing
+    empty = BoundingChain(alpha_q, (), (), Fraction(0))
+    assert _chain_linking("a1", empty, table.links) == 0
 
 
-def test_divisor_covering_degree_missing_linking_data():
+def test_chain_linking_missing_linking_data():
     t, table, _ = small_instance()
     alpha_q = t.constraint_tuple((1,), ["q"])
     fake = BoundingChain(alpha_q, (("zz", Fraction(1)),), (), Fraction(0))
     from opengw.multidisk import LinkingError
 
     with pytest.raises(LinkingError):
-        divisor_covering_degree("a1", [fake], table.links)
+        _chain_linking("a1", fake, table.links)
 
 
 @pytest.mark.parametrize("rank", [1, 2])
 def test_each_loop_is_linked_with_each_chain_once(monkeypatch, rank):
     """build_chains sums the linking number of a (loop, chain) pair once,
-    however many classes link that loop with that chain."""
-    real = bounding_chain._chain_linking
-    divisor = bounding_chain.divisor_covering_degree
-    sums, uses = [], []
+    however many classes link that loop with that chain: the pairs asked
+    for repeat, but the linking numbers read are one pass over the
+    boundary of each chain per pair kept."""
+    link = bounding_chain._chain_linking
+    uses = []
 
     def counted(loop, chain, links):
-        sums.append((loop, chain.alpha))
-        return real(loop, chain, links)
-
-    def slots(loop, chain_list, links):
-        uses.extend((loop, chain.alpha) for chain in chain_list)
-        return divisor(loop, chain_list, links)
+        uses.append((loop, chain.alpha))
+        return link(loop, chain, links)
 
     monkeypatch.setattr(bounding_chain, "_chain_linking", counted)
-    monkeypatch.setattr(bounding_chain, "divisor_covering_degree", slots)
     target, table, top = synthetic_instance(make_rng(3), n_points=3,
                                             rank=rank)
-    build_chains([top], table, target)
-    assert len(sums) == len(set(sums)) == len(set(uses)) < len(uses)
+    lk = table.links.lk
+    reads = []
+
+    def read(a, b):
+        reads.append((a, b))
+        return lk(a, b)
+
+    monkeypatch.setattr(table.links, "lk", read)
+    chains = build_chains([top], table, target)
+    kept = [(loop, alpha) for alpha, chain in chains.items()
+            for loop in chain._linking]
+    assert set(kept) == set(uses) and len(kept) == len(set(uses)) < len(uses)
+    assert len(reads) == sum(len(chains[alpha].boundary)
+                             for _, alpha in kept)
 
 
 # --- invariants ----------------------------------------------------------------
@@ -443,14 +460,19 @@ CHAIN_SHAPES = INSTANCE_SHAPES + ((3, 0, 0, 0), (3, 0, 0, 1))
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2 ** 32 - 1),
-       shape=st.sampled_from(CHAIN_SHAPES))
-def test_chain_invariants_match_the_separate_walks(seed, shape):
-    """Every chain's point-dropped degree invariants and weighted
-    invariant, read off its one class walk, equal the separate walks:
-    through each point as an extra constraint, and weighted."""
-    target, table, top = synthetic_instance(make_rng(seed), *shape)
+       shape=st.sampled_from(CHAIN_SHAPES), rank=st.sampled_from((1, 2)))
+def test_chain_invariants_match_the_separate_walks(seed, shape, rank):
+    """Every chain of the family, read off its one class walk, equals
+    the listing oracle, which walks the full class list on its own: per
+    (tuple, loop) in its boundary, per point in its degree invariants
+    (through the point as an extra constraint), and in its weighted
+    invariant.  Both lattice ranks."""
+    target, table, top = synthetic_instance(make_rng(seed), *shape,
+                                            rank=rank)
     chains = build_chains([top], table, target)
     for alpha, chain in chains.items():
+        assert dict(chain.boundary) == reference_boundary(
+            reference_class_terms(alpha, chains, table, target)), alpha
         assert [p for p, _ in chain.degrees] == sorted(alpha.points)
         for p, degree in chain.degrees:
             dropped = ConstraintTuple(alpha.beta, alpha.points - {p},
@@ -462,25 +484,27 @@ def test_chain_invariants_match_the_separate_walks(seed, shape):
 
 
 def test_weighted_invariant_forwards_sign_toggles(monkeypatch):
-    """Flipping the class sign for odd part counts while the top chain
-    is assembled moves each class term of its weighted sum, and of its
-    degree invariant, by (-1)^(part count).  The separate walk through
-    the extra point then disagrees by a sign: the one-walk reading of
-    the degree rests on the sign flipping with the part count."""
+    """Flipping the class sign for odd numbers of point parts while the
+    top chain is assembled moves each class term of its weighted sum,
+    and of its degree invariant, by (-1)^(point parts).  The separate
+    walk through the extra point then disagrees by a sign: the one-walk
+    reading of the degree rests on the sign flipping with the point
+    parts."""
     rng = make_rng(16000)
     target, table, top = synthetic_instance(rng, n_points=1, n_quartic=1)
     chains = build_chains([top], table, target)
     (p,) = top.points
     unmoved = moved = degree = Fraction(0)
-    for eta, contrib in boundary_class_terms(top, chains, table, target):
+    for eta, contrib in reference_class_terms(top, chains, table, target):
         k = eta.part_count
-        factor = -1 if k % 2 else 1
+        factor = _point_parity(eta)
         term = splitting_weight(k) * max(k, 1) * sum(contrib.values())
         unmoved += term
         moved += factor * term
         if p in eta.point_labels():
             degree += factor * sum(contrib.values())
-    # odd part counts carry weight here, so the flip is visible
+    # the classes through the point carry weight here, so the flip is
+    # visible
     assert moved != unmoved and degree != 0
     monkeypatch.setattr(bounding_chain, "_class_sign", _unsigned_classes)
     # the top's own walk under the flipped sign, over the unflipped family

@@ -205,6 +205,33 @@ def test_verify_all_on_bundled_toy(tmp_path):
     ] == TOY_VERIFY_ALL_SEED_3
 
 
+def test_a_check_that_compares_nothing_is_skipped(tmp_path):
+    """With one tuple of interest of dimension 2 the toy has no chain
+    tuple, no (tuple, point) pair, no dimension-0 top and no decorated
+    configuration: the four checks over them report SKIP with their
+    zero counts, never PASS, and the run still succeeds."""
+    doc = json.loads(open(toy_paths()["atoms"]).read())
+    doc["tuples_of_interest"] = [{"degree": [1], "points": ["p1"]}]
+    atoms = tmp_path / "atoms.json"
+    atoms.write_text(json.dumps(doc))
+    status, cfg = run_pipeline(tmp_path, "verify-all", atoms=str(atoms),
+                               closed_gw=None, seeds=None)
+    assert status == 0
+    summary = json.loads((tmp_path / "out" / "checks.json").read_text())
+    assert summary["ok"]
+    checks = {c["check"]: (c["status"], c["detail"])
+              for c in summary["checks"]}
+    assert {name: checks[name] for name in (
+        "boundary-recursion-identity", "welschinger-sign-relation",
+        "weighted-degree-comparison", "branch-bijection")} == {
+        "boundary-recursion-identity": ("SKIP", "0 tuples compared"),
+        "welschinger-sign-relation": ("SKIP", "0 (tuple, point) pairs"),
+        "weighted-degree-comparison": ("SKIP", "0 tuples compared"),
+        "branch-bijection": ("SKIP", "0 decorated configurations"),
+    }
+    assert checks["conjugation-cancellation"] == ("PASS", "1 orbits")
+
+
 # a wrong variant of each closed-form sign rule: the boundary-face rule
 # and the reassociation rule flip their sign when a dimension is odd,
 # and the flip rule forgets the target's diffeomorphism
@@ -444,17 +471,19 @@ def test_verify_all_walks_each_chain_tuples_classes_once(tmp_path,
     """The chains carry their invariants, so a toy verify-all walks the
     classes of each of its 7 chain tuples once: the boundary, the degree
     invariant of each (tuple, point) pair and the weighted invariant all
-    read that walk."""
+    read that walk, the one `classes_through` call of `assemble_chain`."""
     from opengw import bounding_chain
+    from opengw.lattice import Target
 
     walks = Counter()
-    walk = bounding_chain.boundary_class_terms
+    walk = Target.classes_through
 
-    def counted(alpha, *args, **kwargs):
-        walks[alpha] += 1
-        return walk(alpha, *args, **kwargs)
+    def counted(self, alpha, *args, **kwargs):
+        if sys._getframe(1).f_code is bounding_chain.assemble_chain.__code__:
+            walks[alpha] += 1
+        return walk(self, alpha, *args, **kwargs)
 
-    monkeypatch.setattr(bounding_chain, "boundary_class_terms", counted)
+    monkeypatch.setattr(Target, "classes_through", counted)
     status, cfg = run_pipeline(tmp_path, "verify-all", seed=3)
     assert status == 0
     bundle = fileio.load_target(toy_paths()["target"])

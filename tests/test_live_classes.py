@@ -1,28 +1,29 @@
 """Live-class generation against the full class list.
 
-`boundary_class_terms`, `constant_center_classes`, the class-level
-count of branch decompositions and the enumerated quotient side
+Chain assembly, `constant_center_classes`, the class-level count of
+branch decompositions and the enumerated quotient side
 `support.branch_decompositions` build only the degeneration classes
 that can contribute.  The oracles below apply the same filters to the
 full class list of the direct enumerator in `support` instead, and the
 routes must agree class by class on the toy, on a benchmark-sized
-synthetic instance and on random synthetic instances.
+synthetic instance and on random synthetic instances.  The chains'
+values must equal the listing oracle `support.reference_class_terms`,
+which evaluates each class of the full list on its own.
 """
 
 import itertools
 import os
 import random
 from collections import Counter
-from fractions import Fraction
 
 from opengw import fileio
 from opengw.bounding_chain import (
     SplittingKeys,
-    boundary_class_terms,
+    _center_triples,
+    _live_parts,
     branch_bijection_failures,
     build_chains,
     constant_center_classes,
-    divisor_covering_degree,
     splitting_weight,
 )
 from opengw.lattice import ConstraintTuple
@@ -32,10 +33,11 @@ from support import (
     benchmark_synth,
     branch_decompositions,
     dim0_subtuples,
-    direct_degeneration_classes,
+    full_class_list,
     loop_decorated_multidisks,
     make_rng,
-    point_class_terms,
+    reference_boundary,
+    reference_class_terms,
     synthetic_instance,
 )
 
@@ -55,33 +57,15 @@ def _full_slot_chains(eta, chains):
     return out
 
 
-def full_boundary_class_terms(alpha, chains, table, classes, extra_point=None):
-    out = []
-    for eta, _count in classes(alpha):
-        if eta.center_degree.is_zero:
-            continue
-        slot_chains = _full_slot_chains(eta, chains)
-        if slot_chains is None:
-            continue
-        pts = eta.point_labels()
-        if extra_point is not None:
-            pts = pts | {extra_point}
-        atoms = table.single_disks(
-            ConstraintTuple(eta.center_degree, pts, eta.center_descriptors)
-        )
-        odd = eta.part_count % 2  # the class sign (-1)^(part count)
-        contribution = {}
-        for atom in atoms:
-            value = divisor_covering_degree(atom.loop, slot_chains, table.links)
-            if (atom.sign < 0) != odd:
-                value = -value
-            contribution[atom.loop] = (
-                contribution.get(atom.loop, Fraction(0)) + value
-            )
-        contribution = {k: v for k, v in contribution.items() if v != 0}
-        if contribution:
-            out.append((eta, contribution))
-    return out
+def full_chain_classes(alpha, chains, table, classes):
+    """The classes a chain's walk visits: a table tuple as center, and
+    every non-point part a chain with nonempty boundary."""
+    centers = set(table.tuples())
+    return [
+        (eta, count) for eta, count in classes(alpha)
+        if eta.center_tuple() in centers
+        and _full_slot_chains(eta, chains) is not None
+    ]
 
 
 def full_constant_center_classes(alpha, chains, classes):
@@ -126,26 +110,27 @@ def full_branch_decompositions(alpha, table, classes):
 
 def assert_live_routes_match(target, table, top, label):
     """Compare every live-class consumer with its full-list oracle on the
-    dimension-0 tuples below top and their point-dropped tuples: the
-    chains' degree invariants and the extra-point walk of `support` with
-    the class terms through the extra point.  Returns how many items
-    each route produced, so that callers can check the comparison was
-    not vacuous."""
+    dimension-0 tuples below top: the classes each chain's walk visits,
+    and the chain's boundary and degree invariants against the class
+    terms of the listing oracle, through each point for the degrees.
+    Returns how many items each route produced, so that callers can
+    check the comparison was not vacuous."""
     chains = build_chains([top], table, target)
-    full = {}
 
     def classes(alpha):
-        if alpha not in full:
-            full[alpha] = direct_degeneration_classes(target, alpha)
-        return full[alpha]
+        return full_class_list(target, alpha)
 
     seen = Counter()
     worklist = dim0_subtuples(target, table, top)
     for alpha in worklist:
-        terms = boundary_class_terms(alpha, chains, table, target)
-        assert terms == full_boundary_class_terms(
-            alpha, chains, table, classes
-        ), (label, alpha)
+        walked = list(target.classes_through(
+            alpha, _center_triples(table), _live_parts(alpha, chains, target)))
+        assert walked == full_chain_classes(alpha, chains, table, classes), \
+            (label, alpha)
+        chain = chains[alpha]
+        terms = reference_class_terms(alpha, chains, table, target)
+        assert dict(chain.boundary) == reference_boundary(terms), \
+            (label, alpha)
         constant = constant_center_classes(alpha, chains, table, target)
         assert constant == full_constant_center_classes(
             alpha, chains, classes
@@ -160,15 +145,11 @@ def assert_live_routes_match(target, table, top, label):
         seen["terms"] += len(terms)
         seen["constant"] += len(constant)
         seen["branches"] += len(decompositions)
-        for p, degree in chains[alpha].degrees:
+        for p, degree in chain.degrees:
             dropped = ConstraintTuple(
                 alpha.beta, alpha.points - {p}, alpha.descriptors
             )
-            terms = full_boundary_class_terms(
-                dropped, chains, table, classes, extra_point=p
-            )
-            assert point_class_terms(dropped, chains, table, target, p) \
-                == terms, (label, alpha, p)
+            terms = reference_class_terms(dropped, chains, table, target, p)
             assert degree == -sum(sum(contribution.values())
                                   for _, contribution in terms), \
                 (label, alpha, p)

@@ -327,11 +327,14 @@ def test_fiber_rejects_non_transverse():
 
 
 def test_fiber_rejects_non_kernel_candidate():
+    # two independent vectors of the right shape; ker[-1, 0, 1] misses
+    # (1, 0, 0), so the in-kernel test refuses them, not the shape check
     df = [[Fraction(1), Fraction(0)]]
     dg = [[Fraction(1)]]
     prob = LinearFiberProblem.build(df, dg, 2, 1, 1)
-    bad = [[Fraction(1)], [Fraction(0)], [Fraction(0)]]
-    with pytest.raises(OrientationError):
+    bad = [[Fraction(1), Fraction(0), Fraction(0)],
+           [Fraction(0), Fraction(1), Fraction(0)]]
+    with pytest.raises(OrientationError, match="does not lie in the kernel"):
         fiber_orientation_sign(prob, bad)
 
 
