@@ -19,18 +19,28 @@ product of two unknown brackets is suspended there and resumed where it
 stopped once one of them is solved.  Afterwards every instance is
 evaluated as a residual that must vanish; inconsistencies are reported
 with the offending instance, never averaged away.
+
+A relation form is held in integers: an integer constant and integer
+coefficients over one positive integer denominator, reduced once per
+form (see `LinForm`).  A value becomes a Fraction only where a bracket
+is solved, or where a residual is read off a constant form.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 
 from . import OpenGWError, linalg
 
 
 UNIT_INDEX = 1
+
+# the value of every absent table entry, shared: a Fraction is immutable
+_ZERO = Fraction(0)
 
 # closed-table insertion labels used by the mixed structural check
 PD_Y_LABEL = "pd_y"
@@ -158,7 +168,7 @@ class ClosedGWTable:
         self._data[self._key(coords, insertions)] = Fraction(value)
 
     def value(self, coords, insertions):
-        return self._data.get(self._key(coords, insertions), Fraction(0))
+        return self._data.get(self._key(coords, insertions), _ZERO)
 
     def items(self):
         return sorted(self._data.items())
@@ -212,16 +222,16 @@ class OpenInvariantTable:
         if UNIT_INDEX in insertions:
             if beta.is_zero and insertions == (UNIT_INDEX,):
                 return Fraction(-1)
-            return Fraction(0)
+            return _ZERO
         if self.boundary_points(beta, insertions) is None:
-            return Fraction(0)
+            return _ZERO
         return None
 
     def value(self, beta, insertions):
         fixed = self.resolve_fixed(beta, insertions)
         if fixed is not None:
             return fixed
-        return self._data.get(self._key(beta, insertions), Fraction(0))
+        return self._data.get(self._key(beta, insertions), _ZERO)
 
 
 # --- partition families -----------------------------------------------------
@@ -274,24 +284,55 @@ def binomial(n, m):
 
 @dataclass
 class LinForm:
-    """Affine expression const + sum of coeff * unknown(key)."""
+    """Affine expression (const + sum of coeff * unknown(key)) / den.
 
-    const: Fraction = Fraction(0)
+    const and every coefficient are integers, and den is a positive
+    integer shared by all of them.  A finished form is reduced: no
+    coefficient is zero and gcd(den, const, coefficients) = 1, so equal
+    forms have equal fields.  A form under construction may be
+    unreduced; `_pruned` reduces it.
+    """
+
+    const: int = 0
     coeffs: dict = field(default_factory=dict)
+    den: int = 1
 
     @property
     def is_constant(self):
         return not self.coeffs
 
     def substitute(self, values):
-        const = self.const
-        coeffs = {}
-        for k, v in self.coeffs.items():
-            if k in values:
-                const += v * values[k]
-            else:
-                coeffs[k] = v
-        return LinForm(const, coeffs)
+        """The reduced form with each unknown in `values` (a map to
+        Fractions or ints) replaced by its value; the form itself when
+        `values` holds none of its unknowns."""
+        coeffs = self.coeffs
+        hits = [(v, values[k]) for k, v in coeffs.items() if k in values]
+        if not hits:
+            return self
+        up = lcm(*(value.denominator for _, value in hits))
+        const = self.const * up
+        for c, value in hits:
+            const += c * value.numerator * (up // value.denominator)
+        return _reduced(const,
+                        {k: v * up for k, v in coeffs.items()
+                         if k not in values},
+                        self.den * up)
+
+
+def _constant(value):
+    """The constant form of a Fraction or int."""
+    return LinForm(value.numerator, {}, value.denominator)
+
+
+def _reduced(const, coeffs, den):
+    """LinForm(const, coeffs, den) divided by the gcd of its integers;
+    coeffs holds no zero."""
+    g = gcd(den, const, *coeffs.values()) if den != 1 else 1
+    if g != 1:
+        const //= g
+        coeffs = {k: v // g for k, v in coeffs.items()}
+        den //= g
+    return LinForm(const, coeffs, den)
 
 
 # --- relation forms -------------------------------------------------------------
@@ -308,7 +349,7 @@ def _wdvv_k(target, model, beta, gamma):
 
 def _resolver_from_table(table):
     def resolve(beta, insertions):
-        return LinForm(table.value(beta, insertions))
+        return _constant(table.value(beta, insertions))
     return resolve
 
 
@@ -318,11 +359,12 @@ class _FormContext:
 
     Per degree: its complex and real splits.  Per closed class and
     sorted closed-side insertions: the closed brackets contracted with
-    the inverse pairing, as nonzero (j, coefficient) pairs.  Per real
-    split side and sorted insertions: the boundary-point count.  Per
-    (gamma, kind, i, j): the insertion groups of the anchored
-    partitions, which every degree with that gamma shares.  The closed
-    table must not change while a context built on it is in use.
+    the inverse pairing, as (j, numerator, denominator) triples of the
+    nonzero coefficients.  Per real split side and sorted insertions:
+    the boundary-point count.  Per (gamma, kind, i, j): the insertion
+    groups of the anchored partitions, which every degree with that
+    gamma shares.  The closed table must not change while a context
+    built on it is in use.
     """
 
     def __init__(self, target, model, closed):
@@ -348,8 +390,9 @@ class _FormContext:
         return out
 
     def closed_row(self, b_coords, closed_ins):
-        """sum_i <closed_ins, i>_b g^{ij} as nonzero (j, coefficient)
-        pairs in increasing j; closed_ins is sorted."""
+        """sum_i <closed_ins, i>_b g^{ij} as (j, numerator, denominator)
+        triples of the nonzero coefficients in increasing j; closed_ins
+        is sorted."""
         key = (b_coords, closed_ins)
         row = self._closed_rows.get(key)
         if row is None:
@@ -364,7 +407,8 @@ class _FormContext:
                 for j, g in pairs:
                     acc[j] = acc.get(j, 0) + value * g
             row = self._closed_rows[key] = tuple(
-                (j, c) for j, c in sorted(acc.items()) if c != 0
+                (j, c.numerator, c.denominator)
+                for j, c in sorted(acc.items()) if c != 0
             )
         return row
 
@@ -401,15 +445,27 @@ def _insertion_groups(gamma, partitions):
     return [(left, right, m) for (left, right), m in groups.items()]
 
 
-def _add_scaled(form, term, scale):
-    """form += scale * term, in place; zero coefficients are pruned once
-    the whole form is built.  `term` is only read, so a resolver may hand
-    the same `LinForm` to every reader of a bracket."""
-    if term.const:
-        form.const += term.const * scale
+def _add_scaled(form, term, num, den):
+    """form += num / den * term, in place, for integers num and den > 0.
+
+    The form's denominator is raised, to the lcm, only when den times
+    the term's denominator does not divide it; zero coefficients are
+    pruned and the gcd divided out once the whole form is built.  `term`
+    is only read, so a resolver may hand the same `LinForm` to every
+    reader of a bracket."""
+    den *= term.den
     coeffs = form.coeffs
+    if form.den % den:
+        up = lcm(form.den, den) // form.den
+        form.const *= up
+        for key in coeffs:
+            coeffs[key] *= up
+        form.den *= up
+    num *= form.den // den
+    if term.const:
+        form.const += term.const * num
     for key, value in term.coeffs.items():
-        coeffs[key] = coeffs.get(key, 0) + value * scale
+        coeffs[key] = coeffs.get(key, 0) + value * num
 
 
 def _add_mixed(form, ctx, resolve, beta, groups, sign):
@@ -417,10 +473,10 @@ def _add_mixed(form, ctx, resolve, beta, groups, sign):
     pairing)."""
     for rel_part, b_coords in ctx.splits(beta)[0]:
         for closed_ins, open_ins, mult in groups:
-            for j, coeff in ctx.closed_row(b_coords, closed_ins):
+            for j, num, den in ctx.closed_row(b_coords, closed_ins):
                 _add_scaled(form,
                             resolve(rel_part, tuple(sorted(open_ins + (j,)))),
-                            coeff * (sign * mult))
+                            num * (sign * mult), den)
 
 
 def _add_open(form, ctx, resolve, beta, segments):
@@ -454,13 +510,17 @@ def _add_open(form, ctx, resolve, beta, segments):
                 if v2.coeffs:
                     v1, v2 = v2, v1
                 if v2.const:
-                    _add_scaled(form, v1, v2.const * (weight * mult * sign))
+                    _add_scaled(form, v1, v2.const * (weight * mult * sign),
+                                v2.den)
     return _pruned(form)
 
 
 def _pruned(form):
-    form.coeffs = {k: v for k, v in form.coeffs.items() if v != 0}
-    return form
+    """The built form reduced: zero coefficients dropped, the gcd of
+    its integers divided out."""
+    return _reduced(form.const,
+                    {k: v for k, v in form.coeffs.items() if v},
+                    form.den)
 
 
 def _build1(ctx, resolve, beta, gamma):
@@ -543,7 +603,7 @@ def wdvv1_residual(target, model, closed, open_table, beta, gamma):
     form = wdvv1_form(
         target, model, closed, _resolver_from_table(open_table), beta, gamma
     )
-    return Fraction(0) if form is None else form.const
+    return _ZERO if form is None else Fraction(form.const, form.den)
 
 
 def wdvv2_residual(target, model, closed, open_table, beta, gamma):
@@ -551,7 +611,7 @@ def wdvv2_residual(target, model, closed, open_table, beta, gamma):
     form = wdvv2_form(
         target, model, closed, _resolver_from_table(open_table), beta, gamma
     )
-    return Fraction(0) if form is None else form.const
+    return _ZERO if form is None else Fraction(form.const, form.den)
 
 
 # --- the solver ----------------------------------------------------------------
@@ -612,8 +672,10 @@ def unknown_keys(target, model, seeds, area_bound, max_insertions):
     up to the bound, non-unit insertion multisets with an admissible
     boundary-point count, minus the seeded ones."""
     out = []
+    areas = {}
     indices = range(2, model.size + 1)
     for beta in target.effective_degrees(area_bound, include_zero=False):
+        areas[beta.coords] = beta.area
         for l in range(0, max_insertions + 1):
             for ins in itertools.combinations_with_replacement(indices, l):
                 if seeds.boundary_points(beta, ins) is None:
@@ -621,7 +683,7 @@ def unknown_keys(target, model, seeds, area_bound, max_insertions):
                 if seeds.known(beta, ins):
                     continue
                 out.append((beta.coords, tuple(ins)))
-    out.sort(key=lambda key: (target.degree(key[0]).area, len(key[1]), key))
+    out.sort(key=lambda key: (areas[key[0]], len(key[1]), key))
     return out
 
 
@@ -685,8 +747,7 @@ def solve_wdvv(target, model, closed, seeds, area_bound, max_insertions=3):
             if key in solved_values:
                 value = solved_values[key]
             elif key in unknowns:
-                term = brackets[probe] = LinForm(Fraction(0),
-                                                 {key: Fraction(1)})
+                term = brackets[probe] = LinForm(0, {key: 1})
                 open_probes.setdefault(key, []).append(probe)
                 return term
             else:
@@ -694,7 +755,7 @@ def solve_wdvv(target, model, closed, seeds, area_bound, max_insertions=3):
                     # neither fixed, nor seeded, nor to be solved
                     assumed_zero.add(key)
                 value = table.value(beta, insertions)
-        term = brackets[probe] = LinForm(value)
+        term = brackets[probe] = _constant(value)
         return term
 
     # forms: instance -> its form with every solved bracket substituted;
@@ -709,18 +770,19 @@ def solve_wdvv(target, model, closed, seeds, area_bound, max_insertions=3):
     def note_isolating(inst, form):
         if len(form.coeffs) != 1:
             return
-        ((key, coeff),) = form.coeffs.items()
-        if coeff != 0 and (key not in isolating or
-                           inst.sort_key() < isolating[key].sort_key()):
+        (key,) = form.coeffs
+        if (key not in isolating or
+                inst.sort_key() < isolating[key].sort_key()):
             isolating[key] = inst
 
     def solve(key):
         inst = isolating.pop(key)
         form = forms[inst]
-        value = -form.const / form.coeffs[key]
+        # the denominator cancels
+        value = Fraction(-form.const, form.coeffs[key])
         solved_values[key] = value
         solved_log.append((key, inst, value))
-        term = LinForm(value)
+        term = _constant(value)
         for probe in open_probes.pop(key, ()):
             brackets[probe] = term
         for other in occurs.pop(key):
@@ -748,11 +810,12 @@ def solve_wdvv(target, model, closed, seeds, area_bound, max_insertions=3):
         note_isolating(inst, form)
 
     builders = {1: _build1, 2: _build2}
+    degree = functools.cache(target.degree)
     # builds start lazily, in instance order; a suspended build stops at
     # the same product until one of its unknowns is solved, so only such
     # builds are resumed
     ready = ((inst, builders[inst.relation](
-        context, resolve, target.degree(inst.beta_coords), inst.gamma))
+        context, resolve, degree(inst.beta_coords), inst.gamma))
         for inst in instances)
     while True:
         for inst, build in ready:
@@ -774,7 +837,8 @@ def solve_wdvv(target, model, closed, seeds, area_bound, max_insertions=3):
     for inst in instances:
         if inst in forms:
             form = forms[inst]
-            residuals.append((inst, form.const if form.is_constant else None))
+            residuals.append((inst, Fraction(form.const, form.den)
+                              if form.is_constant else None))
         elif inst in blocked:
             residuals.append((inst, None))
     return SolveResult(
@@ -816,9 +880,10 @@ def check_structure(target, model, open_table, closed_table=None):
     """
     outcomes = []
     entries = open_table.entries()
+    degree = functools.cache(target.degree)
     passed, failed, skipped = [], [], []
     for (coords, ins), value in entries:
-        beta = target.degree(coords)
+        beta = degree(coords)
         for pos, idx in enumerate(ins):
             if model.degree_of(idx) != 2:
                 continue
@@ -845,7 +910,7 @@ def check_structure(target, model, open_table, closed_table=None):
         for (coords, ins), value in entries:
             if s not in ins:
                 continue
-            beta = target.degree(coords)
+            beta = degree(coords)
             pos = ins.index(s)
             rest = ins[:pos] + ins[pos + 1:]
             if not (open_table.known(beta, rest)
@@ -862,7 +927,7 @@ def check_structure(target, model, open_table, closed_table=None):
         skipped.append((None, "no closed table or ambient pairing"))
     else:
         for (coords, ins), value in entries:
-            beta = target.degree(coords)
+            beta = degree(coords)
             if open_table.boundary_points(beta, ins) != 1:
                 continue
             rhs = Fraction(0)
@@ -881,7 +946,7 @@ def check_structure(target, model, open_table, closed_table=None):
         skipped.append((None, "ambient fixed-locus class declared zero"))
     else:
         for (coords, ins), value in entries:
-            beta = target.degree(coords)
+            beta = degree(coords)
             count = open_table.boundary_points(beta, ins)
             if count is None or count < 2:
                 continue

@@ -24,11 +24,12 @@ point, filtered from the direct enumerator's full list and evaluated
 class by class with its own sign bookkeeping, and the boundary, the
 degree invariant and the weighted invariant summed from it (the
 references for a chain's values, which `bounding_chain.assemble_chain`
-sums as it walks the live classes), the open WDVV relation forms built term by term, with their own
-`LinForm` arithmetic, to cross-check
-`wdvv1_form` and `wdvv2_form`, and the open WDVV solver that rebuilds a
-deferred form from scratch (the reference for `solve_wdvv`, which
-resumes it).  It also keeps the small helpers that
+sums as it walks the live classes), the open WDVV relation forms built
+term by term, in their own Fraction form (`FractionForm`) and its
+arithmetic, to cross-check `wdvv1_form` and `wdvv2_form`, which build
+the integer `wdvv.LinForm`, and the open WDVV solver that rebuilds a
+deferred form from scratch and eliminates in Fractions (the reference
+for `solve_wdvv`, which resumes it).  It also keeps the small helpers that
 only tests call: the four fiber-count expressions of a linking number,
 the rational formatter of the document writer and the clamped binomial
 of the negative controls; and the reference routines that production
@@ -51,7 +52,7 @@ import os
 import random
 import weakref
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 
@@ -1117,26 +1118,71 @@ def structure_outcome(name, target, model, open_table, closed_table=None):
     return next(o for o in outcomes if o.name == name)
 
 
-def form_sum(a, b):
-    """a + b for two `LinForm`s; coefficients that cancel are dropped."""
+@dataclass
+class FractionForm:
+    """The oracle's affine form const + sum of coeff * unknown(key), with
+    a Fraction constant and Fraction coefficients; the production
+    `wdvv.LinForm` holds integers over one denominator instead."""
+
+    const: Fraction = Fraction(0)
+    coeffs: dict = field(default_factory=dict)
+
+    @property
+    def is_constant(self):
+        return not self.coeffs
+
+    def substitute(self, values):
+        const = self.const
+        coeffs = {}
+        for k, v in self.coeffs.items():
+            if k in values:
+                const += v * values[k]
+            else:
+                coeffs[k] = v
+        return FractionForm(const, coeffs)
+
+
+def fraction_form(form):
+    """A production `LinForm` read as a `FractionForm` (a `FractionForm`
+    is returned as it is)."""
+    if isinstance(form, FractionForm):
+        return form
+    return FractionForm(Fraction(form.const, form.den),
+                        {k: Fraction(v, form.den)
+                         for k, v in form.coeffs.items()})
+
+
+def linform(const, coeffs=None):
+    """The production `LinForm` of const + sum of coeffs[k] * unknown(k)
+    for Fractions or ints: zero coefficients dropped, over the lcm of the
+    denominators, which leaves it reduced."""
     from opengw.wdvv import LinForm
 
+    const = Fraction(const)
+    coeffs = {k: Fraction(v) for k, v in (coeffs or {}).items() if v != 0}
+    den = math.lcm(const.denominator,
+                   *(v.denominator for v in coeffs.values()))
+    return LinForm(int(const * den),
+                   {k: int(v * den) for k, v in coeffs.items()}, den)
+
+
+def form_sum(a, b):
+    """a + b for two `FractionForm`s; coefficients that cancel are
+    dropped."""
     coeffs = dict(a.coeffs)
     for k, v in b.coeffs.items():
         coeffs[k] = coeffs.get(k, Fraction(0)) + v
-    return LinForm(a.const + b.const,
-                   {k: v for k, v in coeffs.items() if v != 0})
+    return FractionForm(a.const + b.const,
+                        {k: v for k, v in coeffs.items() if v != 0})
 
 
 def form_scaled(form, scalar):
     """scalar * form; the empty form when scalar is 0."""
-    from opengw.wdvv import LinForm
-
     scalar = Fraction(scalar)
     if scalar == 0:
-        return LinForm()
-    return LinForm(form.const * scalar,
-                   {k: v * scalar for k, v in form.coeffs.items()})
+        return FractionForm()
+    return FractionForm(form.const * scalar,
+                        {k: v * scalar for k, v in form.coeffs.items()})
 
 
 def form_difference(a, b):
@@ -1162,16 +1208,21 @@ def reference_wdvv_form(target, model, closed, resolve, relation, beta, gamma,
     """A relation form built by the defining loops: every complex or real
     split, every anchored partition and every (i, j) pair of the inverse
     pairing, added one term at a time with the form arithmetic above.
-    `bino` gives the binomial weights of the open-open terms.
+    `bino` gives the binomial weights of the open-open terms.  `resolve`
+    hands out production `LinForm`s, as for `wdvv1_form`; they are read
+    as `FractionForm`s, and so is the result.
 
     Returns None where the relation does not apply; raises
     NonlinearEquationError at the first product of two unknowns, in the
     order the loops below meet them.
     """
-    from opengw.wdvv import LinForm, anchored_partitions
+    from opengw.wdvv import anchored_partitions
+
+    def bracket(b, insertions):
+        return fraction_form(resolve(b, insertions))
 
     def mixed_sum(partitions):
-        total = LinForm()
+        total = FractionForm()
         for rel_part, b_coords in target.complex_splits(beta):
             for left, right in partitions:
                 closed_ins = [gamma[x - 1] for x in left]
@@ -1187,7 +1238,7 @@ def reference_wdvv_form(target, model, closed, resolve, relation, beta, gamma,
                         g = model.pairing_inv[i - 1][j - 1]
                         if g == 0:
                             continue
-                        open_val = resolve(rel_part,
+                        open_val = bracket(rel_part,
                                            tuple(sorted(open_ins + [j])))
                         total = form_sum(
                             total, form_scaled(open_val, closed_val * g)
@@ -1195,7 +1246,7 @@ def reference_wdvv_form(target, model, closed, resolve, relation, beta, gamma,
         return total
 
     def open_sum(partitions, k, shift):
-        total = LinForm()
+        total = FractionForm()
         for b1, b2 in target.real_splits(beta):
             for left, right in partitions:
                 left_ins = tuple(sorted(gamma[x - 1] for x in left))
@@ -1208,8 +1259,8 @@ def reference_wdvv_form(target, model, closed, resolve, relation, beta, gamma,
                 weight = bino(k, count - shift)
                 if weight == 0:
                     continue
-                product = form_product(resolve(b1, left_ins),
-                                       resolve(b2, right_ins))
+                product = form_product(bracket(b1, left_ins),
+                                       bracket(b2, right_ins))
                 total = form_sum(total, form_scaled(product, weight))
         return total
 
@@ -1243,11 +1294,12 @@ def reference_solve_wdvv(target, model, closed, seeds, area_bound,
     as the public `wdvv1_form` / `wdvv2_form` do, by `_first_pass`, on
     one shared `_FormContext`: an instance whose build raises
     NonlinearEquationError is deferred and, once an unknown of its
-    failing product is solved, rebuilt from scratch."""
+    failing product is solved, rebuilt from scratch.  Each built form is
+    read as a `FractionForm`, and the elimination runs in Fractions."""
     from opengw import wdvv
-    from opengw.wdvv import (LinForm, NonlinearEquationError,
-                             OpenInvariantTable, RelationInstance,
-                             SolveResult, relation_instances, unknown_keys)
+    from opengw.wdvv import (NonlinearEquationError, OpenInvariantTable,
+                             RelationInstance, SolveResult,
+                             relation_instances, unknown_keys)
 
     table = OpenInvariantTable(target, model)
     for (coords, ins), value in seeds.entries():
@@ -1268,10 +1320,10 @@ def reference_solve_wdvv(target, model, closed, seeds, area_bound,
                 assumed_zero.add(key)
             value = table.value(beta, insertions)
         if value is not None:
-            return LinForm(value)
+            return linform(value)
         if key in solved_values:
-            return LinForm(solved_values[key])
-        return LinForm(Fraction(0), {key: Fraction(1)})
+            return linform(solved_values[key])
+        return linform(0, {key: 1})
 
     forms, occurs, isolating, blocked = {}, {}, {}, {}
 
@@ -1307,7 +1359,7 @@ def reference_solve_wdvv(target, model, closed, seeds, area_bound,
             blocked.pop(inst, None)
             if form is None:
                 continue
-            forms[inst] = form
+            form = forms[inst] = fraction_form(form)
             for key in form.coeffs:
                 occurs.setdefault(key, set()).add(inst)
             note_isolating(inst, form)

@@ -1,6 +1,7 @@
 """Residual evaluators, the recursion solver, and structural checks."""
 
 import hashlib
+import math
 import os
 from collections import Counter
 from fractions import Fraction
@@ -15,7 +16,6 @@ from opengw.wdvv import (
     PD_Y_LABEL,
     ClosedGWTable,
     CohomologyModel,
-    LinForm,
     ModelError,
     NonlinearEquationError,
     OpenInvariantTable,
@@ -32,8 +32,13 @@ from opengw.wdvv import (
 )
 
 from support import (
+    FractionForm,
     clamped_binomial,
     form_product,
+    form_scaled,
+    form_sum,
+    fraction_form,
+    linform,
     make_rng,
     reference_solve_wdvv,
     reference_wdvv_form,
@@ -404,8 +409,8 @@ def test_solver_result_pinned_beyond_planted_range(area_bound, max_insertions):
 
 
 def test_nonlinear_error_names_both_factors():
-    left = LinForm(F(0), {"a": F(1)})
-    right = LinForm(F(2), {"b": F(3), "c": F(1)})
+    left = FractionForm(F(0), {"a": F(1)})
+    right = FractionForm(F(2), {"b": F(3), "c": F(1)})
     with pytest.raises(NonlinearEquationError) as err:
         form_product(left, right)
     assert err.value.keys == {"a", "b", "c"}
@@ -515,7 +520,7 @@ CONVENTIONS = {"vanishing": binomial, "clamped": clamped_binomial}
 
 def table_resolver(table):
     def resolve(beta, insertions):
-        return LinForm(table.value(beta, insertions))
+        return linform(table.value(beta, insertions))
     return resolve
 
 
@@ -525,28 +530,35 @@ def partial_resolver(seeds, unknowns, values):
     def resolve(beta, insertions):
         fixed = seeds.resolve_fixed(beta, insertions)
         if fixed is not None:
-            return LinForm(fixed)
+            return linform(fixed)
         key = (beta.coords, tuple(sorted(insertions)))
         if key in values:
-            return LinForm(values[key])
+            return linform(values[key])
         if key in unknowns:
-            return LinForm(F(0), {key: F(1)})
-        return LinForm(seeds.value(beta, insertions))
+            return linform(0, {key: 1})
+        return linform(seeds.value(beta, insertions))
     return resolve
 
 
 def form_outcome(build):
+    """A built form read in Fractions, None, or the unknowns named by
+    the NonlinearEquationError it raised."""
     try:
         form = build()
     except NonlinearEquationError as exc:
         return "nonlinear", exc.keys
-    return None if form is None else (form.const, form.coeffs)
+    if form is None:
+        return None
+    form = fraction_form(form)
+    return form.const, form.coeffs
 
 
-def assert_builders_match_reference(target, model, closed, resolve):
-    instances = relation_instances(target, model, *ORACLE_RUNG)
+def assert_builders_match_reference(target, model, closed, resolve,
+                                    rung=ORACLE_RUNG,
+                                    conventions=CONVENTIONS):
+    instances = relation_instances(target, model, *rung)
     builders = {1: wdvv1_form, 2: wdvv2_form}
-    for name, bino in CONVENTIONS.items():
+    for name, bino in conventions.items():
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(wdvv, "binomial", bino)
             for inst in instances:
@@ -594,6 +606,106 @@ def test_form_builders_match_reference_on_partial_tables(data):
         target, model, closed,
         partial_resolver(seeds, set(unknowns), values),
     )
+
+
+# --- the integer forms over coprime denominators ---------------------------------
+
+
+def is_reduced(form):
+    """A finished `LinForm`: positive denominator, no zero coefficient,
+    and no common factor of the denominator, constant and coefficients."""
+    return (form.den > 0 and all(form.coeffs.values())
+            and math.gcd(form.den, form.const, *form.coeffs.values()) == 1)
+
+
+COPRIME_RUNGS = [(2, 3), (2, 4), (4, 4), (6, 4)]
+COPRIME_DENOMINATORS = [3, 5, 7, 9, 11]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_solver_matches_reference_with_coprime_seed_scales(data):
+    """The toy's forms meet only the denominators 1 to 128, all powers
+    of 2.  With each seed value multiplied by a drawn p/q, q odd, terms
+    over coprime denominators meet, so the integer adds raise a form's
+    denominator to an lcm.  The solve, the brackets assumed zero and
+    every relation form still equal the Fraction oracle's, and every
+    form the solver registers is reduced."""
+    target, model, closed, seeds = bundled_toy()
+    entries = seeds.entries()
+    scales = data.draw(st.lists(
+        st.builds(F, st.integers(-12, 12),
+                  st.sampled_from(COPRIME_DENOMINATORS)),
+        min_size=len(entries), max_size=len(entries)))
+    scaled = OpenInvariantTable(
+        target, model,
+        [(c, i, v * scale) for ((c, i), v), scale in zip(entries, scales)],
+    )
+    rung = data.draw(st.sampled_from(COPRIME_RUNGS))
+    finished = []
+
+    def recorded(method):
+        def run(*args):
+            form = method(*args)
+            finished.append(form)
+            return form
+        return run
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(wdvv, "_pruned", recorded(wdvv._pruned))
+        patch.setattr(wdvv.LinForm, "substitute",
+                      recorded(wdvv.LinForm.substitute))
+        got = solve_wdvv(target, model, closed, scaled, F(rung[0]), rung[1])
+    want = reference_solve_wdvv(target, model, closed, scaled, F(rung[0]),
+                                rung[1])
+    assert solve_digest(got) == solve_digest(want)
+    assert got.assumed_zero == want.assumed_zero
+    assert finished and all(is_reduced(form) for form in finished)
+    unknowns = set(unknown_keys(target, model, scaled, F(rung[0]), rung[1]))
+    conventions = {"vanishing": binomial}
+    assert_builders_match_reference(target, model, closed,
+                                    partial_resolver(scaled, unknowns, {}),
+                                    rung, conventions)
+    assert_builders_match_reference(target, model, closed,
+                                    table_resolver(got.table),
+                                    rung, conventions)
+
+
+small_ints = st.integers(-40, 40)
+form_keys = st.sampled_from("abcde")
+small_fractions = st.builds(F, small_ints,
+                            st.sampled_from([1, 2, 3, 4, 6, 7, 9]))
+int_forms = st.builds(linform, small_fractions,
+                      st.dictionaries(form_keys, small_fractions))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(int_forms, st.dictionaries(form_keys, small_fractions))
+def test_substitute_agrees_with_fraction_arithmetic(form, values):
+    got = form.substitute(values)
+    assert fraction_form(got) == fraction_form(form).substitute(values)
+    assert is_reduced(got)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(int_forms, st.lists(st.tuples(int_forms, small_ints,
+                                     st.integers(1, 12)), max_size=6))
+def test_integer_add_agrees_with_fraction_arithmetic(form, terms):
+    """`_add_scaled` raises the denominator to the lcm only when the
+    scaled term's denominator does not divide it, and the pruned sum is
+    the reduced form of the Fraction sum."""
+    want = fraction_form(form)
+    work = wdvv.LinForm(form.const, dict(form.coeffs), form.den)
+    for term, num, den in terms:
+        before = work.den
+        wdvv._add_scaled(work, term, num, den)
+        step = den * term.den
+        assert work.den == (before if before % step == 0
+                            else math.lcm(before, step))
+        want = form_sum(want, form_scaled(fraction_form(term), F(num, den)))
+    got = wdvv._pruned(work)
+    assert fraction_form(got) == want
+    assert is_reduced(got)
 
 
 # --- structural checks -----------------------------------------------------------
