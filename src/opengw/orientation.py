@@ -25,7 +25,10 @@ vectors, the form `LinearFiberProblem.kernel` returns and
 `fiber_orientation_sign` takes ([] for a rigid fiber).  The sign is read
 off the Gauss-Jordan elimination a problem takes once, when it is built,
 and a fiber_dim x fiber_dim determinant of the candidate's entries at
-the free columns (see `fiber_orientation_sign`).
+the free columns (see `fiber_orientation_sign`).  For the problem's own
+`kernel()` basis that determinant is positive, so
+`LinearFiberProblem.kernel_sign` reads the sign off the elimination
+alone; both share `_elimination_sign`.
 Only transverse problems are oriented; a non-surjective combined map is
 a hard error, never a sign 0.
 """
@@ -76,8 +79,10 @@ class LinearFiberProblem:
     integer rows and row-reduces them, fraction-free, once per problem;
     transversality, the kernel and every orientation sign are read from
     that one elimination, each sign with a fiber_dim x fiber_dim
-    determinant of the candidate.  The rows and the elimination are
-    derived from df and dg, so they take no part in comparisons.
+    determinant of the candidate, and the sign of the problem's own
+    kernel basis (`kernel_sign`) with none.  The rows and the
+    elimination are derived from df and dg, so they take no part in
+    comparisons.
     """
 
     df: tuple
@@ -94,14 +99,16 @@ class LinearFiberProblem:
 
     @staticmethod
     def build(df_rows, dg_rows, dim_m, dim_g, dim_x, sign_m=1, sign_g=1, sign_x=1):
-        df = tuple([linalg._exact(tuple(row)) for row in df_rows])
-        dg = tuple([linalg._exact(tuple(row)) for row in dg_rows])
+        df = tuple(map(tuple, df_rows))
+        dg = tuple(map(tuple, dg_rows))
         if len(df) != dim_x or any(len(r) != dim_m for r in df):
             raise OrientationError("df has the wrong shape")
         if len(dg) != dim_x or any(len(r) != dim_g for r in dg):
             raise OrientationError("dg has the wrong shape")
         rows = []
         for f, g in zip(df, dg):
+            # the one type check of the entries: an inexact one (a
+            # float, a bool) is refused with TypeError
             ints = linalg._integer_scaled(f + g)[0]
             ints[:dim_m] = [-x for x in ints[:dim_m]]
             rows.append(ints)
@@ -135,6 +142,18 @@ class LinearFiberProblem:
         m, pivots, _ = self._echelon
         n = self.space_m.dim + self.space_g.dim
         return linalg._int_kernel(m, pivots, n)
+
+    def kernel_sign(self):
+        """The orientation sign of the problem's own `kernel()` basis:
+        `fiber_orientation_sign(self, self.kernel())`, read off the one
+        elimination alone, with no candidate built or checked.  That
+        basis is positive at its own free column and zero at the others,
+        so its C_F is a positive diagonal and the sign is the
+        elimination factor of `fiber_orientation_sign`.  Refuses what
+        that function refuses for any candidate: a negative fiber
+        dimension or a combined map that is not surjective.
+        """
+        return _elimination_sign(self)
 
 
 def fiber_orientation_sign(prob, candidate):
@@ -184,16 +203,16 @@ def fiber_orientation_sign(prob, candidate):
     denominators, and each candidate vector is multiplied likewise.
     Either scaling multiplies det[C | A^T] by a positive number and
     keeps whether A C vanishes.  The in-kernel test is taken on those
-    integers, and det C_F is a Bareiss determinant of size d; for the
-    kernel bases of `LinearFiberProblem.kernel`, C_F is a positive
-    diagonal.
+    integers, and det C_F is a Bareiss determinant of size d.  Every
+    other factor, with the space signs and the refusals of a problem
+    without a fiber orientation, is `_elimination_sign`.  For the basis
+    `LinearFiberProblem.kernel` returns, C_F is a positive diagonal, so
+    its sign is that factor alone: `LinearFiberProblem.kernel_sign`
+    reads it there, with no candidate to check.
     """
     n = prob.space_m.dim + prob.space_g.dim
     d = prob.fiber_dim
-    if d < 0:
-        raise TransversalityError("fiber dimension would be negative")
-    if not prob.surjective:
-        raise TransversalityError("combined map dg - df is not surjective")
+    sign = _elimination_sign(prob)
     if len(candidate) != d or any(len(v) != n for v in candidate):
         raise OrientationError("candidate basis has the wrong shape")
     cols = linalg._int_rows(candidate)
@@ -201,6 +220,24 @@ def fiber_orientation_sign(prob, candidate):
         if len(linalg._int_echelon(cols)[1]) != d:
             raise OrientationError("candidate does not span the kernel")
         raise OrientationError("candidate does not lie in the kernel")
+    free = [c for c in range(n) if c not in prob._echelon[1]]
+    det = linalg._det_bareiss([[col[f] for f in free] for col in cols])
+    if det == 0:
+        raise OrientationError("candidate does not span the kernel")
+    return -sign if det < 0 else sign
+
+
+def _elimination_sign(prob):
+    """Every factor of the orientation sign but sign det C_F: sign det E
+    * prod_i sign p_i * (-1)^#{(p, f) in P x F : f > p} times the three
+    space signs, in the notation of `fiber_orientation_sign`.  Refuses a
+    problem that has no fiber orientation: a negative fiber dimension or
+    a combined map that is not surjective."""
+    d = prob.fiber_dim
+    if d < 0:
+        raise TransversalityError("fiber dimension would be negative")
+    if not prob.surjective:
+        raise TransversalityError("combined map dg - df is not surjective")
     m, pivots, sign = prob._echelon
     r = len(pivots)
     # #{(p, f) : f > p} is r d + r (r - 1) / 2 - sum(pivots), as the
@@ -209,12 +246,6 @@ def fiber_orientation_sign(prob, candidate):
     flips = (r * d + r * (r - 1) // 2 + sum(pivots)
              + sum(row[p] < 0 for row, p in zip(m, pivots)))
     if flips % 2:
-        sign = -sign
-    free = [c for c in range(n) if c not in pivots]
-    det = linalg._det_bareiss([[col[f] for f in free] for col in cols])
-    if det == 0:
-        raise OrientationError("candidate does not span the kernel")
-    if det < 0:
         sign = -sign
     return sign * prob.space_m.sign * prob.space_g.sign * prob.space_x.sign
 

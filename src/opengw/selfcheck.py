@@ -40,14 +40,41 @@ def _small_rationals(top):
                  for q in range(1, 4))
 
 
+def _rationals(rng, count, top):
+    """count entries p/q of _small_rationals(top), each drawn as
+    rng.randint(-top, top) and then rng.randint(1, 3) would draw it.
+
+    Its index 3 * (p + top) + q - 1 is read straight off
+    rng.getrandbits, through the rejection loops CPython's randint runs
+    in Random._randbelow_with_getrandbits: (2 top + 1).bit_length()-bit
+    words until one is at most 2 top, then 2-bit words until one is at
+    most 2.  So the values, and the state rng is left in, are those of
+    the randint draws, without their three calls per number."""
+    table = _small_rationals(top)
+    bits = rng.getrandbits
+    n = 2 * top + 1
+    k = n.bit_length()
+    out = []
+    for _ in range(count):
+        p = bits(k)
+        while p >= n:
+            p = bits(k)
+        q = bits(2)
+        while q == 3:
+            q = bits(2)
+        out.append(table[3 * p + q])
+    return out
+
+
 def rand_matrix(rng, rows, cols):
     """A rows x cols matrix of rationals p/q, |p| <= 5, 1 <= q <= 3: p
     and then q are drawn for each entry, and the entry is the shared
-    Fraction p/q."""
-    table = _small_rationals(5)
-    randint = rng.randint
-    return [[table[3 * randint(-5, 5) + randint(1, 3) + 14]
-             for _ in range(cols)] for _ in range(rows)]
+    Fraction p/q.  `_rationals` reads the draws straight off
+    rng.getrandbits, which skips the three Python calls randint makes
+    per number, and leaves both the values and the random state those
+    of rng.randint(-5, 5) and then rng.randint(1, 3) per entry: the
+    stream the self-checks' pinned records were drawn with."""
+    return [_rationals(rng, cols, 5) for _ in range(rows)]
 
 
 def sign_of(x):
@@ -129,8 +156,7 @@ def boundary_face_oracle(rng, face, max_dim):
             coeffs[o][col] = -b
         # outward vector: v_o, turned to a positive cut coordinate
         coeffs[o][d - 1] = sign_of(a)
-        sigma = fiber_orientation_sign(prob, kernel)
-        observed = sigma * sign_of(linalg._det_bareiss(coeffs))
+        observed = prob.kernel_sign() * sign_of(linalg._det_bareiss(coeffs))
         # the same face basis, in the coordinates of the boundary problem
         dropped = [v[:cut] + v[cut + 1:] for v in face_vecs]
         return prob, observed * fiber_orientation_sign(sub, dropped)
@@ -171,8 +197,7 @@ def flip_oracle(rng, max_dim):
         vecs = prob.kernel()
         diag = sm + sg
         flipped = [[s * x for s, x in zip(diag, v)] for v in vecs]
-        observed = (fiber_orientation_sign(prob, vecs)
-                    * fiber_orientation_sign(prob, flipped))
+        observed = prob.kernel_sign() * fiber_orientation_sign(prob, flipped)
         return det_signs, observed
 
 
@@ -199,7 +224,7 @@ def association_oracle(rng, max_dim):
         n1 = dim_m + dim_g
         k1 = inner.kernel()
         d1 = len(k1)
-        inner_sign = fiber_orientation_sign(inner, k1)
+        inner_sign = inner.kernel_sign()
         if d1 and inner_sign == -1:
             k1[0] = [-x for x in k1[0]]
             inner_sign = 1
@@ -225,7 +250,7 @@ def association_oracle(rng, max_dim):
         kb = onestep.kernel()
         if not kb:
             continue  # a rigid instance carries no basis to compare
-        one_sign = fiber_orientation_sign(onestep, kb)
+        one_sign = onestep.kernel_sign()
         # the same vectors in (inner fiber) x C coordinates: k1 x = the
         # M x G part of each, solved fraction-free.  The vectors of k1
         # are independent, so row r of the reduced [k1 | M x G part]
@@ -271,13 +296,10 @@ def matrix_tree_suite(rng):
     weight lists per vertex count m from 1 to 6.  Each list holds one
     linking number p/q, |p| <= 6, 1 <= q <= 3, drawn p first, per edge
     of itertools.combinations(range(m), 2)."""
-    table = _small_rationals(6)
-    randint = rng.randint
     failures = 0
     for m in range(1, 7):
         for _ in range(11):
-            weights = [table[3 * randint(-6, 6) + randint(1, 3) + 17]
-                       for _ in range(m * (m - 1) // 2)]
+            weights = _rationals(rng, m * (m - 1) // 2, 6)
             if multidisk.tree_weight_sum(m, weights) \
                     != multidisk.tree_weight_sum_enumerated(m, weights):
                 failures += 1
@@ -287,9 +309,11 @@ def matrix_tree_suite(rng):
 def tree_count_suite(max_vertices):
     """Tree enumeration against the closed-form count on every vertex
     count up to max_vertices: the trees listed and the distinct edge
-    sets among them.  Each tree of the packed table is a fixed-width
-    bytes slice of its sorted edge indices, so distinct slices are
-    exactly distinct trees."""
+    sets among them.  Each tree of the packed table is a fixed-width row
+    of its sorted edge indices, width m - 1 <= 8 as m is at most
+    multidisk.MAX_TREE_VERTICES = 9; each row is copied into its own
+    zero-padded 8-byte lane and read as one 64-bit integer, so distinct
+    integers are exactly distinct trees."""
     for m in range(1, max_vertices + 1):
         expected = 1 if m == 1 else m ** (m - 2)
         if m == 1:
@@ -298,8 +322,10 @@ def tree_count_suite(max_vertices):
         else:
             packed, width = multidisk._packed_trees(m), m - 1
             listed = len(packed) // width
-            distinct = len({packed[i:i + width]
-                            for i in range(0, len(packed), width)})
+            lanes = bytearray(8 * listed)
+            for k in range(width):
+                lanes[k::8] = packed[k::width]
+            distinct = len(set(memoryview(lanes).cast("Q")))
         if listed != expected or distinct != expected:
             return False, "vertex count %d: %d trees, %d distinct, " \
                 "expected %d" % (m, listed, distinct, expected)

@@ -32,7 +32,9 @@ deferred form from scratch and eliminates in Fractions (the reference
 for `solve_wdvv`, which resumes it).  It also keeps the small helpers that
 only tests call: the four fiber-count expressions of a linking number,
 the rational formatter of the document writer and the clamped binomial
-of the negative controls; and the reference routines that production
+of the negative controls; the randint forms of the self-checks' random
+rationals (the references for the draws `selfcheck` reads off
+getrandbits); and the reference routines that production
 does not call (the class key of a splitting, the order on tuples, the
 combined map of a fiber problem, the orientation sign of a fiber
 problem read off one n x n determinant (the reference for the sign
@@ -123,6 +125,22 @@ def right_inverse(a):
 
 def make_rng(seed):
     return random.Random(seed)
+
+
+def reference_rand_matrix(rng, rows, cols, top=5):
+    """`selfcheck.rand_matrix` in its randint form, the reference for
+    the draws it reads straight off rng.getrandbits: per entry
+    p = rng.randint(-top, top) and then q = rng.randint(1, 3), the entry
+    Fraction(p, q).  top = 6 is the form of the matrix-tree weights."""
+    return [[Fraction(rng.randint(-top, top), rng.randint(1, 3))
+             for _ in range(cols)] for _ in range(rows)]
+
+
+def reference_matrix_tree_weights(rng, m):
+    """One weight list of `selfcheck.matrix_tree_suite` in its randint
+    form: a p/q, |p| <= 6, 1 <= q <= 3, per edge of
+    itertools.combinations(range(m), 2)."""
+    return reference_rand_matrix(rng, 1, m * (m - 1) // 2, top=6)[0]
 
 
 def rational_str(value):

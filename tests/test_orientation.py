@@ -508,6 +508,57 @@ def test_a_candidate_is_fiber_dim_vectors(shape, seed):
     assert len({fiber_orientation_sign(prob, c) for c in candidates}) == 1
 
 
+@pytest.mark.parametrize("shape", ["any", "rigid", "point-target"])
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_kernel_sign_matches_the_full_determinant(shape, seed):
+    """The sign of the problem's own kernel basis, read off its
+    elimination alone, against det[kernel | A^T] (the n x n reference)
+    and against fiber_orientation_sign with every check: on
+    random_fiber_problem draws, on rigid fibers (dim X = dim M + dim G)
+    and on X a point."""
+    rng = make_rng(seed)
+    if shape == "any":
+        prob = random_fiber_problem(rng, max_dim=5)
+    else:
+        prob = _fiber_problem_of_shape(rng, shape)
+        assume(prob.surjective)
+    kernel = prob.kernel()
+    assert prob.kernel_sign() \
+        == reference_fiber_orientation_sign(prob, kernel) \
+        == fiber_orientation_sign(prob, kernel)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), negative=st.booleans())
+def test_kernel_sign_refuses_a_problem_without_orientation(seed, negative):
+    """kernel_sign refuses what fiber_orientation_sign refuses for the
+    same problem, with the same TransversalityError: a combined map whose
+    last row is a rational multiple of its first, so it is not
+    surjective, or a target of more dimensions than M x G, so the fiber
+    dimension would be negative."""
+    rng = make_rng(seed)
+    dim_m, dim_g = rng.randint(0, 3), rng.randint(0, 3)
+    if negative:
+        dim_x = dim_m + dim_g + rng.randint(1, 2)
+    else:
+        dim_x = rng.randint(2, max(2, dim_m + dim_g))
+    df = rand_matrix(rng, dim_x, dim_m)
+    dg = rand_matrix(rng, dim_x, dim_g)
+    scale = rand_matrix(rng, 1, 1)[0][0]
+    df[-1] = [scale * x for x in df[0]]
+    dg[-1] = [scale * x for x in dg[0]]
+    prob = LinearFiberProblem.build(df, dg, dim_m, dim_g, dim_x,
+                                    rng.choice((1, -1)), 1, 1)
+    assert not prob.surjective
+    with pytest.raises(TransversalityError) as own:
+        prob.kernel_sign()
+    with pytest.raises(TransversalityError) as full:
+        fiber_orientation_sign(prob, prob.kernel())
+    assert str(own.value) == str(full.value)
+    assert ("negative" in str(own.value)) == (prob.fiber_dim < 0)
+
+
 def test_fiber_consistent_with_ses_sign():
     """Internal consistency: the fiber orientation is the unique one
     making the defining sequence orientation-compatible, so recomputing

@@ -7,7 +7,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from opengw import fileio, wdvv
 from opengw.lattice import Target
@@ -468,7 +468,10 @@ def test_solver_builds_each_form_on_schedule(monkeypatch, area_bound,
     assert resumed == RESUMPTIONS[area_bound, max_insertions]
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+# no shrink phase: shrinking a failing solve is bounded neither in time
+# nor in memory, and the first failing example already names the draw
+@settings(max_examples=40, deadline=None, derandomize=True,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(st.data())
 def test_solver_matches_rebuilding_reference_with_seeds_dropped(data):
     """Resuming a suspended build gives what rebuilding it from scratch
@@ -622,7 +625,10 @@ COPRIME_RUNGS = [(2, 3), (2, 4), (4, 4), (6, 4)]
 COPRIME_DENOMINATORS = [3, 5, 7, 9, 11]
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+# no shrink phase: shrinking a failing solve is bounded neither in time
+# nor in memory, and the first failing example already names the draw
+@settings(max_examples=40, deadline=None, derandomize=True,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(st.data())
 def test_solver_matches_reference_with_coprime_seed_scales(data):
     """The toy's forms meet only the denominators 1 to 128, all powers
