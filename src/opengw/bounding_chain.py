@@ -18,9 +18,17 @@ moduli are constant disks, which either miss the interior constraints
 or cancel in sign pairs; and parts of nonzero dimension contribute
 nothing because their chains are empty.
 
-Two invariants are read off the same walk over alpha's classes, and
-each chain carries them, so a run walks the classes of each chain tuple
-once:
+The classes are summed, not listed.  A contributing class is a table
+tuple c as its center plus a multiset of live parts (tuples whose
+chains have nonempty boundary) that splits alpha minus c, and its
+product of linking numbers depends only on the center disk's loop and
+the parts.  So for each rigid disk a of c the sum over those multisets
+is one recursion on the labels and the degree left, W_a, kept as a
+polynomial in the number of parts and memoized by (disk loop, labels
+left, degree left, least unlabeled index) over the whole family
+(`_ClassSums`): a sum met again by a larger tuple is read, not redone.
+
+Two invariants are read off the same sums, and each chain carries them:
 
 - The degree-type invariant of alpha with a point p dropped, a
   dimension-2 tuple, is minus the count of its top chain through p as
@@ -32,9 +40,10 @@ once:
   s(0) = 1: each class adds s(k) * max(k, 1) times its total.  Half the
   sum of the point-dropped degree invariants is added.
 
-`assemble_chain` says why both readings are exact.  The test suite
-keeps its own class listing as the oracle: it filters the full class
-list of a direct enumerator and evaluates each class with its own sign
+`assemble_chain` says why these readings are exact, and `_ClassSums`
+why the memoized sum meets each class once.  The test suite keeps its
+own class listing as the oracle: it filters the full class list of a
+direct enumerator and evaluates each class with its own sign
 bookkeeping, once for alpha and once per point as an extra constraint.
 It also checks the invariants against each other and against the
 direct linking-weighted configuration count.
@@ -46,6 +55,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import sub
 from typing import NamedTuple
 
 from . import OpenGWError
@@ -67,20 +77,21 @@ class ChainError(OpenGWError, ValueError):
 class BoundingChain:
     """A chain datum: the dimension-0, non-point tuple it bounds for, its
     boundary multiset, the only part of the chain the model keeps, and
-    the two invariants of the tuple read off the same class walk.
+    the two invariants of the tuple read off the same class sums.
 
     boundary: sorted tuple of (loop id, coefficient); empty for tuples
     that carry no rigid disks.  The coefficient of a loop is the sum,
     over the classes whose center disk bounds it, of sgn(center disk) *
-    (-1)^(point parts) * prod over slot chains of lk(loop, chain).
+    (-1)^(point parts) * prod over slot chains of lk(loop, chain), read
+    off the disk's memoized class sum (`assemble_chain`).
     degrees: (point, degree invariant of alpha without the point,
     through that point) pairs, by increasing point.
     weighted: the weighted-type invariant of alpha.
 
     A chain also keeps {loop: lk(loop, its boundary)}, filled by
-    `_chain_linking` the first time a class links the loop with it, so
-    each (loop, chain) pair of a `build_chains` run is summed once.  The
-    linking numbers are those of the atom table the chain was built
+    `_chain_linking` the first time a class sum links the loop with it,
+    so each (loop, chain) pair of a `build_chains` run is summed once.
+    The linking numbers are those of the atom table the chain was built
     from; they are not part of the chain's value.
     """
 
@@ -114,26 +125,28 @@ def _chain_linking(loop, chain, links):
     return value
 
 
-def _class_sign(eta):
-    """The sign of a class, (-1)^(point parts).
+def _class_sign(point_parts):
+    """The sign of a class with `point_parts` bare point parts,
+    (-1)^(point parts).  The point parts of a contributing class are the
+    points of its center, so the sign is one per center.
 
     The derivation stacks three (-1)^(part count) factors (the unordered
     regrouping, the flip rule, the reassociation rule) and the divisor
     trade's (-1)^(chain slots); a part is a bare point or fills a slot,
     so together they reduce to (-1)^(point parts).
     """
-    return -1 if len(eta.point_labels()) % 2 else 1
+    return -1 if point_parts % 2 else 1
 
 
 def _live_parts(alpha, chains, target):
     """The parts a contributing class of alpha may carry: the tuples of
     the family whose chains have nonempty boundary.
 
-    The family holds no point tuples, and the class generator places
-    only parts that fit below alpha, so the family of any tops above
-    alpha serves.  Nothing is silently zero: a dimension-0, non-point
-    strict predecessor of alpha without a chain raises instead of
-    reading as an empty chain.
+    The family holds no point tuples, and a class places only parts that
+    fit below alpha, so the family of any tops above alpha serves.
+    Nothing is silently zero: a dimension-0, non-point strict
+    predecessor of alpha without a chain raises instead of reading as an
+    empty chain.
     """
     for pred in target.predecessors(alpha):
         if (pred not in chains and not pred.is_point_tuple()
@@ -147,6 +160,175 @@ def _center_triples(table):
     return [(c.beta, c.points, c.descriptors) for c in table.tuples()]
 
 
+_ONE = (1, (1,))  # the class sum with nothing left: the empty multiset
+
+
+class _ClassSums:
+    """The memoized class sums of one chain family.
+
+    `total(loop, labels, rest, start)` is W_a for a rigid disk a on that
+    loop: the sum, over the multisets of live parts that split the
+    labels and the degree left, of prod lk(a's loop, part's chain), as a
+    polynomial in t, the number of parts; None when no multiset splits
+    them.  A polynomial is (denominator, integer coefficients from t^0
+    up), in lowest terms.  A live part is a chain with nonempty
+    boundary, made available by `add`.  The recursion:
+
+      W(labels, rest) = sum over the live parts P holding the least
+          label left, with P's labels among the labels left and P's
+          degree at most rest, of t * lk(a, P) * W(labels - P, rest - P);
+      W(no labels, rest, i) = sum over the unlabeled live parts P of
+          index j >= i with degree at most rest, of
+          t * lk(a, P) * W(no labels, rest - P, j);
+      W(no labels, zero, i) = 1.
+
+    The order is that of `Target.classes_through`: labels ordered points
+    first, each kind sorted, then unlabeled parts by non-decreasing
+    index.  A multiset of parts is a set partition of the labels plus a
+    multiset of unlabeled parts, and the order meets each of them on
+    exactly one path.  So W_a of the labels and degree a center c leaves
+    of alpha meets each class of alpha with center c once, and the
+    product along the path is the class's product of linking numbers.
+
+    Labels are bits of one integer in that order, so the least label
+    left is the lowest bit.  A degree is packed into one integer, one
+    field per coordinate with a guard bit on top: subtracting a packed
+    degree from a packed rest with its guards set clears a guard exactly
+    when that coordinate does not fit, and leaves the packed difference
+    when all fit.
+
+    The memo is keyed by (disk loop, labels left, degree left, least
+    unlabeled index).  W of a key depends only on the key and on the
+    live parts that fit it, and those are strict predecessors of every
+    tuple whose sums reach the key.  `build_chains` adds the chains in
+    level order, so they are all added before the key is first summed,
+    no later chain fits it, and unlabeled parts keep the index they were
+    added with.  So one memo serves one family, whose chains all come
+    from one atom table.  lk(a, P) is read only once W of the rest of
+    the branch is known to have a multiset, and then whatever its value,
+    so the (loop, chain) pairs linked are exactly those of the classes
+    that exist: a loop without linking data raises exactly when one of
+    them needs it.
+    """
+
+    def __init__(self, table, target, tuples):
+        """Sums over the parts that fit below `tuples`: their labels get
+        the bits, and their largest coordinate sets the packing.  The
+        centers are the table tuples that can fit below them, as (label
+        bits, packed degree, points, rigid disks)."""
+        points = set().union(*(t.points for t in tuples))
+        descriptors = set().union(*(t.descriptors for t in tuples))
+        labels = ([("p", x) for x in sorted(points)]
+                  + [("d", x) for x in sorted(descriptors)])
+        self.bits = {label: 1 << i for i, label in enumerate(labels)}
+        self.width = 1 + max(
+            (c for t in tuples for c in t.beta.coords), default=0,
+        ).bit_length()
+        self.guard = sum(1 << (self.width * (i + 1) - 1)
+                         for i in range(target.rank))
+        self.links = table.links
+        self.labeled = {}  # least label bit -> [(bits, packed degree, chain)]
+        self.unlabeled = []  # [(packed degree, chain)], by index
+        self.centers = []
+        for c in table.tuples():
+            bits, degree = self.labels(c), self.degree(c)
+            if bits is not None and degree is not None:
+                self.centers.append((bits, degree, c.points,
+                                     table.single_disks(c)))
+        self.memo = {}
+
+    def labels(self, alpha):
+        """The label bits of a tuple; None when it has a label the sums
+        do not know."""
+        bits = self.bits
+        try:
+            return (sum(bits["p", x] for x in alpha.points)
+                    + sum(bits["d", x] for x in alpha.descriptors))
+        except KeyError:
+            return None
+
+    def degree(self, alpha):
+        """A tuple's degree packed, guard bits clear; None when a
+        coordinate is too large for the packing."""
+        width = self.width
+        packed = 0
+        for i, c in enumerate(alpha.beta.coords):
+            if c >> (width - 1):
+                return None
+            packed += c << (width * i)
+        return packed
+
+    def add(self, alpha, chain):
+        """Make alpha's chain a part of the sums when its boundary is
+        nonempty and it can fit below the sums' tuples."""
+        labels, degree = self.labels(alpha), self.degree(alpha)
+        if not chain.boundary or labels is None or degree is None:
+            return
+        if labels:
+            self.labeled.setdefault(labels & -labels, []).append(
+                (labels, degree, chain))
+        else:
+            self.unlabeled.append((degree, chain))
+
+    def total(self, loop, labels, rest, start):
+        key = (loop, labels, rest, start)
+        memo = self.memo
+        if key in memo:
+            return memo[key]
+        guard = self.guard
+        if labels:
+            steps = [(bits, degree, chain, 0) for bits, degree, chain
+                     in self.labeled.get(labels & -labels, ())
+                     if bits & labels == bits]
+        elif rest == guard:
+            memo[key] = _ONE
+            return _ONE
+        else:
+            steps = [(0, degree, chain, i) for i, (degree, chain)
+                     in enumerate(self.unlabeled[start:], start)]
+        out = None
+        for bits, degree, chain, nxt in steps:
+            left = rest - degree
+            if left & guard == guard:
+                sub = self.total(loop, labels ^ bits, left, nxt)
+                if sub is not None:
+                    value = _chain_linking(loop, chain, self.links)
+                    out = _poly_add(out, sub, value.numerator,
+                                    value.denominator, 1)
+        if out is not None:
+            den, coeffs = out
+            g = math.gcd(den, *coeffs)
+            if g != 1:
+                out = den // g, [c // g for c in coeffs]
+        memo[key] = out
+        return out
+
+
+def _poly_add(out, poly, num, den, shift):
+    """out + (num / den) * t^shift * poly, on (denominator, coefficients)
+    polynomials over the lcm of the two denominators; out None is the
+    empty sum.  Returns a new polynomial for None, else out's own list,
+    added into."""
+    poly_den, coeffs = poly
+    den *= poly_den
+    if out is None:
+        return den, [0] * shift + [num * c for c in coeffs]
+    out_den, out_coeffs = out
+    if out_den != den:
+        g = math.gcd(out_den, den)
+        up = den // g
+        if up != 1:
+            out_coeffs = [c * up for c in out_coeffs]
+        num *= out_den // g
+        out_den *= up
+    missing = len(coeffs) + shift - len(out_coeffs)
+    if missing > 0:
+        out_coeffs.extend([0] * missing)
+    for j, c in enumerate(coeffs, shift):
+        out_coeffs[j] += num * c
+    return out_den, out_coeffs
+
+
 def splitting_weight(part_count):
     """The splitting weight: 1 at no parts, else 1/parts - 1/2."""
     if part_count == 0:
@@ -156,32 +338,40 @@ def splitting_weight(part_count):
 
 def assemble_chain(alpha, chains, table, target):
     """The chain of a dimension-0 tuple: its boundary multiset, its
-    point-dropped degree invariants and its weighted invariant, from one
-    walk over the classes of alpha that can contribute.  `chains` must
-    hold the chains of alpha's dimension-0 predecessors.
+    point-dropped degree invariants and its weighted invariant, read off
+    the memoized class sums of its rigid center disks.  `chains` must
+    hold the chains of alpha's dimension-0 predecessors.  Called alone it
+    sums over its own memo; `build_chains` shares one across a family.
 
-    Only those classes are generated: the center is a table tuple, so it
-    carries a rigid disk (constant central disks are killed by the
-    interior constraints or cancel in sign pairs between marked-point
-    orderings), and every non-point part has a chain with nonempty
-    boundary.  Each rigid center disk of a class adds its class total,
-    sgn(disk) * (-1)^(point parts) * prod over the slot chains of
-    lk(disk loop, chain), to the disk's loop; the class total is the sum
-    over its center disks.
+    The contributing classes are the table tuples c that fit under alpha
+    as centers, each with the multisets of live parts that split alpha
+    minus c.  The center carries a rigid disk (constant central disks
+    are killed by the interior constraints or cancel in sign pairs
+    between marked-point orderings), it has nonzero degree (an atom of
+    zero degree is refused, so the excluded splitting, a trivial center
+    with one part, never occurs), and every non-point part has a chain
+    with nonempty boundary.  The point parts are the points of c.  For
+    each rigid disk a of c, W_a (`_ClassSums`) sums prod lk(a's loop,
+    part's chain) over those multisets, by number of parts, so:
 
-    Why one walk is exact.  The degree invariant of alpha without p,
-    through p, walks the classes of alpha without p whose centers are
+    - a's loop gets sgn(c) * sgn(a) * W_a at one, sgn(c) = (-1)^(points
+      of c): each class's total on that disk;
+    - the center total, the sum of sgn(c) * sgn(a) * W_a over the disks
+      of c, at one, is added to the degree invariant of each point of c;
+    - its coefficient of t^j is the class total of the classes with
+      |c.points| + j parts, which the weighted invariant weighs.
+
+    Why the degrees are exact.  The degree invariant of alpha without p,
+    through p, counts the classes of alpha without p whose centers are
     the table tuples through p, with p removed; each class counts with p
     put back on its center, and the total is negated.  Adding p back as
     a bare point part maps those classes one-to-one onto the classes of
     alpha whose point parts include p.  The slot chains and the center
-    tuple, hence its rigid disks, are the same.  Every center has
-    nonzero degree (an atom of zero degree is refused), so the excluded
-    splitting, a trivial center with one part, is on neither side.  The
-    point parts rise by one, so the class sign flips, and that flip
-    cancels the minus.  So the degree invariant through p is the sum of
-    alpha's class totals over the classes with p among their point
-    parts.
+    tuple, hence its rigid disks, are the same.  The point parts rise by
+    one, so the class sign flips, and that flip cancels the minus.  So
+    the degree invariant through p is the sum of alpha's class totals
+    over the classes with p among their point parts: the center totals
+    of the centers through p.
 
     The weighted invariant's class terms are the same class totals:
     a class total is (-1)^(parts) times the class's fiber count through
@@ -201,26 +391,45 @@ def assemble_chain(alpha, chains, table, target):
         raise ChainError(
             "boundary assembly needs a dimension-0 tuple, got dimension %d" % dim
         )
-    links = table.links
+    sums = _ClassSums(table, target, [alpha])
+    for part in _live_parts(alpha, chains, target):
+        sums.add(part, chains[part])
+    return _assemble(alpha, sums)
+
+
+def _assemble(alpha, sums):
+    """The chain of a dimension-0 tuple read off `sums`, which must hold
+    the chains of its live predecessors (`assemble_chain`)."""
     boundary = {}
     degrees = dict.fromkeys(sorted(alpha.points), Fraction(0))
     by_parts = {}  # part count -> the sum of its class totals
-    for eta, _count in target.classes_through(
-        alpha, _center_triples(table), _live_parts(alpha, chains, target),
-    ):
-        slots = [chains[eta.parts[i]] for i in eta.chain_slots()]
-        sign = _class_sign(eta)
-        total = Fraction(0)
-        for atom in table.single_disks(eta.center_tuple()):
-            value = Fraction(sign * atom.sign)
-            for chain in slots:
-                value *= _chain_linking(atom.loop, chain, links)
-            boundary[atom.loop] = boundary.get(atom.loop, 0) + value
-            total += value
-        for p in eta.point_labels():
-            degrees[p] += total
-        k = eta.part_count
-        by_parts[k] = by_parts.get(k, 0) + total
+    labels = sums.labels(alpha)
+    guard = sums.guard
+    packed = sums.degree(alpha) + guard
+    for bits, degree, points, disks in sums.centers:
+        rest = packed - degree
+        if bits & labels != bits or rest & guard != guard:
+            continue
+        left = labels ^ bits
+        sign = _class_sign(len(points))
+        total = None
+        for atom in disks:
+            sums_a = sums.total(atom.loop, left, rest, 0)
+            if sums_a is None:
+                break  # no class: whether one exists does not depend on a
+            s = sign * atom.sign
+            den, coeffs = sums_a
+            # a loop is one disk's, and its center is met once
+            boundary[atom.loop] = Fraction(s * sum(coeffs), den)
+            total = _poly_add(total, sums_a, s, 1, 0)
+        if total is None:
+            continue
+        den, coeffs = total
+        value = Fraction(sum(coeffs), den)
+        for p in points:
+            degrees[p] += value
+        for k, coeff in enumerate(coeffs, len(points)):
+            by_parts[k] = by_parts.get(k, 0) + Fraction(coeff, den)
     weighted = Fraction(sum(degrees.values()), 2) + sum(
         splitting_weight(k) * max(k, 1) * total
         for k, total in by_parts.items()
@@ -262,13 +471,18 @@ def build_chains(tops, table, target):
     """The one chain family of `tops`, keyed in `chain_tuples` order.
 
     Chains are assembled by increasing level (area, then constraint
-    count), so the chains of a tuple's strict predecessors come first.
+    count), so the chains of a tuple's strict predecessors come first,
+    and every dimension-0, non-point predecessor of a family tuple is in
+    the family.  One `_ClassSums` memo serves the family: each chain is
+    added to it once assembled, before any tuple it can be a part of.
     """
     order = chain_tuples(target, tops)
+    sums = _ClassSums(table, target, order)
     chains = {}
     for alpha in sorted(order, key=lambda a: (
             a.beta.area, len(a.points) + len(a.descriptors), a.sort_key())):
-        chains[alpha] = assemble_chain(alpha, chains, table, target)
+        chain = chains[alpha] = _assemble(alpha, sums)
+        sums.add(alpha, chain)
     return {alpha: chains[alpha] for alpha in order}
 
 

@@ -24,12 +24,13 @@ point, filtered from the direct enumerator's full list and evaluated
 class by class with its own sign bookkeeping, and the boundary, the
 degree invariant and the weighted invariant summed from it (the
 references for a chain's values, which `bounding_chain.assemble_chain`
-sums as it walks the live classes), the open WDVV relation forms built
-term by term, in their own Fraction form (`FractionForm`) and its
-arithmetic, to cross-check `wdvv1_form` and `wdvv2_form`, which build
-the integer `wdvv.LinForm`, and the open WDVV solver that rebuilds a
-deferred form from scratch and eliminates in Fractions (the reference
-for `solve_wdvv`, which resumes it).  It also keeps the small helpers that
+reads off memoized sums over the live classes, and the linking pairs
+those classes ask for), the open WDVV relation forms built term by
+term, in their own Fraction form (`FractionForm`) and its arithmetic,
+to cross-check `wdvv1_form` and `wdvv2_form`, which build the integer
+`wdvv.LinForm`, and the open WDVV solver that rebuilds a deferred form
+from scratch and eliminates in Fractions (the reference for
+`solve_wdvv`, which resumes it).  It also keeps the small helpers that
 only tests call: the four fiber-count expressions of a linking number,
 the rational formatter of the document writer and the clamped binomial
 of the negative controls; the randint forms of the self-checks' random
@@ -1042,8 +1043,8 @@ def full_class_list(target, alpha):
 def reference_class_terms(alpha, chains, table, target, point=None):
     """The classes of alpha that add to its chain, as (class, {loop:
     coefficient}) pairs with zeros dropped; the listing oracle for
-    `bounding_chain.assemble_chain`, which sums the same classes as it
-    walks them and lists none.
+    `bounding_chain.assemble_chain`, which reads the same classes off
+    memoized sums and lists none.
 
     The classes are the full list of `direct_degeneration_classes`
     (through `full_class_list`), filtered to a center of nonzero degree
@@ -1081,6 +1082,26 @@ def reference_class_terms(alpha, chains, table, target, point=None):
         if contribution:
             out.append((eta, contribution))
     return out
+
+
+def reference_linked_pairs(alpha, chains, table, target):
+    """The (center disk loop, slot part) pairs of the classes of alpha
+    that `reference_class_terms` evaluates, zero-valued classes
+    included: the linking numbers chain assembly of alpha must ask for,
+    and no others."""
+    from opengw.lattice import ConstraintTuple
+
+    pairs = set()
+    for eta, _count in full_class_list(target, alpha):
+        slots = [part for part in eta.parts if not part.is_point_tuple()]
+        if eta.center_degree.is_zero or not all(
+                part in chains and chains[part].boundary for part in slots):
+            continue
+        center = ConstraintTuple(eta.center_degree, eta.point_labels(),
+                                 eta.center_descriptors)
+        pairs.update((atom.loop, part)
+                     for atom in table.single_disks(center) for part in slots)
+    return pairs
 
 
 def reference_boundary(terms):

@@ -48,6 +48,7 @@ from support import (
     reference_census,
     reference_class_terms,
     reference_degree_invariant,
+    reference_linked_pairs,
     reference_weighted_invariant,
     splitting_of,
     synthetic_instance,
@@ -158,7 +159,7 @@ def test_flagship_boundary_identity_randomized():
             assert lhs == rhs, (seed, alpha)
 
 
-def _unsigned_classes(eta):
+def _unsigned_classes(point_parts):
     """The class sign with its (-1)^(point parts) dropped: flipped for an
     odd number of point parts."""
     return 1
@@ -481,6 +482,140 @@ def test_chain_invariants_match_the_separate_walks(seed, shape, rank):
                 dropped, table, target, p, chains), (alpha, p)
         assert chain.weighted == reference_weighted_invariant(
             alpha, table, target, chains), alpha
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       shape=st.sampled_from(CHAIN_SHAPES), rank=st.sampled_from((1, 2)))
+def test_chain_assembly_links_exactly_the_class_pairs(seed, shape, rank):
+    """The class sums ask for lk(loop, chain) on exactly the (center
+    disk, slot chain) pairs of the classes that exist, zero-valued
+    classes included (`reference_linked_pairs`): per tuple when its
+    chain is assembled alone, and over the family when `build_chains`
+    shares one memo.  So no lk is read on a branch that has no class,
+    and none is skipped after a zero one, and a loop without linking
+    data raises exactly where a class needs it.  Both lattice ranks."""
+    target, table, top = synthetic_instance(make_rng(seed), *shape,
+                                            rank=rank)
+    link = bounding_chain._chain_linking
+    uses = set()
+
+    def counted(loop, chain, links):
+        uses.add((loop, chain.alpha))
+        return link(loop, chain, links)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bounding_chain, "_chain_linking", counted)
+        chains = build_chains([top], table, target)
+        family = set(uses)
+        expected = set()
+        for alpha, chain in chains.items():
+            pairs = reference_linked_pairs(alpha, chains, table, target)
+            uses.clear()
+            assert assemble_chain(alpha, chains, table, target) == chain
+            assert uses == pairs, alpha
+            expected |= pairs
+    assert family == expected
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_class_sums_stay_inside_one_family(rank):
+    """Two atom tables over one target, with the same loops and other
+    linking numbers, each get their own chains, equal to the listing
+    oracle: no class sum of one family is read by the other.  Each chain
+    assembled alone equals its family's, and a family without the chain
+    of a live predecessor is still refused."""
+    target, table, top = synthetic_instance(make_rng(16001), n_points=3,
+                                            n_quartic=1, rank=rank)
+    loops = sorted(a.loop for a in table.atoms)
+    other = AtomTable(target, table.atoms, LinkingMatrix([
+        (a, b, 2 * table.links.lk(a, b) + 1)
+        for a, b in itertools.combinations(loops, 2)]))
+    families = [build_chains([top], t, target) for t in (table, other)]
+    assert families[0] != families[1]
+    for t, chains in zip((table, other), families):
+        for alpha, chain in chains.items():
+            assert dict(chain.boundary) == reference_boundary(
+                reference_class_terms(alpha, chains, t, target)), alpha
+            assert assemble_chain(alpha, chains, t, target) == chain
+    chains = families[0]
+    live = next(alpha for alpha in target.predecessors(top)
+                if alpha in chains and chains[alpha].boundary)
+    del chains[live]
+    with pytest.raises(ChainError, match="missing predecessor chain"):
+        assemble_chain(top, chains, table, target)
+
+
+def maslov_zero_instance(rng):
+    """A rank-2 target whose second generator h has Maslov index 0, so
+    that a tuple of degree b * h without labels has dimension 0 and a
+    class can carry it as a part more than once.  Each dimension-0 tuple
+    below the top (2g + 3h, {p, q}) gets 0 to 2 rigid disks with random
+    signs.  A family of this target cannot be built: the class of 2h
+    with center h and slot h links a disk of h with its own loop.  So the
+    chains are drawn instead, each a random boundary on four loops e0-e3
+    that bound no disk, for every dimension-0, non-point tuple below the
+    top.  Every loop pair gets a small random rational linking number.
+    Returns (target, atom table, top, chains)."""
+    t = Target([("g", 1, 2), ("h", 1, 0)])
+    top = t.constraint_tuple((2, 3), ["p", "q"])
+    atoms = []
+    for a, b in itertools.product(range(3), range(4)):
+        for points in itertools.combinations(("p", "q"), a):
+            for _ in range(rng.choice((0, 1, 1, 2)) if a or b else 0):
+                atoms.append(DiskAtom(t.degree((a, b)), frozenset(points),
+                                      frozenset(), rng.choice((1, -1)),
+                                      "x%d" % len(atoms)))
+    ends = ["e%d" % i for i in range(4)]
+    loops = [atom.loop for atom in atoms] + ends
+    links = LinkingMatrix([
+        (x, y, Fraction(rng.randint(-3, 3), rng.choice((1, 2))))
+        for x, y in itertools.combinations(loops, 2)])
+    table = AtomTable(t, atoms, links)
+    chains = {}
+    for alpha in dim0_subtuples(t, table, top):
+        boundary = tuple(sorted(
+            (e, Fraction(rng.randint(-2, 2))) for e in rng.sample(ends, 2)))
+        chains[alpha] = BoundingChain(
+            alpha, tuple(x for x in boundary if x[1]), (), Fraction(0))
+    return t, table, top, chains
+
+
+def test_repeated_unlabeled_parts_match_the_listing(monkeypatch):
+    """Unlabeled parts, repeats included, on drawn chains: each tuple's
+    chain, assembled alone over the drawn chains of its predecessors,
+    has the listing oracle's boundary, degree invariants and weighted
+    invariant, and asks lk for exactly the class pairs.  Some class
+    with one unlabeled part twice adds to a boundary."""
+    link = bounding_chain._chain_linking
+    uses = set()
+
+    def counted(loop, chain, links):
+        uses.add((loop, chain.alpha))
+        return link(loop, chain, links)
+
+    monkeypatch.setattr(bounding_chain, "_chain_linking", counted)
+    repeated = 0
+    for seed in range(4):
+        target, table, top, chains = maslov_zero_instance(
+            make_rng(17000 + seed))
+        for alpha in chains:
+            uses.clear()
+            chain = assemble_chain(alpha, chains, table, target)
+            assert uses == reference_linked_pairs(alpha, chains, table,
+                                                  target), alpha
+            terms = reference_class_terms(alpha, chains, table, target)
+            assert dict(chain.boundary) == reference_boundary(terms), alpha
+            for p, degree in chain.degrees:
+                dropped = ConstraintTuple(alpha.beta, alpha.points - {p},
+                                          alpha.descriptors)
+                assert degree == reference_degree_invariant(
+                    dropped, table, target, p, chains), (alpha, p)
+            assert chain.weighted == reference_weighted_invariant(
+                alpha, table, target, chains), alpha
+            repeated += sum(1 for eta, _ in terms
+                            if len(set(eta.parts)) < len(eta.parts))
+    assert repeated
 
 
 def test_weighted_invariant_forwards_sign_toggles(monkeypatch):

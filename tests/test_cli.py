@@ -27,6 +27,7 @@ from support import (
     direct_degeneration_classes,
     instance_documents,
     make_rng,
+    reference_linked_pairs,
     synthetic_instance,
 )
 
@@ -466,31 +467,81 @@ def test_verify_all_enumerates_trees_only_in_the_matrix_tree_suite(
     assert callers == {"matrix_tree_suite": 66}
 
 
-def test_verify_all_walks_each_chain_tuples_classes_once(tmp_path,
-                                                         monkeypatch):
-    """The chains carry their invariants, so a toy verify-all walks the
-    classes of each of its 7 chain tuples once: the boundary, the degree
-    invariant of each (tuple, point) pair and the weighted invariant all
-    read that walk, the one `classes_through` call of `assemble_chain`."""
-    from opengw import bounding_chain
+def test_verify_all_assembles_chains_without_listing_classes(tmp_path,
+                                                            monkeypatch):
+    """A toy verify-all builds its one family of 7 chains from the
+    memoized class sums: no `classes_through` call is made while the
+    chains are built.  The boundary, the degree invariant of each
+    (tuple, point) pair and the weighted invariant all read those sums;
+    the later checks still list their classes."""
+    from opengw import bounding_chain, cli
     from opengw.lattice import Target
 
+    built = []
     walks = Counter()
     walk = Target.classes_through
+    build = cli.build_chains
 
     def counted(self, alpha, *args, **kwargs):
-        if sys._getframe(1).f_code is bounding_chain.assemble_chain.__code__:
-            walks[alpha] += 1
+        walks["building" if built == [None] else "after"] += 1
         return walk(self, alpha, *args, **kwargs)
 
+    def building(*args):
+        built.append(None)
+        chains = build(*args)
+        built[-1] = chains
+        return chains
+
     monkeypatch.setattr(Target, "classes_through", counted)
+    monkeypatch.setattr(cli, "build_chains", building)
     status, cfg = run_pipeline(tmp_path, "verify-all", seed=3)
     assert status == 0
     bundle = fileio.load_target(toy_paths()["target"])
     atoms = fileio.load_atoms(toy_paths()["atoms"], bundle.target)
     worklist = bounding_chain.chain_tuples(bundle.target, atoms.tuples)
-    assert len(worklist) == 7 == sum(walks.values())
-    assert walks == Counter(worklist)
+    (chains,) = built
+    assert len(worklist) == 7 == len(chains)
+    assert list(chains) == worklist
+    assert walks["building"] == 0 and walks["after"] > 0
+
+
+def test_unbounded_loop_fails_chain_assembly_where_a_class_links_it(
+        tmp_path, capsys):
+    """bb-recursion with one loop declared not null-homologous exits 2
+    with one error line when a class of the family links that loop, as
+    its center disk's loop or through a slot chain's boundary, and exits
+    0 when no class does.  Which loops the classes link is read off the
+    listing oracle's (center disk, slot part) pairs."""
+    from opengw.bounding_chain import build_chains
+
+    target, table, top = synthetic_instance(make_rng(7), n_points=3,
+                                            n_quartic=0)
+    chains = build_chains([top], table, target)
+    linked = set()
+    for alpha in chains:
+        for loop, part in reference_linked_pairs(alpha, chains, table,
+                                                 target):
+            linked.add(loop)
+            linked.update(other for other, _ in chains[part].boundary)
+    loops = sorted(a.loop for a in table.atoms)
+    cases = [(min(linked), 2), (min(set(loops) - linked), 0)]
+    target_doc, atoms_doc = instance_documents(target, table, top)
+    paths = {"target": str(tmp_path / "target.json"), "closed_gw": None,
+             "seeds": None}
+    with open(paths["target"], "w") as fh:
+        json.dump(target_doc, fh)
+    for loop, want in cases:
+        atoms_doc["unbounded_loops"] = [loop]
+        paths["atoms"] = str(tmp_path / ("atoms-%s.json" % loop))
+        with open(paths["atoms"], "w") as fh:
+            json.dump(atoms_doc, fh)
+        status, cfg = run_pipeline(tmp_path / loop, "bb-recursion", **paths)
+        assert status == want, loop
+        if want:
+            assert "not declared null-homologous" in _assert_one_line_error(
+                capsys)
+        else:
+            assert os.path.exists(os.path.join(cfg.out, "chains.tsv"))
 
 
 def test_verify_all_lists_each_chain_once_for_several_tops(tmp_path,

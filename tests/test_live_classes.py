@@ -1,7 +1,9 @@
 """Live-class generation against the full class list.
 
-Chain assembly, `constant_center_classes`, the class-level count of
-branch decompositions and the enumerated quotient side
+`Target.classes_through` with the table's tuples as centers and the
+live chains as parts (the classes chain assembly sums over),
+`constant_center_classes`, the class-level count of branch
+decompositions and the enumerated quotient side
 `support.branch_decompositions` build only the degeneration classes
 that can contribute.  The oracles below apply the same filters to the
 full class list of the direct enumerator in `support` instead, and the
@@ -58,7 +60,7 @@ def _full_slot_chains(eta, chains):
 
 
 def full_chain_classes(alpha, chains, table, classes):
-    """The classes a chain's walk visits: a table tuple as center, and
+    """The classes a chain's sums meet: a table tuple as center, and
     every non-point part a chain with nonempty boundary."""
     centers = set(table.tuples())
     return [
@@ -110,7 +112,7 @@ def full_branch_decompositions(alpha, table, classes):
 
 def assert_live_routes_match(target, table, top, label):
     """Compare every live-class consumer with its full-list oracle on the
-    dimension-0 tuples below top: the classes each chain's walk visits,
+    dimension-0 tuples below top: the classes each chain's sums meet,
     and the chain's boundary and degree invariants against the class
     terms of the listing oracle, through each point for the degrees.
     Returns how many items each route produced, so that callers can
