@@ -27,6 +27,8 @@ is one recursion on the labels and the degree left, W_a, kept as a
 polynomial in the number of parts and memoized by (disk loop, labels
 left, degree left, least unlabeled index) over the whole family
 (`_ClassSums`): a sum met again by a larger tuple is read, not redone.
+The recursion walks the parts in the order of `lattice._PartIndex`,
+whose docstring states that order and how labels and degrees pack.
 
 Two invariants are read off the same sums, and each chain carries them:
 
@@ -55,11 +57,10 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import sub
 from typing import NamedTuple
 
 from . import OpenGWError
-from .lattice import ConstraintTuple
+from .lattice import ConstraintTuple, _PartIndex
 from .multidisk import (
     MultiDisk,
     _block_tables,
@@ -115,10 +116,22 @@ class BoundingChain:
 
 def _chain_linking(loop, chain, links):
     """lk of a loop against a chain's boundary multiset, extended
-    linearly, summed the first time the chain is asked for the loop."""
+    linearly, summed the first time the chain is asked for the loop.
+
+    A loop in the chain's own boundary raises `ChainError`.  The loop's
+    disk is on a tuple c below the chain's tuple P, so c's labels are
+    among P's; P is a part of a class with center c, so c has none.  A
+    dimension-0 tuple without labels has Maslov index 0, which the
+    positivity convention excludes."""
     known = chain._linking
     value = known.get(loop)
     if value is None:
+        if any(other == loop for other, _ in chain.boundary):
+            raise ChainError(
+                "a class links the disk on loop %r with the chain of %r, "
+                "which that loop bounds: the disk's tuple has no label and "
+                "Maslov index 0, against the positivity convention"
+                % (loop, chain.alpha))
         value = known[loop] = sum(
             (coeff * links.lk(loop, other) for other, coeff in chain.boundary),
             Fraction(0))
@@ -163,8 +176,10 @@ def _center_triples(table):
 _ONE = (1, (1,))  # the class sum with nothing left: the empty multiset
 
 
-class _ClassSums:
-    """The memoized class sums of one chain family.
+class _ClassSums(_PartIndex):
+    """The memoized class sums of one chain family: a `lattice._PartIndex`
+    of its live chains, whose docstring states the order of the walk and
+    the packing of labels and degrees.
 
     `total(loop, labels, rest, start)` is W_a for a rigid disk a on that
     loop: the sum, over the multisets of live parts that split the
@@ -172,129 +187,53 @@ class _ClassSums:
     polynomial in t, the number of parts; None when no multiset splits
     them.  A polynomial is (denominator, integer coefficients from t^0
     up), in lowest terms.  A live part is a chain with nonempty
-    boundary, made available by `add`.  The recursion:
+    boundary.  W of no labels and the zero degree is 1, and any other W
+    is the sum over the index's steps past a part P of t * lk(a, P) * W
+    of the step's state.  The walk meets each multiset once, so W_a of
+    what a center c leaves of alpha meets each class of alpha with
+    center c once, and a path's product is its class's.
 
-      W(labels, rest) = sum over the live parts P holding the least
-          label left, with P's labels among the labels left and P's
-          degree at most rest, of t * lk(a, P) * W(labels - P, rest - P);
-      W(no labels, rest, i) = sum over the unlabeled live parts P of
-          index j >= i with degree at most rest, of
-          t * lk(a, P) * W(no labels, rest - P, j);
-      W(no labels, zero, i) = 1.
-
-    The order is that of `Target.classes_through`: labels ordered points
-    first, each kind sorted, then unlabeled parts by non-decreasing
-    index.  A multiset of parts is a set partition of the labels plus a
-    multiset of unlabeled parts, and the order meets each of them on
-    exactly one path.  So W_a of the labels and degree a center c leaves
-    of alpha meets each class of alpha with center c once, and the
-    product along the path is the class's product of linking numbers.
-
-    Labels are bits of one integer in that order, so the least label
-    left is the lowest bit.  A degree is packed into one integer, one
-    field per coordinate with a guard bit on top: subtracting a packed
-    degree from a packed rest with its guards set clears a guard exactly
-    when that coordinate does not fit, and leaves the packed difference
-    when all fit.
-
-    The memo is keyed by (disk loop, labels left, degree left, least
-    unlabeled index).  W of a key depends only on the key and on the
-    live parts that fit it, and those are strict predecessors of every
-    tuple whose sums reach the key.  `build_chains` adds the chains in
-    level order, so they are all added before the key is first summed,
-    no later chain fits it, and unlabeled parts keep the index they were
-    added with.  So one memo serves one family, whose chains all come
-    from one atom table.  lk(a, P) is read only once W of the rest of
-    the branch is known to have a multiset, and then whatever its value,
-    so the (loop, chain) pairs linked are exactly those of the classes
-    that exist: a loop without linking data raises exactly when one of
-    them needs it.
+    The centers are the table tuples that can fit below the family, as
+    (label bits, packed degree, points, rigid disks).  The memo is keyed
+    by (disk loop, labels left, degree left, least unlabeled index).  W
+    of a key depends only on the key and on the live parts that fit it,
+    and those are strict predecessors of every tuple whose sums reach
+    the key.  `build_chains` adds the chains in level order, so they are
+    all added before the key is first summed, no later chain fits it,
+    and unlabeled parts keep the index they were added with.  So one
+    memo serves one family, whose chains all come from one atom table.
+    lk(a, P) is read only once W of the rest of the branch is known to
+    have a multiset, and then whatever its value, so the (loop, chain)
+    pairs linked are exactly those of the classes that exist: a loop
+    without linking data raises exactly when one of them needs it.
     """
 
     def __init__(self, table, target, tuples):
-        """Sums over the parts that fit below `tuples`: their labels get
-        the bits, and their largest coordinate sets the packing.  The
-        centers are the table tuples that can fit below them, as (label
-        bits, packed degree, points, rigid disks)."""
-        points = set().union(*(t.points for t in tuples))
-        descriptors = set().union(*(t.descriptors for t in tuples))
-        labels = ([("p", x) for x in sorted(points)]
-                  + [("d", x) for x in sorted(descriptors)])
-        self.bits = {label: 1 << i for i, label in enumerate(labels)}
-        self.width = 1 + max(
-            (c for t in tuples for c in t.beta.coords), default=0,
-        ).bit_length()
-        self.guard = sum(1 << (self.width * (i + 1) - 1)
-                         for i in range(target.rank))
+        super().__init__(target.rank, tuples)
         self.links = table.links
-        self.labeled = {}  # least label bit -> [(bits, packed degree, chain)]
-        self.unlabeled = []  # [(packed degree, chain)], by index
         self.centers = []
         for c in table.tuples():
-            bits, degree = self.labels(c), self.degree(c)
-            if bits is not None and degree is not None:
-                self.centers.append((bits, degree, c.points,
-                                     table.single_disks(c)))
+            packed = self.pack(c.beta, c.points, c.descriptors)
+            if packed is not None:
+                self.centers.append(packed + (c.points, table.single_disks(c)))
         self.memo = {}
-
-    def labels(self, alpha):
-        """The label bits of a tuple; None when it has a label the sums
-        do not know."""
-        bits = self.bits
-        try:
-            return (sum(bits["p", x] for x in alpha.points)
-                    + sum(bits["d", x] for x in alpha.descriptors))
-        except KeyError:
-            return None
-
-    def degree(self, alpha):
-        """A tuple's degree packed, guard bits clear; None when a
-        coordinate is too large for the packing."""
-        width = self.width
-        packed = 0
-        for i, c in enumerate(alpha.beta.coords):
-            if c >> (width - 1):
-                return None
-            packed += c << (width * i)
-        return packed
-
-    def add(self, alpha, chain):
-        """Make alpha's chain a part of the sums when its boundary is
-        nonempty and it can fit below the sums' tuples."""
-        labels, degree = self.labels(alpha), self.degree(alpha)
-        if not chain.boundary or labels is None or degree is None:
-            return
-        if labels:
-            self.labeled.setdefault(labels & -labels, []).append(
-                (labels, degree, chain))
-        else:
-            self.unlabeled.append((degree, chain))
 
     def total(self, loop, labels, rest, start):
         key = (loop, labels, rest, start)
         memo = self.memo
         if key in memo:
             return memo[key]
-        guard = self.guard
-        if labels:
-            steps = [(bits, degree, chain, 0) for bits, degree, chain
-                     in self.labeled.get(labels & -labels, ())
-                     if bits & labels == bits]
-        elif rest == guard:
+        if not labels and rest == self.guard:
             memo[key] = _ONE
             return _ONE
-        else:
-            steps = [(0, degree, chain, i) for i, (degree, chain)
-                     in enumerate(self.unlabeled[start:], start)]
         out = None
-        for bits, degree, chain, nxt in steps:
-            left = rest - degree
-            if left & guard == guard:
-                sub = self.total(loop, labels ^ bits, left, nxt)
-                if sub is not None:
-                    value = _chain_linking(loop, chain, self.links)
-                    out = _poly_add(out, sub, value.numerator,
-                                    value.denominator, 1)
+        for left, left_rest, chain, nxt in self.next_parts(labels, rest,
+                                                           start):
+            sub = self.total(loop, left, left_rest, nxt)
+            if sub is not None:
+                value = _chain_linking(loop, chain, self.links)
+                out = _poly_add(out, sub, value.numerator,
+                                value.denominator, 1)
         if out is not None:
             den, coeffs = out
             g = math.gcd(den, *coeffs)
@@ -403,9 +342,9 @@ def _assemble(alpha, sums):
     boundary = {}
     degrees = dict.fromkeys(sorted(alpha.points), Fraction(0))
     by_parts = {}  # part count -> the sum of its class totals
-    labels = sums.labels(alpha)
+    labels, packed = sums.pack(alpha.beta, alpha.points, alpha.descriptors)
     guard = sums.guard
-    packed = sums.degree(alpha) + guard
+    packed += guard
     for bits, degree, points, disks in sums.centers:
         rest = packed - degree
         if bits & labels != bits or rest & guard != guard:
@@ -414,7 +353,11 @@ def _assemble(alpha, sums):
         sign = _class_sign(len(points))
         total = None
         for atom in disks:
-            sums_a = sums.total(atom.loop, left, rest, 0)
+            try:
+                sums_a = sums.total(atom.loop, left, rest, 0)
+            except ChainError as exc:
+                raise ChainError("assembling the chain of %r: %s"
+                                 % (alpha, exc)) from None
             if sums_a is None:
                 break  # no class: whether one exists does not depend on a
             s = sign * atom.sign
@@ -482,7 +425,8 @@ def build_chains(tops, table, target):
     for alpha in sorted(order, key=lambda a: (
             a.beta.area, len(a.points) + len(a.descriptors), a.sort_key())):
         chain = chains[alpha] = _assemble(alpha, sums)
-        sums.add(alpha, chain)
+        if chain.boundary:
+            sums.add(alpha, chain)
     return {alpha: chains[alpha] for alpha in order}
 
 

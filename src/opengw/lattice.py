@@ -19,11 +19,12 @@ One generator, `Target.classes_through`, yields the classes of
 splittings up to permuting the parts, from a set of centers and a set
 of allowed parts, in their final order and one center group at a time;
 the full list `Target.degeneration_classes` is the call that allows
-every center and every predecessor.  Its recursion works on integer
-coordinate tuples and builds a `DegenerationType` only for each class
-it emits.  The direct class-level enumerator and the raw expansion into
-ordered splittings are kept in the test suite as independent oracles
-for it.
+every center and every predecessor.  It walks the parts in the order
+of `_PartIndex`, which states that order and how labels and degrees
+are packed, and which the chain sums of `bounding_chain` walk too.  A
+`DegenerationType` is built only for each class it emits.  The direct
+class-level enumerator and the raw expansion into ordered splittings
+are kept in the test suite as independent oracles for it.
 
 `Target.class_counts` is the counting route beside `classes_through`:
 it gives the number of classes of the full list and the number of raw
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter, sub
@@ -165,26 +167,6 @@ class DegenerationType:
     @property
     def part_count(self):
         return len(self.parts)
-
-    def point_labels(self):
-        """Labels of parts that are bare point tuples."""
-        return frozenset(
-            next(iter(p.points)) for p in self.parts if p.is_point_tuple()
-        )
-
-    def chain_slots(self):
-        """Indices of parts that are not bare point tuples."""
-        return tuple(
-            i for i, p in enumerate(self.parts) if not p.is_point_tuple()
-        )
-
-    def center_tuple(self):
-        """Central tuple (center degree, point-part labels, center
-        descriptors); None when that tuple would be empty."""
-        pts = self.point_labels()
-        if self.center_degree.is_zero and not pts and not self.center_descriptors:
-            return None
-        return ConstraintTuple(self.center_degree, pts, self.center_descriptors)
 
     def sort_key(self):
         return (
@@ -398,108 +380,71 @@ class Target:
         output.  Bare point tuples may be among the parts only when no
         center carries point labels; otherwise a class would be listed
         twice.  Every point-free center with every predecessor of alpha
-        as a part gives the full class list.
+        as a part gives the full class list.  A center or part that
+        cannot fit below alpha, with a label alpha lacks or a coordinate
+        past alpha's packing, is ignored.
 
         The centers are grouped by their degree coordinates and sorted
         descriptors, the leading part of the sort key; the groups run in
         key order, and each is sorted on its part keys and yielded before
-        the next one is built, so only one group is held at a time.
-
-        The recursion runs on integer coordinate tuples: each part's
-        coordinates and sort key are read once, a degree is subtracted
-        coordinate by coordinate, and a `DegenerationType` is built only
-        for an emitted class.  The raw count of a class is n! over the
-        factorials of the runs of equal unlabeled parts, the only parts
-        that can repeat.
+        the next one is built, so only one group is held at a time.  A
+        center's classes are the paths of a walk over a `_PartIndex` of
+        alpha from what the center leaves.  The raw count of a class is
+        n! over the factorials of the multiplicities of its parts.
         """
-        by_label = {}
-        unlabeled = []
-        for p in set(parts):
-            entry = (p, p.beta.coords, p.sort_key())
-            labels = [("p", x) for x in p.points] + [
-                ("d", x) for x in p.descriptors
-            ]
-            for label in labels:
-                by_label.setdefault(label, []).append(entry)
-            if not labels:
-                unlabeled.append(entry)
+        index = _PartIndex(self.rank, [alpha])
+        for p in dict.fromkeys(parts):
+            index.add(p, (p, p.sort_key()))
+        guard = index.guard
+        labels, packed = index.pack(alpha.beta, alpha.points,
+                                    alpha.descriptors)
+        packed += guard
         point_parts = {}
         for x in alpha.points:
             pt = self.point_tuple(x)
-            point_parts[x] = (pt, pt.beta.coords, pt.sort_key())
+            point_parts[x] = (pt, pt.sort_key())
         groups = {}
         for beta, pts, descs in set(centers):
-            if not (pts <= alpha.points and descs <= alpha.descriptors):
+            center = index.pack(beta, pts, descs)
+            if center is None:
                 continue
-            rest = tuple(map(sub, alpha.beta.coords, beta.coords))
-            if min(rest) >= 0:
+            bits, degree = center
+            rest = packed - degree
+            if rest & guard == guard:
                 key = (beta.coords, tuple(sorted(descs)))
-                groups.setdefault(key, []).append((beta, pts, descs, rest))
-        out = []
-
-        def emit(center, fixed, free):
-            beta, descs, trivial = center
-            if trivial and len(fixed) + len(free) == 1:
-                return  # the excluded degenerate splitting
-            split = sorted(fixed + [unlabeled[i] for i in free],
-                           key=itemgetter(2))
-            repeats = math.prod(
-                math.factorial(len(list(run)))
-                for _, run in itertools.groupby(free)
-            )
-            out.append((
-                tuple(key for _, _, key in split),
-                DegenerationType(beta, descs,
-                                 tuple(p for p, _, _ in split)),
-                math.factorial(len(split)) // repeats,
-            ))
-
-        def place_labels(center, rest, pts, descs, fixed):
-            # the part holding the smallest unplaced label comes next
-            if not pts and not descs:
-                add_unlabeled(center, rest, 0, fixed, [])
-                return
-            label = ("p", min(pts)) if pts else ("d", min(descs))
-            for entry in by_label.get(label, ()):
-                p, coords, _ = entry
-                if not (p.points <= pts and p.descriptors <= descs):
-                    continue
-                left = tuple(map(sub, rest, coords))
-                if min(left) >= 0:
-                    fixed.append(entry)
-                    place_labels(center, left, pts - p.points,
-                                 descs - p.descriptors, fixed)
-                    fixed.pop()
-
-        def add_unlabeled(center, rest, start, fixed, free):
-            # unlabeled parts as a multiset: indices never decrease
-            if not any(rest):
-                emit(center, fixed, free)
-                return
-            for i in range(start, len(unlabeled)):
-                left = tuple(map(sub, rest, unlabeled[i][1]))
-                if min(left) >= 0:
-                    free.append(i)
-                    add_unlabeled(center, left, i, fixed, free)
-                    free.pop()
-
-        try:
-            for key in sorted(groups):
-                for beta, pts, descs, rest in groups[key]:
-                    place_labels((beta, descs, beta.is_zero and not descs),
-                                 rest, alpha.points - pts,
-                                 alpha.descriptors - descs,
-                                 [point_parts[x] for x in pts])
-                # within a group the part keys order the classes
-                out.sort(key=itemgetter(0))
-                for _, eta, count in out:
-                    yield eta, count
-                out.clear()
-        finally:
-            # the recursive closures refer to themselves; clearing them
-            # frees the part tables when the generator ends or is closed,
-            # not at the next full garbage collection
-            del place_labels, add_unlabeled
+                groups.setdefault(key, []).append((
+                    beta, descs, [point_parts[x] for x in pts],
+                    (labels ^ bits, rest, 0, ())))
+        for key in sorted(groups):
+            out = []
+            for beta, descs, fixed, walk in groups[key]:
+                trivial = beta.is_zero and not descs
+                stack = [walk]  # (labels left, degree left, index, path)
+                while stack:
+                    left, rest, least, path = stack.pop()
+                    if left or rest != guard:
+                        stack += [(lab, deg, i, path + (item,))
+                                  for lab, deg, item, i
+                                  in index.next_parts(left, rest, least)]
+                        continue
+                    split = fixed + list(path)
+                    if trivial and len(split) == 1:
+                        continue  # the excluded degenerate splitting
+                    split.sort(key=itemgetter(1))
+                    raw = math.factorial(len(split))
+                    if len(set(map(id, path))) < len(path):  # parts repeat
+                        raw //= math.prod(map(math.factorial, Counter(
+                            map(id, path)).values()))
+                    out.append((
+                        tuple([k for _, k in split]),
+                        DegenerationType(beta, descs,
+                                         tuple([p for p, _ in split])),
+                        raw,
+                    ))
+            # within a group the part keys order the classes
+            out.sort(key=itemgetter(0))
+            for _, eta, count in out:
+                yield eta, count
 
     # -- numerical helpers ---------------------------------------------
 
@@ -624,6 +569,93 @@ def _count_within_area(areas, max_area, limit):
 
     walk(0, max_area)
     return min(count, limit + 1)
+
+
+# --- the part index -----------------------------------------------------
+
+
+class _PartIndex:
+    """Parts packed for the one canonical walk over a tuple's classes,
+    which `Target.classes_through` and the chain sums of `bounding_chain`
+    share; the order and the packing are stated here.
+
+    The labels of the tuples served are bits of one integer, points
+    first and then descriptors, each kind sorted, so the least label
+    left is the lowest bit.  A degree is one integer with a field per
+    coordinate, one bit wider than the largest coordinate served; that
+    top bit is the field's guard.  A degree left is held with its guards
+    set: subtracting a packed degree clears a guard exactly when that
+    coordinate does not fit, and otherwise leaves the difference, guards
+    set, so the zero degree left is `guard`.  `add` files a part with
+    the item its steps hand back, a labeled part under its least label
+    bit and an unlabeled one at the next index.  A part with an unknown
+    label or a coordinate outside its field fits below no tuple served,
+    and is left out.
+
+    `next_parts` steps from (labels left, degree left, least unlabeled
+    index) to the fitting parts that hold the least label left and whose
+    labels are all left; with no label left, to the fitting unlabeled
+    parts at that index or later.  A walk ends at no label and the zero
+    degree.  A multiset of parts is a set partition of the labels plus a
+    multiset of unlabeled parts, and the walk meets each on exactly one
+    path: its labeled parts by least label, the rest by index.
+    """
+
+    def __init__(self, rank, tuples):
+        points = sorted(set().union(*(t.points for t in tuples)))
+        descriptors = sorted(set().union(*(t.descriptors for t in tuples)))
+        self.point_bits = {x: 1 << i for i, x in enumerate(points)}
+        self.descriptor_bits = {x: 1 << i for i, x
+                                in enumerate(descriptors, len(points))}
+        self.width = 1 + max((c for t in tuples for c in t.beta.coords),
+                             default=0).bit_length()
+        self.guard = sum(1 << (self.width * (i + 1) - 1) for i in range(rank))
+        self.labeled = {}  # least label bit -> [(label bits, degree, item)]
+        self.unlabeled = []  # [(degree, item)], by index
+
+    def pack(self, beta, points, descriptors):
+        """(label bits, packed degree with guards clear) of a degree and
+        label sets; None when a label is unknown or a coordinate is
+        outside its field."""
+        try:
+            labels = (sum(map(self.point_bits.__getitem__, points))
+                      + sum(map(self.descriptor_bits.__getitem__,
+                                descriptors)))
+        except KeyError:
+            return None
+        width = self.width
+        packed = 0
+        for i, c in enumerate(beta.coords):
+            if c >> (width - 1):
+                return None
+            packed += c << (width * i)
+        return labels, packed
+
+    def add(self, part, item):
+        """File a tuple as a part, with the item its steps hand back."""
+        packed = self.pack(part.beta, part.points, part.descriptors)
+        if packed is None:
+            return
+        labels, degree = packed
+        if labels:
+            self.labeled.setdefault(labels & -labels, []).append(
+                (labels, degree, item))
+        else:
+            self.unlabeled.append((degree, item))
+
+    def next_parts(self, labels, rest, start):
+        """The steps from (labels left, degree left with its guards set,
+        least unlabeled index): (labels left, degree left, item, least
+        unlabeled index) after each part that may come next and fits."""
+        guard = self.guard
+        if labels:
+            return [(labels ^ bits, left, item, 0) for bits, degree, item
+                    in self.labeled.get(labels & -labels, ())
+                    if bits & labels == bits
+                    and (left := rest - degree) & guard == guard]
+        return [(0, left, item, i) for i, (degree, item)
+                in enumerate(self.unlabeled[start:], start)
+                if (left := rest - degree) & guard == guard]
 
 
 # --- class counting -------------------------------------------------------

@@ -36,7 +36,9 @@ the rational formatter of the document writer and the clamped binomial
 of the negative controls; the randint forms of the self-checks' random
 rationals (the references for the draws `selfcheck` reads off
 getrandbits); and the reference routines that production
-does not call (the class key of a splitting, the order on tuples, the
+does not call (the class key of a splitting, its point labels, chain
+slots and center tuple, tuples that cannot fit below a given one, the
+order on tuples, the
 combined map of a fiber problem, the orientation sign of a fiber
 problem read off one n x n determinant (the reference for the sign
 `orientation.fiber_orientation_sign` reads off the problem's
@@ -179,6 +181,60 @@ def class_key(eta):
         tuple(sorted(eta.center_descriptors)),
         tuple(sorted(p.sort_key() for p in eta.parts)),
     )
+
+
+def point_labels(eta):
+    """Labels of a splitting's parts that are bare point tuples."""
+    return frozenset(
+        next(iter(p.points)) for p in eta.parts if p.is_point_tuple()
+    )
+
+
+def chain_slots(eta):
+    """Indices of a splitting's parts that are not bare point tuples."""
+    return tuple(i for i, p in enumerate(eta.parts) if not p.is_point_tuple())
+
+
+def center_tuple(eta):
+    """Central tuple of a splitting (center degree, point-part labels,
+    center descriptors); None when that tuple would be empty."""
+    from opengw.lattice import ConstraintTuple
+
+    pts = point_labels(eta)
+    if eta.center_degree.is_zero and not pts and not eta.center_descriptors:
+        return None
+    return ConstraintTuple(eta.center_degree, pts, eta.center_descriptors)
+
+
+def parts_that_cannot_fit(target, alpha):
+    """Tuples that no class of alpha can hold, each once without labels
+    of alpha and once with alpha's least label: of the first generator's
+    degree with a point label or a declared descriptor alpha lacks, and
+    of 2, 4 and 8 times alpha's largest coordinate (at least 1) along
+    each generator.  Those coordinates are past the field a packed
+    degree of alpha has, and the larger ones would land in the next
+    field if read unchecked."""
+    least = ([("points", min(alpha.points))] if alpha.points
+             else [("descriptors", min(alpha.descriptors))]
+             if alpha.descriptors else [])
+    lacking = [("points", "outside")] + [
+        ("descriptors", d) for d in sorted(target.descriptors)
+        if d not in alpha.descriptors]
+    top = max(max(alpha.beta.coords), 1)
+    large = [target.degree([k * top * (j == i) for j in range(target.rank)])
+             for k in (2, 4, 8) for i in range(target.rank)]
+
+    def with_labels(beta, labels):
+        kinds = {"points": [], "descriptors": []}
+        for kind, x in labels:
+            kinds[kind].append(x)
+        return target.constraint_tuple(beta, **kinds)
+
+    return [with_labels(beta, labels + own)
+            for own in ([], least)
+            for beta, labels in
+            [(target.generator(0), [label]) for label in lacking]
+            + [(beta, []) for beta in large]]
 
 
 def precedes(first, second, strict=False):
@@ -838,9 +894,9 @@ def branch_decompositions(alpha, table, target, decorated=None):
     for eta, _count in target.classes_through(
         alpha, _center_triples(table), parts
     ):
-        slot_parts = [eta.parts[i] for i in eta.chain_slots()]
+        slot_parts = [eta.parts[i] for i in chain_slots(eta)]
         slot_dmds = [parts[part] for part in slot_parts]
-        for center_atom in table.single_disks(eta.center_tuple()):
+        for center_atom in table.single_disks(center_tuple(eta)):
             for assignment in itertools.product(*slot_dmds):
                 loops = [center_atom.loop] + [
                     a.loop for d in assignment for a in d.config.atoms
@@ -1068,7 +1124,7 @@ def reference_class_terms(alpha, chains, table, target, point=None):
                 chain is not None and chain.boundary for chain in slots):
             continue
         center = ConstraintTuple(eta.center_degree,
-                                 eta.point_labels() | extra,
+                                 point_labels(eta) | extra,
                                  eta.center_descriptors)
         sign = (-1) ** eta.part_count * (-1) ** len(slots)
         contribution = {}
@@ -1097,7 +1153,7 @@ def reference_linked_pairs(alpha, chains, table, target):
         if eta.center_degree.is_zero or not all(
                 part in chains and chains[part].boundary for part in slots):
             continue
-        center = ConstraintTuple(eta.center_degree, eta.point_labels(),
+        center = ConstraintTuple(eta.center_degree, point_labels(eta),
                                  eta.center_descriptors)
         pairs.update((atom.loop, part)
                      for atom in table.single_disks(center) for part in slots)

@@ -43,6 +43,8 @@ from support import (
     dim0_subtuples,
     loop_decorated_multidisks,
     make_rng,
+    parts_that_cannot_fit,
+    point_labels,
     reference_branch_bijection_failures,
     reference_boundary,
     reference_census,
@@ -168,7 +170,7 @@ def _unsigned_classes(point_parts):
 def _point_parity(eta):
     """(-1)^(point parts), the factor `_unsigned_classes` moves a class
     by."""
-    return -1 if len(eta.point_labels()) % 2 else 1
+    return -1 if len(point_labels(eta)) % 2 else 1
 
 
 def test_sign_toggle_moves_class_terms_by_predicted_sign(monkeypatch):
@@ -546,6 +548,26 @@ def test_class_sums_stay_inside_one_family(rank):
         assemble_chain(top, chains, table, target)
 
 
+@pytest.mark.parametrize("rank", [1, 2])
+def test_chains_that_cannot_fit_are_ignored(rank):
+    """A chain in `chains` whose tuple fits below no class of alpha, by a
+    label alpha lacks or a coordinate past alpha's packing, changes
+    nothing: each tuple's chain, assembled alone with such chains beside
+    its predecessors', is its family's chain.  Their boundaries are on
+    the table's loops, so a chain read by mistake would be linked."""
+    target, table, top = synthetic_instance(make_rng(16002), n_points=2,
+                                            n_quartic=1, rank=rank)
+    chains = build_chains([top], table, target)
+    loops = sorted(a.loop for a in table.atoms)[:2]
+    for alpha, chain in chains.items():
+        extra = dict(chains)
+        for part in parts_that_cannot_fit(target, alpha):
+            extra[part] = BoundingChain(
+                part, tuple((loop, Fraction(1)) for loop in loops), (),
+                Fraction(0))
+        assert assemble_chain(alpha, extra, table, target) == chain, alpha
+
+
 def maslov_zero_instance(rng):
     """A rank-2 target whose second generator h has Maslov index 0, so
     that a tuple of degree b * h without labels has dimension 0 and a
@@ -636,7 +658,7 @@ def test_weighted_invariant_forwards_sign_toggles(monkeypatch):
         term = splitting_weight(k) * max(k, 1) * sum(contrib.values())
         unmoved += term
         moved += factor * term
-        if p in eta.point_labels():
+        if p in point_labels(eta):
             degree += factor * sum(contrib.values())
     # the classes through the point carry weight here, so the flip is
     # visible
@@ -696,7 +718,7 @@ def test_to_branches_single_atom():
     assert b.branches == ()
     eta = splitting_of(b.key, keys)
     assert eta.part_count == 1  # the single point part
-    assert eta.point_labels() == frozenset(["p"])
+    assert point_labels(eta) == frozenset(["p"])
 
 
 def test_to_branches_two_atoms():
@@ -713,7 +735,7 @@ def test_to_branches_two_atoms():
         pid, _, sub = b.branches[0]
         assert len(sub.config) == 1
         assert (keys.parts[pid].points
-                | splitting_of(b.key, keys).point_labels()) == top.points
+                | point_labels(splitting_of(b.key, keys))) == top.points
 
 
 def test_branch_round_trip_small():

@@ -544,6 +544,46 @@ def test_unbounded_loop_fails_chain_assembly_where_a_class_links_it(
             assert os.path.exists(os.path.join(cfg.out, "chains.tsv"))
 
 
+def test_maslov_zero_self_link_is_a_chain_error(tmp_path, capsys):
+    """A Maslov-0 generator h gives an unlabeled dimension-0 tuple h with
+    a rigid disk u, and the class of 2h with center h and part h links u
+    with the chain of h, which u bounds.  bb-recursion exits 2 with one
+    error line naming the tuple assembled, the loop and the positivity
+    convention, not an undefined self-linking."""
+    target_doc = {
+        "format": "opengw-target", "version": 1,
+        "generators": [{"name": "g", "area": "1", "maslov": 2},
+                       {"name": "h", "area": "1", "maslov": 0}],
+        "descriptors": [],
+    }
+    atoms_doc = {
+        "format": "opengw-atoms", "version": 1,
+        "atoms": [
+            {"degree": [0, 1], "points": [], "descriptors": [], "sign": 1,
+             "loop": "u"},
+            {"degree": [1, 0], "points": ["p"], "descriptors": [],
+             "sign": 1, "loop": "v"},
+            {"degree": [1, 2], "points": ["p"], "descriptors": [],
+             "sign": -1, "loop": "w"},
+        ],
+        "linking": [["u", "v", "1"], ["u", "w", "2"], ["v", "w", "-1"]],
+        "tuples_of_interest": [
+            {"degree": [1, 2], "points": ["p"], "descriptors": []}],
+    }
+    paths = {"closed_gw": None, "seeds": None}
+    for kind, doc in (("target", target_doc), ("atoms", atoms_doc)):
+        paths[kind] = str(tmp_path / (kind + ".json"))
+        with open(paths[kind], "w") as fh:
+            json.dump(doc, fh)
+    status = main(["--pipeline", "bb-recursion", "--target", paths["target"],
+                   "--atoms", paths["atoms"], "--out", str(tmp_path / "out")])
+    assert status == 2
+    err = _assert_one_line_error(capsys)
+    assert "assembling the chain of (0,2;-;-)" in err
+    assert "loop 'u'" in err and "(0,1;-;-)" in err
+    assert "Maslov index 0" in err and "positivity convention" in err
+
+
 def test_verify_all_lists_each_chain_once_for_several_tops(tmp_path,
                                                            monkeypatch):
     """Without tuples of interest every atom tuple is a top.  verify-all

@@ -22,6 +22,8 @@ from support import (
     distinct_permutations,
     make_rng,
     orderings,
+    parts_that_cannot_fit,
+    point_labels,
     precedes,
     raw_degenerations,
     synthetic_instance,
@@ -351,7 +353,9 @@ def test_predecessors_are_listed_once_per_tuple(monkeypatch):
 def test_classes_through_filters_the_full_list():
     """The output-sensitive class generator against the full class list
     filtered by center and parts, with random center and part sets;
-    unlabeled, repeated and zero-degree parts included."""
+    unlabeled, repeated and zero-degree parts included.  Centers and
+    parts that cannot fit below the tuple, by a label it lacks or a
+    coordinate past its packing, change nothing."""
     rng = make_rng(31)
     t = rank2()
     tuples = [
@@ -364,7 +368,7 @@ def test_classes_through_filters_the_full_list():
         full = direct_degeneration_classes(t, alpha)
 
         def center(eta):
-            return (eta.center_degree, eta.point_labels(),
+            return (eta.center_degree, point_labels(eta),
                     eta.center_descriptors)
 
         def slots(eta):
@@ -375,9 +379,15 @@ def test_classes_through_filters_the_full_list():
         parts = sorted({p for eta, _ in full for p in slots(eta)},
                        key=ConstraintTuple.sort_key)
         assert list(t.classes_through(alpha, centers, parts)) == full
+        unfit = parts_that_cannot_fit(t, alpha)
+        unfit_centers = [(p.beta, p.points, p.descriptors) for p in unfit]
+        assert list(t.classes_through(alpha, centers + unfit_centers,
+                                      parts + unfit)) == full
         for _ in range(15):
             some_centers = rng.sample(centers, rng.randint(1, len(centers)))
             some_parts = set(rng.sample(parts, rng.randint(0, len(parts))))
+            some_centers += unfit_centers
+            some_parts |= set(unfit)
             expect = [
                 (eta, n) for eta, n in full
                 if center(eta) in some_centers

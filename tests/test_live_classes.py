@@ -34,10 +34,13 @@ from support import (
     BranchDecomposition,
     benchmark_synth,
     branch_decompositions,
+    center_tuple,
+    chain_slots,
     dim0_subtuples,
     full_class_list,
     loop_decorated_multidisks,
     make_rng,
+    point_labels,
     reference_boundary,
     reference_class_terms,
     synthetic_instance,
@@ -51,7 +54,7 @@ DATA = os.path.join(os.path.dirname(fileio.__file__), "data")
 
 def _full_slot_chains(eta, chains):
     out = []
-    for i in eta.chain_slots():
+    for i in chain_slots(eta):
         chain = chains.get(eta.parts[i])
         if chain is None or not chain.boundary:
             return None
@@ -65,7 +68,7 @@ def full_chain_classes(alpha, chains, table, classes):
     centers = set(table.tuples())
     return [
         (eta, count) for eta, count in classes(alpha)
-        if eta.center_tuple() in centers
+        if center_tuple(eta) in centers
         and _full_slot_chains(eta, chains) is not None
     ]
 
@@ -74,7 +77,7 @@ def full_constant_center_classes(alpha, chains, classes):
     return [
         (eta, count) for eta, count in classes(alpha)
         if eta.center_degree.is_zero
-        and not eta.center_descriptors and not eta.point_labels()
+        and not eta.center_descriptors and not point_labels(eta)
         and splitting_weight(eta.part_count) != 0
         and _full_slot_chains(eta, chains) is not None
     ]
@@ -84,10 +87,10 @@ def full_branch_decompositions(alpha, table, classes):
     decorated = {}
     out = set()
     for eta, _count in classes(alpha):
-        center = eta.center_tuple()
+        center = center_tuple(eta)
         if center is None:
             continue
-        slot_parts = [eta.parts[i] for i in eta.chain_slots()]
+        slot_parts = [eta.parts[i] for i in chain_slots(eta)]
         for part in slot_parts:
             if part not in decorated:
                 decorated[part] = loop_decorated_multidisks(part, table)
