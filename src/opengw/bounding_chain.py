@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -473,8 +474,9 @@ class BranchCut(NamedTuple):
     key is the `SplittingKeys` key of its splitting: one bare point part
     per point of the center disk, one part per branch.  center is the
     center disk.  branches holds (part id, loop tuple, decorated
-    sub-configuration) triples, in increasing order; a branch's
-    distinguished disk is the one joined to the center.
+    sub-configuration) triples, in increasing order; a branch's loop
+    tuple is its sub-configuration's loops, and its distinguished disk
+    is the one joined to the center.
     """
 
     key: tuple
@@ -483,9 +485,9 @@ class BranchCut(NamedTuple):
 
 
 class SplittingKeys:
-    """Integer keys for the splittings of one atom table's target, shared
-    by the class side and the images of the branch-bijection checks on
-    that table.
+    """Integer keys for the splittings of one atom table's target, and
+    what the branch-bijection checks of one chain family on that table
+    share.
 
     Each part gets an id, in the order parts are first met, looked up by
     its coordinates and label sets, never by its Fraction-bearing degree.
@@ -498,18 +500,34 @@ class SplittingKeys:
 
     branches maps a branch's loop tuple to (part id, sub-configuration),
     and centers a center disk's loop to (coordinates, descriptor labels,
-    point part ids): each is built once, however many tuples are
-    checked.  Both are read from the table's atoms, so the keys belong to
-    one table: another table of the same target needs its own.
+    point part ids).  What the class side reads is built once for the
+    family, however many of its tuples are checked: the table tuples as
+    center triples, their rigid disks by sort key, and the family tuples
+    with configurations, sorted, from which `parts_below` filters each
+    tuple's parts; each part's decorated count and its configurations by
+    loop tuple are kept the first time a class asks for them.  All of it
+    is read from the table, so the keys belong to one table: another
+    table of the same target needs its own.
     """
 
-    def __init__(self, target):
-        self.target = target
+    def __init__(self, table, family):
+        self.table = table
+        self.target = table.target
         self.parts = []
         self.labels = []
         self._ids = {}
         self.branches = {}
         self.centers = {}
+        self.family = frozenset(family)
+        self.pool = sorted((a for a in self.family if table.multi_disks(a)),
+                           key=ConstraintTuple.sort_key)
+        self.center_triples = _center_triples(table)
+        self.center_disks = {t.sort_key(): table.single_disks(t)
+                             for t in table.tuples()}
+        self._decorated = {}
+        self._configs = {}
+        self._config = None  # the configuration `_blocks` interns
+        self._blocks = {}
 
     def part_id(self, part):
         key = (part.beta.coords, part.points, part.descriptors)
@@ -528,13 +546,16 @@ class SplittingKeys:
                 tuple(sorted(map(self.part_id, eta.parts))))
 
     def branch(self, atoms):
-        """The entry of `branches` for a block's atoms, in loop order."""
+        """The entry of `branches` for a block's atoms, in loop order.  The
+        part's degree is built only for a part not met before."""
         sub = MultiDisk(tuple(atoms))
-        entry = self.branches[tuple(a.loop for a in atoms)] = (
-            self.part_id(ConstraintTuple(sub.total_degree(),
-                                         sub.total_points(),
-                                         sub.total_descriptors())),
-            sub)
+        coords = tuple(map(sum, zip(*[a.degree.coords for a in atoms])))
+        points, descriptors = sub.total_points(), sub.total_descriptors()
+        pid = self._ids.get((coords, points, descriptors))
+        if pid is None:
+            pid = self.part_id(ConstraintTuple(self.target.degree(coords),
+                                               points, descriptors))
+        entry = self.branches[tuple(a.loop for a in atoms)] = pid, sub
         return entry
 
     def center(self, atom):
@@ -543,6 +564,51 @@ class SplittingKeys:
             atom.degree.coords, tuple(sorted(atom.descriptors)),
             [self.part_id(self.target.point_tuple(x)) for x in atom.points])
         return entry
+
+    def blocks(self, config):
+        """Block (vertex tuple) -> (part id, loop tuple, sub-configuration)
+        of the branch on those atoms of config, interned while config is
+        the configuration being cut: each block of it is read once."""
+        if config is not self._config:
+            self._config = config
+            self._blocks = {}
+        return self._blocks
+
+    def parts_below(self, alpha):
+        """alpha's parts: the family tuples with configurations strictly
+        below alpha, their labels among alpha's and alpha's degree minus
+        theirs effective, sorted.  Every dimension-0, non-point
+        predecessor of a family tuple is in the family, so these are the
+        dimension-0, non-point predecessors of alpha with configurations,
+        in the same order.  A tuple outside the family raises ChainError:
+        its parts could be missing from the family."""
+        if alpha not in self.family:
+            raise ChainError("%r is not in the chain family of the keys"
+                             % (alpha,))
+        coords = alpha.beta.coords
+        return [p for p in self.pool
+                if p != alpha and p.points <= alpha.points
+                and p.descriptors <= alpha.descriptors
+                and all(map(operator.le, p.beta.coords, coords))]
+
+    def decorated_count(self, pid):
+        """The sum over the part's configurations of m times the trees of
+        the tree table on m vertices, m the configuration's size."""
+        count = self._decorated.get(pid)
+        if count is None:
+            count = self._decorated[pid] = sum(
+                len(config) * len(_tree_table(len(config)))
+                for config in self.table.multi_disks(self.parts[pid]))
+        return count
+
+    def configurations(self, pid):
+        """The part's configurations, keyed by loop tuple."""
+        configs = self._configs.get(pid)
+        if configs is None:
+            configs = self._configs[pid] = {
+                tuple(a.loop for a in config.atoms): config
+                for config in self.table.multi_disks(self.parts[pid])}
+        return configs
 
 
 @functools.cache
@@ -681,19 +747,21 @@ def to_branches(config, c, shape, keys):
     subtree behind it, on its own atoms, with that neighbour as its
     distinguished disk.  Each block's atoms form the branch's
     sub-configuration; its local root and subtree pass through.
-    `keys` is the table's `SplittingKeys`, which interns each branch by
-    loop tuple and each center disk by loop, so a cut costs lookups and
-    two short sorts.
+    `keys` is the table's `SplittingKeys`, which interns each block of
+    config, each branch by loop tuple and each center disk by loop, so a
+    cut costs lookups and two short sorts.
     """
     atoms = config.atoms
-    interned = keys.branches
+    interned = keys.blocks(config)
     branches = []
     for block, (root, sub_tree) in zip(shape.blocks, shape.branches):
-        loops = tuple([atoms[v].loop for v in block])
-        entry = interned.get(loops)
+        entry = interned.get(block)
         if entry is None:
-            entry = keys.branch([atoms[v] for v in block])
-        pid, sub = entry
+            loops = tuple([atoms[v].loop for v in block])
+            pid, sub = keys.branches.get(loops) or keys.branch(
+                [atoms[v] for v in block])
+            entry = interned[block] = pid, loops, sub
+        pid, loops, sub = entry
         branches.append((pid, loops, Decorated(sub, root, sub_tree)))
     branches.sort()  # loops differ, so no two entries tie before the last
     center = atoms[c]
@@ -707,29 +775,53 @@ def to_branches(config, c, shape, keys):
                      tuple(branches))
 
 
+def _reglue(cut, index, masks):
+    """The re-glue of a cut at the index level: (the center's place, the
+    sorted edge indices of the glued tree) on the configuration whose
+    loops `index` places, or None when the cut's loops, the center's and
+    the branches', are not exactly that configuration's, each once.  A
+    branch's block is the bitmask of its loops' places, kept in `masks`
+    by loop tuple: what one block determines, not the round trip."""
+    c = index.get(cut.center.loop)
+    if c is None:
+        return None
+    seen = 1 << c
+    blocks = []
+    for _, loops, _ in cut.branches:
+        mask = masks.get(loops)
+        if mask is None:
+            places = {index.get(loop) for loop in loops}
+            mask = masks[loops] = (
+                0 if None in places or len(places) < len(loops)
+                else sum(1 << k for k in places))
+        if not mask or seen & mask:
+            return None
+        seen |= mask
+        blocks.append(mask)
+    m = len(index)
+    if seen != (1 << m) - 1:
+        return None
+    return c, _glue(m, c, blocks,
+                    [(sub.center, sub.tree) for _, _, sub in cut.branches])
+
+
 def from_branches(cut):
     """Reattach the branches to the center (the inverse of to_branches):
     each branch's local tree and root edge are placed at the positions of
-    its atoms in the re-glued configuration."""
-    center = cut.center
-    atoms = [center]
+    its atoms in the re-glued configuration (`_reglue`)."""
+    atoms = [cut.center]
     for _, _, sub in cut.branches:
         atoms += sub.config.atoms
     config = MultiDisk(tuple(atoms))
-    index = {a.loop: k for k, a in enumerate(config.atoms)}
-    blocks = []
-    for _, _, sub in cut.branches:
-        mask = 0
-        for a in sub.config.atoms:
-            mask |= 1 << index[a.loop]
-        blocks.append(mask)
-    c = index[center.loop]
-    tree = _glue(len(config), c, blocks,
-                 [(sub.center, sub.tree) for _, _, sub in cut.branches])
-    return Decorated(config, c, tree)
+    glued = _reglue(cut, {a.loop: k for k, a in enumerate(config.atoms)},
+                    {})
+    if glued is None:
+        raise ChainError("a branch's loop tuple is not the loops of its "
+                         "sub-configuration")
+    return Decorated(config, *glued)
 
 
-def _branch_classes(alpha, table, target, keys):
+def _branch_classes(alpha, keys):
     """The quotient side of the branch bijection of alpha, class by class.
 
     Returns (classes, count): classes maps the `keys` key of every class
@@ -739,50 +831,37 @@ def _branch_classes(alpha, table, target, keys):
     |center disks| times the product over slots of the part's decorated
     count.  A part's decorated count is the sum over its configurations
     of m times the trees of the tree table on m vertices, m the
-    configuration's size.  The count is exact when every atom carries a
-    label: the atoms of the center and of distinct parts are then
-    distinct, and no two parts of a class are equal.  A table with an
-    unlabeled atom raises ChainError.
+    configuration's size.  The parts are `keys.parts_below(alpha)`, and
+    the centers, their disks and the counts are the family's, built once
+    by the keys.  The count is exact when every atom carries a label: the
+    atoms of the center and of distinct parts are then distinct, and no
+    two parts of a class are equal.  A table with an unlabeled atom
+    raises ChainError.
     """
-    for atom in table.atoms:
+    for atom in keys.table.atoms:
         if not atom.points and not atom.descriptors:
             raise ChainError(
                 "atom on loop %r carries no point or descriptor label; the "
                 "branch decompositions are counted only over labeled atoms"
                 % (atom.loop,)
             )
-    parts = [
-        part for part in target.predecessors(alpha)
-        if target.dimension(part) == 0 and not part.is_point_tuple()
-        and table.multi_disks(part)
-    ]
-    # a center tuple by its sort key: coordinates and sorted labels
-    centers_of = {t.sort_key(): table.single_disks(t)
-                  for t in table.tuples()}
+    parts = keys.parts_below(alpha)
     labels = keys.labels
-    sizes = {}
-
-    def decorated_count(pid):
-        if pid not in sizes:
-            sizes[pid] = sum(len(config) * len(_tree_table(len(config)))
-                             for config in table.multi_disks(keys.parts[pid]))
-        return sizes[pid]
-
+    center_disks = keys.center_disks
     classes = {}
     count = 0
     # every center is a table tuple, so every class has center disks, and
     # only the parts that fill a slot are counted
-    for eta, _raw in target.classes_through(
-        alpha, _center_triples(table), parts
-    ):
+    for eta, _raw in keys.target.classes_through(alpha, keys.center_triples,
+                                                 parts):
         key = keys.class_key(eta)
         coords, descriptors, ids = key
         points = tuple(sorted(labels[i] for i in ids
                               if labels[i] is not None))
-        centers = centers_of.get((coords, points, descriptors), ())
+        centers = center_disks.get((coords, points, descriptors), ())
         slots = tuple(i for i in ids if labels[i] is None)
         classes[key] = (centers, slots)
-        count += len(centers) * math.prod(map(decorated_count, slots))
+        count += len(centers) * math.prod(map(keys.decorated_count, slots))
     return classes, count
 
 
@@ -805,9 +884,13 @@ def branch_bijection_failures(alpha, table, target, keys):
 
     Steps 1 and 2 make the cut an injection into the decompositions and
     step 3 makes it onto them.  Configurations are read from the table.
-    `keys` is the table's `SplittingKeys`, which the checks of the
-    table's tuples share.  Raises as `_branch_classes` does for a table
-    with an unlabeled atom.
+    `keys` is the table's `SplittingKeys` for a chain family holding
+    alpha, built once and shared by the checks of the family's tuples:
+    alpha's parts are filtered from the family, and the centers, the
+    decorated counts and the parts' configurations are the family's, so
+    no predecessor is listed.  Raises ChainError for alpha outside the
+    family, and as `_branch_classes` does for a table with an unlabeled
+    atom.
 
     No decorated configuration is listed: the check walks alpha's
     configurations x centers c x buckets of `_census(m)[c]`.  The image
@@ -825,9 +908,17 @@ def branch_bijection_failures(alpha, table, target, keys):
     buckets of a center partition the tree table, so their counts,
     summed over configurations and centers, are step 3's number.
     Splittings and parts are compared by their integer keys and ids.
+
+    The round trip is compared as integers, with no configuration
+    rebuilt: from_branches(cut) == (config, c, tree) exactly when the
+    cut's loops are config's, each once, and `_reglue` on config's loop
+    places gives (c, tree).  Within one table a loop names one atom, and
+    a branch's loops are its sub-configuration's, so the re-glued atoms
+    are config's exactly when their loops are; then from_branches places
+    the loops as config does, and its center and tree are `_reglue`'s.
     """
-    classes, count = _branch_classes(alpha, table, target, keys)
-    configs = {}  # part id -> its configurations, keyed by loop tuple
+    classes, count = _branch_classes(alpha, keys)
+    configurations = keys.configurations
 
     def is_decomposition(cut):
         centers, slots = classes.get(cut.key, ((), None))
@@ -835,25 +926,22 @@ def branch_bijection_failures(alpha, table, target, keys):
                 or tuple([pid for pid, _, _ in cut.branches]) != slots):
             return False
         for pid, loops, sub in cut.branches:
-            if pid not in configs:
-                configs[pid] = {
-                    tuple(a.loop for a in config.atoms): config
-                    for config in table.multi_disks(keys.parts[pid])}
             # equal configurations have equal loops, so a branch whose
             # loops were mislabeled fails here too
-            if configs[pid].get(loops) != sub.config:
+            if configurations(pid).get(loops) != sub.config:
                 return False
         return True
 
     left_inverse = in_classes = True
     decorated = 0
     for config in table.multi_disks(alpha):
+        index = {a.loop: k for k, a in enumerate(config.atoms)}
+        masks = {}
         for c, buckets in enumerate(_census(len(config))):
             for trees, tree, shape, reglued, in_table in buckets:
                 cut = to_branches(config, c, shape, keys)
-                # a Decorated equals the plain tuple of its fields
                 left_inverse = left_inverse and reglued and (
-                    from_branches(cut) == (config, c, tree))
+                    _reglue(cut, index, masks) == (c, tree))
                 in_classes = in_classes and in_table and is_decomposition(cut)
                 decorated += trees
     steps = (left_inverse, in_classes, count == decorated)

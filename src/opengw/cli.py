@@ -463,7 +463,7 @@ def run_verify_all(bundle, atom_bundle, closed, seeds, config, rep):
         else:
             _tally(rep, "weighted-degree-comparison", weighted_bad,
                    weighted_checked, "%d tuples compared" % weighted_checked)
-        keys = SplittingKeys(target)
+        keys = SplittingKeys(table, chains)
         bijection = {alpha: branch_bijection_failures(alpha, table, target,
                                                       keys)
                      for alpha in chains}

@@ -211,7 +211,8 @@ def _packed_trees(m):
     """Every spanning tree of the complete graph on m vertices, 2 <= m <=
     MAX_TREE_VERTICES, in Pruefer order, as the sorted indices of its
     m - 1 edges in itertools.combinations(range(m), 2), packed end to
-    end in one bytes object; decoded once per m.
+    end, one byte per edge index; decoded once per m and handed out as a
+    read-only memoryview of the decode buffer, never copied.
 
     The decode runs each step of the Pruefer decode on a block of
     sequences at once, one byte lane per sequence in a little-endian
@@ -282,7 +283,7 @@ def _packed_trees(m):
                 rows[a], rows[a + 1] = p ^ swap, q ^ swap
         for j, row in enumerate(rows):
             out[start + j:start + size:width] = row.to_bytes(lanes, "little")
-    return bytes(out)
+    return memoryview(out).toreadonly()
 
 
 def tree_edge_indices(m):

@@ -363,8 +363,9 @@ class _FormContext:
     nonzero coefficients.  Per real split side and sorted insertions:
     the boundary-point count.  Per (gamma, kind, i, j): the insertion
     groups of the anchored partitions, which every degree with that
-    gamma shares.  The closed table must not change while a context
-    built on it is in use.
+    gamma shares; the partitions themselves are listed once per (length
+    of gamma, kind, i, j) and only read.  The closed table must not
+    change while a context built on it is in use.
     """
 
     def __init__(self, target, model, closed):
@@ -379,6 +380,7 @@ class _FormContext:
         self._closed_rows = {}
         self._counts = {}
         self._groups = {}
+        self._partitions = {}
 
     def splits(self, beta):
         """(complex splits, real splits) of beta."""
@@ -426,9 +428,12 @@ class _FormContext:
         key = (gamma, kind, i, j)
         out = self._groups.get(key)
         if out is None:
-            out = self._groups[key] = _insertion_groups(
-                gamma, anchored_partitions(len(gamma), kind, i, j)
-            )
+            shape = (len(gamma), kind, i, j)
+            partitions = self._partitions.get(shape)
+            if partitions is None:
+                partitions = self._partitions[shape] = anchored_partitions(
+                    *shape)
+            out = self._groups[key] = _insertion_groups(gamma, partitions)
         return out
 
 

@@ -947,6 +947,26 @@ def cut_decorated(decorated, keys):
                                       cut_shape(len(config), c, tree), keys)
 
 
+def splitting_keys(table, *tops):
+    """The table's `bounding_chain.SplittingKeys` for the chain family of
+    `tops`, the keys `verify-all` builds for its family."""
+    from opengw import bounding_chain
+
+    return bounding_chain.SplittingKeys(
+        table, bounding_chain.chain_tuples(table.target, tops))
+
+
+def predecessor_parts(alpha, table, target):
+    """alpha's parts as read off the predecessor listing: its
+    dimension-0, non-point strict predecessors with configurations, in
+    predecessor order.  The reference for
+    `bounding_chain.SplittingKeys.parts_below`, which filters them from
+    the chain family instead."""
+    return [part for part in target.predecessors(alpha)
+            if target.dimension(part) == 0 and not part.is_point_tuple()
+            and table.multi_disks(part)]
+
+
 def splitting_of(key, keys):
     """The `DegenerationType` a `SplittingKeys` key stands for: its parts
     read back by id, in sort-key order."""
@@ -978,9 +998,8 @@ def reference_branch_bijection_failures(alpha, table, target):
     when called, so a test that patches them patches both routes."""
     from opengw import bounding_chain
 
-    keys = bounding_chain.SplittingKeys(target)
-    classes, count = bounding_chain._branch_classes(alpha, table, target,
-                                                    keys)
+    keys = splitting_keys(table, alpha)
+    classes, count = bounding_chain._branch_classes(alpha, keys)
     configs = {}
 
     def is_branch_of(pid, sub):

@@ -12,7 +12,6 @@ from fractions import Fraction
 
 from opengw import bounding_chain, fileio, wdvv
 from opengw.bounding_chain import (
-    SplittingKeys,
     branch_bijection_failures,
     build_chains,
     constant_center_classes,
@@ -61,6 +60,7 @@ from support import (
     edge_weights,
     make_rng,
     reference_degree_invariant,
+    splitting_keys,
     structure_outcome,
     synthetic_instance,
 )
@@ -170,7 +170,7 @@ def test_criterion_3_branch_bijection():
             target, table, top = _instance(31000 + offset + seed, rank)
             seed += 1
             worklist = dim0_subtuples(target, table, top)
-            keys = SplittingKeys(target)
+            keys = splitting_keys(table, top)
             for alpha in worklist:
                 decorated = decorated_multidisks(alpha, table)
                 if not decorated:
@@ -184,7 +184,7 @@ def test_criterion_3_branch_bijection():
                 for d, b in zip(decorated, images):
                     assert from_branches(b) == d
                 assert branch_bijection_failures(alpha, table, target,
-                                                 SplittingKeys(target)) \
+                                                 keys) \
                     == ((), len(decorated)), alpha
                 total += len(decorated)
         ok = ok and total >= 500

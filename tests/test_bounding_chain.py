@@ -14,7 +14,6 @@ from opengw.bounding_chain import (
     _chain_linking,
     ChainError,
     Decorated,
-    SplittingKeys,
     assemble_chain,
     branch_bijection_failures,
     build_chains,
@@ -45,6 +44,7 @@ from support import (
     make_rng,
     parts_that_cannot_fit,
     point_labels,
+    predecessor_parts,
     reference_branch_bijection_failures,
     reference_boundary,
     reference_census,
@@ -52,6 +52,7 @@ from support import (
     reference_degree_invariant,
     reference_linked_pairs,
     reference_weighted_invariant,
+    splitting_keys,
     splitting_of,
     synthetic_instance,
     toy_atoms,
@@ -713,7 +714,7 @@ def test_to_branches_single_atom():
     alpha = t.constraint_tuple((1,), ["p"])
     dmds = decorated_multidisks(alpha, table)
     assert len(dmds) == 2  # two atoms, trivial tree, center forced
-    keys = SplittingKeys(t)
+    keys = splitting_keys(table, top)
     b = cut_decorated(dmds[0], keys)
     assert b.branches == ()
     eta = splitting_of(b.key, keys)
@@ -728,7 +729,7 @@ def test_to_branches_two_atoms():
         if len(d.config) == 2
     ]
     assert dmds
-    keys = SplittingKeys(t)
+    keys = splitting_keys(table, top)
     for d in dmds:
         b = cut_decorated(d, keys)
         assert len(b.branches) == 1
@@ -740,7 +741,7 @@ def test_to_branches_two_atoms():
 
 def test_branch_round_trip_small():
     t, table, top = small_instance()
-    keys = SplittingKeys(t)
+    keys = splitting_keys(table, top)
     for alpha in dim0_subtuples(t, table, top):
         for d in decorated_multidisks(alpha, table):
             assert from_branches(cut_decorated(d, keys)) == d
@@ -748,7 +749,7 @@ def test_branch_round_trip_small():
 
 def test_bijection_cardinality_small():
     t, table, top = small_instance()
-    keys = SplittingKeys(t)
+    keys = splitting_keys(table, top)
     for alpha in dim0_subtuples(t, table, top):
         dmds = decorated_multidisks(alpha, table)
         images = {decomposition_form(cut_decorated(d, keys), keys)
@@ -765,7 +766,7 @@ def test_bijection_randomized():
         target, table, top = synthetic_instance(
             rng, n_points=2, n_quartic=rng.choice((0, 1)), rank=rank
         )
-        keys = SplittingKeys(target)
+        keys = splitting_keys(table, top)
         for alpha in dim0_subtuples(target, table, top):
             dmds = decorated_multidisks(alpha, table)
             images = [cut_decorated(d, keys) for d in dmds]
@@ -830,7 +831,7 @@ def test_branch_decompositions_keep_atoms_disjoint():
     assert len(decorated) == 9
     oracle = branch_decompositions(alpha, table, t)
     assert len(oracle) == 9
-    keys = SplittingKeys(t)
+    keys = splitting_keys(table, alpha)
     assert {decomposition_form(cut_decorated(d, keys), keys)
             for d in decorated} == set(oracle)
 
@@ -838,7 +839,8 @@ def test_branch_decompositions_keep_atoms_disjoint():
 def test_branch_count_refuses_an_unlabeled_atom():
     t, table, alpha = unlabeled_atom_instance()
     with pytest.raises(ChainError, match="'L1'"):
-        branch_bijection_failures(alpha, table, t, SplittingKeys(t))
+        branch_bijection_failures(alpha, table, t,
+                                  splitting_keys(table, alpha))
 
 
 def test_branch_check_lists_no_part(monkeypatch):
@@ -850,7 +852,8 @@ def test_branch_check_lists_no_part(monkeypatch):
     worklist = dim0_subtuples(target, table, top)
     by_tuple = {a: decorated_multidisks(a, table) for a in worklist}
     for alpha in worklist:
-        branch_bijection_failures(alpha, table, target, SplittingKeys(target))
+        branch_bijection_failures(alpha, table, target,
+                                  splitting_keys(table, top))
 
     def refused(*args, **kwargs):
         raise AssertionError("a tree list was walked")
@@ -858,7 +861,7 @@ def test_branch_check_lists_no_part(monkeypatch):
     monkeypatch.setattr(bounding_chain, "tree_edge_indices", refused)
     for alpha in worklist:
         assert branch_bijection_failures(alpha, table, target,
-                                         SplittingKeys(target)) \
+                                         splitting_keys(table, top)) \
             == ((), len(by_tuple[alpha])), alpha
     assert sum(map(len, by_tuple.values())) > len(by_tuple[top]) > 0
 
@@ -995,22 +998,22 @@ def test_each_bijection_step_catches_what_the_others_miss(monkeypatch):
     t, table, top = small_instance()
     count = len(decorated_multidisks(top, table))
     assert branch_bijection_failures(top, table, t,
-                                     SplittingKeys(t)) == ((), count)
+                                     splitting_keys(table, top)) == ((), count)
     original = bounding_chain.to_branches
     first = decorated_multidisks(top, table)[0]
 
     monkeypatch.setattr(bounding_chain, "to_branches", constant_cut(first))
     assert branch_bijection_failures(top, table, t,
-                                     SplittingKeys(t)) == ((1,), count)
+                                     splitting_keys(table, top)) == ((1,), count)
 
     monkeypatch.setattr(bounding_chain, "to_branches",
                         reversed_parts_cut(original))
     assert branch_bijection_failures(top, table, t,
-                                     SplittingKeys(t)) == ((2,), count)
+                                     splitting_keys(table, top)) == ((2,), count)
     monkeypatch.undo()
     monkeypatch.setattr(table, "multi_disks", lossy_table(table, top))
     assert branch_bijection_failures(top, table, t,
-                                     SplittingKeys(t))[0] == (3,)
+                                     splitting_keys(table, top))[0] == (3,)
     monkeypatch.undo()
 
     target, table, top = synthetic_instance(make_rng(16002), n_points=3)
@@ -1019,14 +1022,14 @@ def test_each_bijection_step_catches_what_the_others_miss(monkeypatch):
     config = next(c for c in table.multi_disks(top) if len(c) == victim[0])
     d = Decorated(config, victim[1], victim[2])
     assert branch_bijection_failures(top, table, target,
-                                     SplittingKeys(target))[0] == ()
+                                     splitting_keys(table, top))[0] == ()
     with patched_cuts(broken_reglue_cuts(bounding_chain._tree_cuts,
                                          victim)):
-        assert from_branches(cut_decorated(d, SplittingKeys(target))) != d
+        assert from_branches(cut_decorated(d, splitting_keys(table, top))) != d
         assert branch_bijection_failures(top, table, target,
-                                         SplittingKeys(target))[0] == (1,)
+                                         splitting_keys(table, top))[0] == (1,)
     assert branch_bijection_failures(top, table, target,
-                                     SplittingKeys(target))[0] == ()
+                                     splitting_keys(table, top))[0] == ()
 
 
 @pytest.mark.parametrize("verdict, step", [("reglued", 1), ("in_table", 2)])
@@ -1048,7 +1051,7 @@ def test_census_verdicts_reach_their_steps(verdict, step):
 
     with patched_cuts(tree_cuts):
         assert branch_bijection_failures(top, table, target,
-                                         SplittingKeys(target))[0] == (step,)
+                                         splitting_keys(table, top))[0] == (step,)
 
 
 def test_bijection_cuts_once_per_group(monkeypatch):
@@ -1066,7 +1069,7 @@ def test_bijection_cuts_once_per_group(monkeypatch):
 
     monkeypatch.setattr(bounding_chain, "to_branches", counted)
     failed, decorated = branch_bijection_failures(top, table, target,
-                                                  SplittingKeys(target))
+                                                  splitting_keys(table, top))
     assert failed == ()
     assert len(calls) == len(set(calls)) \
         == sum(m * bell(m - 1) for m in sizes) < decorated
@@ -1108,13 +1111,13 @@ def test_branch_count_and_images_match_the_oracle(seed, shape):
         oracle = branch_decompositions(alpha, table, target,
                                        decorated=loop_by_tuple)
         assert len(by_tuple[alpha]) == len(oracle), alpha
-        keys = SplittingKeys(target)
+        keys = splitting_keys(table, top)
         images = [decomposition_form(cut_decorated(d, keys), keys)
                   for d in by_tuple[alpha]]
         assert len(set(images)) == len(images), alpha
         assert set(images) == set(oracle), alpha
         assert branch_bijection_failures(alpha, table, target,
-                                         SplittingKeys(target)) \
+                                         splitting_keys(table, top)) \
             == ((), len(oracle)), alpha
 
 
@@ -1137,7 +1140,7 @@ def test_check_matches_the_per_configuration_reference(seed, shape, rank):
 
         def both():
             return (branch_bijection_failures(alpha, table, target,
-                                              SplittingKeys(target)),
+                                              splitting_keys(table, top)),
                     reference_branch_bijection_failures(alpha, table,
                                                         target))
 
@@ -1166,6 +1169,147 @@ def test_check_matches_the_per_configuration_reference(seed, shape, rank):
             assert check == reference and check[0] == (1,), alpha
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), shape=st.sampled_from(BRANCH_SHAPES),
+       rank=st.sampled_from((1, 2)))
+def test_family_parts_are_the_predecessor_parts(seed, shape, rank):
+    """The parts the keys filter from the chain family of the top are,
+    for every tuple of the family, its dimension-0, non-point
+    predecessors with configurations, in the same order."""
+    target, table, top = synthetic_instance(make_rng(seed), *shape,
+                                            rank=rank)
+    keys = splitting_keys(table, top)
+    family = chain_tuples(target, [top])
+    assert keys.family == frozenset(family)
+    for alpha in family:
+        assert keys.parts_below(alpha) \
+            == predecessor_parts(alpha, table, target), alpha
+
+
+def test_bijection_check_lists_no_predecessor(monkeypatch):
+    """With the keys built, the check of every family tuple runs with
+    the predecessor listing unavailable and gives what it gives with
+    it."""
+    instances = [small_instance()]
+    instances += [synthetic_instance(make_rng(16100 + seed), n_points=3,
+                                     rank=rank)
+                  for seed, rank in ((0, 1), (1, 2))]
+    checked = 0
+    for target, table, top in instances:
+        family = chain_tuples(target, [top])
+        expected = {alpha: branch_bijection_failures(
+            alpha, table, target, splitting_keys(table, top))
+            for alpha in family}
+        keys = splitting_keys(table, top)
+
+        def refused(self, alpha):
+            raise AssertionError("predecessors of %r were listed" % (alpha,))
+
+        with monkeypatch.context() as mp:
+            mp.setattr(Target, "predecessors", refused)
+            for alpha in family:
+                assert branch_bijection_failures(alpha, table, target, keys) \
+                    == expected[alpha], alpha
+                checked += expected[alpha][1]
+        assert all(failed == () for failed, _ in expected.values())
+    assert checked > 0
+
+
+def test_tuple_outside_the_family_is_refused():
+    """Keys built for the family of a smaller tuple refuse the top, whose
+    parts that family may lack, rather than count fewer parts."""
+    target, table, top = synthetic_instance(make_rng(16002), n_points=3)
+    below = next(alpha for alpha in chain_tuples(target, [top])
+                 if alpha != top and predecessor_parts(alpha, table, target))
+    keys = splitting_keys(table, below)
+    assert branch_bijection_failures(below, table, target, keys)[0] == ()
+    with pytest.raises(ChainError, match="not in the chain family"):
+        branch_bijection_failures(top, table, target, keys)
+    with pytest.raises(ChainError, match="not in the chain family"):
+        branch_bijection_failures(top, table, target,
+                                  splitting_keys(table))
+
+
+def round_trip_verdicts(alpha, table, keys, extra=()):
+    """Per group (configuration, center, census bucket) of alpha, and per
+    decorated configuration in `extra`: (the integer round trip of the
+    check, `_reglue` on the configuration's loop places, equals (c,
+    tree); from_branches(cut) == (config, c, tree)).  The cut, the shape
+    and the census are read from the module when called."""
+    groups = [(config, c, tree, shape)
+              for config in table.multi_disks(alpha)
+              for c, buckets in enumerate(
+                  bounding_chain._census(len(config)))
+              for _, tree, shape, _, _ in buckets]
+    groups += [(config, c, tree, cut_shape(len(config), c, tree))
+               for config, c, tree in extra]
+    verdicts = []
+    masks = {}  # per configuration, as the check keeps them
+    for config, c, tree, shape in groups:
+        index = {a.loop: k for k, a in enumerate(config.atoms)}
+        cut = bounding_chain.to_branches(config, c, shape, keys)
+        glued = bounding_chain._reglue(cut, index,
+                                       masks.setdefault(config, {}))
+        verdicts.append((glued == (c, tree),
+                         from_branches(cut) == (config, c, tree)))
+    return verdicts
+
+
+def round_trips_agree(target, table, top):
+    """Group by group, over the chain family of top, the check's integer
+    round trip gives the verdict of from_branches on the intact code,
+    under a cut that sends every configuration to one image, and under a
+    tree cut whose re-glue is wrong for one tree, cut on its own.
+    Returns the variants that met a configuration."""
+    keys = splitting_keys(table, top)
+    met = set()
+    for alpha in chain_tuples(target, [top]):
+        decorated = decorated_multidisks(alpha, table)
+        if not decorated:
+            continue
+        verdicts = round_trip_verdicts(alpha, table, keys)
+        assert all(ours and theirs for ours, theirs in verdicts), alpha
+        # the first decorated configuration's tree is the first of its
+        # bucket, so exactly one group is its own image
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bounding_chain, "to_branches",
+                       constant_cut(decorated[0]))
+            verdicts = round_trip_verdicts(alpha, table, keys)
+        assert all(ours == theirs for ours, theirs in verdicts), alpha
+        assert sum(ours for ours, _ in verdicts) == 1, alpha
+        met.add("constant")
+        victim = census_victim(max(map(len, table.multi_disks(alpha))))
+        if victim is None:
+            continue
+        config = next(config for config in table.multi_disks(alpha)
+                      if len(config) == victim[0])
+        with patched_cuts(broken_reglue_cuts(bounding_chain._tree_cuts,
+                                             victim)):
+            verdicts = round_trip_verdicts(
+                alpha, table, keys, [(config,) + victim[1:]])
+        assert all(ours == theirs for ours, theirs in verdicts), alpha
+        assert verdicts[-1] == (False, False), alpha
+        met.add("reglue")
+    return met
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), shape=st.sampled_from(BRANCH_SHAPES),
+       rank=st.sampled_from((1, 2)))
+def test_integer_round_trip_agrees_with_from_branches(seed, shape, rank):
+    """`round_trips_agree` on drawn instances of both lattice ranks."""
+    round_trips_agree(*synthetic_instance(make_rng(seed), *shape,
+                                          rank=rank))
+
+
+def test_integer_round_trip_meets_every_variant():
+    """`round_trips_agree` on an instance whose configurations reach
+    four disks, where both broken variants are met."""
+    assert round_trips_agree(*synthetic_instance(make_rng(16002),
+                                                 n_points=3)) \
+        == {"constant", "reglue"}
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2 ** 32 - 1), shape=st.sampled_from(BRANCH_SHAPES),
        rank=st.sampled_from((1, 2)))
@@ -1179,7 +1323,7 @@ def test_class_keys_are_equal_exactly_when_the_classes_are(seed, shape,
     the per-configuration reference on each tuple."""
     target, table, top = synthetic_instance(make_rng(seed), *shape,
                                             rank=rank)
-    keys = SplittingKeys(target)
+    keys = splitting_keys(table, top)
     centers = bounding_chain._center_triples(table) + [
         (target.zero_degree(), frozenset(), frozenset())]
     by_key = {}
@@ -1199,7 +1343,7 @@ def test_class_keys_tell_the_generators_apart():
     """Rank 2: a part of degree (1, 0) and one of degree (0, 1), with the
     same labels and centers of the other degree, key two classes."""
     t = Target([("g", 1, 2), ("h", Fraction(3, 2), 2)])
-    keys = SplittingKeys(t)
+    keys = splitting_keys(AtomTable(t, [], LinkingMatrix([])))
     etas = [
         DegenerationType(t.degree(center), frozenset(), tuple(sorted(
             [t.constraint_tuple(part, ["p"]), t.point_tuple("q")],

@@ -276,8 +276,8 @@ def _cofactor_off_by_a_sign(multidisk):
 def _seven_vertex_table(edit):
     def patch(multidisk):
         real = multidisk._packed_trees
-        return "_packed_trees", lambda m: edit(real(m), m - 1) if m == 7 \
-            else real(m)
+        return "_packed_trees", lambda m: (
+            edit(bytes(real(m)), m - 1) if m == 7 else real(m))
     return patch
 
 

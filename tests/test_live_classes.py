@@ -20,7 +20,6 @@ from collections import Counter
 
 from opengw import fileio
 from opengw.bounding_chain import (
-    SplittingKeys,
     _center_triples,
     _live_parts,
     branch_bijection_failures,
@@ -43,6 +42,7 @@ from support import (
     point_labels,
     reference_boundary,
     reference_class_terms,
+    splitting_keys,
     synthetic_instance,
 )
 
@@ -145,7 +145,7 @@ def assert_live_routes_match(target, table, top, label):
             alpha, table, classes
         ), (label, alpha)
         assert branch_bijection_failures(alpha, table, target,
-                                         SplittingKeys(target)) \
+                                         splitting_keys(table, top)) \
             == ((), len(decompositions)), (label, alpha)
         seen["terms"] += len(terms)
         seen["constant"] += len(constant)

@@ -74,7 +74,7 @@ def test_tree_count_lanes_match_the_slice_set(monkeypatch, m):
     fixed-width slices: m^(m-2) on the true table, and on the table with
     its first row written over the second or repeated at its end, the
     count the suite reports is the slice count of that table."""
-    packed, width = multidisk._packed_trees(m), m - 1
+    packed, width = bytes(multidisk._packed_trees(m)), m - 1
     assert _slice_count(packed, width) == m ** (m - 2)
     assert selfcheck.tree_count_suite(m) \
         == (True, "all vertex counts up to %d" % m)
