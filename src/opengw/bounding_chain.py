@@ -505,9 +505,10 @@ class SplittingKeys:
     center triples, their rigid disks by sort key, and the family tuples
     with configurations, sorted, from which `parts_below` filters each
     tuple's parts; each part's decorated count and its configurations by
-    loop tuple are kept the first time a class asks for them.  All of it
-    is read from the table, so the keys belong to one table: another
-    table of the same target needs its own.
+    loop tuple are kept the first time a class asks for them.  unlabeled
+    is the table's first atom with no point or descriptor label, or
+    None.  All of it is read from the table, so the keys belong to one
+    table: another table of the same target needs its own.
     """
 
     def __init__(self, table, family):
@@ -524,6 +525,8 @@ class SplittingKeys:
         self.center_triples = _center_triples(table)
         self.center_disks = {t.sort_key(): table.single_disks(t)
                              for t in table.tuples()}
+        self.unlabeled = next((a for a in table.atoms
+                               if not a.points and not a.descriptors), None)
         self._decorated = {}
         self._configs = {}
         self._config = None  # the configuration `_blocks` interns
@@ -566,9 +569,10 @@ class SplittingKeys:
         return entry
 
     def blocks(self, config):
-        """Block (vertex tuple) -> (part id, loop tuple, sub-configuration)
-        of the branch on those atoms of config, interned while config is
-        the configuration being cut: each block of it is read once."""
+        """Block (vertex bitmask) -> (part id, loop tuple,
+        sub-configuration) of the branch on those atoms of config,
+        interned while config is the configuration being cut: each block
+        of it is read once."""
         if config is not self._config:
             self._config = config
             self._blocks = {}
@@ -616,25 +620,6 @@ def _tree_table(m):
     return frozenset(tree_edge_indices(m))
 
 
-class CutShape(NamedTuple):
-    """The index-level cut of a tree at vertex c, and the shape-level
-    halves of steps 1 and 2 of the branch-bijection proof.
-
-    blocks is the vertex partition: one sorted vertex tuple per branch,
-    ordered by least vertex.  branches holds, per block, the branch's
-    local root (the block's neighbour of c) and its local subtree, both
-    in the block's own indices.  reglued says that `_glue` of the blocks'
-    bitmasks and the branches gives back the tree; in_table that each
-    local subtree is in the tree table of the block's size.  A local
-    root is its vertex's place in the block, so it lies in the block.
-    """
-
-    blocks: tuple
-    branches: tuple
-    reglued: bool
-    in_table: bool
-
-
 def _glue(m, c, blocks, branches):
     """Re-glue at the index level: each local subtree lifted onto its
     block, given as a vertex bitmask, plus the edge from c to the
@@ -653,9 +638,15 @@ def _glue(m, c, blocks, branches):
 
 def _tree_cuts(m, tree):
     """Cut a tree on m vertices at every vertex, from one walk of the
-    tree rooted at vertex 0: per center c, (blocks, branches, reglued,
-    in_table), with blocks the bitmasks of the branches' vertex sets,
-    ordered by least vertex, and the rest as in `CutShape`.
+    tree rooted at vertex 0: per center c, the cut (blocks, branches,
+    reglued, in_table).  blocks holds the bitmasks of the branches'
+    vertex sets, ordered by least vertex.  branches holds, per block,
+    the branch's local root (the block's neighbour of c) and its local
+    subtree, both in the block's own indices.  reglued says that `_glue`
+    of the blocks and the branches gives back the tree; in_table that
+    each local subtree is in the tree table of the block's size.  A
+    local root is its vertex's place in the block, so it lies in the
+    block.
 
     The branches at c are, unless c is the root, the rest of the tree,
     joined to c at c's parent, which holds vertex 0, and then the
@@ -711,56 +702,51 @@ def _tree_cuts(m, tree):
     return cuts
 
 
-def _shape(m, cut):
-    """The `CutShape` of one `_tree_cuts` entry."""
-    tables = _block_tables(m)
-    blocks, branches, reglued, in_table = cut
-    return CutShape(tuple(tables[mask][0] for mask in blocks), branches,
-                    reglued, in_table)
-
-
 @functools.cache
 def _census(m):
     """Per center c of m vertices, one bucket per vertex partition, in
     order of first tree: (the number of trees cut at c into it, the first
-    of them, its `CutShape`, whether all are reglued, whether all are
-    in_table).  Every tree of the tree table is cut at every center, by
-    one `_tree_cuts` walk per tree, and gets both verdicts; a shape is
-    built for each bucket's first tree only, and only the Bell(m - 1)
-    buckets per center are kept."""
+    of them, a cut).  The cut is the first tree's blocks and branches
+    with the verdicts of all the bucket's trees: reglued when every one
+    is, in_table when every one is.  Every tree of the tree table is cut
+    at every center, by one `_tree_cuts` walk per tree, and only the
+    Bell(m - 1) buckets per center are kept."""
     census = [{} for _ in range(m)]
     for tree in tree_edge_indices(m):
         for buckets, cut in zip(census, _tree_cuts(m, tree)):
             entry = buckets.get(cut[0])
             if entry is None:
-                entry = buckets[cut[0]] = [0, tree, _shape(m, cut), True,
-                                           True]
+                buckets[cut[0]] = [1, tree, cut]
+                continue
             entry[0] += 1
-            entry[3] = entry[3] and cut[2]
-            entry[4] = entry[4] and cut[3]
+            if not (cut[2] and cut[3]):
+                blocks, branches, reglued, in_table = entry[2]
+                entry[2] = (blocks, branches, reglued and cut[2],
+                            in_table and cut[3])
     return tuple(tuple(map(tuple, buckets.values())) for buckets in census)
 
 
-def to_branches(config, c, shape, keys):
+def to_branches(config, c, cut, keys):
     """Cut a tree of config at the distinguished disk c, given the tree's
-    `CutShape` at c: each neighbour of the center roots one branch, the
-    subtree behind it, on its own atoms, with that neighbour as its
-    distinguished disk.  Each block's atoms form the branch's
-    sub-configuration; its local root and subtree pass through.
+    cut at c in the form of `_tree_cuts`: each neighbour of the center
+    roots one branch, the subtree behind it, on its own atoms, with that
+    neighbour as its distinguished disk.  Each block's atoms form the
+    branch's sub-configuration; its local root and subtree pass through.
     `keys` is the table's `SplittingKeys`, which interns each block of
-    config, each branch by loop tuple and each center disk by loop, so a
-    cut costs lookups and two short sorts.
+    config by bitmask, each branch by loop tuple and each center disk by
+    loop, so a cut costs lookups and two short sorts; a block's vertices
+    are read only the first time it is met.
     """
     atoms = config.atoms
     interned = keys.blocks(config)
     branches = []
-    for block, (root, sub_tree) in zip(shape.blocks, shape.branches):
-        entry = interned.get(block)
+    for mask, (root, sub_tree) in zip(cut[0], cut[1]):
+        entry = interned.get(mask)
         if entry is None:
-            loops = tuple([atoms[v].loop for v in block])
-            pid, sub = keys.branches.get(loops) or keys.branch(
-                [atoms[v] for v in block])
-            entry = interned[block] = pid, loops, sub
+            block = [atoms[v] for v in _block_tables(len(atoms))[mask][0]]
+            loops = tuple([a.loop for a in block])
+            pid, sub = keys.branches.get(loops) or keys.branch(block)
+            entry = interned[mask] = pid, loops, sub
         pid, loops, sub = entry
         branches.append((pid, loops, Decorated(sub, root, sub_tree)))
     branches.sort()  # loops differ, so no two entries tie before the last
@@ -805,22 +791,6 @@ def _reglue(cut, index, masks):
                     [(sub.center, sub.tree) for _, _, sub in cut.branches])
 
 
-def from_branches(cut):
-    """Reattach the branches to the center (the inverse of to_branches):
-    each branch's local tree and root edge are placed at the positions of
-    its atoms in the re-glued configuration (`_reglue`)."""
-    atoms = [cut.center]
-    for _, _, sub in cut.branches:
-        atoms += sub.config.atoms
-    config = MultiDisk(tuple(atoms))
-    glued = _reglue(cut, {a.loop: k for k, a in enumerate(config.atoms)},
-                    {})
-    if glued is None:
-        raise ChainError("a branch's loop tuple is not the loops of its "
-                         "sub-configuration")
-    return Decorated(config, *glued)
-
-
 def _branch_classes(alpha, keys):
     """The quotient side of the branch bijection of alpha, class by class.
 
@@ -836,15 +806,14 @@ def _branch_classes(alpha, keys):
     by the keys.  The count is exact when every atom carries a label: the
     atoms of the center and of distinct parts are then distinct, and no
     two parts of a class are equal.  A table with an unlabeled atom
-    raises ChainError.
+    (`keys.unlabeled`) raises ChainError.
     """
-    for atom in keys.table.atoms:
-        if not atom.points and not atom.descriptors:
-            raise ChainError(
-                "atom on loop %r carries no point or descriptor label; the "
-                "branch decompositions are counted only over labeled atoms"
-                % (atom.loop,)
-            )
+    if keys.unlabeled is not None:
+        raise ChainError(
+            "atom on loop %r carries no point or descriptor label; the "
+            "branch decompositions are counted only over labeled atoms"
+            % (keys.unlabeled.loop,)
+        )
     parts = keys.parts_below(alpha)
     labels = keys.labels
     center_disks = keys.center_disks
@@ -865,15 +834,15 @@ def _branch_classes(alpha, keys):
     return classes, count
 
 
-def branch_bijection_failures(alpha, table, target, keys):
+def branch_bijection_failures(alpha, keys):
     """(the steps of the branch-bijection proof that fail for alpha, the
     number of decorated configurations of alpha).  The steps are () when
     cutting at the center is a bijection from the decorated
     configurations (config, c, tree) of alpha, tree from the tree table,
     onto its branch decompositions.
 
-    1. from_branches(to_branches(d)) == d for every d: a left inverse,
-       so the cut is injective.
+    1. Re-gluing to_branches(d) gives d back for every d: a left
+       inverse, so the cut is injective.
     2. Every image is a branch decomposition, checked structurally: its
        splitting is one of the classes of `_branch_classes`, its center
        disk realizes that class's center tuple, its branches carry the
@@ -883,39 +852,34 @@ def branch_bijection_failures(alpha, table, target, keys):
        count of branch decompositions.
 
     Steps 1 and 2 make the cut an injection into the decompositions and
-    step 3 makes it onto them.  Configurations are read from the table.
-    `keys` is the table's `SplittingKeys` for a chain family holding
-    alpha, built once and shared by the checks of the family's tuples:
-    alpha's parts are filtered from the family, and the centers, the
-    decorated counts and the parts' configurations are the family's, so
-    no predecessor is listed.  Raises ChainError for alpha outside the
-    family, and as `_branch_classes` does for a table with an unlabeled
-    atom.
+    step 3 makes it onto them.  `keys` is the `SplittingKeys` of the
+    atom table for a chain family holding alpha, built once and shared
+    by the checks of the family's tuples; configurations are read from
+    its table.  alpha's parts are filtered from the family, and the
+    centers, the decorated counts and the parts' configurations are the
+    family's, so no predecessor is listed.  Raises ChainError for alpha
+    outside the family, and as `_branch_classes` does for a table with
+    an unlabeled atom.
 
     No decorated configuration is listed: the check walks alpha's
     configurations x centers c x buckets of `_census(m)[c]`.  The image
     of d = (config, c, tree) has two halves: its splitting, center disk
     and branch sub-configurations depend only on (config, c, blocks),
     and each branch's distinguished disk and tree are its block's local
-    root and subtree, passed through from the cut shape.  from_branches
-    rebuilds config and c from the first half and, a sub-configuration
-    being its block's atoms in loop order, glues the second half at the
-    blocks.  So for every tree t of a bucket whose first tree is r, step
-    1 holds for (config, c, t) if it holds for (config, c, r) and t's
-    shape is reglued, and step 2 if r's image passes the class checks
-    and t's shape is in_table.  The census proves both verdicts for
-    every tree; the round trip and the class checks run on r.  The
-    buckets of a center partition the tree table, so their counts,
-    summed over configurations and centers, are step 3's number.
-    Splittings and parts are compared by their integer keys and ids.
-
-    The round trip is compared as integers, with no configuration
-    rebuilt: from_branches(cut) == (config, c, tree) exactly when the
-    cut's loops are config's, each once, and `_reglue` on config's loop
-    places gives (c, tree).  Within one table a loop names one atom, and
-    a branch's loops are its sub-configuration's, so the re-glued atoms
-    are config's exactly when their loops are; then from_branches places
-    the loops as config does, and its center and tree are `_reglue`'s.
+    root and subtree, passed through from the cut.  The re-glue places
+    the first half by loops and, a sub-configuration being its block's
+    atoms in loop order, glues the second half at the blocks.  So for
+    every tree t of a bucket whose first tree is r, step 1 holds for
+    (config, c, t) if it holds for (config, c, r) and t's cut is
+    reglued, and step 2 if r's image passes the class checks and t's
+    cut is in_table.  The census proves both verdicts for every tree;
+    the round trip and the class checks run on r.  The round trip is
+    compared as integers, with no configuration rebuilt: the cut's
+    loops must be config's, each once, and `_reglue` on config's loop
+    places must give (c, tree).  The buckets of a center partition the
+    tree table, so their counts, summed over configurations and centers,
+    are step 3's number.  Splittings and parts are compared by their
+    integer keys and ids.
     """
     classes, count = _branch_classes(alpha, keys)
     configurations = keys.configurations
@@ -934,15 +898,17 @@ def branch_bijection_failures(alpha, table, target, keys):
 
     left_inverse = in_classes = True
     decorated = 0
-    for config in table.multi_disks(alpha):
+    for config in keys.table.multi_disks(alpha):
         index = {a.loop: k for k, a in enumerate(config.atoms)}
         masks = {}
         for c, buckets in enumerate(_census(len(config))):
-            for trees, tree, shape, reglued, in_table in buckets:
-                cut = to_branches(config, c, shape, keys)
+            for trees, tree, cut in buckets:
+                _, _, reglued, in_table = cut
+                image = to_branches(config, c, cut, keys)
                 left_inverse = left_inverse and reglued and (
-                    _reglue(cut, index, masks) == (c, tree))
-                in_classes = in_classes and in_table and is_decomposition(cut)
+                    _reglue(image, index, masks) == (c, tree))
+                in_classes = in_classes and in_table and is_decomposition(
+                    image)
                 decorated += trees
     steps = (left_inverse, in_classes, count == decorated)
     return tuple(step for step, ok in enumerate(steps, 1) if not ok), decorated

@@ -464,8 +464,7 @@ def run_verify_all(bundle, atom_bundle, closed, seeds, config, rep):
             _tally(rep, "weighted-degree-comparison", weighted_bad,
                    weighted_checked, "%d tuples compared" % weighted_checked)
         keys = SplittingKeys(table, chains)
-        bijection = {alpha: branch_bijection_failures(alpha, table, target,
-                                                      keys)
+        bijection = {alpha: branch_bijection_failures(alpha, keys)
                      for alpha in chains}
         decorated = sum(count for _, count in bijection.values())
         _tally(rep, "branch-bijection",

@@ -293,6 +293,13 @@ def load_atoms(path, target):
             )
             for n, t in enumerate(doc.get("tuples_of_interest", []))
         ]
+        seen = {}
+        for n, alpha in enumerate(tuples):
+            earlier = seen.setdefault(alpha, n)
+            if earlier != n:
+                raise FileFormatError(
+                    "tuples_of_interest[%d] and tuples_of_interest[%d]: the "
+                    "tuple %s is listed twice" % (earlier, n, alpha.label()))
         if not tuples:
             tuples = table.tuples()
         return AtomBundle(table, involution, tuples)

@@ -527,48 +527,54 @@ def _subsets(items):
             yield frozenset(combo)
 
 
+def _prefixes(areas, budget):
+    """Every coordinate tuple p >= 0, one entry per area, with sum of
+    p[i] * areas[i] <= budget, in lexicographic order, each with the
+    budget it leaves.  The walk raises the last coordinate that still
+    fits and sets the ones after it to 0, so it needs no recursion."""
+    if budget < 0:
+        return
+    n = len(areas)
+    coords = [0] * n
+    left = [budget] * (n + 1)  # left[i]: what coords[:i] leave
+    while True:
+        yield tuple(coords), left[n]
+        i = n - 1
+        while i >= 0 and left[i + 1] < areas[i]:
+            i -= 1
+        if i < 0:
+            return
+        coords[i] += 1
+        left[i + 1:] = [left[i + 1] - areas[i]] * (n - i)
+        coords[i + 1:] = [0] * (n - i - 1)
+
+
 def _within_area(areas, max_area):
     """The coordinate tuples c >= 0, one entry per generator area, with
-    sum of c[i] * areas[i] <= max_area, sorted.  The walk raises each
-    coordinate in turn, so it yields them in sorted order."""
+    sum of c[i] * areas[i] <= max_area, sorted: each prefix of
+    `_prefixes` over all areas but the last, extended by every value of
+    the last coordinate that fits.  No areas give the one empty tuple."""
+    if not areas:
+        return [()]
+    *head, last = areas
     out = []
-
-    def walk(prefix, budget):
-        i = len(prefix)
-        if i == len(areas):
-            out.append(prefix)
-            return
-        c = 0
-        while c * areas[i] <= budget:
-            walk(prefix + (c,), budget - c * areas[i])
-            c += 1
-
-    walk((), Fraction(max_area))
+    for prefix, budget in _prefixes(head, Fraction(max_area)):
+        out += [prefix + (c,) for c in range(budget // last + 1)]
     return out
 
 
 def _count_within_area(areas, max_area, limit):
-    """The number of tuples `_within_area` lists, up to limit + 1.  The
-    walk fixes every coordinate but the last and counts the values of
-    the last at once, so each step adds at least one and the walk stops
-    after at most limit + 1 steps."""
+    """The number of tuples `_within_area` lists, up to limit + 1.  Each
+    prefix over all areas but the last adds the values of the last
+    coordinate at once, at least one, so the walk stops after at most
+    limit + 1 prefixes."""
     *head, last = areas
     count = 0
-
-    def walk(i, budget):
-        nonlocal count
-        if i == len(head):
-            count += budget // last + 1
-            return count > limit
-        c = 0
-        while c * head[i] <= budget:
-            if walk(i + 1, budget - c * head[i]):
-                return True
-            c += 1
-        return False
-
-    walk(0, max_area)
-    return min(count, limit + 1)
+    for _, budget in _prefixes(head, max_area):
+        count += budget // last + 1
+        if count > limit:
+            return limit + 1
+    return count
 
 
 # --- the part index -----------------------------------------------------

@@ -16,10 +16,12 @@ bijection enumerated on loop-pair objects (the oracle for the packed
 check in `bounding_chain`), the listing of the packed decorated
 configurations and the branch-bijection check run one of them at a time
 (the reference for the check, which proves its first two steps once per
-census bucket and configuration, and lists none), the census of cut
-shapes with every tree cut at every center by its own walk (the
-reference for the census, which cuts a tree at all centers from one
-rooted walk), the class listing of a tuple, alone or through an extra
+census bucket and configuration, and lists none), the inverse of the
+cut that rebuilds a decorated configuration from its branches (the
+oracle for the check's integer round trip), the census of cuts with
+every tree cut at every center by its own walk (the reference for the
+census, which cuts a tree at all centers from one rooted walk), the
+class listing of a tuple, alone or through an extra
 point, filtered from the direct enumerator's full list and evaluated
 class by class with its own sign bookkeeping, and the boundary, the
 degree invariant and the weighted invariant summed from it (the
@@ -925,26 +927,58 @@ def decorated_multidisks(alpha, table):
     ]
 
 
-def cut_shape(m, c, tree):
-    """The `bounding_chain.CutShape` of a tree on m vertices at vertex c:
-    each neighbour of c roots one branch, the subtree behind it.  Read
-    from the module's `_tree_cuts` when called, so a test that patches
-    the per-tree cut patches this too."""
+def tree_cut(m, c, tree):
+    """The cut of a tree on m vertices at vertex c, in the form of
+    `bounding_chain._tree_cuts`: each neighbour of c roots one branch,
+    the subtree behind it.  Read from the module's `_tree_cuts` when
+    called, so a test that patches the per-tree cut patches this too."""
     from opengw import bounding_chain
 
-    return bounding_chain._shape(m, bounding_chain._tree_cuts(m, tree)[c])
+    return bounding_chain._tree_cuts(m, tree)[c]
 
 
 def cut_decorated(decorated, keys):
     """`bounding_chain.to_branches` of a packed decorated configuration,
-    with its tree cut first by `cut_shape`, keyed by the `SplittingKeys`
-    keys.  The cut and the shape are read from the module when called,
-    so a test that patches them patches this too."""
+    with its tree cut first by `tree_cut`, keyed by the `SplittingKeys`
+    keys.  The cuts are read from the module when called, so a test
+    that patches them patches this too."""
     from opengw import bounding_chain
 
     config, c, tree = decorated
     return bounding_chain.to_branches(config, c,
-                                      cut_shape(len(config), c, tree), keys)
+                                      tree_cut(len(config), c, tree), keys)
+
+
+def from_branches(cut):
+    """Reattach the branches of a `bounding_chain.BranchCut` to its
+    center, the inverse of `to_branches`: the configuration is rebuilt
+    from the center disk and the branches' atoms, and each branch's local
+    tree and root edge are placed at the positions of its atoms in it
+    (`bounding_chain._reglue`).  A branch whose loop tuple is not its
+    sub-configuration's raises ChainError.
+
+    The oracle for the round trip of `branch_bijection_failures`, which
+    compares it as integers, with no configuration rebuilt:
+    from_branches(cut) == (config, c, tree) exactly when the cut's loops
+    are config's, each once, and `_reglue` on config's loop places gives
+    (c, tree).  Within one table a loop names one atom, and a branch's
+    loops are its sub-configuration's, so the re-glued atoms are config's
+    exactly when their loops are; then from_branches places the loops as
+    config does, and its center and tree are `_reglue`'s.
+    """
+    from opengw.bounding_chain import ChainError, Decorated, _reglue
+    from opengw.multidisk import MultiDisk
+
+    atoms = [cut.center]
+    for _, _, sub in cut.branches:
+        atoms += sub.config.atoms
+    config = MultiDisk(tuple(atoms))
+    glued = _reglue(cut, {a.loop: k for k, a in enumerate(config.atoms)},
+                    {})
+    if glued is None:
+        raise ChainError("a branch's loop tuple is not the loops of its "
+                         "sub-configuration")
+    return Decorated(config, *glued)
 
 
 def splitting_keys(table, *tops):
@@ -994,8 +1028,8 @@ def reference_branch_bijection_failures(alpha, table, target):
     and classified on its own.  The reference for
     `bounding_chain.branch_bijection_failures`, which proves steps 1 and
     2 once per census bucket and configuration; same arguments, same
-    result.  The cut, the shape and the re-glue are read from the module
-    when called, so a test that patches them patches both routes."""
+    result.  The cuts and the re-glue are read from the module when
+    called, so a test that patches them patches both routes."""
     from opengw import bounding_chain
 
     keys = splitting_keys(table, alpha)
@@ -1020,20 +1054,20 @@ def reference_branch_bijection_failures(alpha, table, target):
     decorated = decorated_multidisks(alpha, table)
     for d in decorated:
         cut = cut_decorated(d, keys)
-        left_inverse = (left_inverse
-                        and bounding_chain.from_branches(cut) == d)
+        left_inverse = left_inverse and from_branches(cut) == d
         in_classes = in_classes and is_decomposition(cut)
     steps = (left_inverse, in_classes, count == len(decorated))
     return (tuple(step for step, ok in enumerate(steps, 1) if not ok),
             len(decorated))
 
 
-def reference_cut_shape(m, c, tree):
-    """`cut_shape` by its own walk out from c: each
-    neighbour of c roots one branch, the subtree behind it.  Blocks are
-    vertex tuples in order of least vertex, and the re-glue places each
-    local subtree on its block's vertices by edge pairs, so neither the
-    bitmask tables nor the rooted walk of `_tree_cuts` is shared."""
+def reference_tree_cut(m, c, tree):
+    """`tree_cut` by its own walk out from c: each neighbour of c roots
+    one branch, the subtree behind it.  Blocks are listed as vertex
+    tuples in order of least vertex, and the re-glue places each local
+    subtree on its block's vertices by edge pairs, so neither the
+    bitmask tables nor the rooted walk of `_tree_cuts` is shared; the
+    blocks become bitmasks only in the result."""
     from opengw import bounding_chain
     from opengw.multidisk import _edge_index_table, _edge_pairs
 
@@ -1075,8 +1109,9 @@ def reference_cut_shape(m, c, tree):
         local_pairs = _edge_pairs(len(block))
         glued += [index[block[local_pairs[k][0]]][block[local_pairs[k][1]]]
                   for k in sub_tree]
-    return bounding_chain.CutShape(
-        blocks, tuple(branches), tuple(sorted(glued)) == tree,
+    return (
+        tuple(sum(1 << v for v in block) for block in blocks),
+        tuple(branches), tuple(sorted(glued)) == tree,
         all(0 <= root < len(block)
             and sub_tree in bounding_chain._tree_table(len(block))
             for block, (root, sub_tree) in zip(blocks, branches)),
@@ -1085,19 +1120,22 @@ def reference_cut_shape(m, c, tree):
 
 def reference_census(m):
     """`bounding_chain._census(m)` with every tree cut at every center by
-    `reference_cut_shape`, one center at a time."""
+    `reference_tree_cut`, one center at a time."""
     from opengw.multidisk import tree_edge_indices
 
     census = [{} for _ in range(m)]
     for tree in tree_edge_indices(m):
         for c, buckets in enumerate(census):
-            shape = reference_cut_shape(m, c, tree)
-            entry = buckets.setdefault(shape.blocks,
-                                       [0, tree, shape, True, True])
+            blocks, branches, reglued, in_table = reference_tree_cut(
+                m, c, tree)
+            entry = buckets.setdefault(
+                blocks, [0, tree, blocks, branches, True, True])
             entry[0] += 1
-            entry[3] &= shape.reglued
-            entry[4] &= shape.in_table
-    return tuple(tuple(map(tuple, buckets.values())) for buckets in census)
+            entry[4] &= reglued
+            entry[5] &= in_table
+    return tuple(tuple((trees, tree, tuple(cut))
+                       for trees, tree, *cut in buckets.values())
+                 for buckets in census)
 
 
 # --- the chain invariants, each by its own walk ----------------------------

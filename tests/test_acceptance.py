@@ -16,7 +16,6 @@ from opengw.bounding_chain import (
     build_chains,
     constant_center_classes,
     direct_boundary,
-    from_branches,
     verify_welschinger_relation,
 )
 from opengw.cli import RunConfig, run
@@ -58,6 +57,7 @@ from support import (
     decorated_multidisks,
     dim0_subtuples,
     edge_weights,
+    from_branches,
     make_rng,
     reference_degree_invariant,
     splitting_keys,
@@ -183,8 +183,7 @@ def test_criterion_3_branch_bijection():
                 ), alpha
                 for d, b in zip(decorated, images):
                     assert from_branches(b) == d
-                assert branch_bijection_failures(alpha, table, target,
-                                                 keys) \
+                assert branch_bijection_failures(alpha, keys) \
                     == ((), len(decorated)), alpha
                 total += len(decorated)
         ok = ok and total >= 500

@@ -20,7 +20,6 @@ from opengw.bounding_chain import (
     chain_tuples,
     constant_center_classes,
     direct_boundary,
-    from_branches,
     splitting_weight,
     verify_welschinger_relation,
 )
@@ -36,10 +35,10 @@ from support import (
     branch_decompositions,
     configuration_count,
     cut_decorated,
-    cut_shape,
     decomposition_form,
     decorated_multidisks,
     dim0_subtuples,
+    from_branches,
     loop_decorated_multidisks,
     make_rng,
     parts_that_cannot_fit,
@@ -56,6 +55,7 @@ from support import (
     splitting_of,
     synthetic_instance,
     toy_atoms,
+    tree_cut,
 )
 
 
@@ -839,8 +839,7 @@ def test_branch_decompositions_keep_atoms_disjoint():
 def test_branch_count_refuses_an_unlabeled_atom():
     t, table, alpha = unlabeled_atom_instance()
     with pytest.raises(ChainError, match="'L1'"):
-        branch_bijection_failures(alpha, table, t,
-                                  splitting_keys(table, alpha))
+        branch_bijection_failures(alpha, splitting_keys(table, alpha))
 
 
 def test_branch_check_lists_no_part(monkeypatch):
@@ -852,16 +851,14 @@ def test_branch_check_lists_no_part(monkeypatch):
     worklist = dim0_subtuples(target, table, top)
     by_tuple = {a: decorated_multidisks(a, table) for a in worklist}
     for alpha in worklist:
-        branch_bijection_failures(alpha, table, target,
-                                  splitting_keys(table, top))
+        branch_bijection_failures(alpha, splitting_keys(table, top))
 
     def refused(*args, **kwargs):
         raise AssertionError("a tree list was walked")
 
     monkeypatch.setattr(bounding_chain, "tree_edge_indices", refused)
     for alpha in worklist:
-        assert branch_bijection_failures(alpha, table, target,
-                                         splitting_keys(table, top)) \
+        assert branch_bijection_failures(alpha, splitting_keys(table, top)) \
             == ((), len(by_tuple[alpha])), alpha
     assert sum(map(len, by_tuple.values())) > len(by_tuple[top]) > 0
 
@@ -882,17 +879,18 @@ def test_census_buckets_match_the_closed_forms(m):
     """At every center: Bell(m - 1) buckets, one per vertex partition;
     each holds prod |B|^(|B| - 1) trees, a rooted tree on every block,
     and the counts sum to the m^(m - 2) trees of the table.  Every
-    verdict is true, and each bucket keeps its first tree's shape."""
+    verdict is true, and each bucket keeps its first tree's cut."""
     census = bounding_chain._census(m)
     assert len(census) == m
     for c, buckets in enumerate(census):
         assert len(buckets) == bell(m - 1)
-        assert len({shape.blocks for _, _, shape, _, _ in buckets}) \
-            == len(buckets)
-        for count, tree, shape, reglued, in_table in buckets:
-            assert shape == cut_shape(m, c, tree)
-            assert count == math.prod(len(block) ** (len(block) - 1)
-                                      for block in shape.blocks)
+        assert len({cut[0] for _, _, cut in buckets}) == len(buckets)
+        for count, tree, cut in buckets:
+            blocks, _, reglued, in_table = cut
+            assert cut == tree_cut(m, c, tree)
+            assert count == math.prod(
+                block.bit_count() ** (block.bit_count() - 1)
+                for block in blocks)
             assert reglued and in_table, (m, c, tree)
         assert sum(count for count, *_ in buckets) \
             == (m ** (m - 2) if m > 1 else 1)
@@ -903,7 +901,7 @@ def test_census_matches_the_per_tree_reference(m):
     """The census from one rooted walk per tree equals the census that
     cuts every tree at every center by its own walk out from that
     center: the same buckets in the same order, with the same counts,
-    first trees, shapes and both verdicts."""
+    first trees, cuts and both verdicts."""
     assert bounding_chain._census(m) == reference_census(m)
 
 
@@ -912,16 +910,16 @@ def constant_cut(first):
     decorated configuration `first`, keyed by the keys it is given."""
     cut = bounding_chain.to_branches
 
-    def constant(config, c, shape, keys):
+    def constant(config, c, at_c, keys):
         config, c, tree = first
-        return cut(config, c, cut_shape(len(config), c, tree), keys)
+        return cut(config, c, tree_cut(len(config), c, tree), keys)
     return constant
 
 
 def reversed_parts_cut(original):
     """A cut whose splitting key lists its part ids in reverse order."""
-    def reversed_parts(config, c, shape, keys):
-        cut = original(config, c, shape, keys)
+    def reversed_parts(config, c, at_c, keys):
+        cut = original(config, c, at_c, keys)
         coords, descriptors, ids = cut.key
         return cut._replace(key=(coords, descriptors, ids[::-1]))
     return reversed_parts
@@ -942,7 +940,7 @@ def census_victim(m):
     """(m, c, tree) of the first tree on m vertices that is not the
     first tree of its census bucket, or None."""
     for c, buckets in enumerate(bounding_chain._census(m)):
-        firsts = {tree for _, tree, _, _, _ in buckets}
+        firsts = {tree for _, tree, _ in buckets}
         for tree in tree_edge_indices(m):
             if tree not in firsts:
                 return m, c, tree
@@ -997,22 +995,22 @@ def test_each_bijection_step_catches_what_the_others_miss(monkeypatch):
     sees it."""
     t, table, top = small_instance()
     count = len(decorated_multidisks(top, table))
-    assert branch_bijection_failures(top, table, t,
-                                     splitting_keys(table, top)) == ((), count)
+    assert branch_bijection_failures(top, splitting_keys(table, top)) \
+        == ((), count)
     original = bounding_chain.to_branches
     first = decorated_multidisks(top, table)[0]
 
     monkeypatch.setattr(bounding_chain, "to_branches", constant_cut(first))
-    assert branch_bijection_failures(top, table, t,
-                                     splitting_keys(table, top)) == ((1,), count)
+    assert branch_bijection_failures(top, splitting_keys(table, top)) \
+        == ((1,), count)
 
     monkeypatch.setattr(bounding_chain, "to_branches",
                         reversed_parts_cut(original))
-    assert branch_bijection_failures(top, table, t,
-                                     splitting_keys(table, top)) == ((2,), count)
+    assert branch_bijection_failures(top, splitting_keys(table, top)) \
+        == ((2,), count)
     monkeypatch.undo()
     monkeypatch.setattr(table, "multi_disks", lossy_table(table, top))
-    assert branch_bijection_failures(top, table, t,
+    assert branch_bijection_failures(top,
                                      splitting_keys(table, top))[0] == (3,)
     monkeypatch.undo()
 
@@ -1021,15 +1019,13 @@ def test_each_bijection_step_catches_what_the_others_miss(monkeypatch):
     assert victim is not None
     config = next(c for c in table.multi_disks(top) if len(c) == victim[0])
     d = Decorated(config, victim[1], victim[2])
-    assert branch_bijection_failures(top, table, target,
-                                     splitting_keys(table, top))[0] == ()
+    assert branch_bijection_failures(top, splitting_keys(table, top))[0] == ()
     with patched_cuts(broken_reglue_cuts(bounding_chain._tree_cuts,
                                          victim)):
         assert from_branches(cut_decorated(d, splitting_keys(table, top))) != d
-        assert branch_bijection_failures(top, table, target,
-                                         splitting_keys(table, top))[0] == (1,)
-    assert branch_bijection_failures(top, table, target,
-                                     splitting_keys(table, top))[0] == ()
+        assert branch_bijection_failures(
+            top, splitting_keys(table, top))[0] == (1,)
+    assert branch_bijection_failures(top, splitting_keys(table, top))[0] == ()
 
 
 @pytest.mark.parametrize("verdict, step", [("reglued", 1), ("in_table", 2)])
@@ -1040,7 +1036,7 @@ def test_census_verdicts_reach_their_steps(verdict, step):
     target, table, top = synthetic_instance(make_rng(16002), n_points=3)
     victim = census_victim(max(map(len, table.multi_disks(top))))
     original = bounding_chain._tree_cuts
-    place = bounding_chain.CutShape._fields.index(verdict)
+    place = {"reglued": 2, "in_table": 3}[verdict]  # in a `_tree_cuts` cut
 
     def tree_cuts(m, tree):
         cuts = original(m, tree)
@@ -1050,8 +1046,8 @@ def test_census_verdicts_reach_their_steps(verdict, step):
         return cuts
 
     with patched_cuts(tree_cuts):
-        assert branch_bijection_failures(top, table, target,
-                                         splitting_keys(table, top))[0] == (step,)
+        assert branch_bijection_failures(
+            top, splitting_keys(table, top))[0] == (step,)
 
 
 def test_bijection_cuts_once_per_group(monkeypatch):
@@ -1063,12 +1059,12 @@ def test_bijection_cuts_once_per_group(monkeypatch):
     calls = []
     original = bounding_chain.to_branches
 
-    def counted(config, c, shape, keys):
-        calls.append((config, c, shape.blocks))
-        return original(config, c, shape, keys)
+    def counted(config, c, cut, keys):
+        calls.append((config, c, cut[0]))
+        return original(config, c, cut, keys)
 
     monkeypatch.setattr(bounding_chain, "to_branches", counted)
-    failed, decorated = branch_bijection_failures(top, table, target,
+    failed, decorated = branch_bijection_failures(top,
                                                   splitting_keys(table, top))
     assert failed == ()
     assert len(calls) == len(set(calls)) \
@@ -1084,10 +1080,11 @@ def test_every_cut_shape_reglues_into_the_tree_table(m):
     count = 0
     for tree in tree_edge_indices(m):
         for c in range(m):
-            shape = cut_shape(m, c, tree)
-            assert sorted(v for block in shape.blocks for v in block) \
+            blocks, _, reglued, in_table = tree_cut(m, c, tree)
+            assert sorted(v for block in blocks for v in range(m)
+                          if block >> v & 1) \
                 == [v for v in range(m) if v != c]
-            assert shape.reglued and shape.in_table, (m, c, tree)
+            assert reglued and in_table, (m, c, tree)
             count += 1
     assert count == m ** (m - 1)
 
@@ -1116,8 +1113,7 @@ def test_branch_count_and_images_match_the_oracle(seed, shape):
                   for d in by_tuple[alpha]]
         assert len(set(images)) == len(images), alpha
         assert set(images) == set(oracle), alpha
-        assert branch_bijection_failures(alpha, table, target,
-                                         splitting_keys(table, top)) \
+        assert branch_bijection_failures(alpha, splitting_keys(table, top)) \
             == ((), len(oracle)), alpha
 
 
@@ -1139,7 +1135,7 @@ def test_check_matches_the_per_configuration_reference(seed, shape, rank):
         decorated = decorated_multidisks(alpha, table)
 
         def both():
-            return (branch_bijection_failures(alpha, table, target,
+            return (branch_bijection_failures(alpha,
                                               splitting_keys(table, top)),
                     reference_branch_bijection_failures(alpha, table,
                                                         target))
@@ -1198,7 +1194,7 @@ def test_bijection_check_lists_no_predecessor(monkeypatch):
     for target, table, top in instances:
         family = chain_tuples(target, [top])
         expected = {alpha: branch_bijection_failures(
-            alpha, table, target, splitting_keys(table, top))
+            alpha, splitting_keys(table, top))
             for alpha in family}
         keys = splitting_keys(table, top)
 
@@ -1208,7 +1204,7 @@ def test_bijection_check_lists_no_predecessor(monkeypatch):
         with monkeypatch.context() as mp:
             mp.setattr(Target, "predecessors", refused)
             for alpha in family:
-                assert branch_bijection_failures(alpha, table, target, keys) \
+                assert branch_bijection_failures(alpha, keys) \
                     == expected[alpha], alpha
                 checked += expected[alpha][1]
         assert all(failed == () for failed, _ in expected.values())
@@ -1222,32 +1218,31 @@ def test_tuple_outside_the_family_is_refused():
     below = next(alpha for alpha in chain_tuples(target, [top])
                  if alpha != top and predecessor_parts(alpha, table, target))
     keys = splitting_keys(table, below)
-    assert branch_bijection_failures(below, table, target, keys)[0] == ()
+    assert branch_bijection_failures(below, keys)[0] == ()
     with pytest.raises(ChainError, match="not in the chain family"):
-        branch_bijection_failures(top, table, target, keys)
+        branch_bijection_failures(top, keys)
     with pytest.raises(ChainError, match="not in the chain family"):
-        branch_bijection_failures(top, table, target,
-                                  splitting_keys(table))
+        branch_bijection_failures(top, splitting_keys(table))
 
 
 def round_trip_verdicts(alpha, table, keys, extra=()):
     """Per group (configuration, center, census bucket) of alpha, and per
     decorated configuration in `extra`: (the integer round trip of the
     check, `_reglue` on the configuration's loop places, equals (c,
-    tree); from_branches(cut) == (config, c, tree)).  The cut, the shape
-    and the census are read from the module when called."""
-    groups = [(config, c, tree, shape)
+    tree); from_branches(cut) == (config, c, tree)).  The cuts and the
+    census are read from the module when called."""
+    groups = [(config, c, tree, cut)
               for config in table.multi_disks(alpha)
               for c, buckets in enumerate(
                   bounding_chain._census(len(config)))
-              for _, tree, shape, _, _ in buckets]
-    groups += [(config, c, tree, cut_shape(len(config), c, tree))
+              for _, tree, cut in buckets]
+    groups += [(config, c, tree, tree_cut(len(config), c, tree))
                for config, c, tree in extra]
     verdicts = []
     masks = {}  # per configuration, as the check keeps them
-    for config, c, tree, shape in groups:
+    for config, c, tree, at_c in groups:
         index = {a.loop: k for k, a in enumerate(config.atoms)}
-        cut = bounding_chain.to_branches(config, c, shape, keys)
+        cut = bounding_chain.to_branches(config, c, at_c, keys)
         glued = bounding_chain._reglue(cut, index,
                                        masks.setdefault(config, {}))
         verdicts.append((glued == (c, tree),
@@ -1332,7 +1327,7 @@ def test_class_keys_are_equal_exactly_when_the_classes_are(seed, shape,
                  if target.dimension(p) == 0 and not p.is_point_tuple()]
         for eta, _count in target.classes_through(alpha, centers, parts):
             by_key.setdefault(keys.class_key(eta), set()).add(eta)
-        assert branch_bijection_failures(alpha, table, target, keys) \
+        assert branch_bijection_failures(alpha, keys) \
             == reference_branch_bijection_failures(alpha, table, target), \
             alpha
     for key, etas in by_key.items():

@@ -67,6 +67,21 @@ def test_load_atoms_bundle():
     assert links.lk("a1r", "e1r") == links.lk("a1", "e1")
 
 
+def test_load_atoms_refuses_a_repeated_tuple_of_interest(tmp_path):
+    """A tuple of interest listed twice is refused, naming both entries,
+    rather than run and reported twice."""
+    bundle = fileio.load_target(toy_paths()["target"])
+    doc = json.loads(open(toy_paths()["atoms"]).read())
+    doc["tuples_of_interest"] *= 2
+    atoms = tmp_path / "atoms.json"
+    atoms.write_text(json.dumps(doc))
+    with pytest.raises(fileio.FileFormatError) as err:
+        fileio.load_atoms(str(atoms), bundle.target)
+    assert "atoms.json: tuples_of_interest[0] and tuples_of_interest[1]: " \
+        in str(err.value)
+    assert "listed twice" in str(err.value)
+
+
 def test_load_seeds_evaluates_degree_zero_extension():
     bundle = fileio.load_target(toy_paths()["target"])
     seeds = fileio.load_seeds(
@@ -659,7 +674,7 @@ def test_tree_cap_is_refused_before_any_check(tmp_path, monkeypatch,
     """verify-all checks the tree cap before any work: on the toy, whose
     largest configuration has 2 atoms, --cap-trees 1 exits 2 with one
     line naming the cap and that size, runs no self-check and no
-    census of cut shapes, and leaves --out empty.  --cap-trees 2
+    census of cuts, and leaves --out empty.  --cap-trees 2
     passes."""
     from opengw import bounding_chain, selfcheck
 
@@ -1304,6 +1319,22 @@ def _edited_toy_run(tmp_path, kind, edit, pipeline="wdvv-solve"):
     for name, file in paths.items():
         argv += ["--" + name.replace("_", "-"), file]
     return main(argv), out
+
+
+def test_repeated_tuple_of_interest_is_one_line_error(tmp_path, capsys):
+    """The toy atoms with their one tuple of interest listed twice: exit
+    status 2, one line naming the file and both entries, and no
+    artifact written."""
+    def repeated(doc):
+        doc["tuples_of_interest"] *= 2
+
+    status, out = _edited_toy_run(tmp_path, "atoms", repeated,
+                                  pipeline="verify-all")
+    assert status == 2
+    err = _assert_one_line_error(capsys)
+    assert "bad.json: tuples_of_interest[0] and tuples_of_interest[1]: " \
+        in err, err
+    assert not out.exists() or not os.listdir(out)
 
 
 def _appended(key, entry):

@@ -1,5 +1,6 @@
 """Degree lattice, constraint tuples, and degeneration enumeration."""
 
+import gc
 import itertools
 import random
 from fractions import Fraction
@@ -12,6 +13,8 @@ from opengw.lattice import (
     DegenerationType,
     Target,
     TargetError,
+    _count_within_area,
+    _within_area,
 )
 
 from support import (
@@ -136,6 +139,28 @@ def test_effective_degrees_are_counted_without_listing(areas, bound, limit):
     t = Target([("g%d" % i, a, 2) for i, a in enumerate(areas)])
     listed = len(t.effective_degrees(bound))
     assert t.count_effective_degrees(bound, limit) == min(listed, limit + 1)
+
+
+def test_area_walks_leave_no_cyclic_garbage():
+    """Listing and counting the coordinate tuples within an area leave
+    nothing for the cyclic collector, and the listing is every tuple
+    within the area in lexicographic order; no areas give the one empty
+    tuple."""
+    areas = (Fraction(1), Fraction(3, 2))
+    gc.collect()
+    gc.disable()
+    try:
+        listed = _within_area(areas, 6)
+        listing_garbage = gc.collect()
+        counted = _count_within_area(areas, Fraction(6), 100)
+        counting_garbage = gc.collect()
+    finally:
+        gc.enable()
+    assert (listing_garbage, counting_garbage) == (0, 0)
+    assert listed == [c for c in itertools.product(range(7), range(5))
+                      if c[0] * areas[0] + c[1] * areas[1] <= 6]
+    assert counted == len(listed) == 19
+    assert _within_area((), 3) == [()]
 
 
 def test_precedes_reflexive_and_examples():

@@ -144,8 +144,7 @@ def assert_live_routes_match(target, table, top, label):
         assert decompositions == full_branch_decompositions(
             alpha, table, classes
         ), (label, alpha)
-        assert branch_bijection_failures(alpha, table, target,
-                                         splitting_keys(table, top)) \
+        assert branch_bijection_failures(alpha, splitting_keys(table, top)) \
             == ((), len(decompositions)), (label, alpha)
         seen["terms"] += len(terms)
         seen["constant"] += len(constant)
